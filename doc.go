@@ -203,6 +203,23 @@
 // bounds at the edge, and fails over to the next live member if the
 // routed one dies.
 //
+// The client tier's own cost is held down the way the member grant
+// path's is. Both ends of a CLIENT connection write through the frame
+// queue member links use: a frame is built in a pooled buffer and
+// written inline when the connection is idle, and frames sent while a
+// write is in progress leave together in one writev, in the order they
+// were sent — so callers sharing a connection (a gateway's whole
+// population shares one per member) pay one syscall per batch. Both
+// ends read through one decoder that parses frames in the connection's
+// buffer. Nothing is allocated per request: pending entries, requests,
+// resource-name strings and worker goroutines are recycled per
+// connection, bounded by the traffic the connection has carried, and a
+// request is itself the context its acquire runs under. An
+// acquire+release over loopback is budgeted at 2 heap objects against a
+// member and 4 through a gateway (TestAllocBudgetClientRoundTrip,
+// TestAllocBudgetGatewayRoundTrip; both measure 0), and the gateway's
+// /metrics reports frames written against write calls made.
+//
 // # The sharded lock service
 //
 // The paper's algorithm arbitrates one critical section; OpenLockService

@@ -18,13 +18,13 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dagmutex/internal/lockservice"
@@ -55,23 +55,71 @@ type Hold struct {
 	Expires time.Time
 }
 
-// resp is one decoded response frame.
+// resp is one response frame, decoded by the reader into fixed fields so
+// that delivering it costs no allocation; only an error response carries
+// a (freshly allocated) message.
 type resp struct {
 	op      byte
-	payload []byte
+	ok      bool   // the payload was well-formed for op
+	granted bool   // RespTry
+	code    byte   // RespErr: the wire error code
+	fence   uint64 // RespGrant, RespTry
+	expiry  uint64 // RespGrant, RespTry: lease deadline, unix nanos, 0 = none
+	msg     string // RespErr
 }
 
-// pending is one in-flight request's client-side state.
+// decodeResp parses one response payload. It copies what it keeps:
+// payload aliases the reader's buffer.
+func decodeResp(op byte, payload []byte) resp {
+	r := resp{op: op}
+	switch {
+	case op == transport.RespGrant && len(payload) == 16:
+		r.ok = true
+		r.fence = binary.BigEndian.Uint64(payload[0:8])
+		r.expiry = binary.BigEndian.Uint64(payload[8:16])
+	case op == transport.RespTry && len(payload) == 17:
+		r.ok = true
+		r.granted = payload[0] != 0
+		r.fence = binary.BigEndian.Uint64(payload[1:9])
+		r.expiry = binary.BigEndian.Uint64(payload[9:17])
+	case op == transport.RespOK:
+		r.ok = true
+	case op == transport.RespErr && len(payload) >= 1:
+		r.ok = true
+		r.code = payload[0]
+		r.msg = string(payload[1:])
+	}
+	return r
+}
+
+// maxFreePending caps a connection's free list of pending entries: deep
+// enough for the member's default per-connection queue, and a connection
+// carrying more than that at once (a gateway upstream) allocates the
+// excess as every request used to.
+const maxFreePending = transport.MaxClientInflight
+
+// pending is one in-flight request's client-side state. Entries are
+// recycled through Conn.free, channel included.
+//
+// Ownership: the caller that registered the entry owns it, and returns
+// it to the free list once it has taken its one response off ch. A
+// caller that gives up first (context done) marks it abandoned under
+// Conn.mu and walks away; ownership passes to the reader, which disposes
+// of the response when it arrives and recycles the entry then. Either
+// way an entry reaches the free list only after it has left Conn.reqs
+// and its channel is empty, and the reader finds entries only through
+// Conn.reqs — so a recycled entry can never be handed a response
+// addressed to the request id it served before.
 type pending struct {
-	ch chan resp
+	ch chan resp // cap 1: one response per registration, never blocks the reader
 	// resource is remembered so an abandoned acquire's racing grant can be
 	// handed straight back with a release.
 	resource string
-	// abandoned is set when the caller gave up (context done) and no
-	// longer listens on ch; the reader then disposes of the response.
-	abandoned atomic.Bool
 	// isAcquire marks requests whose racing success must be released.
 	isAcquire bool
+	// abandoned is set when the caller gave up and no longer listens on
+	// ch. Guarded by Conn.mu.
+	abandoned bool
 }
 
 // Conn is one client connection to a member. All methods are safe for
@@ -79,15 +127,17 @@ type pending struct {
 // member's per-connection queue).
 type Conn struct {
 	conn net.Conn
-
-	wmu  sync.Mutex // serializes writes of whole frames
-	wbuf []byte     // request frame scratch, guarded by wmu
+	// out carries every request frame: written inline when the connection
+	// is idle, gathered into one writev with the frames of the other
+	// callers when it is not, in the order the callers sent them.
+	out *transport.FrameWriter
 
 	mu     sync.Mutex
 	reqs   map[uint64]*pending
+	free   []*pending // at most maxFreePending
+	nextID uint64
 	closed bool
 	err    error
-	nextID atomic.Uint64
 
 	done chan struct{} // closed when the reader exits
 }
@@ -112,9 +162,20 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 		_ = conn.Close()
 		return nil, fmt.Errorf("client: handshake with %s: %w", addr, err)
 	}
-	c := &Conn{conn: conn, reqs: make(map[uint64]*pending), done: make(chan struct{})}
+	return newConn(conn), nil
+}
+
+// newConn starts the reader and the frame writer over an established
+// connection whose handshake has been sent.
+func newConn(conn net.Conn) *Conn {
+	c := &Conn{
+		conn: conn,
+		out:  transport.NewFrameWriter(conn),
+		reqs: make(map[uint64]*pending),
+		done: make(chan struct{}),
+	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop correlates response frames with their pending requests. An
@@ -126,45 +187,54 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 // "response delivered" unobserved.
 func (c *Conn) readLoop() {
 	defer close(c.done)
+	br := bufio.NewReader(c.conn)
 	for {
-		op, reqID, payload, err := transport.ReadClientFrame(c.conn)
+		op, reqID, payload, err := transport.ReadClientFrame(br)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrClosed, err))
+			c.out.Shutdown()
 			return
 		}
+		r := decodeResp(op, payload)
 		c.mu.Lock()
 		p, ok := c.reqs[reqID]
-		if ok {
-			delete(c.reqs, reqID)
+		if !ok {
+			c.mu.Unlock()
+			continue
 		}
-		abandoned := ok && p.abandoned.Load()
-		if ok && !abandoned {
-			p.ch <- resp{op: op, payload: payload} // cap 1: never blocks
+		delete(c.reqs, reqID)
+		if !p.abandoned {
+			p.ch <- r
+			c.mu.Unlock()
+			continue
 		}
+		resource, isAcquire := p.resource, p.isAcquire
+		c.recycle(p)
 		c.mu.Unlock()
-		if abandoned && p.isAcquire && op == transport.RespGrant && len(payload) >= 8 {
+		if isAcquire && r.op == transport.RespGrant && r.ok {
 			// The grant raced our cancel: hand it straight back.
-			fence := binary.BigEndian.Uint64(payload[0:8])
-			go func() { _ = c.sendRelease(p.resource, fence) }()
+			c.handBack(resource, r.fence)
 		}
 	}
 }
 
-// fail marks the connection dead and wakes every pending request.
+// fail marks the connection dead and wakes every pending request, each
+// exactly once: a request is either still in reqs (woken here) or has
+// been delivered its response already (and left reqs first).
 func (c *Conn) fail(err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.closed {
 		err = ErrClosed
 	}
 	if c.err == nil {
 		c.err = err
 	}
-	reqs := c.reqs
-	c.reqs = map[uint64]*pending{}
-	c.mu.Unlock()
-	for _, p := range reqs {
-		if !p.abandoned.Load() {
-			p.ch <- resp{op: transport.RespErr, payload: append([]byte{transport.CodeGeneric}, err.Error()...)}
+	r := resp{op: transport.RespErr, ok: true, code: transport.CodeGeneric, msg: err.Error()}
+	for id, p := range c.reqs {
+		delete(c.reqs, id)
+		if !p.abandoned {
+			p.ch <- r
 		}
 	}
 }
@@ -194,15 +264,28 @@ func (c *Conn) Close() error {
 	return err
 }
 
-// send registers a pending request and writes its frame. The frame is
-// composed directly into the connection's reused scratch buffer under
-// the write lock — header via AppendClientFrame (which owns the
-// layout), then the optional fence and the resource name appended in
-// place with the size patched — so the steady-state request path
-// allocates only the pending entry.
-func (c *Conn) send(op byte, resource string, fence uint64, withFence, isAcquire bool) (uint64, *pending, error) {
-	id := c.nextID.Add(1)
-	p := &pending{ch: make(chan resp, 1), resource: resource, isAcquire: isAcquire}
+// recycle returns p to the free list. Callers hold c.mu and own p (see
+// pending).
+func (c *Conn) recycle(p *pending) {
+	if len(c.free) < maxFreePending {
+		p.resource, p.abandoned = "", false
+		c.free = append(c.free, p)
+	}
+}
+
+// finish is recycle for a caller that has just taken its response.
+func (c *Conn) finish(p *pending) {
+	c.mu.Lock()
+	c.recycle(p)
+	c.mu.Unlock()
+}
+
+// send registers a pending request and hands its frame — the fence for a
+// release, then the resource name — to the frame writer. The entry comes
+// off the free list and the frame is built in a pooled buffer, so the
+// steady-state request path allocates nothing. A frame the writer drops
+// (the connection is failing) is answered by fail.
+func (c *Conn) send(op byte, resource string, fence uint64) (uint64, *pending, error) {
 	c.mu.Lock()
 	if c.closed || c.err != nil {
 		err := c.err
@@ -212,48 +295,32 @@ func (c *Conn) send(op byte, resource string, fence uint64, withFence, isAcquire
 		}
 		return 0, nil, err
 	}
+	var p *pending
+	if n := len(c.free); n > 0 {
+		p, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		p = &pending{ch: make(chan resp, 1)}
+	}
+	p.resource, p.isAcquire = resource, op != transport.OpRelease
+	c.nextID++
+	id := c.nextID
 	c.reqs[id] = p
 	c.mu.Unlock()
-	c.wmu.Lock()
-	b := transport.AppendClientFrame(c.wbuf[:0], op, id, nil)
-	if withFence {
-		b = binary.BigEndian.AppendUint64(b, fence)
-	}
-	b = append(b, resource...)
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-4))
-	c.wbuf = b
-	_, err := c.conn.Write(b)
-	c.wmu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.reqs, id)
-		c.mu.Unlock()
-		return 0, nil, fmt.Errorf("%w: %v", ErrClosed, err)
+	if op == transport.OpRelease {
+		var head [8]byte
+		binary.BigEndian.PutUint64(head[:], fence)
+		c.out.SendClientFrame(op, id, head[:], resource)
+	} else {
+		c.out.SendClientFrame(op, id, nil, resource)
 	}
 	return id, p, nil
 }
 
-// sendCancel propagates a context cancellation to the member; best
-// effort (a broken connection tears everything down anyway).
-func (c *Conn) sendCancel(reqID uint64) {
-	c.wmu.Lock()
-	c.wbuf = transport.AppendClientFrame(c.wbuf[:0], transport.OpCancel, reqID, nil)
-	_, _ = c.conn.Write(c.wbuf)
-	c.wmu.Unlock()
-}
-
-// sendRelease is the fire-and-forget release used to hand back a grant
-// that raced a cancellation.
-func (c *Conn) sendRelease(resource string, fence uint64) error {
-	_, p, err := c.send(transport.OpRelease, resource, fence, true, false)
-	if err != nil {
-		return err
-	}
-	select {
-	case <-p.ch:
-	case <-c.done:
-	}
-	return nil
+// handBack gives back a grant that raced a cancellation, off the
+// caller's (or the reader's) goroutine: the release's response must not
+// be waited for by the goroutine that reads it.
+func (c *Conn) handBack(resource string, fence uint64) {
+	go func() { _ = c.release(resource, fence) }()
 }
 
 // Acquire locks resource through the member, blocking until the grant
@@ -262,33 +329,35 @@ func (c *Conn) sendRelease(resource string, fence uint64) error {
 // immediately; if the grant nonetheless wins the race on the wire it is
 // handed straight back, so no hold is leaked.
 func (c *Conn) Acquire(ctx context.Context, resource string) (Hold, error) {
-	id, p, err := c.send(transport.OpAcquire, resource, 0, false, true)
+	id, p, err := c.send(transport.OpAcquire, resource, 0)
 	if err != nil {
 		return Hold{}, err
 	}
 	select {
 	case r := <-p.ch:
+		c.finish(p)
 		return decodeGrant(resource, r)
 	case <-ctx.Done():
-		// Mark the request abandoned and drain any response that was
-		// delivered concurrently, under the same lock the reader holds
-		// while delivering: afterwards either we own the response (drained
-		// here) or the reader will observe abandoned and hand a racing
-		// grant straight back. Either way no hold leaks.
+		// Under the lock the reader holds while delivering, either take the
+		// response that was delivered concurrently (the entry is ours to
+		// recycle; a grant goes straight back) or mark the request
+		// abandoned, after which the reader disposes of the response — and
+		// hands a racing grant back — itself. Either way no hold leaks.
 		c.mu.Lock()
-		p.abandoned.Store(true)
-		var orphan *resp
 		select {
 		case r := <-p.ch:
-			orphan = &r
+			c.recycle(p)
+			c.mu.Unlock()
+			if r.op == transport.RespGrant && r.ok {
+				c.handBack(resource, r.fence)
+			}
 		default:
+			p.abandoned = true
+			c.mu.Unlock()
+			// The cancel rides the same queue as the acquire, so the member
+			// reads it second.
+			c.out.SendClientFrame(transport.OpCancel, id, nil, "")
 		}
-		c.mu.Unlock()
-		if orphan != nil && orphan.op == transport.RespGrant && len(orphan.payload) >= 8 {
-			fence := binary.BigEndian.Uint64(orphan.payload[0:8])
-			go func() { _ = c.sendRelease(resource, fence) }()
-		}
-		c.sendCancel(id)
 		return Hold{}, fmt.Errorf("client: acquire %q: %w", resource, ctx.Err())
 	}
 }
@@ -297,24 +366,19 @@ func (c *Conn) Acquire(ctx context.Context, resource string) (Hold, error) {
 // — no queueing behind other clients and no token messages. It reports
 // false (with no error) when the resource would have to be waited for.
 func (c *Conn) TryAcquire(resource string) (Hold, bool, error) {
-	_, p, err := c.send(transport.OpTry, resource, 0, false, true)
+	_, p, err := c.send(transport.OpTry, resource, 0)
 	if err != nil {
 		return Hold{}, false, err
 	}
 	r := <-p.ch
-	if r.op == transport.RespTry && len(r.payload) == 17 {
-		if r.payload[0] == 0 {
+	c.finish(p)
+	if r.op == transport.RespTry && r.ok {
+		if !r.granted {
 			return Hold{}, false, nil
 		}
-		h := Hold{
-			Resource: resource,
-			Fence:    binary.BigEndian.Uint64(r.payload[1:9]),
-			Expires:  nanosTime(binary.BigEndian.Uint64(r.payload[9:17])),
-		}
-		return h, true, nil
+		return Hold{Resource: resource, Fence: r.fence, Expires: nanosTime(r.expiry)}, true, nil
 	}
-	_, err = decodeGrant(resource, r)
-	return Hold{}, false, err
+	return Hold{}, false, decodeErr(r)
 }
 
 // Release unlocks resource by name (whatever hold the member currently
@@ -326,11 +390,12 @@ func (c *Conn) Release(resource string) error { return c.release(resource, 0) }
 func (c *Conn) ReleaseHold(h Hold) error { return c.release(h.Resource, h.Fence) }
 
 func (c *Conn) release(resource string, fence uint64) error {
-	_, p, err := c.send(transport.OpRelease, resource, fence, true, false)
+	_, p, err := c.send(transport.OpRelease, resource, fence)
 	if err != nil {
 		return err
 	}
 	r := <-p.ch
+	c.finish(p)
 	if r.op == transport.RespOK {
 		return nil
 	}
@@ -338,24 +403,19 @@ func (c *Conn) release(resource string, fence uint64) error {
 }
 
 func decodeGrant(resource string, r resp) (Hold, error) {
-	if r.op == transport.RespGrant && len(r.payload) == 16 {
-		return Hold{
-			Resource: resource,
-			Fence:    binary.BigEndian.Uint64(r.payload[0:8]),
-			Expires:  nanosTime(binary.BigEndian.Uint64(r.payload[8:16])),
-		}, nil
+	if r.op == transport.RespGrant && r.ok {
+		return Hold{Resource: resource, Fence: r.fence, Expires: nanosTime(r.expiry)}, nil
 	}
 	return Hold{}, decodeErr(r)
 }
 
 // decodeErr maps a respErr frame back onto the canonical sentinels.
 func decodeErr(r resp) error {
-	if r.op != transport.RespErr || len(r.payload) < 1 {
+	if r.op != transport.RespErr || !r.ok {
 		return fmt.Errorf("client: malformed response op %d", r.op)
 	}
-	msg := string(r.payload[1:])
 	var sentinel error
-	switch r.payload[0] {
+	switch r.code {
 	case transport.CodeNotHeld:
 		sentinel = lockservice.ErrNotHeld
 	case transport.CodeLeaseExpired:
@@ -369,9 +429,9 @@ func decodeErr(r resp) error {
 	case transport.CodeNodeDown:
 		sentinel = runtime.ErrNodeDown
 	default:
-		return fmt.Errorf("client: member error: %s", msg)
+		return fmt.Errorf("client: member error: %s", r.msg)
 	}
-	return fmt.Errorf("client: member error: %s: %w", msg, sentinel)
+	return fmt.Errorf("client: member error: %s: %w", r.msg, sentinel)
 }
 
 func nanosTime(n uint64) time.Time {

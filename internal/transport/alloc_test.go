@@ -114,14 +114,9 @@ func TestAllocBudgetClientRespond(t *testing.T) {
 	defer func() { _ = srv.Close() }()
 	defer func() { _ = cli.Close() }()
 	go func() { _, _ = io.Copy(io.Discard, cli) }()
-	out := newPeerConn()
-	out.conn = srv
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		_ = out.drain(srv)
-	}()
-	cc := &clientConn{conn: srv, out: out, adm: newAdmission(ClientQueue{})}
+	adm := newAdmission(ClientQueue{})
+	out := startFrameWriter(srv, &adm.writes)
+	cc := &clientConn{out: out, adm: adm}
 
 	var payload [16]byte
 	grant := func() { cc.respond(RespGrant, 7, payload[:]) }
@@ -135,8 +130,13 @@ func TestAllocBudgetClientRespond(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, shed); avg != 0 {
 		t.Errorf("shed response encode/write = %.2f allocs/op, want 0", avg)
 	}
-	out.shutdown()
-	<-drained
+	// One sender never finds the connection busy: every frame is counted,
+	// each in a write call of its own.
+	if frames, batches := adm.writes.frames.Load(), adm.writes.batches.Load(); frames < 2002 || batches != frames {
+		t.Errorf("write counters: %d frames in %d write calls, want >= 2002 frames, one call each", frames, batches)
+	}
+	_ = srv.Close()
+	out.Shutdown()
 }
 
 // TestAllocBudgetTCPHandoff bounds the pipelined cross-node handoff

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dagmutex/internal/runtime"
@@ -130,6 +131,11 @@ type admission struct {
 	answered  int64
 	shedDepth int64
 	shedRate  int64
+
+	// writes counts the frames and write calls of every connection behind
+	// this gate. Atomics outside mu: the response path takes no lock for
+	// them.
+	writes writeStats
 }
 
 func newAdmission(q ClientQueue) *admission {
@@ -308,60 +314,207 @@ func AppendClientFrame(buf []byte, op byte, reqID uint64, payload []byte) []byte
 	return append(append(buf, hdr[:]...), payload...)
 }
 
-// ReadClientFrame reads one client-protocol frame from r.
+// ReadClientFrame reads one client-protocol frame from r: the one frame
+// decoder, used by both ends of the protocol. A connection hands in its
+// *bufio.Reader and the frame is decoded where it lies — header and body
+// are peeked, never copied, so the steady-state read path allocates
+// nothing. The returned payload then aliases the reader's buffer and is
+// valid only until the next read from r. A frame that does not fit the
+// reader's buffer (a resource name of several KiB) or a reader that is
+// not buffered (tests, probes) gets a body of its own instead: one
+// allocation per frame, never more than MaxClientFrame bytes.
 func ReadClientFrame(r io.Reader) (op byte, reqID uint64, payload []byte, err error) {
-	var body []byte
-	return readClientFrameInto(r, &body)
-}
-
-// readClientFrameInto reads one client-protocol frame into *body,
-// growing it as needed and reusing it across calls — the member-side
-// read path's allocation-free variant. The returned payload aliases
-// *body and is only valid until the next call.
-func readClientFrameInto(r io.Reader, body *[]byte) (op byte, reqID uint64, payload []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	br, _ := r.(*bufio.Reader)
+	var hdr []byte
+	if br != nil {
+		if hdr, err = br.Peek(4); err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF // the stream ended inside a header
+		}
+	} else {
+		hdr = make([]byte, 4)
+		_, err = io.ReadFull(r, hdr)
+	}
+	if err != nil {
 		return 0, 0, nil, err
 	}
-	size := binary.BigEndian.Uint32(hdr[:])
+	size := int(binary.BigEndian.Uint32(hdr))
 	if size < 9 || size > MaxClientFrame {
 		return 0, 0, nil, fmt.Errorf("transport: bad client frame size %d", size)
 	}
-	if int(size) > cap(*body) {
-		*body = make([]byte, size)
+	var b []byte
+	if br != nil && 4+size <= br.Size() {
+		if b, err = br.Peek(4 + size); err == nil {
+			// The bytes are buffered, so Discard reads nothing and b stays
+			// intact until the caller's next read.
+			_, err = br.Discard(4 + size)
+			b = b[4:]
+		} else if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+	} else {
+		if br != nil {
+			_, _ = br.Discard(4) // the header was only peeked
+		}
+		b = make([]byte, size)
+		_, err = io.ReadFull(r, b)
 	}
-	b := (*body)[:size]
-	*body = b
-	if _, err := io.ReadFull(r, b); err != nil {
+	if err != nil {
 		return 0, 0, nil, err
 	}
 	return b[0], binary.BigEndian.Uint64(b[1:9]), b[9:], nil
 }
 
+// FrameWriter is the frame queue both ends of a CLIENT connection write
+// through — the member side's responses here, the dialing side's requests
+// in internal/client. It is peerConn, the writer member links use: a
+// frame is encoded into a pooled buffer and written inline when the
+// connection is idle; frames sent while a write is in progress queue up
+// and leave together in one writev. Concurrent callers sharing a
+// connection therefore cost one syscall per batch, not per frame, and
+// frames reach the wire in the order SendClientFrame was called.
+type FrameWriter = peerConn
+
+// NewFrameWriter starts the writer for conn. Shutdown stops it.
+func NewFrameWriter(conn net.Conn) *FrameWriter { return startFrameWriter(conn, nil) }
+
+// startFrameWriter is NewFrameWriter counting frames and write calls
+// into stats (nil: uncounted). A failed write severs conn, so the
+// connection's reader notices and tears the rest down.
+func startFrameWriter(conn net.Conn, stats *writeStats) *peerConn {
+	pc := newPeerConn()
+	pc.conn = conn
+	pc.stats = stats
+	pc.drained = make(chan struct{})
+	go func() {
+		defer close(pc.drained)
+		if err := pc.drain(conn); err != nil {
+			_ = conn.Close()
+		}
+	}()
+	return pc
+}
+
+// SendClientFrame queues (or writes) one frame whose payload is head
+// followed by tail. After Shutdown, or once a write has failed, frames
+// are dropped.
+func (pc *peerConn) SendClientFrame(op byte, reqID uint64, head []byte, tail string) {
+	f := framePool.Get().(*frame)
+	b := AppendClientFrame(f.b[:0], op, reqID, head)
+	if tail != "" {
+		b = append(b, tail...)
+		binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-4))
+	}
+	f.b = b
+	pc.send(f)
+}
+
+// Shutdown drops whatever is still queued and waits for the drain
+// goroutine to exit. Close the connection first if a write may be stuck
+// against a peer that stopped reading.
+func (pc *peerConn) Shutdown() {
+	pc.shutdown()
+	<-pc.drained
+}
+
+// Per-connection bounds on what the server side keeps between requests.
+// All three are sized to the traffic a connection actually carries, never
+// to ClientQueue.Depth (a member behind a gateway sets that to 1<<20).
+const (
+	// maxIdleWorkers caps the workers one connection keeps parked; a
+	// worker finishing beyond it exits, and a burst deeper than the parked
+	// set starts fresh goroutines exactly as every request used to.
+	maxIdleWorkers = MaxClientInflight
+	// maxFreeRequests caps the connection's request free list.
+	maxFreeRequests = MaxClientInflight
+	// maxInternedNames and maxInternedLen bound the resource-name intern
+	// table: names longer than the second are never kept, and a table
+	// that reaches the first is dropped whole, so a shifting working set
+	// re-interns instead of pinning the first names it ever saw.
+	maxInternedNames = 1024
+	maxInternedLen   = 128
+)
+
 // clientConn is one dialed client's server-side state: a batched
-// response writer over the shared connection, the in-flight request
-// table (for cancels), the holds table (for disconnect cleanup), the
-// inflight semaphore (per-connection backpressure) and the listener's
-// shared admission gate.
+// response writer over the shared connection, parked workers that run
+// the requests, the in-flight acquire table (for cancels), the holds
+// table (for disconnect cleanup), the inflight semaphore (per-connection
+// backpressure) and the listener's shared admission gate.
 type clientConn struct {
-	conn net.Conn
-	out  *peerConn // pooled-frame response queue + its drain goroutine
+	out *peerConn // pooled-frame response queue + its drain goroutine
 
 	backend ClientBackend
 	sem     chan struct{}
 	adm     *admission
 
+	// work hands a request to a parked worker. It is unbuffered, so a
+	// non-blocking send succeeds only when a worker is waiting; otherwise
+	// the reader starts a new one. Closed by the reader on teardown, which
+	// is what sends the parked workers home.
+	work chan *clientReq
+	idle atomic.Int32 // workers parked on (or about to park on) work
+	wg   sync.WaitGroup
+
+	// names interns resource names, so a frame naming a resource this
+	// connection has used before costs no string. Reader goroutine only.
+	names map[string]string
+
 	mu     sync.Mutex
-	reqs   map[uint64]*clientReq
-	holds  map[string]uint64 // resource -> fence, holds this connection owns
+	reqs   map[uint64]*clientReq // in-flight acquires by request id
+	holds  map[string]uint64     // resource -> fence, holds this connection owns
+	free   []*clientReq          // recycled requests, at most maxFreeRequests
 	closed bool
 }
 
-// clientReq is one in-flight acquire.
+// clientReq is one request on its way through a worker, and — for an
+// acquire — the context.Context the backend runs it under: no
+// context.WithCancel, no cancel closure, nothing allocated per request.
+//
+// Ownership: the reader takes a request off the connection's free list
+// (or makes one), fills the fields below and hands it to exactly one
+// worker; from then on that worker owns it. An acquire is also reachable
+// through clientConn.reqs, but only so that cancel can find it, and only
+// under clientConn.mu. The worker returns the request to the free list
+// in the same critical section that removes it from reqs, after copying
+// out what the response needs, so a CANCEL frame can never reach a
+// request that has moved on to another request id. A request that was
+// really canceled is dropped instead of recycled: done stays closed for
+// the rest of its life, which is what lets Done hand the same channel to
+// every caller without synchronization.
 type clientReq struct {
-	cancel   context.CancelFunc
-	canceled bool
+	op       byte
+	reqID    uint64
+	resource string
+	fence    uint64 // OpRelease only
+
+	done     chan struct{} // closed by cancel, never replaced
+	canceled atomic.Bool   // set before done closes
 }
+
+// clientReq implements context.Context with no deadline and no values.
+
+func (r *clientReq) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (r *clientReq) Done() <-chan struct{}       { return r.done }
+func (r *clientReq) Value(any) any               { return nil }
+
+func (r *clientReq) Err() error {
+	if r.canceled.Load() {
+		return context.Canceled
+	}
+	return nil
+}
+
+// cancel ends the request's context. Callers hold clientConn.mu, which
+// both makes the close happen once and keeps the request from being
+// recycled underneath it.
+func (r *clientReq) cancel() {
+	if !r.canceled.Swap(true) {
+		close(r.done)
+	}
+}
+
+// errDuplicateRequest answers an acquire that reuses the id of one still
+// in flight on the same connection.
+var errDuplicateRequest = errors.New("transport: request id already in flight on this connection")
 
 // respond writes one frame back to the client through the connection's
 // batched writer: the frame is encoded into a pooled buffer and either
@@ -372,23 +525,15 @@ type clientReq struct {
 // frame. Write failures just end the connection (the reader will
 // notice); they are never cluster-fatal.
 func (cc *clientConn) respond(op byte, reqID uint64, payload []byte) {
-	f := framePool.Get().(*frame)
-	f.b = AppendClientFrame(f.b[:0], op, reqID, payload)
-	cc.out.send(f)
+	cc.out.SendClientFrame(op, reqID, payload, "")
 }
 
-// respondErr builds the respErr frame directly in the pooled buffer —
-// code byte plus message appended after the header, size patched — so
-// the shed path (the whole point of admission control is that it runs
-// hot) allocates nothing either.
+// respondErr answers with a respErr frame — code byte, then the message —
+// through the same pooled path, so the shed path (the whole point of
+// admission control is that it runs hot) allocates nothing either.
 func (cc *clientConn) respondErr(reqID uint64, err error) {
-	f := framePool.Get().(*frame)
-	b := AppendClientFrame(f.b[:0], RespErr, reqID, nil)
-	b = append(b, errorCode(err))
-	b = append(b, err.Error()...)
-	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-4))
-	f.b = b
-	cc.out.send(f)
+	code := [1]byte{errorCode(err)}
+	cc.out.SendClientFrame(RespErr, reqID, code[:], err.Error())
 }
 
 // ServeClientConn speaks the member side of the client protocol on conn,
@@ -402,43 +547,32 @@ func ServeClientConn(conn net.Conn, backend ClientBackend, stop <-chan struct{})
 	serveClientConn(bufio.NewReader(conn), conn, backend, newAdmission(ClientQueue{}), stop)
 }
 
-// clientBodyPool recycles the per-connection frame read scratch, so a
-// churn of short-lived client connections does not allocate a buffer
-// each.
-var clientBodyPool = sync.Pool{New: func() any { b := make([]byte, 128); return &b }}
-
 // serveClientConn is ServeClientConn over an explicit reader, so a
 // caller that already buffered the connection (the TCP host's dispatch)
-// keeps its buffer. Frames are read into a pooled per-connection scratch
-// buffer; only the resource-name string conversions allocate.
-func serveClientConn(r io.Reader, conn net.Conn, backend ClientBackend, adm *admission, stop <-chan struct{}) {
+// keeps its buffer. In the steady state the loop allocates nothing:
+// frames are decoded in the reader's buffer, resource names are interned
+// per connection, requests come off the connection's free list and run
+// on its parked workers. What still allocates is what is new to the
+// connection — a name it has not seen, a burst deeper than its parked
+// workers and free list — and the aftermath of a real cancel.
+func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm *admission, stop <-chan struct{}) {
 	cc := &clientConn{
-		conn:    conn,
-		out:     newPeerConn(),
+		out:     startFrameWriter(conn, &adm.writes),
 		backend: backend,
 		sem:     make(chan struct{}, adm.depth),
 		adm:     adm,
+		work:    make(chan *clientReq),
+		names:   make(map[string]string),
 		reqs:    make(map[uint64]*clientReq),
 		holds:   make(map[string]uint64),
 	}
-	cc.out.conn = conn
 	adm.connDelta(1)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		// The response drain: gathers queued responses into writev batches
-		// whenever an inline write found the connection busy. A write error
-		// severs the connection so the read loop exits too.
-		defer wg.Done()
-		if err := cc.out.drain(conn); err != nil {
-			_ = conn.Close()
-		}
-	}()
 	defer func() {
 		cc.teardown()
-		cc.out.shutdown()
-		wg.Wait()
-		_ = conn.Close()
+		close(cc.work)
+		_ = conn.Close() // before the waits: unblocks a write to a client that stopped reading
+		cc.out.Shutdown()
+		cc.wg.Wait()
 		adm.connDelta(-1)
 	}()
 	// stop (host shutdown) severs the connection, unblocking the read.
@@ -451,30 +585,42 @@ func serveClientConn(r io.Reader, conn net.Conn, backend ClientBackend, adm *adm
 		case <-done:
 		}
 	}()
-	bodyp := clientBodyPool.Get().(*[]byte)
-	defer clientBodyPool.Put(bodyp)
 	for {
-		op, reqID, payload, err := readClientFrameInto(r, bodyp)
+		op, reqID, payload, err := ReadClientFrame(r)
 		if err != nil {
 			return
 		}
 		switch op {
-		case OpAcquire:
-			cc.startAcquire(&wg, reqID, string(payload))
-		case OpTry:
-			cc.startTry(&wg, reqID, string(payload))
+		case OpAcquire, OpTry:
+			cc.start(op, reqID, cc.intern(payload), 0)
 		case OpRelease:
 			if len(payload) < 8 {
 				return // corrupted stream
 			}
-			fence := binary.BigEndian.Uint64(payload[:8])
-			cc.startRelease(&wg, reqID, string(payload[8:]), fence)
+			cc.start(op, reqID, cc.intern(payload[8:]), binary.BigEndian.Uint64(payload[:8]))
 		case OpCancel:
 			cc.cancelRequest(reqID)
 		default:
 			return // unknown op: corrupted stream
 		}
 	}
+}
+
+// intern returns name as a string, reusing the one this connection
+// already holds for it (the map lookup keyed by string(name) does not
+// allocate).
+func (cc *clientConn) intern(name []byte) string {
+	if s, ok := cc.names[string(name)]; ok {
+		return s
+	}
+	s := string(name)
+	if len(s) <= maxInternedLen {
+		if len(cc.names) >= maxInternedNames {
+			clear(cc.names)
+		}
+		cc.names[s] = s
+	}
+	return s
 }
 
 // admit reserves an inflight slot, shedding the request with CodeBusy
@@ -503,78 +649,122 @@ func (cc *clientConn) done() {
 	cc.adm.finish()
 }
 
-// startAcquire runs one acquire in its own goroutine: acquires may block
-// for a long time, and one client's queued acquire must not stop its own
-// releases (or cancels) from being read.
-func (cc *clientConn) startAcquire(wg *sync.WaitGroup, reqID uint64, resource string) {
-	if !cc.admit(reqID) {
+// start admits one request and runs it off the reader goroutine: an
+// acquire may block for a long time, and one client's queued acquire
+// must not stop its own releases (or cancels) from being read. Releases
+// are exempt from the inflight bound: they complete quickly, always
+// shrink member state, and must stay available to a client whose acquire
+// queue is full. An acquire whose id is still in flight is refused and
+// the original left alone — taking its place in reqs would put the first
+// acquire beyond the reach of its own cancel.
+func (cc *clientConn) start(op byte, reqID uint64, resource string, fence uint64) {
+	if op != OpRelease && !cc.admit(reqID) {
 		return
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	req := &clientReq{cancel: cancel}
 	cc.mu.Lock()
-	if cc.closed {
+	if op == OpAcquire && cc.reqs[reqID] != nil {
 		cc.mu.Unlock()
-		cancel()
 		cc.done()
+		cc.respondErr(reqID, errDuplicateRequest)
 		return
 	}
-	cc.reqs[reqID] = req
+	var req *clientReq
+	if n := len(cc.free); n > 0 {
+		req, cc.free = cc.free[n-1], cc.free[:n-1]
+	} else {
+		req = &clientReq{done: make(chan struct{})}
+	}
+	req.op, req.reqID, req.resource, req.fence = op, reqID, resource, fence
+	if op == OpAcquire {
+		cc.reqs[reqID] = req
+	}
 	cc.mu.Unlock()
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer cancel()
-		defer cc.done()
-		fence, expires, err := cc.backend.Acquire(ctx, resource)
-		cc.mu.Lock()
-		delete(cc.reqs, reqID)
-		canceled := req.canceled || cc.closed
-		if err == nil && !canceled {
-			cc.holds[resource] = fence
-		}
-		cc.mu.Unlock()
-		switch {
-		case err == nil && canceled:
-			// The grant raced the cancel (or the disconnect): the client is
-			// not listening for it anymore, so hand it straight back.
-			_ = cc.backend.Release(resource, fence)
-			cc.respondErr(reqID, context.Canceled)
-		case err != nil:
-			cc.respondErr(reqID, err)
-		default:
-			var buf [16]byte
-			binary.BigEndian.PutUint64(buf[0:8], fence)
-			binary.BigEndian.PutUint64(buf[8:16], expiryNanos(expires))
-			cc.respond(RespGrant, reqID, buf[:])
-		}
-	}()
+	select {
+	case cc.work <- req:
+	default:
+		cc.wg.Add(1)
+		go cc.worker(req)
+	}
 }
 
-func (cc *clientConn) startTry(wg *sync.WaitGroup, reqID uint64, resource string) {
-	if !cc.admit(reqID) {
-		return
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer cc.done()
-		fence, expires, ok, err := cc.backend.TryAcquire(resource)
-		if err != nil {
-			cc.respondErr(reqID, err)
+// worker runs req, then parks for the next request the reader hands
+// over; it exits when the connection tears down or enough workers are
+// parked already.
+func (cc *clientConn) worker(req *clientReq) {
+	defer cc.wg.Done()
+	for req != nil {
+		switch req.op {
+		case OpAcquire:
+			cc.acquire(req)
+		case OpTry:
+			cc.try(req)
+		case OpRelease:
+			cc.release(req)
+		}
+		if cc.idle.Add(1) > maxIdleWorkers {
+			cc.idle.Add(-1)
 			return
 		}
-		if ok {
-			cc.mu.Lock()
-			if cc.closed {
-				// Disconnected while the try was in flight: undo.
-				cc.mu.Unlock()
-				_ = cc.backend.Release(resource, fence)
-				return
-			}
-			cc.holds[resource] = fence
-			cc.mu.Unlock()
-		}
+		req = <-cc.work // nil once the reader has closed it
+		cc.idle.Add(-1)
+	}
+}
+
+// recycle ends the worker's ownership of req. Callers hold cc.mu and
+// have copied out every field they still need.
+func (cc *clientConn) recycle(req *clientReq) {
+	if !req.canceled.Load() && len(cc.free) < maxFreeRequests {
+		req.resource = ""
+		cc.free = append(cc.free, req)
+	}
+}
+
+func (cc *clientConn) acquire(req *clientReq) {
+	reqID, resource := req.reqID, req.resource
+	fence, expires, err := cc.backend.Acquire(req, resource)
+	cc.mu.Lock()
+	delete(cc.reqs, reqID)
+	canceled := req.canceled.Load() || cc.closed
+	if err == nil && !canceled {
+		cc.holds[resource] = fence
+	}
+	cc.recycle(req)
+	cc.mu.Unlock()
+	cc.done()
+	switch {
+	case err == nil && canceled:
+		// The grant raced the cancel (or the disconnect): the client is
+		// not listening for it anymore, so hand it straight back.
+		_ = cc.backend.Release(resource, fence)
+		cc.respondErr(reqID, context.Canceled)
+	case err != nil:
+		cc.respondErr(reqID, err)
+	default:
+		var buf [16]byte
+		binary.BigEndian.PutUint64(buf[0:8], fence)
+		binary.BigEndian.PutUint64(buf[8:16], expiryNanos(expires))
+		cc.respond(RespGrant, reqID, buf[:])
+	}
+}
+
+func (cc *clientConn) try(req *clientReq) {
+	reqID, resource := req.reqID, req.resource
+	fence, expires, ok, err := cc.backend.TryAcquire(resource)
+	cc.mu.Lock()
+	closed := cc.closed
+	if err == nil && ok && !closed {
+		cc.holds[resource] = fence
+	}
+	cc.recycle(req)
+	cc.mu.Unlock()
+	cc.done()
+	switch {
+	case err != nil:
+		cc.respondErr(reqID, err)
+	case ok && closed:
+		// Disconnected while the try was in flight: undo.
+		_ = cc.backend.Release(resource, fence)
+	default:
 		var buf [17]byte
 		if ok {
 			buf[0] = 1
@@ -582,45 +772,36 @@ func (cc *clientConn) startTry(wg *sync.WaitGroup, reqID uint64, resource string
 		binary.BigEndian.PutUint64(buf[1:9], fence)
 		binary.BigEndian.PutUint64(buf[9:17], expiryNanos(expires))
 		cc.respond(RespTry, reqID, buf[:])
-	}()
+	}
 }
 
-// startRelease is exempt from the inflight bound: releases complete
-// quickly, always shrink member state, and must stay available to a
-// client whose acquire queue is full.
-func (cc *clientConn) startRelease(wg *sync.WaitGroup, reqID uint64, resource string, fence uint64) {
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		err := cc.backend.Release(resource, fence)
-		cc.mu.Lock()
-		if held, ok := cc.holds[resource]; ok && (fence == 0 || held == fence) {
-			// Whatever the backend said, this connection no longer owns the
-			// hold (released, expired, or already gone): stop tracking it.
-			delete(cc.holds, resource)
-		}
-		cc.mu.Unlock()
-		if err != nil {
-			cc.respondErr(reqID, err)
-			return
-		}
-		cc.respond(RespOK, reqID, nil)
-	}()
+func (cc *clientConn) release(req *clientReq) {
+	reqID, resource, fence := req.reqID, req.resource, req.fence
+	err := cc.backend.Release(resource, fence)
+	cc.mu.Lock()
+	if held, ok := cc.holds[resource]; ok && (fence == 0 || held == fence) {
+		// Whatever the backend said, this connection no longer owns the
+		// hold (released, expired, or already gone): stop tracking it.
+		delete(cc.holds, resource)
+	}
+	cc.recycle(req)
+	cc.mu.Unlock()
+	if err != nil {
+		cc.respondErr(reqID, err)
+		return
+	}
+	cc.respond(RespOK, reqID, nil)
 }
 
 // cancelRequest propagates a client's context cancellation into the
 // member's queue: a queued acquire aborts, an already-granted one will
-// be handed back by its own goroutine (the canceled flag).
+// be handed back by its own worker (which sees the canceled flag).
 func (cc *clientConn) cancelRequest(reqID uint64) {
 	cc.mu.Lock()
-	req, ok := cc.reqs[reqID]
-	if ok {
-		req.canceled = true
-	}
-	cc.mu.Unlock()
-	if ok {
+	if req, ok := cc.reqs[reqID]; ok {
 		req.cancel()
 	}
+	cc.mu.Unlock()
 }
 
 // teardown cancels every in-flight acquire and releases every hold the
@@ -628,18 +809,12 @@ func (cc *clientConn) cancelRequest(reqID uint64) {
 func (cc *clientConn) teardown() {
 	cc.mu.Lock()
 	cc.closed = true
-	reqs := make([]*clientReq, 0, len(cc.reqs))
 	for _, r := range cc.reqs {
-		r.canceled = true
-		reqs = append(reqs, r)
+		r.cancel()
 	}
-	cc.reqs = map[uint64]*clientReq{}
 	holds := cc.holds
 	cc.holds = map[string]uint64{}
 	cc.mu.Unlock()
-	for _, r := range reqs {
-		r.cancel()
-	}
 	for resource, fence := range holds {
 		_ = cc.backend.Release(resource, fence)
 	}

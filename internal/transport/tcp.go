@@ -545,12 +545,13 @@ func (l *tcpLink) attach(n *runtime.Node) {
 // still writes in bounded slabs.
 const maxWriteBatch = 64
 
-// peerConn is the outgoing side of one peer link: an unbounded ring of
-// pooled frames, a writer goroutine draining it in writev batches, and
-// a write turn (writing) that an idle-path sender can claim to writev
-// inline from its own goroutine instead of waking the writer. conn is
-// set once the writer has dialed, so Close can sever it and unblock
-// any write stuck against a full send buffer.
+// peerConn is the outgoing side of one connection — a member's link to a
+// peer, or either end of a CLIENT-protocol connection (FrameWriter): an
+// unbounded ring of pooled frames, a writer goroutine draining it in
+// writev batches, and a write turn (writing) that an idle-path sender
+// can claim to writev inline from its own goroutine instead of waking
+// the writer. conn is set once the writer has dialed, so Close can sever
+// it and unblock any write stuck against a full send buffer.
 type peerConn struct {
 	mu      sync.Mutex
 	wake    *sync.Cond // wakes the writer: frames queued, write turn free, closing
@@ -568,6 +569,19 @@ type peerConn struct {
 	// from forcing a per-write heap allocation of the header.
 	bufArr [maxWriteBatch][]byte
 	bufs   net.Buffers
+
+	// CLIENT-protocol connections only (startFrameWriter): where writev
+	// counts its frames and write calls, and the signal that the drain
+	// goroutine has exited.
+	stats   *writeStats
+	drained chan struct{}
+}
+
+// writeStats counts what a set of connections wrote: frames, and the
+// write calls that carried them. frames/batches is the coalescing ratio.
+type writeStats struct {
+	frames  atomic.Int64
+	batches atomic.Int64
 }
 
 func newPeerConn() *peerConn {
@@ -655,6 +669,14 @@ func (pc *peerConn) send(f *frame) {
 // the pool. The caller holds the connection's write turn.
 func (pc *peerConn) writev(conn net.Conn, fs []*frame) error {
 	var err error
+	if pc.stats != nil {
+		calls := 1
+		if raceEnabled {
+			calls = len(fs) // one Write per frame, below
+		}
+		pc.stats.frames.Add(int64(len(fs)))
+		pc.stats.batches.Add(int64(calls))
+	}
 	if raceEnabled {
 		// net.Buffers.WriteTo bottoms out in the writev syscall, which
 		// lacks the race-detector release annotation that syscall.Write

@@ -18,6 +18,13 @@ import (
 //	dagmutex_client_answered_total  counter  admitted requests completed
 //	dagmutex_client_shed_total      counter  requests shed, by reason
 //	                                         (label reason="depth"|"rate")
+//	dagmutex_client_frames_written_total   counter  response frames written
+//	dagmutex_client_write_batches_total    counter  write calls that carried them
+//
+// frames_written / write_batches is the response writer's coalescing
+// ratio: 1 when every response found its connection idle and was written
+// on its own, higher when responses piled up behind a busy write and
+// left together in one writev.
 func (a *admission) register(reg *telemetry.Registry) {
 	gauge := func(name string, v func(ClientStats) int64) {
 		reg.Gauge(name, func() float64 { return float64(v(a.stats())) })
@@ -28,6 +35,8 @@ func (a *admission) register(reg *telemetry.Registry) {
 	gauge("dagmutex_client_answered_total", func(s ClientStats) int64 { return s.Answered })
 	gauge(`dagmutex_client_shed_total{reason="depth"}`, func(s ClientStats) int64 { return s.ShedDepth })
 	gauge(`dagmutex_client_shed_total{reason="rate"}`, func(s ClientStats) int64 { return s.ShedRate })
+	reg.Gauge("dagmutex_client_frames_written_total", func() float64 { return float64(a.writes.frames.Load()) })
+	reg.Gauge("dagmutex_client_write_batches_total", func() float64 { return float64(a.writes.batches.Load()) })
 }
 
 // Register publishes the gateway's admission counters on reg; see the

@@ -204,12 +204,16 @@ func TestGatewayDebugEndpoints(t *testing.T) {
 	}
 
 	body := scrape(t, g.DebugAddr(), "/metrics")
-	// Releases are exempt from admission, so only the 5 acquires count.
+	// Releases are exempt from admission, so only the 5 acquires count;
+	// all 10 responses are frames, and one sequential client never lets
+	// two of them share a write.
 	for _, want := range []string{
 		"dagmutex_client_conns 1",
 		"dagmutex_client_admitted_total 5",
 		"dagmutex_client_answered_total 5",
 		`dagmutex_client_shed_total{reason="depth"} 0`,
+		"dagmutex_client_frames_written_total 10",
+		"dagmutex_client_write_batches_total 10",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q in:\n%s", want, body)
