@@ -3,6 +3,7 @@ package main
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestRunDefaultScenario(t *testing.T) {
@@ -52,6 +53,19 @@ func TestBuildTreeShapes(t *testing.T) {
 		}
 		if tree.N() != n {
 			t.Fatalf("%s: N = %d, want %d", shape, tree.N(), n)
+		}
+	}
+}
+
+func TestRunVirtualReportsEventCost(t *testing.T) {
+	var b strings.Builder
+	if err := runVirtual(&b, "star", 20, 1, 5, 10*time.Second, 7, false); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{"virtual time", "star (N=20, D=2)", "messages / entry", "events", "ns wall / event"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
 		}
 	}
 }

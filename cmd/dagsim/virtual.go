@@ -46,6 +46,7 @@ func runVirtual(w io.Writer, topo string, n, holder, requesters int, duration ti
 	fmt.Fprintf(w, "requesters           %d\n", r.Requesters)
 	fmt.Fprintf(w, "simulated            %v in %v wall (%.0fx)\n",
 		r.SimDuration, r.WallDuration.Round(time.Millisecond), speedup(r))
+	fmt.Fprintf(w, "events               %d (%.0f ns wall / event)\n", r.Events, nsPerEvent(r))
 	fmt.Fprintf(w, "entries              %d\n", r.Grants)
 	fmt.Fprintf(w, "messages             %d\n", r.Messages)
 	fmt.Fprintf(w, "messages / entry     %.3f\n", r.MsgsPerGrant)
@@ -151,6 +152,16 @@ func speedup(r simharness.Report) float64 {
 		return 0
 	}
 	return float64(r.SimDuration) / float64(r.WallDuration)
+}
+
+// nsPerEvent is the wall cost of one virtual-clock event with the
+// protocol work it carried: the in-tree twin of bench's
+// probe.vclock_event_ns.
+func nsPerEvent(r simharness.Report) float64 {
+	if r.Events == 0 {
+		return 0
+	}
+	return float64(r.WallDuration) / float64(r.Events)
 }
 
 func grantsPerSimSec(r simharness.Report) float64 {

@@ -10,12 +10,18 @@
 // Events fire in (time, scheduling order): two events due at the same
 // instant fire in the order they were armed, every run. That total
 // order is what makes trace diffs byte-stable across runs.
+//
+// The queue is a binary heap of events held by value, sifted by hand on
+// (at, seq). Every event occupies a slot that tracks its heap index, so
+// Cancel removes it from the heap at once — Pending and NextAt are O(1)
+// and exact, and a timer reset in a loop never grows the heap. Slots
+// are recycled through a free list and carry a generation, which is
+// what makes the Event handle a plain value: scheduling, firing and
+// cancelling allocate nothing once the heap and slot slices have grown
+// to the run's high-water mark.
 package sched
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a point in virtual time, in ticks.
 type Time int64
@@ -27,56 +33,43 @@ const Hop Time = 1000
 
 // event is a scheduled callback. seq breaks ties between events scheduled
 // for the same instant: earlier-scheduled events fire first, which keeps
-// runs deterministic. A cancelled event stays in the heap (removal would
-// be O(n)) and is discarded when it surfaces.
+// runs deterministic.
 type event struct {
-	at        Time
-	seq       uint64
-	fire      func()
-	cancelled bool
+	at   Time
+	seq  uint64
+	fire func()
+	slot int32 // index into Scheduler.slots
+}
+
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// slot follows one pending event around the heap. gen is bumped when the
+// event fires or is cancelled, so handles to a recycled slot go stale.
+type slot struct {
+	pos int32
+	gen uint32
 }
 
 // Event is a cancellable handle to one scheduled callback, returned by
-// AtEvent and AfterEvent — what vclock's timers are built on.
-type Event struct{ ev *event }
-
-// Cancel withdraws the event. It reports whether the cancellation took
-// effect: false when the event already fired or was already cancelled.
-// Cancelling a fired event is a no-op, exactly like time.Timer.Stop.
-func (e *Event) Cancel() bool {
-	if e == nil || e.ev == nil || e.ev.cancelled || e.ev.fire == nil {
-		return false
-	}
-	e.ev.cancelled = true
-	e.ev.fire = nil // release the callback now; the heap slot drains later
-	return true
-}
-
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// AtEvent and AfterEvent — what vclock's timers are built on. It is a
+// value (slot plus generation); the zero Event refers to nothing.
+type Event struct {
+	slot int32
+	gen  uint32
 }
 
 // Scheduler is a virtual-time event queue. The zero value is not usable;
 // construct with NewScheduler.
 type Scheduler struct {
 	now     Time
-	heap    eventHeap
+	heap    []event
+	slots   []slot
+	free    []int32 // recycled slot indices
 	seq     uint64
 	stepped uint64
 }
@@ -90,61 +83,121 @@ func NewScheduler() *Scheduler {
 func (s *Scheduler) Now() Time { return s.now }
 
 // Pending reports the number of scheduled, not-yet-fired events.
-// Cancelled events still occupying heap slots are not counted.
-func (s *Scheduler) Pending() int {
-	n := 0
-	for _, e := range s.heap {
-		if !e.cancelled {
-			n++
-		}
-	}
-	return n
-}
+func (s *Scheduler) Pending() int { return len(s.heap) }
 
 // Processed reports how many events have fired so far.
 func (s *Scheduler) Processed() uint64 { return s.stepped }
 
 // At schedules fn to fire at virtual time t. Scheduling in the past is a
 // programming error and panics, since it would silently corrupt causality.
-func (s *Scheduler) At(t Time, fn func()) {
-	if t < s.now {
-		panic(fmt.Sprintf("sched: scheduling at %d before now %d", t, s.now))
-	}
-	s.seq++
-	heap.Push(&s.heap, &event{at: t, seq: s.seq, fire: fn})
-}
+func (s *Scheduler) At(t Time, fn func()) { s.AtEvent(t, fn) }
 
 // After schedules fn to fire d ticks from now.
-func (s *Scheduler) After(d Time, fn func()) {
-	if d < 0 {
-		panic(fmt.Sprintf("sched: negative delay %d", d))
-	}
-	s.At(s.now+d, fn)
-}
+func (s *Scheduler) After(d Time, fn func()) { s.AfterEvent(d, fn) }
 
 // AtEvent is At with a cancellable handle, for timers layered above.
-func (s *Scheduler) AtEvent(t Time, fn func()) *Event {
+func (s *Scheduler) AtEvent(t Time, fn func()) Event {
 	if t < s.now {
 		panic(fmt.Sprintf("sched: scheduling at %d before now %d", t, s.now))
 	}
+	var si int32
+	if n := len(s.free); n > 0 {
+		si = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		si = int32(len(s.slots))
+		s.slots = append(s.slots, slot{gen: 1}) // gen 0 is the zero Event's
+	}
 	s.seq++
-	ev := &event{at: t, seq: s.seq, fire: fn}
-	heap.Push(&s.heap, ev)
-	return &Event{ev: ev}
+	s.heap = append(s.heap, event{})
+	s.siftUp(len(s.heap)-1, event{at: t, seq: s.seq, fire: fn, slot: si})
+	return Event{slot: si, gen: s.slots[si].gen}
 }
 
 // AfterEvent is After with a cancellable handle.
-func (s *Scheduler) AfterEvent(d Time, fn func()) *Event {
+func (s *Scheduler) AfterEvent(d Time, fn func()) Event {
 	if d < 0 {
 		panic(fmt.Sprintf("sched: negative delay %d", d))
 	}
 	return s.AtEvent(s.now+d, fn)
 }
 
+// Cancel withdraws the event e refers to, removing it from the heap. It
+// reports whether the cancellation took effect: false when the event
+// already fired or was already cancelled. Cancelling a fired event is a
+// no-op, exactly like time.Timer.Stop.
+func (s *Scheduler) Cancel(e Event) bool {
+	if e.gen == 0 || int(e.slot) >= len(s.slots) || s.slots[e.slot].gen != e.gen {
+		return false
+	}
+	s.remove(int(s.slots[e.slot].pos))
+	return true
+}
+
+// remove takes heap[i] out of the queue and retires its slot.
+func (s *Scheduler) remove(i int) {
+	si := s.heap[i].slot
+	s.slots[si].gen++
+	s.free = append(s.free, si)
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap[n] = event{} // drop the callback reference
+	s.heap = s.heap[:n]
+	if i == n {
+		return
+	}
+	// Refill the hole with the former last event: it belongs below i
+	// unless it sorts before i's parent.
+	if i > 0 && last.before(&s.heap[(i-1)/2]) {
+		s.siftUp(i, last)
+	} else {
+		s.siftDown(i, last)
+	}
+}
+
+// place puts e at heap index i and points its slot there.
+func (s *Scheduler) place(i int, e event) {
+	s.heap[i] = e
+	s.slots[e.slot].pos = int32(i)
+}
+
+// siftUp places e at the hole i or above it, moving later parents down.
+func (s *Scheduler) siftUp(i int, e event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !e.before(&s.heap[p]) {
+			break
+		}
+		s.place(i, s.heap[p])
+		i = p
+	}
+	s.place(i, e)
+}
+
+// siftDown places e at the hole i or below it, moving earlier children up.
+func (s *Scheduler) siftDown(i int, e event) {
+	n := len(s.heap)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && s.heap[r].before(&s.heap[c]) {
+			c = r
+		}
+		if !s.heap[c].before(&e) {
+			break
+		}
+		s.place(i, s.heap[c])
+		i = c
+	}
+	s.place(i, e)
+}
+
 // Step fires the earliest pending event and returns true, or returns false
 // if no events remain.
 func (s *Scheduler) Step() bool {
-	fn, ok := s.PopDue(s.maxTime())
+	fn, ok := s.PopDue(maxTime)
 	if !ok {
 		return false
 	}
@@ -152,14 +205,11 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-func (s *Scheduler) maxTime() Time { return Time(1)<<62 - 1 }
+const maxTime = Time(1)<<62 - 1
 
 // NextAt reports the earliest pending event's time, or false when the
-// queue is empty. Cancelled events are drained on the way.
+// queue is empty.
 func (s *Scheduler) NextAt() (Time, bool) {
-	for len(s.heap) > 0 && s.heap[0].cancelled {
-		heap.Pop(&s.heap)
-	}
 	if len(s.heap) == 0 {
 		return 0, false
 	}
@@ -172,21 +222,14 @@ func (s *Scheduler) NextAt() (Time, bool) {
 // release the lock before firing (vclock's callbacks re-enter the
 // clock). It reports false when no event is due by t.
 func (s *Scheduler) PopDue(t Time) (func(), bool) {
-	for {
-		at, ok := s.NextAt()
-		if !ok || at > t {
-			return nil, false
-		}
-		e := heap.Pop(&s.heap).(*event)
-		if e.cancelled {
-			continue
-		}
-		s.now = e.at
-		s.stepped++
-		fn := e.fire
-		e.fire = nil // marks the event fired for Cancel
-		return fn, true
+	if len(s.heap) == 0 || s.heap[0].at > t {
+		return nil, false
 	}
+	s.now = s.heap[0].at
+	s.stepped++
+	fn := s.heap[0].fire
+	s.remove(0)
+	return fn, true
 }
 
 // AdvanceTo moves the clock forward to t without firing anything; events
@@ -232,7 +275,5 @@ func (s *Scheduler) RunUntil(t Time) {
 		}
 		fn()
 	}
-	if s.now < t {
-		s.now = t
-	}
+	s.AdvanceTo(t)
 }

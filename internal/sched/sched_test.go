@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -117,5 +119,89 @@ func TestSchedulerPendingAndProcessed(t *testing.T) {
 	s.Step()
 	if s.Pending() != 1 || s.Processed() != 1 {
 		t.Fatalf("after one step: pending=%d processed=%d", s.Pending(), s.Processed())
+	}
+}
+
+func TestCancelRemovesAtOnce(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	a := s.AtEvent(10, func() { fired += 1 })
+	b := s.AtEvent(20, func() { fired += 10 })
+	if !s.Cancel(a) {
+		t.Fatal("Cancel of a pending event reported false")
+	}
+	if s.Cancel(a) {
+		t.Fatal("second Cancel reported true")
+	}
+	if s.Cancel(Event{}) {
+		t.Fatal("Cancel of the zero Event reported true")
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d after cancelling one of two, want 1", s.Pending())
+	}
+	if at, ok := s.NextAt(); !ok || at != 20 {
+		t.Fatalf("NextAt = %d, %v; want 20, true", at, ok)
+	}
+	s.Run()
+	if fired != 10 {
+		t.Fatalf("fired = %d, want only the surviving event (10)", fired)
+	}
+	if s.Cancel(b) {
+		t.Fatal("Cancel of a fired event reported true")
+	}
+	// The fired event's slot is reused; the stale handle must not reach
+	// its new tenant.
+	c := s.AtEvent(30, func() { fired += 100 })
+	if s.Cancel(b) || s.Pending() != 1 {
+		t.Fatal("stale handle cancelled the slot's next event")
+	}
+	if !s.Cancel(c) || s.Pending() != 0 {
+		t.Fatal("live handle on a reused slot did not cancel")
+	}
+}
+
+// TestCancelKeepsHeapOrder removes events from the middle of a large
+// heap and checks the survivors against a straightforward sort.
+func TestCancelKeepsHeapOrder(t *testing.T) {
+	s := NewScheduler()
+	rng := rand.New(rand.NewSource(1))
+	type rec struct {
+		at  Time
+		seq int
+	}
+	var got, want []rec
+	var handles []Event
+	var recs []rec
+	for i := 0; i < 5000; i++ {
+		r := rec{at: Time(rng.Intn(500)), seq: i}
+		recs = append(recs, r)
+		handles = append(handles, s.AtEvent(r.at, func() { got = append(got, r) }))
+	}
+	for i, h := range handles {
+		if rng.Intn(3) == 0 {
+			if !s.Cancel(h) {
+				t.Fatalf("Cancel(%d) reported false", i)
+			}
+		} else {
+			want = append(want, recs[i])
+		}
+	}
+	sort.Slice(want, func(i, j int) bool {
+		if want[i].at != want[j].at {
+			return want[i].at < want[j].at
+		}
+		return want[i].seq < want[j].seq
+	})
+	if s.Pending() != len(want) {
+		t.Fatalf("Pending = %d, want %d", s.Pending(), len(want))
+	}
+	s.Run()
+	if len(got) != len(want) {
+		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("event %d fired as %+v, want %+v", i, got[i], want[i])
+		}
 	}
 }

@@ -29,19 +29,22 @@ const verdictJitter = 2 * time.Millisecond
 // verdict landing detect plus jitter later. Call before Run.
 func (h *Harness) ScheduleCrash(at time.Duration, victim mutex.ID, detect time.Duration) {
 	h.clk.AfterFunc(at, func() {
+		if !h.member(victim) {
+			h.failf("crash of unknown member %d at %v", victim, h.clk.Elapsed())
+			return
+		}
 		if h.down[victim] {
 			return
 		}
 		h.down[victim] = true
-		delete(h.inCS, victim) // a hold dies with its holder; recovery regenerates the token
-		delete(h.driving, victim)
+		h.leaveCS(victim) // a hold dies with its holder; recovery regenerates the token
+		h.driving[victim] = false
 		for _, id := range h.ids {
 			if id == victim || h.down[id] {
 				continue
 			}
-			sid := id
 			d := detect + time.Duration(h.rng.Int63n(int64(verdictJitter)))
-			h.clk.AfterFunc(d, func() { h.verdictDown(sid, victim) })
+			h.arm(d, evVerdict, id, victim, nil)
 		}
 	})
 }
@@ -58,34 +61,32 @@ func (h *Harness) ScheduleCrash(at time.Duration, victim mutex.ID, detect time.D
 func (h *Harness) SchedulePartition(at time.Duration, isolate []mutex.ID, detect time.Duration) {
 	cut := append([]mutex.ID(nil), isolate...)
 	h.clk.AfterFunc(at, func() {
-		side := 0
-		for _, s := range h.side {
-			if s > side {
-				side = s
-			}
-		}
-		side++
-		isolated := make(map[mutex.ID]bool, len(cut))
+		side := len(h.maxFence)
+		h.maxFence = append(h.maxFence, 0)
 		for _, id := range cut {
-			h.side[id] = side
-			isolated[id] = true
-		}
-		for _, id := range h.ids {
-			if h.down[id] {
+			if !h.member(id) {
+				h.failf("partition of unknown member %d at %v", id, h.clk.Elapsed())
 				continue
 			}
-			observer := id
+			h.side[id] = side
+		}
+		for _, observer := range h.ids {
+			if h.down[observer] {
+				continue
+			}
 			for _, peer := range h.ids {
-				if peer == observer || h.down[peer] || isolated[peer] == isolated[observer] {
+				if peer == observer || h.down[peer] || (h.side[peer] == side) == (h.side[observer] == side) {
 					continue
 				}
-				dead := peer
 				d := detect + time.Duration(h.rng.Int63n(int64(verdictJitter)))
-				h.clk.AfterFunc(d, func() { h.verdictDown(observer, dead) })
+				h.arm(d, evVerdict, observer, peer, nil)
 			}
 		}
 	})
 }
+
+// member reports whether id names a member of this cluster.
+func (h *Harness) member(id mutex.ID) bool { return id >= 1 && int(id) < len(h.nodes) }
 
 // verdictDown delivers one failure-detector verdict, unless the
 // observer itself died (or was partitioned away from the suspect's

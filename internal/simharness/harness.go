@@ -18,6 +18,13 @@
 // recovery machinery, which sim never drives — under fault schedules
 // that are part of the input, not an accident of timing.
 //
+// The run's timeline is AfterFunc events only, which is the clock's
+// cheap case (no yields between events), and the harness owns those
+// events: every delivery, driver step and verdict is a pooled event
+// object with one timer inside, re-armed with Reset and returned to the
+// pool when it fires (see Harness.free). What one grant allocates is
+// what core allocates.
+//
 // A run is: New a Harness, Schedule any faults, Run a Workload, read
 // the Report. Invariants (single holder per connectivity component,
 // strictly monotonic fencing per component) are checked on every grant
@@ -95,6 +102,10 @@ type Report struct {
 	// tokens minted anew (each implies a RegenerationJump fence jump).
 	Recoveries    int64 `json:"recoveries"`
 	Regenerations int64 `json:"regenerations"`
+	// Events counts the virtual-clock events the run fired (deliveries,
+	// driver steps, faults and verdicts); WallDuration / Events is what
+	// one event cost.
+	Events uint64 `json:"events"`
 }
 
 // TraceRecord is one structured trace event stamped with its virtual
@@ -104,39 +115,60 @@ type TraceRecord struct {
 	Ev telemetry.TraceEvent
 }
 
-type linkKey struct{ from, to mutex.ID }
+// linkClamp is one link's FIFO clamp: the arrival time (since the start
+// of the run) of the latest message the owning sender has in flight to
+// member to.
+type linkClamp struct {
+	to mutex.ID
+	at time.Duration
+}
 
 // Harness is one virtual cluster. Not safe for concurrent use: every
 // method runs on the goroutine that advances the clock (normally the
 // test goroutine), which is also where every scheduled event fires.
+//
+// Per-member state lives in slices indexed by member ID (members are the
+// dense range 1..Nodes; index 0 is unused).
 type Harness struct {
 	cfg  Config
 	clk  *vclock.Virtual
 	tree *topology.Tree
 	rng  *rand.Rand
 
-	nodes map[mutex.ID]*core.Node
+	nodes []*core.Node
 	ids   []mutex.ID
 
-	// lastAt is the per-link FIFO clamp: a link never delivers a later
-	// send before an earlier one, whatever the jitter draws.
-	lastAt map[linkKey]time.Time
+	// lastAt is the per-link FIFO clamp, one short list per sender: a link
+	// never delivers a later send before an earlier one, whatever the
+	// jitter draws. Only links with a message still in flight are listed
+	// (see fifoClamp).
+	lastAt [][]linkClamp
 
 	// down marks crashed members; side assigns each member to a
 	// connectivity component (0 = the main partition; each SchedulePartition
 	// call mints a fresh side for the isolated group).
-	down map[mutex.ID]bool
-	side map[mutex.ID]int
+	down []bool
+	side []int
 
 	// driver state: which members run the workload loop, and the request
 	// lifecycle position of each (at most one outstanding request per
 	// node, per the protocol contract).
-	driving    map[mutex.ID]bool
-	requesting map[mutex.ID]bool
+	driving    []bool
+	requesting []bool
 
-	// invariant state, keyed by side.
-	inCS     map[mutex.ID]bool
-	maxFence map[int]uint64
+	// invariant state: inCS by member, with holders listing the members
+	// it marks (at most one per side unless an invariant broke); maxFence
+	// by side.
+	inCS     []bool
+	holders  []mutex.ID
+	maxFence []uint64
+
+	// free holds fired events for reuse. The harness owns every event and
+	// the one AfterFunc timer inside it: arm takes one from here (or makes
+	// one), the event returns itself when it fires, and nothing else
+	// keeps a reference — so a steady-state run schedules without
+	// allocating.
+	free []*event
 
 	// wl is the active workload, set once by Run.
 	wl Workload
@@ -174,20 +206,21 @@ func New(cfg Config) (*Harness, error) {
 	if err != nil {
 		return nil, err
 	}
+	n := cfg.Nodes + 1
 	h := &Harness{
 		cfg:        cfg,
 		clk:        vclock.NewVirtual(),
 		tree:       tree,
 		rng:        rng,
-		nodes:      make(map[mutex.ID]*core.Node, cfg.Nodes),
+		nodes:      make([]*core.Node, n),
 		ids:        tree.IDs(),
-		lastAt:     make(map[linkKey]time.Time),
-		down:       make(map[mutex.ID]bool),
-		side:       make(map[mutex.ID]int),
-		driving:    make(map[mutex.ID]bool),
-		requesting: make(map[mutex.ID]bool),
-		inCS:       make(map[mutex.ID]bool),
-		maxFence:   make(map[int]uint64),
+		lastAt:     make([][]linkClamp, n),
+		down:       make([]bool, n),
+		side:       make([]int, n),
+		driving:    make([]bool, n),
+		requesting: make([]bool, n),
+		inCS:       make([]bool, n),
+		maxFence:   make([]uint64, 1),
 	}
 	mcfg := mutex.Config{IDs: h.ids, Holder: cfg.Holder, Parent: tree.ParentsToward(cfg.Holder)}
 	for _, id := range h.ids {
@@ -264,6 +297,60 @@ func (e *nodeEnv) GrantedHops(gen uint64, hops int)  { e.h.granted(e.id, gen) }
 
 var _ mutex.HopGranter = (*nodeEnv)(nil)
 
+// eventKind says what a pooled event does when it fires.
+type eventKind uint8
+
+const (
+	evDeliver eventKind = iota // hand m from member from to member to
+	evRequest                  // driver: member to asks for the CS
+	evRelease                  // driver: member to leaves the CS
+	evVerdict                  // detector: member from is told member to died
+)
+
+// event is one scheduled harness step — a delivery, a driver step or a
+// detector verdict — and the AfterFunc timer that fires it. See
+// Harness.free for who owns it.
+type event struct {
+	h        *Harness
+	tm       vclock.Timer
+	kind     eventKind
+	from, to mutex.ID
+	m        mutex.Message
+}
+
+// arm schedules one event d from now, re-arming a recycled event's timer
+// when there is one. Either way the clock takes exactly one scheduling
+// sequence number, here.
+func (h *Harness) arm(d time.Duration, kind eventKind, from, to mutex.ID, m mutex.Message) {
+	if n := len(h.free); n > 0 {
+		e := h.free[n-1]
+		h.free = h.free[:n-1]
+		e.kind, e.from, e.to, e.m = kind, from, to, m
+		e.tm.Reset(d)
+		return
+	}
+	e := &event{h: h, kind: kind, from: from, to: to, m: m}
+	e.tm = h.clk.AfterFunc(d, e.fire)
+}
+
+// fire recycles the event, then runs its step — in that order, so the
+// sends the step makes can already reuse it.
+func (e *event) fire() {
+	h, kind, from, to, m := e.h, e.kind, e.from, e.to, e.m
+	e.m = nil
+	h.free = append(h.free, e)
+	switch kind {
+	case evDeliver:
+		h.deliver(from, to, m)
+	case evRequest:
+		h.driverRequest(to)
+	case evRelease:
+		h.driverRelease(to)
+	case evVerdict:
+		h.verdictDown(from, to)
+	}
+}
+
 // send schedules m's delivery after a seeded uniform link delay,
 // clamped so the (from, to) link stays FIFO. Sends across an active
 // partition cut are dropped at send time; messages already in flight
@@ -277,13 +364,33 @@ func (h *Harness) send(from, to mutex.ID, m mutex.Message) {
 	if span := h.cfg.MaxDelay - h.cfg.MinDelay; span > 0 {
 		delay += time.Duration(h.rng.Int63n(int64(span)))
 	}
-	at := h.clk.Now().Add(delay)
-	k := linkKey{from, to}
-	if last := h.lastAt[k]; !at.After(last) {
-		at = last.Add(time.Nanosecond)
+	now := h.clk.Elapsed()
+	at := h.fifoClamp(from, to, now, now+delay)
+	h.arm(at-now, evDeliver, from, to, m)
+}
+
+// fifoClamp returns the arrival time for a message sent now on the
+// (from, to) link that would otherwise arrive at at: pushed just past the
+// link's previous arrival if the jitter drew it earlier. The sender's
+// list is compacted on the way: an entry whose message has arrived
+// (at <= now) can never clamp again, because every later send arrives
+// after now + MinDelay.
+func (h *Harness) fifoClamp(from, to mutex.ID, now, at time.Duration) time.Duration {
+	links := h.lastAt[from]
+	n := 0
+	for _, l := range links {
+		switch {
+		case l.to == to:
+			if at <= l.at {
+				at = l.at + time.Nanosecond
+			}
+		case l.at > now:
+			links[n] = l
+			n++
+		}
 	}
-	h.lastAt[k] = at
-	h.clk.AfterFunc(h.clk.Until(at), func() { h.deliver(from, to, m) })
+	h.lastAt[from] = append(links[:n], linkClamp{to: to, at: at})
+	return at
 }
 
 // deliver hands m to its destination, unless the destination crashed
@@ -304,7 +411,7 @@ func (h *Harness) deliver(from, to mutex.ID, m mutex.Message) {
 func (h *Harness) granted(id mutex.ID, gen uint64) {
 	h.grants++
 	side := h.side[id]
-	for other := range h.inCS {
+	for _, other := range h.holders {
 		if h.side[other] == side {
 			h.failf("mutual exclusion violated at %v: nodes %d and %d both in CS (side %d)",
 				h.clk.Elapsed(), other, id, side)
@@ -315,10 +422,29 @@ func (h *Harness) granted(id mutex.ID, gen uint64) {
 			h.clk.Elapsed(), id, gen, max, side)
 	}
 	h.maxFence[side] = gen
-	h.inCS[id] = true
+	if !h.inCS[id] {
+		h.inCS[id] = true
+		h.holders = append(h.holders, id)
+	}
 	h.requesting[id] = false
 	if h.driving[id] {
-		h.clk.AfterFunc(h.holdFor(), func() { h.driverRelease(id) })
+		h.arm(h.holdFor(), evRelease, mutex.Nil, id, nil)
+	}
+}
+
+// leaveCS clears id's critical-section mark, if set.
+func (h *Harness) leaveCS(id mutex.ID) {
+	if !h.inCS[id] {
+		return
+	}
+	h.inCS[id] = false
+	for i, other := range h.holders {
+		if other == id {
+			last := len(h.holders) - 1
+			h.holders[i] = h.holders[last]
+			h.holders = h.holders[:last]
+			return
+		}
 	}
 }
 
@@ -332,17 +458,15 @@ func (h *Harness) failf(format string, args ...any) {
 	}
 }
 
-// Run executes w against the cluster: starts the drivers, advances the
-// virtual clock through w.Duration (firing every delivery, driver step
-// and scheduled fault in deterministic order), and reports. Any
-// invariant violation or protocol error fails the run.
-func (h *Harness) Run(w Workload) (Report, error) {
+// start validates w, fills its defaults and arms the drivers' first
+// requests — everything of a run that happens before time moves.
+func (h *Harness) start(w Workload) error {
 	if h.ran {
-		return Report{}, fmt.Errorf("simharness: harness already ran")
+		return fmt.Errorf("simharness: harness already ran")
 	}
 	h.ran = true
 	if w.Duration <= 0 {
-		return Report{}, fmt.Errorf("simharness: workload needs a positive duration")
+		return fmt.Errorf("simharness: workload needs a positive duration")
 	}
 	if w.Think <= 0 {
 		w.Think = time.Second
@@ -362,11 +486,23 @@ func (h *Harness) Run(w Workload) (Report, error) {
 	for i := 0; i < w.Requesters; i++ {
 		id := h.ids[int(float64(i)*stride)]
 		h.driving[id] = true
-		h.clk.AfterFunc(time.Duration(h.rng.Int63n(int64(w.Think)+1)), func() { h.driverRequest(id) })
+		h.arm(time.Duration(h.rng.Int63n(int64(w.Think)+1)), evRequest, mutex.Nil, id, nil)
 	}
+	return nil
+}
+
+// Run executes w against the cluster: starts the drivers, advances the
+// virtual clock through w.Duration (firing every delivery, driver step
+// and scheduled fault in deterministic order), and reports. Any
+// invariant violation or protocol error fails the run.
+func (h *Harness) Run(w Workload) (Report, error) {
+	if err := h.start(w); err != nil {
+		return Report{}, err
+	}
+	w = h.wl // with its defaults filled in
 
 	start := time.Now()
-	h.clk.Advance(w.Duration)
+	events := h.clk.Run(w.Duration)
 	wall := time.Since(start)
 
 	r := Report{
@@ -382,6 +518,7 @@ func (h *Harness) Run(w Workload) (Report, error) {
 		MaxFence:      h.maxFence[0],
 		Recoveries:    h.recoveries,
 		Regenerations: h.regens,
+		Events:        events,
 	}
 	if h.grants > 0 {
 		r.MsgsPerGrant = float64(h.msgs) / float64(h.grants)
@@ -415,13 +552,13 @@ func (h *Harness) driverRelease(id mutex.ID) {
 	if h.down[id] || !h.inCS[id] {
 		return
 	}
-	delete(h.inCS, id)
+	h.leaveCS(id)
 	if err := h.nodes[id].Release(); err != nil {
 		h.failf("release at node %d at %v: %v", id, h.clk.Elapsed(), err)
 		return
 	}
 	think := time.Duration(h.rng.ExpFloat64() * float64(h.wl.Think))
-	h.clk.AfterFunc(think, func() { h.driverRequest(id) })
+	h.arm(think, evRequest, mutex.Nil, id, nil)
 }
 
 // Grants returns the number of critical-section entries so far (tests

@@ -226,19 +226,29 @@ func TestScaleThousandNodes(t *testing.T) {
 	}
 }
 
+// replayHarness is the replay tests' schedule: 120 nodes on a seeded
+// random tree, two crashes and a partition, trace retained.
+func replayHarness(t *testing.T) *Harness {
+	t.Helper()
+	h, err := New(Config{Nodes: 120, Topology: "random", Seed: 23, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ScheduleCrash(5*time.Second, 1, 150*time.Millisecond)
+	h.ScheduleCrash(12*time.Second, 60, 150*time.Millisecond)
+	h.SchedulePartition(20*time.Second, []mutex.ID{101, 102, 103, 104, 105, 106, 107, 108, 109, 110}, 150*time.Millisecond)
+	return h
+}
+
+var replayWorkload = Workload{Duration: 30 * time.Second, Think: 400 * time.Millisecond, Hold: 2 * time.Millisecond}
+
 // TestDeterministicReplay is the determinism contract: the same seed,
 // topology, workload and fault schedule produce a byte-identical trace
 // stream at 120 nodes — run twice, diff.
 func TestDeterministicReplay(t *testing.T) {
 	run := func() string {
-		h, err := New(Config{Nodes: 120, Topology: "random", Seed: 23, Trace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.ScheduleCrash(5*time.Second, 1, 150*time.Millisecond)
-		h.ScheduleCrash(12*time.Second, 60, 150*time.Millisecond)
-		h.SchedulePartition(20*time.Second, []mutex.ID{101, 102, 103, 104, 105, 106, 107, 108, 109, 110}, 150*time.Millisecond)
-		if _, err := h.Run(Workload{Duration: 30 * time.Second, Think: 400 * time.Millisecond, Hold: 2 * time.Millisecond}); err != nil {
+		h := replayHarness(t)
+		if _, err := h.Run(replayWorkload); err != nil {
 			t.Fatal(err)
 		}
 		return h.FormatTrace()

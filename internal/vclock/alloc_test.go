@@ -1,0 +1,30 @@
+//go:build !race
+
+package vclock
+
+import (
+	"testing"
+	"time"
+)
+
+// TestAllocBudgetVirtualTimerReset: re-arming an AfterFunc timer and
+// firing it allocates nothing — the timer's callback is bound once and
+// the scheduler's handle is a value.
+func TestAllocBudgetVirtualTimerReset(t *testing.T) {
+	v := NewVirtual()
+	fired := 0
+	tm := v.AfterFunc(time.Millisecond, func() { fired++ })
+	v.Advance(time.Millisecond)
+	round := func() {
+		tm.Reset(time.Millisecond) // armed, then moved: a cancel and a push
+		tm.Reset(2 * time.Millisecond)
+		v.Advance(2 * time.Millisecond)
+	}
+	round()
+	if avg := testing.AllocsPerRun(1000, round); avg != 0 {
+		t.Errorf("Reset+fire = %.2f allocs, want 0", avg)
+	}
+	if fired != 1003 { // the first arming, the warm-up round, AllocsPerRun's own warm-up, 1000 runs
+		t.Fatalf("fired = %d, want 1003", fired)
+	}
+}

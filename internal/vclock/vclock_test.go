@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -154,6 +155,115 @@ func TestVirtualRunReportsFired(t *testing.T) {
 	}
 	if v.Pending() != 5 {
 		t.Fatalf("pending = %d, want 5", v.Pending())
+	}
+	// Like Advance, Run leaves the clock at the horizon, not at the last
+	// event it fired: the queue drains at 10s, the clock ends at 25s.
+	if fired := v.Run(20 * time.Second); fired != 5 {
+		t.Fatalf("fired = %d on the second run, want 5", fired)
+	}
+	if v.Pending() != 0 || v.Elapsed() != 25*time.Second {
+		t.Fatalf("after draining: pending = %d, elapsed = %v; want 0, 25s", v.Pending(), v.Elapsed())
+	}
+}
+
+func TestVirtualStepFiresOneEvent(t *testing.T) {
+	v := NewVirtual()
+	var order []int
+	v.AfterFunc(time.Hour, func() { order = append(order, 2) })
+	v.AfterFunc(time.Second, func() { order = append(order, 1) })
+	if !v.Step() || len(order) != 1 || order[0] != 1 || v.Elapsed() != time.Second {
+		t.Fatalf("first Step: order = %v, elapsed = %v", order, v.Elapsed())
+	}
+	if !v.Step() || len(order) != 2 || v.Elapsed() != time.Hour {
+		t.Fatalf("second Step: order = %v, elapsed = %v", order, v.Elapsed())
+	}
+	if v.Step() {
+		t.Fatal("Step on an empty clock reported an event")
+	}
+}
+
+// TestResetDoesNotGrowHeap: a timer re-armed in a loop (every lease
+// renewal on a virtual clock) occupies one heap entry, not one per Reset
+// — Pending and NextAt, the harness's deadlock probe, stay exact.
+func TestResetDoesNotGrowHeap(t *testing.T) {
+	v := NewVirtual()
+	fired := 0
+	tm := v.AfterFunc(time.Hour, func() { fired++ })
+	for i := 1; i <= 100000; i++ {
+		if !tm.Reset(time.Hour + time.Duration(i)) {
+			t.Fatalf("Reset %d of an armed timer reported unarmed", i)
+		}
+	}
+	if v.Pending() != 1 {
+		t.Fatalf("pending = %d after 1e5 Resets of one timer, want 1", v.Pending())
+	}
+	if at, ok := v.NextAt(); !ok || at.Sub(v.Now()) != time.Hour+100000 {
+		t.Fatalf("NextAt = %v, %v; want the last Reset's deadline", at, ok)
+	}
+	v.Advance(2 * time.Hour)
+	if fired != 1 || v.Pending() != 0 {
+		t.Fatalf("fired = %d, pending = %d; want 1, 0", fired, v.Pending())
+	}
+}
+
+// TestAfterFuncTimelineSpendsNoYields is the settle rule's fast side: on
+// a timeline of AfterFunc events only, with no registered worker, each
+// callback is complete when it returns, so one Advance spends its entry
+// and exit yield rounds and none between events.
+func TestAfterFuncTimelineSpendsNoYields(t *testing.T) {
+	v := NewVirtual()
+	const events = 100000
+	fired := 0
+	var tm Timer
+	tm = v.AfterFunc(time.Millisecond, func() {
+		if fired++; fired < events {
+			tm.Reset(time.Millisecond)
+		}
+	})
+	before := v.yieldRounds.Load()
+	v.Advance(events * time.Millisecond)
+	if fired != events {
+		t.Fatalf("fired = %d, want %d", fired, events)
+	}
+	if got := v.yieldRounds.Load() - before; got != 2 {
+		t.Fatalf("%d yield rounds across %d AfterFunc events, want 2 (entry and exit)", got, events)
+	}
+}
+
+// TestUnregisteredTickerReceiverSeesTicks is the settle rule's other
+// side: a goroutine that never registered with Go, ranging over a ticker
+// channel, still gets a turn after every tick of one long Advance —
+// the tick is a handoff, and a handoff buys a yield round. One P makes
+// the turn-taking exact: without the yield round the receiver would run
+// only when Advance returns, and see one tick.
+func TestUnregisteredTickerReceiverSeesTicks(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
+	v := NewVirtual()
+	const ticks = 100
+	tk := v.NewTicker(time.Millisecond)
+	var seen atomic.Int64
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-tk.C():
+				seen.Add(1)
+			case <-stop:
+				return
+			}
+		}
+	}()
+	before := v.yieldRounds.Load()
+	v.Advance(ticks * time.Millisecond)
+	tk.Stop()
+	close(stop)
+	<-stopped
+	if got := seen.Load(); got < ticks*9/10 {
+		t.Fatalf("receiver saw %d of %d ticks", got, ticks)
+	}
+	if got := v.yieldRounds.Load() - before; got != ticks+2 {
+		t.Fatalf("%d yield rounds across %d ticks, want one per tick plus entry and exit", got, ticks)
 	}
 }
 

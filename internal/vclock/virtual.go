@@ -14,7 +14,7 @@ import (
 // when Advance, Step or Run says so, and everything scheduled on the
 // clock (timers, tickers, AfterFunc chains, Sleeps) fires as ordered
 // events on the goroutine doing the advancing. The event queue is
-// internal/sim's scheduler with one tick per nanosecond — the discrete
+// internal/sched's scheduler with one tick per nanosecond — the discrete
 // event core and the wall-clock surface are the same machine.
 //
 // Ordering is total and reproducible: events fire in (time, scheduling
@@ -25,13 +25,27 @@ import (
 // goroutine may read Now or arm timers), but virtual time advances
 // single-threadedly: exactly one goroutine — the test, or the sim
 // harness loop — calls Advance/Step/Run, and event callbacks run
-// synchronously on it. Goroutines that park on virtual time (Sleep, a
-// timer channel) register with Go so the clock can account for them:
-// between events the advancing goroutine settles, yielding until every
-// registered worker is parked again (the runnable-goroutine accounting
-// that keeps "advance one heartbeat" from racing the goroutine the
-// previous event woke). A goroutine that was not registered may still
-// use the clock; it just is not waited for.
+// synchronously on it. An AfterFunc callback that has returned is
+// therefore complete: a timeline made only of AfterFunc events (the sim
+// harness's) costs a heap pop and the callback per event, nothing else.
+//
+// Other goroutines come in two kinds. Goroutines that park on virtual
+// time (Sleep, a timer channel) register with Go so the clock can
+// account for them: while any worker is registered the advancing
+// goroutine settles between events, yielding until every registered
+// worker is parked again (the runnable-goroutine accounting that keeps
+// "advance one heartbeat" from racing the goroutine the previous event
+// woke — a Sleep's wake-up takes the sleeper off the idle count itself,
+// so a woken worker is waited for even before the Go scheduler has run
+// it). A goroutine that was not registered may still use the clock; it
+// is not waited for, but it is given a turn: an event that hands
+// something to another goroutine — a channel timer or ticker delivering
+// its tick, a Sleep waking up — is followed by one blind round of
+// scheduler yields before the next event fires. Advance, Run and Step
+// also settle once on entry, and Advance and Run once more before they
+// return, so whatever the caller did before advancing, or an AfterFunc
+// callback started on another goroutine, has had its turn by the time
+// the caller looks.
 //
 // The advancing goroutine must never Sleep on the clock it advances —
 // that is a self-deadlock, and the settle timeout turns it into a
@@ -44,6 +58,13 @@ type Virtual struct {
 	workers  atomic.Int64  // goroutines registered via Go
 	idle     atomic.Int64  // registered workers currently parked in Block/Sleep
 	activity atomic.Uint64 // bumped on scheduling and park transitions; settle stability check
+
+	// handoff is set by an event that passed something to another
+	// goroutine and cleared by the advancing goroutine when it spends the
+	// yield round that pays for.
+	handoff atomic.Bool
+	// yieldRounds counts blind yield rounds, for the settle-rule tests.
+	yieldRounds atomic.Uint64
 }
 
 // settleYields is how many scheduler yields one settle round spends
@@ -109,7 +130,7 @@ func (v *Virtual) NextAt() (time.Time, bool) {
 
 // schedule arms one event d from now and returns its handle. Caller
 // holds v.mu.
-func (v *Virtual) scheduleLocked(d time.Duration, fn func()) *sched.Event {
+func (v *Virtual) scheduleLocked(d time.Duration, fn func()) sched.Event {
 	if d < 0 {
 		d = 0
 	}
@@ -144,13 +165,21 @@ func (v *Virtual) Block(fn func()) {
 	v.activity.Add(1)
 }
 
+// yield is one blind round of scheduler yields: a turn for goroutines
+// the clock does not account for.
+func (v *Virtual) yield() {
+	v.yieldRounds.Add(1)
+	for i := 0; i < settleYields; i++ {
+		goruntime.Gosched()
+	}
+}
+
 // settle yields until every registered worker is parked and the system
 // has been stable across a full yield round — the "all goroutines idle"
 // gate before time moves.
 func (v *Virtual) settle() {
-	for i := 0; i < settleYields; i++ {
-		goruntime.Gosched()
-	}
+	v.handoff.Store(false)
+	v.yield()
 	if v.workers.Load() == 0 {
 		return
 	}
@@ -158,9 +187,7 @@ func (v *Virtual) settle() {
 	for {
 		gen := v.activity.Load()
 		if v.idle.Load() >= v.workers.Load() {
-			for i := 0; i < settleYields; i++ {
-				goruntime.Gosched()
-			}
+			v.yield()
 			if v.activity.Load() == gen && v.idle.Load() >= v.workers.Load() {
 				return
 			}
@@ -174,12 +201,24 @@ func (v *Virtual) settle() {
 	}
 }
 
+// settleAfterEvent is the gate between two events: a full settle while a
+// worker is registered, one yield round when the event just fired handed
+// something to another goroutine, and nothing when it was a callback
+// that ran to completion on this goroutine.
+func (v *Virtual) settleAfterEvent() {
+	if v.workers.Load() > 0 || v.handoff.Load() {
+		v.settle()
+	}
+}
+
 // maxSimTime is "never" for bounded PopDue calls.
 const maxSimTime = sched.Time(1)<<62 - 1
 
 // Step settles, then fires the single earliest pending event (whatever
-// its time), advancing the clock to it. It reports false when nothing is
-// pending. The harness's unit of deterministic progress.
+// its time), advancing the clock to it, and gives whatever the event
+// handed off its turn before returning. It reports false when nothing is
+// pending. The unit of deterministic progress for a caller that wants to
+// look between events.
 func (v *Virtual) Step() bool {
 	v.settle()
 	v.mu.Lock()
@@ -189,12 +228,14 @@ func (v *Virtual) Step() bool {
 		return false
 	}
 	fn()
+	v.settleAfterEvent()
 	return true
 }
 
 // Advance moves virtual time forward by d, firing every event due in the
-// window in deterministic order and settling between events so work each
-// event triggered lands before the next fires.
+// window in deterministic order and settling between events (see the
+// concurrency model) so work each event handed off lands before the next
+// fires.
 func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {
 		panic("vclock: negative advance")
@@ -205,10 +246,9 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.runUntil(target)
 }
 
-// Run fires events until the queue drains or horizon of virtual time has
-// passed, whichever comes first, and reports how many events fired. The
-// clock ends at min(horizon, last event) — it does not jump to the
-// horizon on drain, so a caller can Run again after scheduling more.
+// Run is Advance that reports how many events fired: it fires every
+// event due within horizon of virtual time and, like Advance, leaves the
+// clock at the horizon even when the queue drained earlier.
 func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
 	v.mu.Lock()
 	target := v.sched.Now() + sched.Time(horizon)
@@ -221,8 +261,8 @@ func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
 }
 
 func (v *Virtual) runUntil(target sched.Time) {
+	v.settle()
 	for {
-		v.settle()
 		v.mu.Lock()
 		fn, ok := v.sched.PopDue(target)
 		if !ok {
@@ -233,6 +273,7 @@ func (v *Virtual) runUntil(target sched.Time) {
 		}
 		v.mu.Unlock()
 		fn()
+		v.settleAfterEvent()
 	}
 }
 
@@ -245,9 +286,18 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 	done := make(chan struct{})
 	v.mu.Lock()
-	v.scheduleLocked(d, func() { close(done) })
+	v.idle.Add(1)
+	v.scheduleLocked(d, func() {
+		// The sleeper is runnable from here on, whether or not it has been
+		// scheduled yet: the waker takes it off the idle count, so settle
+		// waits for it to park again or finish instead of racing it.
+		v.idle.Add(-1)
+		v.activity.Add(1)
+		v.handoff.Store(true)
+		close(done)
+	})
 	v.mu.Unlock()
-	v.Block(func() { <-done })
+	<-done
 }
 
 // After returns a channel receiving the virtual time once, d from now.
@@ -258,21 +308,16 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 // NewTimer returns a timer that fires once, d of virtual time from now.
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	t := &vtimer{v: v, ch: make(chan time.Time, 1)}
-	v.mu.Lock()
-	t.ev = v.scheduleLocked(d, t.fire)
-	v.mu.Unlock()
-	return t
+	t.fire = t.send
+	return t.arm(d)
 }
 
 // AfterFunc schedules fn to run once, d from now, on the advancing
 // goroutine. The returned Timer's Stop/Reset control the scheduling; its
 // C is nil, like time.AfterFunc's.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
-	t := &vtimer{v: v, fn: fn}
-	v.mu.Lock()
-	t.ev = v.scheduleLocked(d, t.fire)
-	v.mu.Unlock()
-	return t
+	t := &vtimer{v: v, fire: fn}
+	return t.arm(d)
 }
 
 // NewTicker returns a ticker firing every d of virtual time. Ticks a
@@ -283,33 +328,38 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 		panic("vclock: non-positive ticker interval")
 	}
 	t := &vticker{v: v, ch: make(chan time.Time, 1), d: d}
+	t.fire = t.tick
 	v.mu.Lock()
 	t.ev = v.scheduleLocked(d, t.fire)
 	v.mu.Unlock()
 	return t
 }
 
-// vtimer is one virtual timer: a scheduled event handle plus either a
-// delivery channel or an AfterFunc callback.
+// vtimer is one virtual timer: a scheduled event handle plus the
+// callback it fires — the AfterFunc function itself, or send for a
+// channel timer. fire is bound once, at construction, so re-arming the
+// timer allocates nothing; the handle goes stale by itself when the
+// event fires, so firing needs no bookkeeping either.
 type vtimer struct {
-	v  *Virtual
-	ch chan time.Time // cap 1; nil for AfterFunc timers
-	fn func()         // AfterFunc callback; nil for channel timers
-	ev *sched.Event   // guarded by v.mu; nil once fired or stopped
+	v    *Virtual
+	ch   chan time.Time // cap 1; nil for AfterFunc timers
+	fire func()
+	ev   sched.Event // guarded by v.mu
 }
 
-// fire runs as the scheduler callback, on the advancing goroutine and
-// outside v.mu (PopDue returns the callback unlocked precisely so this
-// can re-enter the clock).
-func (t *vtimer) fire() {
+func (t *vtimer) arm(d time.Duration) *vtimer {
 	t.v.mu.Lock()
-	t.ev = nil
-	now := t.v.nowLocked()
+	t.ev = t.v.scheduleLocked(d, t.fire)
 	t.v.mu.Unlock()
-	if t.fn != nil {
-		t.fn()
-		return
-	}
+	return t
+}
+
+// send is a channel timer's scheduler callback; it runs on the advancing
+// goroutine and outside v.mu (PopDue returns the callback unlocked
+// precisely so callbacks can re-enter the clock).
+func (t *vtimer) send() {
+	now := t.v.Now()
+	t.v.handoff.Store(true)
 	select {
 	case t.ch <- now:
 	default:
@@ -321,15 +371,13 @@ func (t *vtimer) C() <-chan time.Time { return t.ch }
 func (t *vtimer) Stop() bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
-	armed := t.ev != nil && t.ev.Cancel()
-	t.ev = nil
-	return armed
+	return t.v.sched.Cancel(t.ev)
 }
 
 func (t *vtimer) Reset(d time.Duration) bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
-	armed := t.ev != nil && t.ev.Cancel()
+	armed := t.v.sched.Cancel(t.ev)
 	t.ev = t.v.scheduleLocked(d, t.fire)
 	return armed
 }
@@ -339,11 +387,12 @@ type vticker struct {
 	v       *Virtual
 	ch      chan time.Time
 	d       time.Duration
-	ev      *sched.Event // guarded by v.mu
-	stopped bool         // guarded by v.mu
+	fire    func()      // tick, bound once
+	ev      sched.Event // guarded by v.mu
+	stopped bool        // guarded by v.mu
 }
 
-func (t *vticker) fire() {
+func (t *vticker) tick() {
 	t.v.mu.Lock()
 	if t.stopped {
 		t.v.mu.Unlock()
@@ -352,6 +401,7 @@ func (t *vticker) fire() {
 	now := t.v.nowLocked()
 	t.ev = t.v.scheduleLocked(t.d, t.fire)
 	t.v.mu.Unlock()
+	t.v.handoff.Store(true)
 	select {
 	case t.ch <- now:
 	default:
@@ -364,8 +414,5 @@ func (t *vticker) Stop() {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
 	t.stopped = true
-	if t.ev != nil {
-		t.ev.Cancel()
-		t.ev = nil
-	}
+	t.v.sched.Cancel(t.ev)
 }
