@@ -213,11 +213,6 @@ func (c *Cluster) awaitInitialized(ctx context.Context, initDone <-chan struct{}
 // for an unknown id.
 func (c *Cluster) Session(id ID) *Session { return c.backend.Session(id) }
 
-// Handle returns the session for member id.
-//
-// Deprecated: Handle is Session's pre-v2 name; use Session.
-func (c *Cluster) Handle(id ID) *Session { return c.backend.Session(id) }
-
 // Tree returns the cluster's logical topology.
 func (c *Cluster) Tree() *Tree { return c.tree }
 

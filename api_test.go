@@ -77,93 +77,6 @@ func TestOpenOptionMatrix(t *testing.T) {
 	}
 }
 
-// TestOpenEquivalentToDeprecatedConstructors pins the migration
-// contract: every pre-v2 constructor must behave exactly like its Open
-// spelling — same workload, same deterministic message count.
-func TestOpenEquivalentToDeprecatedConstructors(t *testing.T) {
-	tree := func() *dagmutex.Tree { return dagmutex.Star(5) }
-	cases := []struct {
-		name       string
-		deprecated func() (*dagmutex.Cluster, error)
-		v2         func() (*dagmutex.Cluster, error)
-	}{
-		{
-			"NewCluster",
-			func() (*dagmutex.Cluster, error) { return dagmutex.NewCluster(tree(), 1) },
-			func() (*dagmutex.Cluster, error) { return dagmutex.Open(tree(), 1) },
-		},
-		{
-			"NewChaosCluster",
-			func() (*dagmutex.Cluster, error) {
-				return dagmutex.NewChaosCluster(tree(), 1, dagmutex.FailureConfig{})
-			},
-			func() (*dagmutex.Cluster, error) {
-				return dagmutex.Open(tree(), 1, dagmutex.WithFailureDetection(dagmutex.FailureConfig{}))
-			},
-		},
-		{
-			"NewClusterWithINIT",
-			func() (*dagmutex.Cluster, error) { return dagmutex.NewClusterWithINIT(tree(), 2) },
-			func() (*dagmutex.Cluster, error) { return dagmutex.Open(tree(), 2, dagmutex.WithINIT()) },
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			dep, err := tc.deprecated()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer dep.Close()
-			v2, err := tc.v2()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer v2.Close()
-			if got, want := driveCluster(t, v2), driveCluster(t, dep); got != want {
-				t.Fatalf("v2 messages = %d, deprecated = %d", got, want)
-			}
-		})
-	}
-}
-
-// TestOpenTCPEquivalentToNewTCPCluster pins the TCP pair: the same
-// workload completes over both spellings (frame counts are equal too —
-// the wiring is identical).
-func TestOpenTCPEquivalentToNewTCPCluster(t *testing.T) {
-	dep, err := dagmutex.NewTCPCluster(dagmutex.Line(3), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dep.Close()
-	v2, err := dagmutex.Open(dagmutex.Line(3), 2, dagmutex.WithTransport(dagmutex.TCP("")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v2.Close()
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	for _, id := range []dagmutex.ID{1, 2, 3} {
-		for _, s := range []*dagmutex.Session{dep.Handle(id), v2.Session(id)} {
-			if _, err := s.Acquire(ctx); err != nil {
-				t.Fatalf("node %d: %v", id, err)
-			}
-			if err := s.Release(); err != nil {
-				t.Fatalf("node %d: %v", id, err)
-			}
-		}
-	}
-	if err := dep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if err := v2.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := v2.Messages(), dep.Messages(); got != want {
-		t.Fatalf("v2 frames = %d, deprecated = %d", got, want)
-	}
-}
-
 // TestDialRawMember is the member/client split over a plain cluster: a
 // connection that is not a DAG vertex dials a member's address and
 // completes Acquire→fence→Release round-trips through it.
@@ -279,6 +192,80 @@ func TestOpenLockServiceTCPServesDialedClients(t *testing.T) {
 	}
 }
 
+// TestHoldSentinelsAcrossTiers pins the one sentinel pair: ErrNotHeld
+// and ErrLeaseExpired match through errors.Is whether the release came
+// from a member caller, a client dialed at the member, or a client
+// dialed at a gateway in front of it.
+func TestHoldSentinelsAcrossTiers(t *testing.T) {
+	svc, err := dagmutex.OpenLockService(
+		dagmutex.LockServiceConfig{Shards: 1, Nodes: 1, Lease: 30 * time.Millisecond, SweepInterval: 2 * time.Millisecond},
+		dagmutex.WithTransport(dagmutex.TCP("")), dagmutex.WithMember(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if err := svc.Connect(map[dagmutex.ID]string{1: svc.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	member, err := svc.On(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dialed, err := dagmutex.DialLockService(svc.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dialed.Close()
+	gw, err := dagmutex.OpenGateway("", []string{svc.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer gw.Close()
+	viaGateway, err := dagmutex.DialLockService(gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer viaGateway.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, tier := range []struct {
+		name string
+		c    interface {
+			Acquire(context.Context, string) (dagmutex.LockHold, error)
+			Release(string) error
+			ReleaseHold(dagmutex.LockHold) error
+		}
+	}{{"member", member}, {"dialed", dialed}, {"gateway", viaGateway}} {
+		t.Run(tier.name, func(t *testing.T) {
+			if err := tier.c.Release("never-held"); !errors.Is(err, dagmutex.ErrNotHeld) || errors.Is(err, dagmutex.ErrLeaseExpired) {
+				t.Fatalf("release of never-held = %v, want ErrNotHeld only", err)
+			}
+			stuck, err := tier.c.Acquire(ctx, "r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The slot is busy until the sweeper reclaims the overheld lease.
+			next, err := tier.c.Acquire(ctx, "r")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if next.Fence <= stuck.Fence {
+				t.Fatalf("post-expiry fence %d not above %d", next.Fence, stuck.Fence)
+			}
+			if err := tier.c.ReleaseHold(stuck); !errors.Is(err, dagmutex.ErrLeaseExpired) || errors.Is(err, dagmutex.ErrNotHeld) {
+				t.Fatalf("late release = %v, want ErrLeaseExpired only", err)
+			}
+			if err := tier.c.ReleaseHold(stuck); !errors.Is(err, dagmutex.ErrNotHeld) {
+				t.Fatalf("second late release = %v, want ErrNotHeld", err)
+			}
+			if err := tier.c.ReleaseHold(next); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestOpenStartupContext pins the satellite fix: the INIT wait honors
 // the caller's context instead of a hardcoded deadline.
 func TestOpenStartupContext(t *testing.T) {
@@ -315,41 +302,6 @@ func TestOpenOptionValidation(t *testing.T) {
 		dagmutex.WithMember(1)); err == nil ||
 		!strings.Contains(err.Error(), "WithMember") {
 		t.Fatalf("OpenLockService(local, WithMember) = %v, want a WithMember error", err)
-	}
-}
-
-// TestOpenPeerEquivalentToNewTCPPeer drives a three-peer cluster built
-// with the v2 entry point exactly as the deprecated smoke test does.
-func TestOpenPeerEquivalentToNewTCPPeer(t *testing.T) {
-	tree := dagmutex.Line(3)
-	peers := make([]*dagmutex.Peer, 0, 3)
-	addrs := make(map[dagmutex.ID]string, 3)
-	for _, id := range tree.IDs() {
-		p, err := dagmutex.OpenPeer(tree, 2, id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer p.Close()
-		peers = append(peers, p)
-		addrs[id] = p.Addr()
-	}
-	for _, p := range peers {
-		p.Connect(addrs)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	for _, p := range peers {
-		if _, err := p.Acquire(ctx); err != nil {
-			t.Fatalf("node %d acquire: %v", p.ID(), err)
-		}
-		if err := p.Release(); err != nil {
-			t.Fatalf("node %d release: %v", p.ID(), err)
-		}
-	}
-	for _, p := range peers {
-		if err := p.Err(); err != nil {
-			t.Fatalf("node %d: %v", p.ID(), err)
-		}
 	}
 }
 

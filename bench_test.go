@@ -241,14 +241,14 @@ func BenchmarkExtLoadSweep(b *testing.B) {
 func BenchmarkLiveClusterEntries(b *testing.B) {
 	skipIfShort(b)
 	tree := dagmutex.Star(8)
-	c, err := dagmutex.NewCluster(tree, 1)
+	c, err := dagmutex.Open(tree, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	handles := make([]*dagmutex.Handle, 0, tree.N())
+	handles := make([]*dagmutex.Session, 0, tree.N())
 	for _, id := range tree.IDs() {
-		handles = append(handles, c.Handle(id))
+		handles = append(handles, c.Session(id))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -285,7 +285,7 @@ func BenchmarkLiveClusterEntries(b *testing.B) {
 // 8 shards, workers spread across 4 member nodes.
 func BenchmarkLockServiceSharded(b *testing.B) {
 	skipIfShort(b)
-	svc, err := dagmutex.NewLockService(dagmutex.LockServiceConfig{Shards: 8, Nodes: 4})
+	svc, err := dagmutex.OpenLockService(dagmutex.LockServiceConfig{Shards: 8, Nodes: 4})
 	if err != nil {
 		b.Fatal(err)
 	}

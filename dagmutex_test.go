@@ -14,7 +14,7 @@ import (
 
 func TestClusterLifecycle(t *testing.T) {
 	tree := dagmutex.Star(6)
-	c, err := dagmutex.NewCluster(tree, 1)
+	c, err := dagmutex.Open(tree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestClusterLifecycle(t *testing.T) {
 	var inCS atomic.Int32
 	var wg sync.WaitGroup
 	for _, id := range tree.IDs() {
-		h := c.Handle(id)
+		h := c.Session(id)
 		if h == nil {
 			t.Fatalf("nil handle for node %d", id)
 		}
@@ -58,10 +58,10 @@ func TestClusterLifecycle(t *testing.T) {
 }
 
 func TestNewClusterRejectsBadHolder(t *testing.T) {
-	if _, err := dagmutex.NewCluster(dagmutex.Star(3), 9); err == nil {
+	if _, err := dagmutex.Open(dagmutex.Star(3), 9); err == nil {
 		t.Fatal("holder outside the tree accepted")
 	}
-	if _, err := dagmutex.NewCluster(dagmutex.Star(3), dagmutex.Nil); err == nil {
+	if _, err := dagmutex.Open(dagmutex.Star(3), dagmutex.Nil); err == nil {
 		t.Fatal("nil holder accepted")
 	}
 }
@@ -133,10 +133,10 @@ func TestAlgorithmNamesListsDAGFirst(t *testing.T) {
 
 func TestTCPPeerSmoke(t *testing.T) {
 	tree := dagmutex.Line(3)
-	peers := make([]*dagmutex.TCPPeer, 0, 3)
+	peers := make([]*dagmutex.Peer, 0, 3)
 	addrs := make(map[dagmutex.ID]string, 3)
 	for _, id := range tree.IDs() {
-		p, err := dagmutex.NewTCPPeer(id, tree, 2)
+		p, err := dagmutex.OpenPeer(tree, 2, id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +166,7 @@ func TestTCPPeerSmoke(t *testing.T) {
 
 func TestClusterWithINITServesWorkload(t *testing.T) {
 	tree := dagmutex.KAry(10, 3)
-	c, err := dagmutex.NewClusterWithINIT(tree, 7)
+	c, err := dagmutex.Open(tree, 7, dagmutex.WithINIT())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestClusterWithINITServesWorkload(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	for _, id := range tree.IDs() {
-		h := c.Handle(id)
+		h := c.Session(id)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -202,7 +202,7 @@ func TestClusterWithINITServesWorkload(t *testing.T) {
 }
 
 func TestClusterWithINITRejectsBadHolder(t *testing.T) {
-	if _, err := dagmutex.NewClusterWithINIT(dagmutex.Star(3), 9); err == nil {
+	if _, err := dagmutex.Open(dagmutex.Star(3), 9, dagmutex.WithINIT()); err == nil {
 		t.Fatal("holder outside tree accepted")
 	}
 }

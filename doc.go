@@ -145,17 +145,13 @@
 //	// ... critical section, fenced by grant.Generation ...
 //	if err := s.Release(); err != nil { ... }
 //
-// The same call composes every subsystem the pre-v2 constructors
-// hard-wired one combination of: WithTransport(Local or TCP(listen))
-// selects the substrate, WithFailureDetection arms the failure
+// The same call composes every subsystem: WithTransport(Local or
+// TCP(listen)) selects the substrate, WithFailureDetection arms the failure
 // subsystem, WithINIT derives the orientation at runtime via the
 // Figure 5 flood (event-driven, bounded by WithStartupContext),
 // WithInjector installs a deterministic fault plan, and WithObserver
 // taps the recovery events. One member of a deployed cluster is
-// OpenPeer(tree, holder, id, ...); the deprecated constructors
-// (NewCluster, NewChaosCluster, NewClusterWithINIT, NewTCPCluster,
-// NewTCPPeer, NewLockService, NewLockServiceTCP) remain as thin
-// wrappers and compile unchanged.
+// OpenPeer(tree, holder, id, ...).
 //
 // For the deterministic simulator used by the experiments, see the
 // Simulate function and the cmd/dagbench tool.

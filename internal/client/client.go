@@ -27,7 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"dagmutex/internal/lockservice"
 	"dagmutex/internal/runtime"
 	"dagmutex/internal/transport"
 )
@@ -386,7 +385,7 @@ func (c *Conn) TryAcquire(resource string) (Hold, bool, error) {
 func (c *Conn) Release(resource string) error { return c.release(resource, 0) }
 
 // ReleaseHold unlocks the exact hold h, matched by its fencing token; a
-// hold whose lease already ran out reports lockservice.ErrLeaseExpired.
+// hold whose lease already ran out reports runtime.ErrLeaseExpired.
 func (c *Conn) ReleaseHold(h Hold) error { return c.release(h.Resource, h.Fence) }
 
 func (c *Conn) release(resource string, fence uint64) error {
@@ -417,9 +416,9 @@ func decodeErr(r resp) error {
 	var sentinel error
 	switch r.code {
 	case transport.CodeNotHeld:
-		sentinel = lockservice.ErrNotHeld
+		sentinel = runtime.ErrNotHeld
 	case transport.CodeLeaseExpired:
-		sentinel = lockservice.ErrLeaseExpired
+		sentinel = runtime.ErrLeaseExpired
 	case transport.CodeTryUnsupported:
 		sentinel = runtime.ErrTryUnsupported
 	case transport.CodeCanceled:

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"dagmutex/internal/client"
-	"dagmutex/internal/lockservice"
 	"dagmutex/internal/runtime"
 	"dagmutex/internal/telemetry"
 	"dagmutex/internal/transport"
@@ -346,22 +345,13 @@ func (b *backend) Release(resource string, fence uint64) error {
 	return recode(conn.ReleaseHold(client.Hold{Resource: resource, Fence: fence}))
 }
 
-// recode re-tags upstream sentinels with their wire codes for the trip
-// back to the dialed client. The runtime and context sentinels pass
-// through untouched — the transport encoder knows those — but the lock
-// service's sentinels and the upstream's busy signal need explicit
-// codes, exactly as the lock service's own backend tags them.
+// recode re-tags the upstream's busy signal with its wire code for the
+// trip back to the dialed client. Every other sentinel passes through
+// untouched: the transport encoder knows the runtime and context ones,
+// the hold-lifecycle pair included.
 func recode(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, lockservice.ErrNotHeld):
-		return &transport.CodedError{Code: transport.CodeNotHeld, Err: err}
-	case errors.Is(err, lockservice.ErrLeaseExpired):
-		return &transport.CodedError{Code: transport.CodeLeaseExpired, Err: err}
-	case errors.Is(err, client.ErrBusy):
+	if errors.Is(err, client.ErrBusy) {
 		return &transport.CodedError{Code: transport.CodeBusy, Err: err}
-	default:
-		return err
 	}
+	return err
 }

@@ -2,7 +2,6 @@ package lockservice
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -28,7 +27,7 @@ type clientBackend struct {
 func (b clientBackend) Acquire(ctx context.Context, resource string) (uint64, time.Time, error) {
 	h, err := b.c.Acquire(ctx, resource)
 	if err != nil {
-		return 0, time.Time{}, codeError(err)
+		return 0, time.Time{}, err
 	}
 	return h.Fence, h.Expires, nil
 }
@@ -37,7 +36,7 @@ func (b clientBackend) Acquire(ctx context.Context, resource string) (uint64, ti
 func (b clientBackend) TryAcquire(resource string) (uint64, time.Time, bool, error) {
 	h, ok, err := b.c.TryAcquire(resource)
 	if err != nil || !ok {
-		return 0, time.Time{}, false, codeError(err)
+		return 0, time.Time{}, false, err
 	}
 	return h.Fence, h.Expires, true, nil
 }
@@ -45,29 +44,10 @@ func (b clientBackend) TryAcquire(resource string) (uint64, time.Time, bool, err
 // Release implements transport.ClientBackend: fence 0 releases by name,
 // anything else releases the exact hold.
 func (b clientBackend) Release(resource string, fence uint64) error {
-	var err error
 	if fence == 0 {
-		err = b.c.Release(resource)
-	} else {
-		err = b.c.ReleaseHold(Hold{Resource: resource, Node: b.c.id, Fence: fence})
+		return b.c.Release(resource)
 	}
-	return codeError(err)
-}
-
-// codeError tags the lock service's sentinels with their wire codes, so
-// the transport demux (which cannot import this package) encodes them
-// and the dialing side maps them back onto the same sentinels.
-func codeError(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, ErrNotHeld):
-		return &transport.CodedError{Code: transport.CodeNotHeld, Err: err}
-	case errors.Is(err, ErrLeaseExpired):
-		return &transport.CodedError{Code: transport.CodeLeaseExpired, Err: err}
-	default:
-		return err
-	}
+	return b.c.ReleaseHold(Hold{Resource: resource, Node: b.c.id, Fence: fence})
 }
 
 // ClientBackend returns the surface that serves dialed non-member

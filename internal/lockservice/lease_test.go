@@ -379,11 +379,11 @@ func advanceReclaimed(t *testing.T, v *vclock.Virtual, svc *Service, resource st
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl := sh.slot(h.Node)
-	sl.mu.Lock()
-	reclaimed := sl.held != resource || sl.fence != h.Fence
-	sl.mu.Unlock()
-	if !reclaimed {
+	sl, err := sh.slot(h.Node)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if key, fence, held := sl.Holding(); held && key == resource && fence == h.Fence {
 		t.Fatalf("hold %v not reclaimed by the sweeper after its deadline", h)
 	}
 }

@@ -30,8 +30,13 @@
 // carries a deadline, a per-shard sweeper forcibly releases holds that
 // outlive it (so one stuck client cannot wedge a shard forever), and a
 // late Release of an expired hold is rejected with ErrLeaseExpired. The
-// same sweeper recovers slots abandoned by timed-out Acquires, replacing
-// the previous per-abandon reaper goroutine with one unified path.
+// same sweeper recovers slots abandoned by timed-out Acquires.
+//
+// The hold lifecycle itself — the per-(node, shard) caller queue, lease,
+// cohort handoff, expiry markers and recovery — is runtime.Slot, driven
+// by one runtime.Sweeper per shard; this package owns what is the
+// service's: routing keys to shards and members, Hold, the counters and
+// telemetry fed by each slot's end-of-hold callback, and the rebalancer.
 package lockservice
 
 import (
@@ -41,7 +46,6 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"dagmutex/internal/core"
@@ -53,22 +57,24 @@ import (
 	"dagmutex/internal/vclock"
 )
 
-// Sentinel errors for the hold lifecycle.
+// Sentinel errors for the hold lifecycle: the runtime.Slot values, so a
+// local caller, a dialed client and a gateway client all match the same
+// pair with errors.Is.
 var (
 	// ErrNotHeld reports a Release of a resource the member node does not
 	// currently hold through that slot (never acquired, already released,
 	// or the slot holds a different resource).
-	ErrNotHeld = errors.New("lockservice: resource not held")
+	ErrNotHeld = runtime.ErrNotHeld
 	// ErrLeaseExpired reports a Release that arrived after the hold's
 	// lease deadline passed and the sweeper force-released it. The caller
 	// no longer owns the resource — another member may hold it under a
 	// higher fencing token — so any work done since the deadline must not
 	// be committed.
-	ErrLeaseExpired = errors.New("lockservice: lease expired")
+	ErrLeaseExpired = runtime.ErrLeaseExpired
 )
 
 // DefaultLease is the hold deadline applied when Config.Lease is zero.
-const DefaultLease = 30 * time.Second
+const DefaultLease = runtime.DefaultLease
 
 // Defaults applied by Config validation when the sizing fields are zero.
 const (
@@ -193,10 +199,8 @@ type Topology struct {
 }
 
 // DefaultCohortBudget is the consecutive-local-handoff bound applied
-// when Config.CohortBudget is zero: high enough to amortize a token
-// visit over a node's queued local waiters, low enough that a remote
-// requester waits at most a few extra hold times per visiting node.
-const DefaultCohortBudget = 8
+// when Config.CohortBudget is zero.
+const DefaultCohortBudget = runtime.DefaultCohortBudget
 
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
@@ -219,16 +223,7 @@ func (c Config) withDefaults() Config {
 		c.CohortBudget = DefaultCohortBudget
 	}
 	if c.SweepInterval <= 0 {
-		c.SweepInterval = c.Lease / 4
-		if c.Lease < 0 {
-			c.SweepInterval = time.Second
-		}
-		if c.SweepInterval < time.Millisecond {
-			c.SweepInterval = time.Millisecond
-		}
-		if c.SweepInterval > time.Second {
-			c.SweepInterval = time.Second
-		}
+		c.SweepInterval = runtime.SweepCadence(c.Lease)
 	}
 	return c
 }
@@ -255,7 +250,7 @@ type Service struct {
 	debug  *telemetry.Server // non-nil when Config.DebugAddr was set
 
 	closeOnce sync.Once
-	done      chan struct{} // closed by Close; stops the shard sweepers
+	done      chan struct{} // closed by Close; stops the shard rebalancers
 }
 
 // shard is one DAG-token instance: a live cluster plus per-node acquire
@@ -266,11 +261,10 @@ type shard struct {
 	home    mutex.ID // initial token holder
 	route   mutex.ID // default member for service-level Acquire: home if hosted, else lowest hosted
 	cluster Cluster
-	lease   time.Duration // <= 0: holds never expire
-	cohort  int           // max consecutive local regrants; <= 0 disables
-	slots   []*slot
-	done    <-chan struct{} // service-wide close signal
-	clk     vclock.Clock    // never nil; leases, sweeps and waits run on it
+	slots   []*runtime.Slot  // indexed by id-1; one per hosted member
+	sweeper *runtime.Sweeper // enforces leases and recovers the hosted slots
+	done    <-chan struct{}  // service-wide close signal
+	clk     vclock.Clock     // never nil; sweeps, waits and hold durations run on it
 
 	// Telemetry instruments; nil when Config.Telemetry is unset. The
 	// histograms are wait-free atomics fed on the hot path; every gauge
@@ -305,12 +299,9 @@ type shard struct {
 	waitsSeen  int       // total grants observed, for reservoir replacement
 	lastGrants []int64   // nodeGrants snapshot at the last rebalance pass
 
-	// The periodic loops are clock-driven AfterFunc chains (each tick
-	// re-arms itself), so on a virtual clock they run deterministically
-	// on the advancing goroutine. Both timers are guarded by mu; nil
-	// after Close stops the chain.
-	sweepEvery time.Duration
-	sweepTimer vclock.Timer
+	// The rebalancer is a clock-driven AfterFunc chain like the sweeper
+	// (each tick re-arms itself). The timer is guarded by mu; nil when
+	// rebalancing is off and after Close stops the chain.
 	rebalEvery time.Duration
 	rebalTimer vclock.Timer
 }
@@ -319,56 +310,6 @@ type shard struct {
 // service does not grow memory with grant count; beyond it, samples are
 // replaced uniformly at random (an unbiased reservoir).
 const maxWaitSamples = 8192
-
-// slot serializes one node's acquires on one shard (the paper's
-// one-outstanding-request rule) and remembers which resource it holds,
-// under which fencing token, and until when.
-type slot struct {
-	session *runtime.Session
-	sem     chan struct{} // capacity 1: held while the node owns the shard token
-
-	// waiters counts local acquirers currently queued on sem — the
-	// release path's signal that a pipelined re-request will be claimed.
-	waiters atomic.Int64
-
-	mu        sync.Mutex
-	held      string    // resource name currently locked through this slot
-	fence     uint64    // fencing token of the current hold
-	expires   time.Time // lease deadline; zero when leases are disabled
-	grantedAt time.Time // when the current hold was granted (hold-duration signal)
-	abandoned bool      // a failed Acquire left its request outstanding
-	// pending marks a pipelined handoff: the releaser already re-issued
-	// the slot's next protocol request (ReleaseRequest) or regranted the
-	// section locally (Regrant), so the next waiter to take sem claims
-	// the in-flight grant and just Awaits it instead of issuing a fresh
-	// Acquire. If every waiter gives up before claiming it, the sweeper
-	// drains the orphaned grant.
-	pending bool
-	// streak counts consecutive cohort regrants since the token last
-	// moved through the protocol, enforcing the shard's cohort budget so
-	// remote requesters are bypassed only a bounded number of times.
-	streak int
-	// expired remembers holds the sweeper reclaimed from this slot, keyed
-	// by (resource, fence), so each late Release can be told apart from a
-	// Release of something never held — even after the slot has moved on,
-	// and even when the same resource expired several times in a row
-	// through this slot (each stuck holder gets its own marker). A marker
-	// is one-shot: reporting it removes it. Bounded by maxExpiredMarkers.
-	expired map[expiredHold]bool
-}
-
-// expiredHold identifies one reclaimed hold: the resource and the fence
-// it was held under.
-type expiredHold struct {
-	resource string
-	fence    uint64
-}
-
-// maxExpiredMarkers bounds the per-slot memory of unreported expiries: a
-// client that never comes back to Release leaves its marker behind, so
-// beyond this many an arbitrary old marker is dropped (its very late
-// Release then reports ErrNotHeld instead of ErrLeaseExpired).
-const maxExpiredMarkers = 1024
 
 // New starts the service: cfg.Shards shard clusters of cfg.Nodes members
 // each over cfg.Transport. Callers must Close it to stop the shard
@@ -392,8 +333,8 @@ func New(cfg Config) (*Service, error) {
 		// holding every shard's token.
 		home := mutex.ID(1 + i%cfg.Nodes)
 		mcfg := mutex.Config{IDs: tree.IDs(), Holder: home, Parent: tree.ParentsToward(home)}
-		sh := &shard{index: i, home: home, route: mutex.Nil, lease: cfg.Lease,
-			cohort: cfg.CohortBudget, slots: make([]*slot, cfg.Nodes), done: s.done, clk: cfg.Clock,
+		sh := &shard{index: i, home: home, route: mutex.Nil,
+			slots: make([]*runtime.Slot, cfg.Nodes), done: s.done, clk: cfg.Clock,
 			nodeGrants: make([]int64, cfg.Nodes), lastGrants: make([]int64, cfg.Nodes)}
 		if observed {
 			sh.obs = sh.observer(cfg.TraceObserver)
@@ -405,12 +346,14 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("lockservice: shard %d: %w", i, err)
 		}
 		sh.cluster = cluster
+		var hosted []*runtime.Slot
 		for n := 0; n < cfg.Nodes; n++ {
 			h := cluster.Session(mutex.ID(n + 1))
 			if h == nil {
 				continue // member hosted by another process
 			}
-			sh.slots[n] = &slot{session: h, sem: make(chan struct{}, 1)}
+			sh.slots[n] = runtime.NewSlot(h, cfg.Lease, cfg.CohortBudget, sh.noteEnd)
+			hosted = append(hosted, sh.slots[n])
 			if sh.route == mutex.Nil {
 				sh.route = mutex.ID(n + 1)
 			}
@@ -426,8 +369,9 @@ func New(cfg Config) (*Service, error) {
 			// Before the sweeper starts: it reads the histogram fields.
 			sh.register(cfg.Telemetry)
 		}
+		sh.sweeper = runtime.StartSweeper(cfg.Clock, cfg.SweepInterval, hosted...)
+		sh.startRebalancer(cfg.Topology.RebalanceEvery)
 		s.shards = append(s.shards, sh)
-		sh.startLoops(cfg.SweepInterval, cfg.Topology.RebalanceEvery)
 	}
 	if cfg.DebugAddr != "" {
 		srv, err := telemetry.Serve(cfg.DebugAddr, cfg.Telemetry)
@@ -576,405 +520,111 @@ func (s *Service) shardOf(resource string) (*shard, error) {
 	return s.shards[s.ShardFor(resource)], nil
 }
 
-func (sh *shard) slot(id mutex.ID) *slot { return sh.slots[id-1] }
+// slot returns member id's slot on this shard.
+func (sh *shard) slot(id mutex.ID) (*runtime.Slot, error) {
+	if sl := sh.slots[id-1]; sl != nil {
+		return sl, nil
+	}
+	return nil, fmt.Errorf("lockservice: member %d is not hosted by this process (shard %d)", id, sh.index)
+}
 
-// acquire takes the (node, shard) slot, then the shard token, and stamps
-// the hold with its fencing token and lease deadline.
+// acquire takes member id's slot on the shard — queueing, the shard
+// token, the lease: see runtime.Slot — and counts the grant.
 func (sh *shard) acquire(ctx context.Context, id mutex.ID, resource string) (Hold, error) {
-	sl := sh.slot(id)
-	if sl == nil {
-		return Hold{}, fmt.Errorf("lockservice: member %d is not hosted by this process (shard %d)", id, sh.index)
+	sl, err := sh.slot(id)
+	if err != nil {
+		return Hold{}, err
 	}
 	start := sh.clk.Now() // wait includes local slot queueing, not just token travel
-	sl.waiters.Add(1)
-	select {
-	case sl.sem <- struct{}{}:
-		sl.waiters.Add(-1)
-	case <-sl.session.Failed():
-		// The shard's cluster is dead; its slot may be parked forever on
-		// a grant that will never arrive. Fail this caller fast instead
-		// of letting it wait out its whole context on the semaphore.
-		sl.waiters.Add(-1)
-		return Hold{}, fmt.Errorf("lockservice: acquire %q (shard %d, node %d): cluster failed: %w",
-			resource, sh.index, id, sl.session.Err())
-	case <-ctx.Done():
-		sl.waiters.Add(-1)
-		return Hold{}, fmt.Errorf("lockservice: acquire %q (shard %d, node %d): %w",
-			resource, sh.index, id, ctx.Err())
-	}
-	// A pipelined handoff means the releaser already issued this slot's
-	// next protocol request alongside its release — claim it and wait for
-	// its grant instead of requesting again.
-	sl.mu.Lock()
-	pipelined := sl.pending
-	sl.pending = false
-	sl.mu.Unlock()
-	var grant runtime.Grant
-	var err error
-	if pipelined {
-		grant, err = sl.session.Await(ctx)
-	} else {
-		grant, err = sl.session.Acquire(ctx)
-	}
+	g, err := sl.Acquire(ctx, resource)
 	if err != nil {
-		if errors.Is(err, runtime.ErrGrantPending) {
-			// The protocol request stays outstanding (the paper's model has
-			// no cancellation) whether the Acquire failed on its context or
-			// on a cluster error, so the token may still arrive. The shard
-			// sweeper keeps the slot busy until then, releases the orphaned
-			// grant, and recovers the slot — without it the token would
-			// park here forever and wedge the whole shard.
-			sl.mu.Lock()
-			sl.abandoned = true
-			sl.mu.Unlock()
-		} else {
-			// No request is pending; the slot is safe to free immediately.
-			<-sl.sem
-		}
-		return Hold{}, fmt.Errorf("lockservice: acquire %q (shard %d, node %d): %w",
-			resource, sh.index, id, err)
+		return Hold{}, fmt.Errorf("lockservice: acquire %q (shard %d): %w", resource, sh.index, err)
 	}
-	hold := Hold{Resource: resource, Shard: sh.index, Node: id, Fence: grant.Generation}
-	if sh.lease > 0 {
-		hold.Expires = grant.At.Add(sh.lease)
-	}
-	sl.mu.Lock()
-	sl.held = resource
-	sl.fence = grant.Generation
-	sl.expires = hold.Expires
-	sl.grantedAt = grant.At
-	sl.mu.Unlock()
-	sh.noteGrant(id, grant.Hops, grant.Generation, sh.clk.Since(start))
-	return hold, nil
+	sh.noteGrant(id, g.Hops, g.Generation, sh.clk.Since(start))
+	return Hold{Resource: resource, Shard: sh.index, Node: id, Fence: g.Generation, Expires: g.Expires}, nil
 }
 
 // tryAcquire is acquire's no-wait variant: the slot and the shard token
 // are taken only if both are immediately available.
 func (sh *shard) tryAcquire(id mutex.ID, resource string) (Hold, bool, error) {
-	sl := sh.slot(id)
-	if sl == nil {
-		return Hold{}, false, fmt.Errorf("lockservice: member %d is not hosted by this process (shard %d)", id, sh.index)
-	}
-	select {
-	case sl.sem <- struct{}{}:
-	default:
-		return Hold{}, false, nil // slot busy: another local acquire owns it
-	}
-	var grant runtime.Grant
-	var ok bool
-	var err error
-	sl.mu.Lock()
-	if sl.pending {
-		// A pipelined re-request is in flight. If its grant is already in
-		// hand, claim it without waiting; otherwise the token is still
-		// traveling, and a no-wait acquire reports not-now (the request
-		// stays pending for the next blocking acquirer or the sweeper).
-		select {
-		case grant = <-sl.session.Granted():
-			sl.pending = false
-			ok = true
-		default:
-		}
-		sl.mu.Unlock()
-		if !ok {
-			<-sl.sem
-			return Hold{}, false, nil
-		}
-	} else {
-		sl.mu.Unlock()
-		grant, ok, err = sl.session.TryAcquire()
-	}
-	if err != nil || !ok {
-		// TryAcquire never leaves a request outstanding, so the slot is
-		// immediately reusable.
-		<-sl.sem
-		if err != nil {
-			err = fmt.Errorf("lockservice: try-acquire %q (shard %d, node %d): %w", resource, sh.index, id, err)
-		}
+	sl, err := sh.slot(id)
+	if err != nil {
 		return Hold{}, false, err
 	}
-	hold := Hold{Resource: resource, Shard: sh.index, Node: id, Fence: grant.Generation}
-	if sh.lease > 0 {
-		hold.Expires = grant.At.Add(sh.lease)
+	g, ok, err := sl.TryAcquire(resource)
+	if err != nil {
+		return Hold{}, false, fmt.Errorf("lockservice: try-acquire %q (shard %d): %w", resource, sh.index, err)
 	}
-	sl.mu.Lock()
-	sl.held = resource
-	sl.fence = grant.Generation
-	sl.expires = hold.Expires
-	sl.grantedAt = grant.At
-	sl.mu.Unlock()
-	sh.noteGrant(id, grant.Hops, grant.Generation, 0)
-	return hold, true, nil
+	if !ok {
+		return Hold{}, false, nil
+	}
+	sh.noteGrant(id, g.Hops, g.Generation, 0)
+	return Hold{Resource: resource, Shard: sh.index, Node: id, Fence: g.Generation, Expires: g.Expires}, true, nil
 }
 
-// release validates ownership, passes the shard token on, frees the
-// slot. fence identifies the exact hold being released (Hold.Fence);
-// fence 0 is the by-name convenience path, which releases whatever the
-// slot holds under that name. The protocol-level release happens under
-// the slot lock so it cannot race the sweeper force-releasing the same
-// hold.
-//
-// The fence makes the lifecycle errors precise: a by-name Release of a
-// slot that moved on cannot tell "my old hold expired" apart from "I
-// already released this", so the by-name path clears a resource's expiry
-// marker on its clean release and reports whichever case the marker
-// still witnesses. ReleaseHold matches markers by fence, so a stale
-// generation is always rejected with ErrLeaseExpired and someone else's
-// newer hold is never released by accident.
+// release ends member id's hold of resource: the exact hold under fence
+// (Hold.Fence), or with fence 0 whatever hold of that name is current.
+// The slot reports the outcome to noteEnd before it frees itself.
 func (sh *shard) release(id mutex.ID, resource string, fence uint64) error {
-	sl := sh.slot(id)
-	if sl == nil {
-		return fmt.Errorf("lockservice: member %d is not hosted by this process (shard %d)", id, sh.index)
-	}
-	sl.mu.Lock()
-	if sl.held != resource || (fence != 0 && sl.fence != fence) {
-		held, heldFence := sl.held, sl.fence
-		if expFence, ok := sl.takeExpired(resource, fence); ok {
-			// One-shot report: the stuck client learns its hold was
-			// reclaimed; a further Release of the same hold is ErrNotHeld.
-			sl.mu.Unlock()
-			return fmt.Errorf("lockservice: node %d released %q after its lease ran out (shard %d, fence %d): %w",
-				id, resource, sh.index, expFence, ErrLeaseExpired)
-		}
-		sl.mu.Unlock()
-		if held == resource {
-			return fmt.Errorf("lockservice: node %d holds %q under fence %d, not %d (shard %d): %w",
-				id, resource, heldFence, fence, sh.index, ErrNotHeld)
-		}
-		if held == "" {
-			return fmt.Errorf("lockservice: node %d does not hold %q (shard %d): %w",
-				id, resource, sh.index, ErrNotHeld)
-		}
-		return fmt.Errorf("lockservice: node %d holds %q, not %q (shard %d): %w",
-			id, held, resource, sh.index, ErrNotHeld)
-	}
-	heldFence, heldSince := sl.fence, sl.grantedAt
-	sl.held, sl.fence, sl.expires, sl.grantedAt = "", 0, time.Time{}, time.Time{}
-	if fence == 0 {
-		// By-name releases cannot be matched to markers later, so a clean
-		// release retires any unreported markers for the same name rather
-		// than letting them misreport a future double release as expired.
-		for k := range sl.expired {
-			if k.resource == resource {
-				delete(sl.expired, k)
-			}
-		}
-	}
-	var err error
-	if sl.waiters.Load() > 0 && !sl.pending && !sl.abandoned {
-		// Cohort handoff first: the next waiter is local, so hand the
-		// section over without moving the token at all — the protocol
-		// node never leaves its critical section, only the fencing
-		// generation advances. Bounded by the shard's cohort budget so
-		// remote requesters queued in the DAG are bypassed at most
-		// streak-many times before the token travels.
-		if sl.streak < sh.cohort {
-			if ok, rerr := sl.session.Regrant(); rerr == nil && ok {
-				sl.streak++
-				sl.pending = true
-				sl.mu.Unlock()
-				sh.noteRelease(true, id, resource, heldFence, heldSince)
-				<-sl.sem
-				return nil
-			}
-		}
-		// Pipelined protocol handoff: re-issue the slot's next request in
-		// the same handler-lock hold as the release. The re-REQUEST rides
-		// the outgoing PRIVILEGE (or coalesces into the same batched
-		// write), and the successor's request is already racing back
-		// before any waiter even wakes — the released token's ack never
-		// sits on the critical path.
-		sl.streak = 0
-		err = sl.session.ReleaseRequest()
-		if err == nil {
-			sl.pending = true
-		}
-	} else {
-		sl.streak = 0
-		err = sl.session.Release()
-	}
-	sl.mu.Unlock()
+	sl, err := sh.slot(id)
 	if err != nil {
-		return fmt.Errorf("lockservice: release %q (shard %d, node %d): %w", resource, sh.index, id, err)
+		return err
 	}
-	sh.noteRelease(false, id, resource, heldFence, heldSince)
-	<-sl.sem
+	if err := sl.Release(resource, fence); err != nil {
+		return fmt.Errorf("lockservice: release %q (shard %d): %w", resource, sh.index, err)
+	}
 	return nil
 }
 
-// noteRelease records one successful release: the counters (a cohort
-// regrant is both a release and a regrant), the hold-duration histogram,
-// and the service-level lifecycle trace event.
-func (sh *shard) noteRelease(regrant bool, id mutex.ID, resource string, fence uint64, heldSince time.Time) {
+// noteEnd is every hosted slot's end-of-hold callback: the counters (a
+// cohort regrant is both a release and a regrant; an expiry is neither),
+// the hold-duration histogram, and the service-level lifecycle trace
+// event. It runs before the slot is freed, so a hold's end is counted
+// before the slot's next grant is.
+func (sh *shard) noteEnd(e runtime.HoldEnd) {
+	kind := telemetry.TraceRelease
 	sh.mu.Lock()
-	sh.releases++
-	if regrant {
+	switch {
+	case e.Expired:
+		sh.expired++
+		kind = telemetry.TraceExpire
+	case e.Regranted:
 		sh.regrants++
+		sh.releases++
+		kind = telemetry.TraceRegrant
+	default:
+		sh.releases++
 	}
 	sh.mu.Unlock()
-	if sh.holdHist != nil && !heldSince.IsZero() {
-		sh.holdHist.ObserveDuration(sh.clk.Since(heldSince))
+	if sh.holdHist != nil && !e.Since.IsZero() {
+		sh.holdHist.ObserveDuration(sh.clk.Since(e.Since))
 	}
 	if sh.obs != nil {
-		k := telemetry.TraceRelease
-		if regrant {
-			k = telemetry.TraceRegrant
-		}
-		sh.obs(telemetry.TraceEvent{Kind: k, Node: id, Fence: fence, Detail: resource})
+		sh.obs(telemetry.TraceEvent{Kind: kind, Node: e.Node, Fence: e.Fence, Detail: e.Key})
 	}
 }
 
-// takeExpired consumes the expiry marker matching a late release: the
-// exact (resource, fence) marker on the fence-precise path, or any
-// marker for the resource on the by-name path (fence 0). Callers hold
-// sl.mu.
-func (sl *slot) takeExpired(resource string, fence uint64) (uint64, bool) {
-	if fence != 0 {
-		k := expiredHold{resource: resource, fence: fence}
-		if sl.expired[k] {
-			delete(sl.expired, k)
-			return fence, true
-		}
-		return 0, false
+// startRebalancer arms the adaptive-topology loop when enabled.
+func (sh *shard) startRebalancer(every time.Duration) {
+	if every <= 0 {
+		return
 	}
-	for k := range sl.expired {
-		if k.resource == resource {
-			delete(sl.expired, k)
-			return k.fence, true
-		}
-	}
-	return 0, false
-}
-
-// startLoops arms the shard's periodic work as clock-driven AfterFunc
-// chains: the sweeper (lease enforcement and slot recovery) and, when
-// enabled, the rebalancer. Each tick re-arms itself, so on a virtual
-// clock the loops run deterministically on the advancing goroutine, and
-// on the real clock time.AfterFunc supplies the goroutine per fire —
-// replacing the previous ticker goroutines.
-func (sh *shard) startLoops(sweepEvery, rebalEvery time.Duration) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	sh.sweepEvery = sweepEvery
-	sh.sweepTimer = sh.clk.AfterFunc(sweepEvery, sh.sweepTick)
-	if rebalEvery > 0 {
-		sh.rebalEvery = rebalEvery
-		sh.rebalTimer = sh.clk.AfterFunc(rebalEvery, sh.rebalTick)
-	}
+	sh.rebalEvery = every
+	sh.rebalTimer = sh.clk.AfterFunc(every, sh.rebalTick)
 }
 
-// stopLoops withdraws the shard's timer chains at Close. A tick firing
-// concurrently sees the closed done channel and returns without
-// re-arming.
+// stopLoops withdraws the shard's timer chains at Close. A rebalance
+// tick firing concurrently sees the closed done channel and returns
+// without re-arming.
 func (sh *shard) stopLoops() {
+	sh.sweeper.Stop()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if sh.sweepTimer != nil {
-		sh.sweepTimer.Stop()
-		sh.sweepTimer = nil
-	}
 	if sh.rebalTimer != nil {
 		sh.rebalTimer.Stop()
 		sh.rebalTimer = nil
-	}
-}
-
-// sweepTick is one sweeper round: force-release holds whose lease
-// deadline passed, drain grants that arrived for abandoned (timed-out)
-// Acquires, re-arm. One sweeper per shard replaces the previous
-// goroutine-per-abandon reaper.
-func (sh *shard) sweepTick() {
-	select {
-	case <-sh.done:
-		return
-	default:
-	}
-	sh.sweepOnce(sh.clk.Now())
-	sh.mu.Lock()
-	if sh.sweepTimer != nil {
-		sh.sweepTimer.Reset(sh.sweepEvery)
-	}
-	sh.mu.Unlock()
-}
-
-// sweepOnce performs one pass over the shard's hosted slots.
-func (sh *shard) sweepOnce(now time.Time) {
-	for i, sl := range sh.slots {
-		id := mutex.ID(i + 1)
-		if sl == nil {
-			continue
-		}
-		sl.mu.Lock()
-		switch {
-		case sl.pending && sl.waiters.Load() == 0:
-			// A pipelined re-request lost all its waiters (they gave up on
-			// the semaphore before claiming it). If the slot is free, adopt
-			// the request: drain its grant once it arrives and release the
-			// orphaned token. The non-blocking sem take cannot deadlock the
-			// acquire path (which takes sem before mu).
-			select {
-			case sl.sem <- struct{}{}:
-				select {
-				case <-sl.session.Granted():
-					sl.pending = false
-					if err := sl.session.Release(); err == nil {
-						sl.streak = 0
-						sl.mu.Unlock()
-						<-sl.sem
-						continue
-					}
-					// Release failed: the shard cluster is broken; leave the
-					// slot busy (its Failed signal fails future acquirers).
-				default:
-					// Grant still traveling; free the slot and retry later.
-					sl.mu.Unlock()
-					<-sl.sem
-					continue
-				}
-			default:
-				// Slot busy: a new acquirer claimed the pending request.
-			}
-		case sl.abandoned:
-			// A timed-out Acquire left its request outstanding. If the
-			// grant has since arrived, release the orphaned token and
-			// recover the slot; otherwise keep waiting.
-			select {
-			case <-sl.session.Granted():
-				if err := sl.session.Release(); err == nil {
-					sl.abandoned = false
-					sl.streak = 0
-					sl.mu.Unlock()
-					<-sl.sem
-					continue
-				}
-				// Release failed: the shard cluster is broken; leave the
-				// slot busy (its Failed signal fails future acquirers).
-			default:
-			}
-		case sl.held != "" && !sl.expires.IsZero() && now.After(sl.expires):
-			// The hold outlived its lease: reclaim it. The late Release
-			// will observe ErrLeaseExpired via the expiry marker.
-			if sl.expired == nil {
-				sl.expired = make(map[expiredHold]bool)
-			}
-			if len(sl.expired) >= maxExpiredMarkers {
-				for k := range sl.expired { // drop an arbitrary stale marker
-					delete(sl.expired, k)
-					break
-				}
-			}
-			res, fen, since := sl.held, sl.fence, sl.grantedAt
-			sl.expired[expiredHold{resource: res, fence: fen}] = true
-			sl.held, sl.fence, sl.expires, sl.grantedAt = "", 0, time.Time{}, time.Time{}
-			if err := sl.session.Release(); err == nil {
-				sl.streak = 0
-				sl.mu.Unlock()
-				sh.noteExpired(id, res, fen, since)
-				<-sl.sem
-				continue
-			}
-		}
-		sl.mu.Unlock()
 	}
 }
 
@@ -1002,20 +652,6 @@ func (sh *shard) noteGrant(id mutex.ID, hops int, fence uint64, wait time.Durati
 	sh.mu.Unlock()
 	if sh.waitHist != nil {
 		sh.waitHist.ObserveDuration(wait)
-	}
-}
-
-// noteExpired records one lease-expiry reclamation: the counter, the
-// (truncated) hold duration, and the EXPIRE trace event.
-func (sh *shard) noteExpired(id mutex.ID, resource string, fence uint64, heldSince time.Time) {
-	sh.mu.Lock()
-	sh.expired++
-	sh.mu.Unlock()
-	if sh.holdHist != nil && !heldSince.IsZero() {
-		sh.holdHist.ObserveDuration(sh.clk.Since(heldSince))
-	}
-	if sh.obs != nil {
-		sh.obs(telemetry.TraceEvent{Kind: telemetry.TraceExpire, Node: id, Fence: fence, Detail: resource})
 	}
 }
 
@@ -1057,7 +693,7 @@ func shardBuilder(compress bool, obs func(telemetry.TraceEvent)) mutex.Builder {
 }
 
 // rebalTick is the shard's adaptive-topology loop: one rebalance pass
-// (see rebalanceOnce) per tick, re-armed like the sweeper.
+// (see rebalanceOnce) per tick, then re-arm.
 func (sh *shard) rebalTick() {
 	select {
 	case <-sh.done:
@@ -1095,7 +731,7 @@ func (sh *shard) rebalanceOnce() bool {
 		if sl == nil {
 			continue
 		}
-		planned, err := sl.session.PlanReorient(hot)
+		planned, err := sl.Session().PlanReorient(hot)
 		if err != nil {
 			continue // e.g. the hot member died since we counted it
 		}

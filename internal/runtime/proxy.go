@@ -2,388 +2,81 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
-
-	"dagmutex/internal/vclock"
 )
 
-// DefaultProxyLease bounds a remote client's hold of the proxied mutex
-// when the proxy is constructed with lease 0. It matches the lock
-// service's default lease, so the two client surfaces behave alike.
-const DefaultProxyLease = 30 * time.Second
-
-// maxProxyExpired bounds the proxy's memory of force-released holds; a
-// client that never comes back to Release leaves its marker behind, so
-// beyond this many an arbitrary old marker is dropped (its very late
-// Release then reports ErrNotHeld instead of ErrLeaseExpired).
-const maxProxyExpired = 1024
-
-// proxyCohortBudget bounds consecutive local handoffs (Regrant) before
-// the proxy takes the protocol path and lets remote members in. It
-// matches the lock service's default CohortBudget: the same
-// starvation-vs-throughput trade, made at the same default.
-const proxyCohortBudget = 8
-
-// proxyAdoptInterval is how often an unclaimed pipelined grant is
-// checked for adoption — the proxy's analogue of the lock service
-// sweeper's cadence. A grant is left pending when a release regrants or
-// release-requests for waiters that then all vanish (canceled,
-// disconnected); the adopt timer releases it so the token moves on.
-const proxyAdoptInterval = 100 * time.Millisecond
-
-// Proxy serves many remote clients through one member Session: it
-// serializes their acquires (the member node allows one outstanding
-// request, per the paper), bounds every hold by a lease so a vanished
-// client cannot wedge the cluster, and recovers from context-canceled
-// acquires via the runtime's Granted drain — the same machinery the lock
-// service uses, packaged for a single mutex.
-//
-// Waiting clients are coalesced: while clients are queued on this proxy,
-// a release hands the grant to the next local waiter — by Regrant (no
-// protocol traffic at all, up to proxyCohortBudget consecutive times) or
-// by ReleaseRequest (the pipelined one-message handoff) — instead of
-// releasing and letting the next waiter issue a fresh DAG request. N
-// waiters on the mutex cost far fewer protocol messages than N
-// request/grant round trips, and each waiter still observes its own
-// strictly-younger fencing generation.
+// Proxy serves many remote clients through one member Session: a
+// one-slot instance of the hold machine the lock service runs per
+// (node, shard) — see Slot for the queueing, lease, cohort-handoff and
+// recovery rules — with the lock service's default lease and cohort
+// budget, swept at SweepCadence(lease). A stuck client's hold is
+// therefore reclaimed, an orphaned pipelined grant adopted and a
+// canceled acquire's grant drained on the sweep tick (within lease/4,
+// at most 1s), not at the instant they become due.
 //
 // It implements the transport layer's ClientBackend surface, keyed by
-// the empty resource name (a member arbitrates exactly one critical
-// section; named resources are the lock service's job).
+// the empty resource name: a member arbitrates exactly one critical
+// section; named resources are the lock service's job.
 //
-// The proxy owns the session it wraps: it serializes its clients
-// against each other, but nothing can serialize them against the
-// member's own direct use of the same Session. A member process that
-// serves remote clients must therefore not drive that Session
-// concurrently — acquire through a dialed client of your own member
-// instead, exactly as the lock service's slot rule requires one
-// acquirer per (node, shard) slot.
+// The proxy owns the session it wraps, as every Slot does: a member
+// process that serves remote clients must not drive that Session
+// itself — acquire through a dialed client of your own member instead.
 type Proxy struct {
-	s       *Session
-	lease   time.Duration // <= 0: holds never expire
-	sem     chan struct{} // capacity 1: held while a client owns the mutex
-	waiters atomic.Int64  // clients inside Acquire (queued or collecting)
-
-	mu      sync.Mutex
-	fence   uint64    // fencing token of the current hold, 0 when free
-	expires time.Time // lease deadline of the current hold
-	timer   vclock.Timer
-	// pending is the coalescing flag: the previous release already put the
-	// next grant in flight (Regrant deposited it, ReleaseRequest re-issued
-	// the request), so the next semaphore taker must Await instead of
-	// issuing its own DAG request.
-	pending bool
-	// streak counts consecutive Regrant handoffs, bounded by
-	// proxyCohortBudget so queued remote members are not starved.
-	streak int
-	// abandoned marks a context-canceled acquire whose protocol request
-	// stayed outstanding; drainAbandoned owns the recovery and the
-	// semaphore stays held until it completes.
-	abandoned bool
-	adopt     vclock.Timer // checks unclaimed pending grants for adoption
-	// expired remembers force-released fences so each late Release can be
-	// told apart from a Release of something never held. One-shot,
-	// bounded by maxProxyExpired.
-	expired map[uint64]bool
+	slot    *Slot
+	sweeper *Sweeper
 }
 
 // NewProxy wraps s for remote clients. lease bounds each hold (0 means
-// DefaultProxyLease, negative disables expiry).
+// DefaultLease, negative disables expiry). Callers must Close it.
 func NewProxy(s *Session, lease time.Duration) *Proxy {
 	if lease == 0 {
-		lease = DefaultProxyLease
+		lease = DefaultLease
 	}
-	return &Proxy{s: s, lease: lease, sem: make(chan struct{}, 1)}
+	sl := NewSlot(s, lease, DefaultCohortBudget, nil)
+	return &Proxy{slot: sl, sweeper: StartSweeper(s.n.clk, SweepCadence(lease), sl)}
 }
 
-// Acquire locks the proxied mutex on behalf of one remote client,
-// queueing behind other clients of this member, and returns the grant's
-// fencing token plus the hold's lease deadline. When the previous
-// holder's release already pipelined the next grant (the coalescing
-// path), the waiter only awaits it — no new DAG request is issued.
-// Cancelling ctx while queued frees the queue slot immediately;
-// cancelling while the protocol request (or pipelined grant) is in
-// flight leaves it outstanding (the paper's model has no cancellation)
-// and the proxy drains and releases the eventual grant in the
-// background, exactly like the lock service's sweeper.
-func (p *Proxy) Acquire(ctx context.Context, resource string) (uint64, time.Time, error) {
+// Close stops the proxy's sweeper. Holds and requests still outstanding
+// are left to the session's own teardown.
+func (p *Proxy) Close() { p.sweeper.Stop() }
+
+// single rejects named resources.
+func (p *Proxy) single(resource string) error {
 	if resource != "" {
-		return 0, time.Time{}, fmt.Errorf("runtime: member node %d serves a single mutex, not resource %q (dial a lock service for named resources)", p.s.ID(), resource)
-	}
-	p.waiters.Add(1)
-	defer p.waiters.Add(-1)
-	select {
-	case p.sem <- struct{}{}:
-	case <-p.s.Failed():
-		return 0, time.Time{}, fmt.Errorf("proxy acquire node %d: cluster failed: %w", p.s.ID(), p.s.Err())
-	case <-ctx.Done():
-		return 0, time.Time{}, fmt.Errorf("proxy acquire node %d: %w", p.s.ID(), ctx.Err())
-	}
-	p.mu.Lock()
-	pipelined := p.pending
-	p.pending = false
-	p.mu.Unlock()
-	var g Grant
-	var err error
-	if pipelined {
-		g, err = p.s.Await(ctx)
-	} else {
-		g, err = p.s.Acquire(ctx)
-	}
-	if err != nil {
-		if errors.Is(err, ErrGrantPending) {
-			// The request (or pipelined grant) stays outstanding; free the
-			// slot only once the orphaned grant arrives and is released. sem
-			// stays held until then, so later clients queue instead of
-			// double-requesting.
-			p.mu.Lock()
-			p.abandoned = true
-			p.mu.Unlock()
-			go p.drainAbandoned()
-		} else {
-			<-p.sem
-		}
-		return 0, time.Time{}, err
-	}
-	return p.admit(g), p.holdExpiry(), nil
-}
-
-// TryAcquire locks the proxied mutex only if no other client holds it
-// through this proxy and the grant is available without waiting: an
-// already-landed pipelined grant, or a protocol grant that needs no
-// messages (an idle local token).
-func (p *Proxy) TryAcquire(resource string) (uint64, time.Time, bool, error) {
-	if resource != "" {
-		return 0, time.Time{}, false, fmt.Errorf("runtime: member node %d serves a single mutex, not resource %q", p.s.ID(), resource)
-	}
-	select {
-	case p.sem <- struct{}{}:
-	default:
-		return 0, time.Time{}, false, nil // another client holds or waits
-	}
-	p.mu.Lock()
-	if p.pending {
-		// A previous release pipelined the next grant. Claim it if it has
-		// already landed; Try never waits, so otherwise leave it pending
-		// for the adopt timer or the next Acquire.
-		select {
-		case g := <-p.s.Granted():
-			p.pending = false
-			p.mu.Unlock()
-			return p.admit(g), p.holdExpiry(), true, nil
-		default:
-			p.mu.Unlock()
-			<-p.sem
-			return 0, time.Time{}, false, nil
-		}
-	}
-	p.mu.Unlock()
-	g, ok, err := p.s.TryAcquire()
-	if err != nil || !ok {
-		<-p.sem
-		return 0, time.Time{}, false, err
-	}
-	return p.admit(g), p.holdExpiry(), true, nil
-}
-
-// admit records the new hold and arms its lease timer. The semaphore is
-// already held.
-func (p *Proxy) admit(g Grant) uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.fence = g.Generation
-	if p.lease > 0 {
-		p.expires = g.At.Add(p.lease)
-		fence := g.Generation
-		p.timer = p.s.n.clk.AfterFunc(p.lease, func() { p.forceExpire(fence) })
-	}
-	return p.fence
-}
-
-func (p *Proxy) holdExpiry() time.Time {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.expires
-}
-
-// Release unlocks the proxied mutex. fence identifies the exact hold
-// (Grant.Generation); fence 0 releases whatever hold is current. A hold
-// the lease sweeper already reclaimed reports ErrLeaseExpired once; a
-// release of nothing, or of a stale fence, reports ErrNotHeld.
-//
-// When other clients are queued, the release coalesces: the next grant
-// is put in flight as part of this release — locally by Regrant (up to
-// proxyCohortBudget consecutive times, zero protocol traffic) or by the
-// pipelined ReleaseRequest — and the next waiter collects it with Await
-// instead of issuing its own DAG request.
-func (p *Proxy) Release(resource string, fence uint64) error {
-	if resource != "" {
-		return fmt.Errorf("runtime: member node %d serves a single mutex, not resource %q", p.s.ID(), resource)
-	}
-	p.mu.Lock()
-	if p.fence == 0 || (fence != 0 && fence != p.fence) {
-		if fence != 0 && p.expired[fence] {
-			delete(p.expired, fence)
-			p.mu.Unlock()
-			return fmt.Errorf("proxy release node %d: hold %d force-released after its lease: %w", p.s.ID(), fence, ErrLeaseExpired)
-		}
-		// A by-fence release that matches no live hold and no marker, or a
-		// by-name release of a free proxy that has an unreported expiry:
-		// the by-name path gets the expiry report (it cannot name a fence).
-		if fence == 0 {
-			for f := range p.expired {
-				delete(p.expired, f)
-				p.mu.Unlock()
-				return fmt.Errorf("proxy release node %d: hold %d force-released after its lease: %w", p.s.ID(), f, ErrLeaseExpired)
-			}
-		}
-		p.mu.Unlock()
-		return fmt.Errorf("proxy release node %d: %w", p.s.ID(), ErrNotHeld)
-	}
-	p.clearHoldLocked()
-	var err error
-	if p.waiters.Load() > 0 && !p.pending && !p.abandoned {
-		if p.streak < proxyCohortBudget {
-			if ok, rerr := p.s.Regrant(); rerr == nil && ok {
-				p.streak++
-				p.pending = true
-				p.armAdoptLocked()
-				p.mu.Unlock()
-				<-p.sem
-				return nil
-			}
-			// Mid-recovery or no capability: fall through to the protocol
-			// path, which re-queues this node fairly.
-		}
-		p.streak = 0
-		err = p.s.ReleaseRequest()
-		if err == nil {
-			p.pending = true
-			p.armAdoptLocked()
-		}
-	} else {
-		p.streak = 0
-		err = p.s.Release()
-	}
-	p.mu.Unlock()
-	<-p.sem
-	if err != nil {
-		return fmt.Errorf("proxy release node %d: %w", p.s.ID(), err)
+		return fmt.Errorf("runtime: member node %d serves a single mutex, not resource %q (dial a lock service for named resources)", p.slot.s.ID(), resource)
 	}
 	return nil
 }
 
-// clearHoldLocked forgets the current hold and stops its lease timer.
-// Callers hold p.mu.
-func (p *Proxy) clearHoldLocked() {
-	p.fence = 0
-	p.expires = time.Time{}
-	if p.timer != nil {
-		p.timer.Stop()
-		p.timer = nil
+// Acquire locks the proxied mutex on behalf of one remote client,
+// queueing behind the member's other clients, and returns the grant's
+// fencing token plus the hold's lease deadline.
+func (p *Proxy) Acquire(ctx context.Context, resource string) (uint64, time.Time, error) {
+	if err := p.single(resource); err != nil {
+		return 0, time.Time{}, err
 	}
+	g, err := p.slot.Acquire(ctx, "")
+	return g.Generation, g.Expires, err
 }
 
-// armAdoptLocked schedules an adoption check for a pending grant.
-// Callers hold p.mu and have just set pending.
-func (p *Proxy) armAdoptLocked() {
-	if p.adopt == nil {
-		p.adopt = p.s.n.clk.AfterFunc(proxyAdoptInterval, p.adoptOrphan)
-	} else {
-		p.adopt.Reset(proxyAdoptInterval)
+// TryAcquire locks the proxied mutex only if no other client holds or
+// awaits it through this proxy and the grant needs no waiting.
+func (p *Proxy) TryAcquire(resource string) (uint64, time.Time, bool, error) {
+	if err := p.single(resource); err != nil {
+		return 0, time.Time{}, false, err
 	}
+	g, ok, err := p.slot.TryAcquire("")
+	return g.Generation, g.Expires, ok, err
 }
 
-// adoptOrphan recovers a pipelined grant whose intended waiters all
-// vanished (canceled or disconnected) before claiming it: the grant is
-// drained and released so the token moves on. While waiters remain the
-// check just re-arms — one of them will claim the grant — and a grant
-// still in flight (the ReleaseRequest path) re-arms too. The semaphore
-// is taken non-blocking, exactly as an acquiring client would, so a
-// concurrent Acquire always wins the race.
-func (p *Proxy) adoptOrphan() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.pending {
-		return
+// Release unlocks the proxied mutex. fence identifies the exact hold
+// (Grant.Generation); fence 0 releases whatever hold is current. A hold
+// the sweeper already reclaimed reports ErrLeaseExpired once; a release
+// of nothing, or of a stale fence, reports ErrNotHeld.
+func (p *Proxy) Release(resource string, fence uint64) error {
+	if err := p.single(resource); err != nil {
+		return err
 	}
-	if p.waiters.Load() > 0 {
-		p.armAdoptLocked()
-		return
-	}
-	select {
-	case p.sem <- struct{}{}:
-	default:
-		// Someone is mid-acquire after all; they will claim the grant.
-		p.armAdoptLocked()
-		return
-	}
-	select {
-	case <-p.s.Granted():
-		p.pending = false
-		p.streak = 0
-		err := p.s.Release()
-		if err == nil {
-			<-p.sem
-		}
-		// On error the cluster is broken; sem stays held and Failed fails
-		// future acquirers fast.
-	default:
-		// Grant still in flight (ReleaseRequest path): check again later.
-		<-p.sem
-		p.armAdoptLocked()
-	}
-}
-
-// forceExpire is the lease enforcer: if the hold admitted under fence is
-// still current when its lease runs out, release it so other clients
-// (and other members) can proceed, and leave a marker so the stuck
-// client's late Release learns what happened.
-func (p *Proxy) forceExpire(fence uint64) {
-	p.mu.Lock()
-	if p.fence != fence {
-		p.mu.Unlock()
-		return // already released, or superseded
-	}
-	if p.expired == nil {
-		p.expired = make(map[uint64]bool)
-	}
-	if len(p.expired) >= maxProxyExpired {
-		for f := range p.expired { // drop an arbitrary stale marker
-			delete(p.expired, f)
-			break
-		}
-	}
-	p.expired[fence] = true
-	p.clearHoldLocked()
-	p.streak = 0
-	err := p.s.Release()
-	p.mu.Unlock()
-	if err == nil {
-		<-p.sem
-	}
-	// On error the cluster is broken; the sem stays held and the session's
-	// Failed signal fails future acquirers fast.
-}
-
-// drainAbandoned waits out a context-canceled acquire whose protocol
-// request (or pipelined grant) stayed outstanding: the grant still
-// arrives eventually, gets released, and the queue slot recovers.
-func (p *Proxy) drainAbandoned() {
-	select {
-	case <-p.s.Granted():
-		p.mu.Lock()
-		p.abandoned = false
-		p.streak = 0
-		p.mu.Unlock()
-		if err := p.s.Release(); err == nil {
-			<-p.sem
-		}
-	case <-p.s.Failed():
-		// Cluster dead: leave sem held; Failed fails future acquirers.
-	}
+	return p.slot.Release("", fence)
 }

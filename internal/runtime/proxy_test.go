@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"context"
 	"errors"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,7 +27,9 @@ func proxyCluster(t *testing.T, lease time.Duration) (*runtime.Proxy, *transport
 		t.Fatal(err)
 	}
 	t.Cleanup(l.Close)
-	return runtime.NewProxy(l.Session(1), lease), l
+	p := runtime.NewProxy(l.Session(1), lease)
+	t.Cleanup(p.Close)
+	return p, l
 }
 
 // TestProxySerializesClients has many goroutines (modeling many dialed
@@ -265,5 +268,39 @@ func TestProxyRejectsNamedResources(t *testing.T) {
 	p, _ := proxyCluster(t, -1)
 	if _, _, err := p.Acquire(context.Background(), "named"); err == nil {
 		t.Fatal("acquire of a named resource through a member proxy succeeded")
+	}
+}
+
+// TestProxyAbandonedAcquireLeaksNoGoroutine: recovery of a canceled
+// acquire is the sweeper's job, so nothing is left parked on a grant
+// that a closed cluster will never deliver.
+func TestProxyAbandonedAcquireLeaksNoGoroutine(t *testing.T) {
+	base := goruntime.NumGoroutine()
+	tree := topology.Star(3)
+	cfg := mutex.Config{IDs: tree.IDs(), Holder: 1, Parent: tree.ParentsToward(1)}
+	l, err := transport.NewLocal(core.Builder, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := runtime.NewProxy(l.Session(1), -1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := l.Session(2).Acquire(ctx); err != nil {
+		t.Fatal(err)
+	}
+	short, shortCancel := context.WithTimeout(ctx, 20*time.Millisecond)
+	defer shortCancel()
+	if _, _, err := p.Acquire(short, ""); !errors.Is(err, runtime.ErrGrantPending) {
+		t.Fatalf("acquire under a held token = %v, want a pending-grant error", err)
+	}
+	// Node 2 never releases: the abandoned grant never arrives.
+	p.Close()
+	l.Close()
+	for deadline := time.Now().Add(5 * time.Second); goruntime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after close, %d before the cluster started:\n%s",
+				goruntime.NumGoroutine(), base, buf[:goruntime.Stack(buf, true)])
+		}
 	}
 }

@@ -10,6 +10,14 @@
 // over it: in-process mailboxes (transport.Local) and framed TCP
 // connections (transport.TCPHost). Protocol code and application code
 // are identical over both; only the Link differs.
+//
+// The paper allows a node one outstanding request, so every layer that
+// shares a member among many callers needs the same machine around its
+// Session. Slot is that machine — the caller queue, the lease on a hold,
+// the bounded run of local handoffs, the recovery of grants nobody is
+// left to claim — and Sweeper enforces it periodically. The lock service
+// runs one Slot per hosted (node, shard); Proxy is a one-slot instance
+// serving a plain member's dialed clients.
 package runtime
 
 import (
@@ -42,19 +50,6 @@ var ErrTryUnsupported = errors.New("protocol does not support TryAcquire")
 // Unlike an ErrorSink failure it is per-node, not cluster-fatal — the
 // surviving nodes' sessions keep working through the protocol's recovery.
 var ErrNodeDown = errors.New("node down")
-
-// Proxy-hold lifecycle errors, the runtime-level counterparts of the
-// lock service's sentinels. The client wire protocol maps both layers'
-// sentinels onto the same wire codes, so a remote client sees one
-// canonical pair regardless of which layer it dialed.
-var (
-	// ErrNotHeld reports a Release of a proxy hold the caller does not
-	// own (never acquired, already released, or a stale fence).
-	ErrNotHeld = errors.New("runtime: not held")
-	// ErrLeaseExpired reports a Release that arrived after the proxy
-	// hold's lease ran out and the proxy already force-released it.
-	ErrLeaseExpired = errors.New("runtime: lease expired")
-)
 
 // Monitor observes every inbound envelope before protocol delivery — the
 // failure detector's hook. Inbound reports whether the envelope was the
@@ -189,7 +184,7 @@ type Node struct {
 	id   mutex.ID
 	link Link
 	sink *ErrorSink
-	clk  vclock.Clock // never nil; the clock grants and proxy leases are stamped on
+	clk  vclock.Clock // never nil; stamps grants and drives a Proxy's sweeper
 
 	mu   sync.Mutex // serializes Request/Release/Deliver on the state machine
 	node mutex.Node
@@ -214,7 +209,7 @@ type monitorBox struct{ m Monitor }
 type StartOption func(*Node)
 
 // WithClock installs the clock the node stamps grants and membership
-// events on and arms proxy-lease timers against. Nil (and the default)
+// events on and runs a Proxy's sweeper against. Nil (and the default)
 // is the real clock; the simulation harness installs a vclock.Virtual.
 func WithClock(c vclock.Clock) StartOption {
 	return func(n *Node) { n.clk = vclock.Or(c) }
@@ -448,12 +443,6 @@ func (n *Node) With(fn func(mutex.Node) error) error {
 // Session returns the blocking application API over this node.
 func (n *Node) Session() *Session { return &Session{n: n} }
 
-// Handle is Session's former name, kept so embedders migrating to the
-// Session API keep compiling.
-//
-// Deprecated: use Session.
-func (n *Node) Handle() *Session { return n.Session() }
-
 // Close shuts the link down and waits for the actor loop to exit.
 // Envelopes the link already received are still delivered first.
 func (n *Node) Close() {
@@ -468,11 +457,6 @@ func (n *Node) Close() {
 type Session struct {
 	n *Node
 }
-
-// Handle is the deprecated former name of Session.
-//
-// Deprecated: use Session.
-type Handle = Session
 
 // ID returns the underlying node's identifier.
 func (s *Session) ID() mutex.ID { return s.n.id }

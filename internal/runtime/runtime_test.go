@@ -358,3 +358,40 @@ func acquireErr(s *Session, ctx context.Context) error {
 	_, err := s.Acquire(ctx)
 	return err
 }
+
+// TestSlotFailedSessionFailsQueuedAcquirers: a caller queued behind a
+// busy slot fails as soon as the cluster does — with the cluster's
+// error, and without claiming a request is outstanding — instead of
+// waiting out its context on a grant that may never be released.
+func TestSlotFailedSessionFailsQueuedAcquirers(t *testing.T) {
+	sink := NewErrorSink()
+	n, err := Start(1, echoBuilder(false), mutex.Config{}, newChanLink(), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	sl := NewSlot(n.Session(), -1, 0, nil)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := sl.Acquire(ctx, "k"); err != nil {
+		t.Fatal(err)
+	}
+	queued := make(chan error, 1)
+	go func() {
+		_, err := sl.Acquire(ctx, "k")
+		queued <- err
+	}()
+	for sl.waiters.Load() == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	boom := errors.New("peer crashed")
+	sink.Fail(boom)
+	select {
+	case err := <-queued:
+		if !errors.Is(err, boom) || errors.Is(err, ErrGrantPending) {
+			t.Fatalf("queued acquire = %v, want the cluster's error and no pending grant", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("queued acquire still waiting after the cluster failed")
+	}
+}

@@ -1,0 +1,493 @@
+package runtime
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"dagmutex/internal/mutex"
+	"dagmutex/internal/vclock"
+)
+
+// Hold-lifecycle sentinels, shared by every layer that holds through a
+// Slot: the lock service re-exports them, the client wire protocol maps
+// them onto its error codes, and the dialing side maps the codes back
+// onto the same two values.
+var (
+	// ErrNotHeld reports a Release of a key the slot does not hold (never
+	// acquired, already released, a different key, or a stale fence).
+	ErrNotHeld = errors.New("not held")
+	// ErrLeaseExpired reports a Release that arrived after the hold's
+	// lease deadline passed and the sweeper force-released it. The caller
+	// no longer owns the section — another member may hold it under a
+	// higher fencing token — so work done since the deadline must not be
+	// committed.
+	ErrLeaseExpired = errors.New("lease expired")
+)
+
+// Defaults of the hold machine, applied by every user of Slot (the lock
+// service's Config and Proxy) when the corresponding setting is zero.
+const (
+	// DefaultLease is the hold deadline.
+	DefaultLease = 30 * time.Second
+	// DefaultCohortBudget is the consecutive-local-handoff bound: high
+	// enough to amortize a token visit over a node's queued local
+	// waiters, low enough that a remote requester waits at most a few
+	// extra hold times per visiting node.
+	DefaultCohortBudget = 8
+)
+
+// maxExpiredMarkers bounds a slot's memory of unreported expiries: a
+// caller that never comes back to Release leaves its marker behind, so
+// beyond this many an arbitrary old marker is dropped (its very late
+// Release then reports ErrNotHeld instead of ErrLeaseExpired).
+const maxExpiredMarkers = 1024
+
+// HoldEnd is how a hold ended; see Slot's end callback.
+type HoldEnd struct {
+	Node  mutex.ID
+	Key   string
+	Fence uint64
+	// Since is when the hold was granted.
+	Since time.Time
+	// Regranted marks a release served by a cohort handoff: the section
+	// passed to a queued local waiter with no token movement.
+	Regranted bool
+	// Expired marks a hold the sweeper force-released after its lease.
+	Expired bool
+}
+
+// Slot multiplexes many callers onto one Session. The paper allows one
+// outstanding request per node, so the slot serializes acquirers, and it
+// owns everything a shared member needs around a hold: the key and
+// fencing token it is held under, a lease on it, a bounded run of local
+// handoffs while more callers queue (the zero-message Regrant, then the
+// pipelined ReleaseRequest), and recovery of a grant nobody is left to
+// claim. Nothing is armed or allocated per hold: leases, orphaned grants
+// and abandoned requests are all settled by Sweep, which a Sweeper calls
+// periodically.
+//
+// The slot owns its session: nothing can serialize its callers against
+// direct use of the same Session, so a process must not drive both. And
+// one goroutine must not acquire through a slot it already holds — the
+// nested Acquire waits for its own caller (until the lease reclaims the
+// outer hold, which is then invalid).
+type Slot struct {
+	s      *Session
+	lease  time.Duration // <= 0: holds never expire
+	budget int           // max consecutive regrants; <= 0 disables them
+	// end, when non-nil, is told how each hold ended, after the slot's
+	// state is settled and before the slot is freed for the next
+	// acquirer — so a counter bumped in it is ordered before the next
+	// grant's. Stored once at construction; a call allocates nothing.
+	end func(HoldEnd)
+
+	sem chan struct{} // capacity 1: held while a caller owns, or is owed, the section
+	// waiters counts acquirers queued on sem — the release path's signal
+	// that a pipelined grant will be claimed.
+	waiters atomic.Int64
+
+	mu        sync.Mutex
+	held      bool
+	key       string
+	fence     uint64
+	expires   time.Time // lease deadline; zero when leases are disabled
+	grantedAt time.Time
+	// pending marks a pipelined handoff: the releaser already regranted
+	// the section locally (Regrant) or re-issued the session's request
+	// (ReleaseRequest), so the next caller to take sem collects that grant
+	// with Await instead of requesting. If every waiter gives up first,
+	// Sweep adopts the orphaned grant.
+	pending bool
+	// streak counts consecutive regrants since the token last took the
+	// protocol path, enforcing budget so remote requesters are bypassed
+	// only a bounded number of times.
+	streak int
+	// abandoned marks a failed Acquire whose request stayed outstanding
+	// (the paper's model has no cancellation); sem stays held until Sweep
+	// has drained and released the grant.
+	abandoned bool
+	// expired remembers reclaimed holds so each late Release can be told
+	// apart from a Release of something never held — even after the slot
+	// moved on, and even when the same key expired several times in a row
+	// (each stuck holder gets its own marker). One-shot: reporting a
+	// marker removes it. Bounded by maxExpiredMarkers.
+	expired map[expiredHold]bool
+}
+
+// expiredHold identifies one reclaimed hold.
+type expiredHold struct {
+	key   string
+	fence uint64
+}
+
+// NewSlot wraps s. lease bounds each hold (<= 0 disables expiry), budget
+// bounds consecutive cohort regrants (<= 0 disables them), and end (may
+// be nil) observes how holds end. Nothing expires or recovers until a
+// Sweeper drives the slot.
+func NewSlot(s *Session, lease time.Duration, budget int, end func(HoldEnd)) *Slot {
+	return &Slot{s: s, lease: lease, budget: budget, end: end, sem: make(chan struct{}, 1)}
+}
+
+// Session returns the session the slot multiplexes, for management
+// operations (PlanReorient); acquiring through it directly breaks the slot.
+func (sl *Slot) Session() *Session { return sl.s }
+
+// Holding reports the slot's current hold, if any.
+func (sl *Slot) Holding() (key string, fence uint64, held bool) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	return sl.key, sl.fence, sl.held
+}
+
+// Acquire queues behind the slot's other callers, then takes the
+// section, and records the hold under key. The returned Grant carries
+// the fencing token and, with leases enabled, the deadline in Expires.
+// Cancelling ctx while queued gives up immediately; once the protocol
+// request is in flight it cannot be cancelled, so the slot stays busy
+// until the grant arrives and Sweep releases it.
+func (sl *Slot) Acquire(ctx context.Context, key string) (Grant, error) {
+	sl.waiters.Add(1)
+	select {
+	case sl.sem <- struct{}{}:
+		sl.waiters.Add(-1)
+	case <-sl.s.Failed():
+		// The cluster is dead; the slot may be parked forever on a grant
+		// that will never arrive. Fail fast instead of waiting out ctx.
+		sl.waiters.Add(-1)
+		return Grant{}, fmt.Errorf("acquire node %d: cluster failed: %w", sl.s.ID(), sl.s.Err())
+	case <-ctx.Done():
+		sl.waiters.Add(-1)
+		return Grant{}, fmt.Errorf("acquire node %d: %w", sl.s.ID(), ctx.Err())
+	}
+	sl.mu.Lock()
+	pipelined := sl.pending
+	sl.pending = false
+	sl.mu.Unlock()
+	var g Grant
+	var err error
+	if pipelined {
+		g, err = sl.s.Await(ctx)
+	} else {
+		g, err = sl.s.Acquire(ctx)
+	}
+	if err != nil {
+		if errors.Is(err, ErrGrantPending) {
+			// The request stays outstanding whether the wait failed on ctx
+			// or on a cluster error, so the token may still arrive. Keep
+			// the slot busy until Sweep drains it — freed now, the next
+			// caller would double-request, and undrained, the token would
+			// park here forever.
+			sl.mu.Lock()
+			sl.abandoned = true
+			sl.mu.Unlock()
+		} else {
+			<-sl.sem
+		}
+		return Grant{}, err
+	}
+	return sl.admit(key, g), nil
+}
+
+// TryAcquire takes the section only if the slot is free and the grant
+// needs no waiting: a pipelined grant that has already landed, or a
+// protocol grant that needs no messages (an idle local token). It
+// reports false (with no error) otherwise, leaving a pipelined grant
+// still in flight pending for the next Acquire or Sweep.
+func (sl *Slot) TryAcquire(key string) (Grant, bool, error) {
+	select {
+	case sl.sem <- struct{}{}:
+	default:
+		return Grant{}, false, nil
+	}
+	var g Grant
+	var ok bool
+	var err error
+	sl.mu.Lock()
+	if sl.pending {
+		select {
+		case g = <-sl.s.Granted():
+			sl.pending = false
+			ok = true
+		default:
+		}
+		sl.mu.Unlock()
+	} else {
+		sl.mu.Unlock()
+		g, ok, err = sl.s.TryAcquire()
+	}
+	if err != nil || !ok {
+		// Try never leaves a request outstanding: the slot is reusable.
+		<-sl.sem
+		return Grant{}, false, err
+	}
+	return sl.admit(key, g), true, nil
+}
+
+// admit records the new hold. The semaphore is already held.
+func (sl *Slot) admit(key string, g Grant) Grant {
+	if sl.lease > 0 {
+		g.Expires = g.At.Add(sl.lease)
+	}
+	sl.mu.Lock()
+	sl.held, sl.key, sl.fence, sl.expires, sl.grantedAt = true, key, g.Generation, g.Expires, g.At
+	sl.mu.Unlock()
+	return g
+}
+
+// clearLocked forgets the current hold and returns its end record.
+func (sl *Slot) clearLocked() HoldEnd {
+	e := HoldEnd{Node: sl.s.ID(), Key: sl.key, Fence: sl.fence, Since: sl.grantedAt}
+	sl.held, sl.key, sl.fence, sl.expires, sl.grantedAt = false, "", 0, time.Time{}, time.Time{}
+	return e
+}
+
+// free tells the observer how the hold ended, then frees the slot.
+func (sl *Slot) free(e HoldEnd) {
+	if sl.end != nil {
+		sl.end(e)
+	}
+	<-sl.sem
+}
+
+// Release ends the hold of key. fence identifies the exact hold
+// (Grant.Generation); fence 0 releases by name, whatever hold of key is
+// current. The protocol-level release happens under the slot lock so it
+// cannot race Sweep force-releasing the same hold.
+//
+// The fence makes the lifecycle errors precise. A by-name Release of a
+// slot that moved on cannot tell "my old hold expired" from "I already
+// released this", so a clean by-name release retires the key's
+// unreported markers and a failed one reports whichever marker for the
+// key remains. A by-fence Release matches markers exactly, so a stale
+// generation always reports ErrLeaseExpired (once, then ErrNotHeld) and
+// someone else's newer hold is never released by accident.
+//
+// While other callers are queued the release hands over locally: the
+// next grant is put in flight as part of it — by Regrant (no protocol
+// traffic, at most budget times in a row) or by the pipelined
+// ReleaseRequest — and the next caller collects it with Await.
+func (sl *Slot) Release(key string, fence uint64) error {
+	sl.mu.Lock()
+	if !sl.held || sl.key != key || (fence != 0 && sl.fence != fence) {
+		defer sl.mu.Unlock()
+		if f, ok := sl.takeExpired(key, fence); ok {
+			return fmt.Errorf("node %d released %q after its lease ran out (fence %d): %w", sl.s.ID(), key, f, ErrLeaseExpired)
+		}
+		if !sl.held {
+			return fmt.Errorf("node %d does not hold %q: %w", sl.s.ID(), key, ErrNotHeld)
+		}
+		return fmt.Errorf("node %d holds %q under fence %d, not %q under fence %d: %w", sl.s.ID(), sl.key, sl.fence, key, fence, ErrNotHeld)
+	}
+	e := sl.clearLocked()
+	if fence == 0 {
+		for k := range sl.expired {
+			if k.key == key {
+				delete(sl.expired, k)
+			}
+		}
+	}
+	var err error
+	if sl.waiters.Load() > 0 && !sl.pending && !sl.abandoned {
+		// Cohort handoff first: the next waiter is local, so the protocol
+		// node never leaves its critical section and only the fencing
+		// generation advances.
+		if sl.streak < sl.budget {
+			if ok, rerr := sl.s.Regrant(); rerr == nil && ok {
+				sl.streak++
+				sl.pending = true
+				sl.mu.Unlock()
+				e.Regranted = true
+				sl.free(e)
+				return nil
+			}
+			// Mid-recovery or no capability: take the protocol path.
+		}
+		// Pipelined handoff: the re-REQUEST rides the outgoing PRIVILEGE
+		// (or the same batched write), so the successor's request is
+		// racing back before any waiter even wakes.
+		sl.streak = 0
+		if err = sl.s.ReleaseRequest(); err == nil {
+			sl.pending = true
+		}
+	} else {
+		sl.streak = 0
+		err = sl.s.Release()
+	}
+	sl.mu.Unlock()
+	if err != nil {
+		// The cluster is broken: the slot stays busy and the session's
+		// Failed signal fails future acquirers fast.
+		return fmt.Errorf("release node %d: %w", sl.s.ID(), err)
+	}
+	sl.free(e)
+	return nil
+}
+
+// takeExpired consumes the marker matching a late release: the exact
+// (key, fence) marker, or with fence 0 any marker for key. Callers hold
+// sl.mu.
+func (sl *Slot) takeExpired(key string, fence uint64) (uint64, bool) {
+	if fence != 0 {
+		k := expiredHold{key: key, fence: fence}
+		if sl.expired[k] {
+			delete(sl.expired, k)
+			return fence, true
+		}
+		return 0, false
+	}
+	for k := range sl.expired {
+		if k.key == key {
+			delete(sl.expired, k)
+			return k.fence, true
+		}
+	}
+	return 0, false
+}
+
+// Sweep settles whatever the slot's callers left behind, as of now: it
+// adopts a pipelined grant whose waiters all gave up, drains the grant
+// of an abandoned Acquire once it has arrived, and force-releases a hold
+// that outlived its lease (leaving a marker for the late Release). Each
+// ends with the token released and the slot freed; if that release fails
+// the cluster is broken and the slot stays busy.
+func (sl *Slot) Sweep(now time.Time) {
+	sl.mu.Lock()
+	switch {
+	case sl.pending && sl.waiters.Load() == 0:
+		// Take sem as an acquirer would, without blocking: a concurrent
+		// Acquire wins the race and claims the grant itself, and the
+		// acquire path (sem before mu) cannot deadlock against this.
+		select {
+		case sl.sem <- struct{}{}:
+		default:
+			sl.mu.Unlock()
+			return
+		}
+		select {
+		case <-sl.s.Granted():
+			sl.pending = false
+		default:
+			// Still traveling (the ReleaseRequest path): retry next sweep.
+			sl.mu.Unlock()
+			<-sl.sem
+			return
+		}
+	case sl.abandoned:
+		select {
+		case <-sl.s.Granted():
+			sl.abandoned = false
+		default:
+			sl.mu.Unlock()
+			return
+		}
+	case sl.held && !sl.expires.IsZero() && now.After(sl.expires):
+		if sl.expired == nil {
+			sl.expired = make(map[expiredHold]bool)
+		}
+		if len(sl.expired) >= maxExpiredMarkers {
+			for k := range sl.expired { // drop an arbitrary stale marker
+				delete(sl.expired, k)
+				break
+			}
+		}
+		sl.expired[expiredHold{key: sl.key, fence: sl.fence}] = true
+		e := sl.clearLocked()
+		e.Expired = true
+		if sl.reclaimLocked() {
+			sl.free(e)
+		}
+		return
+	default:
+		sl.mu.Unlock()
+		return
+	}
+	if sl.reclaimLocked() {
+		<-sl.sem
+	}
+}
+
+// reclaimLocked releases a grant the sweeper owns and unlocks sl.mu. It
+// reports whether the slot may be freed.
+func (sl *Slot) reclaimLocked() bool {
+	err := sl.s.Release()
+	if err == nil {
+		sl.streak = 0
+	}
+	sl.mu.Unlock()
+	return err == nil
+}
+
+// SweepCadence is how often a slot with the given lease is swept unless
+// configured otherwise: a quarter of the lease, clamped to [1ms, 1s]
+// (1s with leases disabled, where only recovery depends on it). It
+// bounds how late a lease is enforced, an orphaned grant adopted and an
+// abandoned grant drained.
+func SweepCadence(lease time.Duration) time.Duration {
+	every := lease / 4
+	if lease <= 0 || every > time.Second {
+		return time.Second
+	}
+	if every < time.Millisecond {
+		return time.Millisecond
+	}
+	return every
+}
+
+// Sweeper sweeps a set of slots periodically. It is a clock-driven
+// AfterFunc chain (each tick re-arms itself), so on a virtual clock it
+// runs deterministically on the advancing goroutine and on the real
+// clock time.AfterFunc supplies a goroutine per tick; no goroutine
+// exists between ticks.
+type Sweeper struct {
+	clk   vclock.Clock
+	every time.Duration
+	slots []*Slot
+
+	mu    sync.Mutex
+	timer vclock.Timer // nil once stopped
+}
+
+// StartSweeper starts sweeping slots every interval on clk (nil: the
+// real clock). Callers must Stop it.
+func StartSweeper(clk vclock.Clock, every time.Duration, slots ...*Slot) *Sweeper {
+	w := &Sweeper{clk: vclock.Or(clk), every: every, slots: slots}
+	w.mu.Lock()
+	w.timer = w.clk.AfterFunc(every, w.tick)
+	w.mu.Unlock()
+	return w
+}
+
+// tick is one round: sweep every slot, re-arm. A tick that fires as the
+// sweeper is stopped returns without touching the (closing) sessions.
+func (w *Sweeper) tick() {
+	w.mu.Lock()
+	stopped := w.timer == nil
+	w.mu.Unlock()
+	if stopped {
+		return
+	}
+	now := w.clk.Now()
+	for _, sl := range w.slots {
+		sl.Sweep(now)
+	}
+	w.mu.Lock()
+	if w.timer != nil {
+		w.timer.Reset(w.every)
+	}
+	w.mu.Unlock()
+}
+
+// Stop withdraws the timer chain. A tick already running finishes its
+// pass and does not re-arm.
+func (w *Sweeper) Stop() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.timer != nil {
+		w.timer.Stop()
+		w.timer = nil
+	}
+}

@@ -252,10 +252,14 @@ var ErrClientBusy = errors.New("transport: client request queue full")
 
 // ClientBackend is what a member offers its dialed clients: blocking
 // acquire/release of named resources, fences and lease deadlines
-// included. Two implementations exist — runtime.Proxy serves a plain
-// cluster member's single mutex (resource ""), and the lock service's
-// adapter serves its whole keyed resource space. Implementations must be
-// safe for concurrent use; Acquire must honor ctx.
+// included. Two members implement it over the same hold machine
+// (runtime.Slot): runtime.Proxy serves a plain cluster member's single
+// mutex (resource "") through one slot, and the lock service's adapter
+// serves its whole keyed resource space through a slot per shard. The
+// gateway implements it by forwarding. Implementations must be safe for
+// concurrent use; Acquire must honor ctx. Hold-lifecycle failures are
+// reported with runtime.ErrNotHeld and runtime.ErrLeaseExpired, which
+// errorCode puts on the wire.
 type ClientBackend interface {
 	Acquire(ctx context.Context, resource string) (fence uint64, expires time.Time, err error)
 	TryAcquire(resource string) (fence uint64, expires time.Time, ok bool, err error)
@@ -263,9 +267,9 @@ type ClientBackend interface {
 }
 
 // CodedError attaches a wire error code to err, for backends whose
-// sentinels the transport layer cannot know (the lock service's). The
-// demux unwraps it when encoding respErr frames; errorCode handles the
-// runtime-level sentinels directly.
+// sentinels the transport layer cannot know (the gateway's upstream
+// busy signal). The demux unwraps it when encoding respErr frames;
+// errorCode handles the runtime-level sentinels directly.
 type CodedError struct {
 	Code byte
 	Err  error

@@ -17,11 +17,6 @@ import (
 // by the shared runtime and identical over every link layer.
 type Session = runtime.Session
 
-// Handle is Session's deprecated former name.
-//
-// Deprecated: use Session.
-type Handle = runtime.Session
-
 // Local runs one protocol node per cluster member inside a single
 // process, connected by mailboxes. It is purely a link layer: the actor
 // loops, grant signaling and error capture all live in the shared runtime
@@ -340,11 +335,6 @@ func (l *Local) Session(id mutex.ID) *Session {
 	}
 	return n.Session()
 }
-
-// Handle returns the session for node id.
-//
-// Deprecated: use Session.
-func (l *Local) Handle(id mutex.ID) *Session { return l.Session(id) }
 
 // Messages returns the total number of protocol messages sent so far
 // (detector heartbeats are not counted).

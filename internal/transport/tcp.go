@@ -1154,6 +1154,7 @@ type TCPNode struct {
 	host   *TCPHost
 	node   *runtime.Node
 	handle *Session
+	proxy  *runtime.Proxy // serves dialed clients; stopped with the host
 }
 
 // NewTCPNode constructs the protocol node via b and starts listening on a
@@ -1168,8 +1169,8 @@ func NewTCPNode(id mutex.ID, b mutex.Builder, cfg mutex.Config, codec Codec) (*T
 //
 // Every TCPNode also serves dialed non-member clients (dagmutex.Dial):
 // connections opening with the client handshake are proxied through the
-// node's own session, serialized and lease-bounded by a runtime.Proxy
-// with the default lease.
+// node's own session by a runtime.Proxy — one runtime.Slot with the
+// lock service's default lease and cohort budget, swept once a second.
 func NewTCPNodeOn(id mutex.ID, listen string, b mutex.Builder, cfg mutex.Config, codec Codec) (*TCPNode, error) {
 	host, err := NewTCPHostOn(id, listen, codec)
 	if err != nil {
@@ -1180,8 +1181,9 @@ func NewTCPNodeOn(id mutex.ID, listen string, b mutex.Builder, cfg mutex.Config,
 		host.Close()
 		return nil, err
 	}
-	host.ServeClients(runtime.NewProxy(node.Session(), 0))
-	return &TCPNode{host: host, node: node, handle: node.Session()}, nil
+	proxy := runtime.NewProxy(node.Session(), 0)
+	host.ServeClients(proxy)
+	return &TCPNode{host: host, node: node, handle: node.Session(), proxy: proxy}, nil
 }
 
 // Addr returns the node's listen address, to be shared with peers.
@@ -1196,11 +1198,6 @@ func (t *TCPNode) Connect(addrs map[mutex.ID]string) { t.host.Connect(addrs) }
 
 // Session returns the blocking application API over the hosted node.
 func (t *TCPNode) Session() *Session { return t.handle }
-
-// Handle returns the session for the hosted node.
-//
-// Deprecated: use Session.
-func (t *TCPNode) Handle() *Session { return t.handle }
 
 // Node exposes the hosted runtime node, for management operations.
 func (t *TCPNode) Node() *runtime.Node { return t.node }
@@ -1226,7 +1223,10 @@ func (t *TCPNode) Stats() (sent, received int64) { return t.host.Stats() }
 
 // Close shuts the listener and all connections down and waits for the
 // node's goroutines to exit.
-func (t *TCPNode) Close() { t.host.Close() }
+func (t *TCPNode) Close() {
+	t.proxy.Close()
+	t.host.Close()
+}
 
 // Host exposes the underlying TCPHost, for chaos wiring (injector,
 // failure detection) before Connect.
@@ -1238,7 +1238,7 @@ func (t *TCPNode) Host() *TCPHost { return t.host }
 // connection resets and silence.
 func (t *TCPNode) Kill() {
 	t.node.MarkSelfDown()
-	t.host.Close()
+	t.Close()
 }
 
 // TCPCluster wires one TCPNode per cluster member over loopback inside a
@@ -1335,11 +1335,6 @@ func (c *TCPCluster) Session(id mutex.ID) *Session {
 	}
 	return n.Session()
 }
-
-// Handle returns the session for member id.
-//
-// Deprecated: use Session.
-func (c *TCPCluster) Handle(id mutex.ID) *Session { return c.Session(id) }
 
 // Addr returns member id's listen address (for dagmutex.Dial), or "" for
 // an unknown id.

@@ -459,9 +459,9 @@ func TestTCPHostMultiInstance(t *testing.T) {
 		addrs[id] = h.Addr()
 	}
 	// Instance 0: token starts at node 1; instance 1: at node 2.
-	handles := make(map[uint32]map[mutex.ID]*Handle)
+	handles := make(map[uint32]map[mutex.ID]*Session)
 	for inst := uint32(0); inst < 2; inst++ {
-		handles[inst] = make(map[mutex.ID]*Handle)
+		handles[inst] = make(map[mutex.ID]*Session)
 		cfg := dagConfig(tree, mutex.ID(inst+1))
 		for id, h := range hosts {
 			n, err := h.StartInstance(inst, core.Builder, cfg)
