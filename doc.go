@@ -191,13 +191,30 @@
 // melting the DAG. The wire protocol is documented in
 // internal/transport, next to the DAG codec.
 //
+// Coalescing removes the DAG messages from a hot key's handoff, not the
+// two socket crossings (release up, next grant down). Callers of one
+// dialed connection that want the same resource at once therefore
+// share a lane inside the connection: once two or more wait, it orders
+// a fence run — one marked acquire, answered with a block of
+// consecutive fences under one lease, as many as the cohort budget has
+// left — and hands those fences to its waiters in arrival order with no
+// frame at all, ending the run in one. The member reserves the run by
+// advancing the fencing generation before it answers and keeps it as
+// one hold under the run's last fence, so fences stay strictly
+// increasing whatever becomes of the client (they were never
+// consecutive: an early-ended run, like a recovery, skips numbers), and
+// Hold.Expires is the run's one deadline for every hold out of it.
+// There is nothing to configure; a caller alone on its resource sends
+// what it always sent.
+//
 // For client populations in the thousands, OpenGateway (or the
 // standalone cmd/daggate process) adds a gateway tier: it serves the
 // same CLIENT protocol, routes each resource to a fixed member (so one
 // member's cohort absorbs the whole key), multiplexes every client
-// over one upstream connection per member, applies its own admission
-// bounds at the edge, and fails over to the next live member if the
-// routed one dies.
+// over one upstream connection per member (where a hot key's waiters
+// meet in one lane, so the key rotates through fence runs inside the
+// gateway), applies its own admission bounds at the edge, and fails
+// over to the next live member if the routed one dies.
 //
 // The client tier's own cost is held down the way the member grant
 // path's is. Both ends of a CLIENT connection write through the frame

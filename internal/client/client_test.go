@@ -179,8 +179,9 @@ func TestGrantDeliveredBeforeCancelIsHandedBack(t *testing.T) {
 // TestFailWakesEveryPendingOnce: when the connection dies, every caller
 // still waiting returns an error — each exactly once (a second delivery
 // would block fail on the cap-1 channel and hang the test, a missing one
-// would hang the caller) — abandoned requests are left alone, and the
-// connection refuses further requests.
+// would hang the caller) — whether it waits for a response of its own or
+// in a lane behind its siblings' acquires; a lane whose callers all gave
+// up is left alone, and the connection refuses further requests.
 func TestFailWakesEveryPendingOnce(t *testing.T) {
 	c, m := pipe(t)
 	const waiting = 12
@@ -209,10 +210,27 @@ func TestFailWakesEveryPendingOnce(t *testing.T) {
 		_, err := c.Acquire(ctx, "abandoned")
 		gaveUp <- err
 	}()
+	// The four acquires of "a" put two frames on the wire: the first
+	// caller's own, then the order for a run that the other three wait
+	// behind.
 	var abandoned wireFrame
-	for i := 0; i < waiting+1; i++ {
+	for i := 0; i < waiting+1-2; i++ {
 		if f := m.read(); f.payload == "abandoned" {
 			abandoned = f
+		}
+	}
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		c.mu.Lock()
+		queued := 0
+		if l := c.lanes["a"]; l != nil {
+			queued = l.n
+		}
+		c.mu.Unlock()
+		if queued == 4 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of 4 callers queued in the lane", queued)
 		}
 	}
 	cancel()

@@ -3,6 +3,7 @@ package conformance
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -33,6 +34,11 @@ type ClientSubstrate struct {
 	// members member nodes, serving clients through member 1, and returns
 	// the address clients dial plus a teardown.
 	Start func(cfg lockservice.Config, members int) (addr string, close func(), err error)
+	// StartMembers, where clients can choose their member, launches the
+	// same cluster serving clients through every member: addrs[i] reaches
+	// member i+1, and stats sums the members' counters. Nil for the
+	// gateway tier, which does the choosing itself.
+	StartMembers func(cfg lockservice.Config, members int) (addrs []string, stats func() lockservice.Stats, close func(), err error)
 }
 
 // ClientSubstrates returns the standard client access paths: a
@@ -63,6 +69,32 @@ func ClientSubstrates() []ClientSubstrate {
 				}
 				return gw.Addr(), func() { gw.Close(); svc.Close() }, nil
 			},
+			StartMembers: func(cfg lockservice.Config, members int) ([]string, func() lockservice.Stats, func(), error) {
+				cfg.Nodes = members
+				cfg.Transport = lockservice.LocalTransport{}
+				svc, err := lockservice.New(cfg)
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				closeAll := svc.Close
+				addrs := make([]string, members)
+				for i := range addrs {
+					backend, err := svc.ClientBackend(mutex.ID(i + 1))
+					if err != nil {
+						closeAll()
+						return nil, nil, nil, err
+					}
+					gw, err := transport.NewClientGateway("", backend)
+					if err != nil {
+						closeAll()
+						return nil, nil, nil, err
+					}
+					addrs[i] = gw.Addr()
+					inner := closeAll
+					closeAll = func() { gw.Close(); inner() }
+				}
+				return addrs, svc.Stats, closeAll, nil
+			},
 		},
 		{
 			Name: "tcp",
@@ -81,6 +113,36 @@ func ClientSubstrates() []ClientSubstrate {
 					return "", nil, err
 				}
 				return services[0].Addr(), closeAll, nil
+			},
+			StartMembers: func(cfg lockservice.Config, members int) ([]string, func() lockservice.Stats, func(), error) {
+				services, err := lockservice.NewTCPCluster(cfg, members)
+				if err != nil {
+					return nil, nil, nil, err
+				}
+				closeAll := func() {
+					for _, svc := range services {
+						svc.Close()
+					}
+				}
+				addrs := make([]string, members)
+				for i, svc := range services {
+					if err := svc.ServeClients(mutex.ID(i + 1)); err != nil {
+						closeAll()
+						return nil, nil, nil, err
+					}
+					addrs[i] = svc.Addr()
+				}
+				stats := func() (sum lockservice.Stats) {
+					for _, svc := range services {
+						st := svc.Stats()
+						sum.Grants += st.Grants
+						sum.Releases += st.Releases
+						sum.Regrants += st.Regrants
+						sum.Expired += st.Expired
+					}
+					return sum
+				}
+				return addrs, stats, closeAll, nil
 			},
 		},
 		{
@@ -130,6 +192,10 @@ func RunClients(t *testing.T, subs []ClientSubstrate) {
 			t.Run("CoalescedFences", func(t *testing.T) { clientCoalescedFences(t, sub) })
 			t.Run("CoalescedCancelIsolation", func(t *testing.T) { clientCoalescedCancelIsolation(t, sub) })
 			t.Run("CoalescedDisconnectIsolation", func(t *testing.T) { clientCoalescedDisconnectIsolation(t, sub) })
+			if sub.StartMembers != nil {
+				t.Run("RunFences", func(t *testing.T) { clientRunFences(t, sub) })
+				t.Run("RunLeaseExpiry", func(t *testing.T) { clientRunLeaseExpiry(t, sub) })
+			}
 		})
 	}
 }
@@ -335,7 +401,11 @@ func clientDisconnectCleanup(t *testing.T, sub ClientSubstrate) {
 
 // clientBackpressure checks the per-connection queue bound: beyond
 // MaxClientInflight outstanding requests the member sheds the excess
-// with the busy sentinel instead of queueing without bound.
+// with the busy sentinel instead of queueing without bound. The flood
+// uses one key per caller, all of the one shard the holder blocks: a
+// crowd of one connection's callers on ONE key waits inside the
+// connection, behind a single marked acquire, and takes up no member
+// queue depth at all.
 func clientBackpressure(t *testing.T, sub ClientSubstrate) {
 	conns := sub.start(t, lockservice.Config{Shards: 1}, 2, 2)
 	a, b := conns[0], conns[1]
@@ -352,9 +422,9 @@ func clientBackpressure(t *testing.T, sub ClientSubstrate) {
 	var wg sync.WaitGroup
 	for i := 0; i < transport.MaxClientInflight+extra; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			_, err := b.Acquire(waitCtx, "full")
+			_, err := b.Acquire(waitCtx, fmt.Sprintf("full-%d", i))
 			switch {
 			case errors.Is(err, client.ErrBusy):
 				busy.Add(1)
@@ -363,7 +433,7 @@ func clientBackpressure(t *testing.T, sub ClientSubstrate) {
 			case err != nil:
 				t.Errorf("queued acquire: %v", err)
 			}
-		}()
+		}(i)
 	}
 	// Shed responses arrive quickly; queued ones block until canceled.
 	deadline := time.Now().Add(10 * time.Second)
@@ -550,5 +620,219 @@ func clientCoalescedDisconnectIsolation(t *testing.T, sub ClientSubstrate) {
 	}
 	if err := holder.ReleaseHold(h); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// startMembers launches a cluster serving clients through every member
+// and dials one connection to each of the first conns members.
+func (sub ClientSubstrate) startMembers(t *testing.T, cfg lockservice.Config, members, conns int) ([]*client.Conn, func() lockservice.Stats) {
+	t.Helper()
+	addrs, stats, closeAll, err := sub.StartMembers(cfg, members)
+	if err != nil {
+		t.Fatalf("start %s client cluster: %v", sub.Name, err)
+	}
+	t.Cleanup(closeAll)
+	out := make([]*client.Conn, conns)
+	for i := range out {
+		c, err := client.Dial(addrs[i])
+		if err != nil {
+			t.Fatalf("dial member %d: %v", i+1, err)
+		}
+		t.Cleanup(func() { _ = c.Close() })
+		out[i] = c
+	}
+	return out, stats
+}
+
+// clientRunFences is the fence-run battery's core check. Two
+// connections, each to its own member, each carrying a crowd of callers
+// on ONE key: inside each connection the key rotates through runs of
+// fences the member reserved, with no frame per handoff, and between the
+// connections it travels with the token. Whatever the interleaving,
+// there is never a second holder, every caller sees its own fence — all
+// distinct, strictly increasing in critical-section order across both
+// connections — and the members count exactly the fences handed out.
+func clientRunFences(t *testing.T, sub ClientSubstrate) {
+	const perConn, cycles = 8, 50
+	conns, stats := sub.startMembers(t, lockservice.Config{Shards: 1}, 2, 2)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	var inCS atomic.Int64
+	var lastFence atomic.Uint64 // written only inside the CS
+	shared := 0                 // same-run holds seen back to back: proof that runs happened
+	var lastExpires time.Time   // both written only inside the CS
+	var wg sync.WaitGroup
+	for i, c := range conns {
+		for j := 0; j < perConn; j++ {
+			wg.Add(1)
+			go func(i, j int, c *client.Conn) {
+				defer wg.Done()
+				for k := 0; k < cycles; k++ {
+					h, err := c.Acquire(ctx, "hot")
+					if err != nil {
+						t.Errorf("conn %d caller %d acquire: %v", i, j, err)
+						return
+					}
+					if got := inCS.Add(1); got != 1 {
+						t.Errorf("mutual exclusion violated: %d callers in CS", got)
+					}
+					if prev := lastFence.Load(); h.Fence <= prev {
+						t.Errorf("conn %d caller %d fence %d not above previous %d", i, j, h.Fence, prev)
+					}
+					lastFence.Store(h.Fence)
+					if h.Expires.Equal(lastExpires) {
+						shared++
+					}
+					lastExpires = h.Expires
+					inCS.Add(-1)
+					if err := c.ReleaseHold(h); err != nil {
+						t.Errorf("conn %d caller %d release: %v", i, j, err)
+						return
+					}
+				}
+			}(i, j, c)
+		}
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	const total = 2 * perConn * cycles
+	if st := stats(); st.Grants != total || st.Releases != total || st.Expired != 0 {
+		t.Fatalf("members count %d grants, %d releases, %d expired; want %d, %d, 0", st.Grants, st.Releases, st.Expired, total, total)
+	}
+	if shared == 0 {
+		t.Fatal("no two consecutive holds shared a lease deadline: no run was ever handed round, the battery checked nothing new")
+	}
+}
+
+// clientRunLeaseExpiry puts a caller that will not let go on a fence in
+// the middle of a run. Held past half of the run's lease but released in
+// time, the fence is the run's last to be handed out: the lane stops
+// there, and the siblings' next hold comes from a grant of its own.
+// Held past the deadline, the run is reclaimed by the member as the one
+// hold it is: the other connection's next grant carries a fence above
+// it, and the late release learns that the lease expired.
+func clientRunLeaseExpiry(t *testing.T, sub ClientSubstrate) {
+	const lease = 400 * time.Millisecond
+	conns, _ := sub.startMembers(t, lockservice.Config{
+		Shards:        1,
+		Lease:         lease,
+		SweepInterval: 10 * time.Millisecond,
+	}, 2, 2)
+	crowd, other := conns[0], conns[1]
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+
+	// mu guards the bookkeeping: past its deadline the sitter shares the
+	// critical section with whoever the member admits next, by design.
+	var mu sync.Mutex
+	var prev client.Hold // the crowd's previous hold
+	phase := 0           // 0: rotate; 1: sit past half the lease; 2: sit past the deadline; 3: done
+	sat := make(map[int]client.Hold)
+	after := make(map[int]client.Hold) // the crowd's first hold after each sit
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for j := 0; j < 4; j++ {
+		wg.Add(1)
+		go func(j int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				h, err := crowd.Acquire(ctx, "hot")
+				if err != nil {
+					t.Errorf("caller %d acquire: %v", j, err)
+					return
+				}
+				mu.Lock()
+				// Caller 0 sits, once per phase, on a hold that is not the
+				// first of its run: it shares the previous hold's deadline.
+				sit := 0
+				if j == 0 && phase < 2 && h.Expires.Equal(prev.Expires) {
+					phase++
+					sit = phase
+					sat[sit] = h
+				} else if _, seen := after[phase]; phase > 0 && !seen && j != 0 {
+					after[phase] = h
+				}
+				prev = h
+				mu.Unlock()
+				switch sit {
+				case 1:
+					time.Sleep(time.Until(h.Expires) - lease/4) // past half of what remained, well before the deadline
+				case 2:
+					time.Sleep(time.Until(h.Expires) + lease/2) // long past it
+				}
+				err = crowd.ReleaseHold(h)
+				switch {
+				case sit == 2 && !errors.Is(err, lockservice.ErrLeaseExpired):
+					t.Errorf("release of a fence held past the run's deadline = %v, want ErrLeaseExpired", err)
+				case sit != 2 && err != nil:
+					t.Errorf("caller %d release (sit %d): %v", j, sit, err)
+				}
+				if sit == 2 {
+					mu.Lock()
+					phase = 3
+					mu.Unlock()
+				}
+			}
+		}(j)
+	}
+	// The other connection keeps asking throughout: the hold it gets while
+	// the sitter overstays is the one that fences the sitter off.
+	var fencedOff uint64
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			h, err := other.Acquire(ctx, "hot")
+			if err != nil {
+				t.Errorf("other connection acquire: %v", err)
+				return
+			}
+			mu.Lock()
+			if s, ok := sat[2]; ok && fencedOff == 0 && time.Now().After(s.Expires) {
+				fencedOff = h.Fence
+			}
+			mu.Unlock()
+			if err := other.ReleaseHold(h); err != nil && !errors.Is(err, lockservice.ErrLeaseExpired) {
+				t.Errorf("other connection release: %v", err)
+				return
+			}
+		}
+	}()
+	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		mu.Lock()
+		done := phase == 3 && fencedOff != 0
+		mu.Unlock()
+		if done || t.Failed() {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Error("the sitter never found itself inside a run, or nobody was granted after it overstayed")
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if s, a := sat[1], after[1]; !a.Expires.After(s.Expires) || a.Fence <= s.Fence {
+		t.Errorf("after a fence held past half the lease (fence %d, deadline %v) the crowd's next hold is fence %d, deadline %v: the run was not ended there",
+			s.Fence, s.Expires, a.Fence, a.Expires)
+	}
+	if s := sat[2]; fencedOff <= s.Fence {
+		t.Errorf("the other connection was granted fence %d after the sitter's (%d) expired", fencedOff, s.Fence)
 	}
 }

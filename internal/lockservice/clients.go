@@ -32,6 +32,28 @@ func (b clientBackend) Acquire(ctx context.Context, resource string) (uint64, ti
 	return h.Fence, h.Expires, nil
 }
 
+// AcquireRun implements the transport layer's optional run capability:
+// the acquire of a connection with more callers queued for resource.
+func (b clientBackend) AcquireRun(ctx context.Context, resource string) (uint64, time.Time, int, error) {
+	sh, err := b.c.svc.shardOf(resource)
+	if err != nil {
+		return 0, time.Time{}, 0, err
+	}
+	h, run, err := sh.acquireRun(ctx, b.c.id, resource, true)
+	return h.Fence, h.Expires, run, err
+}
+
+// ReleaseRun ends a run by its last fence, reporting how many of its
+// fences were handed out and whether the connection's next acquire
+// follows.
+func (b clientBackend) ReleaseRun(resource string, last uint64, used int, more bool) error {
+	sh, err := b.c.svc.shardOf(resource)
+	if err != nil {
+		return err
+	}
+	return sh.releaseRun(b.c.id, resource, last, used, more)
+}
+
 // TryAcquire implements transport.ClientBackend.
 func (b clientBackend) TryAcquire(resource string) (uint64, time.Time, bool, error) {
 	h, ok, err := b.c.TryAcquire(resource)

@@ -531,17 +531,32 @@ func (sh *shard) slot(id mutex.ID) (*runtime.Slot, error) {
 // acquire takes member id's slot on the shard — queueing, the shard
 // token, the lease: see runtime.Slot — and counts the grant.
 func (sh *shard) acquire(ctx context.Context, id mutex.ID, resource string) (Hold, error) {
+	h, _, err := sh.acquireRun(ctx, id, resource, false)
+	return h, err
+}
+
+// acquireRun is acquire for a dialed connection: with run set (more of
+// its callers are queued for resource) the slot reserves a run, the Hold
+// carries its first fence and the count says how many consecutive fences
+// it covers. Only that first fence is counted here: the rest are counted
+// when the run's release reports how many were handed out (noteEnd).
+func (sh *shard) acquireRun(ctx context.Context, id mutex.ID, resource string, run bool) (Hold, int, error) {
 	sl, err := sh.slot(id)
 	if err != nil {
-		return Hold{}, err
+		return Hold{}, 0, err
 	}
 	start := sh.clk.Now() // wait includes local slot queueing, not just token travel
-	g, err := sl.Acquire(ctx, resource)
-	if err != nil {
-		return Hold{}, fmt.Errorf("lockservice: acquire %q (shard %d): %w", resource, sh.index, err)
+	g, n := runtime.Grant{}, 1
+	if run {
+		g, n, err = sl.AcquireRun(ctx, resource)
+	} else {
+		g, err = sl.Acquire(ctx, resource)
 	}
-	sh.noteGrant(id, g.Hops, g.Generation, sh.clk.Since(start))
-	return Hold{Resource: resource, Shard: sh.index, Node: id, Fence: g.Generation, Expires: g.Expires}, nil
+	if err != nil {
+		return Hold{}, 0, fmt.Errorf("lockservice: acquire %q (shard %d): %w", resource, sh.index, err)
+	}
+	sh.noteGrant(id, g.Hops, g.Generation+uint64(n-1), sh.clk.Since(start))
+	return Hold{Resource: resource, Shard: sh.index, Node: id, Fence: g.Generation, Expires: g.Expires}, n, nil
 }
 
 // tryAcquire is acquire's no-wait variant: the slot and the shard token
@@ -566,11 +581,17 @@ func (sh *shard) tryAcquire(id mutex.ID, resource string) (Hold, bool, error) {
 // (Hold.Fence), or with fence 0 whatever hold of that name is current.
 // The slot reports the outcome to noteEnd before it frees itself.
 func (sh *shard) release(id mutex.ID, resource string, fence uint64) error {
+	return sh.releaseRun(id, resource, fence, 1, false)
+}
+
+// releaseRun is release with a run's end-of-run report: fence is the
+// run's last, used and more as in runtime.Slot.ReleaseRun.
+func (sh *shard) releaseRun(id mutex.ID, resource string, fence uint64, used int, more bool) error {
 	sl, err := sh.slot(id)
 	if err != nil {
 		return err
 	}
-	if err := sl.Release(resource, fence); err != nil {
+	if err := sl.ReleaseRun(resource, fence, used, more); err != nil {
 		return fmt.Errorf("lockservice: release %q (shard %d): %w", resource, sh.index, err)
 	}
 	return nil
@@ -580,11 +601,21 @@ func (sh *shard) release(id mutex.ID, resource string, fence uint64) error {
 // cohort regrant is both a release and a regrant; an expiry is neither),
 // the hold-duration histogram, and the service-level lifecycle trace
 // event. It runs before the slot is freed, so a hold's end is counted
-// before the slot's next grant is.
+// before the slot's next grant is. A run that handed out more than one
+// fence adds the earlier ones here, in the same lock hold as its release
+// (or, for a run that expired, when the late release tells of them):
+// each was a grant, a release and a zero-message handoff, all made
+// inside the dialed connection.
 func (sh *shard) noteEnd(e runtime.HoldEnd) {
 	kind := telemetry.TraceRelease
+	local := int64(e.Run - 1)
 	sh.mu.Lock()
+	sh.grants += local
+	sh.nodeGrants[e.Node-1] += local
+	sh.releases += local
+	sh.regrants += local
 	switch {
+	case e.Late:
 	case e.Expired:
 		sh.expired++
 		kind = telemetry.TraceExpire
@@ -600,7 +631,12 @@ func (sh *shard) noteEnd(e runtime.HoldEnd) {
 		sh.holdHist.ObserveDuration(sh.clk.Since(e.Since))
 	}
 	if sh.obs != nil {
-		sh.obs(telemetry.TraceEvent{Kind: kind, Node: e.Node, Fence: e.Fence, Detail: e.Key})
+		for f := e.Fence - uint64(local); f < e.Fence; f++ {
+			sh.obs(telemetry.TraceEvent{Kind: telemetry.TraceRegrant, Node: e.Node, Fence: f, Detail: e.Key})
+		}
+		if !e.Late {
+			sh.obs(telemetry.TraceEvent{Kind: kind, Node: e.Node, Fence: e.Fence, Detail: e.Key})
+		}
 	}
 }
 
@@ -766,14 +802,24 @@ type ShardStats struct {
 	// Home is the shard's initial token holder and service-level routing
 	// target.
 	Home mutex.ID
-	// Grants counts successful Acquires.
+	// Grants counts successful Acquires: every fence handed to a caller.
+	// A dialed connection granted a run (a block of fences it rotates
+	// among its own callers) counts once when the run is granted, and
+	// the fences it handed out after the first when the run's release
+	// reports them — so Grants is what callers got, not what was
+	// reserved, and not one per run. Those locally rotated grants add to
+	// the three counts only, in one cut with the run's release; the
+	// member never saw their wait, so Wait and the wait histogram do not
+	// include them.
 	Grants int64
-	// Releases counts successful Releases (cohort regrants included).
+	// Releases counts successful Releases (cohort regrants included, and
+	// a run's local handoffs, each of which released one caller's hold).
 	// At quiescence Grants == Releases + Expired: every grant is either
 	// released by its holder or reclaimed by the sweeper.
 	Releases int64
 	// Regrants counts releases served by a cohort handoff — the section
-	// passed to a queued local waiter with no token movement at all.
+	// passed to a queued local waiter with no token movement at all,
+	// whether by the member or, inside a run, by the dialed connection.
 	Regrants int64
 	// Expired counts holds the sweeper force-released after their lease
 	// deadline passed.

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"dagmutex/internal/mutex"
+	"dagmutex/internal/runtime"
 	"dagmutex/internal/telemetry"
 )
 
@@ -19,7 +21,10 @@ import (
 // totals equal the per-shard sums. Before the counters were folded
 // under one lock, field-by-field reads could observe a release that its
 // own grant had not reached yet; under the race detector this test also
-// proves the counter updates are properly synchronized.
+// proves the counter updates are properly synchronized. Half the workers
+// hold the way a dialed connection with a crowd behind it does — a run,
+// ended with a varying share of it handed out — whose locally rotated
+// grants reach the counters only with the run's release, all in one cut.
 func TestLockStatsSnapshotConsistency(t *testing.T) {
 	const (
 		shards  = 2
@@ -73,6 +78,7 @@ func TestLockStatsSnapshotConsistency(t *testing.T) {
 		}
 	}()
 
+	var handed atomic.Int64 // fences callers were given: the ledger Grants must match
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -85,11 +91,27 @@ func TestLockStatsSnapshotConsistency(t *testing.T) {
 			}
 			resource := fmt.Sprintf("res-%d", w%4)
 			for i := 0; i < ops; i++ {
+				if w%2 == 1 {
+					b := clientBackend{c: cl}
+					first, _, run, err := b.AcquireRun(context.Background(), resource)
+					if err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					used := 1 + i%run
+					handed.Add(int64(used))
+					if err := b.ReleaseRun(resource, first+uint64(run-1), used, false); err != nil {
+						t.Errorf("worker %d: %v", w, err)
+						return
+					}
+					continue
+				}
 				h, err := cl.Acquire(context.Background(), resource)
 				if err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
 				}
+				handed.Add(1)
 				if err := cl.ReleaseHold(h); err != nil {
 					t.Errorf("worker %d: %v", w, err)
 					return
@@ -108,8 +130,54 @@ func TestLockStatsSnapshotConsistency(t *testing.T) {
 	if st.Grants != st.Releases+st.Expired {
 		t.Fatalf("at quiescence grants %d != releases %d + expired %d", st.Grants, st.Releases, st.Expired)
 	}
-	if st.Grants != int64(workers*ops) {
-		t.Fatalf("grants = %d, want %d", st.Grants, workers*ops)
+	if st.Grants != handed.Load() {
+		t.Fatalf("grants = %d, want the %d fences handed out", st.Grants, handed.Load())
+	}
+}
+
+// TestRunStatsCountFencesHandedOut: after k runs the counters hold what
+// callers were given — not what was reserved, and not one per run — and
+// a run's locally rotated grants, whose wait the member never saw, leave
+// the wait reservoir alone.
+func TestRunStatsCountFencesHandedOut(t *testing.T) {
+	svc, err := New(Config{Shards: 1, Nodes: 2, Lease: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	cl, err := svc.On(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := clientBackend{c: cl}
+	var grants, regrants int64
+	reports := []int{9, 3, 1, 0, 1000} // the last two are cut to 1 and to the 9 reserved
+	for _, used := range reports {
+		first, _, run, err := b.AcquireRun(context.Background(), "res")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run != 1+runtime.DefaultCohortBudget {
+			t.Fatalf("run of %d fences, want %d", run, 1+runtime.DefaultCohortBudget)
+		}
+		if err := b.ReleaseRun("res", first+uint64(run-1), used, false); err != nil {
+			t.Fatal(err)
+		}
+		used = max(min(used, run), 1)
+		grants += int64(used)
+		regrants += int64(used - 1)
+	}
+	st := svc.Stats()
+	if st.Grants != grants || st.Releases != grants || st.Regrants != regrants || st.Expired != 0 {
+		t.Fatalf("after %d runs: grants %d releases %d regrants %d expired %d; want %d %d %d 0",
+			len(reports), st.Grants, st.Releases, st.Regrants, st.Expired, grants, grants, regrants)
+	}
+	sh := svc.shards[0]
+	sh.mu.Lock()
+	seen := sh.waitsSeen
+	sh.mu.Unlock()
+	if seen != len(reports) {
+		t.Fatalf("%d waits sampled, want one per run (%d)", seen, len(reports))
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 // canceled acquire's grant drained on the sweep tick (within lease/4,
 // at most 1s), not at the instant they become due.
 //
-// It implements the transport layer's ClientBackend surface, keyed by
-// the empty resource name: a member arbitrates exactly one critical
+// It implements the transport layer's ClientBackend surface, and the
+// optional run capability beside it, keyed by the empty resource name: a member arbitrates exactly one critical
 // section; named resources are the lock service's job.
 //
 // The proxy owns the session it wraps, as every Slot does: a member
@@ -60,6 +60,16 @@ func (p *Proxy) Acquire(ctx context.Context, resource string) (uint64, time.Time
 	return g.Generation, g.Expires, err
 }
 
+// AcquireRun is Acquire for a connection with more callers queued behind
+// this one: the slot's run (see Slot.AcquireRun), first fence returned.
+func (p *Proxy) AcquireRun(ctx context.Context, resource string) (uint64, time.Time, int, error) {
+	if err := p.single(resource); err != nil {
+		return 0, time.Time{}, 0, err
+	}
+	g, run, err := p.slot.AcquireRun(ctx, "")
+	return g.Generation, g.Expires, run, err
+}
+
 // TryAcquire locks the proxied mutex only if no other client holds or
 // awaits it through this proxy and the grant needs no waiting.
 func (p *Proxy) TryAcquire(resource string) (uint64, time.Time, bool, error) {
@@ -79,4 +89,12 @@ func (p *Proxy) Release(resource string, fence uint64) error {
 		return err
 	}
 	return p.slot.Release("", fence)
+}
+
+// ReleaseRun ends a run by its last fence; see Slot.ReleaseRun.
+func (p *Proxy) ReleaseRun(resource string, last uint64, used int, more bool) error {
+	if err := p.single(resource); err != nil {
+		return err
+	}
+	return p.slot.ReleaseRun("", last, used, more)
 }

@@ -58,6 +58,16 @@ type HoldEnd struct {
 	Regranted bool
 	// Expired marks a hold the sweeper force-released after its lease.
 	Expired bool
+	// Run is how many fences were handed to callers under this hold: 1,
+	// except for a run (AcquireRun) whose release reported more. Fence is
+	// then the last of them, and the Run-1 before it, consecutive, each
+	// passed to the next caller inside the dialed connection: as many
+	// handoffs that moved no token.
+	Run int
+	// Late marks the report of a run's handoffs that arrives after the
+	// hold itself was reported Expired: the release came too late to end
+	// anything, but the Run-1 handoffs it tells of did happen.
+	Late bool
 }
 
 // Slot multiplexes many callers onto one Session. The paper allows one
@@ -69,6 +79,13 @@ type HoldEnd struct {
 // claim. Nothing is armed or allocated per hold: leases, orphaned grants
 // and abandoned requests are all settled by Sweep, which a Sweeper calls
 // periodically.
+//
+// A caller that fronts a queue of its own (a dialed connection with more
+// callers waiting for the key) takes a run instead of a hold: AcquireRun
+// reserves, with the grant, every fence the cohort budget has left, and
+// the caller rotates its own waiters through them without coming back.
+// To the slot a run is one hold under the run's last fence and one
+// lease; ReleaseRun ends it and says how many fences were handed out.
 //
 // The slot owns its session: nothing can serialize its callers against
 // direct use of the same Session, so a process must not drive both. And
@@ -93,7 +110,8 @@ type Slot struct {
 	mu        sync.Mutex
 	held      bool
 	key       string
-	fence     uint64
+	fence     uint64    // of a run: its last fence
+	run       int       // fences reserved under the hold; 1 unless AcquireRun reserved more
 	expires   time.Time // lease deadline; zero when leases are disabled
 	grantedAt time.Time
 	// pending marks a pipelined handoff: the releaser already regranted
@@ -103,7 +121,8 @@ type Slot struct {
 	// Sweep adopts the orphaned grant.
 	pending bool
 	// streak counts consecutive regrants since the token last took the
-	// protocol path, enforcing budget so remote requesters are bypassed
+	// protocol path — handoffs to the next waiter and fences reserved for
+	// a run alike — enforcing budget so remote requesters are bypassed
 	// only a bounded number of times.
 	streak int
 	// abandoned marks a failed Acquire whose request stayed outstanding
@@ -114,8 +133,9 @@ type Slot struct {
 	// apart from a Release of something never held — even after the slot
 	// moved on, and even when the same key expired several times in a row
 	// (each stuck holder gets its own marker). One-shot: reporting a
-	// marker removes it. Bounded by maxExpiredMarkers.
-	expired map[expiredHold]bool
+	// marker removes it. Bounded by maxExpiredMarkers. The value is how
+	// many fences the hold had reserved.
+	expired map[expiredHold]int
 }
 
 // expiredHold identifies one reclaimed hold.
@@ -150,6 +170,26 @@ func (sl *Slot) Holding() (key string, fence uint64, held bool) {
 // request is in flight it cannot be cancelled, so the slot stays busy
 // until the grant arrives and Sweep releases it.
 func (sl *Slot) Acquire(ctx context.Context, key string) (Grant, error) {
+	g, _, err := sl.acquire(ctx, key, false)
+	return g, err
+}
+
+// AcquireRun is Acquire followed, before anything is returned, by the
+// reservation of a run: every fence the cohort budget has left
+// (1 + budget - streak on a fresh token visit), taken by advancing the
+// protocol's fencing generation under the slot lock. The Grant carries
+// the run's first fence and the one lease deadline all of it shares; the
+// fences are consecutive, and the hold is recorded under the last, which
+// is what ReleaseRun (or Release) must name. Because the generation moves
+// before the caller hears of the run, no later grant anywhere can carry a
+// fence inside it, whatever becomes of the caller. The run is 1 — an
+// ordinary hold — when the budget is spent or disabled, or the protocol
+// cannot regrant right now (mid-recovery).
+func (sl *Slot) AcquireRun(ctx context.Context, key string) (Grant, int, error) {
+	return sl.acquire(ctx, key, true)
+}
+
+func (sl *Slot) acquire(ctx context.Context, key string, run bool) (Grant, int, error) {
 	sl.waiters.Add(1)
 	select {
 	case sl.sem <- struct{}{}:
@@ -158,10 +198,10 @@ func (sl *Slot) Acquire(ctx context.Context, key string) (Grant, error) {
 		// The cluster is dead; the slot may be parked forever on a grant
 		// that will never arrive. Fail fast instead of waiting out ctx.
 		sl.waiters.Add(-1)
-		return Grant{}, fmt.Errorf("acquire node %d: cluster failed: %w", sl.s.ID(), sl.s.Err())
+		return Grant{}, 0, fmt.Errorf("acquire node %d: cluster failed: %w", sl.s.ID(), sl.s.Err())
 	case <-ctx.Done():
 		sl.waiters.Add(-1)
-		return Grant{}, fmt.Errorf("acquire node %d: %w", sl.s.ID(), ctx.Err())
+		return Grant{}, 0, fmt.Errorf("acquire node %d: %w", sl.s.ID(), ctx.Err())
 	}
 	sl.mu.Lock()
 	pipelined := sl.pending
@@ -187,9 +227,10 @@ func (sl *Slot) Acquire(ctx context.Context, key string) (Grant, error) {
 		} else {
 			<-sl.sem
 		}
-		return Grant{}, err
+		return Grant{}, 0, err
 	}
-	return sl.admit(key, g), nil
+	g, n := sl.admit(key, g, run)
+	return g, n, nil
 }
 
 // TryAcquire takes the section only if the slot is free and the grant
@@ -224,24 +265,39 @@ func (sl *Slot) TryAcquire(key string) (Grant, bool, error) {
 		<-sl.sem
 		return Grant{}, false, err
 	}
-	return sl.admit(key, g), true, nil
+	g, _ = sl.admit(key, g, false)
+	return g, true, nil
 }
 
-// admit records the new hold. The semaphore is already held.
-func (sl *Slot) admit(key string, g Grant) Grant {
+// admit records the new hold, first reserving the rest of the cohort
+// budget when the caller asked for a run, and returns the grant with its
+// deadline and the number of fences it covers. The semaphore is already
+// held.
+func (sl *Slot) admit(key string, g Grant, run bool) (Grant, int) {
 	if sl.lease > 0 {
 		g.Expires = g.At.Add(sl.lease)
 	}
 	sl.mu.Lock()
-	sl.held, sl.key, sl.fence, sl.expires, sl.grantedAt = true, key, g.Generation, g.Expires, g.At
+	last, n := g.Generation, 1
+	for run && sl.streak < sl.budget {
+		// Each reserved fence is a regrant nobody collects: the section
+		// never leaves this slot, only the generation advances.
+		if ok, err := sl.s.Regrant(); err != nil || !ok {
+			break
+		}
+		last = (<-sl.s.Granted()).Generation
+		sl.streak++
+		n++
+	}
+	sl.held, sl.key, sl.fence, sl.run, sl.expires, sl.grantedAt = true, key, last, n, g.Expires, g.At
 	sl.mu.Unlock()
-	return g
+	return g, n
 }
 
 // clearLocked forgets the current hold and returns its end record.
 func (sl *Slot) clearLocked() HoldEnd {
-	e := HoldEnd{Node: sl.s.ID(), Key: sl.key, Fence: sl.fence, Since: sl.grantedAt}
-	sl.held, sl.key, sl.fence, sl.expires, sl.grantedAt = false, "", 0, time.Time{}, time.Time{}
+	e := HoldEnd{Node: sl.s.ID(), Key: sl.key, Fence: sl.fence, Since: sl.grantedAt, Run: 1}
+	sl.held, sl.key, sl.fence, sl.run, sl.expires, sl.grantedAt = false, "", 0, 0, time.Time{}, time.Time{}
 	return e
 }
 
@@ -271,18 +327,40 @@ func (sl *Slot) free(e HoldEnd) {
 // traffic, at most budget times in a row) or by the pipelined
 // ReleaseRequest — and the next caller collects it with Await.
 func (sl *Slot) Release(key string, fence uint64) error {
+	return sl.ReleaseRun(key, fence, 1, false)
+}
+
+// ReleaseRun is Release for the holder of a run: fence is the run's last
+// fence, used how many of its fences were handed to callers (reported in
+// HoldEnd.Run; never trusted beyond what was reserved), and more says
+// that the caller's next acquire is on its way, which counts as a queued
+// waiter even if it has not reached the slot yet — the handoff is
+// pipelined for it, and Sweep adopts the grant should it never come.
+func (sl *Slot) ReleaseRun(key string, fence uint64, used int, more bool) error {
 	sl.mu.Lock()
 	if !sl.held || sl.key != key || (fence != 0 && sl.fence != fence) {
-		defer sl.mu.Unlock()
-		if f, ok := sl.takeExpired(key, fence); ok {
+		f, run, expired := sl.takeExpired(key, fence)
+		held, heldKey, heldFence := sl.held, sl.key, sl.fence
+		sl.mu.Unlock()
+		switch {
+		case expired:
+			if used = min(used, run); used > 1 && sl.end != nil {
+				sl.end(HoldEnd{Node: sl.s.ID(), Key: key, Fence: f - uint64(run-used), Run: used, Late: true})
+			}
 			return fmt.Errorf("node %d released %q after its lease ran out (fence %d): %w", sl.s.ID(), key, f, ErrLeaseExpired)
-		}
-		if !sl.held {
+		case !held:
 			return fmt.Errorf("node %d does not hold %q: %w", sl.s.ID(), key, ErrNotHeld)
 		}
-		return fmt.Errorf("node %d holds %q under fence %d, not %q under fence %d: %w", sl.s.ID(), sl.key, sl.fence, key, fence, ErrNotHeld)
+		return fmt.Errorf("node %d holds %q under fence %d, not %q under fence %d: %w", sl.s.ID(), heldKey, heldFence, key, fence, ErrNotHeld)
 	}
+	used = max(min(used, sl.run), 1)
+	// A run that ended early hands its unused share of the cohort budget
+	// back: the fences are skipped for good, but nobody was bypassed for
+	// them.
+	unused := sl.run - used
+	sl.streak -= unused
 	e := sl.clearLocked()
+	e.Fence, e.Run = e.Fence-uint64(unused), used
 	if fence == 0 {
 		for k := range sl.expired {
 			if k.key == key {
@@ -291,7 +369,7 @@ func (sl *Slot) Release(key string, fence uint64) error {
 		}
 	}
 	var err error
-	if sl.waiters.Load() > 0 && !sl.pending && !sl.abandoned {
+	if (more || sl.waiters.Load() > 0) && !sl.pending && !sl.abandoned {
 		// Cohort handoff first: the next waiter is local, so the protocol
 		// node never leaves its critical section and only the fencing
 		// generation advances.
@@ -330,22 +408,21 @@ func (sl *Slot) Release(key string, fence uint64) error {
 // takeExpired consumes the marker matching a late release: the exact
 // (key, fence) marker, or with fence 0 any marker for key. Callers hold
 // sl.mu.
-func (sl *Slot) takeExpired(key string, fence uint64) (uint64, bool) {
+func (sl *Slot) takeExpired(key string, fence uint64) (f uint64, run int, ok bool) {
 	if fence != 0 {
 		k := expiredHold{key: key, fence: fence}
-		if sl.expired[k] {
+		if run, ok = sl.expired[k]; ok {
 			delete(sl.expired, k)
-			return fence, true
 		}
-		return 0, false
+		return fence, run, ok
 	}
-	for k := range sl.expired {
+	for k, run := range sl.expired {
 		if k.key == key {
 			delete(sl.expired, k)
-			return k.fence, true
+			return k.fence, run, true
 		}
 	}
-	return 0, false
+	return 0, 0, false
 }
 
 // Sweep settles whatever the slot's callers left behind, as of now: it
@@ -386,7 +463,7 @@ func (sl *Slot) Sweep(now time.Time) {
 		}
 	case sl.held && !sl.expires.IsZero() && now.After(sl.expires):
 		if sl.expired == nil {
-			sl.expired = make(map[expiredHold]bool)
+			sl.expired = make(map[expiredHold]int)
 		}
 		if len(sl.expired) >= maxExpiredMarkers {
 			for k := range sl.expired { // drop an arbitrary stale marker
@@ -394,7 +471,7 @@ func (sl *Slot) Sweep(now time.Time) {
 				break
 			}
 		}
-		sl.expired[expiredHold{key: sl.key, fence: sl.fence}] = true
+		sl.expired[expiredHold{key: sl.key, fence: sl.fence}] = sl.run
 		e := sl.clearLocked()
 		e.Expired = true
 		if sl.reclaimLocked() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -29,6 +30,77 @@ type slotFixture struct {
 
 	mu   sync.Mutex
 	ends []runtime.HoldEnd
+
+	// recovering makes every node refuse to regrant, as core does while a
+	// recovery has it frozen.
+	recovering atomic.Bool
+}
+
+// fixtureNode is core's node, except that Regrant can be made to answer
+// "not now".
+type fixtureNode struct {
+	*core.Node
+	recovering *atomic.Bool
+}
+
+func (n fixtureNode) Regrant() (bool, error) {
+	if n.recovering.Load() {
+		return false, nil
+	}
+	return n.Node.Regrant()
+}
+
+func (fx *slotFixture) build(id mutex.ID, env mutex.Env, cfg mutex.Config) (mutex.Node, error) {
+	n, err := core.New(id, env, cfg)
+	return fixtureNode{n, &fx.recovering}, err
+}
+
+// generation reads node id's fencing counter.
+func (fx *slotFixture) generation(id mutex.ID) uint64 {
+	fx.t.Helper()
+	var gen uint64
+	if err := fx.l.WithNode(id, func(n mutex.Node) error {
+		gen = n.(fixtureNode).Snapshot().Generation
+		return nil
+	}); err != nil {
+		fx.t.Fatal(err)
+	}
+	return gen
+}
+
+// acquireRun is AcquireRun, returning the run's first and last fence.
+func (fx *slotFixture) acquireRun(key string) (g runtime.Grant, first, last uint64) {
+	fx.t.Helper()
+	g, run, err := fx.sl.AcquireRun(fx.ctx, key)
+	if err != nil {
+		fx.t.Fatalf("acquire run %q: %v", key, err)
+	}
+	if run < 1 {
+		fx.t.Fatalf("run of %d fences", run)
+	}
+	return g, g.Generation, g.Generation + uint64(run-1)
+}
+
+// wantReleaseRun asserts ReleaseRun(key, last, used, more) reports want.
+func (fx *slotFixture) wantReleaseRun(key string, last uint64, used int, more bool, want error) {
+	fx.t.Helper()
+	err := fx.sl.ReleaseRun(key, last, used, more)
+	if want == nil && err != nil || want != nil && !errors.Is(err, want) {
+		fx.t.Fatalf("release run(%q, %d, used %d) = %v, want %v", key, last, used, err, want)
+	}
+}
+
+// node2Grant acquires and releases through node 2 and returns its fence.
+func (fx *slotFixture) node2Grant() uint64 {
+	fx.t.Helper()
+	g, err := fx.l.Session(2).Acquire(fx.ctx)
+	if err != nil {
+		fx.t.Fatal(err)
+	}
+	if err := fx.l.Session(2).Release(); err != nil {
+		fx.t.Fatal(err)
+	}
+	return g.Generation
 }
 
 func newSlotFixture(t *testing.T, lease time.Duration, budget int) *slotFixture {
@@ -36,7 +108,7 @@ func newSlotFixture(t *testing.T, lease time.Duration, budget int) *slotFixture 
 	fx := &slotFixture{t: t, v: vclock.NewVirtual()}
 	tree := topology.Star(3)
 	cfg := mutex.Config{IDs: tree.IDs(), Holder: 1, Parent: tree.ParentsToward(1)}
-	l, err := transport.NewLocal(core.Builder, cfg, transport.WithClock(fx.v))
+	l, err := transport.NewLocal(fx.build, cfg, transport.WithClock(fx.v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +193,7 @@ func (fx *slotFixture) remoteQueued() <-chan runtime.Grant {
 	fx.eventually("node 2's request is queued at node 1", func() bool {
 		var follow mutex.ID
 		if err := fx.l.WithNode(1, func(n mutex.Node) error {
-			follow = n.(*core.Node).Snapshot().Follow
+			follow = n.(fixtureNode).Snapshot().Follow
 			return nil
 		}); err != nil {
 			fx.t.Fatal(err)
@@ -241,6 +313,134 @@ func TestSlot(t *testing.T) {
 				fx.t.Fatalf("%d messages for the pipelined handoff round, want 2", sent)
 			}
 		}},
+		{"a run advances the generation by what it reserves before the grant is returned, and a full one ends in a ReleaseRequest", lease, 8, func(fx *slotFixture) {
+			g, first, last := fx.acquireRun("k")
+			if last != first+8 {
+				fx.t.Fatalf("run %d..%d on a fresh token visit, want 1 + budget = 9 fences", first, last)
+			}
+			if gen := fx.generation(1); gen != last {
+				fx.t.Fatalf("generation %d once the run is returned, want its last fence %d", gen, last)
+			}
+			if _, fence, held := fx.sl.Holding(); !held || fence != last {
+				fx.t.Fatalf("hold recorded under fence %d (held %v), want the run's last %d", fence, held, last)
+			}
+			if st := fx.sl.State(); st.Streak != 8 {
+				fx.t.Fatalf("streak %d after reserving 8 regrants", st.Streak)
+			}
+			if want := fx.v.Now().Add(lease); !g.Expires.Equal(want) {
+				fx.t.Fatalf("run deadline %v, want one lease %v", g.Expires, want)
+			}
+			fx.wantRelease("k", first, runtime.ErrNotHeld) // the run is known by its last fence only
+			remote := fx.remoteQueued()
+			fx.sl.AddWaiters(1)
+			before := fx.l.Messages()
+			fx.wantReleaseRun("k", last, 9, false, nil)
+			if e, st := fx.lastEnd(), fx.sl.State(); e.Regranted || e.Run != 9 || e.Fence != last || st.Streak != 0 || !st.Pending {
+				fx.t.Fatalf("release of a full run: end %+v, state %+v; want ReleaseRequest (pending, streak 0)", e, st)
+			}
+			rg := <-remote
+			if rg.Generation <= last {
+				fx.t.Fatalf("node 2's fence %d not above the run's last %d", rg.Generation, last)
+			}
+			if err := fx.l.Session(2).Release(); err != nil {
+				fx.t.Fatal(err)
+			}
+			fx.sl.AddWaiters(-1)
+			if _, first2, _ := fx.acquireRun("k"); first2 <= rg.Generation {
+				fx.t.Fatalf("next run starts at %d, not above node 2's %d", first2, rg.Generation)
+			}
+			if sent := fx.l.Messages() - before; sent != 2 {
+				fx.t.Fatalf("%d messages for the round after a full run, want 2", sent)
+			}
+		}},
+		{"a run that ends early skips its unused fences and hands their budget back", -1, 8, func(fx *slotFixture) {
+			_, first, last := fx.acquireRun("k")
+			fx.wantReleaseRun("k", last, 3, false, nil)
+			if e, st := fx.lastEnd(), fx.sl.State(); e.Run != 3 || e.Fence != first+2 || e.Regranted || st.Streak != 0 {
+				fx.t.Fatalf("early end: end %+v, state %+v; want 3 fences ending at %d", e, st, first+2)
+			}
+			if f := fx.node2Grant(); f <= last {
+				fx.t.Fatalf("node 2 granted fence %d inside the skipped part of %d..%d", f, first, last)
+			}
+			// Held to a waiter, the unused share is what the next handoffs may
+			// still spend: 9 reserved, 3 used, so 6 regrants remain of 8.
+			_, _, last = fx.acquireRun("k")
+			fx.sl.AddWaiters(1)
+			fx.wantReleaseRun("k", last, 3, false, nil)
+			if e, st := fx.lastEnd(), fx.sl.State(); !e.Regranted || st.Streak != 3 {
+				fx.t.Fatalf("early end with a waiter: end %+v, state %+v; want a regrant at streak 2+1", e, st)
+			}
+			// A report of more than was reserved is cut down to it.
+			g, ok, err := fx.sl.TryAcquire("k")
+			if !ok || err != nil {
+				fx.t.Fatalf("claim of the regrant = (%v, %v)", ok, err)
+			}
+			fx.sl.AddWaiters(-1)
+			fx.wantRelease("k", g.Generation, nil)
+			_, first, last = fx.acquireRun("k")
+			fx.wantReleaseRun("k", last, 1000, false, nil)
+			if e := fx.lastEnd(); e.Run != int(last-first+1) || e.Fence != last {
+				fx.t.Fatalf("over-reported run: end %+v, want the %d reserved", e, last-first+1)
+			}
+		}},
+		{"an expired run is one hold and one marker, and fences off every fence it reserved", lease, 8, func(fx *slotFixture) {
+			g, first, last := fx.acquireRun("k")
+			fx.sl.Sweep(g.Expires.Add(time.Nanosecond))
+			if _, _, held := fx.sl.Holding(); held {
+				fx.t.Fatal("run survived a sweep past its deadline")
+			}
+			if e, st := fx.lastEnd(), fx.sl.State(); !e.Expired || e.Run != 1 || e.Fence != last || st.Markers != 1 || st.Streak != 0 {
+				fx.t.Fatalf("expired run: end %+v, state %+v; want one expiry under fence %d", e, st, last)
+			}
+			if f := fx.node2Grant(); f <= last {
+				fx.t.Fatalf("node 2 granted fence %d, not above the dead run %d..%d", f, first, last)
+			}
+			fx.wantReleaseRun("k", first+3, 4, false, runtime.ErrNotHeld) // not the fence it is filed under
+			fx.wantReleaseRun("k", last, 4, false, runtime.ErrLeaseExpired)
+			if e := fx.lastEnd(); !e.Late || e.Run != 4 || e.Fence != first+3 {
+				fx.t.Fatalf("late report = %+v, want the 4 fences up to %d that callers did hold", e, first+3)
+			}
+			fx.wantReleaseRun("k", last, 4, false, runtime.ErrNotHeld)
+			if m := fx.sl.State().Markers; m != 0 {
+				fx.t.Fatalf("%d markers left", m)
+			}
+		}},
+		{"budget 0 never reserves", -1, 0, neverReserves},
+		{"negative budget never reserves", -1, -1, neverReserves},
+		{"mid-recovery a run is one fence", -1, 8, func(fx *slotFixture) {
+			fx.recovering.Store(true)
+			neverReserves(fx)
+			fx.recovering.Store(false)
+			if _, first, last := fx.acquireRun("k"); last != first+8 {
+				fx.t.Fatalf("run %d..%d once regrants work again, want 9 fences", first, last)
+			}
+		}},
+		{"a release told that the next acquire is on its way hands over as to a queued waiter", -1, 8, func(fx *slotFixture) {
+			_, _, last := fx.acquireRun("k")
+			remote := fx.remoteQueued()
+			fx.wantReleaseRun("k", last, 9, true, nil) // budget spent: ReleaseRequest, with nobody queued yet
+			if e, st := fx.lastEnd(), fx.sl.State(); e.Regranted || !st.Pending || st.Waiters != 0 {
+				fx.t.Fatalf("end %+v, state %+v; want the pipelined handoff", e, st)
+			}
+			rg := <-remote
+			if err := fx.l.Session(2).Release(); err != nil {
+				fx.t.Fatal(err)
+			}
+			_, first, last := fx.acquireRun("k") // the acquire arrives: it collects the grant
+			if first <= rg.Generation {
+				fx.t.Fatalf("run starts at %d, not above node 2's %d", first, rg.Generation)
+			}
+			// And if it never arrives, the grant is an orphan like any other.
+			fx.wantReleaseRun("k", last, 1, true, nil)
+			if st := fx.sl.State(); !st.Pending {
+				fx.t.Fatalf("state %+v, want a pending grant", st)
+			}
+			fx.eventually("Sweep adopts the grant nobody came for", func() bool {
+				fx.sl.Sweep(fx.v.Now())
+				return !fx.sl.State().Pending
+			})
+			fx.node2Grant()
+		}},
 		{"budget 0 never regrants", -1, 0, neverRegrants},
 		{"negative budget never regrants", -1, -1, neverRegrants},
 		{"an abandoned acquire keeps the slot busy until Sweep drains the grant", -1, 8, func(fx *slotFixture) {
@@ -355,6 +555,21 @@ func neverRegrants(fx *slotFixture) {
 		if g, ok, err = fx.sl.TryAcquire("k"); !ok || err != nil {
 			fx.t.Fatalf("claim %d = (%v, %v)", i, ok, err)
 		}
+	}
+}
+
+// neverReserves: with the cohort disabled, or a protocol that will not
+// regrant right now, a run is an ordinary hold of one fence.
+func neverReserves(fx *slotFixture) {
+	for i := 0; i < 3; i++ {
+		_, first, last := fx.acquireRun("k")
+		if last != first || fx.generation(1) != first {
+			fx.t.Fatalf("run %d..%d, generation %d; want a single fence", first, last, fx.generation(1))
+		}
+		if st := fx.sl.State(); st.Streak != 0 {
+			fx.t.Fatalf("streak %d with nothing reserved", st.Streak)
+		}
+		fx.wantReleaseRun("k", last, 1, false, nil)
 	}
 }
 

@@ -23,7 +23,9 @@ import (
 // # Client wire frames
 //
 // A client connection opens with an 8-byte handshake — the 4-byte magic
-// "DAGC" followed by a big-endian uint32 protocol version (currently 1).
+// "DAGC" followed by a big-endian uint32 protocol version (currently 2;
+// a member hangs up on any other, so a version 1 client, which could not
+// read a run, never gets as far as being sent one).
 // The magic doubles as the demultiplexer: member-to-member connections
 // start with a frame-size header, and sizes are bounded by maxFrame
 // (1 MiB), so the magic (0x44414743) can never be a valid size. One
@@ -36,10 +38,15 @@ import (
 //
 // Client → member ops:
 //
-//	opAcquire    payload = resource name ("" = the member's single mutex)
-//	opTry        payload = resource name
-//	opRelease    payload = [8B fence] ++ resource name (fence 0 = by name)
-//	opCancel     request id names the acquire to cancel; empty payload
+//	opAcquire     payload = resource name ("" = the member's single mutex)
+//	opTry         payload = resource name
+//	opRelease     payload = [8B fence] ++ resource name (fence 0 = by name)
+//	opCancel      request id names the acquire to cancel; empty payload
+//	opAcquireRun  payload = resource name: an acquire with more callers of
+//	              this connection queued behind it for the same resource
+//	opReleaseRun  payload = [8B last fence][4B used][1B flags] ++ resource
+//	              name: ends a run; flag bit 0 = the connection's next
+//	              acquire for the resource has been sent
 //
 // Member → client ops (the request id echoes the request):
 //
@@ -47,6 +54,23 @@ import (
 //	respTry      payload = [1B granted][8B fence][8B expiry]
 //	respOK       empty (release succeeded)
 //	respErr      payload = [1B code] ++ message
+//	respRun      payload = [8B first fence][8B lease expiry][4B run length]
+//
+// A run is a block of consecutive fences, first .. first+length-1, that
+// the member reserved before it wrote the answer and holds as ONE hold
+// under the last of them and one lease. Only an opAcquireRun is ever
+// answered with respRun, and only by a member whose backend has the run
+// capability (RunBackend), which then answers every opAcquireRun that
+// way, with a length of at least 1; any other member answers it with
+// respGrant like an opAcquire. The client hands the run's fences to its
+// own callers one after another and ends it — all fences used or not —
+// with one opReleaseRun naming the last fence and how many it handed
+// out. That count is advisory (it feeds the counters) and is cut down to
+// the run's length, never trusted; a respRun of length 0, or an
+// opReleaseRun shorter than its fixed fields, is a corrupted stream and
+// ends the connection like an unknown op. A run needs no frame of its
+// own to be given up: opRelease of its last fence, a cancel that the
+// grant raced, and a disconnect all release the whole of it.
 //
 // Error codes carry the sentinel across the wire so errors.Is works on
 // the client side exactly as it does in process: not-held, lease-expired,
@@ -59,7 +83,7 @@ const (
 	// exceeds maxFrame, so it is unambiguous against member frame sizes.
 	ClientMagic = "DAGC"
 	// ClientVersion is the protocol version sent after the magic.
-	ClientVersion uint32 = 1
+	ClientVersion uint32 = 2
 	// MaxClientFrame bounds client frames; resource names plus headers fit
 	// comfortably.
 	MaxClientFrame = 1 << 16
@@ -136,6 +160,10 @@ type admission struct {
 	// this gate. Atomics outside mu: the response path takes no lock for
 	// them.
 	writes writeStats
+
+	// Fence runs granted through this gate: how many, the fences they
+	// reserved, and the fences their releases said were handed out.
+	runs, runReserved, runUsed atomic.Int64
 }
 
 func newAdmission(q ClientQueue) *admission {
@@ -223,16 +251,23 @@ func (a *admission) stats() ClientStats {
 
 // Client frame ops.
 const (
-	OpAcquire byte = 1
-	OpTry     byte = 2
-	OpRelease byte = 3
-	OpCancel  byte = 4
+	OpAcquire    byte = 1
+	OpTry        byte = 2
+	OpRelease    byte = 3
+	OpCancel     byte = 4
+	OpAcquireRun byte = 5
+	OpReleaseRun byte = 6
 
 	RespGrant byte = 16
 	RespTry   byte = 17
 	RespOK    byte = 18
 	RespErr   byte = 19
+	RespRun   byte = 20
 )
+
+// ReleaseRunMore is the OpReleaseRun flag saying that the connection's
+// next acquire for the resource has been sent (see RunBackend).
+const ReleaseRunMore byte = 1
 
 // Wire error codes for respErr frames.
 const (
@@ -259,11 +294,39 @@ var ErrClientBusy = errors.New("transport: client request queue full")
 // gateway implements it by forwarding. Implementations must be safe for
 // concurrent use; Acquire must honor ctx. Hold-lifecycle failures are
 // reported with runtime.ErrNotHeld and runtime.ErrLeaseExpired, which
-// errorCode puts on the wire.
+// errorCode puts on the wire. These three methods are the whole
+// contract; a backend may also offer RunBackend, below, and the two
+// Slot-backed members do.
 type ClientBackend interface {
 	Acquire(ctx context.Context, resource string) (fence uint64, expires time.Time, err error)
 	TryAcquire(resource string) (fence uint64, expires time.Time, ok bool, err error)
 	Release(resource string, fence uint64) error
+}
+
+// RunBackend is the optional capability of a ClientBackend that can
+// grant a dialed connection a run: a block of consecutive fences under
+// one lease, reserved before the answer is written, which the connection
+// hands to its own queued callers one after another without a frame.
+// The server side probes for it once per connection, the way core probes
+// its Env for mutex.HopGranter, and uses it for acquires the client
+// marked as having more callers queued behind them. Both members that
+// hold through a runtime.Slot have it (runtime.Proxy and the lock
+// service's adapter). The gateway's backend lacks it on purpose — its
+// upstream connections are client.Conns and take runs from the members
+// themselves — and so does any backend that merely wraps another in the
+// three methods above; a marked acquire is then an ordinary one, every
+// run is 1 and is released with Release.
+type RunBackend interface {
+	// AcquireRun is Acquire returning the first fence of a run of run
+	// consecutive fences (run >= 1), all held under one lease; the hold
+	// is known to the backend by its last fence.
+	AcquireRun(ctx context.Context, resource string) (first uint64, expires time.Time, run int, err error)
+	// ReleaseRun releases the run whose last fence is last. used says how
+	// many of its fences callers actually held, more that the
+	// connection's next acquire for resource has been sent: the backend
+	// should hand over as it does to a queued waiter even if that acquire
+	// has not reached it yet (the two travel through different workers).
+	ReleaseRun(resource string, last uint64, used int, more bool) error
 }
 
 // CodedError attaches a wire error code to err, for backends whose
@@ -447,6 +510,7 @@ type clientConn struct {
 	out *peerConn // pooled-frame response queue + its drain goroutine
 
 	backend ClientBackend
+	runs    RunBackend // backend's optional run capability, probed once; nil without it
 	sem     chan struct{}
 	adm     *admission
 
@@ -464,9 +528,16 @@ type clientConn struct {
 
 	mu     sync.Mutex
 	reqs   map[uint64]*clientReq // in-flight acquires by request id
-	holds  map[string]uint64     // resource -> fence, holds this connection owns
+	holds  map[string]connHold   // by resource: the holds this connection owns
 	free   []*clientReq          // recycled requests, at most maxFreeRequests
 	closed bool
+}
+
+// connHold is one hold a connection owns: the fence its release names (a
+// run's last) and how many fences it covers.
+type connHold struct {
+	fence uint64
+	run   uint32
 }
 
 // clientReq is one request on its way through a worker, and — for an
@@ -488,7 +559,9 @@ type clientReq struct {
 	op       byte
 	reqID    uint64
 	resource string
-	fence    uint64 // OpRelease only
+	fence    uint64 // OpRelease, OpReleaseRun
+	used     uint32 // OpReleaseRun: fences of the run that were handed out
+	more     bool   // OpReleaseRun: the connection's next acquire has been sent
 
 	done     chan struct{} // closed by cancel, never replaced
 	canceled atomic.Bool   // set before done closes
@@ -540,26 +613,20 @@ func (cc *clientConn) respondErr(reqID uint64, err error) {
 	cc.out.SendClientFrame(RespErr, reqID, code[:], err.Error())
 }
 
-// ServeClientConn speaks the member side of the client protocol on conn,
-// with the handshake already consumed, until the client hangs up or stop
-// closes. On exit every in-flight acquire is canceled and every hold the
-// connection still owns is released — a vanished client never parks a
-// token. Admission uses the defaults (ClientQueue zero value); listeners
-// that share a gate across connections (TCPHost, ClientGateway) call the
-// internal variant with their own admission.
-func ServeClientConn(conn net.Conn, backend ClientBackend, stop <-chan struct{}) {
-	serveClientConn(bufio.NewReader(conn), conn, backend, newAdmission(ClientQueue{}), stop)
-}
-
-// serveClientConn is ServeClientConn over an explicit reader, so a
-// caller that already buffered the connection (the TCP host's dispatch)
-// keeps its buffer. In the steady state the loop allocates nothing:
-// frames are decoded in the reader's buffer, resource names are interned
-// per connection, requests come off the connection's free list and run
-// on its parked workers. What still allocates is what is new to the
-// connection — a name it has not seen, a burst deeper than its parked
-// workers and free list — and the aftermath of a real cancel.
-func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm *admission, stop <-chan struct{}) {
+// serveClientConn speaks the member side of the client protocol on conn,
+// with the handshake already consumed (r may hold bytes read past it),
+// until the client hangs up or the listener that accepted conn closes it
+// — TCPHost.Close and ClientGateway.Close both sever every connection
+// they accepted, which is what ends the read below. On exit every
+// in-flight acquire is canceled and every hold the connection still owns
+// is released: a vanished client never parks a token. In the steady
+// state the loop allocates nothing: frames are decoded in the reader's
+// buffer, resource names are interned per connection, requests come off
+// the connection's free list and run on its parked workers. What still
+// allocates is what is new to the connection — a name it has not seen, a
+// burst deeper than its parked workers and free list — and the aftermath
+// of a real cancel.
+func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm *admission) {
 	cc := &clientConn{
 		out:     startFrameWriter(conn, &adm.writes),
 		backend: backend,
@@ -568,8 +635,9 @@ func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm 
 		work:    make(chan *clientReq),
 		names:   make(map[string]string),
 		reqs:    make(map[uint64]*clientReq),
-		holds:   make(map[string]uint64),
+		holds:   make(map[string]connHold),
 	}
+	cc.runs, _ = backend.(RunBackend)
 	adm.connDelta(1)
 	defer func() {
 		cc.teardown()
@@ -579,29 +647,25 @@ func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm 
 		cc.wg.Wait()
 		adm.connDelta(-1)
 	}()
-	// stop (host shutdown) severs the connection, unblocking the read.
-	done := make(chan struct{})
-	defer close(done)
-	go func() {
-		select {
-		case <-stop:
-			_ = conn.Close()
-		case <-done:
-		}
-	}()
 	for {
 		op, reqID, payload, err := ReadClientFrame(r)
 		if err != nil {
 			return
 		}
 		switch op {
-		case OpAcquire, OpTry:
-			cc.start(op, reqID, cc.intern(payload), 0)
+		case OpAcquire, OpTry, OpAcquireRun:
+			cc.start(op, reqID, cc.intern(payload), 0, 0, false)
 		case OpRelease:
 			if len(payload) < 8 {
 				return // corrupted stream
 			}
-			cc.start(op, reqID, cc.intern(payload[8:]), binary.BigEndian.Uint64(payload[:8]))
+			cc.start(op, reqID, cc.intern(payload[8:]), binary.BigEndian.Uint64(payload[:8]), 1, false)
+		case OpReleaseRun:
+			if len(payload) < 13 {
+				return // corrupted stream
+			}
+			cc.start(op, reqID, cc.intern(payload[13:]), binary.BigEndian.Uint64(payload[:8]),
+				binary.BigEndian.Uint32(payload[8:12]), payload[12]&ReleaseRunMore != 0)
 		case OpCancel:
 			cc.cancelRequest(reqID)
 		default:
@@ -661,12 +725,13 @@ func (cc *clientConn) done() {
 // queue is full. An acquire whose id is still in flight is refused and
 // the original left alone — taking its place in reqs would put the first
 // acquire beyond the reach of its own cancel.
-func (cc *clientConn) start(op byte, reqID uint64, resource string, fence uint64) {
-	if op != OpRelease && !cc.admit(reqID) {
+func (cc *clientConn) start(op byte, reqID uint64, resource string, fence uint64, used uint32, more bool) {
+	acquire := op == OpAcquire || op == OpAcquireRun
+	if (acquire || op == OpTry) && !cc.admit(reqID) {
 		return
 	}
 	cc.mu.Lock()
-	if op == OpAcquire && cc.reqs[reqID] != nil {
+	if acquire && cc.reqs[reqID] != nil {
 		cc.mu.Unlock()
 		cc.done()
 		cc.respondErr(reqID, errDuplicateRequest)
@@ -678,8 +743,8 @@ func (cc *clientConn) start(op byte, reqID uint64, resource string, fence uint64
 	} else {
 		req = &clientReq{done: make(chan struct{})}
 	}
-	req.op, req.reqID, req.resource, req.fence = op, reqID, resource, fence
-	if op == OpAcquire {
+	req.op, req.reqID, req.resource, req.fence, req.used, req.more = op, reqID, resource, fence, used, more
+	if acquire {
 		cc.reqs[reqID] = req
 	}
 	cc.mu.Unlock()
@@ -698,11 +763,11 @@ func (cc *clientConn) worker(req *clientReq) {
 	defer cc.wg.Done()
 	for req != nil {
 		switch req.op {
-		case OpAcquire:
+		case OpAcquire, OpAcquireRun:
 			cc.acquire(req)
 		case OpTry:
 			cc.try(req)
-		case OpRelease:
+		case OpRelease, OpReleaseRun:
 			cc.release(req)
 		}
 		if cc.idle.Add(1) > maxIdleWorkers {
@@ -723,14 +788,31 @@ func (cc *clientConn) recycle(req *clientReq) {
 	}
 }
 
+// acquire runs one acquire. A marked one (OpAcquireRun) asks a backend
+// with the run capability for a run and is answered with RespRun, the
+// run's first fence and its length; every other acquire is answered with
+// RespGrant as it always was. Either way the connection owns one hold,
+// under the (last) fence its release will name.
 func (cc *clientConn) acquire(req *clientReq) {
 	reqID, resource := req.reqID, req.resource
-	fence, expires, err := cc.backend.Acquire(req, resource)
+	var fence uint64
+	var expires time.Time
+	var err error
+	run := 0 // fences of a RespRun answer; 0: an ordinary grant
+	if req.op == OpAcquireRun && cc.runs != nil {
+		fence, expires, run, err = cc.runs.AcquireRun(req, resource)
+	} else {
+		fence, expires, err = cc.backend.Acquire(req, resource)
+	}
+	held := connHold{fence: fence, run: 1}
+	if run > 1 {
+		held = connHold{fence: fence + uint64(run-1), run: uint32(run)}
+	}
 	cc.mu.Lock()
 	delete(cc.reqs, reqID)
 	canceled := req.canceled.Load() || cc.closed
 	if err == nil && !canceled {
-		cc.holds[resource] = fence
+		cc.holds[resource] = held
 	}
 	cc.recycle(req)
 	cc.mu.Unlock()
@@ -739,10 +821,18 @@ func (cc *clientConn) acquire(req *clientReq) {
 	case err == nil && canceled:
 		// The grant raced the cancel (or the disconnect): the client is
 		// not listening for it anymore, so hand it straight back.
-		_ = cc.backend.Release(resource, fence)
+		_ = cc.backend.Release(resource, held.fence)
 		cc.respondErr(reqID, context.Canceled)
 	case err != nil:
 		cc.respondErr(reqID, err)
+	case run > 0:
+		cc.adm.runs.Add(1)
+		cc.adm.runReserved.Add(int64(run))
+		var buf [20]byte
+		binary.BigEndian.PutUint64(buf[0:8], fence)
+		binary.BigEndian.PutUint64(buf[8:16], expiryNanos(expires))
+		binary.BigEndian.PutUint32(buf[16:20], uint32(run))
+		cc.respond(RespRun, reqID, buf[:])
 	default:
 		var buf [16]byte
 		binary.BigEndian.PutUint64(buf[0:8], fence)
@@ -757,7 +847,7 @@ func (cc *clientConn) try(req *clientReq) {
 	cc.mu.Lock()
 	closed := cc.closed
 	if err == nil && ok && !closed {
-		cc.holds[resource] = fence
+		cc.holds[resource] = connHold{fence: fence, run: 1}
 	}
 	cc.recycle(req)
 	cc.mu.Unlock()
@@ -779,11 +869,29 @@ func (cc *clientConn) try(req *clientReq) {
 	}
 }
 
+// release runs one release. An end-of-run report (OpReleaseRun) is
+// passed on only as far as it can be believed: used is cut down to what
+// this connection was actually granted under that fence.
 func (cc *clientConn) release(req *clientReq) {
 	reqID, resource, fence := req.reqID, req.resource, req.fence
-	err := cc.backend.Release(resource, fence)
+	var err error
+	if req.op == OpReleaseRun && cc.runs != nil {
+		cc.mu.Lock()
+		held := cc.holds[resource]
+		cc.mu.Unlock()
+		used := req.used
+		if held.fence != fence {
+			used = 0
+		} else if used > held.run {
+			used = held.run
+		}
+		cc.adm.runUsed.Add(int64(used))
+		err = cc.runs.ReleaseRun(resource, fence, int(used), req.more)
+	} else {
+		err = cc.backend.Release(resource, fence)
+	}
 	cc.mu.Lock()
-	if held, ok := cc.holds[resource]; ok && (fence == 0 || held == fence) {
+	if held, ok := cc.holds[resource]; ok && (fence == 0 || held.fence == fence) {
 		// Whatever the backend said, this connection no longer owns the
 		// hold (released, expired, or already gone): stop tracking it.
 		delete(cc.holds, resource)
@@ -817,10 +925,10 @@ func (cc *clientConn) teardown() {
 		r.cancel()
 	}
 	holds := cc.holds
-	cc.holds = map[string]uint64{}
+	cc.holds = map[string]connHold{}
 	cc.mu.Unlock()
-	for resource, fence := range holds {
-		_ = cc.backend.Release(resource, fence)
+	for resource, held := range holds {
+		_ = cc.backend.Release(resource, held.fence)
 	}
 }
 
@@ -841,9 +949,13 @@ type ClientGateway struct {
 	backend ClientBackend
 	adm     *admission
 
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
+	// conns are the accepted connections still being served; Close severs
+	// them, which is what ends their serving goroutines.
+	mu     sync.Mutex
+	conns  map[net.Conn]struct{}
+	closed bool
+
+	wg sync.WaitGroup
 }
 
 // NewClientGateway listens on listen ("" for a fresh loopback port) and
@@ -865,7 +977,7 @@ func NewClientGatewayWith(listen string, backend ClientBackend, q ClientQueue) (
 	if err != nil {
 		return nil, fmt.Errorf("transport: client gateway: %w", err)
 	}
-	g := &ClientGateway{ln: ln, backend: backend, adm: newAdmission(q), stop: make(chan struct{})}
+	g := &ClientGateway{ln: ln, backend: backend, adm: newAdmission(q), conns: make(map[net.Conn]struct{})}
 	g.wg.Add(1)
 	go func() {
 		defer g.wg.Done()
@@ -874,18 +986,42 @@ func NewClientGatewayWith(listen string, backend ClientBackend, q ClientQueue) (
 			if err != nil {
 				return
 			}
+			if !g.track(conn) {
+				_ = conn.Close()
+				return
+			}
 			g.wg.Add(1)
 			go func() {
 				defer g.wg.Done()
+				defer g.untrack(conn)
 				if !readClientHandshake(conn) {
 					_ = conn.Close()
 					return
 				}
-				serveClientConn(bufio.NewReader(conn), conn, g.backend, g.adm, g.stop)
+				serveClientConn(bufio.NewReader(conn), conn, g.backend, g.adm)
 			}()
 		}
 	}()
 	return g, nil
+}
+
+// track registers an accepted connection for Close to sever. It reports
+// false once Close has swept the set: a connection registered after that
+// would never be closed and its goroutine would block Close forever.
+func (g *ClientGateway) track(conn net.Conn) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.closed {
+		return false
+	}
+	g.conns[conn] = struct{}{}
+	return true
+}
+
+func (g *ClientGateway) untrack(conn net.Conn) {
+	g.mu.Lock()
+	delete(g.conns, conn)
+	g.mu.Unlock()
 }
 
 // Addr returns the gateway's listen address, for clients to Dial.
@@ -897,10 +1033,13 @@ func (g *ClientGateway) Stats() ClientStats { return g.adm.stats() }
 // Close stops the listener and severs every client connection, releasing
 // the holds they owned.
 func (g *ClientGateway) Close() {
-	g.stopOnce.Do(func() {
-		close(g.stop)
-		_ = g.ln.Close()
-	})
+	_ = g.ln.Close()
+	g.mu.Lock()
+	g.closed = true
+	for conn := range g.conns {
+		_ = conn.Close()
+	}
+	g.mu.Unlock()
 	g.wg.Wait()
 }
 

@@ -967,7 +967,7 @@ func (h *TCPHost) dispatch(conn net.Conn) {
 			_ = conn.Close()
 			return
 		}
-		serveClientConn(br, conn, box.b, box.adm, h.stop)
+		serveClientConn(br, conn, box.b, box.adm)
 		return
 	}
 	h.readLoop(conn, br, first)
