@@ -37,7 +37,12 @@
 // timed-out-Acquire recovery path via Session.Granted — is identical in
 // process and over the network; pick Local for single-binary embedding,
 // tests and benchmarks, and TCP when members are separate processes or
-// machines.
+// machines. On both, the algorithm's two hot messages — REQUEST and
+// PRIVILEGE — travel by value from the state machine to the wire and
+// back (core.Msg, never boxed into an interface), so a grant that moves
+// the token allocates nothing; every layer on the way is an optional
+// capability probed once at construction, and a node, codec or link
+// that lacks one is handed the same message boxed, in the same cluster.
 //
 // # Fencing tokens and leases
 //

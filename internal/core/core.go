@@ -22,6 +22,16 @@
 // both the deterministic simulator and the live goroutine runtime. Nodes
 // are not safe for concurrent use by themselves; callers serialize access,
 // which mirrors the paper's "local mutual exclusion" execution model.
+//
+// Messages reach and leave a node on one of two routes, chosen once at
+// construction from what the host can do, never by a setting. The boxed
+// route is mutex.Env.Send and Node.Deliver: every message is a
+// mutex.Message, and REQUEST and PRIVILEGE arrive as Request and
+// Privilege values. The by-value route (msg.go) carries those two — the
+// only messages a fail-free grant sends — as a Msg through the optional
+// MsgSender capability of the Env and Node.DeliverMsg, so that the
+// message never becomes a heap object. Both run the same handlers, and
+// nodes on either route share a cluster.
 package core
 
 import (
@@ -239,6 +249,7 @@ type Node struct {
 	id     mutex.ID
 	env    mutex.Env
 	hopEnv mutex.HopGranter // env's optional hop-accounting surface, cached at New
+	msgEnv MsgSender        // env's optional by-value send surface, cached at New (see msg.go)
 
 	holding    bool
 	next       mutex.ID
@@ -308,9 +319,11 @@ type Node struct {
 	onInit func(id mutex.ID)
 }
 
+// deferredMsg is one REQUEST or PRIVILEGE buffered while frozen — the
+// only kinds the freeze defers.
 type deferredMsg struct {
 	from mutex.ID
-	msg  mutex.Message
+	msg  Msg
 }
 
 var _ mutex.Node = (*Node)(nil)
@@ -402,11 +415,18 @@ func New(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Option) (*Node, e
 		}
 		n.next = p
 	}
-	n.hopEnv, _ = env.(mutex.HopGranter)
+	n.probeEnv()
 	for _, o := range opts {
 		o(n)
 	}
 	return n, nil
+}
+
+// probeEnv caches env's optional capabilities, once, at construction:
+// no handler type-asserts per message.
+func (n *Node) probeEnv() {
+	n.hopEnv, _ = n.env.(mutex.HopGranter)
+	n.msgEnv, _ = n.env.(MsgSender)
 }
 
 // Builder adapts New to the mutex.Builder signature.
@@ -461,7 +481,7 @@ func (n *Node) Request() error {
 		return nil
 	}
 	to := n.next
-	n.env.Send(to, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
+	n.sendRequest(to, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
 	n.next = mutex.Nil
 	n.transition(TransRequest)
 	n.trace(telemetry.TraceRequest, to, n.id, 0, 0)
@@ -538,7 +558,7 @@ func (n *Node) Release() error {
 		hops := n.followHops
 		n.follow = mutex.Nil
 		n.followHops = 0
-		n.env.Send(to, Privilege{Generation: n.gen, Epoch: n.epoch, Hops: hops})
+		n.sendPrivilege(to, Privilege{Generation: n.gen, Epoch: n.epoch, Hops: hops})
 		n.transition(TransPassToken)
 		n.trace(telemetry.TracePrivilege, to, to, n.gen, hops)
 		return nil
@@ -570,7 +590,7 @@ func (n *Node) ReleaseRequest() error {
 		hops := n.followHops
 		n.follow = mutex.Nil
 		n.followHops = 0
-		n.env.Send(to, Privilege{Generation: n.gen, Epoch: n.epoch, Requesting: true, Hops: hops})
+		n.sendPrivilege(to, Privilege{Generation: n.gen, Epoch: n.epoch, Requesting: true, Hops: hops})
 		n.transition(TransPassToken)
 		n.trace(telemetry.TracePrivilege, to, to, n.gen, hops)
 		n.requesting = true
@@ -610,34 +630,21 @@ func (n *Node) Regrant() (bool, error) {
 }
 
 // Deliver implements procedure P2 (for REQUEST messages) and the grant
-// path of P1 (for PRIVILEGE).
+// path of P1 (for PRIVILEGE). Those two kinds unwrap into DeliverMsg,
+// the one place their epoch gate, frozen deferral and handlers live.
 func (n *Node) Deliver(from mutex.ID, m mutex.Message) error {
-	if _, isInit := m.(Initialize); isInit {
+	switch msg := m.(type) {
+	case Initialize:
 		return n.deliverInitialize(from)
+	case Request:
+		return n.DeliverMsg(from, RequestMsg(msg))
+	case Privilege:
+		return n.DeliverMsg(from, PrivilegeMsg(msg))
 	}
 	if n.uninitialized {
-		return fmt.Errorf("%w: node %d got %s before INIT completed",
-			mutex.ErrUnexpectedMessage, n.id, m.Kind())
+		return n.errBeforeInit(m.Kind())
 	}
 	switch msg := m.(type) {
-	case Request:
-		if !n.gateEpoch(from, msg.Epoch) {
-			return nil
-		}
-		if n.frozen {
-			n.deferred = append(n.deferred, deferredMsg{from: from, msg: msg})
-			return nil
-		}
-		return n.deliverRequest(from, msg)
-	case Privilege:
-		if !n.gateEpoch(from, msg.Epoch) {
-			return nil
-		}
-		if n.frozen {
-			n.deferred = append(n.deferred, deferredMsg{from: from, msg: msg})
-			return nil
-		}
-		return n.deliverPrivilege(from, msg)
 	case Probe:
 		return n.deliverProbe(from, msg)
 	case ProbeAck:
@@ -697,7 +704,7 @@ func (n *Node) deliverRequest(from mutex.ID, msg Request) error {
 	}
 	if n.next == mutex.Nil { // sink
 		if n.holding {
-			n.env.Send(msg.Origin, Privilege{Generation: n.gen, Epoch: n.epoch, Hops: addHop(msg.Hops)})
+			n.sendPrivilege(msg.Origin, Privilege{Generation: n.gen, Epoch: n.epoch, Hops: addHop(msg.Hops)})
 			n.holding = false
 			n.next = rev
 			n.transition(TransGrantFromHolding)
@@ -719,7 +726,7 @@ func (n *Node) deliverRequest(from mutex.ID, msg Request) error {
 		return nil
 	}
 	to := n.next
-	n.env.Send(to, Request{From: n.id, Origin: msg.Origin, Epoch: n.epoch, Hops: addHop(msg.Hops)})
+	n.sendRequest(to, Request{From: n.id, Origin: msg.Origin, Epoch: n.epoch, Hops: addHop(msg.Hops)})
 	n.next = rev
 	n.transition(TransForward)
 	n.trace(telemetry.TraceForward, to, msg.Origin, 0, addHop(msg.Hops))

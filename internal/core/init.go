@@ -44,7 +44,7 @@ func NewUninitialized(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Opti
 		isInitHolder:  cfg.Holder == id,
 		neighbors:     append([]mutex.ID(nil), neighbors...),
 	}
-	n.hopEnv, _ = env.(mutex.HopGranter)
+	n.probeEnv()
 	for _, o := range opts {
 		o(n)
 	}

@@ -611,7 +611,7 @@ func (n *Node) applyOrientation(isRoot bool, next, follow mutex.ID) {
 		to := n.follow
 		n.follow = mutex.Nil
 		n.holding = false
-		n.env.Send(to, Privilege{Generation: n.gen, Epoch: n.epoch})
+		n.sendPrivilege(to, Privilege{Generation: n.gen, Epoch: n.epoch})
 	}
 }
 
@@ -624,7 +624,7 @@ func (n *Node) reissueDeferredRequest() {
 	if !n.requesting || n.inCS || n.ackedRequesting || n.next == mutex.Nil {
 		return
 	}
-	n.env.Send(n.next, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
+	n.sendRequest(n.next, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
 	n.next = mutex.Nil
 }
 
@@ -636,7 +636,7 @@ func (n *Node) playDeferred() error {
 	q := n.deferred
 	n.deferred = nil
 	for _, d := range q {
-		if err := n.Deliver(d.from, d.msg); err != nil {
+		if err := n.DeliverMsg(d.from, d.msg); err != nil {
 			return err
 		}
 	}
@@ -689,7 +689,7 @@ func (n *Node) deliverWelcome(from mutex.ID, msg Welcome) error {
 	n.followHops = 0
 	n.next = from
 	if n.requesting && !n.inCS {
-		n.env.Send(n.next, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
+		n.sendRequest(n.next, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
 		n.next = mutex.Nil
 	}
 	n.event(EventWelcome, from, n.gen)

@@ -373,6 +373,9 @@ func New(cfg Config) (*Service, error) {
 		sh.startRebalancer(cfg.Topology.RebalanceEvery)
 		s.shards = append(s.shards, sh)
 	}
+	if r, ok := cfg.Transport.(interface{ Register(*telemetry.Registry) }); ok && cfg.Telemetry != nil {
+		r.Register(cfg.Telemetry) // the substrate's own counters (TCPTransport's member host)
+	}
 	if cfg.DebugAddr != "" {
 		srv, err := telemetry.Serve(cfg.DebugAddr, cfg.Telemetry)
 		if err != nil {

@@ -142,6 +142,11 @@ func (t *TCPTransport) StartShard(index int, b mutex.Builder, cfg mutex.Config) 
 // Close shuts the host (listener, connections, all instances) down.
 func (t *TCPTransport) Close() { t.host.Close() }
 
+// Register publishes the member host's own counters — link writes,
+// dialed-client admission and fence runs — on reg. New calls it beside
+// the shards' registration when Config.Telemetry is set.
+func (t *TCPTransport) Register(reg *telemetry.Registry) { t.host.Register(reg) }
+
 // NewTCPCluster starts a full distributed lock service inside one
 // process: one member Service per id 1..members, each on its own
 // loopback TCPTransport, with the address book exchanged and connected —

@@ -11,6 +11,17 @@
 // connections (transport.TCPHost). Protocol code and application code
 // are identical over both; only the Link differs.
 //
+// The DAG algorithm's two hot messages, REQUEST and PRIVILEGE, cross the
+// runtime by value: the Env it hands the protocol implements
+// core.MsgSender, an Envelope carries a core.Msg beside the boxed Msg,
+// links move envelopes by value, and DeliverEnvelope calls the hosted
+// node's DeliverMsg. Each hop is an optional capability probed once at
+// Start (MsgLink on the link, DeliverMsg on the node); where one is
+// missing the message is boxed at that last moment into the core.Request
+// or core.Privilege value the boxed route has always carried, so a
+// wrapped node, another protocol, or a link without the capability
+// behaves exactly as before.
+//
 // The paper allows a node one outstanding request, so every layer that
 // shares a member among many callers needs the same machine around its
 // Session. Slot is that machine — the caller queue, the lease on a hold,
@@ -29,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dagmutex/internal/core"
 	"dagmutex/internal/mutex"
 	"dagmutex/internal/vclock"
 )
@@ -54,8 +66,14 @@ var ErrNodeDown = errors.New("node down")
 // Monitor observes every inbound envelope before protocol delivery — the
 // failure detector's hook. Inbound reports whether the envelope was the
 // monitor's own traffic (a heartbeat) and is therefore consumed instead
-// of delivered to the protocol. Implementations must be safe for
-// concurrent use and must not block.
+// of delivered to the protocol. It is called exactly once per envelope
+// on either route, and m is the envelope's Msg field as it stands: nil
+// for an envelope that carries a REQUEST or PRIVILEGE by value (it is
+// never boxed just to be shown to the monitor). A nil m is still
+// liveness evidence from from — which is all failure.Detector takes from
+// anything but its own Heartbeat — and is never the monitor's to
+// consume. Implementations must be safe for concurrent use and must not
+// block.
 type Monitor interface {
 	Inbound(from mutex.ID, m mutex.Message) (consumed bool)
 }
@@ -97,17 +115,23 @@ type Grant struct {
 }
 
 // Envelope is one in-flight protocol message with its transport-level
-// sender.
+// sender. The message is in exactly one of two places: Val, when it is a
+// DAG REQUEST or PRIVILEGE travelling by value (Val.Kind says which, and
+// Msg is nil), or Msg, boxed, for everything else (Val is the zero Msg).
+// Links move envelopes by value, so a by-value message crosses a mailbox
+// or a socket without ever becoming a heap object.
 type Envelope struct {
 	From mutex.ID
 	Msg  mutex.Message
+	Val  core.Msg
 }
 
 // Link is one node's attachment to the messaging substrate. The runtime
 // sends through it from protocol handlers and consumes it from the actor
 // loop. Send must not block on protocol progress (a handler may send to a
 // peer whose handler is concurrently sending back); Recv blocks until an
-// envelope arrives or the link closes.
+// envelope arrives or the link closes. A link that can also move the two
+// hot DAG messages without boxing them implements MsgLink.
 type Link interface {
 	// Send transmits m to the node identified by to. Delivery must be
 	// reliable and FIFO per (sender, receiver) pair, per the paper's
@@ -120,6 +144,26 @@ type Link interface {
 	// Close stops the link. Envelopes already received are still drained
 	// by Recv before it reports ok=false.
 	Close()
+}
+
+// MsgLink is an optional Link extension for substrates that can move a
+// DAG REQUEST or PRIVILEGE as a plain value (both of transport's can).
+// The runtime probes it once at Start; the Env it hands the protocol
+// then forwards by-value sends to SendMsg, and boxes them into Send at
+// that last moment when the link lacks it. SendMsg has Send's contract
+// and shares its FIFO order; the envelope it produces at the receiver
+// carries the message in Val.
+type MsgLink interface {
+	SendMsg(to mutex.ID, m core.Msg) error
+}
+
+// msgNode is the by-value delivery surface of a hosted protocol node
+// (*core.Node has it), probed once at Start. A node without it — one of
+// the baseline protocols, or a wrapper that exposes only mutex.Node and
+// its optional capabilities — receives a by-value envelope through
+// Deliver, boxed on arrival.
+type msgNode interface {
+	DeliverMsg(from mutex.ID, m core.Msg) error
 }
 
 // Flusher is an optional Link extension for transports that batch
@@ -186,10 +230,12 @@ type Node struct {
 	sink *ErrorSink
 	clk  vclock.Clock // never nil; stamps grants and drives a Proxy's sweeper
 
-	mu   sync.Mutex // serializes Request/Release/Deliver on the state machine
-	node mutex.Node
+	mu      sync.Mutex // serializes Request/Release/Deliver on the state machine
+	node    mutex.Node
+	msgNode msgNode // node's by-value delivery surface, nil when it has none
 
-	flush Flusher // non-nil when the link batches sends per handler turn
+	flush   Flusher // non-nil when the link batches sends per handler turn
+	msgLink MsgLink // non-nil when the link moves REQUEST/PRIVILEGE by value
 
 	granted chan Grant // capacity 1: at most one outstanding request
 
@@ -235,15 +281,15 @@ func Start(id mutex.ID, b mutex.Builder, cfg mutex.Config, link Link, sink *Erro
 	for _, opt := range opts {
 		opt(n)
 	}
-	if fl, ok := link.(Flusher); ok {
-		n.flush = fl
-	}
+	n.flush, _ = link.(Flusher)
+	n.msgLink, _ = link.(MsgLink)
 	pn, err := b(id, env{n: n}, cfg)
 	if err != nil {
 		link.Close()
 		return nil, fmt.Errorf("build node %d: %w", id, err)
 	}
 	n.node = pn
+	n.msgNode, _ = pn.(msgNode)
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
@@ -252,14 +298,30 @@ func Start(id mutex.ID, b mutex.Builder, cfg mutex.Config, link Link, sink *Erro
 	return n, nil
 }
 
-// env is the mutex.Env the runtime hands its protocol instance.
+// env is the mutex.Env the runtime hands its protocol instance. It also
+// implements core.MsgSender, so a core.Node built directly over it sends
+// its REQUESTs and PRIVILEGEs by value.
 type env struct{ n *Node }
+
+var _ core.MsgSender = env{}
 
 // Send forwards to the link; a synchronous send failure is captured
 // through the same error path as a delivery error.
 func (e env) Send(to mutex.ID, m mutex.Message) {
 	if err := e.n.link.Send(to, m); err != nil {
 		e.n.sink.Fail(fmt.Errorf("send %s %d->%d: %w", m.Kind(), e.n.id, to, err))
+	}
+}
+
+// SendMsg implements core.MsgSender: the by-value send, forwarded to the
+// link's by-value method when it has one and boxed into Send otherwise.
+func (e env) SendMsg(to mutex.ID, m core.Msg) {
+	if e.n.msgLink == nil {
+		e.Send(to, m.Boxed())
+		return
+	}
+	if err := e.n.msgLink.SendMsg(to, m); err != nil {
+		e.n.sink.Fail(fmt.Errorf("send %v %d->%d: %w", m.Kind, e.n.id, to, err))
 	}
 }
 
@@ -306,16 +368,33 @@ func (n *Node) consume() {
 // skipping the per-instance inbox hop and its goroutine wakeup; the
 // link's Recv side then simply stays empty. Safe for concurrent use; the
 // node lock serializes handlers regardless of how many readers deliver.
+//
+// An envelope carrying its message by value goes to the hosted node's
+// by-value method when it has one; a node without it gets the message
+// boxed here, at the last moment, as the core.Request or core.Privilege
+// value its Deliver has always seen.
 func (n *Node) DeliverEnvelope(e Envelope) {
 	if box := n.monitor.Load(); box != nil && box.m.Inbound(e.From, e.Msg) {
 		return
 	}
+	if e.Val.Kind != core.MsgNone && n.msgNode == nil {
+		e.Msg = e.Val.Boxed()
+	}
 	n.mu.Lock()
-	err := n.node.Deliver(e.From, e.Msg)
+	var err error
+	if e.Msg == nil && n.msgNode != nil {
+		err = n.msgNode.DeliverMsg(e.From, e.Val)
+	} else {
+		err = n.node.Deliver(e.From, e.Msg)
+	}
 	n.mu.Unlock()
 	n.flushAsync() // delivery context: never block on a send
 	if err != nil {
-		n.sink.Fail(fmt.Errorf("deliver %s %d->%d: %w", e.Msg.Kind(), e.From, n.id, err))
+		kind := e.Val.Kind.String()
+		if e.Msg != nil {
+			kind = e.Msg.Kind()
+		}
+		n.sink.Fail(fmt.Errorf("deliver %s %d->%d: %w", kind, e.From, n.id, err))
 	}
 }
 

@@ -9,11 +9,11 @@ import (
 )
 
 // TestAllocBudgetSimharnessDelivery bounds the steady state of a run at
-// one heap object per delivered message, and that object is not the
-// harness's: it is the interface boxing when core hands a concrete
-// message to Env.Send — the same remainder TestAllocBudgetTCPHandoff
-// documents for the live transport. Deliveries, driver steps, their
-// timers and the scheduler's events are all recycled.
+// no heap object per delivered message. Deliveries, driver steps, their
+// timers and the scheduler's events are all recycled, and the message
+// itself rides the pooled event by value: nodeEnv implements
+// core.MsgSender, so core never boxes a REQUEST or PRIVILEGE into a
+// mutex.Message, and deliver hands it back through DeliverMsg.
 func TestAllocBudgetSimharnessDelivery(t *testing.T) {
 	h, err := New(Config{Nodes: 200, Seed: 1})
 	if err != nil {
@@ -42,9 +42,10 @@ func TestAllocBudgetSimharnessDelivery(t *testing.T) {
 	}
 	perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
 	t.Logf("%.4f allocs per delivered message over %d messages", perMsg, msgs)
-	// The slack is for messages sent in the window and still in flight
-	// when it closes, and for the runtime's own background allocations.
-	if perMsg > 1.005 {
-		t.Errorf("%.4f allocs per delivered message, want <= 1", perMsg)
+	// The slack is for the pool and the scheduler's heap growing past
+	// their warm-up high-water marks, and for the Go runtime's own
+	// background allocations.
+	if perMsg > 0.005 {
+		t.Errorf("%.4f allocs per delivered message, want <= 0.005", perMsg)
 	}
 }

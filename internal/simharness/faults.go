@@ -44,7 +44,7 @@ func (h *Harness) ScheduleCrash(at time.Duration, victim mutex.ID, detect time.D
 				continue
 			}
 			d := detect + time.Duration(h.rng.Int63n(int64(verdictJitter)))
-			h.arm(d, evVerdict, id, victim, nil)
+			h.arm(d, evVerdict, id, victim)
 		}
 	})
 }
@@ -79,7 +79,7 @@ func (h *Harness) SchedulePartition(at time.Duration, isolate []mutex.ID, detect
 					continue
 				}
 				d := detect + time.Duration(h.rng.Int63n(int64(verdictJitter)))
-				h.arm(d, evVerdict, observer, peer, nil)
+				h.arm(d, evVerdict, observer, peer)
 			}
 		}
 	})

@@ -291,17 +291,19 @@ type nodeEnv struct {
 	id mutex.ID
 }
 
-func (e *nodeEnv) Send(to mutex.ID, m mutex.Message) { e.h.send(e.id, to, m) }
+func (e *nodeEnv) Send(to mutex.ID, m mutex.Message) { e.h.send(e.id, to, m, core.Msg{}) }
+func (e *nodeEnv) SendMsg(to mutex.ID, m core.Msg)   { e.h.send(e.id, to, nil, m) }
 func (e *nodeEnv) Granted(gen uint64)                { e.h.granted(e.id, gen) }
 func (e *nodeEnv) GrantedHops(gen uint64, hops int)  { e.h.granted(e.id, gen) }
 
 var _ mutex.HopGranter = (*nodeEnv)(nil)
+var _ core.MsgSender = (*nodeEnv)(nil)
 
 // eventKind says what a pooled event does when it fires.
 type eventKind uint8
 
 const (
-	evDeliver eventKind = iota // hand m from member from to member to
+	evDeliver eventKind = iota // hand v (or, boxed, m) from member from to member to
 	evRequest                  // driver: member to asks for the CS
 	evRelease                  // driver: member to leaves the CS
 	evVerdict                  // detector: member from is told member to died
@@ -309,39 +311,44 @@ const (
 
 // event is one scheduled harness step — a delivery, a driver step or a
 // detector verdict — and the AfterFunc timer that fires it. See
-// Harness.free for who owns it.
+// Harness.free for who owns it. A delivery carries its message in v when
+// core sent it by value (every REQUEST and PRIVILEGE) and in m otherwise
+// (the recovery messages).
 type event struct {
 	h        *Harness
 	tm       vclock.Timer
 	kind     eventKind
 	from, to mutex.ID
 	m        mutex.Message
+	v        core.Msg
 }
 
 // arm schedules one event d from now, re-arming a recycled event's timer
 // when there is one. Either way the clock takes exactly one scheduling
-// sequence number, here.
-func (h *Harness) arm(d time.Duration, kind eventKind, from, to mutex.ID, m mutex.Message) {
+// sequence number, here. Nothing fires before the clock next advances,
+// so send fills in the returned event's message afterwards.
+func (h *Harness) arm(d time.Duration, kind eventKind, from, to mutex.ID) *event {
 	if n := len(h.free); n > 0 {
 		e := h.free[n-1]
 		h.free = h.free[:n-1]
-		e.kind, e.from, e.to, e.m = kind, from, to, m
+		e.kind, e.from, e.to = kind, from, to
 		e.tm.Reset(d)
-		return
+		return e
 	}
-	e := &event{h: h, kind: kind, from: from, to: to, m: m}
+	e := &event{h: h, kind: kind, from: from, to: to}
 	e.tm = h.clk.AfterFunc(d, e.fire)
+	return e
 }
 
 // fire recycles the event, then runs its step — in that order, so the
 // sends the step makes can already reuse it.
 func (e *event) fire() {
-	h, kind, from, to, m := e.h, e.kind, e.from, e.to, e.m
-	e.m = nil
+	h, kind, from, to, m, v := e.h, e.kind, e.from, e.to, e.m, e.v
+	e.m, e.v = nil, core.Msg{}
 	h.free = append(h.free, e)
 	switch kind {
 	case evDeliver:
-		h.deliver(from, to, m)
+		h.deliver(from, to, m, v)
 	case evRequest:
 		h.driverRequest(to)
 	case evRelease:
@@ -351,11 +358,12 @@ func (e *event) fire() {
 	}
 }
 
-// send schedules m's delivery after a seeded uniform link delay,
-// clamped so the (from, to) link stays FIFO. Sends across an active
-// partition cut are dropped at send time; messages already in flight
-// when a cut lands still arrive (they were on the wire).
-func (h *Harness) send(from, to mutex.ID, m mutex.Message) {
+// send schedules the delivery of one message — v when it has a kind, m
+// otherwise — after a seeded uniform link delay, clamped so the
+// (from, to) link stays FIFO. Sends across an active partition cut are
+// dropped at send time; messages already in flight when a cut lands
+// still arrive (they were on the wire).
+func (h *Harness) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
 	if h.side[from] != h.side[to] {
 		h.dropped++
 		return
@@ -366,7 +374,8 @@ func (h *Harness) send(from, to mutex.ID, m mutex.Message) {
 	}
 	now := h.clk.Elapsed()
 	at := h.fifoClamp(from, to, now, now+delay)
-	h.arm(at-now, evDeliver, from, to, m)
+	e := h.arm(at-now, evDeliver, from, to)
+	e.m, e.v = m, v
 }
 
 // fifoClamp returns the arrival time for a message sent now on the
@@ -393,16 +402,27 @@ func (h *Harness) fifoClamp(from, to mutex.ID, now, at time.Duration) time.Durat
 	return at
 }
 
-// deliver hands m to its destination, unless the destination crashed
-// while the message was in flight.
-func (h *Harness) deliver(from, to mutex.ID, m mutex.Message) {
+// deliver hands the message to its destination — by value when it was
+// sent that way — unless the destination crashed while the message was
+// in flight.
+func (h *Harness) deliver(from, to mutex.ID, m mutex.Message, v core.Msg) {
 	if h.down[to] {
 		h.dropped++
 		return
 	}
 	h.msgs++
-	if err := h.nodes[to].Deliver(from, m); err != nil {
-		h.failf("deliver %s %d->%d at %v: %v", m.Kind(), from, to, h.clk.Elapsed(), err)
+	var err error
+	if v.Kind != core.MsgNone {
+		err = h.nodes[to].DeliverMsg(from, v)
+	} else {
+		err = h.nodes[to].Deliver(from, m)
+	}
+	if err != nil {
+		kind := v.Kind.String()
+		if m != nil {
+			kind = m.Kind()
+		}
+		h.failf("deliver %s %d->%d at %v: %v", kind, from, to, h.clk.Elapsed(), err)
 	}
 }
 
@@ -428,7 +448,7 @@ func (h *Harness) granted(id mutex.ID, gen uint64) {
 	}
 	h.requesting[id] = false
 	if h.driving[id] {
-		h.arm(h.holdFor(), evRelease, mutex.Nil, id, nil)
+		h.arm(h.holdFor(), evRelease, mutex.Nil, id)
 	}
 }
 
@@ -486,7 +506,7 @@ func (h *Harness) start(w Workload) error {
 	for i := 0; i < w.Requesters; i++ {
 		id := h.ids[int(float64(i)*stride)]
 		h.driving[id] = true
-		h.arm(time.Duration(h.rng.Int63n(int64(w.Think)+1)), evRequest, mutex.Nil, id, nil)
+		h.arm(time.Duration(h.rng.Int63n(int64(w.Think)+1)), evRequest, mutex.Nil, id)
 	}
 	return nil
 }
@@ -558,7 +578,7 @@ func (h *Harness) driverRelease(id mutex.ID) {
 		return
 	}
 	think := time.Duration(h.rng.ExpFloat64() * float64(h.wl.Think))
-	h.arm(think, evRequest, mutex.Nil, id, nil)
+	h.arm(think, evRequest, mutex.Nil, id)
 }
 
 // Grants returns the number of critical-section entries so far (tests

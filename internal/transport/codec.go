@@ -11,6 +11,9 @@ import (
 
 // Codec translates protocol messages to and from wire bytes for the TCP
 // runtime. Implementations must be stateless and safe for concurrent use.
+// These three methods are the boxed route and all a codec needs; one
+// that also implements MsgCodec lets its host keep REQUEST and PRIVILEGE
+// off the heap.
 type Codec interface {
 	// Encode serializes m.
 	Encode(m mutex.Message) ([]byte, error)
@@ -22,6 +25,25 @@ type Codec interface {
 	// Decode parses bytes produced by Encode. The returned message must
 	// not retain data: callers reuse the buffer for the next frame.
 	Decode(data []byte) (mutex.Message, error)
+}
+
+// MsgCodec is the optional Codec capability for the by-value route: a
+// codec that can write a DAG REQUEST or PRIVILEGE straight from a
+// core.Msg and read one back without producing a mutex.Message. A
+// TCPHost probes it once at construction; DAGCodec implements it. With a
+// codec that lacks it (another protocol's, or a wrapper exposing only the
+// three Codec methods) the host boxes by-value sends into AppendEncode
+// and decodes every frame through Decode — same bytes on the wire, so
+// hosts with and without it share a cluster.
+type MsgCodec interface {
+	// AppendEncodeMsg serializes m into dst exactly as AppendEncode would
+	// serialize m.Boxed().
+	AppendEncodeMsg(dst []byte, m core.Msg) ([]byte, error)
+	// DecodeMsg parses data if it is a REQUEST or PRIVILEGE frame. ok is
+	// false (with a nil error) for every other frame, which the caller
+	// then hands to Decode; a REQUEST or PRIVILEGE frame that Decode
+	// would reject is rejected here with the same error.
+	DecodeMsg(data []byte) (m core.Msg, ok bool, err error)
 }
 
 // Wire kind tags for the DAG protocol and its failure extension.
@@ -49,6 +71,7 @@ const (
 type DAGCodec struct{}
 
 var _ Codec = DAGCodec{}
+var _ MsgCodec = DAGCodec{}
 
 // Encode implements Codec.
 func (c DAGCodec) Encode(m mutex.Message) ([]byte, error) {
@@ -61,17 +84,9 @@ func (c DAGCodec) Encode(m mutex.Message) ([]byte, error) {
 func (DAGCodec) AppendEncode(dst []byte, m mutex.Message) ([]byte, error) {
 	switch msg := m.(type) {
 	case core.Request:
-		dst = append(dst, wireRequest)
-		dst = binary.BigEndian.AppendUint32(dst, uint32(msg.From))
-		dst = binary.BigEndian.AppendUint32(dst, uint32(msg.Origin))
-		dst = binary.BigEndian.AppendUint32(dst, msg.Epoch)
-		return binary.BigEndian.AppendUint16(dst, msg.Hops), nil
+		return appendRequest(dst, msg), nil
 	case core.Privilege:
-		dst = append(dst, wirePrivilege)
-		dst = binary.BigEndian.AppendUint64(dst, msg.Generation)
-		dst = binary.BigEndian.AppendUint32(dst, msg.Epoch)
-		dst = append(dst, boolByte(msg.Requesting))
-		return binary.BigEndian.AppendUint16(dst, msg.Hops), nil
+		return appendPrivilege(dst, msg), nil
 	case failure.Heartbeat:
 		return append(dst, wireHeartbeat), nil
 	case core.Probe:
@@ -101,6 +116,84 @@ func (DAGCodec) AppendEncode(dst []byte, m mutex.Message) ([]byte, error) {
 	}
 }
 
+// appendRequest and appendPrivilege write, and decodeRequest and
+// decodePrivilege read, the two hot wire layouts — here and nowhere
+// else: the boxed methods and the by-value ones both call them.
+func appendRequest(dst []byte, r core.Request) []byte {
+	dst = append(dst, wireRequest)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.From))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(r.Origin))
+	dst = binary.BigEndian.AppendUint32(dst, r.Epoch)
+	return binary.BigEndian.AppendUint16(dst, r.Hops)
+}
+
+func appendPrivilege(dst []byte, p core.Privilege) []byte {
+	dst = append(dst, wirePrivilege)
+	dst = binary.BigEndian.AppendUint64(dst, p.Generation)
+	dst = binary.BigEndian.AppendUint32(dst, p.Epoch)
+	dst = append(dst, boolByte(p.Requesting))
+	return binary.BigEndian.AppendUint16(dst, p.Hops)
+}
+
+func decodeRequest(data []byte) (core.Request, error) {
+	if len(data) != 15 {
+		return core.Request{}, fmt.Errorf("dag codec: REQUEST frame has %d bytes, want 15", len(data))
+	}
+	return core.Request{
+		From:   mutex.ID(binary.BigEndian.Uint32(data[1:5])),
+		Origin: mutex.ID(binary.BigEndian.Uint32(data[5:9])),
+		Epoch:  binary.BigEndian.Uint32(data[9:13]),
+		Hops:   binary.BigEndian.Uint16(data[13:15]),
+	}, nil
+}
+
+func decodePrivilege(data []byte) (core.Privilege, error) {
+	if len(data) != 16 {
+		return core.Privilege{}, fmt.Errorf("dag codec: PRIVILEGE frame has %d bytes, want 16", len(data))
+	}
+	return core.Privilege{
+		Generation: binary.BigEndian.Uint64(data[1:9]),
+		Epoch:      binary.BigEndian.Uint32(data[9:13]),
+		Requesting: data[13] != 0,
+		Hops:       binary.BigEndian.Uint16(data[14:16]),
+	}, nil
+}
+
+// AppendEncodeMsg implements MsgCodec.
+func (DAGCodec) AppendEncodeMsg(dst []byte, m core.Msg) ([]byte, error) {
+	switch m.Kind {
+	case core.MsgRequest:
+		return appendRequest(dst, m.Request()), nil
+	case core.MsgPrivilege:
+		return appendPrivilege(dst, m.Privilege()), nil
+	default:
+		return nil, fmt.Errorf("dag codec: cannot encode a by-value message of %v", m.Kind)
+	}
+}
+
+// DecodeMsg implements MsgCodec.
+func (DAGCodec) DecodeMsg(data []byte) (core.Msg, bool, error) {
+	if len(data) == 0 {
+		return core.Msg{}, false, nil
+	}
+	switch data[0] {
+	case wireRequest:
+		r, err := decodeRequest(data)
+		if err != nil {
+			return core.Msg{}, true, err
+		}
+		return core.RequestMsg(r), true, nil
+	case wirePrivilege:
+		p, err := decodePrivilege(data)
+		if err != nil {
+			return core.Msg{}, true, err
+		}
+		return core.PrivilegeMsg(p), true, nil
+	default:
+		return core.Msg{}, false, nil
+	}
+}
+
 // Decode implements Codec.
 func (DAGCodec) Decode(data []byte) (mutex.Message, error) {
 	if len(data) == 0 {
@@ -108,25 +201,17 @@ func (DAGCodec) Decode(data []byte) (mutex.Message, error) {
 	}
 	switch data[0] {
 	case wireRequest:
-		if len(data) != 15 {
-			return nil, fmt.Errorf("dag codec: REQUEST frame has %d bytes, want 15", len(data))
+		r, err := decodeRequest(data)
+		if err != nil {
+			return nil, err
 		}
-		return core.Request{
-			From:   mutex.ID(binary.BigEndian.Uint32(data[1:5])),
-			Origin: mutex.ID(binary.BigEndian.Uint32(data[5:9])),
-			Epoch:  binary.BigEndian.Uint32(data[9:13]),
-			Hops:   binary.BigEndian.Uint16(data[13:15]),
-		}, nil
+		return r, nil
 	case wirePrivilege:
-		if len(data) != 16 {
-			return nil, fmt.Errorf("dag codec: PRIVILEGE frame has %d bytes, want 16", len(data))
+		p, err := decodePrivilege(data)
+		if err != nil {
+			return nil, err
 		}
-		return core.Privilege{
-			Generation: binary.BigEndian.Uint64(data[1:9]),
-			Epoch:      binary.BigEndian.Uint32(data[9:13]),
-			Requesting: data[13] != 0,
-			Hops:       binary.BigEndian.Uint16(data[14:16]),
-		}, nil
+		return p, nil
 	case wireHeartbeat:
 		if len(data) != 1 {
 			return nil, fmt.Errorf("dag codec: HEARTBEAT frame has %d bytes, want 1", len(data))

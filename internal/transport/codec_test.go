@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"dagmutex/internal/core"
@@ -81,53 +82,125 @@ func TestPrivilegeRequestingFlagSurvivesCodec(t *testing.T) {
 	}
 }
 
+// codecRoutes is the codec's two ways through a REQUEST or PRIVILEGE:
+// the boxed Codec methods and the by-value MsgCodec ones. Both take and
+// return the boxed message, so one test body drives either.
+var codecRoutes = []struct {
+	name   string
+	encode func(dst []byte, m mutex.Message) ([]byte, error)
+	decode func(data []byte) (mutex.Message, error)
+}{
+	{"boxed", DAGCodec{}.AppendEncode, DAGCodec{}.Decode},
+	{"by value",
+		func(dst []byte, m mutex.Message) ([]byte, error) {
+			v := core.Msg{}
+			switch msg := m.(type) {
+			case core.Request:
+				v = core.RequestMsg(msg)
+			case core.Privilege:
+				v = core.PrivilegeMsg(msg)
+			}
+			return DAGCodec{}.AppendEncodeMsg(dst, v)
+		},
+		func(data []byte) (mutex.Message, error) {
+			v, ok, err := DAGCodec{}.DecodeMsg(data)
+			if err == nil && !ok {
+				return nil, fmt.Errorf("by-value decode declined a %d-byte frame", len(data))
+			}
+			return v.Boxed(), err
+		}},
+}
+
 // TestPooledBufferReuseDoesNotAliasFrames encodes two frames into the
 // same pooled buffer back to back, the way a recycled *frame is reused
 // across sends. The first frame's bytes must be fully consumed (decoded
 // into a self-contained message value) before the buffer is truncated
-// and rewritten; if Decode retained the buffer, the second encode would
-// corrupt the first message.
+// and rewritten; if the decode retained the buffer, the second encode
+// would corrupt the first message. Over both routes.
 func TestPooledBufferReuseDoesNotAliasFrames(t *testing.T) {
+	for _, c := range codecRoutes {
+		t.Run(c.name, func(t *testing.T) {
+			buf := make([]byte, 0, 64)
+
+			first := core.Privilege{Generation: 7, Epoch: 1, Requesting: true}
+			b1, err := c.encode(buf, first)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got1, err := c.decode(b1)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// Reuse the same backing array for an unrelated frame,
+			// overwriting every byte the first encode produced.
+			second := core.Request{From: 0x7F7F7F7F, Origin: 0x7F7F7F7F, Epoch: 0xFFFFFFFF}
+			b2, err := c.encode(b1[:0], second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if &b1[0] != &b2[0] {
+				t.Fatal("test expects both encodes to share one backing array")
+			}
+
+			if got1 != first {
+				t.Fatalf("first frame corrupted by buffer reuse: %#v, want %#v", got1, first)
+			}
+			got2, err := c.decode(b2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got2 != second {
+				t.Fatalf("second frame = %#v, want %#v", got2, second)
+			}
+		})
+	}
+}
+
+// TestMsgCodecMatchesBoxedCodec: for every frame type the by-value
+// methods write the bytes AppendEncode writes and read what Decode
+// reads — and decline, without an error, exactly the kinds that are not
+// REQUEST or PRIVILEGE.
+func TestMsgCodecMatchesBoxedCodec(t *testing.T) {
 	c := DAGCodec{}
-	buf := make([]byte, 0, 64)
-
-	first := core.Privilege{Generation: 7, Epoch: 1, Requesting: true}
-	b1, err := c.AppendEncode(buf, first)
-	if err != nil {
-		t.Fatal(err)
+	for _, m := range everyFrame() {
+		wire, err := c.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok, err := c.DecodeMsg(wire)
+		if err != nil {
+			t.Fatalf("DecodeMsg %T: %v", m, err)
+		}
+		_, isReq := m.(core.Request)
+		_, isPriv := m.(core.Privilege)
+		if ok != (isReq || isPriv) {
+			t.Fatalf("DecodeMsg %T: ok = %v", m, ok)
+		}
+		if !ok {
+			if v != (core.Msg{}) {
+				t.Fatalf("DecodeMsg declined %T but returned %+v", m, v)
+			}
+			continue
+		}
+		if v.Boxed() != m {
+			t.Fatalf("DecodeMsg %#v -> %#v", m, v.Boxed())
+		}
+		again, err := c.AppendEncodeMsg([]byte{0xAA}, v)
+		if err != nil || !bytes.Equal(again[1:], wire) || again[0] != 0xAA {
+			t.Fatalf("AppendEncodeMsg %#v = (%x, %v), AppendEncode gave %x", m, again, err, wire)
+		}
 	}
-	got1, err := c.Decode(b1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Reuse the same backing array for an unrelated frame, overwriting
-	// every byte the first encode produced.
-	second := core.Request{From: 0x7F7F7F7F, Origin: 0x7F7F7F7F, Epoch: 0xFFFFFFFF}
-	b2, err := c.AppendEncode(b1[:0], second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &b1[0] != &b2[0] {
-		t.Fatal("test expects both encodes to share one backing array")
-	}
-
-	if got1 != first {
-		t.Fatalf("first frame corrupted by buffer reuse: %#v, want %#v", got1, first)
-	}
-	got2, err := c.Decode(b2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2 != second {
-		t.Fatalf("second frame = %#v, want %#v", got2, second)
+	if _, err := c.AppendEncodeMsg(nil, core.Msg{}); err == nil {
+		t.Fatal("AppendEncodeMsg encoded a message with no kind")
 	}
 }
 
 // TestCodecRejectsLegacyFrameLengths pins the frame-size bumps the wire
 // extensions introduced: the pre-Requesting 13-byte PRIVILEGE, the
 // pre-hop-counter 14-byte PRIVILEGE and 13-byte REQUEST layouts must all
-// be rejected, not silently mis-decoded.
+// be rejected, not silently mis-decoded — on both routes, by the frame's
+// own length check (the by-value decode must not merely decline them).
 func TestCodecRejectsLegacyFrameLengths(t *testing.T) {
 	for _, tc := range []struct {
 		kind string
@@ -140,8 +213,10 @@ func TestCodecRejectsLegacyFrameLengths(t *testing.T) {
 	} {
 		legacy := make([]byte, tc.n)
 		legacy[0] = tc.tag
-		if _, err := (DAGCodec{}).Decode(legacy); err == nil {
-			t.Fatalf("Decode accepted a %d-byte %s frame", tc.n, tc.kind)
+		for _, c := range codecRoutes {
+			if _, err := c.decode(legacy); err == nil {
+				t.Fatalf("%s decode accepted a %d-byte %s frame", c.name, tc.n, tc.kind)
+			}
 		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"dagmutex/internal/core"
 )
 
 // FuzzClientFrame feeds arbitrary bytes to ReadClientFrame, the decoder
@@ -68,7 +70,11 @@ func FuzzClientFrame(f *testing.F) {
 // size of the input never grows), to a frame that decodes to the same
 // message — Decode∘Encode is the identity on everything the codec emits,
 // even where Decode is lenient about what it reads (any non-zero byte is
-// a true flag; Encode writes 1).
+// a true flag; Encode writes 1). The by-value route (DecodeMsg /
+// AppendEncodeMsg) must agree with it on every input: both reject, or
+// both accept with equal fields; the by-value decode declines exactly
+// the frames that are not REQUEST or PRIVILEGE; and the by-value encode
+// is byte-identical to AppendEncode of the boxed message.
 //
 // The seed corpus (one frame of every kind, and the ways each can be
 // cut, padded or mislabelled) is committed under
@@ -77,6 +83,18 @@ func FuzzDAGCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		codec := DAGCodec{}
 		m, err := codec.Decode(frame)
+		v, byValue, verr := codec.DecodeMsg(frame)
+		hot := len(frame) > 0 && (frame[0] == wireRequest || frame[0] == wirePrivilege)
+		switch {
+		case byValue != hot:
+			t.Fatalf("DecodeMsg(%x) ok = %v for kind tag of a hot frame = %v", frame, byValue, hot)
+		case !hot && (verr != nil || v != core.Msg{}):
+			t.Fatalf("DecodeMsg declined %x with (%+v, %v), want the zero Msg and no error", frame, v, verr)
+		case hot && (err == nil) != (verr == nil):
+			t.Fatalf("%x: Decode err = %v, DecodeMsg err = %v", frame, err, verr)
+		case hot && err == nil && v.Boxed() != m:
+			t.Fatalf("%x: Decode = %#v, DecodeMsg = %#v", frame, m, v.Boxed())
+		}
 		if err != nil {
 			return
 		}
@@ -94,6 +112,11 @@ func FuzzDAGCodec(f *testing.F) {
 		}
 		if plain, err := codec.Encode(m); err != nil || !bytes.Equal(plain, enc) {
 			t.Fatalf("Encode(%#v) = (%x, %v), AppendEncode gave %x", m, plain, err, enc)
+		}
+		if byValue {
+			if venc, err := codec.AppendEncodeMsg(nil, v); err != nil || !bytes.Equal(venc, enc) {
+				t.Fatalf("AppendEncodeMsg(%+v) = (%x, %v), AppendEncode gave %x", v, venc, err, enc)
+			}
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dagmutex/internal/core"
 	"dagmutex/internal/failure"
 	"dagmutex/internal/mutex"
 	"dagmutex/internal/runtime"
@@ -65,11 +66,13 @@ type delayedEnvelope struct {
 	deliverAt time.Time
 }
 
-// send routes one message through the fault plan into the destination
-// mailbox. count separates protocol traffic (tallied in Messages) from
-// detector heartbeats (not tallied, so fail-free accounting is unchanged
-// by enabling detection).
-func (net *localNet) send(from, to mutex.ID, m mutex.Message, count bool) error {
+// send routes one envelope — boxed or by value, the mailbox moves either
+// as is — through the fault plan into the destination mailbox. count
+// separates protocol traffic (tallied in Messages) from detector
+// heartbeats (not tallied, so fail-free accounting is unchanged by
+// enabling detection).
+func (net *localNet) send(to mutex.ID, e runtime.Envelope, count bool) error {
+	from := e.From
 	dst, ok := net.boxes[to]
 	if !ok {
 		return fmt.Errorf("unknown node %d", to)
@@ -77,7 +80,6 @@ func (net *localNet) send(from, to mutex.ID, m mutex.Message, count bool) error 
 	if !net.inj.Allow(from, to) {
 		return nil // injected loss: the message vanishes, like the link it models
 	}
-	e := runtime.Envelope{From: from, Msg: m}
 	// A link with a delay line keeps routing through it even after the
 	// delay is cleared (deadline = now): a direct send bypassing queued
 	// delayed messages would break the per-link FIFO the protocol needs.
@@ -180,7 +182,13 @@ type localLink struct {
 // send to an unknown node is an error captured through the runtime's
 // deliver-error path (it fails the cluster, not the process).
 func (l localLink) Send(to mutex.ID, m mutex.Message) error {
-	return l.net.send(l.id, to, m, true)
+	return l.net.send(to, runtime.Envelope{From: l.id, Msg: m}, true)
+}
+
+// SendMsg implements runtime.MsgLink: the same enqueue with the message
+// riding the envelope by value.
+func (l localLink) SendMsg(to mutex.ID, m core.Msg) error {
+	return l.net.send(to, runtime.Envelope{From: l.id, Val: m}, true)
 }
 
 // Recv blocks on the member's own mailbox.
@@ -269,7 +277,7 @@ func NewLocal(b mutex.Builder, cfg mutex.Config, opts ...LocalOption) (*Local, e
 		for id, n := range l.nodes {
 			node := n
 			hbSend := func(to mutex.ID, m mutex.Message) error {
-				return l.net.send(id, to, m, false)
+				return l.net.send(to, runtime.Envelope{From: id, Msg: m}, false)
 			}
 			det := failure.NewDetector(id, cfg.IDs, hbSend, *o.fcfg)
 			det.OnDown(func(p mutex.ID) {

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dagmutex/internal/core"
 	"dagmutex/internal/failure"
 	"dagmutex/internal/mutex"
 	"dagmutex/internal/runtime"
@@ -45,10 +46,11 @@ const maxPending = 1 << 16
 // with a buffered, flush-on-idle write path, so bursts of small protocol
 // messages coalesce into few syscalls on the hot path.
 type TCPHost struct {
-	id    mutex.ID
-	codec Codec
-	ln    net.Listener
-	sink  *runtime.ErrorSink
+	id       mutex.ID
+	codec    Codec
+	msgCodec MsgCodec // codec's by-value surface, probed once; nil when it has none
+	ln       net.Listener
+	sink     *runtime.ErrorSink
 
 	mu        sync.RWMutex // guards links, pending, addrs, peers, stopped
 	links     map[uint32]*tcpLink
@@ -82,6 +84,10 @@ type TCPHost struct {
 
 	sent     atomic.Int64
 	received atomic.Int64
+
+	// linkWrites counts the frames this host's member links wrote and the
+	// write calls that carried them (see Register).
+	linkWrites writeStats
 }
 
 // NewTCPHost starts a listener for member id on a fresh loopback port.
@@ -110,6 +116,7 @@ func NewTCPHostOn(id mutex.ID, listen string, codec Codec) (*TCPHost, error) {
 		peers:   make(map[mutex.ID]*peerConn),
 		stop:    make(chan struct{}),
 	}
+	h.msgCodec, _ = codec.(MsgCodec)
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
@@ -247,9 +254,10 @@ func (h *TCPHost) broadcastPeer(peer mutex.ID, down bool) {
 // frame is one encoded wire frame on its way to a peer: the 12-byte
 // member header plus the codec payload, in a pooled buffer, tagged with
 // its destination so a handler turn's sends can be grouped per peer at
-// flush time. Send encodes into a recycled frame and whoever performs
-// the write returns it to the pool afterwards, so the steady-state send
-// path allocates nothing.
+// flush time. Send and SendMsg encode into a recycled frame — SendMsg
+// straight from the by-value message, with no mutex.Message in between —
+// and whoever performs the write returns it to the pool afterwards, so
+// the steady-state send path allocates nothing.
 type frame struct {
 	b  []byte
 	to mutex.ID
@@ -259,19 +267,42 @@ var framePool = sync.Pool{New: func() any { return new(frame) }}
 
 func putFrame(f *frame) { framePool.Put(f) }
 
+// memberHeader is the size header, instance tag and sender id that open
+// every member wire frame.
+const memberHeader = 12
+
+// reserveFrame takes a frame from the pool and returns it with its
+// buffer cut back to a blank header, ready for a codec to append to.
+func reserveFrame() (*frame, []byte) {
+	f := framePool.Get().(*frame)
+	return f, append(f.b[:0], make([]byte, memberHeader)...)
+}
+
 // newFrame builds one member wire frame for instance carrying m: size
 // header, instance tag, sender id, payload — encoded into a pooled
 // buffer via the codec's append path.
 func (h *TCPHost) newFrame(instance uint32, m mutex.Message) (*frame, error) {
-	f := framePool.Get().(*frame)
-	var hdr [12]byte
-	b := append(f.b[:0], hdr[:]...)
+	f, b := reserveFrame()
 	b, err := h.codec.AppendEncode(b, m)
-	f.b = b
+	return h.sealFrame(f, b, err, instance)
+}
+
+// newMsgFrame is newFrame for a message travelling by value. Callers
+// have checked that the codec has the capability.
+func (h *TCPHost) newMsgFrame(instance uint32, m core.Msg) (*frame, error) {
+	f, b := reserveFrame()
+	b, err := h.msgCodec.AppendEncodeMsg(b, m)
+	return h.sealFrame(f, b, err, instance)
+}
+
+// sealFrame fills in the header of the frame encoded into b (or returns
+// the frame to the pool when the encode failed).
+func (h *TCPHost) sealFrame(f *frame, b []byte, err error, instance uint32) (*frame, error) {
 	if err != nil {
 		putFrame(f)
 		return nil, err
 	}
+	f.b = b
 	binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-4))
 	binary.BigEndian.PutUint32(b[4:8], instance)
 	binary.BigEndian.PutUint32(b[8:12], uint32(h.id))
@@ -425,11 +456,32 @@ func (l *tcpLink) Send(to mutex.ID, m mutex.Message) error {
 	if err != nil {
 		return fmt.Errorf("encode %s: %w", m.Kind(), err)
 	}
+	l.park(to, f)
+	return nil
+}
+
+// SendMsg implements runtime.MsgLink: Send for a REQUEST or PRIVILEGE
+// travelling by value, encoded straight into the pooled frame. Under a
+// codec without the by-value capability the message is boxed here, at
+// the last moment, and takes Send.
+func (l *tcpLink) SendMsg(to mutex.ID, m core.Msg) error {
+	if l.host.msgCodec == nil {
+		return l.Send(to, m.Boxed())
+	}
+	f, err := l.host.newMsgFrame(l.instance, m)
+	if err != nil {
+		return fmt.Errorf("encode %v: %w", m.Kind, err)
+	}
+	l.park(to, f)
+	return nil
+}
+
+// park appends f, bound for to, to the handler turn's batch.
+func (l *tcpLink) park(to mutex.ID, f *frame) {
 	f.to = to
 	l.bmu.Lock()
 	l.out = append(l.out, f)
 	l.bmu.Unlock()
-	return nil
 }
 
 // takeBatch claims the current turn batch, leaving a recycled (or
@@ -570,9 +622,11 @@ type peerConn struct {
 	bufArr [maxWriteBatch][]byte
 	bufs   net.Buffers
 
-	// CLIENT-protocol connections only (startFrameWriter): where writev
-	// counts its frames and write calls, and the signal that the drain
-	// goroutine has exited.
+	// stats is where writev counts its frames and write calls: the
+	// host's linkWrites for a member link, the admission gate's for an
+	// accepted CLIENT-protocol connection, nil (uncounted) for a dialing
+	// client's own writer. drained (CLIENT connections only,
+	// startFrameWriter) signals that the drain goroutine has exited.
 	stats   *writeStats
 	drained chan struct{}
 }
@@ -724,6 +778,7 @@ func (h *TCPHost) peer(to mutex.ID) *peerConn {
 		return nil
 	}
 	pc = newPeerConn()
+	pc.stats = &h.linkWrites
 	h.peers[to] = pc
 	h.wg.Add(1)
 	go func() {
@@ -977,8 +1032,12 @@ func (h *TCPHost) dispatch(conn net.Conn) {
 // reader is buffered, so a burst of small frames (a PRIVILEGE with the
 // pipelined re-REQUEST behind it) costs one read syscall, and the frame
 // body lands in a per-connection scratch buffer the codec decodes out
-// of — the steady-state receive path allocates only the decoded
-// message. Each inbound connection carries exactly one peer's frames
+// of — the steady-state receive path allocates nothing: a REQUEST or
+// PRIVILEGE is decoded by value into the envelope (when the codec has
+// the MsgCodec capability), and only the rare recovery, INIT and
+// heartbeat frames become a boxed message. Both kinds of envelope then
+// pass the same sequence of checks — received count, receive-side fault
+// plan, detector, control instance, route. Each inbound connection carries exactly one peer's frames
 // (the peer's writer dialed it), so once the first frame names the
 // sender, a broken connection is attributable: with failure detection
 // enabled, a reset or EOF is that peer's death evidence rather than a
@@ -1022,7 +1081,15 @@ func (h *TCPHost) readLoop(conn net.Conn, br *bufio.Reader, first [4]byte) {
 		instance := binary.BigEndian.Uint32(body[0:4])
 		from := mutex.ID(binary.BigEndian.Uint32(body[4:8]))
 		peer = from
-		msg, err := h.codec.Decode(body[8:])
+		e := runtime.Envelope{From: from}
+		byValue := false
+		var err error
+		if h.msgCodec != nil {
+			e.Val, byValue, err = h.msgCodec.DecodeMsg(body[8:])
+		}
+		if !byValue && err == nil {
+			e.Msg, err = h.codec.Decode(body[8:])
+		}
 		if err != nil {
 			h.fail(err)
 			return
@@ -1031,13 +1098,15 @@ func (h *TCPHost) readLoop(conn net.Conn, br *bufio.Reader, first [4]byte) {
 		if !h.inj.Load().Allow(from, h.id) {
 			continue // injected loss on the receive side
 		}
-		if det := h.det.Load(); det != nil && det.Inbound(from, msg) {
+		// A by-value envelope shows the detector a nil message: liveness
+		// evidence like any other frame, never a heartbeat to consume.
+		if det := h.det.Load(); det != nil && det.Inbound(from, e.Msg) {
 			continue // heartbeat: liveness evidence only
 		}
 		if instance == controlInstance {
 			continue // control frame with no detector attached
 		}
-		if !h.route(instance, runtime.Envelope{From: from, Msg: msg}) {
+		if !h.route(instance, e) {
 			return
 		}
 	}
