@@ -7,105 +7,7 @@ import (
 	"dagmutex/internal/core"
 	"dagmutex/internal/mutex"
 	"dagmutex/internal/topology"
-	"dagmutex/internal/trace"
 )
-
-// chaosReplayer drives core nodes synchronously like replayer, but with
-// a crash set (messages to or from dead nodes are dropped, as a dead
-// process drops them) and recovery-event rendering.
-type chaosReplayer struct {
-	w       io.Writer
-	nodes   map[mutex.ID]*core.Node
-	pending []flight
-	dead    map[mutex.ID]bool
-	grants  map[mutex.ID]uint64
-	step    int
-}
-
-type chaosEnv struct {
-	r  *chaosReplayer
-	id mutex.ID
-}
-
-func (e chaosEnv) Send(to mutex.ID, m mutex.Message) {
-	e.r.pending = append(e.r.pending, flight{from: e.id, to: to, msg: m})
-}
-
-func (e chaosEnv) Granted(gen uint64) { e.r.grants[e.id] = gen }
-
-func newChaosReplayer(w io.Writer, tree *topology.Tree, holder mutex.ID) (*chaosReplayer, error) {
-	r := &chaosReplayer{
-		w:      w,
-		nodes:  make(map[mutex.ID]*core.Node, tree.N()),
-		dead:   make(map[mutex.ID]bool),
-		grants: make(map[mutex.ID]uint64),
-	}
-	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
-	for _, id := range tree.IDs() {
-		n, err := core.New(id, chaosEnv{r: r, id: id}, cfg,
-			core.WithEventObserver(func(e core.Event) { r.printEvent(e) }))
-		if err != nil {
-			return nil, err
-		}
-		r.nodes[id] = n
-	}
-	return r, nil
-}
-
-// printEvent renders a recovery event through the shared trace
-// vocabulary (core.Event.Trace bridges into telemetry.TraceEvent), so
-// the chaos replay reads exactly like a live WithTraceObserver stream.
-func (r *chaosReplayer) printEvent(e core.Event) {
-	fmt.Fprintf(r.w, "  event: %s\n", e.Trace())
-}
-
-func (r *chaosReplayer) show(caption string) {
-	r.step++
-	fmt.Fprintf(r.w, "step %d: %s\n", r.step, caption)
-	snaps := make([]core.Snapshot, 0, len(r.nodes))
-	for id := mutex.ID(1); int(id) <= len(r.nodes); id++ {
-		snaps = append(snaps, r.nodes[id].Snapshot())
-	}
-	fmt.Fprint(r.w, trace.StateTable(snaps))
-	for id := mutex.ID(1); int(id) <= len(r.nodes); id++ {
-		if r.dead[id] {
-			fmt.Fprintf(r.w, "node %d: CRASHED\n", id)
-		}
-	}
-	fmt.Fprintln(r.w)
-}
-
-// crash kills a node: it falls silent (pending traffic to and from it is
-// dropped) and stays in the table as a tombstone.
-func (r *chaosReplayer) crash(id mutex.ID) {
-	r.dead[id] = true
-	kept := r.pending[:0]
-	for _, f := range r.pending {
-		if f.from != id && f.to != id {
-			kept = append(kept, f)
-		}
-	}
-	r.pending = kept
-}
-
-// drain delivers all pending traffic among live nodes in FIFO order;
-// messages touching dead nodes are dropped.
-func (r *chaosReplayer) drain() error {
-	for steps := 0; len(r.pending) > 0; steps++ {
-		if steps > 10000 {
-			return fmt.Errorf("message storm during recovery replay")
-		}
-		f := r.pending[0]
-		r.pending = r.pending[1:]
-		if r.dead[f.to] || r.dead[f.from] {
-			continue
-		}
-		if err := r.nodes[f.to].Deliver(f.from, f.msg); err != nil {
-			return fmt.Errorf("deliver %s %d->%d: %w", f.msg.Kind(), f.from, f.to, err)
-		}
-	}
-	return nil
-}
 
 // chaosDemo renders the defining failure scenario end to end: the token
 // holder crashes mid-critical-section with a waiter queued behind it,
@@ -116,7 +18,11 @@ func chaosDemo(w io.Writer) error {
 	fmt.Fprintln(w, "Crash recovery on the five-node star (center 1), token at node 1")
 	fmt.Fprintln(w, "(the scenario the thesis's fail-free model excludes)")
 	fmt.Fprintln(w)
-	r, err := newChaosReplayer(w, topology.Star(5), 1)
+	// Recovery events render through the shared trace vocabulary
+	// (core.Event.Trace bridges into telemetry.TraceEvent), so the chaos
+	// replay reads exactly like a live WithTraceObserver stream.
+	r, err := newReplayer(w, topology.Star(5), 1,
+		core.WithEventObserver(func(e core.Event) { fmt.Fprintf(w, "  event: %s\n", e.Trace()) }))
 	if err != nil {
 		return err
 	}

@@ -5,10 +5,8 @@ import (
 	"io"
 
 	"dagmutex/internal/core"
-	"dagmutex/internal/mutex"
 	"dagmutex/internal/telemetry"
 	"dagmutex/internal/topology"
-	"dagmutex/internal/trace"
 )
 
 // liveDemo replays a contended scenario with the runtime's live trace
@@ -18,107 +16,35 @@ import (
 // tooling and the live stream share one vocabulary. The causal chain of
 // each grant (REQUEST, the FORWARDs it took, the PRIVILEGE dispatch,
 // the GRANT with its fence) reads straight down the page.
-type liveReplayer struct {
-	w       io.Writer
-	nodes   map[mutex.ID]*core.Node
-	pending []flight
-}
-
-type liveEnv struct {
-	r  *liveReplayer
-	id mutex.ID
-}
-
-func (e liveEnv) Send(to mutex.ID, m mutex.Message) {
-	e.r.pending = append(e.r.pending, flight{from: e.id, to: to, msg: m})
-}
-
-func (e liveEnv) Granted(uint64) {}
-
-func newLiveReplayer(w io.Writer, tree *topology.Tree, holder mutex.ID) (*liveReplayer, error) {
-	r := &liveReplayer{w: w, nodes: make(map[mutex.ID]*core.Node, tree.N())}
-	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
-	for _, id := range tree.IDs() {
-		n, err := core.New(id, liveEnv{r: r, id: id}, cfg,
-			core.WithTraceObserver(func(e telemetry.TraceEvent) {
-				fmt.Fprintf(w, "  %s\n", e)
-			}))
-		if err != nil {
-			return nil, err
-		}
-		r.nodes[id] = n
-	}
-	return r, nil
-}
-
-// drain delivers all pending traffic in FIFO order; the synchronous
-// delivery makes the printed stream the causal order.
-func (r *liveReplayer) drain() error {
-	for len(r.pending) > 0 {
-		f := r.pending[0]
-		r.pending = r.pending[1:]
-		if err := r.nodes[f.to].Deliver(f.from, f.msg); err != nil {
-			return fmt.Errorf("deliver %s %d->%d: %w", f.msg.Kind(), f.from, f.to, err)
-		}
-	}
-	return nil
-}
-
-func (r *liveReplayer) table() {
-	snaps := make([]core.Snapshot, 0, len(r.nodes))
-	for id := mutex.ID(1); int(id) <= len(r.nodes); id++ {
-		snaps = append(snaps, r.nodes[id].Snapshot())
-	}
-	fmt.Fprint(r.w, trace.StateTable(snaps))
-	fmt.Fprintln(r.w)
-}
-
+//
 // liveDemo runs the Figure 2 line with the trace stream on: a remote
 // acquire across the whole line, a competing request that queues, and
 // the releases that serve both.
 func liveDemo(w io.Writer) error {
 	fmt.Fprintln(w, "Live trace stream on the line 1-2-3-4, token at node 1")
 	fmt.Fprintln(w, "(every line is one telemetry.TraceEvent, as WithTraceObserver delivers them)")
-	fmt.Fprintln(w)
-	r, err := newLiveReplayer(w, topology.Line(4), 1)
+	r, err := newReplayer(w, topology.Line(4), 1,
+		core.WithTraceObserver(func(e telemetry.TraceEvent) { fmt.Fprintf(w, "  %s\n", e) }))
 	if err != nil {
 		return err
 	}
 
-	fmt.Fprintln(w, "node 4 acquires (three hops from the token):")
-	if err := r.nodes[4].Request(); err != nil {
-		return err
-	}
-	if err := r.drain(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-
-	fmt.Fprintln(w, "node 2 acquires while node 4 holds (the request queues):")
-	if err := r.nodes[2].Request(); err != nil {
-		return err
-	}
-	if err := r.drain(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-
-	fmt.Fprintln(w, "node 4 releases; the token travels to the waiter:")
-	if err := r.nodes[4].Release(); err != nil {
-		return err
-	}
-	if err := r.drain(); err != nil {
-		return err
-	}
-	fmt.Fprintln(w)
-
-	fmt.Fprintln(w, "node 2 releases and keeps the token; final state:")
-	if err := r.nodes[2].Release(); err != nil {
-		return err
-	}
-	if err := r.drain(); err != nil {
-		return err
+	for _, s := range []step{
+		{"node 4 acquires (three hops from the token):", func() error { return r.request(4) }},
+		{"node 2 acquires while node 4 holds (the request queues):", func() error { return r.request(2) }},
+		{"node 4 releases; the token travels to the waiter:", func() error { return r.release(4) }},
+		{"node 2 releases and keeps the token; final state:", func() error { return r.release(2) }},
+	} {
+		fmt.Fprintln(w)
+		fmt.Fprintln(w, s.caption)
+		if err := s.action(); err != nil {
+			return err
+		}
+		if err := r.drain(); err != nil {
+			return err
+		}
 	}
 	r.table()
+	fmt.Fprintln(w)
 	return nil
 }

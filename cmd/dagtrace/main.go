@@ -54,12 +54,20 @@ func main() {
 	}
 }
 
-// replayer drives core nodes synchronously, delivering messages in the
-// exact order the thesis narrates.
+// replayer drives core nodes synchronously: sends queue up in pending
+// and are delivered by hand — one at a time in the exact order the
+// thesis narrates (deliverTo), or all of them in FIFO order (drain) —
+// with a crash set (messages to or from dead nodes are dropped, as a
+// dead process drops them) and the last grant generation per node. The
+// three replays differ only in which observers they hand the nodes and
+// in what they print between steps.
 type replayer struct {
 	w       io.Writer
-	nodes   map[mutex.ID]*core.Node
+	nodes   []*core.Node // by ID; index 0 unused
 	pending []flight
+	dead    map[mutex.ID]bool
+	grants  map[mutex.ID]uint64
+	queue   bool // show prints the implicit waiting queue
 	step    int
 }
 
@@ -77,13 +85,18 @@ func (e env) Send(to mutex.ID, m mutex.Message) {
 	e.r.pending = append(e.r.pending, flight{from: e.id, to: to, msg: m})
 }
 
-func (e env) Granted(uint64) {}
+func (e env) Granted(gen uint64) { e.r.grants[e.id] = gen }
 
-func newReplayer(w io.Writer, tree *topology.Tree, holder mutex.ID) (*replayer, error) {
-	r := &replayer{w: w, nodes: make(map[mutex.ID]*core.Node, tree.N())}
+func newReplayer(w io.Writer, tree *topology.Tree, holder mutex.ID, opts ...core.Option) (*replayer, error) {
+	r := &replayer{
+		w:      w,
+		nodes:  make([]*core.Node, tree.N()+1),
+		dead:   make(map[mutex.ID]bool),
+		grants: make(map[mutex.ID]uint64),
+	}
 	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
 	for _, id := range tree.IDs() {
-		n, err := core.New(id, env{r: r, id: id}, cfg)
+		n, err := core.New(id, env{r: r, id: id}, cfg, opts...)
 		if err != nil {
 			return nil, err
 		}
@@ -92,23 +105,29 @@ func newReplayer(w io.Writer, tree *topology.Tree, holder mutex.ID) (*replayer, 
 	return r, nil
 }
 
-func (r *replayer) snapshots() []core.Snapshot {
-	snaps := make([]core.Snapshot, 0, len(r.nodes))
-	for id := mutex.ID(1); int(id) <= len(r.nodes); id++ {
-		snaps = append(snaps, r.nodes[id].Snapshot())
+// table prints the thesis-style state table.
+func (r *replayer) table() []core.Snapshot {
+	snaps := make([]core.Snapshot, 0, len(r.nodes)-1)
+	for _, n := range r.nodes[1:] {
+		snaps = append(snaps, n.Snapshot())
 	}
+	fmt.Fprint(r.w, trace.StateTable(snaps))
 	return snaps
 }
 
-// show prints a step banner, the thesis-style table, and the implicit
-// queue.
+// show prints a step banner, the thesis-style table, the implicit queue
+// (figure replays) and a tombstone per crashed node.
 func (r *replayer) show(caption string) {
 	r.step++
 	fmt.Fprintf(r.w, "step %d: %s\n", r.step, caption)
-	fmt.Fprint(r.w, trace.StateTable(r.snapshots()))
-	snaps := r.snapshots()
-	if queue, err := core.ImplicitQueue(snaps); err == nil && len(queue) > 0 {
+	snaps := r.table()
+	if queue, err := core.ImplicitQueue(snaps); r.queue && err == nil && len(queue) > 0 {
 		fmt.Fprintf(r.w, "implicit queue (via FOLLOW chain): %v\n", queue)
+	}
+	for id := range r.nodes {
+		if r.dead[mutex.ID(id)] {
+			fmt.Fprintf(r.w, "node %d: CRASHED\n", id)
+		}
 	}
 	fmt.Fprintln(r.w)
 }
@@ -125,6 +144,39 @@ func (r *replayer) deliverTo(to mutex.ID) error {
 		}
 	}
 	return fmt.Errorf("no pending message for node %d", to)
+}
+
+// drain delivers all pending traffic among live nodes in FIFO order —
+// the synchronous delivery makes what the observers print the causal
+// order; messages touching dead nodes are dropped.
+func (r *replayer) drain() error {
+	for steps := 0; len(r.pending) > 0; steps++ {
+		if steps > 10000 {
+			return fmt.Errorf("message storm during replay")
+		}
+		f := r.pending[0]
+		r.pending = r.pending[1:]
+		if r.dead[f.to] || r.dead[f.from] {
+			continue
+		}
+		if err := r.nodes[f.to].Deliver(f.from, f.msg); err != nil {
+			return fmt.Errorf("deliver %s %d->%d: %w", f.msg.Kind(), f.from, f.to, err)
+		}
+	}
+	return nil
+}
+
+// crash kills a node: it falls silent (pending traffic to and from it is
+// dropped) and stays in the table as a tombstone.
+func (r *replayer) crash(id mutex.ID) {
+	r.dead[id] = true
+	kept := r.pending[:0]
+	for _, f := range r.pending {
+		if f.from != id && f.to != id {
+			kept = append(kept, f)
+		}
+	}
+	r.pending = kept
 }
 
 func run(w io.Writer, fig int) error {
@@ -147,12 +199,10 @@ func figure2(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	r.queue = true
 	r.show("initial configuration (Figure 2a)")
 
-	steps := []struct {
-		caption string
-		action  func() error
-	}{
+	steps := []step{
 		{"node 5 enters its critical section", func() error { return r.request(5) }},
 		{"node 3 requests: REQUEST(3,3) to node 4, NEXT_3 = 0 (Figure 2b)", func() error { return r.request(3) }},
 		{"node 4 forwards REQUEST(4,3) to node 5, NEXT_4 = 3 (Figure 2c)", func() error { return r.deliverTo(4) }},
@@ -172,12 +222,10 @@ func figure6(w io.Writer) error {
 	if err != nil {
 		return err
 	}
+	r.queue = true
 	r.show("initial configuration (Figure 6a)")
 
-	steps := []struct {
-		caption string
-		action  func() error
-	}{
+	steps := []step{
 		{"node 3 enters its critical section (Figure 6b)", func() error { return r.request(3) }},
 		{"node 2 requests: REQUEST(2,2) to node 3, NEXT_2 = 0", func() error { return r.request(2) }},
 		{"node 3 saves it: FOLLOW_3 = 2, NEXT_3 = 2 (Figure 6c)", func() error { return r.deliverTo(3) }},
@@ -197,10 +245,13 @@ func figure6(w io.Writer) error {
 	return r.play(steps)
 }
 
-func (r *replayer) play(steps []struct {
+// step is one narrated action of a replay.
+type step struct {
 	caption string
 	action  func() error
-}) error {
+}
+
+func (r *replayer) play(steps []step) error {
 	for _, s := range steps {
 		if err := s.action(); err != nil {
 			return fmt.Errorf("%s: %w", s.caption, err)

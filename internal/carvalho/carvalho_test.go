@@ -80,8 +80,8 @@ func TestMessagesDecreaseWithLocality(t *testing.T) {
 
 	// Now nodes 2 and 3 alternate far apart in time.
 	for i := 0; i < 3; i++ {
-		c.RequestAt(c.Scheduler().Now()+sim.Time(2*i+1)*100*sim.Hop, 3)
-		c.RequestAt(c.Scheduler().Now()+sim.Time(2*i+2)*100*sim.Hop, 2)
+		c.RequestAt(c.Now()+sim.Time(2*i+1)*100*sim.Hop, 3)
+		c.RequestAt(c.Now()+sim.Time(2*i+2)*100*sim.Hop, 2)
 	}
 	if err := c.Run(); err != nil {
 		t.Fatal(err)

@@ -162,13 +162,14 @@ func TestStorageGrowsWithQueue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storage := metrics.WatchStorage(c)
 	for i := 2; i <= 6; i++ {
 		c.RequestAt(sim.Time(i), mutex.ID(i))
 	}
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r := metrics.StorageFrom(c.MaxStorage())
+	r := storage()
 	if r.PerNodeMax.QueueEntries < 3 {
 		t.Fatalf("coordinator queue max = %d, want >= 3", r.PerNodeMax.QueueEntries)
 	}

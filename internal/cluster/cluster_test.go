@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"dagmutex/internal/core"
 	"dagmutex/internal/mutex"
@@ -235,29 +236,6 @@ func TestDoubleOutstandingRequestFlagged(t *testing.T) {
 	}
 }
 
-func TestMaxStorageSampling(t *testing.T) {
-	tree := topology.Star(5)
-	c, err := New(core.Builder, dagConfig(tree, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range tree.IDs() {
-		c.RequestAt(sim.Time(i)*sim.Hop, id)
-	}
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	ms := c.MaxStorage()
-	if len(ms) != 5 {
-		t.Fatalf("storage samples for %d nodes, want 5", len(ms))
-	}
-	for id, s := range ms {
-		if s.Scalars != 5 {
-			t.Fatalf("node %d max scalars = %d, want 5 (HOLDING, NEXT, FOLLOW, generation, epoch)", id, s.Scalars)
-		}
-	}
-}
-
 func TestManualRelease(t *testing.T) {
 	tree := topology.Line(2)
 	c, err := New(core.Builder, dagConfig(tree, 1), WithoutAutoRelease())
@@ -267,7 +245,7 @@ func TestManualRelease(t *testing.T) {
 	granted := 0
 	c.OnGrant(func(Grant) { granted++ })
 	c.RequestAt(0, 2)
-	c.Scheduler().RunUntil(10 * sim.Hop)
+	c.Clock().Advance(time.Duration(10 * sim.Hop))
 	if granted != 1 {
 		t.Fatalf("granted = %d, want 1", granted)
 	}

@@ -38,7 +38,7 @@ func TestInitOrientsEveryTreeTowardHolder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Scheduler().At(0, func() {
+		c.Clock().AfterFunc(0, func() {
 			h, ok := c.Node(holder).(*core.Node)
 			if !ok {
 				t.Fatal("holder is not a core node")
@@ -83,7 +83,7 @@ func TestInitThenWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Scheduler().At(0, func() {
+	c.Clock().AfterFunc(0, func() {
 		if err := c.Node(4).(*core.Node).StartInit(); err != nil {
 			t.Fatal(err)
 		}

@@ -397,11 +397,12 @@ func Storage(n int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		storage := metrics.WatchStorage(c)
 		workload.Closed{Requests: 8}.Install(c)
 		if err := c.Run(); err != nil {
 			return nil, fmt.Errorf("%s: %w", a.Name, err)
 		}
-		r := metrics.StorageFrom(c.MaxStorage())
+		r := storage()
 		largest := 0
 		for _, sz := range c.Counts().MaxSizeByKind {
 			if sz > largest {

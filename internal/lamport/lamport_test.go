@@ -93,7 +93,7 @@ func TestClockMonotonicity(t *testing.T) {
 	last := make(map[mutex.ID]uint64)
 	for round := 0; round < 4; round++ {
 		for i, id := range c.IDs() {
-			c.RequestAt(c.Scheduler().Now()+sim.Time(i+1)*3*sim.Hop, id)
+			c.RequestAt(c.Now()+sim.Time(i+1)*3*sim.Hop, id)
 		}
 		if err := c.Run(); err != nil {
 			t.Fatal(err)

@@ -85,7 +85,7 @@ func TestMessageCostIsOrderSqrtN(t *testing.T) {
 	}
 	for round := 0; round < 3; round++ {
 		for i, id := range c.IDs() {
-			c.RequestAt(c.Scheduler().Now()+sim.Time(i%7)*sim.Hop, id)
+			c.RequestAt(c.Now()+sim.Time(i%7)*sim.Hop, id)
 		}
 		if err := c.Run(); err != nil {
 			t.Fatal(err)

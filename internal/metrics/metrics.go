@@ -82,25 +82,32 @@ type StorageReport struct {
 	Total mutex.Storage
 }
 
-// StorageFrom summarizes a cluster's MaxStorage map.
+// StorageFrom summarizes per-node storage maxima.
 func StorageFrom(m map[mutex.ID]mutex.Storage) StorageReport {
 	var r StorageReport
 	for _, s := range m {
 		r.Total = r.Total.Add(s)
-		if s.Scalars > r.PerNodeMax.Scalars {
-			r.PerNodeMax.Scalars = s.Scalars
-		}
-		if s.ArrayEntries > r.PerNodeMax.ArrayEntries {
-			r.PerNodeMax.ArrayEntries = s.ArrayEntries
-		}
-		if s.QueueEntries > r.PerNodeMax.QueueEntries {
-			r.PerNodeMax.QueueEntries = s.QueueEntries
-		}
-		if s.Bytes > r.PerNodeMax.Bytes {
-			r.PerNodeMax.Bytes = s.Bytes
-		}
+		r.PerNodeMax = r.PerNodeMax.Max(s)
 	}
 	return r
+}
+
+// WatchStorage is the §6.4 measurement as a view over a cluster's grant
+// and release hooks: it samples every node's control-state footprint at
+// each of those boundaries and returns a function reporting the
+// component-wise maxima observed so far. Install it before the run. The
+// sweep over all nodes is the experiment's cost, paid only by runs that
+// ask for it.
+func WatchStorage(c *cluster.Cluster) func() StorageReport {
+	peak := make(map[mutex.ID]mutex.Storage, len(c.IDs()))
+	sample := func() {
+		for _, id := range c.IDs() {
+			peak[id] = peak[id].Max(c.Node(id).Storage())
+		}
+	}
+	c.OnGrant(func(cluster.Grant) { sample() })
+	c.OnRelease(func(mutex.ID, sim.Time) { sample() })
+	return func() StorageReport { return StorageFrom(peak) }
 }
 
 // WaitTimes returns, in hops, how long each granted request waited from

@@ -200,6 +200,16 @@ func (s Storage) Add(o Storage) Storage {
 	}
 }
 
+// Max returns the element-wise maximum of s and o.
+func (s Storage) Max(o Storage) Storage {
+	return Storage{
+		Scalars:      max(s.Scalars, o.Scalars),
+		ArrayEntries: max(s.ArrayEntries, o.ArrayEntries),
+		QueueEntries: max(s.QueueEntries, o.QueueEntries),
+		Bytes:        max(s.Bytes, o.Bytes),
+	}
+}
+
 // String renders the footprint compactly, e.g. "3 scalars, 0 array, 0 queued (12B)".
 func (s Storage) String() string {
 	return fmt.Sprintf("%d scalars, %d array, %d queued (%dB)",

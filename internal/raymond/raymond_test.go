@@ -168,13 +168,14 @@ func TestQueueStorageGrowsUnderContention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storage := metrics.WatchStorage(c)
 	for i := 2; i <= 8; i++ {
 		c.RequestAt(sim.Time(i), mutex.ID(i))
 	}
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r := metrics.StorageFrom(c.MaxStorage())
+	r := storage()
 	if r.PerNodeMax.QueueEntries < 2 {
 		t.Fatalf("max queue = %d, want >= 2 (center aggregates requests)", r.PerNodeMax.QueueEntries)
 	}

@@ -12,7 +12,7 @@ func TestUnitLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	u := Unit(7)
 	for i := 0; i < 10; i++ {
-		if d := u.Delay(1, 2, rng); d != 7 {
+		if d := u(1, 2, rng); d != 7 {
 			t.Fatalf("Unit delay = %d, want 7", d)
 		}
 	}
@@ -22,7 +22,7 @@ func TestUniformLatencyStaysInRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	u := UniformLatency(5, 15)
 	f := func(_ uint8) bool {
-		d := u.Delay(1, 2, rng)
+		d := u(1, 2, rng)
 		return d >= 5 && d <= 15
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -34,7 +34,7 @@ func TestUniformLatencySwapsReversedBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	u := UniformLatency(20, 10) // reversed on purpose
 	for i := 0; i < 100; i++ {
-		d := u.Delay(1, 2, rng)
+		d := u(1, 2, rng)
 		if d < 10 || d > 20 {
 			t.Fatalf("delay %d outside [10,20]", d)
 		}
@@ -44,7 +44,7 @@ func TestUniformLatencySwapsReversedBounds(t *testing.T) {
 func TestUniformLatencyDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	u := UniformLatency(9, 9)
-	if d := u.Delay(1, 2, rng); d != 9 {
+	if d := u(1, 2, rng); d != 9 {
 		t.Fatalf("degenerate uniform = %d", d)
 	}
 }
@@ -55,7 +55,7 @@ func TestExponentialLatencyPositiveAndNearMean(t *testing.T) {
 	var sum Time
 	const n = 5000
 	for i := 0; i < n; i++ {
-		d := e.Delay(1, 2, rng)
+		d := e(1, 2, rng)
 		if d < 1 {
 			t.Fatalf("exponential delay %d below the 1-tick floor", d)
 		}
@@ -71,13 +71,13 @@ func TestPerLinkOverrides(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	base := Unit(10)
 	lat := PerLink(base, map[[2]mutex.ID]Time{{1, 2}: 99})
-	if d := lat.Delay(1, 2, rng); d != 99 {
+	if d := lat(1, 2, rng); d != 99 {
 		t.Fatalf("override delay = %d, want 99", d)
 	}
-	if d := lat.Delay(2, 1, rng); d != 10 {
+	if d := lat(2, 1, rng); d != 10 {
 		t.Fatalf("reverse direction delay = %d, want base 10", d)
 	}
-	if d := lat.Delay(1, 3, rng); d != 10 {
+	if d := lat(1, 3, rng); d != 10 {
 		t.Fatalf("other link delay = %d, want base 10", d)
 	}
 }
@@ -87,7 +87,7 @@ func TestPerLinkCopiesOverrideMap(t *testing.T) {
 	overrides := map[[2]mutex.ID]Time{{1, 2}: 50}
 	lat := PerLink(Unit(1), overrides)
 	overrides[[2]mutex.ID{1, 2}] = 999 // mutate the caller's map
-	if d := lat.Delay(1, 2, rng); d != 50 {
+	if d := lat(1, 2, rng); d != 50 {
 		t.Fatalf("PerLink shared the caller's map: delay = %d", d)
 	}
 }

@@ -2,48 +2,95 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
-	"sort"
+	"time"
 
-	"dagmutex/internal/failure"
+	"dagmutex/internal/core"
 	"dagmutex/internal/mutex"
+	"dagmutex/internal/vclock"
 )
 
-// Network is a reliable message network layered over a Scheduler. It
-// guarantees per-(sender, receiver) FIFO delivery — the ordering assumption
-// the thesis makes of the physical network — by clamping each message's
-// arrival time to strictly after the previous arrival on the same link.
+// Network is a reliable message network on a virtual clock. It guarantees
+// per-(sender, receiver) FIFO delivery — the ordering assumption the
+// thesis makes of the physical network — by clamping each message's
+// arrival time to strictly after the previous arrival on the same link,
+// holds the run's one fault state (Member), and keeps the message
+// accounting the Chapter 6 experiments and the fault runs report.
 //
-// The network also keeps the message accounting (totals, per-kind counts,
-// byte counts) that the Chapter 6 experiments report.
+// Not safe for concurrent use: every method runs on the goroutine that
+// advances the clock, which is also where every event fires.
 type Network struct {
-	sched *Scheduler
-	lat   LatencyModel
-	rng   *rand.Rand
+	clk  *vclock.Virtual
+	lat  LatencyModel
+	rng  *rand.Rand
+	fifo bool
 
-	nodes       map[mutex.ID]mutex.Node
-	lastArrival map[linkKey]Time
-	fifo        bool
+	// index maps an ID to its position in members plus one (0: not a
+	// member) — the one id→index table; members is in Attach order.
+	index   []int32
+	members []Member
 
-	counts  Counts
-	observe func(Delivery)
-	drop    func(from, to mutex.ID, m mutex.Message) bool
+	// now is the virtual time while one of the network's own events is
+	// firing (firing set): the clock stands at the event's due time until
+	// its handler returns, so the handler reads it here, not under the
+	// clock's lock.
+	now    Time
+	firing bool
 
-	// inj is the fault plan consulted on every send — the same
-	// failure.Injector type the live transports consult, so one plan
-	// object can drive simulator and live runs identically. Always
-	// non-nil: the Crash/Sever/Partition/Heal helpers below delegate to
-	// it, and WithInjector substitutes a shared instance. Its per-link
-	// delays are added on top of the latency model.
-	inj *failure.Injector
+	// free holds fired events for reuse. The network owns every event and
+	// the one AfterFunc timer inside it: arm takes one from here (or makes
+	// one), the event returns itself when it fires, and nothing else
+	// keeps a reference — so a steady-state run schedules without
+	// allocating.
+	free []*event
 
-	deliverErrs []error
+	counts    Counts                       // Messages, Bytes and the maps cover boxed sends only
+	sentByVal [core.MsgPrivilege + 1]int64 // by-value sends, by kind; Counts folds them in
+	observe   func(Delivery)
+	drop      func(from, to mutex.ID, m mutex.Message) bool
+	err       error
 }
 
-type linkKey struct{ from, to mutex.ID }
+// Member is one attached node and the run's fault state for it — the
+// only place crashes and partitions are recorded. The layer that hosts
+// the nodes sets Down and Side; the network reads them: a crashed member
+// sends nothing and whatever arrives for it is dropped (a message in
+// flight to the victim dies with it), while a partition cuts at send
+// time only — messages already in flight when a cut lands still arrive
+// (they were on the wire), so delivery order around a cut stays exactly
+// the clock's order.
+type Member struct {
+	Node mutex.Node
+	Down bool // crashed
+	Side int  // connectivity component (0 = the main partition); sends across sides are dropped
 
-// Counts aggregates message-traffic statistics for a run or a phase of one.
+	// byVal is Node's by-value delivery surface, probed once at Attach;
+	// nil means a by-value message is boxed on arrival.
+	byVal msgNode
+	// links is this sender's FIFO clamp: the arrival time of the latest
+	// message it has in flight to each destination. A link never delivers
+	// a later send before an earlier one, whatever the latency model
+	// draws. Only links with a message still in flight are listed (see
+	// clamp).
+	links []linkClamp
+}
+
+// msgNode is a node that takes REQUEST and PRIVILEGE by value (*core.Node).
+type msgNode interface {
+	DeliverMsg(from mutex.ID, m core.Msg) error
+}
+
+type linkClamp struct {
+	to mutex.ID
+	at Time
+}
+
+// Counts aggregates message-traffic statistics for a run.
 type Counts struct {
+	// Messages, Bytes, ByKind and MaxSizeByKind count messages sent — the
+	// thesis's currency: the sender paid for a message whether or not a
+	// fault then swallowed it.
 	Messages int64
 	Bytes    int64
 	ByKind   map[string]int64
@@ -51,43 +98,18 @@ type Counts struct {
 	// feeding the storage-overhead experiment (variable-size messages such
 	// as the Suzuki–Kasami token grow with load).
 	MaxSizeByKind map[string]int
+	// Delivered counts messages handed to their destination; Dropped the
+	// rest: cut at send time by a partition, a crashed sender or the drop
+	// rule, or dropped on arrival at a member that crashed meanwhile.
+	Delivered, Dropped int64
 }
 
-// clone returns a deep copy so that snapshots are stable.
-func (c Counts) clone() Counts {
-	byKind := make(map[string]int64, len(c.ByKind))
-	for k, v := range c.ByKind {
-		byKind[k] = v
-	}
-	maxSize := make(map[string]int, len(c.MaxSizeByKind))
-	for k, v := range c.MaxSizeByKind {
-		maxSize[k] = v
-	}
-	return Counts{Messages: c.Messages, Bytes: c.Bytes, ByKind: byKind, MaxSizeByKind: maxSize}
-}
-
-// Sub returns the difference c - o, counting traffic between two snapshots.
-func (c Counts) Sub(o Counts) Counts {
-	d := c.clone()
-	d.Messages -= o.Messages
-	d.Bytes -= o.Bytes
-	for k, v := range o.ByKind {
-		d.ByKind[k] -= v
-		if d.ByKind[k] == 0 {
-			delete(d.ByKind, k)
-		}
-	}
-	return d
-}
-
-// Kinds returns the message kinds seen so far, sorted, for stable output.
-func (c Counts) Kinds() []string {
-	kinds := make([]string, 0, len(c.ByKind))
-	for k := range c.ByKind {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
+// add counts n sends of one kind and payload size.
+func (c *Counts) add(kind string, size int, n int64) {
+	c.Messages += n
+	c.Bytes += n * int64(size+mutex.KindSize)
+	c.ByKind[kind] += n
+	c.MaxSizeByKind[kind] = max(c.MaxSizeByKind[kind], size)
 }
 
 // Delivery describes one message delivery, for tracing.
@@ -102,52 +124,33 @@ type Delivery struct {
 type NetworkOption func(*Network)
 
 // WithLatency sets the latency model (default Unit(Hop)).
-func WithLatency(l LatencyModel) NetworkOption {
-	return func(n *Network) { n.lat = l }
-}
+func WithLatency(l LatencyModel) NetworkOption { return func(n *Network) { n.lat = l } }
 
 // WithoutFIFO disables the per-link FIFO clamp. The thesis assumes FIFO
 // links; this option exists only for the ablation that demonstrates what
 // breaks without them.
-func WithoutFIFO() NetworkOption {
-	return func(n *Network) { n.fifo = false }
-}
+func WithoutFIFO() NetworkOption { return func(n *Network) { n.fifo = false } }
 
 // WithObserver registers fn to be called at every delivery, for tracing.
-func WithObserver(fn func(Delivery)) NetworkOption {
-	return func(n *Network) { n.observe = fn }
-}
+// An observed message is shown boxed (a core.Request or core.Privilege
+// value for the two the DAG protocol sends by value).
+func WithObserver(fn func(Delivery)) NetworkOption { return func(n *Network) { n.observe = fn } }
 
 // WithDropRule registers a predicate consulted on every send; returning
-// true silently discards the message. Used by failure-injection tests.
+// true silently discards the message. Used by failure-injection tests,
+// and the way to cut one direction of one link.
 func WithDropRule(fn func(from, to mutex.ID, m mutex.Message) bool) NetworkOption {
 	return func(n *Network) { n.drop = fn }
 }
 
-// WithInjector substitutes a shared fault plan (failure.Injector) for
-// the network's own: sends it vetoes are dropped and its per-link
-// delays are added on top of the latency model — the same plan object
-// the live transports consult, so one chaos scenario drives simulator
-// and live runs alike.
-func WithInjector(inj *failure.Injector) NetworkOption {
-	return func(n *Network) {
-		if inj != nil {
-			n.inj = inj
-		}
-	}
-}
-
-// NewNetwork creates a network over sched, with randomness drawn from rng.
-func NewNetwork(sched *Scheduler, rng *rand.Rand, opts ...NetworkOption) *Network {
+// NewNetwork creates a network on clk, with randomness drawn from rng.
+func NewNetwork(clk *vclock.Virtual, rng *rand.Rand, opts ...NetworkOption) *Network {
 	n := &Network{
-		sched:       sched,
-		lat:         Unit(Hop),
-		rng:         rng,
-		nodes:       make(map[mutex.ID]mutex.Node),
-		lastArrival: make(map[linkKey]Time),
-		fifo:        true,
-		inj:         failure.NewInjector(),
-		counts:      Counts{ByKind: make(map[string]int64), MaxSizeByKind: make(map[string]int)},
+		clk:    clk,
+		lat:    Unit(Hop),
+		rng:    rng,
+		fifo:   true,
+		counts: Counts{ByKind: make(map[string]int64), MaxSizeByKind: make(map[string]int)},
 	}
 	for _, o := range opts {
 		o(n)
@@ -157,111 +160,190 @@ func NewNetwork(sched *Scheduler, rng *rand.Rand, opts ...NetworkOption) *Networ
 
 // Attach registers node to receive deliveries addressed to its ID.
 func (n *Network) Attach(node mutex.Node) {
-	n.nodes[node.ID()] = node
+	id := node.ID()
+	for int(id) >= len(n.index) {
+		n.index = append(n.index, 0)
+	}
+	byVal, _ := node.(msgNode)
+	n.members = append(n.members, Member{Node: node, byVal: byVal})
+	n.index[id] = int32(len(n.members))
 }
 
-// Node returns the attached node with the given id, or nil.
-func (n *Network) Node(id mutex.ID) mutex.Node { return n.nodes[id] }
+// Member returns id's entry, or nil when no node with that ID is attached.
+func (n *Network) Member(id mutex.ID) *Member {
+	if id < 0 || int(id) >= len(n.index) || n.index[id] == 0 {
+		return nil
+	}
+	return &n.members[n.index[id]-1]
+}
+
+// Now returns the current virtual time.
+func (n *Network) Now() Time {
+	if n.firing {
+		return n.now
+	}
+	return Time(n.clk.Elapsed())
+}
+
+// event is one scheduled step — a message delivery when step is nil,
+// otherwise what the layer above armed through After — and the AfterFunc
+// timer that fires it. See Network.free for who owns it. A delivery
+// carries its message in v when it was sent by value and in m otherwise.
+type event struct {
+	n        *Network
+	tm       vclock.Timer
+	step     func(a, b mutex.ID)
+	from, to mutex.ID
+	at       Time // when the event is due
+	sentAt   Time
+	m        mutex.Message
+	v        core.Msg
+}
+
+// arm schedules one event d from now, re-arming a recycled event's timer
+// when there is one. Either way the clock takes exactly one scheduling
+// sequence number, here. Nothing fires before the clock next advances,
+// so send fills in the returned event's message afterwards.
+func (n *Network) arm(d Time, step func(a, b mutex.ID), from, to mutex.ID) *event {
+	d = max(d, 0)
+	if k := len(n.free); k > 0 {
+		e := n.free[k-1]
+		n.free = n.free[:k-1]
+		e.step, e.from, e.to, e.at = step, from, to, n.Now()+d
+		e.tm.Reset(time.Duration(d))
+		return e
+	}
+	e := &event{n: n, step: step, from: from, to: to, at: n.Now() + d}
+	e.tm = n.clk.AfterFunc(time.Duration(d), e.fire)
+	return e
+}
+
+// fire recycles the event, then runs its step — in that order, so the
+// sends the step makes can already reuse it.
+func (e *event) fire() {
+	n, step, from, to, sentAt, m, v := e.n, e.step, e.from, e.to, e.sentAt, e.m, e.v
+	e.step, e.m, e.v = nil, nil, core.Msg{}
+	n.free = append(n.free, e)
+	n.now, n.firing = e.at, true
+	if step != nil {
+		step(from, to)
+	} else {
+		n.deliver(from, to, sentAt, m, v)
+	}
+	n.firing = false
+}
+
+// After arms step(a, b) to run d from now as one pooled event: how the
+// layers above put driver steps, auto-releases and detector verdicts on
+// the timeline. Pass a func value bound once, so arming allocates nothing.
+func (n *Network) After(d Time, step func(a, b mutex.ID), a, b mutex.ID) { n.arm(d, step, a, b) }
 
 // Send queues m for delivery from -> to after the latency model's delay,
-// preserving per-link FIFO order. Sends to unknown destinations panic:
+// preserving per-link FIFO order. Sends between unknown nodes panic:
 // under the paper's model the membership is fixed, so they are bugs.
-func (n *Network) Send(from, to mutex.ID, m mutex.Message) {
-	if _, ok := n.nodes[to]; !ok {
-		panic(fmt.Sprintf("sim: send to unknown node %d (from %d, %s)", to, from, m.Kind()))
-	}
-	n.counts.Messages++
-	n.counts.Bytes += int64(m.Size() + mutex.KindSize)
-	n.counts.ByKind[m.Kind()]++
-	if sz := m.Size(); sz > n.counts.MaxSizeByKind[m.Kind()] {
-		n.counts.MaxSizeByKind[m.Kind()] = sz
-	}
+func (n *Network) Send(from, to mutex.ID, m mutex.Message) { n.send(from, to, m, core.Msg{}) }
 
-	if !n.inj.Allow(from, to) {
+// SendMsg is Send for a REQUEST or PRIVILEGE carried by value: it rides
+// the pooled event as a plain core.Msg and reaches a node that has
+// DeliverMsg without ever becoming a heap object.
+func (n *Network) SendMsg(from, to mutex.ID, v core.Msg) { n.send(from, to, nil, v) }
+
+// send schedules the delivery of one message — v when it has a kind, m
+// otherwise. The message is counted as sent first; then the fault state
+// or the drop rule may cut it; only then is the delay drawn.
+func (n *Network) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
+	src, dst := n.Member(from), n.Member(to)
+	if src == nil || dst == nil {
+		panic(fmt.Sprintf("sim: send between unknown nodes %d -> %d", from, to))
+	}
+	if v.Kind != core.MsgNone {
+		n.sentByVal[v.Kind]++
+	} else {
+		n.counts.add(m.Kind(), m.Size(), 1)
+	}
+	if n.drop != nil && m == nil {
+		m, v = v.Boxed(), core.Msg{}
+	}
+	if src.Down || src.Side != dst.Side || n.drop != nil && n.drop(from, to, m) {
+		n.counts.Dropped++
 		return
 	}
-	if n.drop != nil && n.drop(from, to, m) {
-		return
-	}
-
-	sentAt := n.sched.Now()
-	arrival := sentAt + n.lat.Delay(from, to, n.rng)
-	if d := n.inj.Delay(from, to); d > 0 {
-		// Injected latency is expressed in hops: one Hop per
-		// millisecond of configured delay, minimum one.
-		extra := Time(d.Milliseconds()) * Hop
-		if extra <= 0 {
-			extra = Hop
-		}
-		arrival += extra
-	}
+	now := n.Now()
+	at := now + n.lat(from, to, n.rng)
 	if n.fifo {
-		key := linkKey{from, to}
-		if last, ok := n.lastArrival[key]; ok && arrival <= last {
-			arrival = last + 1
-		}
-		n.lastArrival[key] = arrival
+		at = src.clamp(to, now, at)
 	}
-
-	n.sched.At(arrival, func() {
-		node, ok := n.nodes[to]
-		if !ok {
-			return
-		}
-		if n.observe != nil {
-			n.observe(Delivery{SentAt: sentAt, DeliverAt: n.sched.Now(), From: from, To: to, Msg: m})
-		}
-		if err := node.Deliver(from, m); err != nil {
-			n.deliverErrs = append(n.deliverErrs,
-				fmt.Errorf("deliver %s %d->%d at t=%d: %w", m.Kind(), from, to, n.sched.Now(), err))
-		}
-	})
+	e := n.arm(at-now, nil, from, to)
+	e.sentAt, e.m, e.v = now, m, v
 }
 
-// The fault helpers delegate to the network's failure.Injector — one
-// fault model shared verbatim with the live transports. All of them
-// take effect at send time: messages already scheduled for delivery
-// still arrive (they were on the wire), so delivery order around a
-// fault transition stays exactly the scheduler's order.
+// clamp returns the arrival time for a message sent now to member to
+// that would otherwise arrive at at: pushed just past the link's
+// previous arrival if the latency model drew it earlier. The sender's
+// list is compacted on the way: an entry whose message arrived before
+// now can never clamp again, because no later send arrives before now.
+func (s *Member) clamp(to mutex.ID, now, at Time) Time {
+	links := s.links
+	k := 0
+	for _, l := range links {
+		switch {
+		case l.to == to:
+			if at <= l.at {
+				at = l.at + 1
+			}
+		case l.at >= now:
+			links[k] = l
+			k++
+		}
+	}
+	s.links = append(links[:k], linkClamp{to: to, at: at})
+	return at
+}
 
-// Injector returns the network's fault plan, for scenarios that toggle
-// it directly or share it with a live transport.
-func (n *Network) Injector() *failure.Injector { return n.inj }
-
-// Crash silences node id: everything sent to or from it from now on is
-// dropped, exactly as a dead process drops its traffic.
-func (n *Network) Crash(id mutex.ID) { n.inj.Crash(id) }
-
-// Revive clears a crash mark.
-func (n *Network) Revive(id mutex.ID) { n.inj.Revive(id) }
-
-// Sever cuts the directed link a -> b: sends in that direction are
-// dropped until Restore. The reverse direction is untouched — the
-// one-way severance the FIFO-assumption ablations and asymmetric-fault
-// tests need.
-func (n *Network) Sever(a, b mutex.ID) { n.inj.Sever(a, b) }
-
-// SeverBoth cuts the link between a and b in both directions.
-func (n *Network) SeverBoth(a, b mutex.ID) { n.inj.SeverBoth(a, b) }
-
-// Restore repairs the link between a and b in both directions.
-func (n *Network) Restore(a, b mutex.ID) { n.inj.Restore(a, b) }
-
-// Partition splits the cluster into the given groups: traffic inside a
-// group flows, traffic across groups — or touching a node in no group —
-// is dropped. A new call replaces the previous partition.
-func (n *Network) Partition(groups ...[]mutex.ID) { n.inj.Partition(groups...) }
-
-// Heal removes the partition. Severed links and crashes are untouched.
-func (n *Network) Heal() { n.inj.Heal() }
+// deliver hands the message to its destination — by value when it was
+// sent that way and the node can take it — unless the destination
+// crashed while the message was in flight.
+func (n *Network) deliver(from, to mutex.ID, sentAt Time, m mutex.Message, v core.Msg) {
+	dst := n.Member(to)
+	if dst.Down {
+		n.counts.Dropped++
+		return
+	}
+	n.counts.Delivered++
+	if v.Kind != core.MsgNone && (dst.byVal == nil || n.observe != nil) {
+		m, v = v.Boxed(), core.Msg{}
+	}
+	if n.observe != nil {
+		n.observe(Delivery{SentAt: sentAt, DeliverAt: n.now, From: from, To: to, Msg: m})
+	}
+	var err error
+	if v.Kind != core.MsgNone {
+		err = dst.byVal.DeliverMsg(from, v)
+	} else {
+		err = dst.Node.Deliver(from, m)
+	}
+	if err != nil && n.err == nil {
+		kind := v.Kind.String()
+		if m != nil {
+			kind = m.Kind()
+		}
+		n.err = fmt.Errorf("deliver %s %d->%d at t=%d: %w", kind, from, to, n.now, err)
+	}
+}
 
 // Counts returns a snapshot of the traffic statistics so far.
-func (n *Network) Counts() Counts { return n.counts.clone() }
-
-// DeliverErrors returns errors raised by node Deliver handlers. A correct
-// protocol under the paper's assumptions never produces any.
-func (n *Network) DeliverErrors() []error {
-	out := make([]error, len(n.deliverErrs))
-	copy(out, n.deliverErrs)
-	return out
+func (n *Network) Counts() Counts {
+	c := n.counts
+	c.ByKind, c.MaxSizeByKind = maps.Clone(c.ByKind), maps.Clone(c.MaxSizeByKind)
+	for k, sent := range n.sentByVal {
+		if sent > 0 {
+			m := core.Msg{Kind: core.MsgKind(k)}.Boxed()
+			c.add(m.Kind(), m.Size(), sent)
+		}
+	}
+	return c
 }
+
+// Err returns the first error a node's Deliver handler raised. A correct
+// protocol under the paper's assumptions never produces one.
+func (n *Network) Err() error { return n.err }

@@ -1,19 +1,18 @@
-// Package sim provides a deterministic discrete-event simulator: a
-// virtual-time scheduler and a reliable, per-link-FIFO message network on
-// top of it. All experiments in this repository run on sim so that message
-// counts and synchronization delays are exact and reproducible.
+// Package sim is the repository's one discrete-event simulator: a
+// reliable, per-link-FIFO message network (Network) whose every delivery
+// — and every driver step, auto-release and detector verdict the layers
+// above arm through it — is a pooled event on one vclock.Virtual. The
+// thesis experiments, the nine-protocol conformance batteries and
+// internal/simharness's thousand-node fault runs all execute on it (hosted
+// by internal/cluster, which owns the grant checker), so message counts
+// and synchronization delays are exact and reproducible.
 //
-// Time is measured in abstract ticks. Experiments use a unit latency of
-// Hop ticks per message, which makes "synchronization delay in messages"
-// (thesis §6.3) equal to elapsed virtual time divided by Hop.
-//
-// The scheduler itself lives in internal/sched and is re-exported here
-// as aliases: it is also the event queue under internal/vclock's Virtual
-// clock, which is the same machine driven in wall-clock vocabulary (one
-// tick is one nanosecond, so vclock durations map onto sim.Time exactly)
-// — the two time layers share a single scheduling implementation. The
-// experiment harnesses keep using ticks and Hop directly; everything
-// that speaks time.Duration goes through vclock.
+// Time is measured in ticks, and one tick is one nanosecond of the
+// virtual clock, so vclock durations and sim.Time are the same numbers.
+// The thesis experiments use a unit latency of Hop ticks per message,
+// which makes "synchronization delay in messages" (thesis §6.3) equal to
+// elapsed virtual time divided by Hop; the fault runs speak time.Duration
+// and draw a seeded delay per send. Both are a LatencyModel.
 package sim
 
 import "dagmutex/internal/sched"
@@ -25,13 +24,3 @@ type Time = sched.Time
 // so that sub-hop tie-breaking adjustments (FIFO clamping) never add up to
 // a full hop.
 const Hop = sched.Hop
-
-// Scheduler is a virtual-time event queue; see sched.Scheduler.
-type Scheduler = sched.Scheduler
-
-// Event is a cancellable handle to one scheduled callback; see
-// sched.Event.
-type Event = sched.Event
-
-// NewScheduler returns an empty scheduler at time zero.
-func NewScheduler() *Scheduler { return sched.NewScheduler() }

@@ -6,14 +6,18 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"dagmutex/internal/sim"
 )
 
 // TestAllocBudgetSimharnessDelivery bounds the steady state of a run at
 // no heap object per delivered message. Deliveries, driver steps, their
 // timers and the scheduler's events are all recycled, and the message
-// itself rides the pooled event by value: nodeEnv implements
-// core.MsgSender, so core never boxes a REQUEST or PRIVILEGE into a
-// mutex.Message, and deliver hands it back through DeliverMsg.
+// itself rides the engine's pooled event by value: the cluster's Env
+// implements core.MsgSender, so core never boxes a REQUEST or PRIVILEGE
+// into a mutex.Message, and the network hands it back through
+// DeliverMsg. (internal/cluster's TestAllocBudgetBoxedDelivery is the
+// twin for a baseline protocol's boxed messages on the same events.)
 func TestAllocBudgetSimharnessDelivery(t *testing.T) {
 	h, err := New(Config{Nodes: 200, Seed: 1})
 	if err != nil {
@@ -25,17 +29,17 @@ func TestAllocBudgetSimharnessDelivery(t *testing.T) {
 	}
 	// Warm up: the event pool, the scheduler's heap and every member's
 	// request queue reach their high-water marks.
-	h.clk.Advance(2 * time.Minute)
+	h.c.RunFor(sim.Time(2 * time.Minute))
 
 	var before, after runtime.MemStats
-	msgs := h.msgs
+	msgs := h.c.Counts().Delivered
 	runtime.ReadMemStats(&before)
-	h.clk.Advance(5 * time.Minute)
+	_, err = h.c.RunFor(sim.Time(5 * time.Minute))
 	runtime.ReadMemStats(&after)
-	msgs = h.msgs - msgs
+	msgs = h.c.Counts().Delivered - msgs
 
-	if len(h.violations) > 0 {
-		t.Fatalf("run violated an invariant: %v", h.violations)
+	if err != nil {
+		t.Fatalf("run violated an invariant: %v", err)
 	}
 	if msgs < 10000 {
 		t.Fatalf("only %d messages delivered in the measured window", msgs)

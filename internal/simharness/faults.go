@@ -1,10 +1,10 @@
 package simharness
 
 import (
-	"fmt"
 	"time"
 
 	"dagmutex/internal/mutex"
+	"dagmutex/internal/sim"
 )
 
 // Fault schedules are part of a run's input: every crash, partition and
@@ -28,23 +28,14 @@ const verdictJitter = 2 * time.Millisecond
 // (measured from the start of the run), with every survivor's PeerDown
 // verdict landing detect plus jitter later. Call before Run.
 func (h *Harness) ScheduleCrash(at time.Duration, victim mutex.ID, detect time.Duration) {
-	h.clk.AfterFunc(at, func() {
-		if !h.member(victim) {
-			h.failf("crash of unknown member %d at %v", victim, h.clk.Elapsed())
+	h.c.Clock().AfterFunc(at, func() {
+		if !h.c.Crash(victim) {
 			return
 		}
-		if h.down[victim] {
-			return
-		}
-		h.down[victim] = true
-		h.leaveCS(victim) // a hold dies with its holder; recovery regenerates the token
-		h.driving[victim] = false
-		for _, id := range h.ids {
-			if id == victim || h.down[id] {
-				continue
+		for _, id := range h.c.IDs() {
+			if id != victim && !h.c.Down(id) {
+				h.c.PeerDownAfter(h.verdictDelay(detect), id, victim)
 			}
-			d := detect + time.Duration(h.rng.Int63n(int64(verdictJitter)))
-			h.arm(d, evVerdict, id, victim)
 		}
 	})
 }
@@ -60,72 +51,23 @@ func (h *Harness) ScheduleCrash(at time.Duration, victim mutex.ID, detect time.D
 // disjoint partition to exercise repeated shrinking.
 func (h *Harness) SchedulePartition(at time.Duration, isolate []mutex.ID, detect time.Duration) {
 	cut := append([]mutex.ID(nil), isolate...)
-	h.clk.AfterFunc(at, func() {
-		side := len(h.maxFence)
-		h.maxFence = append(h.maxFence, 0)
-		for _, id := range cut {
-			if !h.member(id) {
-				h.failf("partition of unknown member %d at %v", id, h.clk.Elapsed())
+	h.c.Clock().AfterFunc(at, func() {
+		side := h.c.Partition(cut...)
+		for _, observer := range h.c.IDs() {
+			if h.c.Down(observer) {
 				continue
 			}
-			h.side[id] = side
-		}
-		for _, observer := range h.ids {
-			if h.down[observer] {
-				continue
-			}
-			for _, peer := range h.ids {
-				if peer == observer || h.down[peer] || (h.side[peer] == side) == (h.side[observer] == side) {
+			for _, peer := range h.c.IDs() {
+				if peer == observer || h.c.Down(peer) || (h.c.Side(peer) == side) == (h.c.Side(observer) == side) {
 					continue
 				}
-				d := detect + time.Duration(h.rng.Int63n(int64(verdictJitter)))
-				h.arm(d, evVerdict, observer, peer)
+				h.c.PeerDownAfter(h.verdictDelay(detect), observer, peer)
 			}
 		}
 	})
 }
 
-// member reports whether id names a member of this cluster.
-func (h *Harness) member(id mutex.ID) bool { return id >= 1 && int(id) < len(h.nodes) }
-
-// verdictDown delivers one failure-detector verdict, unless the
-// observer itself died (or was partitioned away from the suspect's
-// side later — a verdict about an unreachable peer is still valid).
-func (h *Harness) verdictDown(observer, dead mutex.ID) {
-	if h.down[observer] {
-		return
-	}
-	if err := h.nodes[observer].PeerDown(dead); err != nil {
-		h.failf("verdict PeerDown(%d) at node %d at %v: %v", dead, observer, h.clk.Elapsed(), err)
-	}
-}
-
-// Alive reports the members not crashed and still in the main
-// partition, ascending.
-func (h *Harness) Alive() []mutex.ID {
-	var out []mutex.ID
-	for _, id := range h.ids {
-		if !h.down[id] && h.side[id] == 0 {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
-// Coordinator returns the member that would coordinate a recovery in
-// the current main partition: the highest-ID survivor. Fault schedules
-// use it to aim "kill the coordinator mid-collection" scenarios.
-func (h *Harness) Coordinator() mutex.ID {
-	ids := h.Alive()
-	if len(ids) == 0 {
-		return mutex.Nil
-	}
-	return ids[len(ids)-1]
-}
-
-// String renders the schedule-relevant cluster state, for failure
-// messages in tests.
-func (h *Harness) String() string {
-	return fmt.Sprintf("simharness{nodes=%d topo=%s seed=%d grants=%d msgs=%d}",
-		len(h.ids), h.tree.Name(), h.cfg.Seed, h.grants, h.msgs)
+// verdictDelay draws one verdict's latency: detect plus seeded jitter.
+func (h *Harness) verdictDelay(detect time.Duration) sim.Time {
+	return sim.Time(detect + time.Duration(h.rng.Int63n(int64(verdictJitter))))
 }

@@ -115,7 +115,7 @@ func TestMessagesStayAtOrBelowN(t *testing.T) {
 	const perNode = 8
 	for i := 0; i < perNode; i++ {
 		for j, id := range c.IDs() {
-			c.RequestAt(c.Scheduler().Now()+sim.Time(i*n+j)*2*sim.Hop, id)
+			c.RequestAt(c.Now()+sim.Time(i*n+j)*2*sim.Hop, id)
 		}
 		if err := c.Run(); err != nil {
 			t.Fatal(err)

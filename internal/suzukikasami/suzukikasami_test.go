@@ -151,11 +151,12 @@ func TestStorageScalesWithN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	storage := metrics.WatchStorage(c)
 	c.RequestAt(0, 5)
 	if err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	r := metrics.StorageFrom(c.MaxStorage())
+	r := storage()
 	// Every node keeps an N-entry RN array; the holder also keeps LN.
 	if r.PerNodeMax.ArrayEntries < 9 {
 		t.Fatalf("per-node array entries = %d, want >= 9", r.PerNodeMax.ArrayEntries)

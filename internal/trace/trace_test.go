@@ -52,7 +52,7 @@ func TestLogRecordsLiveTraceStream(t *testing.T) {
 	var c *cluster.Cluster
 	builder := func(id mutex.ID, env mutex.Env, mc mutex.Config) (mutex.Node, error) {
 		return core.New(id, env, mc, core.WithTraceObserver(func(e telemetry.TraceEvent) {
-			l.AddEvent(c.Scheduler().Now(), e)
+			l.AddEvent(c.Now(), e)
 		}))
 	}
 	c, err := cluster.New(builder, cfg)

@@ -260,6 +260,28 @@ func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
 	return v.sched.Processed() - before
 }
 
+// Drain fires pending events in order, whatever their time, until none
+// remain or limit have fired, leaving the clock at the last event fired
+// — a closed-loop simulation run to quiescence. It reports how many
+// fired and whether the queue drained; the limit is the caller's guard
+// against a timeline that never quiesces.
+func (v *Virtual) Drain(limit uint64) (fired uint64, drained bool) {
+	v.settle()
+	for fired < limit {
+		v.mu.Lock()
+		fn, ok := v.sched.PopDue(maxSimTime)
+		v.mu.Unlock()
+		if !ok {
+			break
+		}
+		fn()
+		fired++
+		v.settleAfterEvent()
+	}
+	v.settle()
+	return fired, v.Pending() == 0
+}
+
 func (v *Virtual) runUntil(target sched.Time) {
 	v.settle()
 	for {
