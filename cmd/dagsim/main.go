@@ -9,9 +9,15 @@
 // Topologies: star, line, binary, radiating, random. Algorithms: see
 // -algo list.
 //
-// With -virtual the scenario instead runs on the virtual-time harness
-// (internal/simharness): the full DAG protocol including epoch
-// recovery, 1000+ nodes, simulated hours in wall-clock seconds:
+// Both modes run on the repository's one simulator; -virtual selects
+// the scenario and its vocabulary, not an engine. Without it the run is
+// closed-loop in hop ticks — any algorithm, a fixed number of entries per
+// node, unit message latency, run to quiescence — and reports the thesis
+// metrics. With it the run is open-loop in wall-clock terms
+// (internal/simharness's driver): the DAG protocol with epoch recovery,
+// a seeded 0.2–2 ms delay per message, requesters that think and hold for
+// a simulated duration — 1000+ nodes, simulated hours in wall-clock
+// seconds:
 //
 //	dagsim -virtual -n 1000 -requesters 100 -duration 1h -seed 42
 //
@@ -43,7 +49,7 @@ func main() {
 	think := flag.Float64("think", 10, "mean think time between entries, in message hops (0 = heavy demand)")
 	cs := flag.Float64("cs", 0.5, "critical-section duration in hops")
 	seed := flag.Int64("seed", 1, "random seed")
-	virtual := flag.Bool("virtual", false, "run on the virtual-time harness (full protocol, wall-clock time model)")
+	virtual := flag.Bool("virtual", false, "run the open-loop scenario in wall-clock terms (DAG protocol with recovery, seeded per-message delays, -duration of simulated time) instead of the closed-loop hop-tick one")
 	duration := flag.Duration("duration", 10*time.Minute, "simulated run length (-virtual only)")
 	requesters := flag.Int("requesters", 0, "requesting nodes, 0 = all (-virtual only)")
 	compress := flag.Bool("compress", false, "enable path compression (-virtual only)")

@@ -12,11 +12,13 @@ import (
 	"dagmutex/internal/simharness"
 )
 
-// The -virtual mode runs the full protocol stack (the same core nodes
-// the live runtime executes, epoch recovery included) on the
-// virtual-time harness instead of the tick simulator: simulated hours
-// of wall time — crashes included — complete in wall-clock seconds,
-// which is what makes the capacity sweep below practical.
+// The -virtual mode is the open-loop scenario: the same simulator as the
+// hop-tick mode, driven by internal/simharness in time.Duration terms —
+// the core nodes the live runtime executes, epoch recovery included,
+// seeded per-message delays, requesters that think and hold until the
+// simulated duration ends. Simulated hours — crashes included — complete
+// in wall-clock seconds, which is what makes the capacity sweep below
+// practical.
 
 // runVirtual executes one virtual-time scenario and prints a report in
 // dagsim's usual text style.

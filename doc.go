@@ -159,7 +159,8 @@
 // OpenPeer(tree, holder, id, ...).
 //
 // For the deterministic simulator used by the experiments, see the
-// Simulate function and the cmd/dagbench tool.
+// Simulate function and the cmd/dagbench tool (one engine,
+// internal/sim + internal/cluster, hosts every protocol).
 //
 // # Clients that are not DAG members
 //
@@ -378,7 +379,8 @@
 // error. For whole-cluster simulation at scale — thousands of nodes,
 // seeded fault schedules against the recovery protocol, simulated
 // hours in wall-clock seconds — the internal/simharness package and
-// `dagsim -virtual` run the same core state machines entirely on
-// virtual time; `dagsim -virtual -capacity` publishes the
+// `dagsim -virtual` drive the same core state machines open-loop on
+// that one simulator, entirely on virtual time;
+// `dagsim -virtual -capacity` publishes the
 // capacity-planning curves as BENCH_sim.json.
 package dagmutex

@@ -1,11 +1,10 @@
-// Package sched is the single deterministic event scheduler under both
-// of the repository's time layers: internal/sim drives it in abstract
-// ticks for the message-count experiments, and internal/vclock drives
-// it in wall-clock vocabulary (one tick = one nanosecond) as the
-// Virtual clock the live subsystems run on under test. It lives in its
-// own leaf package so both can share one scheduling implementation
-// without an import cycle — sim re-exports Time, Hop, Scheduler and
-// Event as aliases, so experiment code keeps saying sim.Time.
+// Package sched is the single deterministic event scheduler: the queue
+// under internal/vclock's Virtual clock, which drives it in wall-clock
+// vocabulary (one tick = one nanosecond) for the live subsystems under
+// test and for the simulator (internal/sim), whose hop-tick experiments
+// use the same ticks. It lives in its own leaf package so both can
+// share Time and Hop without an import cycle — sim re-exports them as
+// aliases, so experiment code keeps saying sim.Time.
 //
 // Events fire in (time, scheduling order): two events due at the same
 // instant fire in the order they were armed, every run. That total

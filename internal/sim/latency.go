@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"maps"
 	"math/rand"
 
 	"dagmutex/internal/mutex"
@@ -30,26 +29,5 @@ func UniformLatency(min, max Time) LatencyModel {
 			return min
 		}
 		return min + Time(rng.Int63n(int64(max-min+1)))
-	}
-}
-
-// ExponentialLatency returns a model drawing delays from an exponential
-// distribution with the given mean, truncated below at 1 tick. It mimics
-// queueing delay on a lightly loaded network.
-func ExponentialLatency(mean Time) LatencyModel {
-	return func(_, _ mutex.ID, rng *rand.Rand) Time {
-		return max(1, Time(rng.ExpFloat64()*float64(mean)))
-	}
-}
-
-// PerLink wraps a base model with per-link overrides, letting tests build
-// adversarial timings (for example, making one path much slower).
-func PerLink(base LatencyModel, overrides map[[2]mutex.ID]Time) LatencyModel {
-	cp := maps.Clone(overrides)
-	return func(from, to mutex.ID, rng *rand.Rand) Time {
-		if d, ok := cp[[2]mutex.ID{from, to}]; ok {
-			return d
-		}
-		return base(from, to, rng)
 	}
 }

@@ -261,10 +261,14 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
 	} else {
 		n.counts.add(m.Kind(), m.Size(), 1)
 	}
-	if n.drop != nil && m == nil {
-		m, v = v.Boxed(), core.Msg{}
+	cut := src.Down || src.Side != dst.Side
+	if !cut && n.drop != nil {
+		if m == nil {
+			m, v = v.Boxed(), core.Msg{}
+		}
+		cut = n.drop(from, to, m)
 	}
-	if src.Down || src.Side != dst.Side || n.drop != nil && n.drop(from, to, m) {
+	if cut {
 		n.counts.Dropped++
 		return
 	}

@@ -279,8 +279,12 @@ func TestNetworkPartitionAndHealOrdering(t *testing.T) {
 // path and the delivery path read (as internal/cluster's checker and
 // simharness's schedules do through the cluster).
 func TestNetworkSharedInjector(t *testing.T) {
-	sched, net, _, b := newTestNet(t,
-		WithLatency(PerLink(Unit(Hop), map[[2]mutex.ID]Time{{1, 2}: 4 * Hop})))
+	sched, net, _, b := newTestNet(t, WithLatency(func(from, to mutex.ID, _ *rand.Rand) Time {
+		if from == 1 && to == 2 {
+			return 4 * Hop
+		}
+		return Hop
+	}))
 	m := net.Member(1)
 	m.Side = 1
 	net.Send(1, 2, testMsg{tag: 1})

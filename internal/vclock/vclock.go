@@ -2,7 +2,7 @@
 // stamps: a Clock interface with two implementations. Real delegates to
 // package time and is what production code runs on; Virtual is a
 // deterministic fake whose time advances only when the test or harness
-// says so, built on internal/sim's event scheduler (one tick = one
+// says so, built on internal/sched's event queue (one tick = one
 // nanosecond), so simulated hours of lease churn and heartbeat traffic
 // complete in milliseconds of wall clock.
 //

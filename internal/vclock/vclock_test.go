@@ -289,3 +289,28 @@ func TestRealClockSmoke(t *testing.T) {
 	c.AfterFunc(time.Millisecond, func() { close(fired) })
 	<-fired
 }
+
+// TestDrainRunsToQuiescenceWithinLimit: Drain fires events in (time,
+// arming) order whatever their time, follows chains the events arm,
+// leaves the clock at the last event fired, and stops at its limit with
+// the rest still pending.
+func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
+	v := NewVirtual()
+	var order []int
+	v.AfterFunc(time.Hour, func() {
+		order = append(order, 2)
+		v.AfterFunc(time.Minute, func() { order = append(order, 3) })
+	})
+	v.AfterFunc(time.Second, func() { order = append(order, 1) })
+	fired, drained := v.Drain(2)
+	if fired != 2 || drained || len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("Drain(2) = %d, %v with order %v, want two events fired and one pending", fired, drained, order)
+	}
+	fired, drained = v.Drain(10)
+	if fired != 1 || !drained || len(order) != 3 || order[2] != 3 {
+		t.Fatalf("second Drain = %d, %v with order %v, want the chained event", fired, drained, order)
+	}
+	if got := v.Elapsed(); got != time.Hour+time.Minute {
+		t.Fatalf("clock at %v after Drain, want the last event's time %v", got, time.Hour+time.Minute)
+	}
+}
