@@ -274,8 +274,8 @@ type Node struct {
 	// the window between acknowledging a probe and applying the
 	// coordinator's reorientation, during which the token must not move.
 	epoch   uint32
-	coord   mutex.ID // coordinator that set the current epoch (tie-break)
-	ids     []mutex.ID
+	coord   mutex.ID   // coordinator that set the current epoch (tie-break)
+	ids     []mutex.ID // the membership: cfg.IDs itself, shared between nodes and only ever read
 	dead    map[mutex.ID]bool
 	frozen  bool
 	staleCS bool // in CS under a token a recovery has since invalidated
@@ -400,7 +400,7 @@ func New(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Option) (*Node, e
 		return nil, fmt.Errorf("%w: no initial token holder designated", mutex.ErrBadConfig)
 	}
 	n := &Node{id: id, env: env,
-		ids: append([]mutex.ID(nil), cfg.IDs...), dead: make(map[mutex.ID]bool)}
+		ids: cfg.IDs, dead: make(map[mutex.ID]bool)}
 	if cfg.Holder == id {
 		n.holding = true
 		n.next = mutex.Nil

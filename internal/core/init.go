@@ -38,7 +38,7 @@ func NewUninitialized(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Opti
 	n := &Node{
 		id:            id,
 		env:           env,
-		ids:           append([]mutex.ID(nil), cfg.IDs...),
+		ids:           cfg.IDs,
 		dead:          make(map[mutex.ID]bool),
 		uninitialized: true,
 		isInitHolder:  cfg.Holder == id,

@@ -220,7 +220,11 @@ func (s Storage) String() string {
 // construction time. Fields irrelevant to a given protocol are ignored by
 // its Builder; Builders validate the fields they require.
 type Config struct {
-	// IDs lists every node in the cluster in ascending order.
+	// IDs lists every node in the cluster in ascending order. A Builder
+	// may keep the slice instead of copying it (the DAG node does: at a
+	// thousand members a copy per node is most of the cluster's memory),
+	// so every node built from one Config can share it and nobody may
+	// write to it once it has been handed to a Builder.
 	IDs []ID
 	// Holder is the initial token holder for token-based protocols and the
 	// coordinator for the centralized scheme.

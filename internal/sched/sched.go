@@ -1,16 +1,17 @@
-// Package sched is the single deterministic event scheduler: the queue
-// under internal/vclock's Virtual clock, which drives it in wall-clock
-// vocabulary (one tick = one nanosecond) for the live subsystems under
-// test and for the simulator (internal/sim), whose hop-tick experiments
-// use the same ticks. It lives in its own leaf package so both can
+// Package sched holds the deterministic event queues under
+// internal/vclock's Virtual clock, which supplies the time (one tick = one
+// nanosecond) and the locking: Scheduler, a cancellable queue for timers
+// any goroutine may arm, stop and reset, and Timeline, a handle-less one
+// for the events of a simulation (internal/sim) that only the advancing
+// goroutine ever touches. The package is a leaf so vclock and sim can
 // share Time and Hop without an import cycle — sim re-exports them as
 // aliases, so experiment code keeps saying sim.Time.
 //
-// Events fire in (time, scheduling order): two events due at the same
-// instant fire in the order they were armed, every run. That total
+// Both queues fire in (time, scheduling order): two events due at the
+// same instant fire in the order they were armed, every run. That total
 // order is what makes trace diffs byte-stable across runs.
 //
-// The queue is a binary heap of events held by value, sifted by hand on
+// Scheduler is a binary heap of events held by value, sifted by hand on
 // (at, seq). Every event occupies a slot that tracks its heap index, so
 // Cancel removes it from the heap at once — Pending and NextAt are O(1)
 // and exact, and a timer reset in a loop never grows the heap. Slots
@@ -55,22 +56,21 @@ type slot struct {
 }
 
 // Event is a cancellable handle to one scheduled callback, returned by
-// AtEvent and AfterEvent — what vclock's timers are built on. It is a
-// value (slot plus generation); the zero Event refers to nothing.
+// AtEvent — what vclock's timers are built on. It is a value (slot plus
+// generation); the zero Event refers to nothing.
 type Event struct {
 	slot int32
 	gen  uint32
 }
 
-// Scheduler is a virtual-time event queue. The zero value is not usable;
-// construct with NewScheduler.
+// Scheduler is a cancellable virtual-time event queue. The zero value is
+// not usable; construct with NewScheduler.
 type Scheduler struct {
-	now     Time
-	heap    []event
-	slots   []slot
-	free    []int32 // recycled slot indices
-	seq     uint64
-	stepped uint64
+	last  Time // time of the last event popped
+	heap  []event
+	slots []slot
+	free  []int32 // recycled slot indices
+	seq   uint64
 }
 
 // NewScheduler returns an empty scheduler at time zero.
@@ -78,26 +78,19 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{}
 }
 
-// Now returns the current virtual time.
-func (s *Scheduler) Now() Time { return s.now }
-
 // Pending reports the number of scheduled, not-yet-fired events.
 func (s *Scheduler) Pending() int { return len(s.heap) }
 
-// Processed reports how many events have fired so far.
-func (s *Scheduler) Processed() uint64 { return s.stepped }
+// Seq returns the sequence number of the event scheduled last: how many
+// events have been scheduled so far.
+func (s *Scheduler) Seq() uint64 { return s.seq }
 
-// At schedules fn to fire at virtual time t. Scheduling in the past is a
-// programming error and panics, since it would silently corrupt causality.
-func (s *Scheduler) At(t Time, fn func()) { s.AtEvent(t, fn) }
-
-// After schedules fn to fire d ticks from now.
-func (s *Scheduler) After(d Time, fn func()) { s.AfterEvent(d, fn) }
-
-// AtEvent is At with a cancellable handle, for timers layered above.
+// AtEvent schedules fn to fire at virtual time t and returns its handle.
+// Scheduling before the last event popped is a programming error and
+// panics, since it would silently corrupt causality.
 func (s *Scheduler) AtEvent(t Time, fn func()) Event {
-	if t < s.now {
-		panic(fmt.Sprintf("sched: scheduling at %d before now %d", t, s.now))
+	if t < s.last {
+		panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", t, s.last))
 	}
 	var si int32
 	if n := len(s.free); n > 0 {
@@ -111,14 +104,6 @@ func (s *Scheduler) AtEvent(t Time, fn func()) Event {
 	s.heap = append(s.heap, event{})
 	s.siftUp(len(s.heap)-1, event{at: t, seq: s.seq, fire: fn, slot: si})
 	return Event{slot: si, gen: s.slots[si].gen}
-}
-
-// AfterEvent is After with a cancellable handle.
-func (s *Scheduler) AfterEvent(d Time, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sched: negative delay %d", d))
-	}
-	return s.AtEvent(s.now+d, fn)
 }
 
 // Cancel withdraws the event e refers to, removing it from the heap. It
@@ -193,19 +178,6 @@ func (s *Scheduler) siftDown(i int, e event) {
 	s.place(i, e)
 }
 
-// Step fires the earliest pending event and returns true, or returns false
-// if no events remain.
-func (s *Scheduler) Step() bool {
-	fn, ok := s.PopDue(maxTime)
-	if !ok {
-		return false
-	}
-	fn()
-	return true
-}
-
-const maxTime = Time(1)<<62 - 1
-
 // NextAt reports the earliest pending event's time, or false when the
 // queue is empty.
 func (s *Scheduler) NextAt() (Time, bool) {
@@ -215,64 +187,22 @@ func (s *Scheduler) NextAt() (Time, bool) {
 	return s.heap[0].at, true
 }
 
-// PopDue removes the earliest pending event scheduled at or before t,
-// advances the clock to its time, and returns its callback — without
-// running it, so a caller that guards the scheduler with a lock can
-// release the lock before firing (vclock's callbacks re-enter the
-// clock). It reports false when no event is due by t.
+// NextSeq returns the earliest pending event's sequence number: its
+// ordinal among all events ever scheduled here. The queue must not be
+// empty.
+func (s *Scheduler) NextSeq() uint64 { return s.heap[0].seq }
+
+// PopDue removes the earliest pending event scheduled at or before t and
+// returns its callback — without running it, so a caller that guards the
+// scheduler with a lock can release the lock before firing (vclock's
+// callbacks re-enter the clock). It reports false when no event is due by
+// t.
 func (s *Scheduler) PopDue(t Time) (func(), bool) {
 	if len(s.heap) == 0 || s.heap[0].at > t {
 		return nil, false
 	}
-	s.now = s.heap[0].at
-	s.stepped++
+	s.last = s.heap[0].at
 	fn := s.heap[0].fire
 	s.remove(0)
 	return fn, true
-}
-
-// AdvanceTo moves the clock forward to t without firing anything; events
-// due by t must have been drained first (PopDue). Moving backward is
-// ignored.
-func (s *Scheduler) AdvanceTo(t Time) {
-	if t > s.now {
-		s.now = t
-	}
-}
-
-// Run fires events until none remain and returns the number fired. Events
-// may schedule further events; Run keeps going until true quiescence. The
-// limit argument of RunLimited guards against livelock in tests.
-func (s *Scheduler) Run() uint64 {
-	var n uint64
-	for s.Step() {
-		n++
-	}
-	return n
-}
-
-// RunLimited fires at most limit events, returning the number fired and
-// whether the queue drained. Use it where a protocol bug could otherwise
-// loop forever.
-func (s *Scheduler) RunLimited(limit uint64) (fired uint64, drained bool) {
-	for fired < limit {
-		if !s.Step() {
-			return fired, true
-		}
-		fired++
-	}
-	return fired, s.Pending() == 0
-}
-
-// RunUntil fires all events scheduled at or before t, then advances the
-// clock to t (even if no event was scheduled exactly there).
-func (s *Scheduler) RunUntil(t Time) {
-	for {
-		fn, ok := s.PopDue(t)
-		if !ok {
-			break
-		}
-		fn()
-	}
-	s.AdvanceTo(t)
 }

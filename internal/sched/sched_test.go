@@ -6,14 +6,33 @@ import (
 	"testing"
 )
 
+// never is later than any event: PopDue(never) pops whatever is earliest.
+const never = Time(1)<<62 - 1
+
+// run pops and fires events until the queue is empty, the way vclock
+// drives it, and returns how many fired and the time of the last.
+func run(s *Scheduler) (fired int, now Time) {
+	for {
+		at, _ := s.NextAt()
+		fn, ok := s.PopDue(never)
+		if !ok {
+			return fired, now
+		}
+		now = at
+		fn()
+		fired++
+	}
+}
+
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	s := NewScheduler()
 	var got []int
-	s.At(30, func() { got = append(got, 3) })
-	s.At(10, func() { got = append(got, 1) })
-	s.At(20, func() { got = append(got, 2) })
-	if n := s.Run(); n != 3 {
-		t.Fatalf("Run fired %d events, want 3", n)
+	s.AtEvent(30, func() { got = append(got, 3) })
+	s.AtEvent(10, func() { got = append(got, 1) })
+	s.AtEvent(20, func() { got = append(got, 2) })
+	n, now := run(s)
+	if n != 3 {
+		t.Fatalf("fired %d events, want 3", n)
 	}
 	want := []int{1, 2, 3}
 	for i := range want {
@@ -21,8 +40,8 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 			t.Fatalf("fire order %v, want %v", got, want)
 		}
 	}
-	if s.Now() != 30 {
-		t.Fatalf("Now = %d, want 30", s.Now())
+	if now != 30 {
+		t.Fatalf("last event popped at %d, want 30", now)
 	}
 }
 
@@ -31,9 +50,9 @@ func TestSchedulerTieBreaksByScheduleOrder(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.At(5, func() { got = append(got, i) })
+		s.AtEvent(5, func() { got = append(got, i) })
 	}
-	s.Run()
+	run(s)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-time events fired out of schedule order: %v", got)
@@ -44,81 +63,65 @@ func TestSchedulerTieBreaksByScheduleOrder(t *testing.T) {
 func TestSchedulerNestedScheduling(t *testing.T) {
 	s := NewScheduler()
 	depth := 0
+	at := Time(1)
 	var rec func()
 	rec = func() {
 		depth++
 		if depth < 5 {
-			s.After(7, rec)
+			at += 7
+			s.AtEvent(at, rec)
 		}
 	}
-	s.After(1, rec)
-	s.Run()
+	s.AtEvent(at, rec)
+	_, now := run(s)
 	if depth != 5 {
 		t.Fatalf("nested chain ran %d times, want 5", depth)
 	}
-	if s.Now() != 1+4*7 {
-		t.Fatalf("Now = %d, want %d", s.Now(), 1+4*7)
+	if now != 1+4*7 {
+		t.Fatalf("last event popped at %d, want %d", now, 1+4*7)
 	}
 }
 
-func TestSchedulerRunUntilAdvancesClock(t *testing.T) {
+func TestSchedulerPopDueStopsAtBound(t *testing.T) {
 	s := NewScheduler()
-	fired := false
-	s.At(50, func() { fired = true })
-	s.RunUntil(40)
-	if fired {
-		t.Fatal("event at t=50 fired during RunUntil(40)")
+	s.AtEvent(50, func() {})
+	if _, ok := s.PopDue(40); ok {
+		t.Fatal("event at t=50 popped by PopDue(40)")
 	}
-	if s.Now() != 40 {
-		t.Fatalf("Now = %d, want 40", s.Now())
+	if s.Pending() != 1 {
+		t.Fatalf("Pending = %d after a PopDue short of the event, want 1", s.Pending())
 	}
-	s.RunUntil(60)
-	if !fired {
-		t.Fatal("event at t=50 did not fire by RunUntil(60)")
-	}
-	if s.Now() != 60 {
-		t.Fatalf("Now = %d, want 60", s.Now())
-	}
-}
-
-func TestSchedulerRunLimited(t *testing.T) {
-	s := NewScheduler()
-	// A self-perpetuating event chain: would never drain.
-	var loop func()
-	loop = func() { s.After(1, loop) }
-	s.After(0, loop)
-	fired, drained := s.RunLimited(100)
-	if drained {
-		t.Fatal("self-perpetuating chain reported drained")
-	}
-	if fired != 100 {
-		t.Fatalf("fired = %d, want 100", fired)
+	if _, ok := s.PopDue(60); !ok || s.Pending() != 0 {
+		t.Fatalf("PopDue(60) = %v with %d pending; want the event at 50", ok, s.Pending())
 	}
 }
 
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
-	s.At(10, func() {
+	s.AtEvent(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		s.At(5, func() {})
+		s.AtEvent(5, func() {})
 	})
-	s.Run()
+	run(s)
 }
 
-func TestSchedulerPendingAndProcessed(t *testing.T) {
+func TestSchedulerPendingAndSeq(t *testing.T) {
 	s := NewScheduler()
-	s.At(1, func() {})
-	s.At(2, func() {})
-	if s.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", s.Pending())
+	s.AtEvent(2, func() {})
+	s.AtEvent(1, func() {})
+	if s.Pending() != 2 || s.Seq() != 2 {
+		t.Fatalf("Pending = %d, Seq = %d; want 2, 2", s.Pending(), s.Seq())
 	}
-	s.Step()
-	if s.Pending() != 1 || s.Processed() != 1 {
-		t.Fatalf("after one step: pending=%d processed=%d", s.Pending(), s.Processed())
+	if seq := s.NextSeq(); seq != 2 {
+		t.Fatalf("NextSeq = %d, want the earlier event's: 2", seq)
+	}
+	s.PopDue(never)
+	if s.Pending() != 1 || s.Seq() != 2 || s.NextSeq() != 1 {
+		t.Fatalf("after one pop: pending=%d seq=%d next=%d", s.Pending(), s.Seq(), s.NextSeq())
 	}
 }
 
@@ -142,7 +145,7 @@ func TestCancelRemovesAtOnce(t *testing.T) {
 	if at, ok := s.NextAt(); !ok || at != 20 {
 		t.Fatalf("NextAt = %d, %v; want 20, true", at, ok)
 	}
-	s.Run()
+	run(s)
 	if fired != 10 {
 		t.Fatalf("fired = %d, want only the surviving event (10)", fired)
 	}
@@ -195,7 +198,7 @@ func TestCancelKeepsHeapOrder(t *testing.T) {
 	if s.Pending() != len(want) {
 		t.Fatalf("Pending = %d, want %d", s.Pending(), len(want))
 	}
-	s.Run()
+	run(s)
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
 	}

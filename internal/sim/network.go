@@ -19,7 +19,9 @@ import (
 // accounting the Chapter 6 experiments and the fault runs report.
 //
 // Not safe for concurrent use: every method runs on the goroutine that
-// advances the clock, which is also where every event fires.
+// advances the clock, which is also where every event fires — the
+// contract that lets every event ride the clock's owner-only timeline
+// (vclock.Virtual.Arm) instead of a locked, cancellable timer.
 type Network struct {
 	clk  *vclock.Virtual
 	lat  LatencyModel
@@ -31,18 +33,10 @@ type Network struct {
 	index   []int32
 	members []Member
 
-	// now is the virtual time while one of the network's own events is
-	// firing (firing set): the clock stands at the event's due time until
-	// its handler returns, so the handler reads it here, not under the
-	// clock's lock.
-	now    Time
-	firing bool
-
-	// free holds fired events for reuse. The network owns every event and
-	// the one AfterFunc timer inside it: arm takes one from here (or makes
-	// one), the event returns itself when it fires, and nothing else
-	// keeps a reference — so a steady-state run schedules without
-	// allocating.
+	// free holds fired events for reuse. The network owns every event:
+	// arm takes one from here (or makes one), the event returns itself
+	// when it fires, and nothing else keeps a reference — so a
+	// steady-state run schedules without allocating.
 	free []*event
 
 	counts    Counts                       // Messages, Bytes and the maps cover boxed sends only
@@ -178,59 +172,50 @@ func (n *Network) Member(id mutex.ID) *Member {
 }
 
 // Now returns the current virtual time.
-func (n *Network) Now() Time {
-	if n.firing {
-		return n.now
-	}
-	return Time(n.clk.Elapsed())
-}
+func (n *Network) Now() Time { return Time(n.clk.Elapsed()) }
 
 // event is one scheduled step — a message delivery when step is nil,
-// otherwise what the layer above armed through After — and the AfterFunc
-// timer that fires it. See Network.free for who owns it. A delivery
-// carries its message in v when it was sent by value and in m otherwise.
+// otherwise what the layer above armed through After. See Network.free
+// for who owns it. A delivery carries its message in v when it was sent
+// by value and in m otherwise.
 type event struct {
 	n        *Network
-	tm       vclock.Timer
+	fire     func() // run, bound once: what the clock's timeline holds
 	step     func(a, b mutex.ID)
 	from, to mutex.ID
-	at       Time // when the event is due
 	sentAt   Time
 	m        mutex.Message
 	v        core.Msg
 }
 
-// arm schedules one event d from now, re-arming a recycled event's timer
-// when there is one. Either way the clock takes exactly one scheduling
-// sequence number, here. Nothing fires before the clock next advances,
-// so send fills in the returned event's message afterwards.
+// arm schedules one event d from now on the clock's timeline (a negative
+// d fires at once, like a timer's). Nothing fires before the clock next
+// advances, so send fills in the returned event's message afterwards.
 func (n *Network) arm(d Time, step func(a, b mutex.ID), from, to mutex.ID) *event {
-	d = max(d, 0)
+	var e *event
 	if k := len(n.free); k > 0 {
-		e := n.free[k-1]
+		e = n.free[k-1]
 		n.free = n.free[:k-1]
-		e.step, e.from, e.to, e.at = step, from, to, n.Now()+d
-		e.tm.Reset(time.Duration(d))
-		return e
+	} else {
+		e = &event{n: n}
+		e.fire = e.run
 	}
-	e := &event{n: n, step: step, from: from, to: to, at: n.Now() + d}
-	e.tm = n.clk.AfterFunc(time.Duration(d), e.fire)
+	e.step, e.from, e.to = step, from, to
+	n.clk.Arm(time.Duration(d), e.fire)
 	return e
 }
 
-// fire recycles the event, then runs its step — in that order, so the
+// run recycles the event, then runs its step — in that order, so the
 // sends the step makes can already reuse it.
-func (e *event) fire() {
+func (e *event) run() {
 	n, step, from, to, sentAt, m, v := e.n, e.step, e.from, e.to, e.sentAt, e.m, e.v
 	e.step, e.m, e.v = nil, nil, core.Msg{}
 	n.free = append(n.free, e)
-	n.now, n.firing = e.at, true
 	if step != nil {
 		step(from, to)
 	} else {
 		n.deliver(from, to, sentAt, m, v)
 	}
-	n.firing = false
 }
 
 // After arms step(a, b) to run d from now as one pooled event: how the
@@ -318,7 +303,7 @@ func (n *Network) deliver(from, to mutex.ID, sentAt Time, m mutex.Message, v cor
 		m, v = v.Boxed(), core.Msg{}
 	}
 	if n.observe != nil {
-		n.observe(Delivery{SentAt: sentAt, DeliverAt: n.now, From: from, To: to, Msg: m})
+		n.observe(Delivery{SentAt: sentAt, DeliverAt: n.Now(), From: from, To: to, Msg: m})
 	}
 	var err error
 	if v.Kind != core.MsgNone {
@@ -331,7 +316,7 @@ func (n *Network) deliver(from, to mutex.ID, sentAt Time, m mutex.Message, v cor
 		if m != nil {
 			kind = m.Kind()
 		}
-		n.err = fmt.Errorf("deliver %s %d->%d at t=%d: %w", kind, from, to, n.now, err)
+		n.err = fmt.Errorf("deliver %s %d->%d at t=%d: %w", kind, from, to, n.Now(), err)
 	}
 }
 

@@ -7,6 +7,12 @@
 // by internal/cluster, which owns the grant checker), so message counts
 // and synchronization delays are exact and reproducible.
 //
+// Everything here runs on the goroutine that advances the clock, so the
+// events go on the clock's owner-only timeline (Virtual.Arm): no timer,
+// no handle and no lock per event, and the time is one atomic load. What
+// a simulated event costs is a queue pop, the network's bookkeeping and
+// the protocol's own step.
+//
 // Time is measured in ticks, and one tick is one nanosecond of the
 // virtual clock, so vclock durations and sim.Time are the same numbers.
 // The thesis experiments use a unit latency of Hop ticks per message,

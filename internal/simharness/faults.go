@@ -28,7 +28,7 @@ const verdictJitter = 2 * time.Millisecond
 // (measured from the start of the run), with every survivor's PeerDown
 // verdict landing detect plus jitter later. Call before Run.
 func (h *Harness) ScheduleCrash(at time.Duration, victim mutex.ID, detect time.Duration) {
-	h.c.Clock().AfterFunc(at, func() {
+	h.c.Clock().Arm(at, func() {
 		if !h.c.Crash(victim) {
 			return
 		}
@@ -51,7 +51,7 @@ func (h *Harness) ScheduleCrash(at time.Duration, victim mutex.ID, detect time.D
 // disjoint partition to exercise repeated shrinking.
 func (h *Harness) SchedulePartition(at time.Duration, isolate []mutex.ID, detect time.Duration) {
 	cut := append([]mutex.ID(nil), isolate...)
-	h.c.Clock().AfterFunc(at, func() {
+	h.c.Clock().Arm(at, func() {
 		side := h.c.Partition(cut...)
 		for _, observer := range h.c.IDs() {
 			if h.c.Down(observer) {

@@ -157,7 +157,10 @@ func New(cfg Config) (*Harness, error) {
 		return nil, err
 	}
 	h := &Harness{cfg: cfg, tree: tree, rng: rng}
-	opts := []core.Option{core.WithTraceObserver(h.observe)}
+	opts := []core.Option{core.WithEventObserver(h.recovery)}
+	if cfg.Trace {
+		opts = append(opts, core.WithTraceObserver(h.record))
+	}
 	if cfg.Compress {
 		opts = append(opts, core.WithPathCompression())
 	}
@@ -199,20 +202,20 @@ func buildTree(name string, n int, rng *rand.Rand) (*topology.Tree, error) {
 // Topology returns the logical tree the cluster was built on.
 func (h *Harness) Topology() *topology.Tree { return h.tree }
 
-// observe bridges every node's trace stream into the harness: the
-// recovery counters always, the retained trace only when enabled.
-func (h *Harness) observe(ev telemetry.TraceEvent) {
-	if ev.Kind == telemetry.TraceRecovery {
-		switch ev.Detail {
-		case "PROBE":
-			h.recoveries++
-		case "REGENERATE":
-			h.regens++
-		}
+// recovery counts every node's probe rounds and regenerations.
+func (h *Harness) recovery(ev core.Event) {
+	switch ev.Kind {
+	case core.EventProbe:
+		h.recoveries++
+	case core.EventRegenerate:
+		h.regens++
 	}
-	if h.cfg.Trace {
-		h.trace = append(h.trace, TraceRecord{At: time.Duration(h.c.Now()), Ev: ev})
-	}
+}
+
+// record retains every node's trace stream; installed only when
+// Config.Trace is set, so an untraced run builds no trace events.
+func (h *Harness) record(ev telemetry.TraceEvent) {
+	h.trace = append(h.trace, TraceRecord{At: time.Duration(h.c.Now()), Ev: ev})
 }
 
 // linkDelay is the harness's latency model: a uniform per-message delay

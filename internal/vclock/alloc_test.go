@@ -28,3 +28,26 @@ func TestAllocBudgetVirtualTimerReset(t *testing.T) {
 		t.Fatalf("fired = %d, want 1003", fired)
 	}
 }
+
+// TestAllocBudgetVirtualArm: arming an event on the owner's timeline and
+// firing it allocates nothing once the timeline's buckets have grown.
+func TestAllocBudgetVirtualArm(t *testing.T) {
+	v := NewVirtual()
+	fired := 0
+	fn := func() { fired++ }
+	round := func() {
+		for i := 0; i < 64; i++ {
+			v.Arm(time.Duration(1+i%7)<<uint(i%20), fn)
+		}
+		v.Advance(8 << 20)
+	}
+	for i := 0; i < 64; i++ {
+		round()
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("64 x Arm+fire = %.2f allocs, want 0", avg)
+	}
+	if fired != 64*(64+1+200) {
+		t.Fatalf("fired = %d, want %d", fired, 64*(64+1+200))
+	}
+}
