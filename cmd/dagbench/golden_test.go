@@ -22,7 +22,7 @@ func TestThesisTablesMatchCommittedGolden(t *testing.T) {
 		t.Skip("runs every thesis table (~10s)")
 	}
 	var b strings.Builder
-	if err := run(&b, "all", true, false, "", 1, lockOptions{}, chaosOptions{}, clientsOptions{}, topoOptions{}, telemetryOptions{}); err != nil {
+	if err := run(&b, "all", true, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join("testdata", "thesis.golden.csv")

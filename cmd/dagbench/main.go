@@ -3,249 +3,59 @@
 // or JSON for machine consumption) for: the §6.1 upper bounds, the §6.2
 // average and heavy-demand bounds, the §6.3 synchronization delays, the
 // §6.4 storage overheads, the topology sweep behind Figures 1/8, and the
-// load-sweep ablation. Beyond the thesis, the lock experiment benchmarks
-// the sharded multi-resource lock service live — over the in-process
-// link layer and over real loopback TCP — showing aggregate grant
-// throughput scaling with shard count on both substrates.
+// load-sweep ablation. Every experiment runs on the discrete-event
+// simulator, so the tables are exact per seed. The live stack is
+// measured by the repository benchmark, go run ./bench.
 //
 // Usage:
 //
-//	dagbench                          # run every simulator experiment
-//	dagbench -exp 6.2                 # one experiment (6.1, 6.2, 6.2-heavy, 6.3, 6.4, topo, load)
-//	dagbench -exp lock -shards 1,2,4,8 -resources 64 -transports local,tcp
-//	                                  # live sharded lock-service benchmark
+//	dagbench                          # run every experiment
+//	dagbench -exp 6.2                 # one experiment (6.1, 6.2, 6.2-placement, 6.2-heavy, 6.3, 6.4, topo, load)
 //	dagbench -csv                     # machine-readable CSV output
-//	dagbench -json                    # machine-readable JSON output (CI artifact shape)
+//	dagbench -json                    # machine-readable JSON output
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"dagmutex/internal/harness"
-	"dagmutex/internal/lockservice"
-	"dagmutex/internal/mutex"
 	"dagmutex/internal/sim"
-	"dagmutex/internal/telemetry"
-	"dagmutex/internal/workload"
 )
-
-// lockOptions parameterizes the live lock-service benchmarks (the lock
-// throughput sweep and the lease-churn workload).
-type lockOptions struct {
-	shards        string
-	transports    string
-	nodes         int
-	resources     int
-	workers       int
-	ops           int
-	repeat        int
-	skew          float64
-	hold          time.Duration
-	lease         time.Duration
-	overholdEvery int
-	churn         bool // set by the lease experiment: enable stuck-client overholding
-	instrument    bool // set by the telemetry experiment: attach a live registry and trace observer
-}
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment(s) to run, comma-separated: 6.1, 6.2, 6.2-placement, 6.2-heavy, 6.3, 6.4, topo, load, all, "+
-			"or the live benchmarks lock, topology, lease, clients, chaos and telemetry (not part of all)")
-	telemetryMode := flag.Bool("telemetry", false,
-		"run the telemetry-overhead benchmark (shorthand for -exp telemetry): the lock sweep bare vs. fully instrumented, asserting the traced run stays within the overhead budget")
-	var tl telemetryOptions
-	flag.Float64Var(&tl.maxOverhead, "telemetry-max-overhead", 5,
-		"telemetry: fail when the instrumented sweep's throughput loss exceeds this percentage (<= 0 disables the assertion)")
+		"experiment(s) to run, comma-separated: 6.1, 6.2, 6.2-placement, 6.2-heavy, 6.3, 6.4, topo, load, all")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	jsonOut := flag.Bool("json", false, "emit one JSON array of result tables (overrides -csv)")
 	seed := flag.Int64("seed", 1, "random seed for randomized scenarios")
-	var lo lockOptions
-	flag.StringVar(&lo.shards, "shards", "1,2,4,8", "lock/lease: comma-separated shard counts to sweep")
-	flag.StringVar(&lo.transports, "transports", "local,tcp", "lock/lease: comma-separated substrates to sweep (local, tcp)")
-	flag.IntVar(&lo.nodes, "nodes", 4, "lock/lease: member nodes per shard cluster")
-	flag.IntVar(&lo.resources, "resources", 64, "lock/lease: number of distinct resource keys")
-	flag.IntVar(&lo.workers, "workers", 32, "lock/lease: concurrent closed-loop workers")
-	flag.IntVar(&lo.ops, "ops", 100, "lock/lease: lock cycles per worker")
-	flag.IntVar(&lo.repeat, "repeat", 1,
-		"lock/lease/clients: run each benchmark point N times and report the median-throughput run (live wall-clock numbers are noisy)")
-	flag.Float64Var(&lo.skew, "skew", 1.1, "lock/lease: Zipf skew of key popularity (<=1 means uniform)")
-	flag.DurationVar(&lo.hold, "hold", 200*time.Microsecond, "lock/lease: critical-section hold time")
-	flag.DurationVar(&lo.lease, "lease", 0, "hold lease; 0 keeps the service default for lock and 40ms for lease")
-	flag.IntVar(&lo.overholdEvery, "overhold-every", 4, "lease: every Nth cycle overholds past the lease (stuck-client churn)")
-	var cl clientsOptions
-	flag.StringVar(&cl.list, "clients", "16",
-		"clients: comma-separated dialed-connection counts to sweep (k suffix allowed: 64,256,1k,10k)")
-	flag.IntVar(&cl.ops, "client-ops", 10, "clients: acquire/release cycles per dialed client")
-	flag.IntVar(&cl.resources, "client-resources", 1, "clients: distinct resource keys (1 = single hot key, the coalescing configuration)")
-	flag.StringVar(&cl.modes, "client-modes", "direct,gateway", "clients: comma-separated access paths to sweep (direct, gateway)")
-	flag.IntVar(&cl.maxConns, "client-conns", 4000,
-		"clients: cap on real connections; clients beyond the cap share connections (keeps a 10k sweep inside the fd budget)")
-	flag.Float64Var(&cl.rate, "admit-rate", 0, "clients: admitted requests/second across all connections (0 = unlimited)")
-	flag.IntVar(&cl.burst, "admit-burst", 0, "clients: admission burst size (0 = one second of rate)")
-	var to topoOptions
-	flag.IntVar(&to.nodes, "topo-nodes", 32, "topology: member nodes per shape")
-	flag.Float64Var(&to.zipfS, "zipf-s", 1.2, "topology: Zipf skew exponent of the requester population (> 1)")
-	flag.StringVar(&to.shapes, "topo-shapes", "chain,star,radial", "topology: comma-separated initial shapes to sweep (chain, star, radial)")
-	flag.StringVar(&to.policies, "topo-policies", "static,compress,rebalance", "topology: comma-separated adaptive policies to sweep (static, compress, rebalance)")
-	flag.IntVar(&to.ops, "topo-ops", 2048, "topology: acquire/release cycles per shape x policy cell")
-	flag.IntVar(&to.rebalanceEvery, "rebalance-every", 256, "topology: ops between planned re-root passes under the rebalance policy")
-	var co chaosOptions
-	flag.IntVar(&co.nodes, "chaos-nodes", 5, "chaos: cluster size")
-	flag.IntVar(&co.kills, "chaos-kills", 2, "chaos: seeded kills of the active holder (must leave a majority)")
-	flag.DurationVar(&co.heartbeat, "heartbeat", 10*time.Millisecond, "chaos: failure-detector heartbeat interval")
-	flag.DurationVar(&co.suspect, "suspect", 80*time.Millisecond, "chaos: silence before a peer is suspected dead")
-	flag.DurationVar(&co.settle, "settle", 300*time.Millisecond, "chaos: steady-state window before and after each kill")
-	flag.DurationVar(&co.hold, "chaos-hold", 5*time.Millisecond,
-		"chaos: critical-section dwell; long enough that kills land on a node mid-CS")
-	gen := flag.String("gen", "",
-		"with -json: wrap the table array in an object with run metadata under this generation label (trajectory file shape)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (after the experiments finish) to this file")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "dagbench:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "dagbench:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	selectedExp := *exp
-	if *telemetryMode {
-		if selectedExp == "all" {
-			selectedExp = "telemetry"
-		} else {
-			selectedExp += ",telemetry"
-		}
-	}
-	err := run(os.Stdout, selectedExp, *csv, *jsonOut, *gen, *seed, lo, co, cl, to, tl)
-	if *cpuprofile != "" {
-		pprof.StopCPUProfile() // flush before any exit below; the deferred stop is then a no-op
-	}
-	if *memprofile != "" {
-		if perr := writeHeapProfile(*memprofile); perr != nil && err == nil {
-			err = perr
-		}
-	}
-	if err != nil {
+	if err := run(os.Stdout, *exp, *csv, *jsonOut, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "dagbench:", err)
 		os.Exit(1)
 	}
 }
 
-// writeHeapProfile snapshots the heap after a GC, so the profile shows
-// live steady-state retention rather than collectible garbage.
-func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	runtime.GC()
-	return pprof.WriteHeapProfile(f)
-}
-
-// runMeta is the metadata header of a committed trajectory file
-// (benchmarks/*.json): enough machine context to decide, later, whether
-// a throughput comparison against this run is meaningful.
-type runMeta struct {
-	Generation string `json:"generation"`
-	Go         string `json:"go"`
-	GOOS       string `json:"goos"`
-	GOARCH     string `json:"goarch"`
-	NumCPU     int    `json:"ncpu"`
-}
-
-func run(w io.Writer, exp string, csv, jsonOut bool, gen string, seed int64, lo lockOptions, co chaosOptions, cl clientsOptions, to topoOptions, tl telemetryOptions) error {
-	// JSON is one array, so tables accumulate and emit at the end; the
-	// table/CSV modes stream each experiment as it completes.
-	var tables []*harness.Table
-	emitOne := func(tbl *harness.Table) {
-		if jsonOut {
-			tables = append(tables, tbl)
-			return
-		}
-		if csv {
-			fmt.Fprintf(w, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.CSV())
-		} else {
-			fmt.Fprintf(w, "%s\n", tbl.Format())
-		}
-	}
-	emitJSON := func() error {
-		if !jsonOut {
-			return nil
-		}
-		if gen != "" {
-			// Trajectory-file shape: the same table array, wrapped with
-			// run metadata so bench-gate can tell whether this machine's
-			// throughput is comparable to the recorded one.
-			b, err := json.MarshalIndent(struct {
-				Meta   runMeta          `json:"meta"`
-				Tables []*harness.Table `json:"tables"`
-			}{
-				Meta: runMeta{
-					Generation: gen,
-					Go:         runtime.Version(),
-					GOOS:       runtime.GOOS,
-					GOARCH:     runtime.GOARCH,
-					NumCPU:     runtime.NumCPU(),
-				},
-				Tables: tables,
-			}, "", "  ")
-			if err != nil {
-				return err
-			}
-			_, err = fmt.Fprintf(w, "%s\n", b)
-			return err
-		}
-		b, err := harness.TablesJSON(tables)
-		if err != nil {
-			return err
-		}
-		_, err = fmt.Fprintf(w, "%s\n", b)
-		return err
-	}
-
-	type experiment struct {
-		key  string
-		live bool // live wall-clock benchmark, excluded from "all"
-		gen  func() (*harness.Table, error)
-	}
-	experiments := []experiment{
-		{"6.1", false, func() (*harness.Table, error) { return harness.UpperBound([]int{9, 16, 25}) }},
-		{"6.2", false, func() (*harness.Table, error) { return harness.AverageBound([]int{5, 10, 20, 50, 100, 200}) }},
-		{"6.2-placement", false, func() (*harness.Table, error) { return harness.TokenPlacement([]int{5, 10, 20, 50, 100}) }},
-		{"6.2-heavy", false, func() (*harness.Table, error) { return harness.HeavyDemand([]int{5, 10, 20, 40}) }},
-		{"6.3", false, harness.SyncDelay},
-		{"6.4", false, func() (*harness.Table, error) { return harness.Storage(25) }},
-		{"topo", false, func() (*harness.Table, error) { return harness.TopologySweep(13, seed) }},
-		{"load", false, func() (*harness.Table, error) {
+func run(w io.Writer, exp string, csv, jsonOut bool, seed int64) error {
+	experiments := []struct {
+		key string
+		gen func() (*harness.Table, error)
+	}{
+		{"6.1", func() (*harness.Table, error) { return harness.UpperBound([]int{9, 16, 25}) }},
+		{"6.2", func() (*harness.Table, error) { return harness.AverageBound([]int{5, 10, 20, 50, 100, 200}) }},
+		{"6.2-placement", func() (*harness.Table, error) { return harness.TokenPlacement([]int{5, 10, 20, 50, 100}) }},
+		{"6.2-heavy", func() (*harness.Table, error) { return harness.HeavyDemand([]int{5, 10, 20, 40}) }},
+		{"6.3", harness.SyncDelay},
+		{"6.4", func() (*harness.Table, error) { return harness.Storage(25) }},
+		{"topo", func() (*harness.Table, error) { return harness.TopologySweep(13, seed) }},
+		{"load", func() (*harness.Table, error) {
 			thinks := []sim.Time{0, sim.Hop, 5 * sim.Hop, 20 * sim.Hop, 100 * sim.Hop, 500 * sim.Hop}
 			return harness.LoadSweep(15, thinks, seed)
 		}},
-		{"lock", true, func() (*harness.Table, error) { return lockTable(lo, seed) }},
-		{"topology", true, func() (*harness.Table, error) { return topologyTable(to, seed) }},
-		{"lease", true, func() (*harness.Table, error) { return leaseTable(lo, seed) }},
-		{"clients", true, func() (*harness.Table, error) { return clientsTable(lo, cl, seed) }},
-		{"chaos", true, func() (*harness.Table, error) { return chaosTable(co, seed) }},
-		{"telemetry", true, func() (*harness.Table, error) { return telemetryTable(lo, tl, seed) }},
 	}
 
 	// Validate the whole -exp list up front, so "6.2,bogus" fails with a
@@ -256,21 +66,17 @@ func run(w io.Writer, exp string, csv, jsonOut bool, gen string, seed int64, lo 
 	}
 	keys = append(keys, "all")
 	valid := strings.Join(keys, ", ")
-	known := func(key string) bool {
-		for _, e := range experiments {
-			if strings.EqualFold(key, e.key) {
-				return true
-			}
-		}
-		return false
-	}
 	selected := map[string]bool{}
 	for _, part := range strings.Split(exp, ",") {
 		part = strings.ToLower(strings.TrimSpace(part))
 		if part == "" {
 			continue
 		}
-		if part != "all" && !known(part) {
+		known := false
+		for _, k := range keys {
+			known = known || part == k
+		}
+		if !known {
 			return fmt.Errorf("unknown experiment %q (want %s)", part, valid)
 		}
 		selected[part] = true
@@ -279,386 +85,33 @@ func run(w io.Writer, exp string, csv, jsonOut bool, gen string, seed int64, lo 
 		return fmt.Errorf("empty -exp list (want %s)", valid)
 	}
 
+	// JSON is one array, so tables accumulate and emit at the end; the
+	// table/CSV modes stream each experiment as it completes.
+	var tables []*harness.Table
 	for _, e := range experiments {
-		if !selected[e.key] && !(selected["all"] && !e.live) {
+		if !selected[e.key] && !selected["all"] {
 			continue
 		}
 		tbl, err := e.gen()
 		if err != nil {
 			return fmt.Errorf("experiment %s: %w", e.key, err)
 		}
-		// A rowless table means the experiment measured nothing (every op
-		// timed out or failed). Exiting non-zero here keeps the bench
-		// lanes from uploading — or a trajectory commit from recording —
-		// a vacuous artifact that a later comparison would read as data.
-		if tbl == nil || len(tbl.Rows) == 0 {
-			return fmt.Errorf("experiment %s: produced no result rows", e.key)
+		switch {
+		case jsonOut:
+			tables = append(tables, tbl)
+		case csv:
+			fmt.Fprintf(w, "# %s: %s\n%s\n", tbl.ID, tbl.Title, tbl.CSV())
+		default:
+			fmt.Fprintf(w, "%s\n", tbl.Format())
 		}
-		emitOne(tbl)
 	}
-	return emitJSON()
-}
-
-// lockResult is one benchmark point of the lock sweep.
-type lockResult struct {
-	grants   int64
-	forced   int64 // holds the sweeper force-released after lease expiry
-	late     int   // releases that observed ErrLeaseExpired (stuck clients)
-	messages int64
-	ops      int   // completed acquire→release cycles
-	mallocs  int64 // heap allocations during the measured run (cluster setup excluded)
-	tput     float64
-	waitMean float64
-	waitP99  float64
-}
-
-// allocsPerOp is the -benchmem-style figure of the sweep: heap
-// allocations per completed lock cycle, across every goroutine in the
-// process (workers, actors, writers, sweepers). It is what the
-// bench-gate compares across generations — unlike ops/sec it does not
-// depend on the machine's clock or core count.
-func (r lockResult) allocsPerOp() float64 {
-	if r.ops <= 0 {
-		return 0
+	if !jsonOut {
+		return nil
 	}
-	return float64(r.mallocs) / float64(r.ops)
-}
-
-// measureAllocs runs fn and reports the process-wide heap allocation
-// count delta around it. Reading MemStats briefly stops the world, so
-// callers keep it outside the timed region.
-func measureAllocs(fn func() error) (int64, error) {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := fn()
-	runtime.ReadMemStats(&after)
-	return int64(after.Mallocs - before.Mallocs), err
-}
-
-// runMedian runs one benchmark point n times and returns the run with
-// the median throughput. Wall-clock numbers on a live runtime jitter by
-// ~10% run to run; a committed trajectory point (and a CI gate reading
-// one) needs the central run, not whichever one the scheduler favored.
-func runMedian(n int, point func() (lockResult, error)) (lockResult, error) {
-	if n <= 1 {
-		return point()
-	}
-	results := make([]lockResult, 0, n)
-	for i := 0; i < n; i++ {
-		r, err := point()
-		if err != nil {
-			return lockResult{}, err
-		}
-		results = append(results, r)
-	}
-	sort.Slice(results, func(i, j int) bool { return results[i].tput < results[j].tput })
-	return results[len(results)/2], nil
-}
-
-// lockTable sweeps substrate × shard count over the live lock service,
-// driving the same multi-resource Zipf workload at each point. Speedup
-// is relative to each substrate's first row, so the two substrates'
-// scaling curves are directly comparable.
-func lockTable(lo lockOptions, seed int64) (*harness.Table, error) {
-	counts, err := parseShardList(lo.shards)
+	b, err := harness.TablesJSON(tables)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	transports, err := parseTransportList(lo.transports)
-	if err != nil {
-		return nil, err
-	}
-	tbl := &harness.Table{
-		ID: "EXP-lock",
-		Title: fmt.Sprintf("sharded lock service: %d resources, zipf %.2f, %d workers x %d ops, hold %v",
-			lo.resources, lo.skew, lo.workers, lo.ops, lo.hold),
-		Columns: []string{"transport", "shards", "grants", "msgs", "msgs/grant", "allocs/op", "ops/sec", "speedup", "wait-mean-ms", "wait-p99-ms"},
-		Notes: []string{
-			"one token DAG per shard; resources hash to shards, so throughput scales until the hottest shard saturates",
-			"live runtime: ops/sec is wall-clock and varies run to run; speedup is relative to each transport's first row",
-			"tcp rows run one member process-equivalent per node over loopback sockets with batched framed writes",
-		},
-	}
-	for _, tr := range transports {
-		base := 0.0
-		for _, m := range counts {
-			tr, m := tr, m
-			res, err := runMedian(lo.repeat, func() (lockResult, error) {
-				switch tr {
-				case "local":
-					return runLockLocal(lo, m, seed)
-				default:
-					return runLockTCP(lo, m, seed)
-				}
-			})
-			if err != nil {
-				return nil, fmt.Errorf("transport=%s shards=%d: %w", tr, m, err)
-			}
-			if base == 0 {
-				base = res.tput
-			}
-			msgsPerGrant := 0.0
-			if res.grants > 0 {
-				msgsPerGrant = float64(res.messages) / float64(res.grants)
-			}
-			tbl.AddRow(
-				tr,
-				fmt.Sprintf("%d", m),
-				fmt.Sprintf("%d", res.grants),
-				fmt.Sprintf("%d", res.messages),
-				fmt.Sprintf("%.2f", msgsPerGrant),
-				fmt.Sprintf("%.1f", res.allocsPerOp()),
-				fmt.Sprintf("%.0f", res.tput),
-				fmt.Sprintf("%.2fx", res.tput/base),
-				fmt.Sprintf("%.3f", res.waitMean),
-				fmt.Sprintf("%.3f", res.waitP99),
-			)
-		}
-	}
-	return tbl, nil
-}
-
-// leaseTable is the lease-churn benchmark: the same closed-loop Zipf
-// workload as the lock sweep, but with a short lease and a fraction of
-// deliberately stuck clients (every overhold-every'th cycle dwells twice
-// the lease). It reports how many holds the sweeper force-released, how
-// many late releases observed ErrLeaseExpired, and what the churn costs
-// in throughput — the deployability story the bare paper algorithm lacks
-// (one stuck client would otherwise wedge its shard forever).
-func leaseTable(lo lockOptions, seed int64) (*harness.Table, error) {
-	lo.churn = true
-	if lo.lease <= 0 {
-		lo.lease = 40 * time.Millisecond
-	}
-	if lo.overholdEvery <= 0 {
-		lo.overholdEvery = 4
-	}
-	counts, err := parseShardList(lo.shards)
-	if err != nil {
-		return nil, err
-	}
-	transports, err := parseTransportList(lo.transports)
-	if err != nil {
-		return nil, err
-	}
-	tbl := &harness.Table{
-		ID: "EXP-lease",
-		Title: fmt.Sprintf("lease churn: %d resources, lease %v, every %dth hold stuck at %v, %d workers x %d ops",
-			lo.resources, lo.lease, lo.overholdEvery, 2*lo.lease, lo.workers, lo.ops),
-		Columns: []string{"transport", "shards", "grants", "forced", "late-rel", "ops/sec"},
-		Notes: []string{
-			"forced: holds the per-shard sweeper released after their lease deadline passed",
-			"late-rel: releases that came back after expiry and observed ErrLeaseExpired",
-			"a stuck client costs its shard one lease interval, instead of wedging it forever",
-		},
-	}
-	for _, tr := range transports {
-		for _, m := range counts {
-			tr, m := tr, m
-			res, err := runMedian(lo.repeat, func() (lockResult, error) {
-				switch tr {
-				case "local":
-					return runLockLocal(lo, m, seed)
-				default:
-					return runLockTCP(lo, m, seed)
-				}
-			})
-			if err != nil {
-				return nil, fmt.Errorf("transport=%s shards=%d: %w", tr, m, err)
-			}
-			tbl.AddRow(
-				tr,
-				fmt.Sprintf("%d", m),
-				fmt.Sprintf("%d", res.grants),
-				fmt.Sprintf("%d", res.forced),
-				fmt.Sprintf("%d", res.late),
-				fmt.Sprintf("%.0f", res.tput),
-			)
-		}
-	}
-	return tbl, nil
-}
-
-// lockWorkload builds the sweep's shared workload over the given member
-// clients. Only the lease experiment churns (every overholdEvery-th
-// cycle overholds to twice the lease, so the sweeper's expiry path runs
-// under load); -lease with the plain lock sweep just configures the
-// service's lease without injecting stuck clients, keeping its
-// throughput numbers meaningful.
-func lockWorkload(lo lockOptions, seed int64, clients []workload.Locker) workload.MultiResource {
-	w := workload.MultiResource{
-		Workers:   lo.workers,
-		Ops:       lo.ops,
-		Resources: lo.resources,
-		Keys:      workload.ZipfKeys(lo.skew, lo.resources),
-		Hold:      lo.hold,
-		Seed:      seed,
-		Clients:   clients,
-	}
-	if lo.churn && lo.lease > 0 && lo.overholdEvery > 0 {
-		w.OverholdEvery = lo.overholdEvery
-		w.Overhold = 2 * lo.lease
-	}
-	return w
-}
-
-// lockConfig derives the service configuration for one sweep point. A
-// negative -lease disables expiry (the paper's fail-free model), exactly
-// as lockservice.Config.Lease does; 0 keeps the service default.
-func lockConfig(lo lockOptions, shards int) lockservice.Config {
-	cfg := lockservice.Config{Shards: shards, Nodes: lo.nodes, Lease: lo.lease}
-	if lo.lease > 0 {
-		cfg.SweepInterval = lo.lease / 8
-	}
-	if lo.instrument {
-		// The telemetry experiment's traced variant: the full
-		// observability stack as a production deployment runs it — a
-		// registry the service feeds per-shard instruments into, and a
-		// trace observer invoked on every protocol event. The observer
-		// body is empty so the experiment measures the stack's own cost,
-		// not a consumer's.
-		cfg.Telemetry = telemetry.NewRegistry()
-		cfg.TraceObserver = func(telemetry.TraceEvent) {}
-	}
-	return cfg
-}
-
-// runLockLocal benchmarks one shard count on the in-process substrate.
-func runLockLocal(lo lockOptions, shards int, seed int64) (lockResult, error) {
-	svc, err := lockservice.New(lockConfig(lo, shards))
-	if err != nil {
-		return lockResult{}, err
-	}
-	defer svc.Close()
-	// Spread workers across member nodes so the token actually travels
-	// between cluster members instead of idling at each shard's home.
-	clients := make([]workload.Locker, svc.Nodes())
-	for n := range clients {
-		c, err := svc.On(mutex.ID(n + 1))
-		if err != nil {
-			return lockResult{}, err
-		}
-		clients[n] = c
-	}
-	var res workload.MultiResourceResult
-	mallocs, err := measureAllocs(func() error {
-		var rerr error
-		res, rerr = lockWorkload(lo, seed, clients).Run(context.Background(), svc)
-		return rerr
-	})
-	if err != nil {
-		return lockResult{}, err
-	}
-	if err := svc.Err(); err != nil {
-		return lockResult{}, err
-	}
-	if res.Ops == 0 {
-		return lockResult{}, fmt.Errorf("no operations completed")
-	}
-	st := svc.Stats()
-	return lockResult{
-		grants:   st.Grants,
-		forced:   st.Expired,
-		late:     res.Expired,
-		messages: st.Messages,
-		ops:      res.Ops,
-		mallocs:  mallocs,
-		tput:     res.Throughput(),
-		waitMean: st.Wait.Mean,
-		waitP99:  st.Wait.P99,
-	}, nil
-}
-
-// runLockTCP benchmarks one shard count on the TCP substrate: one
-// Service per member (each with its own listener, as separate processes
-// would run), wired over loopback, with workers spread across members.
-func runLockTCP(lo lockOptions, shards int, seed int64) (lockResult, error) {
-	members := lo.nodes
-	services, err := lockservice.NewTCPCluster(lockConfig(lo, shards), members)
-	if err != nil {
-		return lockResult{}, err
-	}
-	defer func() {
-		for _, svc := range services {
-			svc.Close()
-		}
-	}()
-	clients := make([]workload.Locker, members)
-	for m, svc := range services {
-		c, err := svc.On(mutex.ID(m + 1))
-		if err != nil {
-			return lockResult{}, err
-		}
-		clients[m] = c
-	}
-	var res workload.MultiResourceResult
-	mallocs, err := measureAllocs(func() error {
-		var rerr error
-		res, rerr = lockWorkload(lo, seed, clients).Run(context.Background(), services[0])
-		return rerr
-	})
-	if err != nil {
-		return lockResult{}, err
-	}
-	if res.Ops == 0 {
-		return lockResult{}, fmt.Errorf("no operations completed")
-	}
-	out := lockResult{tput: res.Throughput(), late: res.Expired, ops: res.Ops, mallocs: mallocs}
-	var weightedMean float64
-	for m, svc := range services {
-		if err := svc.Err(); err != nil {
-			return lockResult{}, fmt.Errorf("member %d: %w", m+1, err)
-		}
-		st := svc.Stats()
-		out.grants += st.Grants
-		out.forced += st.Expired
-		out.messages += st.Messages
-		if st.Grants > 0 && !math.IsNaN(st.Wait.Mean) {
-			weightedMean += st.Wait.Mean * float64(st.Grants)
-			if st.Wait.P99 > out.waitP99 {
-				out.waitP99 = st.Wait.P99
-			}
-		}
-	}
-	if out.grants > 0 {
-		out.waitMean = weightedMean / float64(out.grants)
-	}
-	return out, nil
-}
-
-func parseShardList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad shard count %q (want positive integers, e.g. 1,2,4,8)", part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -shards list")
-	}
-	return out, nil
-}
-
-func parseTransportList(s string) ([]string, error) {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		part = strings.ToLower(strings.TrimSpace(part))
-		if part == "" {
-			continue
-		}
-		if part != "local" && part != "tcp" {
-			return nil, fmt.Errorf("bad transport %q (want local and/or tcp)", part)
-		}
-		out = append(out, part)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty -transports list")
-	}
-	return out, nil
+	_, err = fmt.Fprintf(w, "%s\n", b)
+	return err
 }

@@ -2,66 +2,13 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
-	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
-
-// tinyLock keeps the live benchmark small enough for unit tests.
-func tinyLock() lockOptions {
-	return lockOptions{
-		shards:     "1,2",
-		transports: "local,tcp",
-		nodes:      2,
-		resources:  8,
-		workers:    4,
-		ops:        10,
-		skew:       1.1,
-		hold:       0,
-	}
-}
-
-// tinyClients keeps the dialed-clients sweep small enough for unit tests.
-func tinyClients() clientsOptions {
-	return clientsOptions{
-		list:      "6",
-		ops:       6,
-		resources: 2,
-		modes:     "direct,gateway",
-		maxConns:  16,
-	}
-}
-
-// tinyTopo keeps the adaptive-topology benchmark small enough for unit
-// tests.
-func tinyTopo() topoOptions {
-	return topoOptions{
-		nodes:          8,
-		zipfS:          1.2,
-		shapes:         "chain,star,radial",
-		policies:       "static,compress,rebalance",
-		ops:            64,
-		rebalanceEvery: 16,
-	}
-}
-
-// tinyChaos keeps the chaos benchmark small enough for unit tests.
-func tinyChaos() chaosOptions {
-	return chaosOptions{
-		nodes:     5,
-		kills:     1,
-		heartbeat: 5 * time.Millisecond,
-		suspect:   40 * time.Millisecond,
-		settle:    80 * time.Millisecond,
-		hold:      20 * time.Millisecond,
-	}
-}
 
 func TestRunSingleExperiment(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "6.3", false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
+	if err := run(&b, "6.3", false, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -74,7 +21,7 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunCSVOutput(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "6.3", true, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
+	if err := run(&b, "6.3", true, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -86,16 +33,22 @@ func TestRunCSVOutput(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment also covers the live-stack sweeps dagbench
+// no longer runs (go run ./bench measures the live stack): each of their
+// old keys fails like any other unknown name.
 func TestRunUnknownExperiment(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "99", false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, exp := range []string{"99", "lock", "topology", "lease", "clients", "chaos", "telemetry"} {
+		var b strings.Builder
+		err := run(&b, exp, false, false, 1)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Fatalf("-exp %s: err = %v, want an unknown-experiment error", exp, err)
+		}
 	}
 }
 
 func TestRunTopoExperiment(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "topo", false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
+	if err := run(&b, "topo", false, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), "radiating-star") {
@@ -103,266 +56,9 @@ func TestRunTopoExperiment(t *testing.T) {
 	}
 }
 
-func TestRunLockExperiment(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "lock", false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{"EXP-lock", "shards", "ops/sec", "speedup", "1.00x"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("lock output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestRunLockExperimentCSV(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "lock", true, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "transport,shards,grants,msgs,msgs/grant,allocs/op,ops/sec,speedup,wait-mean-ms,wait-p99-ms") {
-		t.Fatalf("lock CSV header missing:\n%s", out)
-	}
-}
-
-func TestRunClientsExperiment(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "clients", false, true, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID      string     `json:"id"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &tables); err != nil {
-		t.Fatalf("clients -json output invalid: %v\n%s", err, b.String())
-	}
-	if len(tables) != 1 || tables[0].ID != "EXP-clients" {
-		t.Fatalf("unexpected tables: %+v", tables)
-	}
-	wantCols := "mode,clients,grants,msgs/grant,shed,allocs/op,ops/sec~,wait-p99-ms"
-	if got := strings.Join(tables[0].Columns, ","); got != wantCols {
-		t.Fatalf("clients columns = %s, want %s", got, wantCols)
-	}
-	seen := map[string]int{}
-	for _, row := range tables[0].Rows {
-		seen[row[0]]++
-	}
-	if seen["direct"] != 1 || seen["gateway"] != 1 {
-		t.Fatalf("mode sweep rows = %v, want one direct + one gateway", seen)
-	}
-}
-
-// TestRunClientsShedsOverRate: with a starved admission budget, the
-// sweep still completes (a shed op is dropped after a short backoff and
-// the client offers its next one) and the table reports the shed count.
-func TestRunClientsShedsOverRate(t *testing.T) {
-	cl := tinyClients()
-	cl.modes = "direct"
-	cl.rate = 200
-	cl.burst = 1
-	var b strings.Builder
-	if err := run(&b, "clients", false, true, "", 1, tinyLock(), tinyChaos(), cl, tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &tables); err != nil {
-		t.Fatalf("clients -json output invalid: %v\n%s", err, b.String())
-	}
-	shedCol := -1
-	for i, c := range tables[0].Columns {
-		if c == "shed" {
-			shedCol = i
-		}
-	}
-	if shedCol < 0 {
-		t.Fatalf("clients table missing shed column: %v", tables[0].Columns)
-	}
-	if tables[0].Rows[0][shedCol] == "0" {
-		t.Fatalf("no acquires shed under a starved admission budget: %v", tables[0].Rows[0])
-	}
-}
-
-func TestRunClientsRejectsBadCount(t *testing.T) {
-	cl := tinyClients()
-	cl.list = "0"
-	var b strings.Builder
-	if err := run(&b, "clients", false, false, "", 1, tinyLock(), tinyChaos(), cl, tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
-		t.Fatal("clients=0 accepted")
-	}
-	cl.list = "16"
-	cl.modes = "proxy"
-	if err := run(&b, "clients", false, false, "", 1, tinyLock(), tinyChaos(), cl, tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
-		t.Fatal("bad client mode accepted")
-	}
-}
-
-func TestParseClientList(t *testing.T) {
-	got, err := parseClientList(" 64, 256,1k ,10K")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{64, 256, 1000, 10000}
-	if len(got) != len(want) {
-		t.Fatalf("parseClientList = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("parseClientList = %v, want %v", got, want)
-		}
-	}
-	for _, bad := range []string{"", "-3", "k", "1m"} {
-		if _, err := parseClientList(bad); err == nil {
-			t.Fatalf("parseClientList(%q) accepted", bad)
-		}
-	}
-}
-
-// TestRunTopologyExperiment checks the adaptive-topology sweep's table
-// shape and its headline property at test size: path compression must
-// cut the static chain's per-grant message cost.
-func TestRunTopologyExperiment(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "topology", false, true, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID      string     `json:"id"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &tables); err != nil {
-		t.Fatalf("topology -json output invalid: %v\n%s", err, b.String())
-	}
-	if len(tables) != 1 || tables[0].ID != "EXP-topology" {
-		t.Fatalf("unexpected tables: %+v", tables)
-	}
-	wantCols := "shape,policy,grants,msgs,msgs/grant,hops/grant,reorients"
-	if got := strings.Join(tables[0].Columns, ","); got != wantCols {
-		t.Fatalf("topology columns = %s, want %s", got, wantCols)
-	}
-	if len(tables[0].Rows) != 9 {
-		t.Fatalf("topology rows = %d, want 9 (3 shapes x 3 policies)", len(tables[0].Rows))
-	}
-	cost := map[string]float64{}
-	for _, row := range tables[0].Rows {
-		v, err := strconv.ParseFloat(row[4], 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cost[row[0]+"/"+row[1]] = v
-	}
-	if cost["chain/compress"] >= cost["chain/static"] {
-		t.Fatalf("compression did not cut the chain's msgs/grant: %.2f vs %.2f",
-			cost["chain/compress"], cost["chain/static"])
-	}
-}
-
-// TestRunTopologyRejectsBadFlags pins the sweep's one-line flag errors:
-// an unknown policy or shape, a non-skewed Zipf exponent, and degenerate
-// sizing must all fail up front, before any cluster starts.
-func TestRunTopologyRejectsBadFlags(t *testing.T) {
-	cases := []struct {
-		mutate func(*topoOptions)
-		want   string
-	}{
-		{func(to *topoOptions) { to.policies = "static,adaptive" }, `unknown topology policy "adaptive"`},
-		{func(to *topoOptions) { to.policies = " , " }, "empty -topo-policies list"},
-		{func(to *topoOptions) { to.shapes = "ring" }, `bad topology shape "ring"`},
-		{func(to *topoOptions) { to.shapes = "" }, "empty -topo-shapes list"},
-		{func(to *topoOptions) { to.zipfS = 1.0 }, "bad -zipf-s"},
-		{func(to *topoOptions) { to.nodes = 1 }, "bad -topo-nodes"},
-		{func(to *topoOptions) { to.ops = 0 }, "bad -topo-ops"},
-		{func(to *topoOptions) { to.rebalanceEvery = -1 }, "bad -rebalance-every"},
-	}
-	for _, tc := range cases {
-		to := tinyTopo()
-		tc.mutate(&to)
-		var b strings.Builder
-		err := run(&b, "topology", false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), to, telemetryOptions{maxOverhead: 5})
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Fatalf("error = %v, want one line containing %q", err, tc.want)
-		}
-	}
-}
-
-func TestRunLockRejectsBadShardList(t *testing.T) {
-	lo := tinyLock()
-	lo.shards = "1,zero"
-	var b strings.Builder
-	if err := run(&b, "lock", false, false, "", 1, lo, tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
-		t.Fatal("bad shard list accepted")
-	}
-	lo.shards = ""
-	if err := run(&b, "lock", false, false, "", 1, lo, tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
-		t.Fatal("empty shard list accepted")
-	}
-}
-
-func TestParseShardList(t *testing.T) {
-	got, err := parseShardList(" 1, 2,8 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 8 {
-		t.Fatalf("parseShardList = %v", got)
-	}
-	if _, err := parseShardList("-3"); err == nil {
-		t.Fatal("negative shard count accepted")
-	}
-}
-
-// TestLockThroughputScalesWithShards is the acceptance check for the
-// sharded service: with a real hold time, 8 shards must beat 1 shard by a
-// wide margin on a 64-resource Zipf workload. Skipped in -short mode:
-// it sleeps real wall-clock time.
-func TestLockThroughputScalesWithShards(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live wall-clock benchmark; skipped in -short mode")
-	}
-	lo := lockOptions{
-		nodes:     4,
-		resources: 64,
-		workers:   32,
-		ops:       50,
-		skew:      1.1,
-		hold:      200 * time.Microsecond,
-	}
-	// The issue's bar is 3x; require 2x here, best of three attempts, to
-	// keep CI robust on noisy shared runners while still proving real
-	// scaling (wall-clock ratios on co-tenant machines are jittery).
-	var one, eight float64
-	for attempt := 1; ; attempt++ {
-		oneRes, err := runLockLocal(lo, 1, int64(attempt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		one = oneRes.tput
-		eightRes, err := runLockLocal(lo, 8, int64(attempt))
-		if err != nil {
-			t.Fatal(err)
-		}
-		eight = eightRes.tput
-		if eight >= 2*one {
-			return
-		}
-		if attempt == 3 {
-			t.Fatalf("8 shards = %.0f ops/sec, 1 shard = %.0f ops/sec after %d attempts: no scaling",
-				eight, one, attempt)
-		}
-		t.Logf("attempt %d: 8 shards = %.0f ops/sec vs 1 shard = %.0f ops/sec; retrying", attempt, eight, one)
-	}
-}
-
 func TestRunJSONOutput(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "6.3", false, true, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
+	if err := run(&b, "6.3", false, true, 1); err != nil {
 		t.Fatal(err)
 	}
 	var tables []struct {
@@ -382,51 +78,11 @@ func TestRunJSONOutput(t *testing.T) {
 	}
 }
 
-// TestRunLockExperimentJSONSweepsBothTransports is the CI-artifact
-// shape: the lock sweep emits JSON rows for both the local and TCP
-// substrates.
-func TestRunLockExperimentJSONSweepsBothTransports(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "lock", false, true, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID   string     `json:"id"`
-		Rows [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &tables); err != nil {
-		t.Fatalf("lock -json output invalid: %v\n%s", err, b.String())
-	}
-	if len(tables) != 1 || tables[0].ID != "EXP-lock" {
-		t.Fatalf("unexpected tables: %+v", tables)
-	}
-	seen := map[string]int{}
-	for _, row := range tables[0].Rows {
-		seen[row[0]]++
-	}
-	if seen["local"] != 2 || seen["tcp"] != 2 {
-		t.Fatalf("transport sweep rows = %v, want 2 local + 2 tcp", seen)
-	}
-}
-
-func TestRunLockRejectsBadTransportList(t *testing.T) {
-	lo := tinyLock()
-	lo.transports = "local,udp"
-	var b strings.Builder
-	if err := run(&b, "lock", false, false, "", 1, lo, tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
-		t.Fatal("bad transport list accepted")
-	}
-	lo.transports = ""
-	if err := run(&b, "lock", false, false, "", 1, lo, tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
-		t.Fatal("empty transport list accepted")
-	}
-}
-
 // TestRunExpCommaList: a comma-separated -exp list runs every named
 // experiment, in registry order.
 func TestRunExpCommaList(t *testing.T) {
 	var b strings.Builder
-	if err := run(&b, "6.3, 6.4", false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
+	if err := run(&b, "6.3, 6.4", false, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -441,11 +97,11 @@ func TestRunExpCommaList(t *testing.T) {
 // a clear one-line error before anything executes.
 func TestRunRejectsUnknownExpInList(t *testing.T) {
 	var b strings.Builder
-	err := run(&b, "6.3,bogus", false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5})
+	err := run(&b, "6.3,bogus", false, false, 1)
 	if err == nil {
 		t.Fatal("unknown experiment in list accepted")
 	}
-	if !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "lease") {
+	if !strings.Contains(err.Error(), `"bogus"`) || !strings.Contains(err.Error(), "6.2-heavy") {
 		t.Fatalf("error %q does not name the bad token and the valid set", err)
 	}
 	if strings.Contains(err.Error(), "\n") {
@@ -459,193 +115,8 @@ func TestRunRejectsUnknownExpInList(t *testing.T) {
 func TestRunRejectsEmptyExpList(t *testing.T) {
 	var b strings.Builder
 	for _, exp := range []string{"", " , "} {
-		if err := run(&b, exp, false, false, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err == nil {
+		if err := run(&b, exp, false, false, 1); err == nil {
 			t.Fatalf("empty -exp %q accepted", exp)
-		}
-	}
-}
-
-// TestRunLeaseExperiment drives the lease-churn workload end to end:
-// overheld holds must actually be force-released, and the stuck clients
-// must observe their expiry on the late Release.
-func TestRunLeaseExperiment(t *testing.T) {
-	lo := tinyLock()
-	lo.transports = "local"
-	lo.workers = 4
-	lo.ops = 8
-	lo.shards = "1"
-	lo.lease = 30 * time.Millisecond
-	lo.overholdEvery = 2
-	var b strings.Builder
-	if err := run(&b, "lease", false, true, "", 1, lo, tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID      string     `json:"id"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &tables); err != nil {
-		t.Fatalf("lease -json output invalid: %v\n%s", err, b.String())
-	}
-	if len(tables) != 1 || tables[0].ID != "EXP-lease" {
-		t.Fatalf("unexpected tables: %+v", tables)
-	}
-	forcedCol, lateCol := -1, -1
-	for i, c := range tables[0].Columns {
-		switch c {
-		case "forced":
-			forcedCol = i
-		case "late-rel":
-			lateCol = i
-		}
-	}
-	if forcedCol < 0 || lateCol < 0 {
-		t.Fatalf("lease table missing forced/late-rel columns: %v", tables[0].Columns)
-	}
-	row := tables[0].Rows[0]
-	if row[forcedCol] == "0" {
-		t.Fatalf("no holds were force-released under churn: %v", row)
-	}
-	if row[lateCol] == "0" {
-		t.Fatalf("no late release observed ErrLeaseExpired under churn: %v", row)
-	}
-}
-
-// TestLockSweepDoesNotChurnWithLease: -lease on the plain lock sweep
-// only configures the service's lease; stuck-client overholding is
-// exclusive to the lease experiment, so the throughput table stays
-// meaningful.
-func TestLockSweepDoesNotChurnWithLease(t *testing.T) {
-	lo := tinyLock()
-	lo.lease = time.Hour
-	lo.overholdEvery = 4
-	if w := lockWorkload(lo, 1, nil); w.OverholdEvery != 0 || w.Overhold != 0 {
-		t.Fatalf("lock sweep workload churns: %+v", w)
-	}
-	lo.churn = true
-	if w := lockWorkload(lo, 1, nil); w.OverholdEvery != 4 || w.Overhold != 2*time.Hour {
-		t.Fatalf("lease experiment workload does not churn: %+v", w)
-	}
-}
-
-// TestRunChaosExperiment drives the chaos benchmark end to end: the
-// seeded kill of the active holder must be recovered from, and the table
-// must report a positive recovery latency. Skipped in -short: it burns
-// real wall-clock on detection timeouts.
-func TestRunChaosExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live wall-clock chaos benchmark; skipped in -short mode")
-	}
-	var b strings.Builder
-	if err := run(&b, "chaos", false, true, "", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var tables []struct {
-		ID      string     `json:"id"`
-		Columns []string   `json:"columns"`
-		Rows    [][]string `json:"rows"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &tables); err != nil {
-		t.Fatalf("chaos -json output invalid: %v\n%s", err, b.String())
-	}
-	if len(tables) != 1 || tables[0].ID != "EXP-chaos" {
-		t.Fatalf("unexpected tables: %+v", tables)
-	}
-	recCol := -1
-	for i, c := range tables[0].Columns {
-		if c == "recover-ms" {
-			recCol = i
-		}
-	}
-	if recCol < 0 {
-		t.Fatalf("chaos table missing recover-ms column: %v", tables[0].Columns)
-	}
-	if len(tables[0].Rows) != 2 { // one kill + the mean row
-		t.Fatalf("chaos rows = %v, want one kill row and a mean row", tables[0].Rows)
-	}
-	var ms float64
-	if _, err := fmt.Sscanf(tables[0].Rows[0][recCol], "%f", &ms); err != nil || ms <= 0 {
-		t.Fatalf("recovery latency %q not a positive number", tables[0].Rows[0][recCol])
-	}
-}
-
-// TestChaosRejectsQuorumLoss: a kill schedule that would destroy the
-// majority is refused up front with a clear error.
-func TestChaosRejectsQuorumLoss(t *testing.T) {
-	co := tinyChaos()
-	co.nodes = 4
-	co.kills = 2
-	if _, err := chaosTable(co, 1); err == nil {
-		t.Fatal("kill schedule losing the quorum accepted")
-	}
-}
-
-// TestRunJSONGenWrapsMeta is the trajectory-file shape: with -gen, the
-// JSON output wraps the table array with run metadata, so a committed
-// benchmarks/*.json records which machine produced its numbers.
-func TestRunJSONGenWrapsMeta(t *testing.T) {
-	var b strings.Builder
-	if err := run(&b, "6.3", false, true, "PR-test", 1, tinyLock(), tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{maxOverhead: 5}); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Meta struct {
-			Generation string `json:"generation"`
-			Go         string `json:"go"`
-			NumCPU     int    `json:"ncpu"`
-		} `json:"meta"`
-		Tables []struct {
-			ID   string     `json:"id"`
-			Rows [][]string `json:"rows"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("-json -gen output is not a wrapped object: %v\n%s", err, b.String())
-	}
-	if doc.Meta.Generation != "PR-test" || doc.Meta.NumCPU < 1 || doc.Meta.Go == "" {
-		t.Fatalf("unexpected meta: %+v", doc.Meta)
-	}
-	if len(doc.Tables) != 1 || doc.Tables[0].ID != "EXP-6.3-delay" || len(doc.Tables[0].Rows) == 0 {
-		t.Fatalf("unexpected tables: %+v", doc.Tables)
-	}
-}
-
-// TestRunTelemetryExperiment runs the observability tax meter on a tiny
-// sweep: the table must carry both throughput columns and a numeric
-// overhead for every transport × shard point. The overhead assertion is
-// disabled (0) — a unit test on a loaded machine is exactly the noise
-// the budget must not be judged under.
-func TestRunTelemetryExperiment(t *testing.T) {
-	lo := tinyLock()
-	lo.shards = "1"
-	var b strings.Builder
-	if err := run(&b, "telemetry", true, false, "", 1, lo, tinyChaos(), tinyClients(), tinyTopo(), telemetryOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "transport,shards,grants,base ops/sec,traced ops/sec,overhead-pct") {
-		t.Fatalf("telemetry CSV header missing:\n%s", out)
-	}
-	for _, tr := range []string{"local,1,", "tcp,1,"} {
-		row := ""
-		for _, line := range strings.Split(out, "\n") {
-			if strings.HasPrefix(line, tr) {
-				row = line
-			}
-		}
-		if row == "" {
-			t.Fatalf("telemetry row for %q missing:\n%s", tr, out)
-		}
-		fields := strings.Split(row, ",")
-		if len(fields) != 6 {
-			t.Fatalf("telemetry row %q has %d fields, want 6", row, len(fields))
-		}
-		if _, err := strconv.ParseFloat(fields[5], 64); err != nil {
-			t.Fatalf("overhead-pct %q not numeric: %v", fields[5], err)
-		}
-		if grants, err := strconv.Atoi(fields[2]); err != nil || grants <= 0 {
-			t.Fatalf("traced grants %q not positive", fields[2])
 		}
 	}
 }

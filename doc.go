@@ -131,8 +131,8 @@
 // ErrNodeDown; survivors' blocked Acquires are served by the rebuilt
 // chain. The chaos battery (internal/conformance) drives all of this
 // identically over both link layers, `dagtrace -chaos` renders a
-// recovery step by step, and `dagbench -exp chaos` measures recovery
-// latency and the throughput dip under a seeded kill schedule.
+// recovery step by step, and the repository benchmark's failover_local
+// workload (go run ./bench) measures the outage a holder crash costs.
 //
 // # Using the library
 //
@@ -262,10 +262,10 @@
 // and its own WithMember id, exchanges svc.Addr() values out of band,
 // and svc.Connect()s the full book — see examples/lockservicetcp. TCP
 // members additionally serve dialed non-member clients
-// (DialLockService) on the same listener. The lock experiment in
-// cmd/dagbench (-exp lock) benchmarks throughput scaling with shard
-// count over both substrates, and -exp clients measures the
-// member/client split; see examples/lockservice and examples/clients.
+// (DialLockService) on the same listener. The repository benchmark
+// (go run ./bench) measures members over Local and TCP, sharded and
+// not, and dialed clients direct and through a gateway; see
+// examples/lockservice and examples/clients.
 //
 // Two usage rules follow from the paper's model. A request cannot be
 // cancelled: when Acquire fails on its context, the service recovers in
@@ -313,10 +313,10 @@
 // non-member or a suspected-dead node is ErrBadConfig. For Open and
 // OpenPeer (a single DAG, no shard heat tracking) Rebalance applies
 // its compression half and re-rooting is explicit via
-// Session.PlanReorient. The dagbench topology experiment (-exp
-// topology) measures the effect: under Zipf-skewed requesters a
-// 32-node chain drops from ~10.5 messages per grant to within 1.2× of
-// the optimal star.
+// Session.PlanReorient. Under Zipf-skewed requesters a 32-node chain
+// drops from ~10.3 messages per grant to ~2.9 with compression, within
+// 1.2× of the static star's 2.5 (internal/lockservice's
+// TestTopologyCellCosts pins every shape × policy cell).
 //
 // # Observability
 //
@@ -349,9 +349,8 @@
 // All three options apply uniformly to Open, OpenLockService and
 // OpenGateway (cmd/daggate exposes the same endpoints with -debug).
 // The instrumented steady state stays at zero allocations per cycle
-// (a committed budget test enforces it) and dagbench's telemetry
-// experiment (-telemetry) measures the end-to-end tax, asserting the
-// instrumented sweep holds within 5% of the bare one. See
+// (committed budget tests enforce it) and the repository benchmark
+// reports the end-to-end tax as trace.overhead_share. See
 // examples/telemetry for the full pattern, scrape included.
 //
 // # Virtual time

@@ -4,9 +4,9 @@
 // of the token DAG — dials in and locks named resources through the
 // members. Clients cost a connection and a queue slot, not a vertex in
 // the token topology, so the client population scales far past the
-// tree: this demo runs 4× more clients than members (and dagbench
-// -exp clients measures the throughput cost, typically within 20% of
-// the all-member configuration).
+// tree: this demo runs 4× more clients than members (the repository
+// benchmark's client_direct_hot and client_gateway_spread workloads
+// measure what the dialed path costs).
 //
 //	go run ./examples/clients -members 3 -clients 12
 package main

@@ -60,7 +60,7 @@ type Request struct {
 	// requester learns — for free, on frames that travel anyway — how far
 	// its request actually walked. That number is the adaptive-topology
 	// work's measurement: the lock service aggregates it per shard, and
-	// dagbench's `-exp topology` sweep reports it as hops/grant.
+	// internal/lockservice's TestTopologyCellCosts pins it per cell.
 	Hops uint16
 }
 

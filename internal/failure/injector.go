@@ -11,7 +11,7 @@ import (
 // Injector is a deterministic fault plan that link layers consult on
 // every message: crashed nodes, severed (possibly one-way) links, and a
 // partition. The zero value injects nothing; faults are toggled at
-// runtime by tests, the chaos battery and dagbench's chaos experiment.
+// runtime by tests and the chaos battery.
 //
 // The injector only decides; transports enforce. transport.Local and
 // transport.TCPHost drop traffic the injector vetoes (and Local applies

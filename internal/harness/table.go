@@ -79,7 +79,7 @@ func (t *Table) CSV() string {
 }
 
 // TablesJSON renders a set of tables as one indented JSON array — the
-// shape dagbench -json emits and CI uploads as a BENCH_*.json artifact.
+// shape dagbench -json emits.
 func TablesJSON(tables []*Table) ([]byte, error) {
 	return json.MarshalIndent(tables, "", "  ")
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"dagmutex/internal/mutex"
+	"dagmutex/internal/telemetry"
 )
 
 // TestAllocBudgetShardTravel pins the grant that moves the token at zero
@@ -16,7 +17,22 @@ import (
 // brings the PRIVILEGE back, and neither message is ever boxed. Skipped
 // under -race (instrumentation allocates).
 func TestAllocBudgetShardTravel(t *testing.T) {
-	s := newService(t, Config{Shards: 1, Nodes: 2})
+	assertTravelAllocs(t, Config{Shards: 1, Nodes: 2})
+}
+
+// TestAllocBudgetShardTravelInstrumented holds the same budget with the
+// full observability stack attached, as a production deployment runs
+// it: a live registry the shard feeds its instruments into and a trace
+// observer invoked on every protocol event. Telemetry's tax is then a
+// wall-clock cost only, which bench reports as trace.overhead_share.
+func TestAllocBudgetShardTravelInstrumented(t *testing.T) {
+	assertTravelAllocs(t, Config{Shards: 1, Nodes: 2,
+		Telemetry: telemetry.NewRegistry(), TraceObserver: func(telemetry.TraceEvent) {}})
+}
+
+func assertTravelAllocs(t *testing.T, cfg Config) {
+	t.Helper()
+	s := newService(t, cfg)
 	ctx := context.Background()
 	var members [2]*Client
 	for i := range members {

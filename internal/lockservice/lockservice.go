@@ -784,12 +784,11 @@ func (sh *shard) rebalanceOnce() bool {
 	return false
 }
 
-// RebalanceNow runs one synchronous rebalance pass over every shard,
+// rebalanceNow runs one synchronous rebalance pass over every shard,
 // regardless of the configured cadence, and returns how many shards
-// planned a reshape. Benchmarks and tests use it to adapt at
-// deterministic points; production deployments normally rely on
-// Topology.RebalanceEvery instead.
-func (s *Service) RebalanceNow() int {
+// planned a reshape. Tests use it to adapt at deterministic points;
+// deployments rely on Topology.RebalanceEvery.
+func (s *Service) rebalanceNow() int {
 	planned := 0
 	for _, sh := range s.shards {
 		if sh.rebalanceOnce() {

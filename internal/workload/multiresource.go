@@ -2,7 +2,6 @@ package workload
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -85,17 +84,6 @@ type MultiResource struct {
 	// actually travel; when empty, every worker drives the Locker passed
 	// to Run.
 	Clients []Locker
-	// OverholdEvery, when positive, makes every OverholdEvery-th cycle of
-	// each worker a "stuck client": it dwells Overhold inside the section
-	// instead of Hold, modeling a holder that outlives its lease. The
-	// late Release is then expected to observe ErrLeaseExpired (counted
-	// in the result, not treated as a failure) — the lease-churn workload
-	// the lock service's expiry path is benchmarked with.
-	OverholdEvery int
-	// Overhold is the stuck-client dwell time; it should comfortably
-	// exceed the service's lease. Default 0 (no overholding even when
-	// OverholdEvery is set).
-	Overhold time.Duration
 }
 
 func (w MultiResource) withDefaults() MultiResource {
@@ -121,10 +109,6 @@ func (w MultiResource) withDefaults() MultiResource {
 type MultiResourceResult struct {
 	// Ops is the number of completed acquire→release cycles.
 	Ops int
-	// Expired is the number of cycles whose Release observed
-	// ErrLeaseExpired — the hold outlived its lease and the service
-	// reclaimed it before the worker let go.
-	Expired int
 	// MaxFence is the highest fencing token any worker was granted.
 	MaxFence uint64
 	// Elapsed is the wall-clock duration of the run.
@@ -163,7 +147,7 @@ func Dwell(d time.Duration) {
 
 // dwellSpin bounds how much of a dwell is spent yield-spinning rather
 // than sleeping: generous enough to absorb a coarse kernel tick, small
-// enough that long lease-churn overholds still mostly sleep.
+// enough that long dwells still mostly sleep.
 const dwellSpin = 2 * time.Millisecond
 
 // Run drives l until every worker finishes its ops or one fails; the
@@ -175,7 +159,6 @@ func (w MultiResource) Run(ctx context.Context, l Locker) (MultiResourceResult, 
 	var (
 		wg       sync.WaitGroup
 		done     atomic.Int64
-		expired  atomic.Int64
 		maxFence atomic.Uint64
 		errOnce  sync.Once
 		firstErr error
@@ -212,20 +195,8 @@ func (w MultiResource) Run(ctx context.Context, l Locker) (MultiResourceResult, 
 						break
 					}
 				}
-				dwell := w.Hold
-				if w.OverholdEvery > 0 && w.Overhold > 0 && (op+1)%w.OverholdEvery == 0 {
-					dwell = w.Overhold
-				}
-				Dwell(dwell)
+				Dwell(w.Hold)
 				if err := worker.ReleaseHold(hold); err != nil {
-					if errors.Is(err, lockservice.ErrLeaseExpired) {
-						// The service reclaimed the hold mid-dwell: the
-						// expected outcome of an overheld lease, not a
-						// workload failure.
-						expired.Add(1)
-						done.Add(1)
-						continue
-					}
 					fail(err)
 					return
 				}
@@ -236,7 +207,6 @@ func (w MultiResource) Run(ctx context.Context, l Locker) (MultiResourceResult, 
 	wg.Wait()
 	res := MultiResourceResult{
 		Ops:      int(done.Load()),
-		Expired:  int(expired.Load()),
 		MaxFence: maxFence.Load(),
 		Elapsed:  time.Since(start),
 	}

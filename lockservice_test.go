@@ -59,7 +59,7 @@ func TestLockServiceQuickstart(t *testing.T) {
 }
 
 // TestLockServiceDrivenByMultiResourceWorkload wires the workload driver
-// to the real service — the same pairing cmd/dagbench benchmarks.
+// to the real service.
 func TestLockServiceDrivenByMultiResourceWorkload(t *testing.T) {
 	svc, err := dagmutex.OpenLockService(dagmutex.LockServiceConfig{Shards: 8, Nodes: 2})
 	if err != nil {
