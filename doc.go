@@ -199,9 +199,11 @@
 //
 // Coalescing removes the DAG messages from a hot key's handoff, not the
 // two socket crossings (release up, next grant down). Callers of one
-// dialed connection that want the same resource at once therefore
-// share a lane inside the connection: once two or more wait, it orders
-// a fence run — one marked acquire, answered with a block of
+// dialed connection that want the same lock at once therefore share a
+// lane inside the connection — one per shard of a lock service (its
+// member says in its handshake hello how many shards its keys hash
+// into), one per resource behind a gateway. Once two or more wait, the
+// lane orders a fence run — one marked acquire, answered with a block of
 // consecutive fences under one lease, as many as the cohort budget has
 // left — and hands those fences to its waiters in arrival order with no
 // frame at all, ending the run in one. The member reserves the run by
@@ -210,16 +212,16 @@
 // increasing whatever becomes of the client (they were never
 // consecutive: an early-ended run, like a recovery, skips numbers), and
 // Hold.Expires is the run's one deadline for every hold out of it.
-// There is nothing to configure; a caller alone on its resource sends
-// what it always sent.
+// There is nothing to configure; a caller alone in its lane sends what
+// it always sent.
 //
 // For client populations in the thousands, OpenGateway (or the
 // standalone cmd/daggate process) adds a gateway tier: it serves the
 // same CLIENT protocol, routes each resource to a fixed member (so one
 // member's cohort absorbs the whole key), multiplexes every client
-// over one upstream connection per member (where a hot key's waiters
-// meet in one lane, so the key rotates through fence runs inside the
-// gateway), applies its own admission bounds at the edge, and fails
+// over one upstream connection per member (where the waiters on one
+// shard of the member's meet in one lane, so the shard rotates through
+// fence runs inside the gateway), applies its own admission bounds at the edge, and fails
 // over to the next live member if the routed one dies.
 //
 // The client tier's own cost is held down the way the member grant

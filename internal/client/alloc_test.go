@@ -71,64 +71,81 @@ func (runBackend) AcquireRun(context.Context, string) (uint64, time.Time, int, e
 }
 func (runBackend) ReleaseRun(string, uint64, int, bool) error { return nil }
 
+// shardedRunBackend is runBackend whose resources are all one lock.
+type shardedRunBackend struct{ runBackend }
+
+func (shardedRunBackend) Shards() int { return 1 }
+
 // TestAllocBudgetClientRunHandoff: inside a run, a release that passes
 // the next fence to a waiting caller of the same connection allocates
 // nothing — no frame, no pending entry, no timer — and neither does the
-// waiter's side of it. Three callers rotate on one key (two never form a
-// crowd: see markAt); the measured one's cycle spans three handoffs.
+// waiter's side of it. Three callers rotate on one key, or on three keys
+// of one shard (two never form a crowd: see markAt); the measured one's
+// cycle spans three handoffs.
 func TestAllocBudgetClientRunHandoff(t *testing.T) {
-	gw, err := transport.NewClientGateway("", runBackend{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	c, err := Dial(gw.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx, stop := context.WithCancel(context.Background())
-	cycle := func() bool {
-		h, err := c.Acquire(ctx, "hot")
-		if err != nil {
-			return false
-		}
-		return c.ReleaseHold(h) == nil
-	}
-	others := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			for cycle() {
+	for _, tc := range []struct {
+		name    string
+		backend transport.ClientBackend
+		keys    [3]string // the measured caller's, then the other two's
+	}{
+		{"one-key", runBackend{}, [3]string{"hot", "hot", "hot"}},
+		{"one-shard", shardedRunBackend{}, [3]string{"a", "b", "c"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gw, err := transport.NewClientGateway("", tc.backend)
+			if err != nil {
+				t.Fatal(err)
 			}
-			others <- struct{}{}
-		}()
-	}
-	defer func() {
-		stop()
-		_ = c.Close()
-		<-others
-		<-others
-	}()
-	inRun := func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		l := c.lanes["hot"]
-		return l != nil && l.held && l.left() > 1<<20
-	}
-	for deadline := time.Now().Add(10 * time.Second); !inRun(); {
-		if !cycle() || time.Now().After(deadline) {
-			t.Fatal("the three callers never got a run")
-		}
-	}
-	for i := 0; i < 100; i++ {
-		cycle()
-	}
-	// A release that happens to find the queue empty ends the run, and the
-	// next crowd orders another: that path is pooled too, so the bound
-	// holds whether or not all 1000 cycles fall inside one run.
-	if avg := testing.AllocsPerRun(1000, func() { cycle() }); avg != 0 {
-		t.Fatalf("a cycle of local handoffs = %.2f allocs/op, want 0", avg)
-	} else {
-		t.Logf("%.2f allocs/op", avg)
+			defer gw.Close()
+			c, err := Dial(gw.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx, stop := context.WithCancel(context.Background())
+			cycle := func(key string) bool {
+				h, err := c.Acquire(ctx, key)
+				if err != nil {
+					return false
+				}
+				return c.ReleaseHold(h) == nil
+			}
+			others := make(chan struct{}, 2)
+			for _, key := range tc.keys[1:] {
+				go func() {
+					for cycle(key) {
+					}
+					others <- struct{}{}
+				}()
+			}
+			defer func() {
+				stop()
+				_ = c.Close()
+				<-others
+				<-others
+			}()
+			inRun := func() bool {
+				c.mu.Lock()
+				defer c.mu.Unlock()
+				l := c.lanes[c.laneOf(tc.keys[0])]
+				return l != nil && l.held && l.left() > 1<<20
+			}
+			for deadline := time.Now().Add(10 * time.Second); !inRun(); {
+				if !cycle(tc.keys[0]) || time.Now().After(deadline) {
+					t.Fatal("the three callers never got a run")
+				}
+			}
+			for i := 0; i < 100; i++ {
+				cycle(tc.keys[0])
+			}
+			// A release that happens to find the queue empty ends the run, and
+			// the next crowd orders another: that path is pooled too, so the
+			// bound holds whether or not all 1000 cycles fall inside one run.
+			if avg := testing.AllocsPerRun(1000, func() { cycle(tc.keys[0]) }); avg != 0 {
+				t.Fatalf("a cycle of local handoffs = %.2f allocs/op, want 0", avg)
+			} else {
+				t.Logf("%.2f allocs/op", avg)
+			}
+		})
 	}
 }

@@ -16,16 +16,23 @@
 // wire error codes onto the same sentinel errors in-process callers see,
 // so errors.Is works identically on both sides of the wire.
 //
-// Callers of one connection that want the same resource at the same time
-// share a per-resource lane. Once enough of them wait, the lane stops
-// sending an acquire for each and orders a run instead: one marked
-// acquire, which the member may answer with a block of consecutive
-// fences under one lease. The lane hands those to its waiters in arrival
-// order as each holder releases, with no frame at all, and one frame
-// ends the run. A caller alone on its resource never notices the lane:
-// its frames are what they were before lanes existed, and so, but for
-// the first marked acquire, are everyone's against a member that grants
-// no runs. The lane enforces nothing; a run's lease is the member's to
+// Callers of one connection that want the same shard at the same time
+// share a lane. The member says in its hello, right after the handshake,
+// whether it grants runs and how many lock shards its resources hash
+// into: a lock service excludes per shard, so a connection to it keeps
+// one lane per shard; against a server that grants no runs, or whose
+// resources are independent (a gateway), a lane is one resource's. Once
+// enough callers wait in a lane, it stops sending an acquire for each
+// and orders a run instead: one marked acquire for the resource of the
+// caller heading the queue, which the member answers with a block of
+// consecutive fences under one lease. The lane hands those to its
+// waiters in arrival order, whatever resource of the shard each asked
+// for, as each holder releases, with no frame at all, and one frame —
+// naming the resource the run was ordered for — ends the run. A caller
+// alone in its lane never notices it: its frames are what they were
+// before lanes existed, and so are everyone's against a member that
+// grants no runs. The lane enforces nothing; the member excludes the
+// whole shard while the run is held, a run's lease is the member's to
 // reclaim, and because the member reserved the run's fences before
 // answering, a run reclaimed mid-way can never collide with a later
 // grant anywhere.
@@ -140,61 +147,85 @@ type pending struct {
 	// to that request id belongs to the lane, not to a channel.
 	lane *lane
 	next *pending // the lane's queue
+	key  string   // the resource a lane's waiter asked for
 }
 
-// lane is one resource's queue inside a connection: the callers waiting
-// for it, the acquires in flight on their behalf, and the run of fences
-// being handed round. A lane exists only while it has something to
-// remember — a waiter, an unanswered acquire, a run's fence held by a
-// caller — and goes back to Conn.freeLanes the moment it does not; a
-// grant delivered to a caller with nobody behind it leaves no lane, and
-// that caller's release is an ordinary release. Guarded by Conn.mu.
-type lane struct {
+// laneID names a lane: a shard under a hello of shards with runs, a
+// resource otherwise (see Conn.laneOf).
+type laneID struct {
+	resource string
+	shard    int
+}
+
+// laneReq is an acquire in flight for a lane: its request id and the
+// resource it names.
+type laneReq struct {
+	id  uint64
 	key string
+}
+
+// lane is one shard's (or resource's) queue inside a connection: the
+// callers waiting for it, the acquires in flight on their behalf, and
+// the run of fences being handed round. A lane exists only while it has
+// something to remember — a waiter, an unanswered acquire, a fence
+// held by a caller — and goes back to Conn.freeLanes the moment it does
+// not; a grant delivered to the caller that asked for its resource with
+// nobody behind it leaves no lane, and that caller's release is an
+// ordinary release. Guarded by Conn.mu.
+type lane struct {
+	id laneID
 
 	// The waiters, first come first served.
 	head, tail *pending
 	n          int
 
 	// What is in flight for the waiters: ids, ordinary acquires, oldest
-	// first, each good for one waiter; and order, a marked acquire (0:
-	// none), good for as many as the run it comes back with. acq stands in
-	// Conn.reqs under every one of them. They belong to the lane, not to
-	// the callers whose arrival sent them: a grant goes to whoever heads
-	// the queue when it arrives, so a caller that gives up just leaves the
-	// queue, and an acquire no waiter is left for is canceled — it then
-	// counts among the zombies, ids the member still owes an answer (its
-	// refusal, or a grant that raced the cancel), until that answer comes.
+	// first, each good for one waiter; and order, a marked acquire (id 0:
+	// none), good for as many as the run it comes back with. Each names
+	// the resource of the caller heading the queue when it was sent. acq
+	// stands in Conn.reqs under every one of them. They belong to the
+	// lane, not to the callers whose arrival sent them: a grant goes to
+	// whoever heads the queue when it arrives, so a caller that gives up
+	// just leaves the queue, and an acquire no waiter is left for is
+	// canceled — it then joins the zombies, acquires the member still owes
+	// an answer (its refusal, or a grant that raced the cancel), until
+	// that answer comes.
 	acq     pending
-	ids     []uint64
-	order   uint64
-	zombies int
+	ids     []laneReq
+	order   laneReq
+	zombies []laneReq
 
-	// The open run. held says a caller holds fence cur of it; next..last
-	// are the fences not yet handed out, used how many were, expiry the
-	// lease deadline they all share, and until the instant (unix nanos, 0:
-	// never) from which no further fence is handed out: half of the lease
-	// that remained when the run arrived, so the last holder still has
-	// the other half. An ordinary grant opens no run.
+	// The hold being handed round. held says a caller holds fence cur of
+	// it; next..last are the fences not yet handed out, used how many
+	// were, expiry the lease deadline they all share, and until the
+	// instant (unix nanos, 0: never) from which no further fence is handed
+	// out: half of the lease that remained when the run arrived, so the
+	// last holder still has the other half. An ordinary grant is handed
+	// out here only when it reaches a caller on another resource than the
+	// one it names (run.grant).
 	held bool
 	run
 	next   uint64
 	expiry uint64
 	until  int64
 
-	// stale is a run the member replaced while a caller still held its
+	// stale is a hold the member replaced while a caller still held its
 	// fence cur: the lease ran out on it. It is kept so that the holder's
-	// late release can name the run's last fence, which is what the
-	// member filed the expiry under. One is remembered; the holder of a
-	// second gets "not held".
+	// late release can name what the member filed the expiry under. One
+	// is remembered; the holder of a second gets "not held".
 	stale run
 }
 
-// run identifies a run by the fence a caller holds (cur) and the fence
-// the member knows it by (last), with how many fences were handed out.
+// run identifies a hold a lane hands round: the fence a caller holds
+// (cur) and the resource that caller asked for (holder); the fence and
+// resource the member knows the hold by (last, key), which its release
+// must name; and how many fences were handed out. grant marks an
+// ordinary grant — one fence, ended by an ordinary release.
 type run struct {
-	cur, last uint64
-	used      uint32
+	cur, last   uint64
+	used        uint32
+	key, holder string
+	grant       bool
 }
 
 func (l *lane) push(w *pending) {
@@ -235,7 +266,7 @@ func (l *lane) left() int {
 
 // idle reports whether the lane has nothing left to remember.
 func (l *lane) idle() bool {
-	return l.n == 0 && len(l.ids) == 0 && l.order == 0 && l.zombies == 0 && !l.held && l.stale == run{}
+	return l.n == 0 && len(l.ids) == 0 && l.order.id == 0 && len(l.zombies) == 0 && !l.held && l.stale == run{}
 }
 
 // hand gives the run's next fence to the caller heading the queue, who
@@ -243,10 +274,41 @@ func (l *lane) idle() bool {
 func (l *lane) hand() {
 	w := l.head
 	l.remove(w)
-	l.held, l.cur = true, l.next
+	l.held, l.cur, l.holder = true, l.next, w.key
 	l.next++
 	l.used++
 	w.ch <- resp{op: transport.RespGrant, ok: true, fence: l.cur, expiry: l.expiry}
+}
+
+// newest is the last waiter on key, or the last waiter if none is on it:
+// the caller a refused acquire for key fails.
+func (l *lane) newest(key string) *pending {
+	w := l.tail
+	for p := l.head; p != nil; p = p.next {
+		if p.key == key {
+			w = p
+		}
+	}
+	return w
+}
+
+// answered takes acquire id off what the lane has in flight and returns
+// the resource it named.
+func (l *lane) answered(id uint64) string {
+	if id == l.order.id {
+		key := l.order.key
+		l.order = laneReq{}
+		return key
+	}
+	for _, rs := range []*[]laneReq{&l.ids, &l.zombies} {
+		for i, r := range *rs {
+			if r.id == id {
+				*rs = slices.Delete(*rs, i, i+1)
+				return r.key
+			}
+		}
+	}
+	return ""
 }
 
 // trim withdraws the newest acquire in flight if there are more of them
@@ -256,16 +318,17 @@ func (l *lane) hand() {
 // acquire won after all, unbalances the lane by one.
 func (l *lane) trim() (id uint64) {
 	last := len(l.ids) - 1
+	var r laneReq
 	switch {
-	case l.order != 0 && last+1 >= l.n:
-		id, l.order = l.order, 0 // nothing is sent behind an order: it is the newest
-	case l.order == 0 && last >= l.n:
-		id, l.ids = l.ids[last], l.ids[:last]
+	case l.order.id != 0 && last+1 >= l.n:
+		r, l.order = l.order, laneReq{} // nothing is sent behind an order: it is the newest
+	case l.order.id == 0 && last >= l.n:
+		r, l.ids = l.ids[last], l.ids[:last]
 	default:
 		return 0
 	}
-	l.zombies++
-	return id
+	l.zombies = append(l.zombies, r)
+	return r.id
 }
 
 // markAt is how many callers must wait in a lane for it to order a run:
@@ -274,14 +337,12 @@ func (l *lane) trim() (id uint64) {
 // could, and hides nobody from the member.
 const markAt = 2
 
-// frame is a request the caller must send once it has let go of Conn.mu
-// (id 0: nothing to send). more says the lane wants further acquires
-// sent after this one.
+// frame is an acquire the caller must send once it has let go of Conn.mu
+// (id 0: nothing to send).
 type frame struct {
-	op   byte
-	id   uint64
-	key  string
-	more bool
+	op  byte
+	id  uint64
+	key string
 }
 
 // Conn is one client connection to a member. All methods are safe for
@@ -294,22 +355,23 @@ type Conn struct {
 	// callers when it is not, in the order the callers sent them.
 	out *transport.FrameWriter
 
+	// runs and shards are what the member's hello said: whether lanes may
+	// order runs, and how many shards they are kept per (0: per resource;
+	// see laneOf). Without runs nothing is ever marked — waiting for a run
+	// would only hide callers from the member-side cohort handoff that
+	// serves them instead — so every waiter has an acquire of its own in
+	// flight and the connection's frames are what they were before lanes.
+	runs   bool
+	shards int
+
 	mu        sync.Mutex
 	reqs      map[uint64]*pending
 	free      []*pending       // at most maxFreePending
-	lanes     map[string]*lane // by resource; see lane
+	lanes     map[laneID]*lane // see lane
 	freeLanes []*lane          // at most maxFreePending
 	nextID    uint64
-	// runless is set, for good, when the member answers a marked acquire
-	// with an ordinary grant: its backend grants no runs (a gateway, or a
-	// wrapper around a member's). Waiting for one would only hide callers
-	// from the member-side cohort handoff that serves them instead, so
-	// from then on nothing is marked, every waiter has an acquire of its
-	// own in flight, and the connection's frames are what they were
-	// before lanes.
-	runless bool
-	closed  bool
-	err     error
+	closed    bool
+	err       error
 
 	done chan struct{} // closed when the reader exits
 }
@@ -330,22 +392,51 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	hs := make([]byte, 0, 8)
 	hs = append(hs, transport.ClientMagic...)
 	hs = binary.BigEndian.AppendUint32(hs, transport.ClientVersion)
-	if _, err := conn.Write(hs); err != nil {
+	_, err = conn.Write(hs)
+	var hello transport.ClientHello
+	if err == nil {
+		hello, err = readHello(ctx, conn)
+	}
+	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("client: handshake with %s: %w", addr, err)
 	}
-	return newConn(conn), nil
+	return newConn(conn, hello), nil
+}
+
+// readHello reads the member's hello, giving up when ctx is done.
+func readHello(ctx context.Context, conn net.Conn) (transport.ClientHello, error) {
+	unblocked := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		_ = conn.SetReadDeadline(time.Unix(1, 0))
+		close(unblocked)
+	})
+	h, err := transport.ReadClientHello(conn)
+	if !stop() {
+		<-unblocked // ctx ended: take its deadline back off
+		_ = conn.SetReadDeadline(time.Time{})
+		if err != nil {
+			err = fmt.Errorf("%w: %v", ctx.Err(), err)
+		}
+	}
+	return h, err
 }
 
 // newConn starts the reader and the frame writer over an established
-// connection whose handshake has been sent.
-func newConn(conn net.Conn) *Conn {
+// connection whose handshake has been sent and hello read.
+func newConn(conn net.Conn, hello transport.ClientHello) *Conn {
 	c := &Conn{
 		conn:  conn,
 		out:   transport.NewFrameWriter(conn),
+		runs:  hello.Runs,
 		reqs:  make(map[uint64]*pending),
-		lanes: make(map[string]*lane),
+		lanes: make(map[laneID]*lane),
 		done:  make(chan struct{}),
+	}
+	if hello.Runs {
+		// A lane per shard pays only through runs; without them it would
+		// send every waiter's acquire in the name of another's resource.
+		c.shards = hello.Shards
 	}
 	go c.readLoop()
 	return c
@@ -356,7 +447,10 @@ func newConn(conn net.Conn) *Conn {
 // leaving the lane's queue takes, so a grant can never slip between
 // "caller gave up" and "response delivered" unobserved: it reaches a
 // caller's channel while that caller is still queued, or it finds the
-// queue empty and goes straight back to the member.
+// queue empty and goes straight back to the member. Whatever an answer
+// leaves to send is queued for the writer, never written here: a write
+// may wait for the member to read, and the member may be waiting for
+// this reader.
 func (c *Conn) readLoop() {
 	defer close(c.done)
 	br := bufio.NewReader(c.conn)
@@ -376,74 +470,53 @@ func (c *Conn) readLoop() {
 			return
 		}
 		c.mu.Lock()
-		p, ok := c.reqs[reqID]
-		if !ok {
-			c.mu.Unlock()
-			continue
+		if p, ok := c.reqs[reqID]; ok {
+			delete(c.reqs, reqID)
+			if p.lane == nil {
+				p.ch <- r
+			} else {
+				c.answerLane(p.lane, reqID, r)
+			}
 		}
-		delete(c.reqs, reqID)
-		if p.lane == nil {
-			p.ch <- r
-			c.mu.Unlock()
-			continue
-		}
-		key := p.lane.key // the lane may be gone once c.mu is
-		unwanted, cancel, acq := c.answerLane(p.lane, reqID, r)
 		c.mu.Unlock()
-		if unwanted || cancel != 0 || acq.id != 0 {
-			// Off the reader's goroutine: a write may wait for the member to
-			// read, and the member may be waiting for this reader. It is
-			// the rare answer that leaves anything to send.
-			go func() {
-				c.sendAcquire(acq)
-				c.sendCancel(cancel)
-				if unwanted {
-					// Granted to a lane everyone has left: straight back.
-					c.handBack(key, r)
-				}
-			}()
-		}
 	}
 }
 
 // answerLane settles the member's answer to one of l's acquires: a grant
-// or a run goes to the caller heading the queue (unwanted reports that
-// there was none), an error fails the newest caller alone — the one
-// whose arrival sent the refused acquire, more often than not — and
-// whoever is still unserved afterwards gets the next acquire (the
-// returned frame; cancel is an acquire to withdraw instead, see trim).
-// Callers hold c.mu.
-func (c *Conn) answerLane(l *lane, id uint64, r resp) (unwanted bool, cancel uint64, acq frame) {
-	if id == l.order {
-		l.order = 0
-		if r.ok && r.op == transport.RespGrant {
-			c.runless = true
-		}
-	} else if i := slices.Index(l.ids, id); i >= 0 {
-		l.ids = slices.Delete(l.ids, i, i+1)
-	} else {
-		l.zombies--
-	}
+// or a run goes to the caller heading the queue (or, with nobody there,
+// straight back to the member), an error fails the newest caller on the
+// refused acquire's resource alone — the one whose arrival sent it, more
+// often than not — and whoever is still unserved afterwards gets the
+// next acquire, or an acquire nobody is left for is withdrawn (see
+// trim). Callers hold c.mu.
+func (c *Conn) answerLane(l *lane, id uint64, r resp) {
+	key := l.answered(id)
 	granted := r.ok && (r.op == transport.RespGrant || r.op == transport.RespRun)
 	switch {
 	case granted && l.n == 0:
-		unwanted = true
+		c.handBack(key, r)
 	case granted:
 		if l.held {
-			// The member grants this resource to this connection again
-			// while a caller still holds a fence of the last run: that
-			// run's lease ran out.
+			// The member grants this shard to this connection again while a
+			// caller still holds a fence of the last hold: that hold's lease
+			// ran out.
 			l.stale, l.held = l.run, false
 		}
-		if r.op == transport.RespGrant {
-			// An ordinary grant: the caller's own from here on, released
-			// with an ordinary release. The lane keeps no trace of it.
+		if r.op == transport.RespGrant && l.head.key == key {
+			// An ordinary grant for the resource its caller asked for: the
+			// caller's own from here on, released with an ordinary release.
+			// The lane keeps no trace of it.
 			w := l.head
 			l.remove(w)
 			w.ch <- r
 			break
 		}
-		l.run, l.next, l.expiry, l.until = run{last: r.fence + uint64(r.run-1)}, r.fence, r.expiry, 0
+		n := uint32(1) // an ordinary grant reaching a caller on another resource
+		if r.op == transport.RespRun {
+			n = r.run
+		}
+		l.run = run{last: r.fence + uint64(n-1), key: key, grant: r.op == transport.RespGrant}
+		l.next, l.expiry, l.until = r.fence, r.expiry, 0
 		if r.expiry != 0 {
 			now := time.Now().UnixNano()
 			l.until = now + max(int64(r.expiry)-now, 0)/2
@@ -454,57 +527,51 @@ func (c *Conn) answerLane(l *lane, id uint64, r resp) (unwanted bool, cancel uin
 		// it was sent and are owed an acquire of their own, not this
 		// refusal.
 	case l.n > 0:
-		w := l.tail
+		w := l.newest(key)
 		l.remove(w)
 		w.ch <- r
 	}
-	cancel = l.trim()
-	acq = c.laneRequest(l)
+	if f := c.laneRequest(l); f.id != 0 {
+		c.out.QueueClientFrame(f.op, f.id, nil, f.key)
+	}
+	if cancel := l.trim(); cancel != 0 {
+		c.out.QueueClientFrame(transport.OpCancel, cancel, nil, "")
+	}
 	if l.idle() {
 		c.dropLane(l)
 	}
-	return unwanted, cancel, acq
 }
 
 // laneRequest puts an acquire in flight for l if a caller waits that
 // nothing under way will serve: not a fence of the open run, not one of
 // the ordinary acquires in flight, and no run is on order. With few
-// waiters that is an ordinary acquire per caller, sent as each arrives —
-// what the connection did before lanes, and what lets the member's own
-// cohort handoff see every one of them. From markAt waiters on it is one
-// marked acquire, and later arrivals wait for the run it brings. Callers
-// hold c.mu.
+// waiters — or a member that grants no runs — that is an ordinary
+// acquire per caller, sent as each arrives: what the connection did
+// before lanes, and what lets the member's own cohort handoff see every
+// one of them. From markAt waiters on it is one marked acquire, and
+// later arrivals wait for the run it brings. Either names the resource
+// of the caller heading the queue, which in a shard lane is the only
+// waiter whenever an ordinary acquire is sent. Callers hold c.mu.
 func (c *Conn) laneRequest(l *lane) frame {
 	unserved := l.n - l.left() - len(l.ids)
-	if l.order != 0 || unserved <= 0 {
+	if l.order.id != 0 || unserved <= 0 {
 		return frame{}
 	}
 	c.nextID++
 	c.reqs[c.nextID] = &l.acq
-	if l.n >= markAt && !c.runless {
-		l.order = c.nextID
-		return frame{op: transport.OpAcquireRun, id: c.nextID, key: l.key}
+	r := laneReq{id: c.nextID, key: l.head.key}
+	if l.n >= markAt && c.runs {
+		l.order = r
+		return frame{op: transport.OpAcquireRun, id: r.id, key: r.key}
 	}
-	l.ids = append(l.ids, c.nextID)
-	return frame{op: transport.OpAcquire, id: c.nextID, key: l.key, more: unserved > 1}
+	l.ids = append(l.ids, r)
+	return frame{op: transport.OpAcquire, id: r.id, key: r.key}
 }
 
-// sendAcquire sends f, then whatever further acquires its lane wants —
-// only ever the case at the moment a connection turns runless with
-// callers queued behind the order.
+// sendAcquire sends f (id 0: nothing to send).
 func (c *Conn) sendAcquire(f frame) {
-	for f.id != 0 {
+	if f.id != 0 {
 		c.out.SendClientFrame(f.op, f.id, nil, f.key)
-		if !f.more {
-			return
-		}
-		c.mu.Lock()
-		key := f.key
-		f = frame{}
-		if l := c.lanes[key]; l != nil {
-			f = c.laneRequest(l)
-		}
-		c.mu.Unlock()
 	}
 }
 
@@ -516,10 +583,21 @@ func (c *Conn) sendCancel(id uint64) {
 	}
 }
 
+// laneOf names resource's lane: its shard when the member has shards
+// and grants runs — the lock the member excludes callers by — and the
+// resource itself otherwise.
+func (c *Conn) laneOf(resource string) laneID {
+	if c.shards > 0 {
+		return laneID{shard: transport.ShardOf(resource, c.shards)}
+	}
+	return laneID{resource: resource}
+}
+
 // lane returns resource's lane, making one if there is none. Callers
 // hold c.mu.
 func (c *Conn) lane(resource string) *lane {
-	l := c.lanes[resource]
+	id := c.laneOf(resource)
+	l := c.lanes[id]
 	if l == nil {
 		if n := len(c.freeLanes); n > 0 {
 			l, c.freeLanes = c.freeLanes[n-1], c.freeLanes[:n-1]
@@ -527,17 +605,17 @@ func (c *Conn) lane(resource string) *lane {
 			l = &lane{}
 			l.acq.lane = l
 		}
-		l.key = resource
-		c.lanes[resource] = l
+		l.id = id
+		c.lanes[id] = l
 	}
 	return l
 }
 
 // dropLane forgets an idle lane. Callers hold c.mu.
 func (c *Conn) dropLane(l *lane) {
-	delete(c.lanes, l.key)
+	delete(c.lanes, l.id)
 	if len(c.freeLanes) < maxFreePending {
-		l.key = ""
+		l.id = laneID{}
 		c.freeLanes = append(c.freeLanes, l)
 	}
 }
@@ -656,8 +734,7 @@ func (c *Conn) send(op byte, resource string, fence uint64) (uint64, *pending, e
 		return 0, nil, err
 	}
 	if op == transport.OpRelease {
-		var head [8]byte
-		binary.BigEndian.PutUint64(head[:], fence)
+		head := fenceHead(fence)
 		c.out.SendClientFrame(op, id, head[:], resource)
 	} else {
 		c.out.SendClientFrame(op, id, nil, resource)
@@ -665,41 +742,46 @@ func (c *Conn) send(op byte, resource string, fence uint64) (uint64, *pending, e
 	return id, p, nil
 }
 
-// handBack returns to the member a grant (or a whole run, unused) that
-// reached a lane with nobody left in it. No caller waits for the
-// member's answer, so the release goes out under an id nothing is
-// registered for and the reader drops the reply.
+// handBack returns to the member a grant (or a whole run, unused) of
+// resource that reached a lane with nobody left in it. No caller waits
+// for the member's answer, so the release goes out under an id nothing
+// is registered for and the reader drops the reply. The reader calls it
+// under c.mu.
 func (c *Conn) handBack(resource string, r resp) {
-	c.mu.Lock()
 	c.nextID++
-	id := c.nextID
-	c.mu.Unlock()
 	if r.op == transport.RespRun {
-		c.sendReleaseRun(id, resource, r.fence+uint64(r.run-1), 0, false)
+		head := releaseRunHead(r.fence+uint64(r.run-1), 0, false)
+		c.out.QueueClientFrame(transport.OpReleaseRun, c.nextID, head[:], resource)
 		return
 	}
-	var head [8]byte
-	binary.BigEndian.PutUint64(head[:], r.fence)
-	c.out.SendClientFrame(transport.OpRelease, id, head[:], resource)
+	head := fenceHead(r.fence)
+	c.out.QueueClientFrame(transport.OpRelease, c.nextID, head[:], resource)
 }
 
-// sendReleaseRun writes the frame that ends a run: its last fence, how
-// many of its fences callers held, and whether an acquire of the lane's
-// is in flight for callers still waiting.
-func (c *Conn) sendReleaseRun(id uint64, resource string, last uint64, used uint32, more bool) {
-	var head [13]byte
+// fenceHead is an OpRelease payload's fixed part: the fence.
+func fenceHead(fence uint64) (head [8]byte) {
+	binary.BigEndian.PutUint64(head[:], fence)
+	return head
+}
+
+// releaseRunHead is an OpReleaseRun payload's fixed part: the run's last
+// fence, how many of its fences callers held, and whether an acquire of
+// the lane's is in flight for callers still waiting.
+func releaseRunHead(last uint64, used uint32, more bool) (head [13]byte) {
 	binary.BigEndian.PutUint64(head[0:8], last)
 	binary.BigEndian.PutUint32(head[8:12], used)
 	if more {
 		head[12] = transport.ReleaseRunMore
 	}
-	c.out.SendClientFrame(transport.OpReleaseRun, id, head[:], resource)
+	return head
 }
 
 // Acquire locks resource through the member, blocking until the grant
 // arrives, the connection dies, or ctx is done. The caller joins
 // resource's lane, and unless a run open there has a fence coming its
-// way an acquire goes to the member, as it always did. On ctx expiry
+// way an acquire goes to the member, as it always did. A fence handed out
+// of a run ordered for another resource of the shard is as good as one
+// granted for resource: the member excludes the whole shard. On ctx expiry
 // Acquire returns immediately: a caller still queued just leaves, an
 // acquire that leaves one too many in the member's queue is canceled
 // there, and a grant that nonetheless wins the race on the wire — or had
@@ -713,6 +795,7 @@ func (c *Conn) Acquire(ctx context.Context, resource string) (Hold, error) {
 		return Hold{}, err
 	}
 	l := c.lane(resource)
+	w.key = resource
 	l.push(w)
 	acq := c.laneRequest(l)
 	c.mu.Unlock()
@@ -778,29 +861,38 @@ func (c *Conn) Release(resource string) error { return c.release(resource, 0) }
 // hold whose lease already ran out reports runtime.ErrLeaseExpired.
 func (c *Conn) ReleaseHold(h Hold) error { return c.release(h.Resource, h.Fence) }
 
-// release ends a hold. One that came out of a lane's run (the lane's
-// current fence, or whatever it is when released by name) is the lane's
-// to end: while the run has fences, callers wait and its lease rule
-// allows, the next caller simply gets the next fence and nothing is
-// sent; otherwise the run ends here, in one frame naming its last fence.
-// Every other release is forwarded as it is.
+// release ends a hold. One that came out of a lane (the lane's current
+// fence of resource, or whatever it is when released by name) is the
+// lane's to end: while the run has fences, callers wait and its lease
+// rule allows, the next caller simply gets the next fence and nothing is
+// sent; otherwise the hold ends here, in one frame naming its last fence
+// and the resource the member granted it for. A release that would end
+// that hold in another caller's name is refused here; every other
+// release is forwarded as it is.
 func (c *Conn) release(resource string, fence uint64) error {
 	c.mu.Lock()
-	l := c.lanes[resource]
+	l := c.lanes[c.laneOf(resource)]
 	var ended run
 	switch {
-	case l != nil && l.held && (fence == 0 || fence == l.cur):
-		if l.n > 0 && l.next <= l.last && (l.until == 0 || time.Now().UnixNano() < l.until) {
-			l.hand()
-			cancel, acq := l.trim(), c.laneRequest(l)
+	case l != nil && l.held && resource == l.holder && (fence == 0 || fence == l.cur):
+		// A fence goes only to a waiter no ordinary acquire in flight is
+		// counted for. Those acquires are queued at the member behind the
+		// run (it overtook them there); the run ends instead and the
+		// member hands over to them, where a fence would leave one with
+		// nobody to serve, to be withdrawn by a cancel that can cross the
+		// run's end.
+		if l.n > len(l.ids) && l.next <= l.last && (l.until == 0 || time.Now().UnixNano() < l.until) {
+			l.hand() // what is in flight still covers the rest: nothing to send
 			c.mu.Unlock()
-			c.sendAcquire(acq)
-			c.sendCancel(cancel)
 			return nil
 		}
 		ended, l.held = l.run, false
-	case l != nil && fence != 0 && fence == l.stale.cur:
+	case l != nil && fence != 0 && fence == l.stale.cur && resource == l.stale.holder:
 		ended, l.stale = l.stale, run{}
+	case l != nil && l.held && resource == l.key && (fence == 0 || fence == l.last):
+		// Forwarded, this would end the hold another caller is inside.
+		c.mu.Unlock()
+		return fmt.Errorf("client: release %q: %w", resource, runtime.ErrNotHeld)
 	default:
 		c.mu.Unlock()
 		_, p, err := c.send(transport.OpRelease, resource, fence)
@@ -820,7 +912,13 @@ func (c *Conn) release(resource string, fence uint64) error {
 		return err
 	}
 	c.sendAcquire(acq)
-	c.sendReleaseRun(id, resource, ended.last, ended.used, more)
+	if ended.grant {
+		head := fenceHead(ended.cur)
+		c.out.SendClientFrame(transport.OpRelease, id, head[:], ended.key)
+	} else {
+		head := releaseRunHead(ended.last, ended.used, more)
+		c.out.SendClientFrame(transport.OpReleaseRun, id, head[:], ended.key)
+	}
 	return c.released(p)
 }
 

@@ -33,10 +33,19 @@ type member struct {
 	br   *bufio.Reader
 }
 
+// pipe connects a Conn to a fake member whose hello grants runs over
+// independent resources: one lane per resource, as every member served
+// before hellos named shards.
 func pipe(t *testing.T) (*Conn, *member) {
 	t.Helper()
+	return pipeHello(t, transport.ClientHello{Runs: true})
+}
+
+// pipeHello is pipe with the member's hello given.
+func pipeHello(t *testing.T, hello transport.ClientHello) (*Conn, *member) {
+	t.Helper()
 	near, far := net.Pipe()
-	c := newConn(near)
+	c := newConn(near, hello)
 	t.Cleanup(func() {
 		_ = far.Close()
 		_ = c.Close()
@@ -222,7 +231,7 @@ func TestFailWakesEveryPendingOnce(t *testing.T) {
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
 		c.mu.Lock()
 		queued := 0
-		if l := c.lanes["a"]; l != nil {
+		if l := c.lanes[c.laneOf("a")]; l != nil {
 			queued = l.n
 		}
 		c.mu.Unlock()

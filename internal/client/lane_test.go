@@ -80,7 +80,7 @@ func waitQueued(t *testing.T, c *Conn, key string, n int) {
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(200 * time.Microsecond) {
 		c.mu.Lock()
 		queued := 0
-		if l := c.lanes[key]; l != nil {
+		if l := c.lanes[c.laneOf(key)]; l != nil {
 			queued = l.n
 		}
 		c.mu.Unlock()
@@ -390,47 +390,26 @@ func TestLaneLateReleaseOfAReplacedRun(t *testing.T) {
 	f.released(nil)
 }
 
-// TestConnectionTurnsRunlessOnAnOrdinaryAnswer: a member that answers a
-// marked acquire with an ordinary grant will never grant a run. The
-// callers that queued behind the order each get an acquire of their own
-// at once, and from then on the connection marks nothing and queues
-// nobody: its frames are one acquire and one release per caller, as
-// before lanes.
-func TestConnectionTurnsRunlessOnAnOrdinaryAnswer(t *testing.T) {
-	c, m := pipe(t)
-	a := enter(t, c, "k", 1)
-	own := m.expect(transport.OpAcquire, "k")
-	b := enter(t, c, "k", 2)
-	order := m.expect(transport.OpAcquireRun, "k")
-	d := enter(t, c, "k", 3)
-	e := enter(t, c, "k", 4)
-	m.grant(own.id, 10)
-	a.holds(10)
-	a.release()
-	m.ok(transport.OpRelease, releasePayload(10, "k"))
-	a.released(nil)
-
-	m.grant(order.id, 11) // no run: b holds an ordinary grant
-	b.holds(11)
-	forD := m.expect(transport.OpAcquire, "k")
-	forE := m.expect(transport.OpAcquire, "k")
-	f := enter(t, c, "k", 3) // three wait, yet nothing is marked any more
-	forF := m.expect(transport.OpAcquire, "k")
-	for i, step := range []struct {
-		k     *caller
-		id    uint64
-		fence uint64
-	}{{d, forD.id, 12}, {e, forE.id, 13}, {f, forF.id, 14}} {
-		if i == 0 {
-			b.release()
-			m.ok(transport.OpRelease, releasePayload(11, "k"))
-			b.released(nil)
-		}
-		m.grant(step.id, step.fence)
-		step.k.holds(step.fence)
-		step.k.release()
-		m.ok(transport.OpRelease, releasePayload(step.fence, "k"))
-		step.k.released(nil)
+// TestRunlessMemberGetsAnAcquirePerCaller: a member whose hello says it
+// grants no runs (a gateway) is never sent a marked acquire. However
+// many callers wait in a lane, each has an ordinary acquire of its own in
+// flight and an ordinary release: the connection's frames are one
+// acquire and one release per caller, as before lanes.
+func TestRunlessMemberGetsAnAcquirePerCaller(t *testing.T) {
+	c, m := pipeHello(t, transport.ClientHello{Shards: 1})
+	ks := make([]*caller, 4)
+	ids := make([]uint64, 4)
+	for i := range ks {
+		ks[i] = enter(t, c, "k", i+1)
+		ids[i] = m.expect(transport.OpAcquire, "k").id
+	}
+	for i, k := range ks {
+		fence := uint64(10 + i)
+		m.grant(ids[i], fence)
+		k.holds(fence)
+		k.release()
+		m.ok(transport.OpRelease, releasePayload(fence, "k"))
+		k.released(nil)
 	}
 }
 

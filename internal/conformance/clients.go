@@ -1,9 +1,12 @@
 package conformance
 
 import (
+	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -402,13 +405,21 @@ func clientDisconnectCleanup(t *testing.T, sub ClientSubstrate) {
 // clientBackpressure checks the per-connection queue bound: beyond
 // MaxClientInflight outstanding requests the member sheds the excess
 // with the busy sentinel instead of queueing without bound. The flood
-// uses one key per caller, all of the one shard the holder blocks: a
-// crowd of one connection's callers on ONE key waits inside the
-// connection, behind a single marked acquire, and takes up no member
-// queue depth at all.
+// is one acquire per key, all of the one shard the holder blocks, and it
+// comes from a raw connection: a dialed client.Conn never sends it — its
+// callers on one shard wait inside the connection, behind a single
+// marked acquire, and take up no member queue depth at all.
 func clientBackpressure(t *testing.T, sub ClientSubstrate) {
-	conns := sub.start(t, lockservice.Config{Shards: 1}, 2, 2)
-	a, b := conns[0], conns[1]
+	addr, closeAll, err := sub.Start(lockservice.Config{Shards: 1}, 2)
+	if err != nil {
+		t.Fatalf("start %s client cluster: %v", sub.Name, err)
+	}
+	t.Cleanup(closeAll)
+	a, err := client.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = a.Close() })
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -417,34 +428,34 @@ func clientBackpressure(t *testing.T, sub ClientSubstrate) {
 		t.Fatal(err)
 	}
 	const extra = 8
-	waitCtx, waitCancel := context.WithCancel(context.Background())
-	var busy, canceled atomic.Int64
-	var wg sync.WaitGroup
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	var flood []byte
+	flood = binary.BigEndian.AppendUint32(append(flood, transport.ClientMagic...), transport.ClientVersion)
 	for i := 0; i < transport.MaxClientInflight+extra; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, err := b.Acquire(waitCtx, fmt.Sprintf("full-%d", i))
-			switch {
-			case errors.Is(err, client.ErrBusy):
-				busy.Add(1)
-			case errors.Is(err, context.Canceled):
-				canceled.Add(1)
-			case err != nil:
-				t.Errorf("queued acquire: %v", err)
-			}
-		}(i)
+		flood = transport.AppendClientFrame(flood, transport.OpAcquire, uint64(i+1), fmt.Appendf(nil, "full-%d", i))
 	}
-	// Shed responses arrive quickly; queued ones block until canceled.
-	deadline := time.Now().Add(10 * time.Second)
-	for busy.Load() < extra && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if _, err := conn.Write(flood); err != nil {
+		t.Fatal(err)
 	}
-	waitCancel()
-	wg.Wait()
-	if got := busy.Load(); got != extra {
-		t.Fatalf("busy rejections = %d, want %d", got, extra)
+	br := bufio.NewReader(conn)
+	if _, err := transport.ReadClientHello(br); err != nil {
+		t.Fatal(err)
 	}
+	// Shed answers arrive at once; queued acquires are never answered.
+	for busy := 0; busy < extra; busy++ {
+		op, id, payload, err := transport.ReadClientFrame(br)
+		if err != nil {
+			t.Fatalf("after %d busy rejections: %v", busy, err)
+		}
+		if op != transport.RespErr || len(payload) == 0 || payload[0] != transport.CodeBusy {
+			t.Fatalf("acquire %d answered op %d %q, want a busy rejection", id, op, payload)
+		}
+	}
+	_ = conn.Close() // the queued acquires go with the connection
 	if err := a.ReleaseHold(hold); err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,16 @@ package conformance
 
 import (
 	"context"
+	"fmt"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"dagmutex/internal/client"
 	"dagmutex/internal/lockservice"
+	"dagmutex/internal/telemetry"
 	"dagmutex/internal/transport"
 )
 
@@ -118,5 +122,88 @@ func TestRunIsReservedBeforeItIsAnswered(t *testing.T) {
 	}
 	if err := fresh.ReleaseHold(next); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestShardLanesPassRunsAcrossKeys: one connection, eight callers over
+// sixteen keys of a lock service. With one shard every key is one lock:
+// never are two callers inside at once, fences rise strictly across
+// keys, and the member's run counters show runs ordered for one key
+// serving callers on others. With four shards the same holds per shard.
+func TestShardLanesPassRunsAcrossKeys(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			svc, err := lockservice.New(lockservice.Config{Shards: shards, Nodes: 2, Lease: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			backend, err := svc.ClientBackend(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gw, err := transport.NewClientGateway("", backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			reg := telemetry.NewRegistry()
+			gw.Register(reg)
+			c, err := client.Dial(gw.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			const callers, cycles, keys = 8, 100, 16
+			inside := make([]atomic.Int64, shards)
+			last := make([]atomic.Uint64, shards) // written only inside the shard's critical section
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			var wg sync.WaitGroup
+			for i := 0; i < callers; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					for j := 0; j < cycles; j++ {
+						key := fmt.Sprintf("key-%d", (i*5+j)%keys)
+						sh := lockservice.KeyShard(key, shards)
+						h, err := c.Acquire(ctx, key)
+						if err != nil {
+							t.Errorf("caller %d acquire %q: %v", i, key, err)
+							return
+						}
+						if n := inside[sh].Add(1); n != 1 {
+							t.Errorf("%d callers inside shard %d at once", n, sh)
+						}
+						if prev := last[sh].Load(); h.Fence <= prev {
+							t.Errorf("shard %d: fence %d for %q after %d", sh, h.Fence, key, prev)
+						}
+						last[sh].Store(h.Fence)
+						inside[sh].Add(-1)
+						if err := c.ReleaseHold(h); err != nil {
+							t.Errorf("caller %d release %q: %v", i, key, err)
+							return
+						}
+					}
+				}(i)
+			}
+			wg.Wait()
+			var text strings.Builder
+			if err := reg.WritePrometheus(&text); err != nil {
+				t.Fatal(err)
+			}
+			counters := make(map[string]string)
+			for _, line := range strings.Split(text.String(), "\n") {
+				if name, value, ok := strings.Cut(line, " "); ok {
+					counters[name] = value
+				}
+			}
+			runs, used := counters["dagmutex_client_runs_total"], counters["dagmutex_client_run_fences_used_total"]
+			if runs == "0" || used == "0" || runs == "" || used == "" {
+				t.Fatalf("member counted %s runs and %s run fences used: no run served the crowd", runs, used)
+			}
+			t.Logf("%d grants: %s runs, %s of their fences used", callers*cycles, runs, used)
+		})
 	}
 }

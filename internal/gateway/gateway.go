@@ -21,6 +21,15 @@
 // member (so its proxy coalesces the whole population). When the routed
 // member is unreachable the gateway fails over to the next, and
 // remembers which member granted a hold so the release finds it.
+//
+// Each upstream connection learns from its member's hello how many lock
+// shards the member's resources hash into, and keeps one lane per shard:
+// a fence run the member grants for one resource is handed, inside the
+// gateway, to the next waiter on any resource of that shard, so a
+// handoff between two of the gateway's clients crosses no member socket
+// at all. Its own clients the gateway tells that it grants no runs — its
+// upstream connections take them — and names 0 shards in its hello, so
+// a connection to it keeps one lane per resource.
 package gateway
 
 import (
@@ -217,17 +226,10 @@ func (b *backend) close() {
 	}
 }
 
-// route picks resource's home member: FNV-1a over the name, mod the
-// member count. Stable, so releases and repeat acquires of the same
-// resource reach the same member and coalesce there.
-func (b *backend) route(resource string) int {
-	const offset32, prime32 = 2166136261, 16777619
-	h := uint32(offset32)
-	for i := 0; i < len(resource); i++ {
-		h = (h ^ uint32(resource[i])) * prime32
-	}
-	return int(h % uint32(len(b.ups)))
-}
+// route picks resource's home member: transport.ShardOf over the member
+// count. Stable, so releases and repeat acquires of the same resource
+// reach the same member and coalesce there.
+func (b *backend) route(resource string) int { return transport.ShardOf(resource, len(b.ups)) }
 
 // record remembers a grant that landed off its routed member.
 func (b *backend) record(resource string, fence uint64, idx int) {

@@ -2,6 +2,7 @@ package gateway
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"io"
 	"net"
@@ -304,8 +305,12 @@ func TestUpstreamQuarantineFailsFast(t *testing.T) {
 			if err != nil {
 				return
 			}
-			// Absorb the handshake; enough for DialContext to succeed.
-			go func() { _, _ = io.Copy(io.Discard, conn) }()
+			// Answer the handshake with a hello, then absorb whatever
+			// comes: enough for DialContext to succeed.
+			go func() {
+				_, _ = conn.Write(transport.AppendClientHello(nil, transport.ClientHello{}))
+				_, _ = io.Copy(io.Discard, conn)
+			}()
 		}
 	}()
 	u2 := &upstream{addr: addr, clk: vclock.System(), failures: 3, notBefore: time.Now().Add(-time.Millisecond)}
@@ -321,4 +326,28 @@ func TestUpstreamQuarantineFailsFast(t *testing.T) {
 		_ = u2.conn.Close()
 	}
 	u2.mu.Unlock()
+}
+
+// TestGatewayHelloNamesNoShards: whatever its members say, a gateway
+// tells its own clients that it grants no runs (its upstream
+// connections take them) and names 0 shards, so a connection to it
+// keeps one lane per resource and sends every waiter's acquire.
+func TestGatewayHelloNamesNoShards(t *testing.T) {
+	g, err := New(Config{Members: []string{"127.0.0.1:1"}}) // dialed lazily: never, here
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	conn, err := net.Dial("tcp", g.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := conn.Write(binary.BigEndian.AppendUint32([]byte(transport.ClientMagic), transport.ClientVersion)); err != nil {
+		t.Fatal(err)
+	}
+	if h, err := transport.ReadClientHello(conn); err != nil || h != (transport.ClientHello{}) {
+		t.Fatalf("gateway hello = (%+v, %v), want 0 shards and no runs", h, err)
+	}
 }

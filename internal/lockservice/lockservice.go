@@ -43,7 +43,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/rand"
 	"sync"
 	"time"
@@ -54,6 +53,7 @@ import (
 	"dagmutex/internal/runtime"
 	"dagmutex/internal/telemetry"
 	"dagmutex/internal/topology"
+	"dagmutex/internal/transport"
 	"dagmutex/internal/vclock"
 )
 
@@ -388,12 +388,9 @@ func New(cfg Config) (*Service, error) {
 }
 
 // KeyShard returns the shard index resource maps to among shards shards:
-// FNV-1a mod shards, a stable assignment across runs and processes.
-func KeyShard(resource string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(resource))
-	return int(h.Sum32() % uint32(shards))
-}
+// transport.ShardOf, FNV-1a mod shards, a stable assignment across runs
+// and processes that dialed clients and gateways compute the same way.
+func KeyShard(resource string, shards int) int { return transport.ShardOf(resource, shards) }
 
 // ShardFor returns the shard index resource maps to in this service.
 func (s *Service) ShardFor(resource string) int {

@@ -23,16 +23,27 @@ import (
 // # Client wire frames
 //
 // A client connection opens with an 8-byte handshake — the 4-byte magic
-// "DAGC" followed by a big-endian uint32 protocol version (currently 2;
-// a member hangs up on any other, so a version 1 client, which could not
-// read a run, never gets as far as being sent one).
+// "DAGC" followed by a big-endian uint32 protocol version (currently 3;
+// a member hangs up on any other, so a client that could not read the
+// hello below, or a run, never gets as far as being sent one).
 // The magic doubles as the demultiplexer: member-to-member connections
 // start with a frame-size header, and sizes are bounded by maxFrame
 // (1 MiB), so the magic (0x44414743) can never be a valid size. One
 // listener therefore serves both populations (TCPHost), and a
 // standalone ClientGateway serves only clients.
 //
-// After the handshake, both directions speak length-prefixed frames:
+// The server answers the handshake with a 9-byte hello:
+//
+//	[4B magic "DAGC"] [4B shards S] [1B flags]     flag bit 0 = grants runs
+//
+// S is how many lock domains the server's resources hash into by ShardOf:
+// two resources of one domain are never held at once through this
+// server. A lock-service member sends its Shards, a plain member's proxy
+// (one mutex) 1, and a gateway 0, meaning every resource is independent.
+// A hello that is short, lacks the magic, sets an unknown flag or names
+// more than maxHelloShards shards fails the dial.
+//
+// After the hello, both directions speak length-prefixed frames:
 //
 //	[4B size] [1B op] [8B request id] [payload]     size = 9 + len(payload)
 //
@@ -43,10 +54,10 @@ import (
 //	opRelease     payload = [8B fence] ++ resource name (fence 0 = by name)
 //	opCancel      request id names the acquire to cancel; empty payload
 //	opAcquireRun  payload = resource name: an acquire with more callers of
-//	              this connection queued behind it for the same resource
+//	              this connection queued behind it in the resource's lane
 //	opReleaseRun  payload = [8B last fence][4B used][1B flags] ++ resource
 //	              name: ends a run; flag bit 0 = the connection's next
-//	              acquire for the resource has been sent
+//	              acquire for the lane has been sent
 //
 // Member → client ops (the request id echoes the request):
 //
@@ -59,18 +70,27 @@ import (
 // A run is a block of consecutive fences, first .. first+length-1, that
 // the member reserved before it wrote the answer and holds as ONE hold
 // under the last of them and one lease. Only an opAcquireRun is ever
-// answered with respRun, and only by a member whose backend has the run
-// capability (RunBackend), which then answers every opAcquireRun that
-// way, with a length of at least 1; any other member answers it with
-// respGrant like an opAcquire. The client hands the run's fences to its
-// own callers one after another and ends it — all fences used or not —
-// with one opReleaseRun naming the last fence and how many it handed
-// out. That count is advisory (it feeds the counters) and is cut down to
-// the run's length, never trusted; a respRun of length 0, or an
-// opReleaseRun shorter than its fixed fields, is a corrupted stream and
-// ends the connection like an unknown op. A run needs no frame of its
-// own to be given up: opRelease of its last fence, a cancel that the
-// grant raced, and a disconnect all release the whole of it.
+// answered with respRun, and only by a server whose hello said it grants
+// runs (its backend has RunBackend), which then answers every
+// opAcquireRun that way, with a length of at least 1; any other server
+// answers it with respGrant like an opAcquire, and a client told so
+// never sends one. The client hands the run's fences to its own callers
+// one after another and ends it — all fences used or not — with one
+// opReleaseRun naming the last fence and how many it handed out. That
+// count is advisory (it feeds the counters) and is cut down to the run's
+// length, never trusted; a respRun of length 0, or an opReleaseRun
+// shorter than its fixed fields, is a corrupted stream and ends the
+// connection like an unknown op. A run needs no frame of its own to be
+// given up: opRelease of its last fence, a cancel that the grant raced,
+// and a disconnect all release the whole of it.
+//
+// Under a hello of S > 0 shards with runs, the client keeps one lane per
+// shard, not per resource: a run ordered for one resource is handed to
+// the connection's callers on any resource of the same shard, which the
+// server excludes while the run is held. Every frame the member reads
+// still names the resource the hold was granted under — the end of a run
+// names the resource that ordered it, whoever held its last fence — so
+// the member sees exactly what it would without shard lanes.
 //
 // Error codes carry the sentinel across the wire so errors.Is works on
 // the client side exactly as it does in process: not-held, lease-expired,
@@ -83,7 +103,7 @@ const (
 	// exceeds maxFrame, so it is unambiguous against member frame sizes.
 	ClientMagic = "DAGC"
 	// ClientVersion is the protocol version sent after the magic.
-	ClientVersion uint32 = 2
+	ClientVersion uint32 = 3
 	// MaxClientFrame bounds client frames; resource names plus headers fit
 	// comfortably.
 	MaxClientFrame = 1 << 16
@@ -266,8 +286,82 @@ const (
 )
 
 // ReleaseRunMore is the OpReleaseRun flag saying that the connection's
-// next acquire for the resource has been sent (see RunBackend).
+// next acquire for the lane has been sent (see RunBackend).
 const ReleaseRunMore byte = 1
+
+// ClientHello is the server's answer to a client's handshake: how the
+// resources it serves share locks, and whether it grants runs.
+type ClientHello struct {
+	// Shards is how many lock domains the server's resources hash into by
+	// ShardOf; 0 means every resource is a domain of its own.
+	Shards int
+	// Runs says the server answers OpAcquireRun with runs.
+	Runs bool
+}
+
+const (
+	clientHelloSize = 9
+	helloRuns       = 1 // flag bit: the server grants runs
+	// maxHelloShards bounds the shard count a hello may name. A server
+	// with more shards sends 0, which is always correct (resources are
+	// then treated as independent); a hello naming more is not a server
+	// this package wrote.
+	maxHelloShards = 1 << 16
+)
+
+// AppendClientHello appends h's wire form to buf.
+func AppendClientHello(buf []byte, h ClientHello) []byte {
+	buf = append(buf, ClientMagic...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(h.Shards))
+	if h.Runs {
+		return append(buf, helloRuns)
+	}
+	return append(buf, 0)
+}
+
+// ReadClientHello reads and validates the hello a server sends after the
+// handshake. Anything but a well-formed hello is an error.
+func ReadClientHello(r io.Reader) (ClientHello, error) {
+	var b [clientHelloSize]byte
+	if _, err := io.ReadFull(r, b[:]); err != nil {
+		return ClientHello{}, fmt.Errorf("transport: read client hello: %w", err)
+	}
+	shards := binary.BigEndian.Uint32(b[4:8])
+	switch {
+	case string(b[:4]) != ClientMagic:
+		return ClientHello{}, fmt.Errorf("transport: client hello opens with %q, not %q", b[:4], ClientMagic)
+	case shards > maxHelloShards:
+		return ClientHello{}, fmt.Errorf("transport: client hello names %d shards, more than %d", shards, maxHelloShards)
+	case b[8]&^helloRuns != 0:
+		return ClientHello{}, fmt.Errorf("transport: client hello sets unknown flags %#x", b[8])
+	}
+	return ClientHello{Shards: int(shards), Runs: b[8]&helloRuns != 0}, nil
+}
+
+// helloFor is what a server fronting backend says in its hello.
+func helloFor(backend ClientBackend) ClientHello {
+	var h ClientHello
+	_, h.Runs = backend.(RunBackend)
+	if sb, ok := backend.(ShardedBackend); ok {
+		if n := sb.Shards(); n > 0 && n <= maxHelloShards {
+			h.Shards = n
+		}
+	}
+	return h
+}
+
+// ShardOf maps resource to one of n shards: 32-bit FNV-1a of the name,
+// mod n. It is the stack's one key hash — a lock service's shard for a
+// key, a gateway's member for it, and a dialed connection's lane for it
+// under a hello of n shards — so no two of them can disagree.
+func ShardOf(resource string, n int) int {
+	const offset32, prime32 = 2166136261, 16777619
+	h := uint32(offset32)
+	for i := 0; i < len(resource); i++ {
+		h = (h ^ uint32(resource[i])) * prime32
+	}
+	return int(h % uint32(n))
+}
 
 // Wire error codes for respErr frames.
 const (
@@ -295,8 +389,8 @@ var ErrClientBusy = errors.New("transport: client request queue full")
 // concurrent use; Acquire must honor ctx. Hold-lifecycle failures are
 // reported with runtime.ErrNotHeld and runtime.ErrLeaseExpired, which
 // errorCode puts on the wire. These three methods are the whole
-// contract; a backend may also offer RunBackend, below, and the two
-// Slot-backed members do.
+// contract; a backend may also offer RunBackend and ShardedBackend,
+// below, and the two Slot-backed members offer both.
 type ClientBackend interface {
 	Acquire(ctx context.Context, resource string) (fence uint64, expires time.Time, err error)
 	TryAcquire(resource string) (fence uint64, expires time.Time, ok bool, err error)
@@ -308,14 +402,15 @@ type ClientBackend interface {
 // one lease, reserved before the answer is written, which the connection
 // hands to its own queued callers one after another without a frame.
 // The server side probes for it once per connection, the way core probes
-// its Env for mutex.HopGranter, and uses it for acquires the client
-// marked as having more callers queued behind them. Both members that
-// hold through a runtime.Slot have it (runtime.Proxy and the lock
-// service's adapter). The gateway's backend lacks it on purpose — its
-// upstream connections are client.Conns and take runs from the members
-// themselves — and so does any backend that merely wraps another in the
-// three methods above; a marked acquire is then an ordinary one, every
-// run is 1 and is released with Release.
+// its Env for mutex.HopGranter, says in its hello whether it found it,
+// and uses it for acquires the client marked as having more callers
+// queued behind them. Both members that hold through a runtime.Slot have
+// it (runtime.Proxy and the lock service's adapter). The gateway's
+// backend lacks it on purpose — its upstream connections are client.Conns
+// and take runs from the members themselves — and so does any backend
+// that merely wraps another in the three methods above; its hello then
+// says so, its clients send no marked acquire, and one that arrives
+// anyway is an ordinary acquire, released with Release.
 type RunBackend interface {
 	// AcquireRun is Acquire returning the first fence of a run of run
 	// consecutive fences (run >= 1), all held under one lease; the hold
@@ -327,6 +422,17 @@ type RunBackend interface {
 	// should hand over as it does to a queued waiter even if that acquire
 	// has not reached it yet (the two travel through different workers).
 	ReleaseRun(resource string, last uint64, used int, more bool) error
+}
+
+// ShardedBackend is the optional capability of a ClientBackend whose
+// resources share locks: Shards lock domains, resource r in domain
+// ShardOf(r, Shards()), and no two resources of one domain held at once
+// through the backend. The server side probes for it beside RunBackend
+// and puts the count in its hello; with runs, that lets a connection pass
+// one run to its callers on any resource of a domain. The lock service's
+// adapter has it (its shards) and runtime.Proxy too (one mutex).
+type ShardedBackend interface {
+	Shards() int
 }
 
 // CodedError attaches a wire error code to err, for backends whose
@@ -465,6 +571,19 @@ func startFrameWriter(conn net.Conn, stats *writeStats) *peerConn {
 // followed by tail. After Shutdown, or once a write has failed, frames
 // are dropped.
 func (pc *peerConn) SendClientFrame(op byte, reqID uint64, head []byte, tail string) {
+	pc.send(clientFrame(op, reqID, head, tail))
+}
+
+// QueueClientFrame is SendClientFrame that never writes inline: the
+// frame joins the queue and the drain goroutine writes it. It never
+// blocks, so a connection's reader may call it, under its own locks, to
+// send what an answer calls for without waiting for the peer to read.
+func (pc *peerConn) QueueClientFrame(op byte, reqID uint64, head []byte, tail string) {
+	pc.queue(clientFrame(op, reqID, head, tail))
+}
+
+// clientFrame builds one client frame in a pooled buffer.
+func clientFrame(op byte, reqID uint64, head []byte, tail string) *frame {
 	f := framePool.Get().(*frame)
 	b := AppendClientFrame(f.b[:0], op, reqID, head)
 	if tail != "" {
@@ -472,7 +591,7 @@ func (pc *peerConn) SendClientFrame(op byte, reqID uint64, head []byte, tail str
 		binary.BigEndian.PutUint32(b[0:4], uint32(len(b)-4))
 	}
 	f.b = b
-	pc.send(f)
+	return f
 }
 
 // Shutdown drops whatever is still queued and waits for the drain
@@ -614,8 +733,9 @@ func (cc *clientConn) respondErr(reqID uint64, err error) {
 }
 
 // serveClientConn speaks the member side of the client protocol on conn,
-// with the handshake already consumed (r may hold bytes read past it),
-// until the client hangs up or the listener that accepted conn closes it
+// with the handshake already consumed (r may hold bytes read past it):
+// it writes the hello, then serves requests until the client hangs up or
+// the listener that accepted conn closes it
 // — TCPHost.Close and ClientGateway.Close both sever every connection
 // they accepted, which is what ends the read below. On exit every
 // in-flight acquire is canceled and every hold the connection still owns
@@ -627,6 +747,10 @@ func (cc *clientConn) respondErr(reqID uint64, err error) {
 // burst deeper than its parked workers and free list — and the aftermath
 // of a real cancel.
 func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm *admission) {
+	if _, err := conn.Write(AppendClientHello(nil, helloFor(backend))); err != nil {
+		_ = conn.Close()
+		return
+	}
 	cc := &clientConn{
 		out:     startFrameWriter(conn, &adm.writes),
 		backend: backend,

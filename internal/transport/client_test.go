@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"io"
 	"net"
 	"strings"
@@ -177,7 +179,79 @@ func rawClient(t *testing.T, gw *ClientGateway) (net.Conn, *bufio.Reader) {
 		t.Fatal(err)
 	}
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if _, err := ReadClientHello(conn); err != nil {
+		t.Fatal(err)
+	}
 	return conn, bufio.NewReader(conn)
+}
+
+// shardedBackend is runRecorder with the sharded capability.
+type shardedBackend struct {
+	*runRecorder
+	shards int
+}
+
+func (b shardedBackend) Shards() int { return b.shards }
+
+// TestHelloSaysWhatTheBackendCan: the hello after the handshake carries
+// the backend's shard count only where the backend has the sharded
+// capability (and a count a hello may name), and says runs only where it
+// has the run capability. A gateway's backend, with neither, says 0 and
+// no runs.
+func TestHelloSaysWhatTheBackendCan(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		backend ClientBackend
+		want    ClientHello
+	}{
+		{"plain", &staticBackend{}, ClientHello{}},
+		{"runs", &runRecorder{}, ClientHello{Runs: true}},
+		{"sharded", shardedBackend{&runRecorder{}, 8}, ClientHello{Shards: 8, Runs: true}},
+		{"sharded-without-runs", struct {
+			ShardedBackend
+			ClientBackend
+		}{shardedBackend{shards: 8}, &staticBackend{}}, ClientHello{Shards: 8}},
+		{"too-many-shards", shardedBackend{&runRecorder{}, maxHelloShards + 1}, ClientHello{Runs: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gw, err := NewClientGateway("", tc.backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer gw.Close()
+			conn, err := net.Dial("tcp", gw.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+			if _, err := conn.Write(binary.BigEndian.AppendUint32([]byte(ClientMagic), ClientVersion)); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ReadClientHello(conn); err != nil || got != tc.want {
+				t.Fatalf("hello = (%+v, %v), want %+v", got, err, tc.want)
+			}
+		})
+	}
+}
+
+// TestShardOfIsFNV1a: ShardOf is 32-bit FNV-1a mod n, exactly what the
+// lock service computed with hash/fnv before it, so no key changed
+// shard — nor, through the gateway's routing, member.
+func TestShardOfIsFNV1a(t *testing.T) {
+	keys := []string{"", "a", "orders", "users", "res-0", "res-63", "contended", "k-17", "\x00\xff", strings.Repeat("long-key/", 40)}
+	for i := 0; i < 1000; i++ {
+		keys = append(keys, fmt.Sprintf("key-%d", i))
+	}
+	for _, key := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(key))
+		for _, n := range []int{1, 2, 3, 4, 7, 8, 64, 1 << 16} {
+			if got, want := ShardOf(key, n), int(h.Sum32()%uint32(n)); got != want {
+				t.Fatalf("ShardOf(%q, %d) = %d, FNV-1a says %d", key, n, got, want)
+			}
+		}
+	}
 }
 
 // TestDuplicateRequestIDIsRefused is the regression test for a second

@@ -63,6 +63,30 @@ func FuzzClientFrame(f *testing.F) {
 	})
 }
 
+// FuzzClientHello feeds arbitrary bytes to ReadClientHello, what a
+// dialing client reads right after its handshake. A short, garbage or
+// absurd hello must be an error, never a panic; a hello it accepts names
+// a shard count a hello may carry and re-encodes to exactly the bytes
+// it read. A dial that meets an error here fails (internal/client's
+// TestDialRefusesABadHello).
+//
+// The seed corpus is committed under testdata/fuzz/FuzzClientHello; CI
+// runs it beside the frame decoders.
+func FuzzClientHello(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := ReadClientHello(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if h.Shards < 0 || h.Shards > maxHelloShards {
+			t.Fatalf("%x read as %d shards", data, h.Shards)
+		}
+		if again := AppendClientHello(nil, h); !bytes.Equal(again, data[:clientHelloSize]) {
+			t.Fatalf("%x read as %+v, which encodes to %x", data, h, again)
+		}
+	})
+}
+
 // FuzzDAGCodec feeds arbitrary bytes to DAGCodec.Decode, the decoder
 // every member-to-member frame goes through. Whatever arrives off the
 // socket it must not panic; a frame it accepts must re-encode, in no

@@ -202,26 +202,29 @@ func TestRunFramesAgainstAPlainBackend(t *testing.T) {
 	}
 }
 
-// TestOldClientVersionIsRefused: version 1 knows nothing of runs, and a
-// version 2 member would answer its callers with frames it cannot read.
-// The pair fails at the handshake instead.
+// TestOldClientVersionIsRefused: version 1 knows nothing of runs and
+// version 2 nothing of the hello, and a version 3 member would answer
+// either with bytes it cannot read. The pair fails at the handshake
+// instead.
 func TestOldClientVersionIsRefused(t *testing.T) {
 	gw, err := NewClientGateway("", &staticBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	conn, err := net.Dial("tcp", gw.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if _, err := conn.Write(binary.BigEndian.AppendUint32([]byte(ClientMagic), 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
-		t.Fatalf("read after a version 1 handshake: %v, want the member to hang up", err)
+	for _, version := range []uint32{1, 2} {
+		conn, err := net.Dial("tcp", gw.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := conn.Write(binary.BigEndian.AppendUint32([]byte(ClientMagic), version)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("read after a version %d handshake: %v, want the member to hang up", version, err)
+		}
+		_ = conn.Close()
 	}
 }
 

@@ -684,6 +684,20 @@ func (pc *peerConn) shutdown() {
 	pc.mu.Unlock()
 }
 
+// queue hands f to the drain goroutine and reports whether it was
+// accepted; a closed link drops it back into the pool.
+func (pc *peerConn) queue(f *frame) bool {
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	if pc.closed {
+		putFrame(f)
+		return false
+	}
+	pc.push(f)
+	pc.wake.Signal()
+	return true
+}
+
 // send writes f inline when the connection is idle (up, queue empty,
 // write turn free) or queues it for the drain goroutine — the client
 // response path's single-frame analogue of sendNow. Rejected or failed
@@ -803,15 +817,9 @@ func (h *TCPHost) enqueue(to mutex.ID, f *frame) bool {
 		putFrame(f)
 		return false
 	}
-	pc.mu.Lock()
-	if pc.closed {
-		pc.mu.Unlock()
-		putFrame(f)
+	if !pc.queue(f) {
 		return false
 	}
-	pc.push(f)
-	pc.wake.Signal()
-	pc.mu.Unlock()
 	h.sent.Add(1)
 	return true
 }
