@@ -376,13 +376,19 @@ type Conn struct {
 	done chan struct{} // closed when the reader exits
 }
 
+// helloTimeout bounds the wait for the server's hello after the
+// handshake. A server writes it as soon as it has read the handshake, so
+// a peer silent this long (a wrong port, a stalled process) is not one.
+var helloTimeout = 10 * time.Second
+
 // Dial connects to a member's client port (a TCPHost listener or a
 // ClientGateway) and performs the protocol handshake.
 func Dial(addr string) (*Conn, error) {
 	return DialContext(context.Background(), addr)
 }
 
-// DialContext is Dial with connection-establishment bounded by ctx.
+// DialContext is Dial with connection-establishment bounded by ctx. The
+// hello read is bounded by ctx and by helloTimeout, whichever ends first.
 func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)
@@ -395,7 +401,9 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	_, err = conn.Write(hs)
 	var hello transport.ClientHello
 	if err == nil {
-		hello, err = readHello(ctx, conn)
+		helloCtx, cancel := context.WithTimeout(ctx, helloTimeout)
+		hello, err = readHello(helloCtx, conn)
+		cancel()
 	}
 	if err != nil {
 		_ = conn.Close()

@@ -259,6 +259,16 @@ func TestDialRefusesABadHello(t *testing.T) {
 			t.Fatalf("Dial of a server that sends no hello = %v, want the context's deadline", err)
 		}
 	})
+	t.Run("silent-plain-dial", func(t *testing.T) {
+		defer func(d time.Duration) { helloTimeout = d }(helloTimeout)
+		helloTimeout = 100 * time.Millisecond
+		release := make(chan struct{})
+		defer close(release)
+		addr := fakeServer(t, func(net.Conn) { <-release })
+		if _, err := Dial(addr); !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("Dial of a server that sends no hello = %v, want the hello timeout", err)
+		}
+	})
 }
 
 // fakeServer accepts one connection, reads its handshake, and hands the

@@ -445,7 +445,9 @@ func clientBackpressure(t *testing.T, sub ClientSubstrate) {
 	if _, err := transport.ReadClientHello(br); err != nil {
 		t.Fatal(err)
 	}
-	// Shed answers arrive at once; queued acquires are never answered.
+	// Shed answers arrive at once, for exactly the acquires beyond the
+	// bound and in the order they were read; queued acquires are never
+	// answered.
 	for busy := 0; busy < extra; busy++ {
 		op, id, payload, err := transport.ReadClientFrame(br)
 		if err != nil {
@@ -454,6 +456,15 @@ func clientBackpressure(t *testing.T, sub ClientSubstrate) {
 		if op != transport.RespErr || len(payload) == 0 || payload[0] != transport.CodeBusy {
 			t.Fatalf("acquire %d answered op %d %q, want a busy rejection", id, op, payload)
 		}
+		if want := uint64(transport.MaxClientInflight + busy + 1); id != want {
+			t.Fatalf("busy rejection %d names acquire %d, want %d", busy, id, want)
+		}
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(200 * time.Millisecond))
+	if op, id, payload, err := transport.ReadClientFrame(br); err == nil {
+		t.Fatalf("after %d busy rejections acquire %d answered op %d %q, want no answer", extra, id, op, payload)
+	} else if ne := net.Error(nil); !errors.As(err, &ne) || !ne.Timeout() {
+		t.Fatalf("reading past the busy rejections: %v, want a read timeout", err)
 	}
 	_ = conn.Close() // the queued acquires go with the connection
 	if err := a.ReleaseHold(hold); err != nil {
