@@ -62,19 +62,15 @@ func TestAllocBudgetClientRoundTrip(t *testing.T) {
 	}
 }
 
-// runBackend is noopBackend with the run capability: every marked acquire
-// is answered with a run that never ends.
+// runBackend is noopBackend with the run capability over one lock domain:
+// every marked acquire is answered with a run that never ends.
 type runBackend struct{ noopBackend }
 
+func (runBackend) Shards() int { return 1 }
 func (runBackend) AcquireRun(context.Context, string) (uint64, time.Time, int, error) {
 	return 1, time.Time{}, 1 << 30, nil
 }
 func (runBackend) ReleaseRun(string, uint64, int, bool) error { return nil }
-
-// shardedRunBackend is runBackend whose resources are all one lock.
-type shardedRunBackend struct{ runBackend }
-
-func (shardedRunBackend) Shards() int { return 1 }
 
 // TestAllocBudgetClientRunHandoff: inside a run, a release that passes
 // the next fence to a waiting caller of the same connection allocates
@@ -84,15 +80,14 @@ func (shardedRunBackend) Shards() int { return 1 }
 // cycle spans three handoffs.
 func TestAllocBudgetClientRunHandoff(t *testing.T) {
 	for _, tc := range []struct {
-		name    string
-		backend transport.ClientBackend
-		keys    [3]string // the measured caller's, then the other two's
+		name string
+		keys [3]string // the measured caller's, then the other two's
 	}{
-		{"one-key", runBackend{}, [3]string{"hot", "hot", "hot"}},
-		{"one-shard", shardedRunBackend{}, [3]string{"a", "b", "c"}},
+		{"one-key", [3]string{"hot", "hot", "hot"}},
+		{"one-shard", [3]string{"a", "b", "c"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			gw, err := transport.NewClientGateway("", tc.backend)
+			gw, err := transport.NewClientGateway("", runBackend{})
 			if err != nil {
 				t.Fatal(err)
 			}

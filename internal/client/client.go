@@ -18,10 +18,10 @@
 //
 // Callers of one connection that want the same shard at the same time
 // share a lane. The member says in its hello, right after the handshake,
-// whether it grants runs and how many lock shards its resources hash
-// into: a lock service excludes per shard, so a connection to it keeps
-// one lane per shard; against a server that grants no runs, or whose
-// resources are independent (a gateway), a lane is one resource's. Once
+// how many lock shards its resources hash into, and naming any says that
+// it grants runs: a lock service excludes per shard, so a connection to
+// it keeps one lane per shard; against a server that names none, a lane
+// is one resource's. Once
 // enough callers wait in a lane, it stops sending an acquire for each
 // and orders a run instead: one marked acquire for the resource of the
 // caller heading the queue, which the member answers with a block of
@@ -36,6 +36,10 @@
 // reclaim, and because the member reserved the run's fences before
 // answering, a run reclaimed mid-way can never collide with a later
 // grant anywhere.
+//
+// A caller that hands runs on itself — a gateway passing its own
+// clients' runs through to a member — orders and ends them with
+// AcquireRun and ReleaseRun, which go past the lanes.
 package client
 
 import (
@@ -136,7 +140,9 @@ const maxFreePending = transport.MaxClientInflight
 // always does: a try or a release waits for its answer however long, and
 // an acquirer that gives up leaves its lane's queue under Conn.mu, where
 // it finds either that it is still queued (nothing will ever be
-// delivered) or that its response is already on ch. So an entry reaches
+// delivered) or that its response is already on ch. (An AcquireRun that
+// gives up with no answer on ch instead leaves the entry to the reader:
+// see gone.) So an entry reaches
 // the free list only with its channel empty and nothing left that could
 // fill it, and the reader finds entries only through Conn.reqs and the
 // lanes — a recycled entry can never be handed a response addressed to
@@ -147,7 +153,11 @@ type pending struct {
 	// to that request id belongs to the lane, not to a channel.
 	lane *lane
 	next *pending // the lane's queue
-	key  string   // the resource a lane's waiter asked for
+	key  string   // the resource a lane's waiter, or a gone AcquireRun, asked for
+	// gone marks the entry of an AcquireRun whose caller gave up before
+	// the answer came: the reader owns it from then on, hands whatever
+	// the member granted straight back and recycles it.
+	gone bool
 }
 
 // laneID names a lane: a shard under a hello of shards with runs, a
@@ -355,13 +365,12 @@ type Conn struct {
 	// callers when it is not, in the order the callers sent them.
 	out *transport.FrameWriter
 
-	// runs and shards are what the member's hello said: whether lanes may
-	// order runs, and how many shards they are kept per (0: per resource;
-	// see laneOf). Without runs nothing is ever marked — waiting for a run
-	// would only hide callers from the member-side cohort handoff that
-	// serves them instead — so every waiter has an acquire of its own in
-	// flight and the connection's frames are what they were before lanes.
-	runs   bool
+	// shards is the S of the member's hello: with S > 0 lanes are kept per
+	// shard and may order runs; with 0 they are kept per resource (see
+	// laneOf) and nothing is ever marked — waiting for a run would only
+	// hide callers from the member-side cohort handoff that serves them
+	// instead — so every waiter has an acquire of its own in flight and
+	// the connection's frames are what they were before lanes.
 	shards int
 
 	mu        sync.Mutex
@@ -399,21 +408,21 @@ func DialContext(ctx context.Context, addr string) (*Conn, error) {
 	hs = append(hs, transport.ClientMagic...)
 	hs = binary.BigEndian.AppendUint32(hs, transport.ClientVersion)
 	_, err = conn.Write(hs)
-	var hello transport.ClientHello
+	shards := 0
 	if err == nil {
 		helloCtx, cancel := context.WithTimeout(ctx, helloTimeout)
-		hello, err = readHello(helloCtx, conn)
+		shards, err = readHello(helloCtx, conn)
 		cancel()
 	}
 	if err != nil {
 		_ = conn.Close()
 		return nil, fmt.Errorf("client: handshake with %s: %w", addr, err)
 	}
-	return newConn(conn, hello), nil
+	return newConn(conn, shards), nil
 }
 
 // readHello reads the member's hello, giving up when ctx is done.
-func readHello(ctx context.Context, conn net.Conn) (transport.ClientHello, error) {
+func readHello(ctx context.Context, conn net.Conn) (int, error) {
 	unblocked := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
 		_ = conn.SetReadDeadline(time.Unix(1, 0))
@@ -431,24 +440,23 @@ func readHello(ctx context.Context, conn net.Conn) (transport.ClientHello, error
 }
 
 // newConn starts the reader and the frame writer over an established
-// connection whose handshake has been sent and hello read.
-func newConn(conn net.Conn, hello transport.ClientHello) *Conn {
+// connection whose handshake has been sent and whose hello named shards.
+func newConn(conn net.Conn, shards int) *Conn {
 	c := &Conn{
-		conn:  conn,
-		out:   transport.NewFrameWriter(conn),
-		runs:  hello.Runs,
-		reqs:  make(map[uint64]*pending),
-		lanes: make(map[laneID]*lane),
-		done:  make(chan struct{}),
-	}
-	if hello.Runs {
-		// A lane per shard pays only through runs; without them it would
-		// send every waiter's acquire in the name of another's resource.
-		c.shards = hello.Shards
+		conn:   conn,
+		out:    transport.NewFrameWriter(conn),
+		shards: shards,
+		reqs:   make(map[uint64]*pending),
+		lanes:  make(map[laneID]*lane),
+		done:   make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
 }
+
+// Shards returns the S of the member's hello: how many lock domains its
+// resources hash into by transport.ShardOf, 0 when it grants no runs.
+func (c *Conn) Shards() int { return c.shards }
 
 // readLoop correlates response frames with their pending requests. The
 // answer to a lane's acquire is settled under c.mu, the lock a caller
@@ -480,10 +488,17 @@ func (c *Conn) readLoop() {
 		c.mu.Lock()
 		if p, ok := c.reqs[reqID]; ok {
 			delete(c.reqs, reqID)
-			if p.lane == nil {
-				p.ch <- r
-			} else {
+			switch {
+			case p.lane != nil:
 				c.answerLane(p.lane, reqID, r)
+			case p.gone:
+				if granted(r) {
+					c.handBack(p.key, r)
+				}
+				p.gone, p.key = false, ""
+				c.recycle(p)
+			default:
+				p.ch <- r
 			}
 		}
 		c.mu.Unlock()
@@ -499,11 +514,10 @@ func (c *Conn) readLoop() {
 // trim). Callers hold c.mu.
 func (c *Conn) answerLane(l *lane, id uint64, r resp) {
 	key := l.answered(id)
-	granted := r.ok && (r.op == transport.RespGrant || r.op == transport.RespRun)
 	switch {
-	case granted && l.n == 0:
+	case granted(r) && l.n == 0:
 		c.handBack(key, r)
-	case granted:
+	case granted(r):
 		if l.held {
 			// The member grants this shard to this connection again while a
 			// caller still holds a fence of the last hold: that hold's lease
@@ -568,7 +582,7 @@ func (c *Conn) laneRequest(l *lane) frame {
 	c.nextID++
 	c.reqs[c.nextID] = &l.acq
 	r := laneReq{id: c.nextID, key: l.head.key}
-	if l.n >= markAt && c.runs {
+	if l.n >= markAt && c.shards > 0 {
 		l.order = r
 		return frame{op: transport.OpAcquireRun, id: r.id, key: r.key}
 	}
@@ -591,9 +605,9 @@ func (c *Conn) sendCancel(id uint64) {
 	}
 }
 
-// laneOf names resource's lane: its shard when the member has shards
-// and grants runs — the lock the member excludes callers by — and the
-// resource itself otherwise.
+// laneOf names resource's lane: its shard when the member names shards
+// — the lock the member excludes callers by — and the resource itself
+// otherwise.
 func (c *Conn) laneOf(resource string) laneID {
 	if c.shards > 0 {
 		return laneID{shard: transport.ShardOf(resource, c.shards)}
@@ -750,11 +764,17 @@ func (c *Conn) send(op byte, resource string, fence uint64) (uint64, *pending, e
 	return id, p, nil
 }
 
+// granted reports whether r hands this connection a hold: a grant or a
+// run.
+func granted(r resp) bool {
+	return r.ok && (r.op == transport.RespGrant || r.op == transport.RespRun)
+}
+
 // handBack returns to the member a grant (or a whole run, unused) of
-// resource that reached a lane with nobody left in it. No caller waits
-// for the member's answer, so the release goes out under an id nothing
-// is registered for and the reader drops the reply. The reader calls it
-// under c.mu.
+// resource that reached a lane with nobody left in it, or an AcquireRun
+// whose caller gave up. No caller waits for the member's answer, so the
+// release goes out under an id nothing is registered for and the reader
+// drops the reply. Callers hold c.mu.
 func (c *Conn) handBack(resource string, r resp) {
 	c.nextID++
 	if r.op == transport.RespRun {
@@ -840,6 +860,60 @@ func (c *Conn) Acquire(ctx context.Context, resource string) (Hold, error) {
 		}
 		return Hold{}, fmt.Errorf("client: acquire %q: %w", resource, ctx.Err())
 	}
+}
+
+// AcquireRun sends one marked acquire for resource past the connection's
+// lanes, for a caller that hands the fences on itself, and returns the
+// member's answer whole: the hold under the run's first fence and how
+// many consecutive fences the run holds (1 for an ordinary grant). The
+// member knows the hold by its last fence; ReleaseRun ends it. On ctx
+// expiry AcquireRun returns at once and cancels the acquire at the
+// member; should the run win that race, the reader hands it back unused.
+func (c *Conn) AcquireRun(ctx context.Context, resource string) (Hold, int, error) {
+	id, p, err := c.send(transport.OpAcquireRun, resource, 0)
+	if err != nil {
+		return Hold{}, 0, err
+	}
+	select {
+	case r := <-p.ch:
+		c.finish(p)
+		if r.op == transport.RespRun && r.ok {
+			return Hold{Resource: resource, Fence: r.fence, Expires: nanosTime(r.expiry)}, int(r.run), nil
+		}
+		h, err := decodeGrant(resource, r)
+		return h, 1, err
+	case <-ctx.Done():
+	}
+	c.mu.Lock()
+	select {
+	case r := <-p.ch:
+		if granted(r) {
+			c.handBack(resource, r)
+		}
+		c.recycle(p)
+		c.mu.Unlock()
+	default:
+		p.gone, p.key = true, resource
+		c.mu.Unlock()
+		c.sendCancel(id)
+	}
+	return Hold{}, 0, fmt.Errorf("client: acquire run %q: %w", resource, ctx.Err())
+}
+
+// ReleaseRun ends a run AcquireRun returned, by its last fence: used is
+// how many of its fences were handed out, more that the caller's next
+// acquire for the run's shard is already on its way to the member (see
+// transport.RunBackend).
+func (c *Conn) ReleaseRun(resource string, last uint64, used int, more bool) error {
+	c.mu.Lock()
+	id, p, err := c.register()
+	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	head := releaseRunHead(last, uint32(used), more)
+	c.out.SendClientFrame(transport.OpReleaseRun, id, head[:], resource)
+	return c.released(p)
 }
 
 // TryAcquire locks resource only if the member can grant it immediately

@@ -33,19 +33,19 @@ type member struct {
 	br   *bufio.Reader
 }
 
-// pipe connects a Conn to a fake member whose hello grants runs over
-// independent resources: one lane per resource, as every member served
-// before hellos named shards.
+// pipe connects a Conn to a fake member whose hello names 256 shards, so
+// it grants runs, and every resource these tests name falls in a shard,
+// and a lane, of its own.
 func pipe(t *testing.T) (*Conn, *member) {
 	t.Helper()
-	return pipeHello(t, transport.ClientHello{Runs: true})
+	return pipeHello(t, 256)
 }
 
-// pipeHello is pipe with the member's hello given.
-func pipeHello(t *testing.T, hello transport.ClientHello) (*Conn, *member) {
+// pipeHello is pipe with the shard count of the member's hello given.
+func pipeHello(t *testing.T, shards int) (*Conn, *member) {
 	t.Helper()
 	near, far := net.Pipe()
-	c := newConn(near, hello)
+	c := newConn(near, shards)
 	t.Cleanup(func() {
 		_ = far.Close()
 		_ = c.Close()

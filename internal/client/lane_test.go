@@ -390,13 +390,13 @@ func TestLaneLateReleaseOfAReplacedRun(t *testing.T) {
 	f.released(nil)
 }
 
-// TestRunlessMemberGetsAnAcquirePerCaller: a member whose hello says it
-// grants no runs (a gateway) is never sent a marked acquire. However
+// TestRunlessMemberGetsAnAcquirePerCaller: a member whose hello names no
+// shards, and so grants no runs, is never sent a marked acquire. However
 // many callers wait in a lane, each has an ordinary acquire of its own in
 // flight and an ordinary release: the connection's frames are one
 // acquire and one release per caller, as before lanes.
 func TestRunlessMemberGetsAnAcquirePerCaller(t *testing.T) {
-	c, m := pipeHello(t, transport.ClientHello{Shards: 1})
+	c, m := pipeHello(t, 0)
 	ks := make([]*caller, 4)
 	ids := make([]uint64, 4)
 	for i := range ks {

@@ -19,7 +19,7 @@ import (
 
 func shardPipe(t *testing.T) (*Conn, *member) {
 	t.Helper()
-	return pipeHello(t, transport.ClientHello{Shards: 1, Runs: true})
+	return pipeHello(t, 1)
 }
 
 // TestShardLaneHandsARunAcrossKeys: callers on three resources of one
@@ -169,12 +169,91 @@ func TestShardLaneOrdinaryGrantForAnotherKey(t *testing.T) {
 	b.released(nil)
 }
 
+// TestAcquireRunGoesPastTheLanes: a run ordered with AcquireRun is the
+// caller's whole — one marked acquire however few wait, answered with
+// every fence of the run — and the lane of its shard neither waits for it
+// nor hands its fences on. ReleaseRun ends it by its last fence, with
+// the count and the more flag it is given.
+func TestAcquireRunGoesPastTheLanes(t *testing.T) {
+	c, m := shardPipe(t)
+	type answer struct {
+		h   Hold
+		run int
+		err error
+	}
+	got := make(chan answer, 1)
+	go func() {
+		h, run, err := c.AcquireRun(context.Background(), "a")
+		got <- answer{h, run, err}
+	}()
+	order := m.expect(transport.OpAcquireRun, "a")
+	b := enter(t, c, "b", 1) // the lane of the same shard sends its own acquire
+	own := m.expect(transport.OpAcquire, "b")
+	m.run(order.id, 20, 77, 9)
+	if a := <-got; a.err != nil || a.run != 9 || a.h != (Hold{Resource: "a", Fence: 20, Expires: time.Unix(0, 77)}) {
+		t.Fatalf("AcquireRun = (%+v, %d, %v), want the run of 9 from fence 20", a.h, a.run, a.err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- c.ReleaseRun("a", 28, 5, true) }()
+	m.ok(transport.OpReleaseRun, releaseRunPayload(28, 5, true, "a"))
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	m.grant(own.id, 29)
+	b.holds(29)
+	b.release()
+	m.ok(transport.OpRelease, releasePayload(29, "b"))
+	b.released(nil)
+}
+
+// TestAcquireRunCanceledIsSettledByTheReader: the caller of AcquireRun
+// gives up and the cancel goes out. A run that crossed it on the wire is
+// ended by the reader, unused and with nothing to follow; a refusal is
+// just dropped. Either way the entry is recycled and the connection
+// carries on.
+func TestAcquireRunCanceledIsSettledByTheReader(t *testing.T) {
+	c, m := shardPipe(t)
+	for _, raced := range []bool{true, false} {
+		ctx, cancel := context.WithCancel(context.Background())
+		errc := make(chan error, 1)
+		go func() {
+			_, _, err := c.AcquireRun(ctx, "a")
+			errc <- err
+		}()
+		order := m.expect(transport.OpAcquireRun, "a")
+		cancel()
+		if cn := m.expect(transport.OpCancel, ""); cn.id != order.id {
+			t.Fatalf("cancel names request %d, want %d", cn.id, order.id)
+		}
+		if err := <-errc; !errors.Is(err, context.Canceled) {
+			t.Fatalf("AcquireRun = %v, want context.Canceled", err)
+		}
+		if raced {
+			m.run(order.id, 20, 0, 9)
+			m.ok(transport.OpReleaseRun, releaseRunPayload(28, 0, false, "a"))
+		} else {
+			m.write(transport.RespErr, order.id, []byte{transport.CodeCanceled})
+		}
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- c.Release("z") }()
+	m.ok(transport.OpRelease, releasePayload(0, "z")) // the first frame since: nothing went out for the refusal
+	if err := <-errc; err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	inflight, free := len(c.reqs), len(c.free)
+	c.mu.Unlock()
+	if inflight != 0 || free != 1 {
+		t.Fatalf("%d requests in flight and %d entries free, want 0 and the one every call reused", inflight, free)
+	}
+}
+
 // TestLanesFollowTheHello: what a lane is, the member's hello decides.
 // Two callers on two resources of one shard share a lane — and the
-// second orders a run — only under a hello that names shards and grants
-// runs. A gateway's hello (0 shards, no runs), a member with runs over
-// independent resources, and shards without runs all keep one lane per
-// resource, where each caller sends its own acquire.
+// second orders a run — under a hello that names shards, which says the
+// member grants runs. A hello of 0 shards (a server that grants no runs)
+// keeps one lane per resource, where each caller sends its own acquire.
 func TestLanesFollowTheHello(t *testing.T) {
 	const shards = 4
 	other := ""
@@ -184,17 +263,15 @@ func TestLanesFollowTheHello(t *testing.T) {
 		}
 	}
 	for _, tc := range []struct {
-		hello transport.ClientHello
-		lanes int
-		op    byte // the second caller's frame
+		shards int
+		lanes  int
+		op     byte // the second caller's frame
 	}{
-		{transport.ClientHello{}, 2, transport.OpAcquire},
-		{transport.ClientHello{Runs: true}, 2, transport.OpAcquire},
-		{transport.ClientHello{Shards: shards}, 2, transport.OpAcquire},
-		{transport.ClientHello{Shards: shards, Runs: true}, 1, transport.OpAcquireRun},
+		{0, 2, transport.OpAcquire},
+		{shards, 1, transport.OpAcquireRun},
 	} {
-		t.Run(fmt.Sprintf("shards=%d,runs=%v", tc.hello.Shards, tc.hello.Runs), func(t *testing.T) {
-			c, m := pipeHello(t, tc.hello)
+		t.Run(fmt.Sprintf("shards=%d,runs=%v", tc.shards, tc.shards > 0), func(t *testing.T) {
+			c, m := pipeHello(t, tc.shards)
 			enter(t, c, "a", 1)
 			m.expect(transport.OpAcquire, "a")
 			n := 1
@@ -218,7 +295,7 @@ func TestLanesFollowTheHello(t *testing.T) {
 // well-formed hello — and a server that says nothing holds the dial no
 // longer than its context.
 func TestDialRefusesABadHello(t *testing.T) {
-	good := transport.AppendClientHello(nil, transport.ClientHello{Shards: 8, Runs: true})
+	good := transport.AppendClientHello(nil, 8)
 	for _, tc := range []struct {
 		name  string
 		hello []byte
@@ -228,8 +305,7 @@ func TestDialRefusesABadHello(t *testing.T) {
 		{"short", good[:5], false},
 		{"hang-up", nil, false},
 		{"garbage", []byte("HTTP/1.1 400"), false},
-		{"absurd-shards", append([]byte(transport.ClientMagic), 0xff, 0xff, 0xff, 0xff, 1), false},
-		{"unknown-flag", append([]byte(transport.ClientMagic), 0, 0, 0, 1, 2), false},
+		{"absurd-shards", append([]byte(transport.ClientMagic), 0xff, 0xff, 0xff, 0xff), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			addr := fakeServer(t, func(conn net.Conn) {
@@ -243,8 +319,8 @@ func TestDialRefusesABadHello(t *testing.T) {
 			}
 			if err == nil {
 				defer c.Close()
-				if c.shards != 8 || !c.runs {
-					t.Fatalf("hello {8 shards, runs} read as %d shards, runs %v", c.shards, c.runs)
+				if c.Shards() != 8 {
+					t.Fatalf("hello of 8 shards read as %d", c.Shards())
 				}
 			}
 		})

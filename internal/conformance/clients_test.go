@@ -46,6 +46,8 @@ func (b *severingBackend) ReleaseRun(resource string, last uint64, used int, mor
 	return b.runs.ReleaseRun(resource, last, used, more)
 }
 
+func (b *severingBackend) Shards() int { return b.runs.Shards() }
+
 // TestRunIsReservedBeforeItIsAnswered kills a connection between the
 // member's reservation of a run and the answer that would have announced
 // it. The fences were taken from the generation before anything was

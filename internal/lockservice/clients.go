@@ -54,7 +54,7 @@ func (b clientBackend) ReleaseRun(resource string, last uint64, used int, more b
 	return sh.releaseRun(b.c.id, resource, last, used, more)
 }
 
-// Shards implements transport.ShardedBackend: two keys of one shard are
+// Shards implements transport.RunBackend: two keys of one shard are
 // never held at once through a member.
 func (b clientBackend) Shards() int { return b.c.svc.Shards() }
 

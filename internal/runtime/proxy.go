@@ -16,9 +16,9 @@ import (
 // at most 1s), not at the instant they become due.
 //
 // It implements the transport layer's ClientBackend surface, and the
-// optional run and sharded capabilities beside it, keyed by the empty
-// resource name: a member arbitrates exactly one critical section; named
-// resources are the lock service's job.
+// optional run capability beside it, keyed by the empty resource name: a
+// member arbitrates exactly one critical section; named resources are the
+// lock service's job.
 //
 // The proxy owns the session it wraps, as every Slot does: a member
 // process that serves remote clients must not drive that Session
@@ -93,7 +93,7 @@ func (p *Proxy) Release(resource string, fence uint64) error {
 }
 
 // Shards tells dialed clients that every resource shares the one mutex
-// (the transport layer's optional sharded capability).
+// (part of the transport layer's optional run capability).
 func (p *Proxy) Shards() int { return 1 }
 
 // ReleaseRun ends a run by its last fence; see Slot.ReleaseRun.

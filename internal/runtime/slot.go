@@ -76,9 +76,10 @@ type HoldEnd struct {
 // fencing token it is held under, a lease on it, a bounded run of local
 // handoffs while more callers queue (the zero-message Regrant, then the
 // pipelined ReleaseRequest), and recovery of a grant nobody is left to
-// claim. Nothing is armed or allocated per hold: leases, orphaned grants
-// and abandoned requests are all settled by Sweep, which a Sweeper calls
-// periodically.
+// claim. Nothing is armed or allocated per hold: leases, abandoned
+// requests and orphaned grants still traveling are settled by Sweep,
+// which a Sweeper calls periodically; a landed grant whose waiters all
+// gave up is adopted by the last of them to leave.
 //
 // A caller that fronts a queue of its own (a dialed connection with more
 // callers waiting for the key) takes a run instead of a hold: AcquireRun
@@ -118,7 +119,8 @@ type Slot struct {
 	// the section locally (Regrant) or re-issued the session's request
 	// (ReleaseRequest), so the next caller to take sem collects that grant
 	// with Await instead of requesting. If every waiter gives up first,
-	// Sweep adopts the orphaned grant.
+	// the last to leave adopts the orphaned grant (adoptOrphan; Sweep if it
+	// is still traveling).
 	pending bool
 	// streak counts consecutive regrants since the token last took the
 	// protocol path — handoffs to the next waiter and fences reserved for
@@ -200,7 +202,9 @@ func (sl *Slot) acquire(ctx context.Context, key string, run bool) (Grant, int, 
 		sl.waiters.Add(-1)
 		return Grant{}, 0, fmt.Errorf("acquire node %d: cluster failed: %w", sl.s.ID(), sl.s.Err())
 	case <-ctx.Done():
-		sl.waiters.Add(-1)
+		if sl.waiters.Add(-1) == 0 {
+			sl.adoptOrphan()
+		}
 		return Grant{}, 0, fmt.Errorf("acquire node %d: %w", sl.s.ID(), ctx.Err())
 	}
 	sl.mu.Lock()
@@ -380,6 +384,11 @@ func (sl *Slot) ReleaseRun(key string, fence uint64, used int, more bool) error 
 				sl.mu.Unlock()
 				e.Regranted = true
 				sl.free(e)
+				if !more && sl.waiters.Load() == 0 {
+					// The waiters it was for may have given up while the slot
+					// was still ours, when they could not adopt it.
+					sl.adoptOrphan()
+				}
 				return nil
 			}
 			// Mid-recovery or no capability: take the protocol path.
@@ -435,24 +444,8 @@ func (sl *Slot) Sweep(now time.Time) {
 	sl.mu.Lock()
 	switch {
 	case sl.pending && sl.waiters.Load() == 0:
-		// Take sem as an acquirer would, without blocking: a concurrent
-		// Acquire wins the race and claims the grant itself, and the
-		// acquire path (sem before mu) cannot deadlock against this.
-		select {
-		case sl.sem <- struct{}{}:
-		default:
-			sl.mu.Unlock()
-			return
-		}
-		select {
-		case <-sl.s.Granted():
-			sl.pending = false
-		default:
-			// Still traveling (the ReleaseRequest path): retry next sweep.
-			sl.mu.Unlock()
-			<-sl.sem
-			return
-		}
+		sl.adoptLocked()
+		return
 	case sl.abandoned:
 		select {
 		case <-sl.s.Granted():
@@ -480,6 +473,50 @@ func (sl *Slot) Sweep(now time.Time) {
 		return
 	default:
 		sl.mu.Unlock()
+		return
+	}
+	if sl.reclaimLocked() {
+		<-sl.sem
+	}
+}
+
+// adoptOrphan adopts a pipelined grant as soon as nobody is left to
+// claim it: the last waiter gave up, or gave up while the releaser still
+// had the slot. It is Sweep's adoption, run at once where it would
+// otherwise wait for the next tick (up to 1s, while every other member's
+// request for the shard waits too). A grant still traveling stays for
+// Sweep. A releaser that said an acquire is on its way (ReleaseRun's
+// more) leaves its own handoff for that acquire, but the last waiter to
+// give up adopts any landed grant, a promised one included: the promised
+// acquire, arriving later, then requests afresh.
+func (sl *Slot) adoptOrphan() {
+	sl.mu.Lock()
+	if !sl.pending || sl.waiters.Load() != 0 {
+		sl.mu.Unlock()
+		return
+	}
+	sl.adoptLocked()
+}
+
+// adoptLocked releases a pending grant no waiter is left for, if it has
+// landed and the slot is free, and unlocks sl.mu.
+func (sl *Slot) adoptLocked() {
+	// Take sem as an acquirer would, without blocking: a concurrent
+	// Acquire wins the race and claims the grant itself, and the acquire
+	// path (sem before mu) cannot deadlock against this.
+	select {
+	case sl.sem <- struct{}{}:
+	default:
+		sl.mu.Unlock()
+		return
+	}
+	select {
+	case <-sl.s.Granted():
+		sl.pending = false
+	default:
+		// Still traveling (the ReleaseRequest path): Sweep retries.
+		sl.mu.Unlock()
+		<-sl.sem
 		return
 	}
 	if sl.reclaimLocked() {

@@ -30,6 +30,9 @@ type slotFixture struct {
 
 	mu   sync.Mutex
 	ends []runtime.HoldEnd
+	// onEnd, when set, runs inside the end callback: after the slot's
+	// state is settled, before the slot is freed.
+	onEnd func()
 
 	// recovering makes every node refuse to regrant, as core does while a
 	// recovery has it frozen.
@@ -103,6 +106,20 @@ func (fx *slotFixture) node2Grant() uint64 {
 	return g.Generation
 }
 
+// wantServedAtOnce asserts that node 2 gets the token with no sweep:
+// nothing is left parked at node 1.
+func (fx *slotFixture) wantServedAtOnce() {
+	fx.t.Helper()
+	ctx, cancel := context.WithTimeout(fx.ctx, 2*time.Second)
+	defer cancel()
+	if _, err := fx.l.Session(2).Acquire(ctx); err != nil {
+		fx.t.Fatalf("node 2's acquire, with no sweep = %v: an orphaned grant holds the token", err)
+	}
+	if err := fx.l.Session(2).Release(); err != nil {
+		fx.t.Fatal(err)
+	}
+}
+
 func newSlotFixture(t *testing.T, lease time.Duration, budget int) *slotFixture {
 	t.Helper()
 	fx := &slotFixture{t: t, v: vclock.NewVirtual()}
@@ -117,7 +134,11 @@ func newSlotFixture(t *testing.T, lease time.Duration, budget int) *slotFixture 
 	fx.sl = runtime.NewSlot(l.Session(1), lease, budget, func(e runtime.HoldEnd) {
 		fx.mu.Lock()
 		fx.ends = append(fx.ends, e)
+		onEnd := fx.onEnd
 		fx.mu.Unlock()
+		if onEnd != nil {
+			onEnd()
+		}
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
@@ -501,6 +522,55 @@ func TestSlot(t *testing.T) {
 			if _, err := fx.l.Session(2).Acquire(fx.ctx); err != nil {
 				fx.t.Fatal(err)
 			}
+		}},
+		{"a waiter that gives up while the release still holds the slot leaves no orphan", -1, 8, func(fx *slotFixture) {
+			g := fx.acquire("k")
+			wctx, cancel := context.WithCancel(fx.ctx)
+			defer cancel()
+			left := make(chan error, 1)
+			go func() {
+				_, err := fx.sl.Acquire(wctx, "k")
+				left <- err
+			}()
+			fx.eventually("the waiter queues", func() bool { return fx.sl.State().Waiters == 1 })
+			fx.mu.Lock()
+			fx.onEnd = func() {
+				// The release has regranted for the waiter and not freed the
+				// slot yet: the waiter gives up now, when it cannot adopt.
+				cancel()
+				if err := <-left; !errors.Is(err, context.Canceled) {
+					fx.t.Errorf("the waiter's acquire = %v, want context.Canceled", err)
+				}
+			}
+			fx.mu.Unlock()
+			fx.wantRelease("k", g.Generation, nil)
+			fx.mu.Lock()
+			fx.onEnd = nil
+			fx.mu.Unlock()
+			fx.wantServedAtOnce()
+		}},
+		{"the last waiter to give up adopts a landed grant at once", -1, 8, func(fx *slotFixture) {
+			for tries := 0; ; tries++ {
+				g := fx.acquire("k")
+				fx.wantReleaseRun("k", g.Generation, 1, true, nil) // a handoff for an acquire on its way
+				gone, cancel := context.WithCancel(fx.ctx)
+				cancel()
+				// The acquire finds its context done and the slot free at once,
+				// and either may win: it gives up, or it claims the grant.
+				h, err := fx.sl.Acquire(gone, "k")
+				if err == nil {
+					fx.wantRelease("k", h.Generation, nil)
+					if tries == 50 {
+						fx.t.Fatal("50 acquires on a done context all claimed the grant")
+					}
+					continue
+				}
+				if st := fx.sl.State(); st.Pending || st.Waiters != 0 {
+					fx.t.Fatalf("the acquire gave up (%v) and left %+v", err, st)
+				}
+				break
+			}
+			fx.wantServedAtOnce()
 		}},
 		{"TryAcquire claims a landed pending grant and leaves one in flight pending", -1, 0, func(fx *slotFixture) {
 			g := fx.acquire("k")

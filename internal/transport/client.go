@@ -23,7 +23,7 @@ import (
 // # Client wire frames
 //
 // A client connection opens with an 8-byte handshake — the 4-byte magic
-// "DAGC" followed by a big-endian uint32 protocol version (currently 3;
+// "DAGC" followed by a big-endian uint32 protocol version (currently 4;
 // a member hangs up on any other, so a client that could not read the
 // hello below, or a run, never gets as far as being sent one).
 // The magic doubles as the demultiplexer: member-to-member connections
@@ -32,16 +32,18 @@ import (
 // listener therefore serves both populations (TCPHost), and a
 // standalone ClientGateway serves only clients.
 //
-// The server answers the handshake with a 9-byte hello:
+// The server answers the handshake with an 8-byte hello:
 //
-//	[4B magic "DAGC"] [4B shards S] [1B flags]     flag bit 0 = grants runs
+//	[4B magic "DAGC"] [4B shards S]
 //
-// S is how many lock domains the server's resources hash into by ShardOf:
-// two resources of one domain are never held at once through this
-// server. A lock-service member sends its Shards, a plain member's proxy
-// (one mutex) 1, and a gateway 0, meaning every resource is independent.
-// A hello that is short, lacks the magic, sets an unknown flag or names
-// more than maxHelloShards shards fails the dial.
+// S > 0 says that the server's resources hash into S lock domains by
+// ShardOf, that two resources of one domain are never held at once
+// through this server, and that it grants runs (below). A lock-service
+// member sends its Shards, a plain member's proxy (one mutex) 1, and a
+// gateway the S its members named. S = 0 says the server grants no runs
+// and every resource is to be treated as independent. A hello that is
+// short, lacks the magic or names more than maxHelloShards shards fails
+// the dial.
 //
 // After the hello, both directions speak length-prefixed frames:
 //
@@ -70,11 +72,11 @@ import (
 // A run is a block of consecutive fences, first .. first+length-1, that
 // the member reserved before it wrote the answer and holds as ONE hold
 // under the last of them and one lease. Only an opAcquireRun is ever
-// answered with respRun, and only by a server whose hello said it grants
-// runs (its backend has RunBackend), which then answers every
-// opAcquireRun that way, with a length of at least 1; any other server
-// answers it with respGrant like an opAcquire, and a client told so
-// never sends one. The client hands the run's fences to its own callers
+// answered with respRun, and only by a server whose hello named S > 0
+// (its backend is a RunBackend), which then answers every opAcquireRun
+// that way, with a length of at least 1; any other server answers it
+// with respGrant like an opAcquire, and a client told so never sends
+// one. The client hands the run's fences to its own callers
 // one after another and ends it — all fences used or not — with one
 // opReleaseRun naming the last fence and how many it handed out. That
 // count is advisory (it feeds the counters) and is cut down to the run's
@@ -84,13 +86,16 @@ import (
 // given up: opRelease of its last fence, a cancel that the grant raced,
 // and a disconnect all release the whole of it.
 //
-// Under a hello of S > 0 shards with runs, the client keeps one lane per
-// shard, not per resource: a run ordered for one resource is handed to
+// Under a hello of S > 0 shards, the client keeps one lane per shard,
+// not per resource: a run ordered for one resource is handed to
 // the connection's callers on any resource of the same shard, which the
 // server excludes while the run is held. Every frame the member reads
 // still names the resource the hold was granted under — the end of a run
 // names the resource that ordered it, whoever held its last fence — so
-// the member sees exactly what it would without shard lanes.
+// the member sees exactly what it would without shard lanes. A gateway
+// names its members' S and passes runs through: a marked acquire from
+// one of its clients goes on to the domain's member as a marked acquire,
+// and the run comes back whole.
 //
 // Error codes carry the sentinel across the wire so errors.Is works on
 // the client side exactly as it does in process: not-held, lease-expired,
@@ -103,7 +108,7 @@ const (
 	// exceeds maxFrame, so it is unambiguous against member frame sizes.
 	ClientMagic = "DAGC"
 	// ClientVersion is the protocol version sent after the magic.
-	ClientVersion uint32 = 3
+	ClientVersion uint32 = 4
 	// MaxClientFrame bounds client frames; resource names plus headers fit
 	// comfortably.
 	MaxClientFrame = 1 << 16
@@ -289,65 +294,48 @@ const (
 // next acquire for the lane has been sent (see RunBackend).
 const ReleaseRunMore byte = 1
 
-// ClientHello is the server's answer to a client's handshake: how the
-// resources it serves share locks, and whether it grants runs.
-type ClientHello struct {
-	// Shards is how many lock domains the server's resources hash into by
-	// ShardOf; 0 means every resource is a domain of its own.
-	Shards int
-	// Runs says the server answers OpAcquireRun with runs.
-	Runs bool
-}
-
 const (
-	clientHelloSize = 9
-	helloRuns       = 1 // flag bit: the server grants runs
+	clientHelloSize = 8
 	// maxHelloShards bounds the shard count a hello may name. A server
-	// with more shards sends 0, which is always correct (resources are
-	// then treated as independent); a hello naming more is not a server
-	// this package wrote.
+	// with more shards sends 0, which is always correct (no runs, and
+	// resources treated as independent); a hello naming more is not a
+	// server this package wrote.
 	maxHelloShards = 1 << 16
 )
 
-// AppendClientHello appends h's wire form to buf.
-func AppendClientHello(buf []byte, h ClientHello) []byte {
-	buf = append(buf, ClientMagic...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(h.Shards))
-	if h.Runs {
-		return append(buf, helloRuns)
-	}
-	return append(buf, 0)
+// AppendClientHello appends the wire form of a hello naming shards to buf.
+func AppendClientHello(buf []byte, shards int) []byte {
+	return binary.BigEndian.AppendUint32(append(buf, ClientMagic...), uint32(shards))
 }
 
 // ReadClientHello reads and validates the hello a server sends after the
-// handshake. Anything but a well-formed hello is an error.
-func ReadClientHello(r io.Reader) (ClientHello, error) {
+// handshake, and returns the shard count S it names. Anything but a
+// well-formed hello is an error.
+func ReadClientHello(r io.Reader) (shards int, err error) {
 	var b [clientHelloSize]byte
 	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return ClientHello{}, fmt.Errorf("transport: read client hello: %w", err)
+		return 0, fmt.Errorf("transport: read client hello: %w", err)
 	}
-	shards := binary.BigEndian.Uint32(b[4:8])
+	s := binary.BigEndian.Uint32(b[4:8])
 	switch {
 	case string(b[:4]) != ClientMagic:
-		return ClientHello{}, fmt.Errorf("transport: client hello opens with %q, not %q", b[:4], ClientMagic)
-	case shards > maxHelloShards:
-		return ClientHello{}, fmt.Errorf("transport: client hello names %d shards, more than %d", shards, maxHelloShards)
-	case b[8]&^helloRuns != 0:
-		return ClientHello{}, fmt.Errorf("transport: client hello sets unknown flags %#x", b[8])
+		return 0, fmt.Errorf("transport: client hello opens with %q, not %q", b[:4], ClientMagic)
+	case s > maxHelloShards:
+		return 0, fmt.Errorf("transport: client hello names %d shards, more than %d", s, maxHelloShards)
 	}
-	return ClientHello{Shards: int(shards), Runs: b[8]&helloRuns != 0}, nil
+	return int(s), nil
 }
 
-// helloFor is what a server fronting backend says in its hello.
-func helloFor(backend ClientBackend) ClientHello {
-	var h ClientHello
-	_, h.Runs = backend.(RunBackend)
-	if sb, ok := backend.(ShardedBackend); ok {
-		if n := sb.Shards(); n > 0 && n <= maxHelloShards {
-			h.Shards = n
+// helloShards is the S a server fronting backend names in its hello: the
+// backend's lock domains when it grants runs and a hello may carry the
+// count, 0 otherwise.
+func helloShards(backend ClientBackend) int {
+	if rb, ok := backend.(RunBackend); ok {
+		if n := rb.Shards(); n > 0 && n <= maxHelloShards {
+			return n
 		}
 	}
-	return h
+	return 0
 }
 
 // ShardOf maps resource to one of n shards: 32-bit FNV-1a of the name,
@@ -389,29 +377,34 @@ var ErrClientBusy = errors.New("transport: client request queue full")
 // concurrent use; Acquire must honor ctx. Hold-lifecycle failures are
 // reported with runtime.ErrNotHeld and runtime.ErrLeaseExpired, which
 // errorCode puts on the wire. These three methods are the whole
-// contract; a backend may also offer RunBackend and ShardedBackend,
-// below, and the two Slot-backed members offer both.
+// contract; a backend may also offer RunBackend and ConnBackend, below.
 type ClientBackend interface {
 	Acquire(ctx context.Context, resource string) (fence uint64, expires time.Time, err error)
 	TryAcquire(resource string) (fence uint64, expires time.Time, ok bool, err error)
 	Release(resource string, fence uint64) error
 }
 
-// RunBackend is the optional capability of a ClientBackend that can
-// grant a dialed connection a run: a block of consecutive fences under
-// one lease, reserved before the answer is written, which the connection
-// hands to its own queued callers one after another without a frame.
-// The server side probes for it once per connection, the way core probes
-// its Env for mutex.HopGranter, says in its hello whether it found it,
-// and uses it for acquires the client marked as having more callers
-// queued behind them. Both members that hold through a runtime.Slot have
-// it (runtime.Proxy and the lock service's adapter). The gateway's
-// backend lacks it on purpose — its upstream connections are client.Conns
-// and take runs from the members themselves — and so does any backend
-// that merely wraps another in the three methods above; its hello then
-// says so, its clients send no marked acquire, and one that arrives
-// anyway is an ordinary acquire, released with Release.
+// RunBackend is the optional capability of a ClientBackend whose
+// resources share locks and which can grant a dialed connection a run: a
+// block of consecutive fences under one lease, reserved before the
+// answer is written, which the connection hands to its own queued
+// callers — on any resource of the run's lock domain — one after another
+// without a frame. The server side probes for it once per connection,
+// the way core probes its Env for mutex.HopGranter, names Shards in its
+// hello, and with S > 0 uses AcquireRun for acquires the client marked
+// as having more callers queued behind them. runtime.Proxy has it (one
+// mutex), the lock service's adapter (its shards), and the gateway's
+// backend, which forwards runs to its members and names the S they
+// named. A backend that merely wraps another in the three methods above
+// lacks it; its hello then names 0, its clients send no marked acquire,
+// and one that arrives anyway is an ordinary acquire, released with
+// Release.
 type RunBackend interface {
+	// Shards is how many lock domains the backend's resources hash into:
+	// resource r is in domain ShardOf(r, Shards()), and no two resources
+	// of one domain are held at once through the backend. 0 says it
+	// grants no runs for now, and the connection is served without them.
+	Shards() int
 	// AcquireRun is Acquire returning the first fence of a run of run
 	// consecutive fences (run >= 1), all held under one lease; the hold
 	// is known to the backend by its last fence.
@@ -424,15 +417,14 @@ type RunBackend interface {
 	ReleaseRun(resource string, last uint64, used int, more bool) error
 }
 
-// ShardedBackend is the optional capability of a ClientBackend whose
-// resources share locks: Shards lock domains, resource r in domain
-// ShardOf(r, Shards()), and no two resources of one domain held at once
-// through the backend. The server side probes for it beside RunBackend
-// and puts the count in its hello; with runs, that lets a connection pass
-// one run to its callers on any resource of a domain. The lock service's
-// adapter has it (its shards) and runtime.Proxy too (one mutex).
-type ShardedBackend interface {
-	Shards() int
+// ConnBackend is the optional capability of a ClientBackend that serves
+// each connection through a view of its own: the server side calls
+// ForConn once per connection, before the hello, and serves that
+// connection — hello, requests and cleanup — through the backend it
+// returns. The gateway's backend has it, to send all of one connection's
+// requests for a lock domain to one member.
+type ConnBackend interface {
+	ForConn() ClientBackend
 }
 
 // CodedError attaches a wire error code to err, for backends whose
@@ -629,7 +621,7 @@ type clientConn struct {
 	out *peerConn // pooled-frame response queue + its drain goroutine
 
 	backend ClientBackend
-	runs    RunBackend // backend's optional run capability, probed once; nil without it
+	runs    RunBackend // backend's optional run capability, probed once; nil without it or under a hello of 0
 	sem     chan struct{}
 	adm     *admission
 
@@ -747,7 +739,11 @@ func (cc *clientConn) respondErr(reqID uint64, err error) {
 // burst deeper than its parked workers and free list — and the aftermath
 // of a real cancel.
 func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm *admission) {
-	if _, err := conn.Write(AppendClientHello(nil, helloFor(backend))); err != nil {
+	if cb, ok := backend.(ConnBackend); ok {
+		backend = cb.ForConn()
+	}
+	shards := helloShards(backend)
+	if _, err := conn.Write(AppendClientHello(nil, shards)); err != nil {
 		_ = conn.Close()
 		return
 	}
@@ -761,7 +757,9 @@ func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm 
 		reqs:    make(map[uint64]*clientReq),
 		holds:   make(map[string]connHold),
 	}
-	cc.runs, _ = backend.(RunBackend)
+	if shards > 0 {
+		cc.runs = backend.(RunBackend)
+	}
 	adm.connDelta(1)
 	defer func() {
 		cc.teardown()

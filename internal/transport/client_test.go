@@ -185,33 +185,21 @@ func rawClient(t *testing.T, gw *ClientGateway) (net.Conn, *bufio.Reader) {
 	return conn, bufio.NewReader(conn)
 }
 
-// shardedBackend is runRecorder with the sharded capability.
-type shardedBackend struct {
-	*runRecorder
-	shards int
-}
-
-func (b shardedBackend) Shards() int { return b.shards }
-
-// TestHelloSaysWhatTheBackendCan: the hello after the handshake carries
-// the backend's shard count only where the backend has the sharded
-// capability (and a count a hello may name), and says runs only where it
-// has the run capability. A gateway's backend, with neither, says 0 and
-// no runs.
+// TestHelloSaysWhatTheBackendCan: the hello after the handshake names
+// the backend's lock domains where it has the run capability and a count
+// a hello may carry, and 0 — no runs — otherwise: a plain backend, a run
+// backend that names no domains for now (a gateway that has reached no
+// member yet), and one with more domains than a hello may name.
 func TestHelloSaysWhatTheBackendCan(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		backend ClientBackend
-		want    ClientHello
+		want    int
 	}{
-		{"plain", &staticBackend{}, ClientHello{}},
-		{"runs", &runRecorder{}, ClientHello{Runs: true}},
-		{"sharded", shardedBackend{&runRecorder{}, 8}, ClientHello{Shards: 8, Runs: true}},
-		{"sharded-without-runs", struct {
-			ShardedBackend
-			ClientBackend
-		}{shardedBackend{shards: 8}, &staticBackend{}}, ClientHello{Shards: 8}},
-		{"too-many-shards", shardedBackend{&runRecorder{}, maxHelloShards + 1}, ClientHello{Runs: true}},
+		{"plain", &staticBackend{}, 0},
+		{"runs", &runRecorder{}, 0},
+		{"sharded", &runRecorder{shards: 8}, 8},
+		{"too-many-shards", &runRecorder{shards: maxHelloShards + 1}, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gw, err := NewClientGateway("", tc.backend)
@@ -229,7 +217,7 @@ func TestHelloSaysWhatTheBackendCan(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got, err := ReadClientHello(conn); err != nil || got != tc.want {
-				t.Fatalf("hello = (%+v, %v), want %+v", got, err, tc.want)
+				t.Fatalf("hello = (%d shards, %v), want %d", got, err, tc.want)
 			}
 		})
 	}

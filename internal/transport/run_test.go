@@ -16,11 +16,12 @@ import (
 	"dagmutex/internal/telemetry"
 )
 
-// runRecorder is a backend with the run capability: every run is nine
-// fences from wherever the counter stands, and every release is recorded
-// as the backend was told of it.
+// runRecorder is a backend with the run capability over shards lock
+// domains: every run is nine fences from wherever the counter stands, and
+// every release is recorded as the backend was told of it.
 type runRecorder struct {
 	staticBackend
+	shards int
 
 	mu       sync.Mutex
 	next     uint64
@@ -33,6 +34,8 @@ type runRelease struct {
 	more bool
 	run  bool // through ReleaseRun rather than Release
 }
+
+func (b *runRecorder) Shards() int { return b.shards }
 
 func (b *runRecorder) AcquireRun(ctx context.Context, resource string) (uint64, time.Time, int, error) {
 	b.mu.Lock()
@@ -89,7 +92,7 @@ func mustRead(t *testing.T, br *bufio.Reader, op byte, id uint64) []byte {
 // connection was never granted reports nothing used at all. An unmarked
 // acquire of the same backend is answered as it always was.
 func TestRunFramesAgainstACapableBackend(t *testing.T) {
-	backend := &runRecorder{}
+	backend := &runRecorder{shards: 1}
 	backend.fence = 500
 	gw, err := NewClientGateway("", backend)
 	if err != nil {
@@ -175,44 +178,50 @@ func scrape(t *testing.T, reg *telemetry.Registry) map[string]float64 {
 }
 
 // TestRunFramesAgainstAPlainBackend: a backend with the three methods and
-// nothing else answers a marked acquire like any other, and a run release
-// that reaches it anyway is an ordinary release of that fence.
+// nothing else — or a run backend naming no lock domains, whose hello
+// therefore says 0 — answers a marked acquire like any other, and a run
+// release that reaches it anyway is an ordinary release of that fence.
 func TestRunFramesAgainstAPlainBackend(t *testing.T) {
-	backend := &runRecorder{}
-	backend.fence = 500
-	// Wrapped in the interface, only the three methods show.
-	gw, err := NewClientGateway("", struct{ ClientBackend }{backend})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	conn, br := rawClient(t, gw)
-	if _, err := conn.Write(AppendClientFrame(nil, OpAcquireRun, 1, []byte("k"))); err != nil {
-		t.Fatal(err)
-	}
-	if p := mustRead(t, br, RespGrant, 1); len(p) != 16 || binary.BigEndian.Uint64(p[0:8]) != 500 {
-		t.Fatalf("marked acquire answered %x, want an ordinary grant of fence 500", p)
-	}
-	if _, err := conn.Write(releaseRunFrame(2, 500, 7, ReleaseRunMore, "k")); err != nil {
-		t.Fatal(err)
-	}
-	mustRead(t, br, RespOK, 2)
-	if got := backend.releases(); len(got) != 1 || got[0] != (runRelease{last: 500, used: 1}) {
-		t.Fatalf("backend saw releases %+v, want one ordinary release of fence 500", got)
+	for _, wrap := range []bool{true, false} {
+		backend := &runRecorder{}
+		backend.fence = 500
+		var served ClientBackend = backend
+		if wrap {
+			served = struct{ ClientBackend }{backend} // only the three methods show
+		}
+		gw, err := NewClientGateway("", served)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		conn, br := rawClient(t, gw)
+		if _, err := conn.Write(AppendClientFrame(nil, OpAcquireRun, 1, []byte("k"))); err != nil {
+			t.Fatal(err)
+		}
+		if p := mustRead(t, br, RespGrant, 1); len(p) != 16 || binary.BigEndian.Uint64(p[0:8]) != 500 {
+			t.Fatalf("marked acquire answered %x, want an ordinary grant of fence 500", p)
+		}
+		if _, err := conn.Write(releaseRunFrame(2, 500, 7, ReleaseRunMore, "k")); err != nil {
+			t.Fatal(err)
+		}
+		mustRead(t, br, RespOK, 2)
+		if got := backend.releases(); len(got) != 1 || got[0] != (runRelease{last: 500, used: 1}) {
+			t.Fatalf("backend saw releases %+v, want one ordinary release of fence 500", got)
+		}
 	}
 }
 
-// TestOldClientVersionIsRefused: version 1 knows nothing of runs and
-// version 2 nothing of the hello, and a version 3 member would answer
-// either with bytes it cannot read. The pair fails at the handshake
-// instead.
+// TestOldClientVersionIsRefused: version 1 knows nothing of runs,
+// version 2 nothing of the hello, and version 3 reads a 9-byte hello
+// where a version 4 member writes 8 bytes. The pair fails at the
+// handshake instead.
 func TestOldClientVersionIsRefused(t *testing.T) {
 	gw, err := NewClientGateway("", &staticBackend{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer gw.Close()
-	for _, version := range []uint32{1, 2} {
+	for _, version := range []uint32{1, 2, 3} {
 		conn, err := net.Dial("tcp", gw.Addr())
 		if err != nil {
 			t.Fatal(err)
