@@ -89,6 +89,11 @@ func Open(tree *Tree, holder ID, opts ...Option) (*Cluster, error) {
 		}
 	}
 
+	// One check of the ID list for the whole cluster: each member's
+	// builder then only looks its own ID up.
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	var backend clusterBackend
 	if o.transport.tcp {
 		if o.clock != nil {
@@ -292,6 +297,9 @@ func OpenPeer(tree *Tree, holder ID, id ID, opts ...Option) (*Peer, error) {
 	}
 	cfg, err := TreeConfig(tree, holder)
 	if err != nil {
+		return nil, err
+	}
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	builder := func(nid mutex.ID, env mutex.Env, c mutex.Config) (mutex.Node, error) {

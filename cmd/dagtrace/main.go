@@ -95,7 +95,10 @@ func newReplayer(w io.Writer, tree *topology.Tree, holder mutex.ID, opts ...core
 		grants: make(map[mutex.ID]uint64),
 	}
 	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
-	for _, id := range tree.IDs() {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	for _, id := range cfg.IDs {
 		n, err := core.New(id, env{r: r, id: id}, cfg, opts...)
 		if err != nil {
 			return nil, err

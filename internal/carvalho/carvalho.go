@@ -60,13 +60,13 @@ var _ mutex.Node = (*Node)(nil)
 // permission of every pair it belongs to (so it can enter for free, like
 // an initial token holder); all other pairs are held by the lower ID.
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	if cfg.Holder == mutex.Nil {
 		return nil, fmt.Errorf("%w: no initial permission holder designated", mutex.ErrBadConfig)
 	}
-	if err := mutex.ValidateIDs(cfg.IDs, cfg.Holder); err != nil {
+	if err := cfg.CheckID(cfg.Holder); err != nil {
 		return nil, fmt.Errorf("holder: %w", err)
 	}
 	n := &Node{

@@ -63,13 +63,13 @@ var _ mutex.Node = (*Node)(nil)
 
 // New constructs a node. cfg.Holder designates the coordinator.
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	if cfg.Holder == mutex.Nil {
 		return nil, fmt.Errorf("%w: no coordinator designated", mutex.ErrBadConfig)
 	}
-	if err := mutex.ValidateIDs(cfg.IDs, cfg.Holder); err != nil {
+	if err := cfg.CheckID(cfg.Holder); err != nil {
 		return nil, fmt.Errorf("coordinator: %w", err)
 	}
 	return &Node{id: id, coord: cfg.Holder, env: env}, nil

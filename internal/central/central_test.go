@@ -128,6 +128,18 @@ func TestRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestRejectsUnsortedIDsABisectionAccepts: a binary search finds both
+// the node (1) and the coordinator (3) in {1,3,2}, so only the full scan
+// an unvalidated Config gets rejects the list.
+func TestRejectsUnsortedIDsABisectionAccepts(t *testing.T) {
+	cfg := mutex.Config{IDs: []mutex.ID{1, 3, 2}, Holder: 3}
+	for _, id := range []mutex.ID{1, 3} {
+		if _, err := New(id, nopEnv{}, cfg); !errors.Is(err, mutex.ErrBadConfig) {
+			t.Fatalf("node %d on unsorted IDs %v: %v, want ErrBadConfig", id, cfg.IDs, err)
+		}
+	}
+}
+
 type nopEnv struct{}
 
 func (nopEnv) Send(mutex.ID, mutex.Message) {}

@@ -159,20 +159,26 @@ func WithNetworkOptions(opts ...sim.NetworkOption) Option {
 
 // env adapts the cluster to mutex.Env for one node. It has the by-value
 // send capability (core.MsgSender), so a core.Node hosted here never
-// boxes a REQUEST or PRIVILEGE; the baselines send through Send.
+// boxes a REQUEST or PRIVILEGE; the baselines send through Send. New
+// keeps every node's env in one slice and hands out pointers into it.
 type env struct {
 	c  *Cluster
 	id mutex.ID
 }
 
-var _ core.MsgSender = env{}
+var _ core.MsgSender = (*env)(nil)
 
-func (e env) Send(to mutex.ID, m mutex.Message) { e.c.net.Send(e.id, to, m) }
-func (e env) SendMsg(to mutex.ID, m core.Msg)   { e.c.net.SendMsg(e.id, to, m) }
-func (e env) Granted(gen uint64)                { e.c.granted(e.id, gen) }
+func (e *env) Send(to mutex.ID, m mutex.Message) { e.c.net.Send(e.id, to, m) }
+func (e *env) SendMsg(to mutex.ID, m core.Msg)   { e.c.net.SendMsg(e.id, to, m) }
+func (e *env) Granted(gen uint64)                { e.c.granted(e.id, gen) }
 
 // New builds one node per cfg.IDs entry using b and wires them together.
+// It validates cfg's ID list once, before building any node, so each
+// node's Builder only looks its own ID up (mutex.Config.CheckID).
 func New(b mutex.Builder, cfg mutex.Config, opts ...Option) (*Cluster, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	c := &Cluster{
 		clk:         vclock.NewVirtual(),
 		cfg:         cfg,
@@ -188,11 +194,16 @@ func New(b mutex.Builder, cfg mutex.Config, opts ...Option) (*Cluster, error) {
 	c.net = sim.NewNetwork(c.clk, rand.New(rand.NewSource(c.seed)), c.netOpts...)
 	c.requestStep, c.verdictStep = c.request, c.peerDown
 	c.releaseStep = func(id, _ mutex.ID) { c.ReleaseNow(id) }
-	for _, id := range cfg.IDs {
-		for int(id) >= len(c.reqAt) {
-			c.reqAt = append(c.reqAt, -1)
-		}
-		n, err := b(id, env{c: c, id: id}, cfg)
+	maxID := cfg.IDs[len(cfg.IDs)-1]
+	c.reqAt = make([]sim.Time, int(maxID)+1)
+	for i := range c.reqAt {
+		c.reqAt[i] = -1
+	}
+	c.net.Reserve(maxID, len(cfg.IDs))
+	envs := make([]env, len(cfg.IDs))
+	for i, id := range cfg.IDs {
+		envs[i] = env{c: c, id: id}
+		n, err := b(id, &envs[i], cfg)
 		if err != nil {
 			return nil, fmt.Errorf("build node %d: %w", id, err)
 		}

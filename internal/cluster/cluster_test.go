@@ -15,6 +15,33 @@ func dagConfig(tree *topology.Tree, holder mutex.ID) mutex.Config {
 	return mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
 }
 
+// TestNewValidatesTheIDListBeforeBuilding: New checks the ID list once
+// for the whole cluster, so a bad one is refused with ErrBadConfig
+// before any node's Builder runs.
+func TestNewValidatesTheIDListBeforeBuilding(t *testing.T) {
+	for name, ids := range map[string][]mutex.ID{
+		"empty":        nil,
+		"unsorted":     {1, 3, 2},
+		"duplicated":   {1, 2, 2, 3},
+		"zero":         {0, 1, 2},
+		"negative":     {-1, 1, 2},
+		"unsorted end": {1, 2, 4, 3},
+	} {
+		built := 0
+		b := func(id mutex.ID, env mutex.Env, cfg mutex.Config) (mutex.Node, error) {
+			built++
+			return core.New(id, env, cfg)
+		}
+		_, err := New(b, mutex.Config{IDs: ids, Holder: 1})
+		if !errors.Is(err, mutex.ErrBadConfig) {
+			t.Errorf("%s IDs %v: New = %v, want ErrBadConfig", name, ids, err)
+		}
+		if built != 0 {
+			t.Errorf("%s IDs %v: %d nodes built before the list was refused", name, ids, built)
+		}
+	}
+}
+
 func TestSingleRemoteRequestOnLine(t *testing.T) {
 	// Line of 5, token at node 5, request from node 1: the request crosses
 	// D = 4 edges and the token comes straight back — D+1 = 5 messages.

@@ -270,9 +270,10 @@ type Node struct {
 	grantHops  uint16
 
 	// Failure-recovery state (see recover.go). Epoch counts completed
-	// recoveries; dead is the local membership suspicion set; frozen spans
-	// the window between acknowledging a probe and applying the
-	// coordinator's reorientation, during which the token must not move.
+	// recoveries; dead is the local membership suspicion set (nil until
+	// the first suspicion, see markDead); frozen spans the window between
+	// acknowledging a probe and applying the coordinator's reorientation,
+	// during which the token must not move.
 	epoch   uint32
 	coord   mutex.ID   // coordinator that set the current epoch (tie-break)
 	ids     []mutex.ID // the membership: cfg.IDs itself, shared between nodes and only ever read
@@ -393,14 +394,13 @@ func WithPathCompression() Option {
 // to its neighbor on the path toward the holder (the state the Figure 5
 // INIT procedure establishes).
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Option) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	if cfg.Holder == mutex.Nil {
 		return nil, fmt.Errorf("%w: no initial token holder designated", mutex.ErrBadConfig)
 	}
-	n := &Node{id: id, env: env,
-		ids: cfg.IDs, dead: make(map[mutex.ID]bool)}
+	n := &Node{id: id, env: env, ids: cfg.IDs}
 	if cfg.Holder == id {
 		n.holding = true
 		n.next = mutex.Nil

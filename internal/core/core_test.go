@@ -21,6 +21,9 @@ func TestNewValidatesConfig(t *testing.T) {
 		{"self parent", 2, mutex.Config{IDs: []mutex.ID{1, 2}, Holder: 1,
 			Parent: map[mutex.ID]mutex.ID{2: 2}}},
 		{"unsorted ids", 1, mutex.Config{IDs: []mutex.ID{2, 1}, Holder: 1}},
+		// A binary search alone finds 3 in this list: only the full scan an
+		// unvalidated Config gets rejects it.
+		{"unsorted ids, id found by bisection", 3, mutex.Config{IDs: []mutex.ID{1, 3, 2}, Holder: 3}},
 	}
 	for _, c := range cases {
 		if _, err := New(c.id, env, c.cfg); err == nil {

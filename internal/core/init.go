@@ -25,7 +25,7 @@ func (Initialize) Size() int { return mutex.IntSize }
 // which must have StartInit called on it to begin the flood. Request and
 // protocol messages are rejected until initialization completes.
 func NewUninitialized(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Option) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	if cfg.Holder == mutex.Nil {
@@ -39,7 +39,6 @@ func NewUninitialized(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Opti
 		id:            id,
 		env:           env,
 		ids:           cfg.IDs,
-		dead:          make(map[mutex.ID]bool),
 		uninitialized: true,
 		isInitHolder:  cfg.Holder == id,
 		neighbors:     append([]mutex.ID(nil), neighbors...),

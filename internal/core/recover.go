@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dagmutex/internal/mutex"
@@ -252,13 +253,20 @@ func (n *Node) Alive() []mutex.ID {
 	return out
 }
 
+// member reports whether id is in the membership. n.ids is ascending:
+// New and NewUninitialized refuse any other list.
 func (n *Node) member(id mutex.ID) bool {
-	for _, m := range n.ids {
-		if m == id {
-			return true
-		}
+	_, found := slices.BinarySearch(n.ids, id)
+	return found
+}
+
+// markDead adds id to the suspicion set, which the first suspicion
+// creates: a node that never suspects anyone carries no map.
+func (n *Node) markDead(id mutex.ID) {
+	if n.dead == nil {
+		n.dead = make(map[mutex.ID]bool)
 	}
-	return false
+	n.dead[id] = true
 }
 
 // coordinator returns the recovery coordinator in this node's view: the
@@ -302,7 +310,7 @@ func (n *Node) PeerDown(dead mutex.ID) error {
 	}
 	fresh := !n.dead[dead]
 	if fresh {
-		n.dead[dead] = true
+		n.markDead(dead)
 		n.event(EventPeerDown, dead, 0)
 	}
 	if n.coordinator() != n.id {
@@ -436,7 +444,7 @@ func (n *Node) deliverProbe(from mutex.ID, msg Probe) error {
 		n.joinAsked = n.epoch
 	}
 	if msg.Dead != mutex.Nil && msg.Dead != n.id && n.member(msg.Dead) && !n.dead[msg.Dead] {
-		n.dead[msg.Dead] = true
+		n.markDead(msg.Dead)
 		n.event(EventPeerDown, msg.Dead, 0)
 	}
 	// Cede any collection this node was running itself (a planned
@@ -672,7 +680,7 @@ func (n *Node) deliverWelcome(from mutex.ID, msg Welcome) error {
 	n.joinAsked = msg.Epoch
 	// Fresh view: clear local suspicions; the detector re-marks real
 	// deaths, and stale pessimism would skew coordinator election.
-	n.dead = make(map[mutex.ID]bool)
+	n.dead = nil
 	n.collecting = false
 	n.awaiting = nil
 	n.planTarget = mutex.Nil

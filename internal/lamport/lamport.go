@@ -74,7 +74,7 @@ var _ mutex.Node = (*Node)(nil)
 
 // New constructs a node; cfg.Holder is ignored (no token exists).
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	return &Node{

@@ -333,6 +333,10 @@ func New(cfg Config) (*Service, error) {
 		// holding every shard's token.
 		home := mutex.ID(1 + i%cfg.Nodes)
 		mcfg := mutex.Config{IDs: tree.IDs(), Holder: home, Parent: tree.ParentsToward(home)}
+		if err := mcfg.Validate(); err != nil {
+			s.Close()
+			return nil, fmt.Errorf("lockservice: shard %d: %w", i, err)
+		}
 		sh := &shard{index: i, home: home, route: mutex.Nil,
 			slots: make([]*runtime.Slot, cfg.Nodes), done: s.done, clk: cfg.Clock,
 			nodeGrants: make([]int64, cfg.Nodes), lastGrants: make([]int64, cfg.Nodes)}

@@ -114,7 +114,7 @@ var _ mutex.Node = (*Node)(nil)
 // New constructs a node; cfg.Quorums must contain a verified quorum map
 // (see GridQuorums / FPPQuorums).
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	q, ok := cfg.Quorums[id]

@@ -15,6 +15,7 @@ package mutex
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // ID identifies a node. Valid node identifiers are positive; Nil (zero)
@@ -219,6 +220,14 @@ func (s Storage) String() string {
 // Config carries the cluster-wide parameters a protocol needs at
 // construction time. Fields irrelevant to a given protocol are ignored by
 // its Builder; Builders validate the fields they require.
+//
+// The ID list is validated once per cluster, by the code that assembles
+// the Config (the simulator's cluster.New, the lock service's shard
+// start, Open and OpenPeer) calling Validate; each Builder then checks
+// only that its own ID is present (CheckID), by binary search. A Config
+// nothing validated costs every Builder a full scan of IDs instead, and
+// is rejected exactly as a validated one would be. Once validated a
+// Config is immutable: neither IDs nor the slice it points to may change.
 type Config struct {
 	// IDs lists every node in the cluster in ascending order. A Builder
 	// may keep the slice instead of copying it (the DAG node does: at a
@@ -240,6 +249,36 @@ type Config struct {
 	// Quorums maps each node to its request set for quorum-based protocols
 	// (Maekawa). Each quorum must contain the node itself.
 	Quorums map[ID][]ID
+
+	// valid is the IDs slice Validate accepted: the same array and length
+	// as IDs while the Config is unchanged since.
+	valid []ID
+}
+
+// Validate checks IDs as ValidateIDs does (non-empty, strictly
+// ascending, all positive) and, when they pass, records the slice it
+// accepted. Copies of the Config carry the record, so a Builder handed
+// one finds its own ID by binary search (CheckID); assigning IDs another
+// slice drops the record.
+func (c *Config) Validate() error {
+	if err := ValidateIDs(c.IDs, Nil); err != nil {
+		return err
+	}
+	c.valid = c.IDs
+	return nil
+}
+
+// CheckID returns what ValidateIDs(c.IDs, id) returns. On a Config whose
+// IDs Validate accepted it only looks id up, by binary search; on any
+// other it is ValidateIDs's full scan.
+func (c *Config) CheckID(id ID) error {
+	if len(c.valid) == 0 || len(c.valid) != len(c.IDs) || &c.valid[0] != &c.IDs[0] {
+		return ValidateIDs(c.IDs, id)
+	}
+	if _, found := slices.BinarySearch(c.IDs, id); !found && id != Nil {
+		return fmt.Errorf("%w: node %d not in ID list", ErrBadConfig, id)
+	}
+	return nil
 }
 
 // Builder constructs a protocol node. Each algorithm package exports one.
@@ -262,8 +301,8 @@ var (
 )
 
 // ValidateIDs checks that ids is non-empty, strictly ascending and all
-// positive, and that member (if non-Nil) is present. Builders use it to
-// validate Config.IDs.
+// positive, and that member (if non-Nil) is present: the full scan
+// behind Config.Validate and Config.CheckID.
 func ValidateIDs(ids []ID, member ID) error {
 	if len(ids) == 0 {
 		return fmt.Errorf("%w: empty ID list", ErrBadConfig)

@@ -37,6 +37,62 @@ func TestValidateIDs(t *testing.T) {
 	}
 }
 
+// TestCheckIDMatchesValidateIDs: CheckID answers as ValidateIDs does,
+// on a validated Config (binary search) and on any other (full scan),
+// and Validate rejects exactly the lists ValidateIDs rejects.
+func TestCheckIDMatchesValidateIDs(t *testing.T) {
+	lists := [][]ID{nil, {1}, {1, 2, 3}, {1, 5, 9}, {0, 1}, {-1, 1}, {1, 1}, {2, 1}, {1, 3, 2}}
+	for _, ids := range lists {
+		var validated Config
+		validated.IDs = ids
+		verr := validated.Validate()
+		if (verr == nil) != (ValidateIDs(ids, Nil) == nil) {
+			t.Fatalf("%v: Validate = %v, ValidateIDs disagrees", ids, verr)
+		}
+		if verr != nil && !errors.Is(verr, ErrBadConfig) {
+			t.Fatalf("%v: Validate error %v does not wrap ErrBadConfig", ids, verr)
+		}
+		for _, id := range []ID{Nil, 1, 2, 3, 4, 5, 9, 10} {
+			want := ValidateIDs(ids, id) == nil
+			plain := Config{IDs: ids}
+			if got := plain.CheckID(id) == nil; got != want {
+				t.Errorf("%v: unvalidated CheckID(%d) ok=%v, ValidateIDs ok=%v", ids, id, got, want)
+			}
+			if got := validated.CheckID(id) == nil; got != want {
+				t.Errorf("%v: validated CheckID(%d) ok=%v, ValidateIDs ok=%v", ids, id, got, want)
+			}
+			copied := validated
+			if got := copied.CheckID(id) == nil; got != want {
+				t.Errorf("%v: copied CheckID(%d) ok=%v, ValidateIDs ok=%v", ids, id, got, want)
+			}
+		}
+	}
+}
+
+// TestCheckIDScansAListValidateNeverSaw: a Config whose IDs were
+// replaced or re-sliced after Validate falls back to the full scan, so
+// an unsorted list is still rejected although a binary search would
+// find the ID in it.
+func TestCheckIDScansAListValidateNeverSaw(t *testing.T) {
+	cfg := Config{IDs: []ID{1, 2, 3}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.IDs = []ID{1, 3, 2}
+	if err := cfg.CheckID(3); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("CheckID(3) on a replaced unsorted list = %v, want ErrBadConfig", err)
+	}
+	backing := []ID{1, 2, 3, 0}
+	cfg = Config{IDs: backing[:3]}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg.IDs = backing
+	if err := cfg.CheckID(2); !errors.Is(err, ErrBadConfig) {
+		t.Fatalf("CheckID(2) on a list grown past the validated one = %v, want ErrBadConfig", err)
+	}
+}
+
 func TestStorageAddAndString(t *testing.T) {
 	a := Storage{Scalars: 3, Bytes: 9}
 	b := Storage{Scalars: 1, ArrayEntries: 4, QueueEntries: 2, Bytes: 30}

@@ -58,7 +58,7 @@ var _ mutex.Node = (*Node)(nil)
 // New constructs a node. cfg.Holder is the initial token holder and
 // cfg.Parent must orient every other node toward it.
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	if cfg.Holder == mutex.Nil {

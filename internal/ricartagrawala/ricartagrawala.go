@@ -59,7 +59,7 @@ var _ mutex.Node = (*Node)(nil)
 // New constructs a node. cfg.Holder is ignored: the algorithm has no
 // token and any node may request first.
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	ids := make([]mutex.ID, len(cfg.IDs))

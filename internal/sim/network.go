@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"maps"
 	"math/rand"
+	"slices"
 	"time"
 
 	"dagmutex/internal/core"
@@ -150,6 +151,15 @@ func NewNetwork(clk *vclock.Virtual, rng *rand.Rand, opts ...NetworkOption) *Net
 		o(n)
 	}
 	return n
+}
+
+// Reserve sizes the member index for IDs up to maxID and room for
+// members more attached nodes, so attaching them grows nothing.
+func (n *Network) Reserve(maxID mutex.ID, members int) {
+	if int(maxID) >= len(n.index) {
+		n.index = append(n.index, make([]int32, int(maxID)+1-len(n.index))...)
+	}
+	n.members = slices.Grow(n.members, members)
 }
 
 // Attach registers node to receive deliveries addressed to its ID.

@@ -10,6 +10,25 @@ import (
 	"dagmutex/internal/sim"
 )
 
+// TestAllocBudgetSimharnessNew bounds what building a 1000-node cluster
+// allocates: one core.Node per member plus a fixed few dozen objects
+// (the tree, the parent map, the env and reqAt slices, the member
+// index). It measures 1045 on go1.24/amd64 and repeats exactly; a
+// per-node env box, suspicion map or adjacency list, or the topology's
+// map-based BFS coming back puts it in the thousands (5857 when each
+// node rescanned the ID list and carried all three).
+func TestAllocBudgetSimharnessNew(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := New(Config{Nodes: 1000, Topology: "kary4", Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per 1000-node New", allocs)
+	if allocs > 1100 {
+		t.Errorf("%.0f allocs per 1000-node New, want <= 1100", allocs)
+	}
+}
+
 // TestAllocBudgetSimharnessDelivery bounds the steady state of a run at
 // no heap object per delivered message. Deliveries, driver steps, their
 // timers and the scheduler's events are all recycled, and the message

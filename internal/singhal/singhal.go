@@ -103,13 +103,13 @@ var _ mutex.Node = (*Node)(nil)
 // initialization is relabeled so that the holder plays the role of "node
 // 1" in Singhal's original description.
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	if cfg.Holder == mutex.Nil {
 		return nil, fmt.Errorf("%w: no initial token holder designated", mutex.ErrBadConfig)
 	}
-	if err := mutex.ValidateIDs(cfg.IDs, cfg.Holder); err != nil {
+	if err := cfg.CheckID(cfg.Holder); err != nil {
 		return nil, fmt.Errorf("holder: %w", err)
 	}
 	n := &Node{

@@ -66,13 +66,13 @@ var _ mutex.Node = (*Node)(nil)
 
 // New constructs a node; cfg.Holder starts with the token.
 func New(id mutex.ID, env mutex.Env, cfg mutex.Config) (*Node, error) {
-	if err := mutex.ValidateIDs(cfg.IDs, id); err != nil {
+	if err := cfg.CheckID(id); err != nil {
 		return nil, err
 	}
 	if cfg.Holder == mutex.Nil {
 		return nil, fmt.Errorf("%w: no initial token holder designated", mutex.ErrBadConfig)
 	}
-	if err := mutex.ValidateIDs(cfg.IDs, cfg.Holder); err != nil {
+	if err := cfg.CheckID(cfg.Holder); err != nil {
 		return nil, fmt.Errorf("holder: %w", err)
 	}
 	ids := make([]mutex.ID, len(cfg.IDs))

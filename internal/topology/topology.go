@@ -9,7 +9,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"dagmutex/internal/mutex"
 )
@@ -19,7 +19,10 @@ import (
 type Tree struct {
 	name string
 	n    int
-	adj  map[mutex.ID][]mutex.ID
+	// The adjacency, flat: node id's neighbors, ascending, are
+	// nbr[off[id]:off[id+1]] (off has n+2 entries; off[0] = off[1] = 0).
+	off []int32
+	nbr []mutex.ID
 }
 
 // New builds a tree over n nodes (IDs 1..n) from an explicit edge list.
@@ -31,17 +34,31 @@ func New(name string, n int, edges [][2]mutex.ID) (*Tree, error) {
 	if len(edges) != n-1 {
 		return nil, fmt.Errorf("topology: tree on %d nodes needs %d edges, got %d", n, n-1, len(edges))
 	}
-	t := &Tree{name: name, n: n, adj: make(map[mutex.ID][]mutex.ID, n)}
+	t := &Tree{name: name, n: n, off: make([]int32, n+2), nbr: make([]mutex.ID, 2*len(edges))}
 	for _, e := range edges {
 		a, b := e[0], e[1]
 		if a < 1 || b < 1 || int(a) > n || int(b) > n || a == b {
 			return nil, fmt.Errorf("topology: bad edge (%d,%d) for n=%d", a, b, n)
 		}
-		t.adj[a] = append(t.adj[a], b)
-		t.adj[b] = append(t.adj[b], a)
+		t.off[a+1]++
+		t.off[b+1]++
 	}
+	for id := 2; id <= n+1; id++ {
+		t.off[id] += t.off[id-1]
+	}
+	// Fill each list from its start, using off[id] as the cursor, then
+	// restore the starts by shifting the cursors (now the ends) down.
+	for _, e := range edges {
+		a, b := e[0], e[1]
+		t.nbr[t.off[a]] = b
+		t.off[a]++
+		t.nbr[t.off[b]] = a
+		t.off[b]++
+	}
+	copy(t.off[2:], t.off[1:n+1])
+	t.off[1] = 0
 	for id := mutex.ID(1); int(id) <= n; id++ {
-		sort.Slice(t.adj[id], func(i, j int) bool { return t.adj[id][i] < t.adj[id][j] })
+		slices.Sort(t.adj(id))
 	}
 	// n-1 edges + connected => acyclic tree.
 	if reached := t.bfsCount(1); reached != n {
@@ -59,21 +76,32 @@ func MustNew(name string, n int, edges [][2]mutex.ID) *Tree {
 	return t
 }
 
+// has reports whether id is one of the tree's nodes.
+func (t *Tree) has(id mutex.ID) bool { return id >= 1 && int(id) <= t.n }
+
+// adj returns id's neighbors, ascending, as a view into the tree's own
+// storage (nil for an id outside the tree).
+func (t *Tree) adj(id mutex.ID) []mutex.ID {
+	if !t.has(id) {
+		return nil
+	}
+	return t.nbr[t.off[id]:t.off[id+1]:t.off[id+1]]
+}
+
 func (t *Tree) bfsCount(root mutex.ID) int {
-	seen := make(map[mutex.ID]bool, t.n)
-	queue := []mutex.ID{root}
+	seen := make([]bool, t.n+1)
+	queue := make([]mutex.ID, 1, t.n)
+	queue[0] = root
 	seen[root] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range t.adj[v] {
+	for i := 0; i < len(queue); i++ {
+		for _, w := range t.adj(queue[i]) {
 			if !seen[w] {
 				seen[w] = true
 				queue = append(queue, w)
 			}
 		}
 	}
-	return len(seen)
+	return len(queue)
 }
 
 // Name returns the human-readable shape name ("line", "star", ...).
@@ -93,14 +121,14 @@ func (t *Tree) IDs() []mutex.ID {
 
 // Neighbors returns a copy of id's adjacency list, ascending.
 func (t *Tree) Neighbors(id mutex.ID) []mutex.ID {
-	src := t.adj[id]
+	src := t.adj(id)
 	out := make([]mutex.ID, len(src))
 	copy(out, src)
 	return out
 }
 
 // Degree returns the number of neighbors of id.
-func (t *Tree) Degree(id mutex.ID) int { return len(t.adj[id]) }
+func (t *Tree) Degree(id mutex.ID) int { return len(t.adj(id)) }
 
 // ParentsToward orients every edge toward root and returns the resulting
 // parent pointers: parent[v] is v's neighbor on the unique path to root.
@@ -108,13 +136,16 @@ func (t *Tree) Degree(id mutex.ID) int { return len(t.adj[id]) }
 // is the steady state that the thesis's INIT procedure (Figure 5) reaches.
 func (t *Tree) ParentsToward(root mutex.ID) map[mutex.ID]mutex.ID {
 	parent := make(map[mutex.ID]mutex.ID, t.n-1)
-	seen := make(map[mutex.ID]bool, t.n)
-	queue := []mutex.ID{root}
+	if !t.has(root) {
+		return parent
+	}
+	seen := make([]bool, t.n+1)
+	queue := make([]mutex.ID, 1, t.n)
+	queue[0] = root
 	seen[root] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range t.adj[v] {
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, w := range t.adj(v) {
 			if !seen[w] {
 				seen[w] = true
 				parent[w] = v
@@ -146,17 +177,21 @@ func (t *Tree) Eccentricity(id mutex.ID) int {
 }
 
 func (t *Tree) farthestFrom(root mutex.ID) (mutex.ID, int) {
-	depth := map[mutex.ID]int{root: 0}
-	queue := []mutex.ID{root}
+	if !t.has(root) {
+		return root, 0
+	}
+	depth := make([]int32, t.n+1) // depth+1 once reached, 0 before
+	queue := make([]mutex.ID, 1, t.n)
+	queue[0] = root
+	depth[root] = 1
 	far, farD := root, 0
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range t.adj[v] {
-			if _, ok := depth[w]; !ok {
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, w := range t.adj(v) {
+			if depth[w] == 0 {
 				depth[w] = depth[v] + 1
-				if depth[w] > farD || (depth[w] == farD && w < far) {
-					far, farD = w, depth[w]
+				if d := int(depth[w]) - 1; d > farD || (d == farD && w < far) {
+					far, farD = w, d
 				}
 				queue = append(queue, w)
 			}
