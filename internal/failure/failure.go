@@ -86,7 +86,7 @@ type Detector struct {
 	onDown   func(mutex.ID)
 	onUp     func(mutex.ID)
 	started  bool
-	timer    vclock.Timer // the heartbeat tick chain; nil before Start and after Stop
+	stopTick func() // withdraws the heartbeat tick chain; nil before Start
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -144,11 +144,9 @@ func (d *Detector) Start() {
 	for _, p := range d.peers {
 		d.lastSeen[p] = now
 	}
-	// The tick chain replaces the former ticker goroutine: each fire
-	// re-arms itself, so on a virtual clock ticks run deterministically
-	// on the advancing goroutine, and on the real clock time.AfterFunc
-	// supplies the goroutine per fire.
-	d.timer = d.cfg.Clock.AfterFunc(d.cfg.Heartbeat, d.tick)
+	// A tick chain, not a ticker goroutine: on a virtual clock the ticks
+	// run deterministically on the advancing goroutine.
+	d.stopTick = vclock.Every(d.cfg.Clock, d.cfg.Heartbeat, d.tick)
 	d.mu.Unlock()
 }
 
@@ -157,9 +155,8 @@ func (d *Detector) Start() {
 func (d *Detector) Stop() {
 	d.stopOnce.Do(func() { close(d.stop) })
 	d.mu.Lock()
-	if d.timer != nil {
-		d.timer.Stop()
-		d.timer = nil
+	if d.stopTick != nil {
+		d.stopTick()
 	}
 	d.mu.Unlock()
 	// Flush an in-flight verdict: once we hold verdictMu, any callback
@@ -170,8 +167,7 @@ func (d *Detector) Stop() {
 	d.verdictMu.Unlock()
 }
 
-// tick is one heartbeat round: send to every peer, check for silence,
-// re-arm.
+// tick is one heartbeat round: send to every peer, check for silence.
 func (d *Detector) tick() {
 	select {
 	case <-d.stop:
@@ -183,11 +179,6 @@ func (d *Detector) tick() {
 		_ = d.send(p, Heartbeat{})
 	}
 	d.check(d.cfg.Clock.Now())
-	d.mu.Lock()
-	if d.timer != nil {
-		d.timer.Reset(d.cfg.Heartbeat)
-	}
-	d.mu.Unlock()
 }
 
 func (d *Detector) check(now time.Time) {

@@ -299,11 +299,9 @@ type shard struct {
 	waitsSeen  int       // total grants observed, for reservoir replacement
 	lastGrants []int64   // nodeGrants snapshot at the last rebalance pass
 
-	// The rebalancer is a clock-driven AfterFunc chain like the sweeper
-	// (each tick re-arms itself). The timer is guarded by mu; nil when
-	// rebalancing is off and after Close stops the chain.
-	rebalEvery time.Duration
-	rebalTimer vclock.Timer
+	// stopRebal withdraws the rebalancer's tick chain; nil when
+	// rebalancing is off.
+	stopRebal func()
 }
 
 // maxWaitSamples bounds the per-shard wait reservoir so a long-lived
@@ -374,7 +372,9 @@ func New(cfg Config) (*Service, error) {
 			sh.register(cfg.Telemetry)
 		}
 		sh.sweeper = runtime.StartSweeper(cfg.Clock, cfg.SweepInterval, hosted...)
-		sh.startRebalancer(cfg.Topology.RebalanceEvery)
+		if every := cfg.Topology.RebalanceEvery; every > 0 {
+			sh.stopRebal = vclock.Every(cfg.Clock, every, sh.rebalTick)
+		}
 		s.shards = append(s.shards, sh)
 	}
 	if r, ok := cfg.Transport.(interface{ Register(*telemetry.Registry) }); ok && cfg.Telemetry != nil {
@@ -644,27 +644,12 @@ func (sh *shard) noteEnd(e runtime.HoldEnd) {
 	}
 }
 
-// startRebalancer arms the adaptive-topology loop when enabled.
-func (sh *shard) startRebalancer(every time.Duration) {
-	if every <= 0 {
-		return
-	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.rebalEvery = every
-	sh.rebalTimer = sh.clk.AfterFunc(every, sh.rebalTick)
-}
-
-// stopLoops withdraws the shard's timer chains at Close. A rebalance
-// tick firing concurrently sees the closed done channel and returns
-// without re-arming.
+// stopLoops withdraws the shard's tick chains at Close. A rebalance tick
+// already running sees the closed done channel and does nothing.
 func (sh *shard) stopLoops() {
 	sh.sweeper.Stop()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.rebalTimer != nil {
-		sh.rebalTimer.Stop()
-		sh.rebalTimer = nil
+	if sh.stopRebal != nil {
+		sh.stopRebal()
 	}
 }
 
@@ -732,8 +717,8 @@ func shardBuilder(compress bool, obs func(telemetry.TraceEvent)) mutex.Builder {
 	}
 }
 
-// rebalTick is the shard's adaptive-topology loop: one rebalance pass
-// (see rebalanceOnce) per tick, then re-arm.
+// rebalTick is one tick of the shard's adaptive-topology loop: one
+// rebalance pass (see rebalanceOnce), none once the service is closing.
 func (sh *shard) rebalTick() {
 	select {
 	case <-sh.done:
@@ -741,11 +726,6 @@ func (sh *shard) rebalTick() {
 	default:
 	}
 	sh.rebalanceOnce()
-	sh.mu.Lock()
-	if sh.rebalTimer != nil {
-		sh.rebalTimer.Reset(sh.rebalEvery)
-	}
-	sh.mu.Unlock()
 }
 
 // rebalanceOnce re-roots the shard toward its hottest member — the one

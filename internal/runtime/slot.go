@@ -551,57 +551,23 @@ func SweepCadence(lease time.Duration) time.Duration {
 	return every
 }
 
-// Sweeper sweeps a set of slots periodically. It is a clock-driven
-// AfterFunc chain (each tick re-arms itself), so on a virtual clock it
-// runs deterministically on the advancing goroutine and on the real
-// clock time.AfterFunc supplies a goroutine per tick; no goroutine
-// exists between ticks.
-type Sweeper struct {
-	clk   vclock.Clock
-	every time.Duration
-	slots []*Slot
-
-	mu    sync.Mutex
-	timer vclock.Timer // nil once stopped
-}
+// Sweeper sweeps a set of slots periodically: a vclock.Every tick chain,
+// so on a virtual clock it runs deterministically on the advancing
+// goroutine, and on the real clock no goroutine exists between ticks.
+type Sweeper struct{ stop func() }
 
 // StartSweeper starts sweeping slots every interval on clk (nil: the
 // real clock). Callers must Stop it.
 func StartSweeper(clk vclock.Clock, every time.Duration, slots ...*Slot) *Sweeper {
-	w := &Sweeper{clk: vclock.Or(clk), every: every, slots: slots}
-	w.mu.Lock()
-	w.timer = w.clk.AfterFunc(every, w.tick)
-	w.mu.Unlock()
-	return w
+	clk = vclock.Or(clk)
+	return &Sweeper{stop: vclock.Every(clk, every, func() {
+		now := clk.Now()
+		for _, sl := range slots {
+			sl.Sweep(now)
+		}
+	})}
 }
 
-// tick is one round: sweep every slot, re-arm. A tick that fires as the
-// sweeper is stopped returns without touching the (closing) sessions.
-func (w *Sweeper) tick() {
-	w.mu.Lock()
-	stopped := w.timer == nil
-	w.mu.Unlock()
-	if stopped {
-		return
-	}
-	now := w.clk.Now()
-	for _, sl := range w.slots {
-		sl.Sweep(now)
-	}
-	w.mu.Lock()
-	if w.timer != nil {
-		w.timer.Reset(w.every)
-	}
-	w.mu.Unlock()
-}
-
-// Stop withdraws the timer chain. A tick already running finishes its
-// pass and does not re-arm.
-func (w *Sweeper) Stop() {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.timer != nil {
-		w.timer.Stop()
-		w.timer = nil
-	}
-}
+// Stop withdraws the chain. A tick already running finishes its pass and
+// does not re-arm; no later one touches the (closing) sessions.
+func (w *Sweeper) Stop() { w.stop() }

@@ -6,53 +6,41 @@ import (
 	"testing"
 )
 
-// never is later than any event: PopDue(never) pops whatever is earliest.
-const never = Time(1)<<62 - 1
-
-// run pops and fires events until the queue is empty, the way vclock
-// drives it, and returns how many fired and the time of the last.
-func run(s *Scheduler) (fired int, now Time) {
-	for {
-		at, _ := s.NextAt()
-		fn, ok := s.PopDue(never)
-		if !ok {
-			return fired, now
-		}
-		now = at
+// drain pops and fires a timeline of callbacks until it is empty, and
+// returns how many fired and the time of the last.
+func drain(tl *Timeline[func()]) (fired int, now Time) {
+	for tl.Len() > 0 {
+		var fn func()
+		now, fn = tl.Pop()
 		fn()
 		fired++
 	}
+	return fired, now
 }
 
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
-	s := NewScheduler()
+	var tl Timeline[func()]
 	var got []int
-	s.AtEvent(30, func() { got = append(got, 3) })
-	s.AtEvent(10, func() { got = append(got, 1) })
-	s.AtEvent(20, func() { got = append(got, 2) })
-	n, now := run(s)
-	if n != 3 {
-		t.Fatalf("fired %d events, want 3", n)
+	tl.Push(30, func() { got = append(got, 3) })
+	tl.Push(10, func() { got = append(got, 1) })
+	tl.Push(20, func() { got = append(got, 2) })
+	if n, now := drain(&tl); n != 3 || now != 30 {
+		t.Fatalf("fired %d events, the last at %d; want 3, 30", n, now)
 	}
-	want := []int{1, 2, 3}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fire order %v, want %v", got, want)
+	for i, want := range []int{1, 2, 3} {
+		if got[i] != want {
+			t.Fatalf("fire order %v, want [1 2 3]", got)
 		}
-	}
-	if now != 30 {
-		t.Fatalf("last event popped at %d, want 30", now)
 	}
 }
 
 func TestSchedulerTieBreaksByScheduleOrder(t *testing.T) {
-	s := NewScheduler()
+	var tl Timeline[func()]
 	var got []int
 	for i := 0; i < 10; i++ {
-		i := i
-		s.AtEvent(5, func() { got = append(got, i) })
+		tl.Push(5, func() { got = append(got, i) })
 	}
-	run(s)
+	drain(&tl)
 	for i := range got {
 		if got[i] != i {
 			t.Fatalf("same-time events fired out of schedule order: %v", got)
@@ -61,7 +49,7 @@ func TestSchedulerTieBreaksByScheduleOrder(t *testing.T) {
 }
 
 func TestSchedulerNestedScheduling(t *testing.T) {
-	s := NewScheduler()
+	var tl Timeline[func()]
 	depth := 0
 	at := Time(1)
 	var rec func()
@@ -69,11 +57,11 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 		depth++
 		if depth < 5 {
 			at += 7
-			s.AtEvent(at, rec)
+			tl.Push(at, rec)
 		}
 	}
-	s.AtEvent(at, rec)
-	_, now := run(s)
+	tl.Push(at, rec)
+	_, now := drain(&tl)
 	if depth != 5 {
 		t.Fatalf("nested chain ran %d times, want 5", depth)
 	}
@@ -82,129 +70,84 @@ func TestSchedulerNestedScheduling(t *testing.T) {
 	}
 }
 
-func TestSchedulerPopDueStopsAtBound(t *testing.T) {
-	s := NewScheduler()
-	s.AtEvent(50, func() {})
-	if _, ok := s.PopDue(40); ok {
-		t.Fatal("event at t=50 popped by PopDue(40)")
-	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d after a PopDue short of the event, want 1", s.Pending())
-	}
-	if _, ok := s.PopDue(60); !ok || s.Pending() != 0 {
-		t.Fatalf("PopDue(60) = %v with %d pending; want the event at 50", ok, s.Pending())
-	}
-}
-
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
-	s := NewScheduler()
-	s.AtEvent(10, func() {
+	var tl Timeline[func()]
+	tl.Push(20, func() {})
+	tl.Push(10, func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		s.AtEvent(5, func() {})
+		tl.Push(5, func() {})
 	})
-	run(s)
+	drain(&tl)
 }
 
-func TestSchedulerPendingAndSeq(t *testing.T) {
-	s := NewScheduler()
-	s.AtEvent(2, func() {})
-	s.AtEvent(1, func() {})
-	if s.Pending() != 2 || s.Seq() != 2 {
-		t.Fatalf("Pending = %d, Seq = %d; want 2, 2", s.Pending(), s.Seq())
-	}
-	if seq := s.NextSeq(); seq != 2 {
-		t.Fatalf("NextSeq = %d, want the earlier event's: 2", seq)
-	}
-	s.PopDue(never)
-	if s.Pending() != 1 || s.Seq() != 2 || s.NextSeq() != 1 {
-		t.Fatalf("after one pop: pending=%d seq=%d next=%d", s.Pending(), s.Seq(), s.NextSeq())
-	}
-}
-
+// TestCancelRemovesAtOnce: Cancel takes what it withdraws out of Len and
+// NextAt at once, from any bucket, bucket 0 read halfway included, and
+// leaves the rest to fire.
 func TestCancelRemovesAtOnce(t *testing.T) {
-	s := NewScheduler()
-	fired := 0
-	a := s.AtEvent(10, func() { fired += 1 })
-	b := s.AtEvent(20, func() { fired += 10 })
-	if !s.Cancel(a) {
-		t.Fatal("Cancel of a pending event reported false")
+	var tl Timeline[int]
+	for i, at := range []Time{10, 20, 10, 30} {
+		tl.Push(at, i)
 	}
-	if s.Cancel(a) {
-		t.Fatal("second Cancel reported true")
+	tl.Cancel(func(i int) bool { return i == 0 || i == 2 }) // both events at 10
+	if at, ok := tl.NextAt(); !ok || at != 20 || tl.Len() != 2 {
+		t.Fatalf("NextAt = %d, %v with Len %d; want 20, true, 2", at, ok, tl.Len())
 	}
-	if s.Cancel(Event{}) {
-		t.Fatal("Cancel of the zero Event reported true")
+	if _, i := tl.Pop(); i != 1 {
+		t.Fatalf("popped %d, want the surviving event 1", i)
 	}
-	if s.Pending() != 1 {
-		t.Fatalf("Pending = %d after cancelling one of two, want 1", s.Pending())
+	for i := 10; i < 13; i++ {
+		tl.Push(40, i)
 	}
-	if at, ok := s.NextAt(); !ok || at != 20 {
-		t.Fatalf("NextAt = %d, %v; want 20, true", at, ok)
+	tl.Pop() // event 3, at 30
+	tl.Pop() // event 10, at 40: bucket 0 is read from its middle now
+	tl.Cancel(func(i int) bool { return i == 11 })
+	if at, i := tl.Pop(); at != 40 || i != 12 || tl.Len() != 0 {
+		t.Fatalf("popped %d at %d with %d left; want 12 at 40 and none", i, at, tl.Len())
 	}
-	run(s)
-	if fired != 10 {
-		t.Fatalf("fired = %d, want only the surviving event (10)", fired)
-	}
-	if s.Cancel(b) {
-		t.Fatal("Cancel of a fired event reported true")
-	}
-	// The fired event's slot is reused; the stale handle must not reach
-	// its new tenant.
-	c := s.AtEvent(30, func() { fired += 100 })
-	if s.Cancel(b) || s.Pending() != 1 {
-		t.Fatal("stale handle cancelled the slot's next event")
-	}
-	if !s.Cancel(c) || s.Pending() != 0 {
-		t.Fatal("live handle on a reused slot did not cancel")
+	tl.Push(50, 13)
+	tl.Cancel(func(int) bool { return true })
+	if _, ok := tl.NextAt(); ok || tl.Len() != 0 {
+		t.Fatal("a timeline cancelled to empty still reports an event")
 	}
 }
 
-// TestCancelKeepsHeapOrder removes events from the middle of a large
-// heap and checks the survivors against a straightforward sort.
+// TestCancelKeepsHeapOrder cancels a third of a large timeline's events
+// and checks the survivors against a straightforward sort.
 func TestCancelKeepsHeapOrder(t *testing.T) {
-	s := NewScheduler()
 	rng := rand.New(rand.NewSource(1))
 	type rec struct {
 		at  Time
 		seq int
 	}
-	var got, want []rec
-	var handles []Event
-	var recs []rec
+	var tl Timeline[rec]
+	var want []rec
+	cancelled := make(map[int]bool)
 	for i := 0; i < 5000; i++ {
 		r := rec{at: Time(rng.Intn(500)), seq: i}
-		recs = append(recs, r)
-		handles = append(handles, s.AtEvent(r.at, func() { got = append(got, r) }))
-	}
-	for i, h := range handles {
+		tl.Push(r.at, r)
 		if rng.Intn(3) == 0 {
-			if !s.Cancel(h) {
-				t.Fatalf("Cancel(%d) reported false", i)
-			}
+			cancelled[i] = true
 		} else {
-			want = append(want, recs[i])
+			want = append(want, r)
 		}
 	}
+	tl.Cancel(func(r rec) bool { return cancelled[r.seq] })
 	sort.Slice(want, func(i, j int) bool {
 		if want[i].at != want[j].at {
 			return want[i].at < want[j].at
 		}
 		return want[i].seq < want[j].seq
 	})
-	if s.Pending() != len(want) {
-		t.Fatalf("Pending = %d, want %d", s.Pending(), len(want))
-	}
-	run(s)
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
+	if tl.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", tl.Len(), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("event %d fired as %+v, want %+v", i, got[i], want[i])
+		if at, r := tl.Pop(); r != want[i] || at != r.at {
+			t.Fatalf("event %d popped as %+v at %d, want %+v", i, r, at, want[i])
 		}
 	}
 }

@@ -1,3 +1,13 @@
+// Package sched holds the deterministic event queue under
+// internal/vclock's Virtual clock, which supplies the time (one tick = one
+// nanosecond), the locking and the withdrawal of timers. The package is a
+// leaf so vclock and sim can share Time and Hop without an import cycle —
+// sim re-exports them as aliases, so experiment code keeps saying
+// sim.Time.
+//
+// Timeline fires in (time, scheduling order): two events due at the same
+// instant fire in the order they were pushed, every run. That total order
+// is what makes trace diffs byte-stable across runs.
 package sched
 
 import (
@@ -5,11 +15,19 @@ import (
 	"math/bits"
 )
 
-// Timeline is the handle-less event queue: what a simulation whose every
-// event is armed and fired by one goroutine runs on. It fires in the same
-// (time, scheduling order) as Scheduler, but nothing on it can be
-// cancelled, so an event needs no slot, no handle and no sequence
-// comparison — arming is an append and firing is a read.
+// Time is a point in virtual time, in ticks.
+type Time int64
+
+// Hop is the conventional per-message latency used by experiments, chosen
+// so that sub-hop tie-breaking adjustments (FIFO clamping) never add up to
+// a full hop.
+const Hop Time = 1000
+
+// Timeline is the event queue: values of type E, each due at a Time, that
+// one goroutine pushes and pops. Nothing on it is cancelled one by one: a
+// caller that withdraws events marks them itself, skips them as they come
+// up and sweeps them out with Cancel. So an event needs no slot, no handle
+// and no sequence number — pushing is an append and popping is a read.
 //
 // The queue is a radix (monotone) heap: events never fire before the last
 // one popped, so an event due at t lives in bucket bits.Len64(t ^ last) —
@@ -23,42 +41,42 @@ import (
 // fire in scheduling order without ever comparing a sequence number.
 //
 // The zero value is an empty timeline at time zero. Once the buckets have
-// grown to a run's high-water mark, Push and Pop allocate nothing.
-type Timeline struct {
+// grown to a run's high-water mark, Push, Pop and Cancel allocate nothing.
+type Timeline[E any] struct {
 	last     Time     // time of the last event popped: no later push is earlier
 	n        int      // events pending
 	head     int      // bucket 0's read index
 	occupied uint64   // bit i set: bucket i holds events
 	mins     [64]Time // per occupied bucket, its earliest time
-	buckets  [64][]timelineEvent
+	buckets  [64][]entry[E]
 }
 
-// timelineEvent is one pending event. seq is the caller's: a Timeline
-// merged with another queue (vclock's) hands it back for the head event so
-// a tie on time across the two queues can be broken; the timeline itself
-// never looks at it.
-type timelineEvent struct {
-	at   Time
-	seq  uint64
-	fire func()
+// entry is one pending event.
+type entry[E any] struct {
+	at Time
+	ev E
 }
 
 // Len reports the number of pending events.
-func (t *Timeline) Len() int { return t.n }
+func (t *Timeline[E]) Len() int { return t.n }
 
-// Push schedules fn at time at, which must not be before the last event
-// popped: like Scheduler.AtEvent, scheduling in the past panics, since it
-// would silently corrupt causality.
-func (t *Timeline) Push(at Time, seq uint64, fn func()) {
+// Push schedules ev at time at. While events are pending, at must not be
+// before the last event popped: that would silently corrupt causality, so
+// it panics. An empty timeline has nothing a push could overtake, and
+// takes any time.
+func (t *Timeline[E]) Push(at Time, ev E) {
 	if at < t.last {
-		panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", at, t.last))
+		if t.n > 0 {
+			panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", at, t.last))
+		}
+		t.last = at
 	}
 	t.n++
-	t.put(timelineEvent{at: at, seq: seq, fire: fn})
+	t.put(entry[E]{at: at, ev: ev})
 }
 
 // put files e under the current last.
-func (t *Timeline) put(e timelineEvent) {
+func (t *Timeline[E]) put(e entry[E]) {
 	i := bits.Len64(uint64(e.at ^ t.last)) // at most 63: times are not negative
 	if bit := uint64(1) << i; t.occupied&bit == 0 {
 		t.occupied |= bit
@@ -71,7 +89,7 @@ func (t *Timeline) put(e timelineEvent) {
 
 // NextAt reports the earliest pending event's time, or false when the
 // timeline is empty.
-func (t *Timeline) NextAt() (Time, bool) {
+func (t *Timeline[E]) NextAt() (Time, bool) {
 	if t.occupied == 0 {
 		return 0, false
 	}
@@ -80,9 +98,9 @@ func (t *Timeline) NextAt() (Time, bool) {
 
 // refill spreads the lowest occupied bucket over the ones below it, which
 // are empty, so that bucket 0 holds the earliest events. The timeline must
-// not be empty, and the caller must be about to fire an event at or before
-// the time NextAt reports: it becomes the new last.
-func (t *Timeline) refill() {
+// not be empty, and the caller must be about to pop: the earliest time
+// becomes the new last.
+func (t *Timeline[E]) refill() {
 	i := bits.TrailingZeros64(t.occupied)
 	t.occupied &^= 1 << i
 	t.last = t.mins[i]
@@ -90,46 +108,65 @@ func (t *Timeline) refill() {
 	for _, e := range b {
 		t.put(e)
 	}
-	clear(b) // drop the callback references
+	clear(b) // drop the events' references
 	t.buckets[i] = b[:0]
 }
 
-// NextSeq returns the sequence number the earliest pending event was
-// pushed with. The timeline must not be empty, and like Pop it commits the
-// caller to fire nothing earlier than that event's time.
-func (t *Timeline) NextSeq() uint64 {
-	if t.occupied&1 == 0 {
-		t.refill()
-	}
-	return t.buckets[0][t.head].seq
-}
-
 // Pop removes the earliest pending event — of several due at the same
-// time, the first pushed — and returns its time and callback. The
-// timeline must not be empty.
-func (t *Timeline) Pop() (Time, func()) {
+// time, the first pushed — and returns its time and value. The timeline
+// must not be empty.
+func (t *Timeline[E]) Pop() (Time, E) {
 	if t.occupied&1 == 0 {
 		// The common case in a sparse stretch: the lowest bucket holds one
 		// event, which fires from where it is.
 		i := bits.TrailingZeros64(t.occupied)
 		if b := t.buckets[i]; len(b) == 1 {
 			t.last = b[0].at
-			fn := b[0].fire
-			b[0].fire = nil
+			ev := b[0].ev
+			b[0] = entry[E]{}
 			t.buckets[i] = b[:0]
 			t.occupied &^= 1 << i
 			t.n--
-			return t.last, fn
+			return t.last, ev
 		}
 		t.refill()
 	}
 	b := t.buckets[0]
-	fn := b[t.head].fire
-	b[t.head].fire = nil
+	ev := b[t.head].ev
+	b[t.head] = entry[E]{}
 	t.n--
 	if t.head++; t.head == len(b) {
 		t.head, t.buckets[0] = 0, b[:0]
 		t.occupied &^= 1
 	}
-	return t.last, fn
+	return t.last, ev
+}
+
+// Cancel removes, at once, every pending event withdrawn reports true
+// for, and keeps the rest in their order: how a caller that withdraws
+// events lazily compacts the queue.
+func (t *Timeline[E]) Cancel(withdrawn func(E) bool) {
+	for occ := t.occupied; occ != 0; occ &= occ - 1 {
+		i := bits.TrailingZeros64(occ)
+		b, from := t.buckets[i], 0
+		if i == 0 {
+			from, t.head = t.head, 0
+		}
+		kept := b[:0]
+		for _, e := range b[from:] {
+			if withdrawn(e.ev) {
+				continue
+			}
+			if len(kept) == 0 || e.at < t.mins[i] {
+				t.mins[i] = e.at
+			}
+			kept = append(kept, e)
+		}
+		t.n -= len(b) - from - len(kept)
+		clear(b[len(kept):])
+		t.buckets[i] = kept
+		if len(kept) == 0 {
+			t.occupied &^= 1 << i
+		}
+	}
 }

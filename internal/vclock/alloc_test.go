@@ -9,7 +9,7 @@ import (
 
 // TestAllocBudgetVirtualTimerReset: re-arming an AfterFunc timer and
 // firing it allocates nothing — the timer's callback is bound once and
-// the scheduler's handle is a value.
+// a queued event is a value.
 func TestAllocBudgetVirtualTimerReset(t *testing.T) {
 	v := NewVirtual()
 	fired := 0

@@ -1,18 +1,16 @@
 package vclock
 
 import (
+	"container/heap"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
-
-	"dagmutex/internal/sched"
 )
 
-// TestTimelineAndTimerSameInstantOrder: the owner's timeline and the
-// locked timer queue are one timeline to whoever watches events fire —
-// an Arm event and an AfterFunc or channel-timer event due at the same
-// instant fire in the order they were armed, whichever came first.
+// TestTimelineAndTimerSameInstantOrder: Arm events and timers share one
+// queue — an Arm event and an AfterFunc or channel-timer event due at the
+// same instant fire in the order they were armed, whichever came first.
 func TestTimelineAndTimerSameInstantOrder(t *testing.T) {
 	v := NewVirtual()
 	var order []int
@@ -33,7 +31,7 @@ func TestTimelineAndTimerSameInstantOrder(t *testing.T) {
 	v.AfterFunc(time.Second, note(5))
 	v.AfterFunc(500*time.Millisecond, func() {
 		// Armed from a callback, for an instant that already has events
-		// on both queues: behind all of them, in arming order.
+		// of both kinds: behind all of them, in arming order.
 		v.AfterFunc(500*time.Millisecond, note(6))
 		v.Arm(500*time.Millisecond, note(7))
 	})
@@ -49,7 +47,8 @@ func TestTimelineAndTimerSameInstantOrder(t *testing.T) {
 }
 
 // TestBothQueuesPendingNextAtStepDrainRun: everything that counts or
-// fires events sees the two queues as one.
+// fires events sees Arm events and timers as one queue, and passes over a
+// stopped timer.
 func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
 	v := NewVirtual()
 	var order []int
@@ -61,20 +60,20 @@ func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
 	v.AfterFunc(time.Second, note(0))
 	stopped := v.AfterFunc(time.Millisecond, note(-1))
 	if v.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5 over both queues", v.Pending())
+		t.Fatalf("Pending = %d, want 5", v.Pending())
 	}
 	stopped.Stop()
 	if at, ok := v.NextAt(); !ok || at.Sub(t0) != time.Second || v.Pending() != 4 {
 		t.Fatalf("NextAt = %v, %v with %d pending; want the timer at 1s of 4", at.Sub(t0), ok, v.Pending())
 	}
 	if !v.Step() || len(order) != 1 || v.Elapsed() != time.Second {
-		t.Fatalf("Step: order = %v at %v, want the locked event at 1s", order, v.Elapsed())
+		t.Fatalf("Step: order = %v at %v, want the timer at 1s", order, v.Elapsed())
 	}
 	if at, ok := v.NextAt(); !ok || at.Sub(t0) != 2*time.Second {
-		t.Fatalf("NextAt = %v, %v; want the timeline event at 2s", at.Sub(t0), ok)
+		t.Fatalf("NextAt = %v, %v; want the Arm event at 2s", at.Sub(t0), ok)
 	}
 	if !v.Step() || len(order) != 2 || v.Elapsed() != 2*time.Second {
-		t.Fatalf("Step: order = %v at %v, want the timeline event at 2s", order, v.Elapsed())
+		t.Fatalf("Step: order = %v at %v, want the Arm event at 2s", order, v.Elapsed())
 	}
 	if fired := v.Run(time.Second); fired != 1 || v.Pending() != 1 {
 		t.Fatalf("Run(1s) fired %d leaving %d, want 1 and 1", fired, v.Pending())
@@ -96,24 +95,69 @@ func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
 	}
 }
 
-// TestVirtualMatchesSchedulerAcrossQueues arms a seeded mix of Arm and
-// AfterFunc events — few distinct delays, so most instants hold several
-// events from both queues — stops and resets some of the timers, pops in
-// between with Step, and wants exactly the order one sched.Scheduler
-// gives the same script.
-func TestVirtualMatchesSchedulerAcrossQueues(t *testing.T) {
+// model is the reference the clock is held to: a container/heap binary
+// heap of events ordered on (time, arming order), each knowing its index
+// so that Stop and Reset can take it out.
+type model []*armed
+
+type armed struct {
+	at    time.Duration
+	order int
+	id    int
+	index int // in the heap; -1 once fired or withdrawn
+}
+
+func (m model) Len() int { return len(m) }
+func (m model) Less(i, j int) bool {
+	return m[i].at < m[j].at || m[i].at == m[j].at && m[i].order < m[j].order
+}
+func (m model) Swap(i, j int) {
+	m[i], m[j] = m[j], m[i]
+	m[i].index, m[j].index = i, j
+}
+func (m *model) Push(x any) {
+	a := x.(*armed)
+	a.index = len(*m)
+	*m = append(*m, a)
+}
+func (m *model) Pop() any {
+	old := *m
+	a := old[len(old)-1]
+	*m = old[:len(old)-1]
+	a.index = -1
+	return a
+}
+
+// withdraw takes a out of the model, reporting whether it was pending.
+func (m *model) withdraw(a *armed) bool {
+	if a.index < 0 {
+		return false
+	}
+	heap.Remove(m, a.index)
+	return true
+}
+
+// TestVirtualMatchesModel arms a seeded mix of Arm and AfterFunc events —
+// few distinct delays, so most instants hold several events of both
+// kinds — stops and resets some of the timers, pops in between with
+// Step, and wants the model's order, times and pending counts.
+func TestVirtualMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := NewVirtual()
-	ref := sched.NewScheduler()
-	var got, want []int
+	var ref model
+	order := 0
+	arm := func(d time.Duration, id int) *armed {
+		order++
+		a := &armed{at: v.Elapsed() + d, order: order, id: id}
+		heap.Push(&ref, a)
+		return a
+	}
 	type timer struct {
 		tm  Timer
-		ev  sched.Event
-		fn  func()
-		ref func()
+		ref *armed
 	}
 	var timers []timer
-	now := func() sched.Time { return sched.Time(v.Elapsed()) }
+	var got []int
 	for step, id := 0, 0; step < 100000; step++ {
 		d := time.Duration(rng.Intn(4))
 		if rng.Intn(8) == 0 {
@@ -124,55 +168,49 @@ func TestVirtualMatchesSchedulerAcrossQueues(t *testing.T) {
 			id++
 			n := id
 			v.Arm(d, func() { got = append(got, n) })
-			ref.AtEvent(now()+sched.Time(d), func() { want = append(want, n) })
+			arm(d, n)
 		case op < 5:
 			id++
 			n := id
-			tm := timer{fn: func() { got = append(got, n) }, ref: func() { want = append(want, n) }}
-			tm.tm = v.AfterFunc(d, tm.fn)
-			tm.ev = ref.AtEvent(now()+sched.Time(d), tm.ref)
-			timers = append(timers, tm)
+			tm := v.AfterFunc(d, func() { got = append(got, n) })
+			timers = append(timers, timer{tm: tm, ref: arm(d, n)})
 		case op < 6 && len(timers) > 0:
 			tm := &timers[rng.Intn(len(timers))]
-			if a, b := tm.tm.Stop(), ref.Cancel(tm.ev); a != b {
-				t.Fatalf("step %d: Stop = %v, the reference's Cancel = %v", step, a, b)
+			if a, b := tm.tm.Stop(), ref.withdraw(tm.ref); a != b {
+				t.Fatalf("step %d: Stop = %v, the model had it pending: %v", step, a, b)
 			}
 		case op < 7 && len(timers) > 0:
 			tm := &timers[rng.Intn(len(timers))]
-			a, b := tm.tm.Reset(d), ref.Cancel(tm.ev)
-			tm.ev = ref.AtEvent(now()+sched.Time(d), tm.ref)
+			a, b := tm.tm.Reset(d), ref.withdraw(tm.ref)
+			tm.ref = arm(d, tm.ref.id)
 			if a != b {
-				t.Fatalf("step %d: Reset = %v, the reference's Cancel = %v", step, a, b)
+				t.Fatalf("step %d: Reset = %v, the model had it pending: %v", step, a, b)
 			}
 		default:
-			at, _ := ref.NextAt()
-			fn, ok := ref.PopDue(sched.Time(1) << 61)
-			if stepped := v.Step(); stepped != ok {
-				t.Fatalf("step %d: Step = %v, the reference has an event: %v", step, stepped, ok)
+			fired := len(got)
+			stepped := v.Step()
+			if stepped != (ref.Len() > 0) {
+				t.Fatalf("step %d: Step = %v with %d pending in the model", step, stepped, ref.Len())
 			}
-			if !ok {
+			if !stepped {
 				continue
 			}
-			fn()
-			if now() != at || v.Pending() != ref.Pending() {
-				t.Fatalf("step %d: clock at %d with %d pending, the reference at %d with %d",
-					step, now(), v.Pending(), at, ref.Pending())
+			want := heap.Pop(&ref).(*armed)
+			if len(got) != fired+1 || got[fired] != want.id || v.Elapsed() != want.at || v.Pending() != ref.Len() {
+				t.Fatalf("step %d: fired %v at %v with %d pending; the model fires %d at %v with %d",
+					step, got[fired:], v.Elapsed(), v.Pending(), want.id, want.at, ref.Len())
 			}
-		}
-		if len(got) != len(want) || len(got) > 0 && got[len(got)-1] != want[len(want)-1] {
-			t.Fatalf("step %d: fired %v, the reference %v", step, tail(got), tail(want))
 		}
 	}
 	if len(got) < 20000 {
-		t.Fatalf("only %d events fired: the script is not exercising the queues", len(got))
+		t.Fatalf("only %d events fired: the script is not exercising the queue", len(got))
 	}
 }
 
-func tail(s []int) []int { return s[max(0, len(s)-5):] }
-
-// TestTimelineEventsTakeNoLock: while the locked queue's earliest event
-// is later than the timeline's, firing takes no lock — the whole Advance
-// runs with the clock's mutex held by someone else.
+// TestTimelineEventsTakeNoLock: once the owner has collected what timers
+// posted (the Arm after the AfterFunc here does), arming and firing take
+// no lock while no timer is armed — the whole Advance runs with the
+// clock's mutex held by someone else.
 func TestTimelineEventsTakeNoLock(t *testing.T) {
 	v := NewVirtual()
 	v.AfterFunc(time.Hour, func() {})
@@ -197,7 +235,7 @@ func TestTimelineEventsTakeNoLock(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("an advance over timeline events alone waited for the clock's lock")
+		t.Fatal("an advance over Arm events alone waited for the clock's lock")
 	}
 	v.mu.Unlock()
 	if fired != 1000 || v.Pending() != 2 {
@@ -206,10 +244,10 @@ func TestTimelineEventsTakeNoLock(t *testing.T) {
 }
 
 // TestConcurrentTimersWhileOwnerRunsTimeline is the race-detector case:
-// the owner fires 100k timeline events while another goroutine arms,
-// stops and resets timers on the locked queue and reads the time. Every
-// arming that was not stopped fires exactly once; time never runs
-// backwards for either side.
+// the owner fires 100k Arm events while another goroutine arms, stops and
+// resets timers through the inbox and reads the time. Every arming that
+// was not stopped fires exactly once; time never runs backwards for
+// either side.
 func TestConcurrentTimersWhileOwnerRunsTimeline(t *testing.T) {
 	v := NewVirtual()
 	const events = 100000
@@ -259,7 +297,7 @@ func TestConcurrentTimersWhileOwnerRunsTimeline(t *testing.T) {
 	var chain func()
 	chain = func() {
 		if now := v.Elapsed(); now < prev {
-			t.Errorf("timeline event %d fired at %v after %v", fired, now, prev)
+			t.Errorf("Arm event %d fired at %v after %v", fired, now, prev)
 		} else {
 			prev = now
 		}
@@ -273,7 +311,7 @@ func TestConcurrentTimersWhileOwnerRunsTimeline(t *testing.T) {
 	wg.Wait()
 	v.Advance(time.Second) // whatever the other goroutine armed last
 	if fired != events {
-		t.Fatalf("fired %d timeline events, want %d", fired, events)
+		t.Fatalf("fired %d Arm events, want %d", fired, events)
 	}
 	if timerFired != armed || v.Pending() != 0 {
 		t.Fatalf("timers fired %d times for %d armings left standing, %d events still pending", timerFired, armed, v.Pending())

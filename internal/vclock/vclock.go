@@ -11,10 +11,15 @@
 // the failure detector's heartbeat loop, the runtime proxy's expiry
 // timers, the gateway's reconnect backoff, the Local transport's delay
 // lines — threaded from the facade's WithClock option. A nil Clock
-// everywhere means Real, so existing callers are untouched.
+// everywhere means Real, so existing callers are untouched. The periodic
+// loops among them (the sweeper, the rebalancer, the heartbeat) are one
+// helper, Every.
 package vclock
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Clock is the time surface the subsystems consume. All methods mirror
 // their package-time counterparts.
@@ -103,3 +108,49 @@ type realTicker struct{ t *time.Ticker }
 
 func (r realTicker) C() <-chan time.Time { return r.t.C }
 func (r realTicker) Stop()               { r.t.Stop() }
+
+// Every runs fn every d on clk (nil: the real clock) until stop is
+// called: a chain of AfterFunc timers in which each tick runs fn and then
+// re-arms, so ticks never overlap, no goroutine exists between them, and
+// on a Virtual clock they run on the advancing goroutine. No tick starts
+// after stop returns; one already running finishes fn and does not
+// re-arm. stop may be called more than once.
+func Every(clk Clock, d time.Duration, fn func()) (stop func()) {
+	e := &every{d: d, fn: fn}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.timer = Or(clk).AfterFunc(d, e.tick)
+	return e.stop
+}
+
+// every is one Every chain; timer is nil once stopped.
+type every struct {
+	d     time.Duration
+	fn    func()
+	mu    sync.Mutex
+	timer Timer
+}
+
+func (e *every) tick() {
+	e.mu.Lock()
+	stopped := e.timer == nil
+	e.mu.Unlock()
+	if stopped {
+		return
+	}
+	e.fn()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.timer != nil {
+		e.timer.Reset(e.d)
+	}
+}
+
+func (e *every) stop() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.timer != nil {
+		e.timer.Stop()
+		e.timer = nil
+	}
+}

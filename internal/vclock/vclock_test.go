@@ -109,6 +109,65 @@ func TestVirtualTickerAndStop(t *testing.T) {
 	}
 }
 
+// TestTickerStopsWhileOwnerFiresItsTicks is the race-detector case for a
+// ticker: another goroutine stops it while the owner is firing its ticks.
+// Once Stop has returned, and a tick already under way has landed, one
+// more Advance delivers nothing and leaves nothing pending.
+func TestTickerStopsWhileOwnerFiresItsTicks(t *testing.T) {
+	for round := 1; round <= 20; round++ {
+		v := NewVirtual()
+		tk := v.NewTicker(time.Millisecond)
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			for i := 0; i < round; i++ {
+				<-tk.C()
+			}
+			tk.Stop()
+		}()
+		for done := false; !done; {
+			v.Advance(100 * time.Millisecond)
+			select {
+			case <-stopped:
+				done = true
+			default:
+			}
+		}
+		select {
+		case <-tk.C(): // the tick the owner was delivering as Stop ran
+		default:
+		}
+		v.Advance(time.Second)
+		select {
+		case <-tk.C():
+			t.Fatalf("round %d: a tick arrived after Stop returned", round)
+		default:
+		}
+		if n := v.Pending(); n != 0 {
+			t.Fatalf("round %d: %d events pending after Stop", round, n)
+		}
+	}
+}
+
+// TestEveryTicksUntilStopped: Every runs fn once per interval; a stop from
+// inside fn ends the chain without another tick, and stop may be called
+// again.
+func TestEveryTicksUntilStopped(t *testing.T) {
+	v := NewVirtual()
+	ticks := 0
+	var stop func()
+	stop = Every(v, time.Second, func() {
+		if ticks++; ticks == 5 {
+			stop()
+		}
+	})
+	v.Advance(10 * time.Second)
+	if ticks != 5 || v.Pending() != 0 || v.Elapsed() != 10*time.Second {
+		t.Fatalf("ticks = %d with %d pending, want 5 and 0", ticks, v.Pending())
+	}
+	stop()
+}
+
 func TestVirtualSameInstantOrder(t *testing.T) {
 	// Two events due at the same instant fire in arming order — the
 	// determinism the trace-diff test leans on.
@@ -183,21 +242,36 @@ func TestVirtualStepFiresOneEvent(t *testing.T) {
 }
 
 // TestResetDoesNotGrowHeap: a timer re-armed in a loop (every lease
-// renewal on a virtual clock) occupies one heap entry, not one per Reset
-// — Pending and NextAt, the harness's deadlock probe, stay exact.
+// renewal on a virtual clock) leaves a bounded number of entries queued,
+// withdrawn ones included, not one per Reset — whether the owner collects
+// the inbox between Resets (the first half: the queue's sweep bounds it)
+// or not (the second half: the inbox's) — and Pending and NextAt, the
+// harness's deadlock probe, stay exact.
 func TestResetDoesNotGrowHeap(t *testing.T) {
 	v := NewVirtual()
 	fired := 0
 	tm := v.AfterFunc(time.Hour, func() { fired++ })
-	for i := 1; i <= 100000; i++ {
+	stored := func() int {
+		v.mu.Lock()
+		defer v.mu.Unlock()
+		return len(v.inbox) + v.queue.Len()
+	}
+	const resets = 100000
+	for i := 1; i <= resets; i++ {
 		if !tm.Reset(time.Hour + time.Duration(i)) {
 			t.Fatalf("Reset %d of an armed timer reported unarmed", i)
+		}
+		if i <= resets/2 && i%10 == 0 && v.Pending() != 1 {
+			t.Fatalf("pending = %d after %d Resets of one timer, want 1", v.Pending(), i)
+		}
+		if n := stored(); n > 100 {
+			t.Fatalf("%d entries queued after %d Resets of one timer", n, i)
 		}
 	}
 	if v.Pending() != 1 {
 		t.Fatalf("pending = %d after 1e5 Resets of one timer, want 1", v.Pending())
 	}
-	if at, ok := v.NextAt(); !ok || at.Sub(v.Now()) != time.Hour+100000 {
+	if at, ok := v.NextAt(); !ok || at.Sub(v.Now()) != time.Hour+resets {
 		t.Fatalf("NextAt = %v, %v; want the last Reset's deadline", at, ok)
 	}
 	v.Advance(2 * time.Hour)

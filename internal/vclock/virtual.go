@@ -3,6 +3,7 @@ package vclock
 import (
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,12 +15,12 @@ import (
 // when Advance, Step, Run or Drain says so, and everything scheduled on the
 // clock (timers, tickers, AfterFunc chains, Sleeps, a simulation's events)
 // fires as ordered events on the goroutine doing the advancing. The event
-// queues are internal/sched's, with one tick per nanosecond — the
+// queue is internal/sched's Timeline, with one tick per nanosecond — the
 // discrete event core and the wall-clock surface are the same machine.
 //
-// Ordering is total and reproducible: events fire in (time, scheduling
-// order) — two events due at the same instant fire in the order they
-// were armed, every run, whichever of the two queues below each is on.
+// Ordering is total and reproducible: events fire in (time, arming order)
+// — two events due at the same instant fire in the order they were armed,
+// every run, however and by whichever goroutine each was armed.
 //
 // Concurrency model. The clock itself is safe for concurrent use (any
 // goroutine may read Now or arm, stop and reset timers), but virtual time
@@ -27,18 +28,25 @@ import (
 // the test, or the simulator's loop — calls Advance/Step/Run/Drain, and
 // event callbacks run synchronously on it.
 //
-// That split is two queues. Timers, tickers, AfterFunc and Sleep live on
-// a cancellable queue under the clock's lock. Arm puts an event on the
-// owner's timeline instead: a handle-less queue that only the owner
-// touches — Arm may be called from an event callback, or between
-// advances by the goroutine that makes them, and from nowhere else — so
-// it takes no lock. The owner fires the earlier of the two queues' heads;
-// it looks at the locked queue only when that queue's earliest due time,
-// which every change to it publishes, says it could be next. A callback
-// that has returned is complete, so a timeline made only of Arm events
-// (the simulator's) costs a queue pop and the callback per event, nothing
-// else. Pending and NextAt count the timeline too, and are therefore the
-// owner's to call once anything has been armed on it.
+// There is one queue, and only the owner touches it. Arm pushes onto it
+// directly, so Arm may be called from an event callback, or between
+// advances by the goroutine that makes them, and from nowhere else.
+// Timers, tickers, AfterFunc and Sleep may be armed from any goroutine:
+// they are posted to an inbox under the clock's lock, and the owner moves
+// the inbox onto the queue, in posting order, before every Arm and every
+// pop — so events fire in arming order however they were armed, with no
+// sequence number. The owner takes the lock only when something was posted
+// since it last looked: a run made only of Arm events (the simulator's)
+// costs a queue pop and the callback per event, nothing else.
+//
+// Stop and Reset withdraw lazily. A timer's state word counts its armings,
+// and the event an arming queues carries the value it set: the owner fires
+// the event only if it can move the word on from that value, so a timer
+// fires at most once per arming, and a withdrawn event is dropped when it
+// comes up. Withdrawn events are swept out of the inbox when it fills and
+// off the queue when they outnumber the live ones, so a timer reset in a
+// loop grows neither. Pending and NextAt are exact, and are the owner's to
+// call: both collect the inbox and read the queue.
 //
 // Other goroutines come in two kinds. Goroutines that park on virtual
 // time (Sleep, a timer channel) register with Go so the clock can
@@ -67,25 +75,26 @@ type Virtual struct {
 	// it; anyone may read it.
 	now atomic.Int64
 
-	mu    sync.Mutex
-	sched *sched.Scheduler // the locked queue; guarded by mu
-	// lockedDue and lockedSeq are what the owner needs to know about the
-	// locked queue without taking mu: when its earliest event is due (never
-	// when it is empty) and how many events were ever armed on it. Written
-	// under mu by publishLocked.
-	lockedDue atomic.Int64
-	lockedSeq atomic.Uint64
+	mu         sync.Mutex
+	inbox      []posted // armed off the owner, in arming order; guarded by mu
+	inboxLimit int      // the inbox length that sweeps it; guarded by mu
+	// posts counts the events ever posted to the inbox. It moves under mu;
+	// the owner compares it with taken to learn, without the lock, whether
+	// the inbox holds anything.
+	posts  atomic.Uint64
+	timers atomic.Int64 // armed timers: each has one live event queued
 
-	// The owner's: the timeline and the count of events fired from either
-	// queue. An Arm event carries the lockedSeq it was armed under, which
-	// places it among the locked queue's events: after those armed before
-	// it, before those armed later.
-	timeline sched.Timeline
-	fired    uint64
+	// The owner's: the queue, how many posts it has taken off the inbox,
+	// how many of its events belong to no timer (Arm, Sleep), and how many
+	// events fired.
+	queue sched.Timeline[event]
+	taken uint64
+	plain int
+	fired uint64
 
 	workers  atomic.Int64  // goroutines registered via Go
 	idle     atomic.Int64  // registered workers currently parked in Block/Sleep
-	activity atomic.Uint64 // bumped on park transitions; with lockedSeq, settle's stability check
+	activity atomic.Uint64 // bumped on park transitions; with posts, settle's stability check
 
 	// handoff is set by an event that passed something to another
 	// goroutine and cleared by the advancing goroutine when it spends the
@@ -93,6 +102,22 @@ type Virtual struct {
 	handoff atomic.Bool
 	// yieldRounds counts blind yield rounds, for the settle-rule tests.
 	yieldRounds atomic.Uint64
+}
+
+// event is one queued callback. A timer's carries the timer and the state
+// its arming set, and is withdrawn once the timer has left that state.
+type event struct {
+	fire func()
+	t    *vtimer // nil: an Arm or a Sleep, never withdrawn
+	gen  uint64
+}
+
+func withdrawn(e event) bool { return e.t != nil && e.t.state.Load() != e.gen }
+
+// posted is an inbox entry: an event and when it is due.
+type posted struct {
+	at sched.Time
+	ev event
 }
 
 // settleYields is how many scheduler yields one settle round spends
@@ -106,23 +131,10 @@ const settleTimeout = 10 * time.Second
 // never is the due time of nothing: later than any event.
 const never = sched.Time(1)<<62 - 1
 
-// due is a queue's NextAt as one value: never when the queue is empty.
-func due(at sched.Time, ok bool) sched.Time {
-	if !ok {
-		return never
-	}
-	return at
-}
-
 // NewVirtual returns a virtual clock at a fixed epoch (2000-01-01 UTC —
 // arbitrary, non-zero so lease deadlines survive IsZero checks).
 func NewVirtual() *Virtual {
-	v := &Virtual{
-		sched: sched.NewScheduler(),
-		base:  time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC),
-	}
-	v.lockedDue.Store(int64(never))
-	return v
+	return &Virtual{base: time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)}
 }
 
 // Now returns the current virtual time.
@@ -137,62 +149,85 @@ func (v *Virtual) Until(t time.Time) time.Duration { return t.Sub(v.Now()) }
 // Elapsed returns how much virtual time has passed since the epoch.
 func (v *Virtual) Elapsed() time.Duration { return time.Duration(v.now.Load()) }
 
-// Pending reports the number of scheduled, not-yet-fired events, on both
-// queues (see the concurrency model for who may ask).
+// Pending reports the number of scheduled, not-yet-fired events. Owner
+// only (see the concurrency model).
 func (v *Virtual) Pending() int {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.sched.Pending() + v.timeline.Len()
+	v.collect()
+	return v.plain + int(v.timers.Load())
 }
 
-// NextAt reports when the earliest pending event on either queue is due,
-// or false when nothing is scheduled — the harness's deadlock probe:
-// workload not done and nothing pending means the protocol lost a grant.
+// NextAt reports when the earliest pending event is due, or false when
+// nothing is scheduled — the harness's deadlock probe: workload not done
+// and nothing pending means the protocol lost a grant. Owner only.
 func (v *Virtual) NextAt() (time.Time, bool) {
-	at := min(due(v.timeline.NextAt()), sched.Time(v.lockedDue.Load()))
-	if at == never {
+	if live := v.Pending(); v.queue.Len() > live {
+		v.queue.Cancel(withdrawn) // the head may be an event that will not fire
+	}
+	at, ok := v.queue.NextAt()
+	if !ok {
 		return time.Time{}, false
 	}
 	return v.base.Add(time.Duration(at)), true
 }
 
-// Arm schedules fn to run once, d from now, on the owner's timeline: the
-// handle-less, lock-free counterpart of AfterFunc for a caller that is
-// the advancing goroutine (in an event callback, or between advances) and
-// will never cancel. Any other caller must use AfterFunc.
+// Arm schedules fn to run once, d from now: the handle-less, lock-free
+// counterpart of AfterFunc for a caller that is the advancing goroutine
+// (in an event callback, or between advances) and will never cancel. Any
+// other caller must use AfterFunc.
 func (v *Virtual) Arm(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	v.timeline.Push(sched.Time(v.now.Load()+int64(d)), v.lockedSeq.Load(), fn)
+	v.collect()
+	v.plain++
+	v.queue.Push(v.due(d), event{fire: fn})
 }
 
-// scheduleLocked arms one event d from now on the locked queue and
-// returns its handle. Caller holds v.mu, and publishes the change before
-// releasing it (unlockChanged).
-func (v *Virtual) scheduleLocked(d time.Duration, fn func()) sched.Event {
-	if d < 0 {
-		d = 0
-	}
-	return v.sched.AtEvent(sched.Time(v.now.Load()+int64(d)), fn)
+// due is the queue time d from now; a negative d is now.
+func (v *Virtual) due(d time.Duration) sched.Time {
+	return sched.Time(v.now.Load() + int64(max(d, 0)))
 }
 
-// publishLocked tells the owner what a change to the locked queue left
-// there. The due time goes first: an owner that armed a timeline event
-// under the new count then finds the locked event it sorts behind. Caller
-// holds v.mu.
-func (v *Virtual) publishLocked() {
-	if at := int64(due(v.sched.NextAt())); at != v.lockedDue.Load() {
-		v.lockedDue.Store(at)
+// post puts e on the inbox, due d from now. An inbox at its limit is
+// first swept of the events withdrawn since they were posted, and may
+// then grow to twice what is left. Caller holds v.mu.
+func (v *Virtual) post(d time.Duration, e event) {
+	if len(v.inbox) >= v.inboxLimit {
+		v.inbox = slices.DeleteFunc(v.inbox, func(p posted) bool { return withdrawn(p.ev) })
+		v.inboxLimit = max(64, 2*len(v.inbox))
 	}
-	if seq := v.sched.Seq(); seq != v.lockedSeq.Load() {
-		v.lockedSeq.Store(seq)
+	v.inbox = append(v.inbox, posted{at: v.due(d), ev: e})
+	v.posts.Add(1)
+}
+
+// collect moves the inbox onto the queue, in posting order, dropping what
+// was withdrawn meanwhile, and sweeps the queue once its withdrawn events
+// outnumber the live ones. Owner only; it takes the lock only when
+// something was posted since it last ran, and is small enough to inline
+// into Arm and popDue when nothing was.
+func (v *Virtual) collect() {
+	if v.posts.Load() != v.taken {
+		v.collectLocked()
 	}
 }
 
-// unlockChanged releases v.mu after a change to the locked queue.
-func (v *Virtual) unlockChanged() {
-	v.publishLocked()
+func (v *Virtual) collectLocked() {
+	v.mu.Lock()
+	// An event posted by a goroutine that read the time while the owner was
+	// moving it is due in the past: it fires now.
+	now := sched.Time(v.now.Load())
+	for _, p := range v.inbox {
+		if withdrawn(p.ev) {
+			continue
+		}
+		if p.ev.t == nil {
+			v.plain++
+		}
+		v.queue.Push(max(p.at, now), p.ev)
+	}
+	clear(v.inbox)
+	v.inbox = v.inbox[:0]
+	v.taken = v.posts.Load()
+	if v.queue.Len() > 2*(v.plain+int(v.timers.Load())) {
+		v.queue.Cancel(withdrawn)
+	}
 	v.mu.Unlock()
 }
 
@@ -243,10 +278,10 @@ func (v *Virtual) settle() {
 	}
 	deadline := time.Now().Add(settleTimeout)
 	for {
-		gen := v.activity.Load() + v.lockedSeq.Load() // moves when a worker parks, wakes or arms a timer
+		gen := v.activity.Load() + v.posts.Load() // moves when a worker parks, wakes or arms a timer
 		if v.idle.Load() >= v.workers.Load() {
 			v.yield()
-			if v.activity.Load()+v.lockedSeq.Load() == gen && v.idle.Load() >= v.workers.Load() {
+			if v.activity.Load()+v.posts.Load() == gen && v.idle.Load() >= v.workers.Load() {
 				return
 			}
 		} else {
@@ -269,50 +304,30 @@ func (v *Virtual) settleAfterEvent() {
 	}
 }
 
-// popDue removes the earliest pending event due at or before target, from
-// whichever queue holds it, moves the clock to it and returns its
-// callback; false when nothing is due by then. Owner only. While the
-// locked queue's published due time is later than the timeline's head
-// this takes no lock.
+// popDue removes the earliest live event due at or before target, moves
+// the clock to it and returns its callback; false when nothing is due by
+// then. Owner only. A timer's event fires only if it claims the arming
+// it was queued for; one whose timer was stopped or re-armed since is
+// dropped.
 func (v *Virtual) popDue(target sched.Time) (func(), bool) {
-	at := due(v.timeline.NextAt())
-	if locked := sched.Time(v.lockedDue.Load()); locked <= at && locked <= target {
-		if fn, ok := v.popLockedBefore(at, target); ok {
-			return fn, true
+	v.collect()
+	for {
+		if at, ok := v.queue.NextAt(); !ok || at > target {
+			return nil, false
 		}
-	}
-	if at == never || at > target {
-		return nil, false
-	}
-	at, fn := v.timeline.Pop()
-	v.now.Store(int64(at))
-	v.fired++
-	return fn, true
-}
-
-// popLockedBefore pops the locked queue's head if it is due by target
-// (still: a timer may have been stopped since its due time was read) and
-// fires before the timeline's head, due at timelineAt (never: the
-// timeline is empty): earlier, or at the same instant and armed first.
-func (v *Virtual) popLockedBefore(timelineAt, target sched.Time) (func(), bool) {
-	v.mu.Lock()
-	at, ok := v.sched.NextAt()
-	if !ok || at > target || at > timelineAt ||
-		at == timelineAt && v.sched.NextSeq() > v.timeline.NextSeq() {
-		v.mu.Unlock()
-		return nil, false
-	}
-	fn, _ := v.sched.PopDue(at)
-	// An event armed by a goroutine that read the time while the owner
-	// was moving it is due in the past: it fires now, and time stands.
-	// The time moves under the lock so that no arming computes a due time
-	// before an event this queue has already popped.
-	if int64(at) > v.now.Load() {
+		at, e := v.queue.Pop()
+		switch {
+		case e.t == nil:
+			v.plain--
+		case e.t.state.CompareAndSwap(e.gen, e.gen+1):
+			v.timers.Add(-1)
+		default:
+			continue
+		}
 		v.now.Store(int64(at))
+		v.fired++
+		return e.fire, true
 	}
-	v.fired++
-	v.unlockChanged()
-	return fn, true
 }
 
 // Step settles, then fires the single earliest pending event (whatever
@@ -344,7 +359,7 @@ func (v *Virtual) Advance(d time.Duration) {
 
 // Run is Advance that reports how many events fired: it fires every
 // event due within horizon of virtual time and, like Advance, leaves the
-// clock at the horizon even when the queues drained earlier.
+// clock at the horizon even when the queue drained earlier.
 func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
 	before := v.fired
 	v.Advance(horizon)
@@ -354,8 +369,8 @@ func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
 // Drain fires pending events in order, whatever their time, until none
 // remain or limit have fired, leaving the clock at the last event fired
 // — a closed-loop simulation run to quiescence. It reports how many
-// fired and whether the queues drained; the limit is the caller's guard
-// against a timeline that never quiesces.
+// fired and whether the queue drained; the limit is the caller's guard
+// against a run that never quiesces.
 func (v *Virtual) Drain(limit uint64) (fired uint64, drained bool) {
 	v.settle()
 	for fired < limit {
@@ -394,7 +409,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 	}
 	done := make(chan struct{})
 	v.mu.Lock()
-	v.scheduleLocked(d, func() {
+	v.post(d, event{fire: func() {
 		// The sleeper is runnable from here on, whether or not it has been
 		// scheduled yet: the waker takes it off the idle count, so settle
 		// waits for it to park again or finish instead of racing it.
@@ -402,10 +417,9 @@ func (v *Virtual) Sleep(d time.Duration) {
 		v.activity.Add(1)
 		v.handoff.Store(true)
 		close(done)
-	})
+	}})
 	// Parked from here on, and only once the wake-up is where the owner
 	// looks for it: an owner that finds every worker idle finds the event.
-	v.publishLocked()
 	v.idle.Add(1)
 	v.mu.Unlock()
 	<-done
@@ -420,7 +434,8 @@ func (v *Virtual) After(d time.Duration) <-chan time.Time {
 func (v *Virtual) NewTimer(d time.Duration) Timer {
 	t := &vtimer{v: v, ch: make(chan time.Time, 1)}
 	t.fire = t.send
-	return t.arm(d)
+	t.Reset(d)
+	return t
 }
 
 // AfterFunc schedules fn to run once, d from now, on the advancing
@@ -428,7 +443,8 @@ func (v *Virtual) NewTimer(d time.Duration) Timer {
 // C is nil, like time.AfterFunc's.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	t := &vtimer{v: v, fire: fn}
-	return t.arm(d)
+	t.Reset(d)
+	return t
 }
 
 // NewTicker returns a ticker firing every d of virtual time. Ticks a
@@ -438,36 +454,63 @@ func (v *Virtual) NewTicker(d time.Duration) Ticker {
 	if d <= 0 {
 		panic("vclock: non-positive ticker interval")
 	}
-	t := &vticker{v: v, ch: make(chan time.Time, 1), d: d}
+	t := &vticker{vtimer: vtimer{v: v, ch: make(chan time.Time, 1)}, d: d}
 	t.fire = t.tick
-	v.mu.Lock()
-	t.ev = v.scheduleLocked(d, t.fire)
-	v.unlockChanged()
+	t.Reset(d)
 	return t
 }
 
-// vtimer is one virtual timer: a scheduled event handle plus the
-// callback it fires — the AfterFunc function itself, or send for a
-// channel timer. fire is bound once, at construction, so re-arming the
-// timer allocates nothing; the handle goes stale by itself when the
-// event fires, so firing needs no bookkeeping either.
+// vtimer is one virtual timer. fire is its callback — the AfterFunc
+// function itself, or send for a channel timer — bound once, so re-arming
+// allocates nothing. state counts armings: odd while one is pending, one
+// more once it fires or is stopped, the next odd number when the timer is
+// armed again.
 type vtimer struct {
-	v    *Virtual
-	ch   chan time.Time // cap 1; nil for AfterFunc timers
-	fire func()
-	ev   sched.Event // guarded by v.mu
+	v     *Virtual
+	ch    chan time.Time // cap 1; nil for AfterFunc timers
+	fire  func()
+	state atomic.Uint64
 }
 
-func (t *vtimer) arm(d time.Duration) *vtimer {
+func (t *vtimer) C() <-chan time.Time { return t.ch }
+
+func (t *vtimer) Reset(d time.Duration) bool {
 	t.v.mu.Lock()
-	t.ev = t.v.scheduleLocked(d, t.fire)
-	t.v.unlockChanged()
-	return t
+	defer t.v.mu.Unlock()
+	return t.armLocked(d)
 }
 
-// send is a channel timer's scheduler callback; it runs on the advancing
-// goroutine and outside v.mu (popDue returns the callback unlocked
-// precisely so callbacks can re-enter the clock).
+// armLocked starts a new arming, d from now, withdrawing a pending one,
+// and reports whether there was one. Caller holds v.mu.
+func (t *vtimer) armLocked(d time.Duration) bool {
+	for {
+		s := t.state.Load()
+		gen := s + 1 + s&1 // the next odd number
+		if t.state.CompareAndSwap(s, gen) {
+			if s&1 == 0 {
+				t.v.timers.Add(1)
+			}
+			t.v.post(d, event{fire: t.fire, t: t, gen: gen})
+			return s&1 == 1
+		}
+	}
+}
+
+func (t *vtimer) Stop() bool {
+	for {
+		s := t.state.Load()
+		if s&1 == 0 {
+			return false
+		}
+		if t.state.CompareAndSwap(s, s+1) {
+			t.v.timers.Add(-1)
+			return true
+		}
+	}
+}
+
+// send is a channel timer's callback; it runs on the advancing goroutine,
+// outside v.mu.
 func (t *vtimer) send() {
 	now := t.v.Now()
 	t.v.handoff.Store(true)
@@ -477,30 +520,11 @@ func (t *vtimer) send() {
 	}
 }
 
-func (t *vtimer) C() <-chan time.Time { return t.ch }
-
-func (t *vtimer) Stop() bool {
-	t.v.mu.Lock()
-	defer t.v.unlockChanged()
-	return t.v.sched.Cancel(t.ev)
-}
-
-func (t *vtimer) Reset(d time.Duration) bool {
-	t.v.mu.Lock()
-	defer t.v.unlockChanged()
-	armed := t.v.sched.Cancel(t.ev)
-	t.ev = t.v.scheduleLocked(d, t.fire)
-	return armed
-}
-
-// vticker is one virtual ticker: an event that re-arms itself each fire.
+// vticker is one virtual ticker: a timer each tick of which arms the next.
 type vticker struct {
-	v       *Virtual
-	ch      chan time.Time
+	vtimer
 	d       time.Duration
-	fire    func()      // tick, bound once
-	ev      sched.Event // guarded by v.mu
-	stopped bool        // guarded by v.mu
+	stopped bool // guarded by v.mu
 }
 
 func (t *vticker) tick() {
@@ -509,21 +533,14 @@ func (t *vticker) tick() {
 		t.v.mu.Unlock()
 		return
 	}
-	now := t.v.Now()
-	t.ev = t.v.scheduleLocked(t.d, t.fire)
-	t.v.unlockChanged()
-	t.v.handoff.Store(true)
-	select {
-	case t.ch <- now:
-	default:
-	}
+	t.armLocked(t.d)
+	t.v.mu.Unlock()
+	t.send()
 }
-
-func (t *vticker) C() <-chan time.Time { return t.ch }
 
 func (t *vticker) Stop() {
 	t.v.mu.Lock()
-	defer t.v.unlockChanged()
+	defer t.v.mu.Unlock()
 	t.stopped = true
-	t.v.sched.Cancel(t.ev)
+	t.vtimer.Stop()
 }
