@@ -27,3 +27,41 @@ func TestAllocBudgetTimelinePushPop(t *testing.T) {
 		t.Errorf("push/cancel/pop round = %.2f allocs, want 0", avg)
 	}
 }
+
+// TestAllocBudgetSchedulerPushPopCancel: used as a scheduler of callbacks,
+// the way the virtual clock uses it, the timeline schedules, cancels and
+// fires events without allocating once its buckets have reached their
+// high-water mark — events live by value in the buckets and need no
+// handle.
+func TestAllocBudgetSchedulerPushPopCancel(t *testing.T) {
+	type event struct {
+		id int
+		fn func()
+	}
+	var tl Timeline[event]
+	fired := 0
+	fn := func() { fired++ }
+	even := func(e event) bool { return e.id%2 == 0 }
+	now := Time(0)
+	round := func() {
+		for i := 0; i < 64; i++ {
+			tl.Push(now+Time(1+i%7), event{id: i, fn: fn})
+		}
+		tl.Cancel(even)
+		for tl.Len() > 0 {
+			var e event
+			now, e = tl.Pop()
+			e.fn()
+		}
+	}
+	round()
+	if fired != 32 {
+		t.Fatalf("fired %d events of 64 with every even one cancelled, want 32", fired)
+	}
+	if avg := testing.AllocsPerRun(200, round); avg != 0 {
+		t.Errorf("push/cancel/pop round = %.2f allocs, want 0", avg)
+	}
+	if tl.Len() != 0 {
+		t.Fatalf("Len = %d after the rounds drained", tl.Len())
+	}
+}
