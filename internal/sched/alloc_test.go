@@ -28,40 +28,51 @@ func TestAllocBudgetTimelinePushPop(t *testing.T) {
 	}
 }
 
-// TestAllocBudgetSchedulerPushPopCancel: used as a scheduler of callbacks,
-// the way the virtual clock uses it, the timeline schedules, cancels and
-// fires events without allocating once its buckets have reached their
-// high-water mark — events live by value in the buckets and need no
-// handle.
+// TestAllocBudgetSchedulerPushPopCancel: used the way the virtual clock
+// uses it — callbacks that schedule their successors as they fire, and a
+// sweep of withdrawn events while the events of one instant are only
+// partly fired — the timeline fires the right events and allocates
+// nothing once its buckets have reached their high-water mark.
 func TestAllocBudgetSchedulerPushPopCancel(t *testing.T) {
 	type event struct {
-		id int
-		fn func()
+		id   int
+		fire func(id int)
 	}
 	var tl Timeline[event]
-	fired := 0
-	fn := func() { fired++ }
-	even := func(e event) bool { return e.id%2 == 0 }
-	now := Time(0)
-	round := func() {
-		for i := 0; i < 64; i++ {
-			tl.Push(now+Time(1+i%7), event{id: i, fn: fn})
+	now, fired := Time(0), 0
+	var fire func(id int)
+	fire = func(id int) {
+		fired++
+		if id < 32 {
+			tl.Push(now+Time(1+id%5), event{id: id + 32, fire: fire})
 		}
-		tl.Cancel(even)
+	}
+	pop := func() {
+		var e event
+		now, e = tl.Pop()
+		e.fire(e.id)
+	}
+	withdrawn := func(e event) bool { return e.id%4 == 3 }
+	round := func() {
+		for i := 0; i < 32; i++ {
+			tl.Push(now+1, event{id: i, fire: fire})
+		}
+		for i := 0; i < 8; i++ {
+			pop()
+		}
+		tl.Cancel(withdrawn) // 8 of the 32 fired, 8 successors pending
 		for tl.Len() > 0 {
-			var e event
-			now, e = tl.Pop()
-			e.fn()
+			pop()
 		}
 	}
 	round()
-	if fired != 32 {
-		t.Fatalf("fired %d events of 64 with every even one cancelled, want 32", fired)
+	// 8 fire before the sweep, which takes 2 of their 8 successors and 6
+	// of the other 24; the 6 successors left, the 18 others and their 18
+	// successors fire after it.
+	if fired != 50 {
+		t.Fatalf("fired %d events, want 8+6+18+18 = 50", fired)
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
-		t.Errorf("push/cancel/pop round = %.2f allocs, want 0", avg)
-	}
-	if tl.Len() != 0 {
-		t.Fatalf("Len = %d after the rounds drained", tl.Len())
+		t.Errorf("push/pop/sweep round = %.2f allocs, want 0", avg)
 	}
 }

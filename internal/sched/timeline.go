@@ -1,13 +1,9 @@
 // Package sched holds the deterministic event queue under
 // internal/vclock's Virtual clock, which supplies the time (one tick = one
-// nanosecond), the locking and the withdrawal of timers. The package is a
-// leaf so vclock and sim can share Time and Hop without an import cycle —
-// sim re-exports them as aliases, so experiment code keeps saying
-// sim.Time.
-//
-// Timeline fires in (time, scheduling order): two events due at the same
-// instant fire in the order they were pushed, every run. That total order
-// is what makes trace diffs byte-stable across runs.
+// nanosecond), the locking and the withdrawal of timers. Its Timeline
+// fires in (time, push order), every run: the total order that keeps trace
+// diffs byte-stable. The package is a leaf so vclock and sim can share
+// Time and Hop without an import cycle (sim re-exports them as aliases).
 package sched
 
 import (
@@ -62,14 +58,14 @@ func (t *Timeline[E]) Len() int { return t.n }
 
 // Push schedules ev at time at. While events are pending, at must not be
 // before the last event popped: that would silently corrupt causality, so
-// it panics. An empty timeline has nothing a push could overtake, and
-// takes any time.
+// it panics. An empty timeline has nothing a push could overtake: it
+// starts again from time zero, so neither this push nor the ones after it
+// are held to the times popped before.
 func (t *Timeline[E]) Push(at Time, ev E) {
-	if at < t.last {
-		if t.n > 0 {
-			panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", at, t.last))
-		}
-		t.last = at
+	if t.n == 0 {
+		t.last = 0
+	} else if at < t.last {
+		panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", at, t.last))
 	}
 	t.n++
 	t.put(entry[E]{at: at, ev: ev})

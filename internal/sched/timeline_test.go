@@ -36,13 +36,14 @@ func TestTimelineFiresInTimeThenPushOrder(t *testing.T) {
 }
 
 // TestTimelinePastSchedulingPanics: with an event pending, a push before
-// the last pop panics; an emptied timeline takes a push at any time.
+// the last pop panics; an emptied timeline takes pushes at any times, in
+// any order.
 func TestTimelinePastSchedulingPanics(t *testing.T) {
 	var tl Timeline[int]
 	tl.Push(10, 0)
 	tl.Pop()
-	tl.Push(9, 1) // nothing pending: nothing to overtake
-	tl.Push(20, 2)
+	tl.Push(20, 2) // nothing pending: nothing to overtake
+	tl.Push(9, 1)
 	if at, id := tl.Pop(); at != 9 || id != 1 {
 		t.Fatalf("popped %d at %d, want 1 at 9", id, at)
 	}

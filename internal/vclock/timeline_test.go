@@ -95,6 +95,44 @@ func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
 	}
 }
 
+// TestStepPastWithdrawnTimersLeavesArmingOpen: a Step or a Drain that
+// finds only withdrawn events, due later than now, fires nothing and
+// leaves the clock where it was, and events armed after it may be due in
+// any order — by Arm, or by timers the owner collects in decreasing order.
+func TestStepPastWithdrawnTimersLeavesArmingOpen(t *testing.T) {
+	v := NewVirtual()
+	var order []int
+	note := func(i int) func() { return func() { order = append(order, i) } }
+	tm := v.AfterFunc(100, note(-1))
+	v.Pending() // collects the timer onto the queue
+	tm.Stop()
+	if v.Step() || v.Elapsed() != 0 {
+		t.Fatalf("Step over a stopped timer fired, or moved the clock to %v", v.Elapsed())
+	}
+	v.Arm(50, note(2))
+	v.Arm(10, note(0))
+	v.AfterFunc(30, note(1))
+	v.Advance(60)
+	tm = v.AfterFunc(1000, note(-1))
+	v.Pending()
+	tm.Stop()
+	if fired, drained := v.Drain(10); fired != 0 || !drained || v.Elapsed() != 60 {
+		t.Fatalf("Drain over a stopped timer = %d, %v with the clock at %v; want 0, true, 60ns", fired, drained, v.Elapsed())
+	}
+	v.AfterFunc(70, note(4))
+	v.AfterFunc(30, note(3))
+	v.Arm(20, func() {}) // collects both timers, the later one first
+	v.Advance(100)
+	for i := range order {
+		if order[i] != i {
+			t.Fatalf("order = %v, want 0..4", order)
+		}
+	}
+	if len(order) != 5 || v.Pending() != 0 {
+		t.Fatalf("fired %v with %d pending, want 0..4 and none", order, v.Pending())
+	}
+}
+
 // model is the reference the clock is held to: a container/heap binary
 // heap of events ordered on (time, arming order), each knowing its index
 // so that Stop and Reset can take it out.

@@ -116,41 +116,29 @@ func (r realTicker) Stop()               { r.t.Stop() }
 // after stop returns; one already running finishes fn and does not
 // re-arm. stop may be called more than once.
 func Every(clk Clock, d time.Duration, fn func()) (stop func()) {
-	e := &every{d: d, fn: fn}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.timer = Or(clk).AfterFunc(d, e.tick)
-	return e.stop
-}
-
-// every is one Every chain; timer is nil once stopped.
-type every struct {
-	d     time.Duration
-	fn    func()
-	mu    sync.Mutex
-	timer Timer
-}
-
-func (e *every) tick() {
-	e.mu.Lock()
-	stopped := e.timer == nil
-	e.mu.Unlock()
-	if stopped {
-		return
-	}
-	e.fn()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.timer != nil {
-		e.timer.Reset(e.d)
-	}
-}
-
-func (e *every) stop() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.timer != nil {
-		e.timer.Stop()
-		e.timer = nil
+	var mu sync.Mutex
+	var timer Timer // nil once stopped; guarded by mu
+	mu.Lock()
+	defer mu.Unlock()
+	timer = Or(clk).AfterFunc(d, func() {
+		mu.Lock()
+		running := timer != nil
+		mu.Unlock()
+		if running {
+			fn()
+			mu.Lock()
+			if timer != nil {
+				timer.Reset(d)
+			}
+			mu.Unlock()
+		}
+	})
+	return func() {
+		mu.Lock()
+		defer mu.Unlock()
+		if timer != nil {
+			timer.Stop()
+			timer = nil
+		}
 	}
 }

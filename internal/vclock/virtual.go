@@ -28,25 +28,23 @@ import (
 // the test, or the simulator's loop — calls Advance/Step/Run/Drain, and
 // event callbacks run synchronously on it.
 //
-// There is one queue, and only the owner touches it. Arm pushes onto it
-// directly, so Arm may be called from an event callback, or between
-// advances by the goroutine that makes them, and from nowhere else.
-// Timers, tickers, AfterFunc and Sleep may be armed from any goroutine:
-// they are posted to an inbox under the clock's lock, and the owner moves
-// the inbox onto the queue, in posting order, before every Arm and every
-// pop — so events fire in arming order however they were armed, with no
-// sequence number. The owner takes the lock only when something was posted
-// since it last looked: a run made only of Arm events (the simulator's)
-// costs a queue pop and the callback per event, nothing else.
+// There is one queue, and only the owner touches it: Arm pushes onto it
+// directly, so only the owner may call Arm (from an event callback, or
+// between advances). Timers, tickers, AfterFunc and Sleep may be armed
+// from any goroutine: they are posted to an inbox under the clock's lock,
+// which the owner empties onto the queue, in posting order, before every
+// Arm and every pop. So events fire in arming order with no sequence
+// number, and the owner locks only when something was posted since it
+// last looked: a run of Arm events alone (the simulator's) costs a queue
+// pop and the callback per event.
 //
-// Stop and Reset withdraw lazily. A timer's state word counts its armings,
-// and the event an arming queues carries the value it set: the owner fires
-// the event only if it can move the word on from that value, so a timer
-// fires at most once per arming, and a withdrawn event is dropped when it
-// comes up. Withdrawn events are swept out of the inbox when it fills and
-// off the queue when they outnumber the live ones, so a timer reset in a
-// loop grows neither. Pending and NextAt are exact, and are the owner's to
-// call: both collect the inbox and read the queue.
+// Stop and Reset withdraw lazily. A timer's state word counts its
+// armings, and each queued event carries the value its arming set: the
+// owner fires it only if it can move the word on from that value, so a
+// timer fires at most once per arming. Withdrawn events are swept out of
+// the inbox when it fills and off the queue when they outnumber the live
+// ones, so a Reset loop grows neither. Pending and NextAt are exact, and
+// the owner's to call: both collect the inbox and read the queue.
 //
 // Other goroutines come in two kinds. Goroutines that park on virtual
 // time (Sleep, a timer channel) register with Go so the clock can
@@ -170,10 +168,9 @@ func (v *Virtual) NextAt() (time.Time, bool) {
 	return v.base.Add(time.Duration(at)), true
 }
 
-// Arm schedules fn to run once, d from now: the handle-less, lock-free
-// counterpart of AfterFunc for a caller that is the advancing goroutine
-// (in an event callback, or between advances) and will never cancel. Any
-// other caller must use AfterFunc.
+// Arm schedules fn to run once, d from now: AfterFunc without a handle or
+// a lock, for the owner only (see the concurrency model) and for an event
+// that is never withdrawn. Any other caller must use AfterFunc.
 func (v *Virtual) Arm(d time.Duration, fn func()) {
 	v.collect()
 	v.plain++
@@ -199,9 +196,8 @@ func (v *Virtual) post(d time.Duration, e event) {
 
 // collect moves the inbox onto the queue, in posting order, dropping what
 // was withdrawn meanwhile, and sweeps the queue once its withdrawn events
-// outnumber the live ones. Owner only; it takes the lock only when
-// something was posted since it last ran, and is small enough to inline
-// into Arm and popDue when nothing was.
+// outnumber the live ones. Owner only. It locks only when something was
+// posted since it last ran, and inlines into Arm and popDue.
 func (v *Virtual) collect() {
 	if v.posts.Load() != v.taken {
 		v.collectLocked()
@@ -306,9 +302,10 @@ func (v *Virtual) settleAfterEvent() {
 
 // popDue removes the earliest live event due at or before target, moves
 // the clock to it and returns its callback; false when nothing is due by
-// then. Owner only. A timer's event fires only if it claims the arming
-// it was queued for; one whose timer was stopped or re-armed since is
-// dropped.
+// then. Owner only. A timer's event fires only if it claims the arming it
+// was queued for, and is dropped otherwise, even when due after now: if
+// nothing live follows it, the clock stays where it is, and the emptied
+// queue takes the pushes after it at any time.
 func (v *Virtual) popDue(target sched.Time) (func(), bool) {
 	v.collect()
 	for {
@@ -483,30 +480,25 @@ func (t *vtimer) Reset(d time.Duration) bool {
 // armLocked starts a new arming, d from now, withdrawing a pending one,
 // and reports whether there was one. Caller holds v.mu.
 func (t *vtimer) armLocked(d time.Duration) bool {
-	for {
-		s := t.state.Load()
-		gen := s + 1 + s&1 // the next odd number
-		if t.state.CompareAndSwap(s, gen) {
-			if s&1 == 0 {
-				t.v.timers.Add(1)
-			}
-			t.v.post(d, event{fire: t.fire, t: t, gen: gen})
-			return s&1 == 1
-		}
+	s := t.state.Load()
+	for !t.state.CompareAndSwap(s, s+1+s&1) { // the next odd number
+		s = t.state.Load()
 	}
+	if s&1 == 0 {
+		t.v.timers.Add(1)
+	}
+	t.v.post(d, event{fire: t.fire, t: t, gen: s + 1 + s&1})
+	return s&1 == 1
 }
 
 func (t *vtimer) Stop() bool {
-	for {
-		s := t.state.Load()
-		if s&1 == 0 {
-			return false
-		}
+	for s := t.state.Load(); s&1 == 1; s = t.state.Load() {
 		if t.state.CompareAndSwap(s, s+1) {
 			t.v.timers.Add(-1)
 			return true
 		}
 	}
+	return false
 }
 
 // send is a channel timer's callback; it runs on the advancing goroutine,
