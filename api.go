@@ -45,8 +45,8 @@ type clusterBackend interface {
 // options it is a fail-free in-process cluster (the paper's model);
 // options select the substrate (WithTransport), arm the failure
 // subsystem (WithFailureDetection, WithInjector), run the Figure 5 INIT
-// flood instead of static orientation (WithINIT), and attach recovery
-// observers (WithObserver). Callers must Close the cluster.
+// flood instead of static orientation (WithINIT), and attach a trace
+// observer (WithTraceObserver). Callers must Close the cluster.
 func Open(tree *Tree, holder ID, opts ...Option) (*Cluster, error) {
 	var o openOptions
 	for _, opt := range opts {
@@ -64,8 +64,8 @@ func Open(tree *Tree, holder ID, opts ...Option) (*Cluster, error) {
 	var builder mutex.Builder
 	if o.init {
 		// Runtime orientation: nodes get their neighbor lists and derive
-		// NEXT from the INIT flood. The observer hook makes the completion
-		// wait event-driven instead of a sleep-poll.
+		// NEXT from the INIT flood. Each node's EventInit makes the
+		// completion wait event-driven instead of a sleep-poll.
 		neighbors := make(map[ID][]ID, tree.N())
 		for _, id := range tree.IDs() {
 			neighbors[id] = tree.Neighbors(id)
@@ -75,17 +75,17 @@ func Open(tree *Tree, holder ID, opts ...Option) (*Cluster, error) {
 		var remaining atomic.Int32
 		remaining.Store(int32(tree.N()))
 		done := initDone
-		onInit := core.WithInitObserver(func(mutex.ID) {
+		onInit := func() {
 			if remaining.Add(-1) == 0 {
 				close(done)
 			}
-		})
+		}
 		builder = func(id mutex.ID, env mutex.Env, c mutex.Config) (mutex.Node, error) {
 			return core.NewUninitialized(id, env, c, coreOptions(&o, onInit)...)
 		}
 	} else {
 		builder = func(id mutex.ID, env mutex.Env, c mutex.Config) (mutex.Node, error) {
-			return core.New(id, env, c, coreOptions(&o)...)
+			return core.New(id, env, c, coreOptions(&o, nil)...)
 		}
 	}
 
@@ -147,19 +147,28 @@ func Open(tree *Tree, holder ID, opts ...Option) (*Cluster, error) {
 	return c, nil
 }
 
-// coreOptions collects the protocol-node options the open options imply.
-func coreOptions(o *openOptions, extra ...core.Option) []core.Option {
+// coreOptions collects the protocol-node options the open options imply:
+// one subscription serves the trace observer and, when onInit is set, the
+// INIT completion wait (only NewUninitialized's nodes report INIT).
+func coreOptions(o *openOptions, onInit func()) []core.Option {
 	var opts []core.Option
-	if o.observer != nil {
-		opts = append(opts, core.WithEventObserver(o.observer))
-	}
 	if o.policy.compress {
 		opts = append(opts, core.WithPathCompression())
 	}
-	if o.trace != nil {
-		opts = append(opts, core.WithTraceObserver(o.trace))
+	if o.trace == nil && onInit == nil {
+		return opts
 	}
-	return append(opts, extra...)
+	want, trace := core.EventSet(1<<core.EventInit), o.trace
+	if trace != nil {
+		want |= core.TracedEvents
+	}
+	return append(opts, core.WithObserver(want, func(e core.Event) {
+		if e.Kind == core.EventInit {
+			onInit()
+		} else {
+			trace(e.Trace())
+		}
+	}))
 }
 
 // startInit launches the Figure 5 flood from holder and waits — event
@@ -303,7 +312,7 @@ func OpenPeer(tree *Tree, holder ID, id ID, opts ...Option) (*Peer, error) {
 		return nil, err
 	}
 	builder := func(nid mutex.ID, env mutex.Env, c mutex.Config) (mutex.Node, error) {
-		return core.New(nid, env, c, coreOptions(&o)...)
+		return core.New(nid, env, c, coreOptions(&o, nil)...)
 	}
 	p, err := transport.NewTCPNodeOn(id, o.transport.listen, builder, cfg, transport.DAGCodec{})
 	if err != nil {
@@ -338,9 +347,6 @@ func OpenLockService(cfg LockServiceConfig, opts ...Option) (*LockService, error
 	}
 	if o.init {
 		return nil, fmt.Errorf("dagmutex: WithINIT applies to Open, not OpenLockService")
-	}
-	if o.observer != nil {
-		return nil, fmt.Errorf("dagmutex: WithObserver applies to Open, not OpenLockService")
 	}
 	if o.policy.compress || o.policy.every > 0 {
 		cfg.Topology = lockservice.Topology{PathCompression: o.policy.compress, RebalanceEvery: o.policy.every}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,9 +39,11 @@ func driveCluster(t *testing.T, c *dagmutex.Cluster) int64 {
 }
 
 // TestOpenOptionMatrix exercises Open across the option matrix the v2
-// API composes from: substrate (local, TCP) × failure detection × INIT.
-// Every combination must serve the same workload with no protocol
-// error.
+// API composes from: substrate (local, TCP) × failure detection × INIT ×
+// fault injector × trace observer. Every combination must serve the same
+// workload with no protocol error; with failure detection and a trace
+// observer, killing a holder must also stream RECOVERY events and jump
+// the next grant's fence.
 func TestOpenOptionMatrix(t *testing.T) {
 	substrates := []struct {
 		name string
@@ -49,31 +52,79 @@ func TestOpenOptionMatrix(t *testing.T) {
 		{"local", dagmutex.Local},
 		{"tcp", dagmutex.TCP("")},
 	}
-	features := []struct {
-		name string
-		opts []dagmutex.Option
-	}{
-		{"plain", nil},
-		{"chaos", []dagmutex.Option{dagmutex.WithFailureDetection(dagmutex.FailureConfig{})}},
-		{"init", []dagmutex.Option{dagmutex.WithINIT()}},
-		{"chaos+init", []dagmutex.Option{
-			dagmutex.WithFailureDetection(dagmutex.FailureConfig{}),
-			dagmutex.WithINIT(),
-		}},
-	}
 	for _, sub := range substrates {
+		features := []struct {
+			name string
+			opts []dagmutex.Option
+			// kill traces the run, then kills a holder mid-hold.
+			kill bool
+		}{
+			{"plain", nil, false},
+			{"chaos", []dagmutex.Option{dagmutex.WithFailureDetection(dagmutex.FailureConfig{})}, false},
+			{"init", []dagmutex.Option{dagmutex.WithINIT()}, false},
+			{"chaos+init", []dagmutex.Option{
+				dagmutex.WithFailureDetection(dagmutex.FailureConfig{}),
+				dagmutex.WithINIT(),
+			}, false},
+			{"chaos+trace", []dagmutex.Option{dagmutex.WithFailureDetection(dagmutex.FailureConfig{})}, true},
+			{"injector", []dagmutex.Option{dagmutex.WithInjector(dagmutex.NewFaultInjector())}, false},
+		}
 		for _, f := range features {
 			t.Run(sub.name+"/"+f.name, func(t *testing.T) {
 				t.Parallel()
 				opts := append([]dagmutex.Option{dagmutex.WithTransport(sub.spec)}, f.opts...)
+				var recoveries atomic.Int64
+				if f.kill {
+					opts = append(opts, dagmutex.WithTraceObserver(func(e dagmutex.TraceEvent) {
+						if e.Kind == dagmutex.TraceRecovery {
+							recoveries.Add(1)
+						}
+					}))
+				}
 				c, err := dagmutex.Open(dagmutex.KAry(7, 2), 3, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer c.Close()
 				driveCluster(t, c)
+				if f.kill {
+					killHolder(t, c, &recoveries)
+				}
 			})
 		}
+	}
+}
+
+// killHolder kills node 7 while it holds the token and checks the
+// survivors' recovery: RECOVERY events reach the trace observer, and node
+// 1's next grant is fenced above the dead holder's, past the regeneration
+// jump (2^20 over the survivors' highest generation).
+func killHolder(t *testing.T, c *dagmutex.Cluster, recoveries *atomic.Int64) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	g, err := c.Session(7).Acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(7); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := c.Session(1).Acquire(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Session(1).Release(); err != nil {
+		t.Fatal(err)
+	}
+	if g2.Generation <= g.Generation || g2.Generation < 1<<20 {
+		t.Errorf("grant after the kill at generation %d (dead holder's %d), want the 2^20 regeneration jump", g2.Generation, g.Generation)
+	}
+	if recoveries.Load() == 0 {
+		t.Error("no RECOVERY event reached the trace observer")
+	}
+	if err := c.Err(); err != nil {
+		t.Errorf("cluster error after the kill: %v", err)
 	}
 }
 

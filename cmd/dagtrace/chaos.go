@@ -19,10 +19,10 @@ func chaosDemo(w io.Writer) error {
 	fmt.Fprintln(w, "(the scenario the thesis's fail-free model excludes)")
 	fmt.Fprintln(w)
 	// Recovery events render through the shared trace vocabulary
-	// (core.Event.Trace bridges into telemetry.TraceEvent), so the chaos
-	// replay reads exactly like a live WithTraceObserver stream.
+	// (core.Event.Trace), so the chaos replay reads exactly like a live
+	// trace observer's stream.
 	r, err := newReplayer(w, topology.Star(5), 1,
-		core.WithEventObserver(func(e core.Event) { fmt.Fprintf(w, "  event: %s\n", e.Trace()) }))
+		core.WithObserver(core.RecoveryEvents, func(e core.Event) { fmt.Fprintf(w, "  event: %s\n", e.Trace()) }))
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dagmutex/internal/core"
-	"dagmutex/internal/telemetry"
 	"dagmutex/internal/topology"
 )
 
@@ -24,7 +23,7 @@ func liveDemo(w io.Writer) error {
 	fmt.Fprintln(w, "Live trace stream on the line 1-2-3-4, token at node 1")
 	fmt.Fprintln(w, "(every line is one telemetry.TraceEvent, as WithTraceObserver delivers them)")
 	r, err := newReplayer(w, topology.Line(4), 1,
-		core.WithTraceObserver(func(e telemetry.TraceEvent) { fmt.Fprintf(w, "  %s\n", e) }))
+		core.WithObserver(core.TracedEvents, func(e core.Event) { fmt.Fprintf(w, "  %s\n", e.Trace()) }))
 	if err != nil {
 		return err
 	}

@@ -27,11 +27,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"dagmutex/internal/core"
 	"dagmutex/internal/mutex"
 	"dagmutex/internal/topology"
-	"dagmutex/internal/trace"
 )
 
 func main() {
@@ -114,8 +114,44 @@ func (r *replayer) table() []core.Snapshot {
 	for _, n := range r.nodes[1:] {
 		snaps = append(snaps, n.Snapshot())
 	}
-	fmt.Fprint(r.w, trace.StateTable(snaps))
+	fmt.Fprint(r.w, stateTable(snaps))
 	return snaps
+}
+
+// stateTable renders a set of DAG-node snapshots as the thesis prints its
+// Figure 6 tables: one column per node, rows HOLDING / NEXT / FOLLOW.
+// FOLLOW and NEXT render 0 as blank, matching the thesis's typography.
+func stateTable(snaps []core.Snapshot) string {
+	var b strings.Builder
+	b.WriteString("I        ")
+	for _, s := range snaps {
+		fmt.Fprintf(&b, "%4d", s.ID)
+	}
+	b.WriteString("\nHOLDING_I")
+	for _, s := range snaps {
+		v := "f"
+		if s.Holding {
+			v = "t"
+		}
+		fmt.Fprintf(&b, "%4s", v)
+	}
+	b.WriteString("\nNEXT_I   ")
+	for _, s := range snaps {
+		fmt.Fprintf(&b, "%4s", idCell(s.Next))
+	}
+	b.WriteString("\nFOLLOW_I ")
+	for _, s := range snaps {
+		fmt.Fprintf(&b, "%4s", idCell(s.Follow))
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
+func idCell(id mutex.ID) string {
+	if id == mutex.Nil {
+		return ""
+	}
+	return fmt.Sprintf("%d", id)
 }
 
 // show prints a step banner, the thesis-style table, the implicit queue

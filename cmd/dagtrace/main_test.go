@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"dagmutex/internal/core"
 )
 
 func TestFigure2Replay(t *testing.T) {
@@ -101,5 +103,42 @@ func TestChaosDemoRendersRecovery(t *testing.T) {
 	// The waiter's grant must show the regeneration jump.
 	if !strings.Contains(out, "fencing generation 1048577") {
 		t.Fatalf("chaos trace missing the regenerated grant generation:\n%s", out)
+	}
+}
+
+func TestStateTableMatchesThesisLayout(t *testing.T) {
+	snaps := []core.Snapshot{
+		{ID: 1, Next: 2, Follow: 5},
+		{ID: 2, Next: 5, Follow: 1},
+		{ID: 3, Next: 2, Follow: 2},
+		{ID: 4, Next: 3},
+		{ID: 5},
+		{ID: 6, Next: 4},
+	}
+	got := stateTable(snaps)
+	lines := strings.Split(strings.TrimRight(got, "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("table has %d lines, want 4:\n%s", len(lines), got)
+	}
+	if !strings.HasPrefix(lines[0], "I") ||
+		!strings.HasPrefix(lines[1], "HOLDING_I") ||
+		!strings.HasPrefix(lines[2], "NEXT_I") ||
+		!strings.HasPrefix(lines[3], "FOLLOW_I") {
+		t.Fatalf("unexpected rows:\n%s", got)
+	}
+	// Node 5's NEXT is 0 and renders blank, like the thesis tables.
+	if strings.Contains(lines[2], "0") {
+		t.Fatalf("nil NEXT should render blank:\n%s", got)
+	}
+	if !strings.Contains(lines[3], "5") {
+		t.Fatalf("FOLLOW_1 = 5 missing:\n%s", got)
+	}
+}
+
+func TestHoldingRendersTrueFlag(t *testing.T) {
+	got := stateTable([]core.Snapshot{{ID: 1, Holding: true}, {ID: 2, Next: 1}})
+	lines := strings.Split(got, "\n")
+	if !strings.Contains(lines[1], "t") || strings.Count(lines[1], "f") != 1 {
+		t.Fatalf("HOLDING row wrong:\n%s", got)
 	}
 }

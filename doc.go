@@ -154,9 +154,9 @@
 // TCP(listen)) selects the substrate, WithFailureDetection arms the failure
 // subsystem, WithINIT derives the orientation at runtime via the
 // Figure 5 flood (event-driven, bounded by WithStartupContext),
-// WithInjector installs a deterministic fault plan, and WithObserver
-// taps the recovery events. One member of a deployed cluster is
-// OpenPeer(tree, holder, id, ...).
+// WithInjector installs a deterministic fault plan, and WithTraceObserver
+// taps the event stream, recovery events included. One member of a
+// deployed cluster is OpenPeer(tree, holder, id, ...).
 //
 // For the deterministic simulator used by the experiments, see the
 // Simulate function and the cmd/dagbench tool (one engine,
@@ -328,12 +328,15 @@
 // histograms, all allocation-free after registration — that the core,
 // runtime, lock service and gateway tiers register into (per-shard
 // grant/release/expiry counters, queue-depth gauges, wait and hold
-// latency quantiles, gateway admission counters). WithTraceObserver
-// taps the causal event stream: every grant, release, regrant, expiry
-// and recovery is delivered as a TraceEvent carrying the (Origin,
+// latency quantiles, gateway admission counters). WithTraceObserver,
+// the one public observer, taps the causal event stream: every request,
+// forward, privilege dispatch, grant, release, regrant, expiry and
+// recovery step is delivered as a TraceEvent carrying the (Origin,
 // Fence) pair already on the wire, so the fencing token doubles as a
 // cluster-wide causal trace ID — within one shard, TraceGrant fences
-// are strictly increasing in stream order. The observer runs inside
+// are strictly increasing in stream order. Recovery steps arrive as
+// TraceRecovery with the step's name (PEER-DOWN, PROBE, REGENERATE,
+// ...) in Detail. The observer runs inside
 // protocol handlers and must not block, allocate or call back into
 // the library. WithDebugAddr serves the registry as Prometheus text
 // on /metrics plus the standard /debug/pprof profiles for the

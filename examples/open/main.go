@@ -2,9 +2,9 @@
 // composes everything the seven pre-v2 constructors hard-wired — here
 // the full stack at once: runtime INIT orientation (the thesis's
 // Figure 5 flood instead of static configuration), heartbeat failure
-// detection with DAG repair and token regeneration, and a recovery
-// observer streaming the protocol's own events while a crashed holder
-// is excised.
+// detection with DAG repair and token regeneration, and a trace
+// observer streaming the protocol's own recovery events while a crashed
+// holder is excised.
 //
 //	go run ./examples/open
 package main
@@ -30,19 +30,21 @@ func main() {
 func run() error {
 	// One call, every subsystem: WithINIT derives the DAG orientation at
 	// runtime (Open blocks, event-driven, until the flood completes),
-	// WithFailureDetection arms the failure subsystem, and WithObserver
-	// taps the recovery machinery.
-	events := make(chan dagmutex.Event, 256)
+	// WithFailureDetection arms the failure subsystem, and
+	// WithTraceObserver taps the recovery machinery: its RECOVERY events.
+	events := make(chan dagmutex.TraceEvent, 256)
 	cluster, err := dagmutex.Open(dagmutex.KAry(7, 2), 4,
 		dagmutex.WithINIT(),
 		dagmutex.WithFailureDetection(dagmutex.FailureConfig{
 			Heartbeat:    10 * time.Millisecond,
 			SuspectAfter: 100 * time.Millisecond,
 		}),
-		dagmutex.WithObserver(func(e dagmutex.Event) {
-			select {
-			case events <- e:
-			default:
+		dagmutex.WithTraceObserver(func(e dagmutex.TraceEvent) {
+			if e.Kind == dagmutex.TraceRecovery {
+				select {
+				case events <- e:
+				default:
+				}
 			}
 		}),
 		dagmutex.WithStartupContext(context.Background()),
@@ -82,9 +84,9 @@ func run() error {
 	seen := map[string]bool{}
 	for len(events) > 0 {
 		e := <-events
-		if !seen[e.Kind.String()] {
-			seen[e.Kind.String()] = true
-			fmt.Printf("  %-12s node=%d peer=%d epoch=%d\n", e.Kind, e.Node, e.Peer, e.Epoch)
+		if !seen[e.Detail] {
+			seen[e.Detail] = true
+			fmt.Printf("  %-12s node=%d peer=%d epoch=%d\n", e.Detail, e.Node, e.Peer, e.Epoch)
 		}
 	}
 	fmt.Printf("node 1 acquired after recovery; generation jumped to %d (+%d over the dead holder's world)\n",

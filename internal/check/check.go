@@ -35,12 +35,14 @@ func (a *Automaton) Builder(id mutex.ID, env mutex.Env, cfg mutex.Config) (mutex
 		initial = core.StateH
 	}
 	a.states[id] = initial
-	return core.New(id, env, cfg, core.WithTransitionObserver(func(tr core.Transition, to core.State) {
-		a.observe(id, tr, to)
-	}))
+	return core.New(id, env, cfg, core.WithObserver(core.TransitionEvents, a.observe))
 }
 
-func (a *Automaton) observe(id mutex.ID, tr core.Transition, to core.State) {
+func (a *Automaton) observe(e core.Event) {
+	if e.Transition == 0 { // a grant no transition led to: a Regrant or a recovery's
+		return
+	}
+	id, tr, to := e.Node, e.Transition, e.State
 	a.transitions++
 	cur := a.states[id]
 	want, legal := core.LegalTransitions[cur][tr]

@@ -51,13 +51,13 @@ func TestAutomatonAcceptsRealRuns(t *testing.T) {
 func TestAutomatonRejectsIllegalTransition(t *testing.T) {
 	a := NewAutomaton()
 	a.states[1] = core.StateN
-	a.observe(1, core.TransKeepToken, core.StateH) // 5 is illegal from N
+	a.observe(core.Event{Node: 1, Transition: core.TransKeepToken, State: core.StateH}) // 5 is illegal from N
 	if a.Err() == nil {
 		t.Fatal("illegal transition not flagged")
 	}
 	b := NewAutomaton()
 	b.states[2] = core.StateN
-	b.observe(2, core.TransRequest, core.StateH) // right edge, wrong landing state
+	b.observe(core.Event{Node: 2, Transition: core.TransRequest, State: core.StateH}) // right edge, wrong landing state
 	if b.Err() == nil {
 		t.Fatal("wrong landing state not flagged")
 	}

@@ -38,7 +38,6 @@ import (
 	"fmt"
 
 	"dagmutex/internal/mutex"
-	"dagmutex/internal/telemetry"
 )
 
 // Request is the thesis's REQUEST(X, Y) message. From is X, the adjacent
@@ -304,20 +303,10 @@ type Node struct {
 	isInitHolder  bool
 	neighbors     []mutex.ID
 
-	// onTransition, when set, observes every Figure 4 transition together
-	// with the state the node ends up in. Used by the automaton checker.
-	onTransition func(tr Transition, to State)
-	// onEvent, when set, observes failure-recovery events (see Event).
-	onEvent func(Event)
-	// onTrace, when set, observes the structured trace stream: one event
-	// per protocol action (request issued, request forwarded, token
-	// dispatched, critical section entered) plus the recovery events,
-	// all in the telemetry vocabulary. See WithTraceObserver.
-	onTrace func(telemetry.TraceEvent)
-	// onInit, when set, fires once when the node completes INIT (for
-	// nodes built with NewUninitialized; nodes built initialized never
-	// fire it).
-	onInit func(id mutex.ID)
+	// observe receives the node's events of the kinds in want (see
+	// WithObserver); want is empty when no observer is attached.
+	observe func(Event)
+	want    EventSet
 }
 
 // deferredMsg is one REQUEST or PRIVILEGE buffered while frozen — the
@@ -333,45 +322,6 @@ var _ mutex.Reorienter = (*Node)(nil)
 
 // Option configures a Node at construction time.
 type Option func(*Node)
-
-// WithTransitionObserver registers fn to be invoked after every state
-// transition, with the Figure 4 transition number and resulting state.
-func WithTransitionObserver(fn func(tr Transition, to State)) Option {
-	return func(n *Node) { n.onTransition = fn }
-}
-
-// WithEventObserver registers fn to be invoked on every failure-recovery
-// event (peer suspected, probe, regeneration, reorientation, ...), for
-// traces and telemetry. fn runs inside the node's handlers and must not
-// block.
-func WithEventObserver(fn func(Event)) Option {
-	return func(n *Node) { n.onEvent = fn }
-}
-
-// WithInitObserver registers fn to be invoked once, with the node's id,
-// when a node built with NewUninitialized completes the Figure 5 INIT
-// flood — the event-driven alternative to polling Initialized. fn runs
-// inside the node's handlers and must not block.
-func WithInitObserver(fn func(id mutex.ID)) Option {
-	return func(n *Node) { n.onInit = fn }
-}
-
-// WithTraceObserver registers fn to receive the node's structured trace
-// stream: a REQUEST event when the node issues a request, FORWARD at
-// every node a request passes through, PRIVILEGE when the token is
-// dispatched, GRANT at every critical-section entry, and RECOVERY for
-// the failure subsystem's events. Every event carries the causal
-// identity already on the wire — the request's Origin and the fencing
-// generation — so a grant's whole request→hop→privilege→grant chain
-// shares one TraceID without any new message fields.
-//
-// fn runs inside the node's handlers: it must not block, must not call
-// back into the node, and must itself be allocation-free to preserve
-// the hot path's allocation budget (feed telemetry.Counter/Histogram
-// instruments, or copy the event into a preallocated ring).
-func WithTraceObserver(fn func(telemetry.TraceEvent)) Option {
-	return func(n *Node) { n.onTrace = fn }
-}
 
 // WithPathCompression switches procedure P2's edge reversal from the
 // thesis's NEXT := X (the adjacent forwarder) to the Naimi–Trehel rule
@@ -469,8 +419,7 @@ func (n *Node) Request() error {
 	if n.holding {
 		n.holding = false
 		n.inCS = true
-		n.transition(TransEnterHolding)
-		n.grant()
+		n.grant(TransEnterHolding)
 		return nil
 	}
 	n.requesting = true
@@ -483,8 +432,7 @@ func (n *Node) Request() error {
 	to := n.next
 	n.sendRequest(to, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
 	n.next = mutex.Nil
-	n.transition(TransRequest)
-	n.trace(telemetry.TraceRequest, to, n.id, 0, 0)
+	n.emit(EventRequest, TransRequest, to, n.id, 0, 0)
 	return nil
 }
 
@@ -504,22 +452,23 @@ func (n *Node) TryRequest() (bool, error) {
 	}
 	n.holding = false
 	n.inCS = true
-	n.transition(TransEnterHolding)
-	n.grant()
+	n.grant(TransEnterHolding)
 	return true, nil
 }
 
-// grant issues the next fencing generation and reports the grant. Every
-// critical-section entry goes through here, so generations are strictly
-// monotonic across the cluster: the counter travels with the token and
-// the token serializes all grants. Environments with hop accounting
-// also receive the granted request's path length (grantHops, set by
-// deliverPrivilege and consumed exactly once here).
-func (n *Node) grant() {
+// grant issues the next fencing generation and reports the grant, with
+// the Figure 4 transition that entered the critical section (none for a
+// Regrant or a recovery). Every critical-section entry goes through here, so
+// generations are strictly monotonic across the cluster: the counter
+// travels with the token and the token serializes all grants.
+// Environments with hop accounting also receive the granted request's
+// path length (grantHops, set by deliverPrivilege and consumed exactly
+// once here).
+func (n *Node) grant(tr Transition) {
 	n.gen++
 	hops := int(n.grantHops)
 	n.grantHops = 0
-	n.trace(telemetry.TraceGrant, mutex.Nil, n.id, n.gen, uint16(hops))
+	n.emit(EventGrant, tr, mutex.Nil, n.id, n.gen, uint16(hops))
 	if n.hopEnv != nil {
 		n.hopEnv.GrantedHops(n.gen, hops)
 		return
@@ -559,12 +508,11 @@ func (n *Node) Release() error {
 		n.follow = mutex.Nil
 		n.followHops = 0
 		n.sendPrivilege(to, Privilege{Generation: n.gen, Epoch: n.epoch, Hops: hops})
-		n.transition(TransPassToken)
-		n.trace(telemetry.TracePrivilege, to, to, n.gen, hops)
+		n.emit(EventPrivilege, TransPassToken, to, to, n.gen, hops)
 		return nil
 	}
 	n.holding = true
-	n.transition(TransKeepToken)
+	n.emit(EventTransition, TransKeepToken, mutex.Nil, mutex.Nil, 0, 0)
 	return nil
 }
 
@@ -591,12 +539,10 @@ func (n *Node) ReleaseRequest() error {
 		n.follow = mutex.Nil
 		n.followHops = 0
 		n.sendPrivilege(to, Privilege{Generation: n.gen, Epoch: n.epoch, Requesting: true, Hops: hops})
-		n.transition(TransPassToken)
-		n.trace(telemetry.TracePrivilege, to, to, n.gen, hops)
+		n.emit(EventPrivilege, TransPassToken, to, to, n.gen, hops)
 		n.requesting = true
 		n.next = mutex.Nil
-		n.transition(TransRequest)
-		n.trace(telemetry.TraceRequest, to, n.id, 0, 0)
+		n.emit(EventRequest, TransRequest, to, n.id, 0, 0)
 		return nil
 	}
 	if err := n.Release(); err != nil {
@@ -625,7 +571,7 @@ func (n *Node) Regrant() (bool, error) {
 	if n.staleCS || n.frozen {
 		return false, nil
 	}
-	n.grant()
+	n.grant(0)
 	return true, nil
 }
 
@@ -670,13 +616,13 @@ func (n *Node) gateEpoch(from mutex.ID, e uint32) bool {
 		return true
 	}
 	if e < n.epoch {
-		n.event(EventStaleDrop, from, 0)
+		n.emit(EventStaleDrop, 0, from, mutex.Nil, 0, 0)
 		return false
 	}
 	if e > n.joinAsked {
 		n.joinAsked = e
 		n.env.Send(from, Join{})
-		n.event(EventJoinSent, from, 0)
+		n.emit(EventJoinSent, 0, from, mutex.Nil, 0, 0)
 	}
 	return false
 }
@@ -707,8 +653,7 @@ func (n *Node) deliverRequest(from mutex.ID, msg Request) error {
 			n.sendPrivilege(msg.Origin, Privilege{Generation: n.gen, Epoch: n.epoch, Hops: addHop(msg.Hops)})
 			n.holding = false
 			n.next = rev
-			n.transition(TransGrantFromHolding)
-			n.trace(telemetry.TracePrivilege, msg.Origin, msg.Origin, n.gen, addHop(msg.Hops))
+			n.emit(EventPrivilege, TransGrantFromHolding, msg.Origin, msg.Origin, n.gen, addHop(msg.Hops))
 			return nil
 		}
 		// A sink that is requesting or executing stores the request: this
@@ -722,14 +667,13 @@ func (n *Node) deliverRequest(from mutex.ID, msg Request) error {
 		n.follow = msg.Origin
 		n.followHops = addHop(msg.Hops)
 		n.next = rev
-		n.transition(TransSaveFollow)
+		n.emit(EventTransition, TransSaveFollow, mutex.Nil, msg.Origin, 0, n.followHops)
 		return nil
 	}
 	to := n.next
 	n.sendRequest(to, Request{From: n.id, Origin: msg.Origin, Epoch: n.epoch, Hops: addHop(msg.Hops)})
 	n.next = rev
-	n.transition(TransForward)
-	n.trace(telemetry.TraceForward, to, msg.Origin, 0, addHop(msg.Hops))
+	n.emit(EventForward, TransForward, to, msg.Origin, 0, addHop(msg.Hops))
 	return nil
 }
 
@@ -756,8 +700,7 @@ func (n *Node) deliverPrivilege(from mutex.ID, msg Privilege) error {
 	n.requesting = false
 	n.inCS = true
 	n.grantHops = msg.Hops
-	n.transition(TransReceiveToken)
-	n.grant()
+	n.grant(TransReceiveToken)
 	if msg.Requesting {
 		return n.deliverRequest(from, Request{From: from, Origin: from, Epoch: n.epoch})
 	}
@@ -790,25 +733,6 @@ func (n *Node) Storage() mutex.Storage {
 		Bytes: 1 + 2*mutex.IntSize + GenSize + EpochSize +
 			len(n.ids)*(mutex.IntSize+1) +
 			len(n.deferred)*2*mutex.IntSize + len(n.awaiting)*mutex.IntSize,
-	}
-}
-
-// trace emits one structured trace event when an observer is attached.
-// Events are built from fields already in registers, passed by value,
-// so the disabled and enabled paths both allocate nothing.
-func (n *Node) trace(k telemetry.TraceKind, peer, origin mutex.ID, fence uint64, hops uint16) {
-	if n.onTrace == nil {
-		return
-	}
-	n.onTrace(telemetry.TraceEvent{
-		Kind: k, Node: n.id, Peer: peer, Origin: origin,
-		Fence: fence, Epoch: n.epoch, Hops: hops, Shard: -1,
-	})
-}
-
-func (n *Node) transition(tr Transition) {
-	if n.onTransition != nil {
-		n.onTransition(tr, n.State())
 	}
 }
 

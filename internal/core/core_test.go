@@ -197,56 +197,84 @@ func TestStateClassification(t *testing.T) {
 	}
 }
 
+// TestTransitionObserverSeesLegalHistory drives a line through all eight
+// Figure 4 transitions and a suspicion, with one observer per row: the
+// automaton's subscription must see every transition and each history
+// must be legal; a recovery-only subscription must see the recovery event
+// and nothing else.
 func TestTransitionObserverSeesLegalHistory(t *testing.T) {
-	tree := topology.Line(4)
-	cfg := mutex.Config{IDs: tree.IDs(), Holder: 4, Parent: tree.ParentsToward(4)}
-	w := &world{t: t, nodes: make(map[mutex.ID]*Node), envs: make(map[mutex.ID]*recEnv)}
-	type step struct {
-		tr Transition
-		to State
-	}
-	hist := make(map[mutex.ID][]step)
-	for _, id := range tree.IDs() {
-		id := id
-		env := &recEnv{world: w, id: id}
-		n, err := New(id, env, cfg, WithTransitionObserver(func(tr Transition, to State) {
-			hist[id] = append(hist[id], step{tr, to})
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		w.nodes[id] = n
-		w.envs[id] = env
-	}
-
-	w.request(1)
-	w.drain() // token moves 4 -> 1
-	w.release(1)
-	w.request(4)
-	w.drain()
-	w.release(4)
-
-	// Validate each node's history against Figure 4, starting from its
-	// initial state (H for the holder, N otherwise).
-	for id, steps := range hist {
-		state := StateN
-		if id == 4 {
-			state = StateH
-		}
-		for i, st := range steps {
-			next, ok := LegalTransitions[state][st.tr]
-			if !ok {
-				t.Fatalf("node %d step %d: transition %v illegal from %v", id, i, st.tr, state)
+	for _, row := range []struct {
+		name string
+		want EventSet
+	}{
+		{"transitions", TransitionEvents},
+		{"recovery only", RecoveryEvents},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			tree := topology.Line(4)
+			cfg := mutex.Config{IDs: tree.IDs(), Holder: 4, Parent: tree.ParentsToward(4)}
+			w := &world{t: t, nodes: make(map[mutex.ID]*Node), envs: make(map[mutex.ID]*recEnv)}
+			var seen []Event
+			for _, id := range tree.IDs() {
+				env := &recEnv{world: w, id: id}
+				n, err := New(id, env, cfg, WithObserver(row.want, func(e Event) { seen = append(seen, e) }))
+				if err != nil {
+					t.Fatal(err)
+				}
+				w.nodes[id] = n
+				w.envs[id] = env
 			}
-			if next != st.to {
-				t.Fatalf("node %d step %d: transition %v from %v landed in %v, want %v",
-					id, i, st.tr, state, st.to, next)
+
+			w.request(1)
+			w.drain()    // 1, 3, 3, 8 along the line; 4 at node 1
+			w.release(1) // 5
+			w.request(4)
+			w.drain()    // 1 at node 4 ... 8 at node 1, 4 at node 4
+			w.release(4) // 5
+			w.request(4) // 6
+			w.request(1)
+			w.drain()    // node 4 is an executing sink: 2
+			w.release(4) // 7
+			w.drain()
+			w.release(1)
+			if err := w.nodes[1].PeerDown(2); err != nil { // node 4 coordinates: node 1 only notes it
+				t.Fatal(err)
 			}
-			state = next
-		}
-	}
-	if len(hist[1]) == 0 || len(hist[4]) == 0 {
-		t.Fatal("expected transition history at nodes 1 and 4")
+
+			// Validate each node's history against Figure 4, starting from
+			// its initial state (H for the holder, N otherwise).
+			state := map[mutex.ID]State{1: StateN, 2: StateN, 3: StateN, 4: StateH}
+			fired := make(map[Transition]bool)
+			for i, e := range seen {
+				if !row.want.Has(e.Kind) {
+					t.Fatalf("event %d: %v delivered to a subscriber of %b", i, e.Kind, row.want)
+				}
+				if e.Transition == 0 {
+					continue
+				}
+				fired[e.Transition] = true
+				next, ok := LegalTransitions[state[e.Node]][e.Transition]
+				if !ok {
+					t.Fatalf("node %d event %d: transition %v illegal from %v", e.Node, i, e.Transition, state[e.Node])
+				}
+				if next != e.State {
+					t.Fatalf("node %d event %d: transition %v from %v landed in %v, want %v",
+						e.Node, i, e.Transition, state[e.Node], e.State, next)
+				}
+				state[e.Node] = next
+			}
+			if row.want == RecoveryEvents {
+				if len(seen) != 1 || seen[0].Kind != EventPeerDown || seen[0].Node != 1 || seen[0].Peer != 2 {
+					t.Fatalf("recovery-only subscriber saw %+v, want node 1's PEER-DOWN of 2 alone", seen)
+				}
+				return
+			}
+			for tr := TransRequest; tr <= TransGrantFromHolding; tr++ {
+				if !fired[tr] {
+					t.Errorf("transition %v never reached the observer", tr)
+				}
+			}
+		})
 	}
 }
 

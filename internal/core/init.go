@@ -72,9 +72,7 @@ func (n *Node) StartInit() error {
 	for _, j := range n.neighbors {
 		n.env.Send(j, Initialize{})
 	}
-	if n.onInit != nil {
-		n.onInit(n.id)
-	}
+	n.emit(EventInit, 0, mutex.Nil, mutex.Nil, 0, 0)
 	return nil
 }
 
@@ -97,8 +95,6 @@ func (n *Node) deliverInitialize(from mutex.ID) error {
 			n.env.Send(j, Initialize{})
 		}
 	}
-	if n.onInit != nil {
-		n.onInit(n.id)
-	}
+	n.emit(EventInit, 0, mutex.Nil, mutex.Nil, 0, 0)
 	return nil
 }

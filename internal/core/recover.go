@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"dagmutex/internal/mutex"
-	"dagmutex/internal/telemetry"
 )
 
 // This file is the failure extension of the DAG algorithm: everything
@@ -133,110 +132,6 @@ func (Welcome) Kind() string { return "WELCOME" }
 // Size implements mutex.Message.
 func (Welcome) Size() int { return EpochSize }
 
-// EventKind labels one failure-recovery event.
-type EventKind uint8
-
-// The recovery events, in rough lifecycle order.
-const (
-	// EventPeerDown: a peer was marked dead (detector or probe evidence).
-	EventPeerDown EventKind = iota + 1
-	// EventPeerUp: a dead-marked peer was heard from again.
-	EventPeerUp
-	// EventProbe: this node, as coordinator, started a probe round.
-	EventProbe
-	// EventFreeze: this node acknowledged a probe and froze.
-	EventFreeze
-	// EventRegenerate: the token was lost; a fresh one was minted here.
-	EventRegenerate
-	// EventAdopt: a surviving token was found; its holder is the new root.
-	EventAdopt
-	// EventReorient: this node applied its rebuilt orientation.
-	EventReorient
-	// EventQuorumLost: a death left the survivors without a majority, so
-	// recovery (and in particular regeneration) is refused.
-	EventQuorumLost
-	// EventStaleDrop: a message from a superseded epoch was annihilated.
-	EventStaleDrop
-	// EventJoinSent: newer-epoch traffic revealed this node was excised;
-	// it asked the sender for re-admission.
-	EventJoinSent
-	// EventWelcome: this node was re-admitted into a newer epoch (Peer is
-	// the sponsor) or re-admitted a returning peer (see PeerUp).
-	EventWelcome
-	// EventPlanReorient: this node, holding the token, started a planned
-	// reshape epoch toward an observed hot requester (Peer is the target).
-	EventPlanReorient
-)
-
-// String names the event kind for traces.
-func (k EventKind) String() string {
-	switch k {
-	case EventPeerDown:
-		return "PEER-DOWN"
-	case EventPeerUp:
-		return "PEER-UP"
-	case EventProbe:
-		return "PROBE"
-	case EventFreeze:
-		return "FREEZE"
-	case EventRegenerate:
-		return "REGENERATE"
-	case EventAdopt:
-		return "ADOPT"
-	case EventReorient:
-		return "REORIENT"
-	case EventQuorumLost:
-		return "QUORUM-LOST"
-	case EventStaleDrop:
-		return "STALE-DROP"
-	case EventJoinSent:
-		return "JOIN"
-	case EventWelcome:
-		return "WELCOME"
-	case EventPlanReorient:
-		return "PLAN-REORIENT"
-	default:
-		return fmt.Sprintf("EventKind(%d)", uint8(k))
-	}
-}
-
-// Event is one failure-recovery observation, reported to the observer
-// registered with WithEventObserver.
-type Event struct {
-	Kind EventKind
-	// Node is the observing node.
-	Node mutex.ID
-	// Peer is the other node involved (dead peer, coordinator, root, ...;
-	// Nil when not applicable).
-	Peer mutex.ID
-	// Epoch is the observing node's epoch at the time of the event.
-	Epoch uint32
-	// Generation carries the relevant fencing generation (mint base for
-	// EventRegenerate, local generation otherwise) when meaningful.
-	Generation uint64
-}
-
-// Trace maps the recovery event into the telemetry vocabulary: a
-// RECOVERY trace event whose Detail is the recovery kind's name. This is
-// the single bridge between the two event streams, so dagtrace's chaos
-// rendering and a live trace observer print recoveries identically.
-func (e Event) Trace() telemetry.TraceEvent {
-	return telemetry.TraceEvent{
-		Kind: telemetry.TraceRecovery, Node: e.Node, Peer: e.Peer,
-		Epoch: e.Epoch, Fence: e.Generation, Shard: -1, Detail: e.Kind.String(),
-	}
-}
-
-func (n *Node) event(k EventKind, peer mutex.ID, gen uint64) {
-	ev := Event{Kind: k, Node: n.id, Peer: peer, Epoch: n.epoch, Generation: gen}
-	if n.onEvent != nil {
-		n.onEvent(ev)
-	}
-	if n.onTrace != nil {
-		n.onTrace(ev.Trace())
-	}
-}
-
 // Epoch returns the node's current recovery epoch (0 until the first
 // recovery).
 func (n *Node) Epoch() uint32 { return n.epoch }
@@ -311,7 +206,7 @@ func (n *Node) PeerDown(dead mutex.ID) error {
 	fresh := !n.dead[dead]
 	if fresh {
 		n.markDead(dead)
-		n.event(EventPeerDown, dead, 0)
+		n.emit(EventPeerDown, 0, dead, mutex.Nil, 0, 0)
 	}
 	if n.coordinator() != n.id {
 		// A survivor with a higher ID coordinates; this node just waits
@@ -324,7 +219,7 @@ func (n *Node) PeerDown(dead mutex.ID) error {
 		return nil
 	}
 	if !n.quorum() {
-		n.event(EventQuorumLost, dead, 0)
+		n.emit(EventQuorumLost, 0, dead, mutex.Nil, 0, 0)
 		return nil
 	}
 	n.startRecovery(dead)
@@ -346,7 +241,7 @@ func (n *Node) PeerUp(peer mutex.ID) error {
 		return nil
 	}
 	delete(n.dead, peer)
-	n.event(EventPeerUp, peer, 0)
+	n.emit(EventPeerUp, 0, peer, mutex.Nil, 0, 0)
 	if n.epoch > 0 {
 		n.env.Send(peer, Welcome{Epoch: n.epoch})
 	}
@@ -388,11 +283,11 @@ func (n *Node) PlanReorient(hot mutex.ID) (bool, error) {
 		return false, nil
 	}
 	if !n.quorum() {
-		n.event(EventQuorumLost, hot, 0)
+		n.emit(EventQuorumLost, 0, hot, mutex.Nil, 0, 0)
 		return false, nil
 	}
 	n.planTarget = hot
-	n.event(EventPlanReorient, hot, n.gen)
+	n.emit(EventPlanReorient, 0, hot, mutex.Nil, n.gen, 0)
 	n.startRecovery(mutex.Nil)
 	return true, nil
 }
@@ -424,7 +319,7 @@ func (n *Node) startRecovery(dead mutex.ID) {
 		n.awaiting[id] = true
 		n.env.Send(id, Probe{Epoch: n.epoch, Dead: dead})
 	}
-	n.event(EventProbe, dead, 0)
+	n.emit(EventProbe, 0, dead, mutex.Nil, 0, 0)
 	if len(n.awaiting) == 0 {
 		n.finishRecovery()
 	}
@@ -445,7 +340,7 @@ func (n *Node) deliverProbe(from mutex.ID, msg Probe) error {
 	}
 	if msg.Dead != mutex.Nil && msg.Dead != n.id && n.member(msg.Dead) && !n.dead[msg.Dead] {
 		n.markDead(msg.Dead)
-		n.event(EventPeerDown, msg.Dead, 0)
+		n.emit(EventPeerDown, 0, msg.Dead, mutex.Nil, 0, 0)
 	}
 	// Cede any collection this node was running itself (a planned
 	// reshape it had started is abandoned with it).
@@ -460,7 +355,7 @@ func (n *Node) deliverProbe(from mutex.ID, msg Probe) error {
 		Requesting: n.requesting,
 		Generation: n.gen,
 	})
-	n.event(EventFreeze, from, n.gen)
+	n.emit(EventFreeze, 0, from, mutex.Nil, n.gen, 0)
 	return nil
 }
 
@@ -560,15 +455,15 @@ func (n *Node) finishRecovery() error {
 	}
 	if minted {
 		n.gen = n.ackMaxGen + RegenerationJump
-		n.event(EventRegenerate, root, n.gen)
+		n.emit(EventRegenerate, 0, root, mutex.Nil, n.gen, 0)
 	} else {
-		n.event(EventAdopt, root, n.ackMaxGen)
+		n.emit(EventAdopt, 0, root, mutex.Nil, n.ackMaxGen, 0)
 	}
 	n.applyOrientation(n.id == root, nextOf(n.id), followOf(n.id))
 	n.reissueDeferredRequest()
 	n.frozen = false
 	n.ackedRequesting = false
-	n.event(EventReorient, n.id, n.gen)
+	n.emit(EventReorient, 0, n.id, mutex.Nil, n.gen, 0)
 	return n.playDeferred()
 }
 
@@ -581,7 +476,7 @@ func (n *Node) deliverReorient(from mutex.ID, msg Reorient) error {
 	n.reissueDeferredRequest()
 	n.frozen = false
 	n.ackedRequesting = false
-	n.event(EventReorient, from, n.gen)
+	n.emit(EventReorient, 0, from, mutex.Nil, n.gen, 0)
 	return n.playDeferred()
 }
 
@@ -610,7 +505,7 @@ func (n *Node) applyOrientation(isRoot bool, next, follow mutex.ID) {
 		if n.requesting {
 			n.requesting = false
 			n.inCS = true
-			n.grant()
+			n.grant(0)
 		} else {
 			n.holding = true
 		}
@@ -659,7 +554,7 @@ func (n *Node) deliverJoin(from mutex.ID) error {
 	}
 	if n.dead[from] {
 		delete(n.dead, from)
-		n.event(EventPeerUp, from, 0)
+		n.emit(EventPeerUp, 0, from, mutex.Nil, 0, 0)
 	}
 	if n.epoch > 0 {
 		n.env.Send(from, Welcome{Epoch: n.epoch})
@@ -700,6 +595,6 @@ func (n *Node) deliverWelcome(from mutex.ID, msg Welcome) error {
 		n.sendRequest(n.next, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
 		n.next = mutex.Nil
 	}
-	n.event(EventWelcome, from, n.gen)
+	n.emit(EventWelcome, 0, from, mutex.Nil, n.gen, 0)
 	return nil
 }

@@ -23,7 +23,7 @@ func newChaosWorld(t *testing.T, tree *topology.Tree, holder mutex.ID) *chaosWor
 	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
 	for _, id := range tree.IDs() {
 		env := &recEnv{world: w, id: id}
-		n, err := New(id, env, cfg, WithEventObserver(func(e Event) { cw.events = append(cw.events, e) }))
+		n, err := New(id, env, cfg, WithObserver(RecoveryEvents, func(e Event) { cw.events = append(cw.events, e) }))
 		if err != nil {
 			t.Fatalf("New(%d): %v", id, err)
 		}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"dagmutex/internal/mutex"
-	"dagmutex/internal/telemetry"
 	"dagmutex/internal/topology"
 )
 
@@ -86,10 +85,12 @@ func newRouteWorld(t *testing.T, byValue bool, tree *topology.Tree, holder mutex
 		if byValue {
 			env = &valueEnv{boxedEnv{w: w, id: id}}
 		}
-		n, err := New(id, env, cfg,
-			WithTransitionObserver(func(tr Transition, to State) { w.logf("transition node=%d %v->%v", id, tr, to) }),
-			WithEventObserver(func(e Event) { w.logf("event %+v", e) }),
-			WithTraceObserver(func(e telemetry.TraceEvent) { w.logf("trace %s", e.String()) }))
+		n, err := New(id, env, cfg, WithObserver(^EventSet(0), func(e Event) {
+			if e.Transition != 0 {
+				w.logf("transition node=%d %v->%v", e.Node, e.Transition, e.State)
+			}
+			w.logf("event %+v", e)
+		}))
 		if err != nil {
 			t.Fatalf("New(%d): %v", id, err)
 		}
@@ -552,7 +553,7 @@ func TestDeliverMsgStaleEpochIsDropped(t *testing.T) {
 	}
 	drops := 0
 	for _, l := range w.log {
-		if l == fmt.Sprintf("event %+v", Event{Kind: EventStaleDrop, Node: 2, Peer: 1, Epoch: 1}) {
+		if l == fmt.Sprintf("event %+v", Event{Kind: EventStaleDrop, State: before.State(), Node: 2, Peer: 1, Epoch: 1}) {
 			drops++
 		}
 	}

@@ -17,8 +17,8 @@ func newTracedWorld(t *testing.T, tree *topology.Tree, holder mutex.ID, stream *
 	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
 	for _, id := range tree.IDs() {
 		env := &recEnv{world: w, id: id}
-		n, err := New(id, env, cfg, WithTraceObserver(func(e telemetry.TraceEvent) {
-			*stream = append(*stream, e)
+		n, err := New(id, env, cfg, WithObserver(TracedEvents, func(e Event) {
+			*stream = append(*stream, e.Trace())
 		}))
 		if err != nil {
 			t.Fatalf("New(%d): %v", id, err)
@@ -73,12 +73,10 @@ func TestTraceStreamCausalChain(t *testing.T) {
 	if grant.Fence != priv.Fence+1 {
 		t.Errorf("grant fence %d does not follow dispatched token generation %d", grant.Fence, priv.Fence)
 	}
-	if priv.TraceID()>>traceIDOriginShift != grant.TraceID()>>traceIDOriginShift {
+	if priv.TraceID().Origin != grant.TraceID().Origin {
 		t.Errorf("privilege and grant disagree on origin: %x vs %x", priv.TraceID(), grant.TraceID())
 	}
 }
-
-const traceIDOriginShift = 48
 
 // TestTraceStreamFenceMonotonic checks that GRANT events carry strictly
 // increasing fences across a contended run — the property the
@@ -115,7 +113,7 @@ func TestTraceStreamFenceMonotonic(t *testing.T) {
 // TestTraceRecoveryBridge checks Event.Trace maps the recovery
 // vocabulary into the shared trace vocabulary.
 func TestTraceRecoveryBridge(t *testing.T) {
-	ev := Event{Kind: EventPeerDown, Node: 1, Peer: 3, Epoch: 2, Generation: 7}
+	ev := Event{Kind: EventPeerDown, Node: 1, Peer: 3, Epoch: 2, Fence: 7}
 	tr := ev.Trace()
 	if tr.Kind != telemetry.TraceRecovery || tr.Detail != "PEER-DOWN" ||
 		tr.Node != 1 || tr.Peer != 3 || tr.Epoch != 2 || tr.Fence != 7 {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dagmutex/internal/failure"
+	"dagmutex/internal/telemetry"
 )
 
 // keyInShard returns a resource name hashing to the given shard.
@@ -38,6 +39,9 @@ func TestShardFailoverOnMemberCrash(t *testing.T) {
 		Nodes:         3,
 		Lease:         lease,
 		SweepInterval: 20 * time.Millisecond,
+		// Telemetry without a trace observer: each shard subscribes to
+		// its members' recovery events alone, for Stats.Recoveries.
+		Telemetry: telemetry.NewRegistry(),
 		Transport: LocalTransport{
 			Failure:  &failure.Config{Heartbeat: 10 * time.Millisecond, SuspectAfter: 120 * time.Millisecond},
 			Injector: inj,
@@ -125,5 +129,8 @@ func TestShardFailoverOnMemberCrash(t *testing.T) {
 	}
 	if err := svc.Err(); err != nil {
 		t.Fatalf("service error after failover: %v (a member crash must not be service-fatal)", err)
+	}
+	if n := svc.Stats().PerShard[0].Recoveries; n == 0 {
+		t.Fatal("shard 0 counted no recovery events")
 	}
 }

@@ -153,7 +153,7 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// TraceObserver, when set, receives the structured trace stream of
 	// every locally hosted member: the protocol chain of every grant
-	// (request, forwards, privilege, grant — see core.WithTraceObserver),
+	// (request, forwards, privilege, grant — see core.Event),
 	// the service-level lifecycle around it (release, regrant, expiry,
 	// tagged with the resource name), and recovery events, each stamped
 	// with its shard. Called concurrently from protocol and service
@@ -271,9 +271,8 @@ type shard struct {
 	// reads the counters below at scrape time only.
 	waitHist *telemetry.Histogram
 	holdHist *telemetry.Histogram
-	// obs is the effective trace observer (shard-tagging wrapper around
-	// Config.TraceObserver plus the recovery counter); nil when neither
-	// telemetry nor a trace observer is configured.
+	// obs is Config.TraceObserver stamping every event with the shard
+	// index; nil when no trace observer is configured.
 	obs func(telemetry.TraceEvent)
 
 	// mu guards every counter below plus the wait reservoir, so a Stats
@@ -288,7 +287,7 @@ type shard struct {
 	releases   int64 // successful Releases (cohort regrants included)
 	regrants   int64 // releases served by a cohort handoff (no token move)
 	expired    int64 // holds force-released by the sweeper
-	recoveries int64 // recovery events observed (requires obs installed)
+	recoveries int64 // recovery events observed (requires telemetry or a trace observer)
 	fence      uint64
 	hops       int64 // request-path hops behind all grants
 	reorients  int64 // planned reshapes this process initiated
@@ -320,7 +319,6 @@ func New(cfg Config) (*Service, error) {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	s := &Service{cfg: cfg, shards: make([]*shard, 0, cfg.Shards), done: make(chan struct{})}
-	observed := cfg.Telemetry != nil || cfg.TraceObserver != nil
 	for i := 0; i < cfg.Shards; i++ {
 		tree := cfg.Tree(cfg.Nodes)
 		if tree.N() != cfg.Nodes {
@@ -338,10 +336,13 @@ func New(cfg Config) (*Service, error) {
 		sh := &shard{index: i, home: home, route: mutex.Nil,
 			slots: make([]*runtime.Slot, cfg.Nodes), done: s.done, clk: cfg.Clock,
 			nodeGrants: make([]int64, cfg.Nodes), lastGrants: make([]int64, cfg.Nodes)}
-		if observed {
-			sh.obs = sh.observer(cfg.TraceObserver)
+		if user := cfg.TraceObserver; user != nil {
+			sh.obs = func(e telemetry.TraceEvent) {
+				e.Shard = int32(sh.index)
+				user(e)
+			}
 		}
-		builder := shardBuilder(cfg.Topology.PathCompression, sh.obs)
+		builder := sh.builder(cfg.Topology.PathCompression, cfg.Telemetry != nil)
 		cluster, err := cfg.Transport.StartShard(i, builder, mcfg)
 		if err != nil {
 			s.Close()
@@ -680,37 +681,33 @@ func (sh *shard) noteGrant(id mutex.ID, hops int, fence uint64, wait time.Durati
 	}
 }
 
-// observer builds the shard's effective trace observer: it stamps every
-// event with the shard index, counts recovery events, and forwards to
-// the user's observer when one is configured. The closure is built once
-// per shard; per event it copies a struct and forwards — no allocation.
-func (sh *shard) observer(user func(telemetry.TraceEvent)) func(telemetry.TraceEvent) {
-	idx := int32(sh.index)
-	return func(e telemetry.TraceEvent) {
-		e.Shard = idx
-		if e.Kind == telemetry.TraceRecovery {
-			sh.mu.Lock()
-			sh.recoveries++
-			sh.mu.Unlock()
-		}
-		if user != nil {
-			user(e)
-		}
+// observe is the shard's subscription to its members' events: it counts
+// recovery events and hands the stream on to the trace observer, if any.
+// Per event it copies a struct and forwards — no allocation.
+func (sh *shard) observe(e core.Event) {
+	if core.RecoveryEvents.Has(e.Kind) {
+		sh.mu.Lock()
+		sh.recoveries++
+		sh.mu.Unlock()
+	}
+	if sh.obs != nil {
+		sh.obs(e.Trace())
 	}
 }
 
-// shardBuilder returns the node builder for one shard: core.Builder
-// plus the shard's topology and observation options.
-func shardBuilder(compress bool, obs func(telemetry.TraceEvent)) mutex.Builder {
-	if !compress && obs == nil {
-		return core.Builder
-	}
+// builder returns the node builder for one shard, with its topology and
+// observation options: a trace observer subscribes the shard to every
+// traced event, telemetry alone to the recovery events it counts.
+func (sh *shard) builder(compress, counted bool) mutex.Builder {
 	var opts []core.Option
 	if compress {
 		opts = append(opts, core.WithPathCompression())
 	}
-	if obs != nil {
-		opts = append(opts, core.WithTraceObserver(obs))
+	switch {
+	case sh.obs != nil:
+		opts = append(opts, core.WithObserver(core.TracedEvents, sh.observe))
+	case counted:
+		opts = append(opts, core.WithObserver(core.RecoveryEvents, sh.observe))
 	}
 	return func(id mutex.ID, env mutex.Env, mcfg mutex.Config) (mutex.Node, error) {
 		return core.New(id, env, mcfg, opts...)

@@ -157,10 +157,11 @@ func New(cfg Config) (*Harness, error) {
 		return nil, err
 	}
 	h := &Harness{cfg: cfg, tree: tree, rng: rng}
-	opts := []core.Option{core.WithEventObserver(h.recovery)}
+	want := core.EventSet(1<<core.EventProbe | 1<<core.EventRegenerate)
 	if cfg.Trace {
-		opts = append(opts, core.WithTraceObserver(h.record))
+		want |= core.TracedEvents
 	}
+	opts := []core.Option{core.WithObserver(want, h.observe)}
 	if cfg.Compress {
 		opts = append(opts, core.WithPathCompression())
 	}
@@ -202,20 +203,19 @@ func buildTree(name string, n int, rng *rand.Rand) (*topology.Tree, error) {
 // Topology returns the logical tree the cluster was built on.
 func (h *Harness) Topology() *topology.Tree { return h.tree }
 
-// recovery counts every node's probe rounds and regenerations.
-func (h *Harness) recovery(ev core.Event) {
-	switch ev.Kind {
+// observe counts every node's probe rounds and regenerations and, when
+// Config.Trace is set, retains the trace stream. An untraced run
+// subscribes to those two kinds alone, so it builds no other event.
+func (h *Harness) observe(e core.Event) {
+	switch e.Kind {
 	case core.EventProbe:
 		h.recoveries++
 	case core.EventRegenerate:
 		h.regens++
 	}
-}
-
-// record retains every node's trace stream; installed only when
-// Config.Trace is set, so an untraced run builds no trace events.
-func (h *Harness) record(ev telemetry.TraceEvent) {
-	h.trace = append(h.trace, TraceRecord{At: time.Duration(h.c.Now()), Ev: ev})
+	if h.cfg.Trace {
+		h.trace = append(h.trace, TraceRecord{At: time.Duration(h.c.Now()), Ev: e.Trace()})
+	}
 }
 
 // linkDelay is the harness's latency model: a uniform per-message delay

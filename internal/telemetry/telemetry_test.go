@@ -123,6 +123,13 @@ func TestTraceEventStringAndID(t *testing.T) {
 	if g.TraceID() == other.TraceID() {
 		t.Errorf("distinct fences share a trace ID")
 	}
+	// Origins are any positive int32: 1 and 65 537 under one fence are two
+	// chains.
+	near := TraceEvent{Kind: TraceGrant, Node: 1, Origin: 1, Fence: 17, Shard: -1}
+	far := TraceEvent{Kind: TraceGrant, Node: 65537, Origin: 65537, Fence: 17, Shard: -1}
+	if near.TraceID() == far.TraceID() {
+		t.Errorf("origins 1 and 65537 share a trace ID: %v", far.TraceID())
+	}
 	rec := TraceEvent{Kind: TraceRecovery, Node: 1, Peer: 3, Epoch: 1, Shard: -1, Detail: "PEER-DOWN"}
 	if got, want := rec.String(), "node 1 RECOVERY PEER-DOWN peer=3 epoch=1"; got != want {
 		t.Errorf("recovery String() = %q, want %q", got, want)

@@ -13,9 +13,10 @@ import (
 // sink dispatches the PRIVILEGE token back, and the origin's
 // critical-section entry is the GRANT. The service kinds (RELEASE,
 // REGRANT, EXPIRE) are the lock-service lifecycle around a grant, and
-// RECOVERY wraps the failure subsystem's event vocabulary (core.Event),
+// RECOVERY carries one step of the failure subsystem, named in Detail,
 // so one stream — and one renderer — covers the healthy hot path and
-// the chaos path alike.
+// the chaos path alike. core.Event.Trace produces the protocol and
+// recovery kinds.
 type TraceKind uint8
 
 // Trace event kinds.
@@ -64,7 +65,7 @@ func (k TraceKind) String() string {
 // already on the wire (REQUEST carries Origin; PRIVILEGE carries the
 // generation), and together they identify one grant uniquely — the
 // fence is strictly monotonic per token, and exactly one origin receives
-// each fence. TraceID packs the pair.
+// each fence. TraceID is the pair.
 type TraceEvent struct {
 	// Kind classifies the event.
 	Kind TraceKind
@@ -89,22 +90,22 @@ type TraceEvent struct {
 	// Shard is the lock-service shard index, or -1 outside a sharded
 	// service (a plain cluster).
 	Shard int32
-	// Detail carries the kind-specific annotation: the core.Event name on
-	// RECOVERY, the resource name on lock-service lifecycle events.
+	// Detail carries the kind-specific annotation: the recovery step's
+	// name on RECOVERY, the resource name on lock-service lifecycle events.
 	Detail string
 }
 
-// traceFenceBits is how much of the fence TraceID keeps: 48 bits wraps
-// after 2.8e14 grants, far beyond any run, while leaving 16 bits of
-// origin — enough for the validated ID range.
-const traceFenceBits = 48
-
-// TraceID packs the event's causal identity — (Origin, Fence) — into one
-// comparable integer: all events of one request→forward→privilege→grant
-// chain that know their origin and fence map to the same ID.
-func (e TraceEvent) TraceID() uint64 {
-	return uint64(uint16(e.Origin))<<traceFenceBits | e.Fence&(1<<traceFenceBits-1)
+// TraceID is a grant's causal identity: the requester and the fence it
+// was granted under. It is comparable, so it keys maps as is.
+type TraceID struct {
+	Origin mutex.ID
+	Fence  uint64
 }
+
+// TraceID returns the event's causal identity — (Origin, Fence): all
+// events of one request→forward→privilege→grant chain that know their
+// origin and fence share it.
+func (e TraceEvent) TraceID() TraceID { return TraceID{Origin: e.Origin, Fence: e.Fence} }
 
 // String renders the event in the shared vocabulary used by dagtrace's
 // live and chaos output:

@@ -48,8 +48,9 @@ func TestAllocBudgetLocalSteadyState(t *testing.T) {
 }
 
 // TestAllocBudgetTracedSteadyState pins the same steady-state cycle at
-// zero heap allocations with live telemetry attached: a trace observer
-// feeding real registry instruments (a counter and a histogram, the
+// zero heap allocations with live telemetry attached: the node's one
+// observer, mapping every traced event to telemetry and feeding real
+// registry instruments (a counter and a histogram, the
 // exact instruments the lock service's per-shard observer drives).
 // Turning observability on must not put allocations back on the grant
 // hot path — the events are built from registers and passed by value,
@@ -62,10 +63,10 @@ func TestAllocBudgetTracedSteadyState(t *testing.T) {
 	grants := reg.Counter("grants")
 	fences := reg.Histogram("fences", telemetry.Units)
 	builder := func(id mutex.ID, env mutex.Env, cfg mutex.Config) (mutex.Node, error) {
-		return core.New(id, env, cfg, core.WithTraceObserver(func(e telemetry.TraceEvent) {
-			if e.Kind == telemetry.TraceGrant {
+		return core.New(id, env, cfg, core.WithObserver(core.TracedEvents, func(e core.Event) {
+			if t := e.Trace(); t.Kind == telemetry.TraceGrant {
 				grants.Inc()
-				fences.Observe(int64(e.Fence))
+				fences.Observe(int64(t.Fence))
 			}
 		}))
 	}

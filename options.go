@@ -4,7 +4,6 @@ import (
 	"context"
 	"time"
 
-	"dagmutex/internal/core"
 	"dagmutex/internal/failure"
 	"dagmutex/internal/telemetry"
 	"dagmutex/internal/transport"
@@ -29,14 +28,6 @@ type VirtualClock = vclock.Virtual
 // NewVirtualClock returns a virtual clock at its epoch. Advance it with
 // VirtualClock.Advance; nothing fires until then.
 func NewVirtualClock() *VirtualClock { return vclock.NewVirtual() }
-
-// Event is one failure-recovery observation (peer suspected, probe,
-// token regeneration, reorientation, ...), delivered to the callback
-// registered with WithObserver.
-type Event = core.Event
-
-// EventKind labels an Event.
-type EventKind = core.EventKind
 
 // Telemetry is an allocation-free metrics registry: atomic counters,
 // pull-based gauges and fixed-bucket histograms with p50/p95/p99
@@ -116,7 +107,6 @@ type openOptions struct {
 	fcfg      *failure.Config
 	inj       *failure.Injector
 	init      bool
-	observer  func(Event)
 	member    ID
 	startCtx  context.Context
 	queue     *transport.ClientQueue
@@ -172,13 +162,6 @@ func WithINIT() Option {
 	return func(o *openOptions) { o.init = true }
 }
 
-// WithObserver registers fn on every member for failure-recovery events
-// (peer suspected, probe, regeneration, reorientation, ...), for traces
-// and telemetry. fn runs inside protocol handlers and must not block.
-func WithObserver(fn func(Event)) Option {
-	return func(o *openOptions) { o.observer = fn }
-}
-
 // WithMember names the member id this process runs as, for
 // OpenLockService over TCP (each participating process opens the same
 // configuration with its own member id). Open and OpenPeer ignore it.
@@ -225,9 +208,10 @@ func WithTelemetry(reg *Telemetry) Option {
 
 // WithTraceObserver subscribes fn to the structured trace stream: every
 // request, forward, privilege dispatch, grant, release, lease expiry
-// and recovery event of every member hosted in this process, each
-// carrying the causal trace ID (origin and fence) that stitches one
-// critical-section entry's chain together. fn runs inside protocol
+// and recovery step (TraceRecovery, the step's name in Detail) of every
+// member hosted in this process, each carrying the causal trace ID
+// (origin and fence) that stitches one critical-section entry's chain
+// together. It is the library's one observer. fn runs inside protocol
 // handlers and service goroutines, possibly concurrently: it must not
 // block, must not call back into the cluster, and should not allocate.
 // Applies to Open, OpenPeer and OpenLockService.
