@@ -8,6 +8,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 )
 
@@ -22,8 +23,14 @@ const Hop Time = 1000
 // Timeline is the event queue: values of type E, each due at a Time, that
 // one goroutine pushes and pops. Nothing on it is cancelled one by one: a
 // caller that withdraws events marks them itself, skips them as they come
-// up and sweeps them out with Cancel. So an event needs no slot, no handle
-// and no sequence number — pushing is an append and popping is a read.
+// up and sweeps them out with Cancel. So an event needs no handle and no
+// sequence number — pushing is an append and popping is a read.
+//
+// An entry is the event's time and its value, and is moved whole each
+// time it is filed, so E is best small and pointer-free: the virtual
+// clock keeps each event's callback in a table of its own and queues only
+// the slot number, a uint32, which makes an entry 16 bytes with nothing
+// in it for the garbage collector to scan.
 //
 // The queue is a radix (monotone) heap: events never fire before the last
 // one popped, so an event due at t lives in bucket bits.Len64(t ^ last) —
@@ -36,16 +43,26 @@ const Hop Time = 1000
 // order they were pushed (they always share a bucket), which is why ties
 // fire in scheduling order without ever comparing a sequence number.
 //
-// The zero value is an empty timeline at time zero. Once the buckets have
+// Each bucket keeps its headroom, never minus its earliest time, which is
+// 0 for an empty bucket: filing an event raises it with a max and sets
+// the bucket's bit, so it takes no branch on whether the bucket was empty
+// or the event is its earliest. Every path that empties a bucket puts its
+// headroom back to 0.
+//
+// The zero value is an empty timeline at time zero; its first push cuts
+// every bucket's first array from one allocation. Once the buckets have
 // grown to a run's high-water mark, Push, Pop and Cancel allocate nothing.
 type Timeline[E any] struct {
 	last     Time     // time of the last event popped: no later push is earlier
 	n        int      // events pending
 	head     int      // bucket 0's read index
 	occupied uint64   // bit i set: bucket i holds events
-	mins     [64]Time // per occupied bucket, its earliest time
+	room     [64]Time // per bucket, never minus its earliest time; 0 when empty
 	buckets  [64][]entry[E]
 }
+
+// never is later than any event: a bucket's headroom is measured from it.
+const never = Time(math.MaxInt64)
 
 // entry is one pending event.
 type entry[E any] struct {
@@ -63,7 +80,7 @@ func (t *Timeline[E]) Len() int { return t.n }
 // are held to the times popped before.
 func (t *Timeline[E]) Push(at Time, ev E) {
 	if t.n == 0 {
-		t.last = 0
+		t.restart()
 	} else if at < t.last {
 		panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", at, t.last))
 	}
@@ -71,15 +88,28 @@ func (t *Timeline[E]) Push(at Time, ev E) {
 	t.put(entry[E]{at: at, ev: ev})
 }
 
+// restart starts an empty timeline again from time zero. The first one
+// also gives every bucket its first array, all cut from one allocation,
+// which spares a bucket the appends that would grow it to firstBucket
+// one allocation at a time.
+func (t *Timeline[E]) restart() {
+	t.last = 0
+	if t.buckets[0] == nil {
+		all := make([]entry[E], len(t.buckets)*firstBucket)
+		for i := range t.buckets {
+			t.buckets[i] = all[i*firstBucket : i*firstBucket : (i+1)*firstBucket]
+		}
+	}
+}
+
+// firstBucket is the capacity of a bucket's first array.
+const firstBucket = 4
+
 // put files e under the current last.
 func (t *Timeline[E]) put(e entry[E]) {
 	i := bits.Len64(uint64(e.at ^ t.last)) // at most 63: times are not negative
-	if bit := uint64(1) << i; t.occupied&bit == 0 {
-		t.occupied |= bit
-		t.mins[i] = e.at
-	} else if e.at < t.mins[i] {
-		t.mins[i] = e.at
-	}
+	t.occupied |= 1 << i
+	t.room[i] = max(t.room[i], never-e.at)
 	t.buckets[i] = append(t.buckets[i], e)
 }
 
@@ -89,43 +119,43 @@ func (t *Timeline[E]) NextAt() (Time, bool) {
 	if t.occupied == 0 {
 		return 0, false
 	}
-	return t.mins[bits.TrailingZeros64(t.occupied)], true
-}
-
-// refill spreads the lowest occupied bucket over the ones below it, which
-// are empty, so that bucket 0 holds the earliest events. The timeline must
-// not be empty, and the caller must be about to pop: the earliest time
-// becomes the new last.
-func (t *Timeline[E]) refill() {
-	i := bits.TrailingZeros64(t.occupied)
-	t.occupied &^= 1 << i
-	t.last = t.mins[i]
-	b := t.buckets[i]
-	for _, e := range b {
-		t.put(e)
-	}
-	clear(b) // drop the events' references
-	t.buckets[i] = b[:0]
+	return never - t.room[bits.TrailingZeros64(t.occupied)], true
 }
 
 // Pop removes the earliest pending event — of several due at the same
 // time, the first pushed — and returns its time and value. The timeline
 // must not be empty.
 func (t *Timeline[E]) Pop() (Time, E) {
-	if t.occupied&1 == 0 {
+	at, ev, ok := t.PopDue(never)
+	if !ok {
+		panic("sched: Pop on an empty timeline")
+	}
+	return at, ev
+}
+
+// PopDue is Pop if the earliest pending event is due at or before target,
+// and otherwise reports false and leaves the timeline as it was: NextAt
+// and Pop in one, finding the earliest bucket once.
+func (t *Timeline[E]) PopDue(target Time) (Time, E, bool) {
+	i := bits.TrailingZeros64(t.occupied)
+	if t.occupied == 0 || never-t.room[i] > target {
+		var none E
+		return 0, none, false
+	}
+	if i != 0 {
 		// The common case in a sparse stretch: the lowest bucket holds one
 		// event, which fires from where it is.
-		i := bits.TrailingZeros64(t.occupied)
 		if b := t.buckets[i]; len(b) == 1 {
 			t.last = b[0].at
 			ev := b[0].ev
 			b[0] = entry[E]{}
 			t.buckets[i] = b[:0]
 			t.occupied &^= 1 << i
+			t.room[i] = 0
 			t.n--
-			return t.last, ev
+			return t.last, ev, true
 		}
-		t.refill()
+		t.refill(i)
 	}
 	b := t.buckets[0]
 	ev := b[t.head].ev
@@ -134,13 +164,30 @@ func (t *Timeline[E]) Pop() (Time, E) {
 	if t.head++; t.head == len(b) {
 		t.head, t.buckets[0] = 0, b[:0]
 		t.occupied &^= 1
+		t.room[0] = 0
 	}
-	return t.last, ev
+	return t.last, ev, true
+}
+
+// refill spreads bucket i, the lowest occupied one, over the ones below
+// it, which are empty, so that bucket 0 holds the earliest events. The
+// caller must be about to pop: the earliest time becomes the new last.
+func (t *Timeline[E]) refill(i int) {
+	t.occupied &^= 1 << i
+	t.last = never - t.room[i]
+	t.room[i] = 0
+	b := t.buckets[i]
+	for _, e := range b {
+		t.put(e)
+	}
+	clear(b) // drop the events' references
+	t.buckets[i] = b[:0]
 }
 
 // Cancel removes, at once, every pending event withdrawn reports true
 // for, and keeps the rest in their order: how a caller that withdraws
-// events lazily compacts the queue.
+// events lazily compacts the queue. withdrawn is called exactly once per
+// pending event, so it may also release what the event holds.
 func (t *Timeline[E]) Cancel(withdrawn func(E) bool) {
 	for occ := t.occupied; occ != 0; occ &= occ - 1 {
 		i := bits.TrailingZeros64(occ)
@@ -148,19 +195,17 @@ func (t *Timeline[E]) Cancel(withdrawn func(E) bool) {
 		if i == 0 {
 			from, t.head = t.head, 0
 		}
-		kept := b[:0]
+		kept, room := b[:0], Time(0)
 		for _, e := range b[from:] {
 			if withdrawn(e.ev) {
 				continue
 			}
-			if len(kept) == 0 || e.at < t.mins[i] {
-				t.mins[i] = e.at
-			}
+			room = max(room, never-e.at)
 			kept = append(kept, e)
 		}
 		t.n -= len(b) - from - len(kept)
 		clear(b[len(kept):])
-		t.buckets[i] = kept
+		t.buckets[i], t.room[i] = kept, room
 		if len(kept) == 0 {
 			t.occupied &^= 1 << i
 		}

@@ -5,7 +5,13 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dagmutex/internal/sched"
 )
+
+// The clock queues slot numbers: sched's TestSlotEntryIsSixteenBytes holds
+// each entry of such a queue to 16 bytes with no pointer in them.
+var _ = func(v *Virtual) *sched.Timeline[uint32] { return &v.queue }
 
 func TestVirtualNowAdvances(t *testing.T) {
 	v := NewVirtual()
@@ -246,12 +252,18 @@ func TestVirtualStepFiresOneEvent(t *testing.T) {
 // withdrawn ones included, not one per Reset — whether the owner collects
 // the inbox between Resets (the first half: the queue's sweep bounds it)
 // or not (the second half: the inbox's) — and Pending and NextAt, the
-// harness's deadlock probe, stay exact.
+// harness's deadlock probe, stay exact. Every slot in use holds a queued
+// entry: a withdrawn event's slot is freed when the sweep drops it or the
+// pop skips it (the stopped timer at the end), so the slot table never
+// grows past its first step.
 func TestResetDoesNotGrowHeap(t *testing.T) {
 	v := NewVirtual()
 	fired := 0
 	tm := v.AfterFunc(time.Hour, func() { fired++ })
 	stored := func() int {
+		if used := slotsInUse(v); used != v.queue.Len() || len(v.slots) > slotStep {
+			t.Fatalf("%d slots of %d in use for %d queued entries", used, len(v.slots), v.queue.Len())
+		}
 		v.mu.Lock()
 		defer v.mu.Unlock()
 		return len(v.inbox) + v.queue.Len()
@@ -274,10 +286,22 @@ func TestResetDoesNotGrowHeap(t *testing.T) {
 	if at, ok := v.NextAt(); !ok || at.Sub(v.Now()) != time.Hour+resets {
 		t.Fatalf("NextAt = %v, %v; want the last Reset's deadline", at, ok)
 	}
+	skipped := v.AfterFunc(time.Minute, func() { fired++ })
+	v.Pending() // queued, where only the pop finds it withdrawn
+	skipped.Stop()
 	v.Advance(2 * time.Hour)
-	if fired != 1 || v.Pending() != 0 {
-		t.Fatalf("fired = %d, pending = %d; want 1, 0", fired, v.Pending())
+	if fired != 1 || v.Pending() != 0 || stored() != 0 {
+		t.Fatalf("fired = %d, pending = %d, stored = %d; want 1, 0, 0", fired, v.Pending(), stored())
 	}
+}
+
+// slotsInUse counts the slots of v's table that are not on its free list.
+func slotsInUse(v *Virtual) int {
+	used := len(v.slots)
+	for s := v.free; s != 0; s = uint32(v.slots[s-1].gen) {
+		used--
+	}
+	return used
 }
 
 // TestAfterFuncTimelineSpendsNoYields is the settle rule's fast side: on

@@ -30,7 +30,11 @@ import (
 //
 // There is one queue, and only the owner touches it: Arm pushes onto it
 // directly, so only the owner may call Arm (from an event callback, or
-// between advances). Timers, tickers, AfterFunc and Sleep may be armed
+// between advances). The queue holds only each event's time and a slot
+// number, 16 bytes with no pointer in them; the event itself (callback,
+// timer, arming) waits in that slot of a table beside the queue, which
+// the owner fills when it queues an event and frees when the event is
+// popped or swept out. Timers, tickers, AfterFunc and Sleep may be armed
 // from any goroutine: they are posted to an inbox under the clock's lock,
 // which the owner empties onto the queue, in posting order, before every
 // Arm and every pop. So events fire in arming order with no sequence
@@ -82,10 +86,14 @@ type Virtual struct {
 	posts  atomic.Uint64
 	timers atomic.Int64 // armed timers: each has one live event queued
 
-	// The owner's: the queue, how many posts it has taken off the inbox,
-	// how many of its events belong to no timer (Arm, Sleep), and how many
-	// events fired.
-	queue sched.Timeline[event]
+	// The owner's: the queue of slot numbers and the table of slots they
+	// name; the free slots, chained through the table (free is the first
+	// one plus one, each free slot's gen the next one's, 0 ending the
+	// chain); how many posts it has taken off the inbox, how many of its
+	// events belong to no timer (Arm, Sleep), and how many events fired.
+	queue sched.Timeline[uint32]
+	slots []event
+	free  uint32
 	taken uint64
 	plain int
 	fired uint64
@@ -103,7 +111,8 @@ type Virtual struct {
 }
 
 // event is one queued callback. A timer's carries the timer and the state
-// its arming set, and is withdrawn once the timer has left that state.
+// its arming set, and is withdrawn once the timer has left that state. In
+// a free slot of the table, gen links the next free slot (see free).
 type event struct {
 	fire func()
 	t    *vtimer // nil: an Arm or a Sleep, never withdrawn
@@ -111,6 +120,56 @@ type event struct {
 }
 
 func withdrawn(e event) bool { return e.t != nil && e.t.state.Load() != e.gen }
+
+// slotStep is the fewest slots the table grows by: the first table holds
+// the pending set of a thousand-node simulation (bench's sim_scale peaks
+// below 512 events), so the table costs such a run one allocation.
+const slotStep = 512
+
+// hold takes a slot off the free list, for an event about to be queued.
+// Owner only. (The named result keeps it within the inliner's budget, so
+// Arm pays no call for it.)
+func (v *Virtual) hold() (s uint32) {
+	if v.free == 0 {
+		v.growSlots()
+	}
+	s = v.free - 1
+	v.free = uint32(v.slots[s].gen)
+	return s
+}
+
+// growSlots adds at least slotStep free slots to the table, doubling it
+// once it is larger, and chains them, lowest first, onto the free list.
+func (v *Virtual) growSlots() {
+	n := len(v.slots)
+	slots := make([]event, n+max(n, slotStep))
+	copy(slots, v.slots)
+	v.slots = slots
+	for s := len(slots); s > n; s-- {
+		slots[s-1].gen = uint64(v.free)
+		v.free = uint32(s)
+	}
+}
+
+// take empties slot s and returns the event it held. Owner only.
+func (v *Virtual) take(s uint32) event {
+	e := v.slots[s]
+	v.slots[s] = event{gen: uint64(v.free)}
+	v.free = s + 1
+	return e
+}
+
+// sweep takes the withdrawn events off the queue and frees their slots.
+// Owner only.
+func (v *Virtual) sweep() {
+	v.queue.Cancel(func(s uint32) bool {
+		if !withdrawn(v.slots[s]) {
+			return false
+		}
+		v.take(s)
+		return true
+	})
+}
 
 // posted is an inbox entry: an event and when it is due.
 type posted struct {
@@ -159,7 +218,7 @@ func (v *Virtual) Pending() int {
 // and nothing pending means the protocol lost a grant. Owner only.
 func (v *Virtual) NextAt() (time.Time, bool) {
 	if live := v.Pending(); v.queue.Len() > live {
-		v.queue.Cancel(withdrawn) // the head may be an event that will not fire
+		v.sweep() // the head may be an event that will not fire
 	}
 	at, ok := v.queue.NextAt()
 	if !ok {
@@ -174,7 +233,9 @@ func (v *Virtual) NextAt() (time.Time, bool) {
 func (v *Virtual) Arm(d time.Duration, fn func()) {
 	v.collect()
 	v.plain++
-	v.queue.Push(v.due(d), event{fire: fn})
+	s := v.hold()
+	v.slots[s] = event{fire: fn}
+	v.queue.Push(v.due(d), s)
 }
 
 // due is the queue time d from now; a negative d is now.
@@ -216,13 +277,15 @@ func (v *Virtual) collectLocked() {
 		if p.ev.t == nil {
 			v.plain++
 		}
-		v.queue.Push(max(p.at, now), p.ev)
+		s := v.hold()
+		v.slots[s] = p.ev
+		v.queue.Push(max(p.at, now), s)
 	}
 	clear(v.inbox)
 	v.inbox = v.inbox[:0]
 	v.taken = v.posts.Load()
 	if v.queue.Len() > 2*(v.plain+int(v.timers.Load())) {
-		v.queue.Cancel(withdrawn)
+		v.sweep()
 	}
 	v.mu.Unlock()
 }
@@ -300,19 +363,20 @@ func (v *Virtual) settleAfterEvent() {
 	}
 }
 
-// popDue removes the earliest live event due at or before target, moves
-// the clock to it and returns its callback; false when nothing is due by
-// then. Owner only. A timer's event fires only if it claims the arming it
-// was queued for, and is dropped otherwise, even when due after now: if
-// nothing live follows it, the clock stays where it is, and the emptied
-// queue takes the pushes after it at any time.
+// popDue removes the earliest live event due at or before target, frees
+// its slot, moves the clock to it and returns its callback; false when
+// nothing is due by then. Owner only. A timer's event fires only if it
+// claims the arming it was queued for, and is dropped otherwise, even
+// when due after now: if nothing live follows it, the clock stays where
+// it is, and the emptied queue takes the pushes after it at any time.
 func (v *Virtual) popDue(target sched.Time) (func(), bool) {
 	v.collect()
 	for {
-		if at, ok := v.queue.NextAt(); !ok || at > target {
+		at, s, ok := v.queue.PopDue(target)
+		if !ok {
 			return nil, false
 		}
-		at, e := v.queue.Pop()
+		e := v.take(s)
 		switch {
 		case e.t == nil:
 			v.plain--
