@@ -49,8 +49,7 @@ const Hop Time = 1000
 // or the event is its earliest. Every path that empties a bucket puts its
 // headroom back to 0.
 //
-// The zero value is an empty timeline at time zero; its first push cuts
-// every bucket's first array from one allocation. Once the buckets have
+// The zero value is an empty timeline at time zero. Once the buckets have
 // grown to a run's high-water mark, Push, Pop and Cancel allocate nothing.
 type Timeline[E any] struct {
 	last     Time     // time of the last event popped: no later push is earlier
@@ -80,30 +79,13 @@ func (t *Timeline[E]) Len() int { return t.n }
 // are held to the times popped before.
 func (t *Timeline[E]) Push(at Time, ev E) {
 	if t.n == 0 {
-		t.restart()
+		t.last = 0
 	} else if at < t.last {
 		panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", at, t.last))
 	}
 	t.n++
 	t.put(entry[E]{at: at, ev: ev})
 }
-
-// restart starts an empty timeline again from time zero. The first one
-// also gives every bucket its first array, all cut from one allocation,
-// which spares a bucket the appends that would grow it to firstBucket
-// one allocation at a time.
-func (t *Timeline[E]) restart() {
-	t.last = 0
-	if t.buckets[0] == nil {
-		all := make([]entry[E], len(t.buckets)*firstBucket)
-		for i := range t.buckets {
-			t.buckets[i] = all[i*firstBucket : i*firstBucket : (i+1)*firstBucket]
-		}
-	}
-}
-
-// firstBucket is the capacity of a bucket's first array.
-const firstBucket = 4
 
 // put files e under the current last.
 func (t *Timeline[E]) put(e entry[E]) {
