@@ -367,23 +367,23 @@ func TestSuccessiveExpiriesEachReported(t *testing.T) {
 
 // advanceReclaimed advances the virtual clock past h's lease deadline
 // plus two sweeper ticks, which fires the sweeper deterministically, and
-// asserts the hold was force-released. The reclaim happens synchronously
-// during Advance — no polling loop.
+// asserts through the service's stats that the sweeper force-released
+// the hold: h's shard counts one more expiry, and every grant it made
+// has been released or reclaimed, h included. The reclaim happens
+// synchronously during Advance — no polling loop.
 func advanceReclaimed(t *testing.T, v *vclock.Virtual, svc *Service, resource string, h Hold) {
 	t.Helper()
-	if d := v.Until(h.Expires); d > 0 {
-		v.Advance(d)
-	}
-	v.Advance(10 * time.Millisecond) // two sweeps: at least one strictly past the deadline
 	sh, err := svc.shardOf(resource)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sl, err := sh.slot(h.Node)
-	if err != nil {
-		t.Fatal(err)
+	before := svc.Stats().PerShard[sh.index]
+	if d := v.Until(h.Expires); d > 0 {
+		v.Advance(d)
 	}
-	if key, fence, held := sl.Holding(); held && key == resource && fence == h.Fence {
-		t.Fatalf("hold %v not reclaimed by the sweeper after its deadline", h)
+	v.Advance(10 * time.Millisecond) // two sweeps: at least one strictly past the deadline
+	after := svc.Stats().PerShard[sh.index]
+	if after.Expired != before.Expired+1 || after.Grants != after.Releases+after.Expired {
+		t.Fatalf("hold %v not reclaimed by the sweeper after its deadline: stats %+v before, %+v after", h, before, after)
 	}
 }

@@ -23,3 +23,10 @@ func (sl *Slot) AddWaiters(n int) { sl.waiters.Add(int64(n)) }
 // won the semaphore but not yet claimed the pending grant would.
 func (sl *Slot) HoldSem() { sl.sem <- struct{}{} }
 func (sl *Slot) FreeSem() { <-sl.sem }
+
+// Holding reports the slot's current hold, if any.
+func (sl *Slot) Holding() (key string, fence uint64, held bool) {
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	return sl.key, sl.fence, sl.held
+}

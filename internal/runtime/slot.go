@@ -158,13 +158,6 @@ func NewSlot(s *Session, lease time.Duration, budget int, end func(HoldEnd)) *Sl
 // operations (PlanReorient); acquiring through it directly breaks the slot.
 func (sl *Slot) Session() *Session { return sl.s }
 
-// Holding reports the slot's current hold, if any.
-func (sl *Slot) Holding() (key string, fence uint64, held bool) {
-	sl.mu.Lock()
-	defer sl.mu.Unlock()
-	return sl.key, sl.fence, sl.held
-}
-
 // Acquire queues behind the slot's other callers, then takes the
 // section, and records the hold under key. The returned Grant carries
 // the fencing token and, with leases enabled, the deadline in Expires.

@@ -67,9 +67,16 @@ type Member struct {
 	// message it has in flight to each destination. A link never delivers
 	// a later send before an earlier one, whatever the latency model
 	// draws. Only links with a message still in flight are listed (see
-	// clamp).
-	links []linkClamp
+	// clamp). Past maxLinks of them (a broadcast) the sender keeps far
+	// instead, swept of arrived entries whenever it has doubled since the
+	// last sweep, at sweepAt entries.
+	links   []linkClamp
+	far     map[mutex.ID]Time
+	sweepAt int
 }
+
+// maxLinks is how many live links a sender's clamp scans linearly.
+const maxLinks = 32
 
 // msgNode is a node that takes REQUEST and PRIVILEGE by value (*core.Node).
 type msgNode interface {
@@ -282,6 +289,16 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
 // list is compacted on the way: an entry whose message arrived before
 // now can never clamp again, because no later send arrives before now.
 func (s *Member) clamp(to mutex.ID, now, at Time) Time {
+	if s.far != nil {
+		if prev, ok := s.far[to]; ok && at <= prev {
+			at = prev + 1
+		}
+		if s.far[to] = at; len(s.far) >= s.sweepAt {
+			maps.DeleteFunc(s.far, func(_ mutex.ID, t Time) bool { return t < now })
+			s.sweepAt = 2 * max(len(s.far), maxLinks)
+		}
+		return at
+	}
 	links := s.links
 	k := 0
 	for _, l := range links {
@@ -296,6 +313,13 @@ func (s *Member) clamp(to mutex.ID, now, at Time) Time {
 		}
 	}
 	s.links = append(links[:k], linkClamp{to: to, at: at})
+	if len(s.links) > maxLinks {
+		s.far, s.sweepAt = make(map[mutex.ID]Time, 2*len(s.links)), 4*maxLinks
+		for _, l := range s.links {
+			s.far[l.to] = l.at
+		}
+		s.links = nil
+	}
 	return at
 }
 

@@ -29,3 +29,36 @@ func TestBuildHundredThousandNodes(t *testing.T) {
 		t.Errorf("100000-node New took %v, want <= 3s (cluster set-up is no longer linear)", wall)
 	}
 }
+
+// TestChurnHundredThousandNodes is the FIFO clamp's scale guard: one
+// simulated minute of 400 requesters on a 100 000-node kary4 tree, with
+// the root crashing at 20 s and node 50 000 at 40 s, each detected after
+// 80 ms. Every PROBE and REORIENT broadcast puts a message to each member
+// in flight from one sender; a clamp that rescanned the sender's
+// in-flight list on every send made that O(n²) — 54 s for this run on a
+// 2-core x86-64 VM, against 1.6 s with the map it now moves a broadcast
+// sender to. The run must also stay the same run: its grant, message and
+// event counts are the ones the rescanning clamp produced. Skipped under
+// -short.
+func TestChurnHundredThousandNodes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("100 000-node churn; run without -short")
+	}
+	h, err := New(Config{Nodes: 100_000, Topology: "kary4", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ScheduleCrash(20*time.Second, 1, 80*time.Millisecond)
+	h.ScheduleCrash(40*time.Second, 50_000, 80*time.Millisecond)
+	r, err := h.Run(Workload{Duration: time.Minute, Requesters: 400})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("100000-node churned minute: %v wall, %d grants, %d messages, %d events", r.WallDuration, r.Grants, r.Messages, r.Events)
+	if r.Grants != 9_828 || r.Messages != 674_256 || r.Events != 894_132 {
+		t.Errorf("%d grants, %d messages, %d events; want 9828, 674256, 894132", r.Grants, r.Messages, r.Events)
+	}
+	if r.WallDuration > 10*time.Second {
+		t.Errorf("100000-node churned minute took %v, want <= 10s (the FIFO clamp rescans a broadcast again)", r.WallDuration)
+	}
+}

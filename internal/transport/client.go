@@ -95,7 +95,8 @@ import (
 // the member sees exactly what it would without shard lanes. A gateway
 // names its members' S and passes runs through: a marked acquire from
 // one of its clients goes on to the domain's member as a marked acquire,
-// and the run comes back whole.
+// and the run comes back whole. The lane is a machine: see the package
+// doc of internal/client.
 //
 // Error codes carry the sentinel across the wire so errors.Is works on
 // the client side exactly as it does in process: not-held, lease-expired,
