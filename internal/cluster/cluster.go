@@ -234,7 +234,7 @@ func (c *Cluster) Node(id mutex.ID) mutex.Node { return c.member(id).Node }
 // Down reports whether member id is crashed, and Side which connectivity
 // component it is in (0 = the main partition).
 func (c *Cluster) Down(id mutex.ID) bool { return c.member(id).Down }
-func (c *Cluster) Side(id mutex.ID) int  { return c.member(id).Side }
+func (c *Cluster) Side(id mutex.ID) int  { return int(c.member(id).Side) }
 
 // IDs returns the cluster membership.
 func (c *Cluster) IDs() []mutex.ID { return c.cfg.IDs }
@@ -412,7 +412,7 @@ func (c *Cluster) Partition(isolate ...mutex.ID) int {
 		if old := &c.sides[m.Side]; old.holder == id {
 			c.sides[n].holder, old.holder = id, mutex.Nil
 		}
-		m.Side = n
+		m.Side = int32(n)
 	}
 	return n
 }

@@ -221,18 +221,18 @@ func TestPlanReorientCedesToConcurrentRecovery(t *testing.T) {
 	if planned, err := w.nodes[1].PlanReorient(3); !planned || err != nil {
 		t.Fatalf("PlanReorient = %v, %v, want true, nil", planned, err)
 	}
-	if w.nodes[1].planTarget != 3 {
-		t.Fatalf("planTarget = %d mid-round, want 3", w.nodes[1].planTarget)
+	if w.nodes[1].cold.planTarget != 3 {
+		t.Fatalf("planTarget = %d mid-round, want 3", w.nodes[1].cold.planTarget)
 	}
 	// A probe from a higher-ID coordinator at the same epoch supersedes
 	// the planned round; the bias must not leak into the winner's rebuild.
 	if err := w.nodes[1].Deliver(5, Probe{Epoch: 1, Dead: mutex.Nil}); err != nil {
 		t.Fatal(err)
 	}
-	if w.nodes[1].planTarget != mutex.Nil {
-		t.Fatalf("planTarget = %d after ceding to a concurrent recovery, want Nil", w.nodes[1].planTarget)
+	if w.nodes[1].cold.planTarget != mutex.Nil {
+		t.Fatalf("planTarget = %d after ceding to a concurrent recovery, want Nil", w.nodes[1].cold.planTarget)
 	}
-	if w.nodes[1].collecting {
+	if w.nodes[1].cold.collecting {
 		t.Fatal("node 1 still collecting after ceding")
 	}
 }

@@ -243,70 +243,96 @@ func (s Snapshot) State() State {
 // (holding it idle or using it in the critical section).
 func (s Snapshot) HasToken() bool { return s.Holding || s.InCS }
 
-// Node is one site running the DAG algorithm.
+// Node is one site running the DAG algorithm. Its fields are the hot
+// state every REQUEST, PRIVILEGE, Request and Release step reads: the
+// paper's NEXT and FOLLOW, the token flags, the fencing generation and
+// the recovery epoch, the hop counts, the env surfaces, the observer and
+// the membership. The fields are ordered so the node packs into 128 bytes,
+// two cache lines (TestNodeFitsTwoCacheLines).
+//
+// Everything only recovery and Figure 5 INIT use sits behind cold, nil
+// until the node first needs it: it suspects a peer, takes a probe, sends
+// a JOIN, coordinates a round or defers a message while frozen, or
+// NewUninitialized built it. A fault-free node never allocates it; once
+// allocated it is kept across rounds.
 type Node struct {
 	id     mutex.ID
+	next   mutex.ID // NEXT
+	follow mutex.ID // FOLLOW
+	// epoch counts completed recoveries (see recover.go).
+	epoch uint32
+	gen   uint64 // fencing counter; travels with the token (see Privilege)
+
+	// Adaptive-topology state. followHops remembers the stored FOLLOW
+	// request's path length until the token leaves; grantHops is the path
+	// length behind the grant currently being issued (0 for grants that
+	// needed no request to travel).
+	followHops uint16
+	grantHops  uint16
+
+	// want is the set of event kinds observe receives (see WithObserver);
+	// empty when no observer is attached.
+	want EventSet
+
+	holding    bool // HOLDING
+	requesting bool
+	inCS       bool
+	// compress switches procedure P2's edge reversal to the Naimi–Trehel
+	// rule (NEXT := Origin instead of NEXT := From), so every request a
+	// node touches rewires it directly at the requester about to become
+	// the new sink.
+	compress bool
+	// frozen spans the window between acknowledging a probe and applying
+	// the coordinator's reorientation, during which the token must not
+	// move.
+	frozen  bool
+	staleCS bool // in CS under a token a recovery has since invalidated
+	// uninitialized is set until Figure 5 INIT reaches a node built with
+	// NewUninitialized (see init.go).
+	uninitialized bool
+
 	env    mutex.Env
 	hopEnv mutex.HopGranter // env's optional hop-accounting surface, cached at New
 	msgEnv MsgSender        // env's optional by-value send surface, cached at New (see msg.go)
 
-	holding    bool
-	next       mutex.ID
-	follow     mutex.ID
-	requesting bool
-	inCS       bool
-	gen        uint64 // fencing counter; travels with the token (see Privilege)
-
-	// Adaptive-topology state. compress switches procedure P2's edge
-	// reversal to the Naimi–Trehel rule (NEXT := Origin instead of
-	// NEXT := From), so every request a node touches rewires it directly
-	// at the requester about to become the new sink; followHops remembers
-	// the stored FOLLOW request's path length until the token leaves;
-	// grantHops is the path length behind the grant currently being
-	// issued (0 for grants that needed no request to travel).
-	compress   bool
-	followHops uint16
-	grantHops  uint16
-
-	// Failure-recovery state (see recover.go). Epoch counts completed
-	// recoveries; dead is the local membership suspicion set (nil until
-	// the first suspicion, see markDead); frozen spans the window between
-	// acknowledging a probe and applying the coordinator's reorientation,
-	// during which the token must not move.
-	epoch   uint32
-	coord   mutex.ID   // coordinator that set the current epoch (tie-break)
 	ids     []mutex.ID // the membership: cfg.IDs itself, shared between nodes and only ever read
-	dead    map[mutex.ID]bool
-	frozen  bool
-	staleCS bool // in CS under a token a recovery has since invalidated
+	observe func(Event)
+	cold    *cold
+}
+
+// cold is a node's recovery and INIT state: what recover.go and init.go
+// keep beyond the hot fields. See Node for what allocates it.
+type cold struct {
+	coord     mutex.ID // coordinator that set the current epoch (tie-break)
+	joinAsked uint32   // highest epoch we already sent a Join for
+	// planTarget is the hot node a planned reshape (PlanReorient) biases
+	// the next rebuilt orientation toward; Nil outside a planned round.
+	planTarget mutex.ID
 	// ackedRequesting remembers what the node told the coordinator, so
 	// requests issued during the freeze (which the coordinator cannot
 	// know about) are re-sent after reorientation while acknowledged ones
 	// wait for the rebuilt chain.
 	ackedRequesting bool
-	deferred        []deferredMsg // same-epoch traffic buffered while frozen
-	joinAsked       uint32        // highest epoch we already sent a Join for
-	// planTarget is the hot node a planned reshape (PlanReorient) biases
-	// the next rebuilt orientation toward; Nil outside a planned round.
-	planTarget mutex.ID
+	collecting      bool // coordinating a probe round (see round)
+	isInitHolder    bool // the designated Figure 5 INIT holder
 
-	// Coordinator-side recovery state.
-	collecting bool
-	awaiting   map[mutex.ID]bool
-	ackHolder  mutex.ID
-	ackWaiters []mutex.ID
-	ackMaxGen  uint64
+	dead      []mutex.ID    // the local membership suspicion set, ascending
+	deferred  []deferredMsg // same-epoch traffic buffered while frozen
+	neighbors []mutex.ID    // Figure 5 INIT's tree neighbors
+	// round is the coordinator side of a probe round, allocated by the
+	// first round this node coordinates and reused by every later one.
+	round *round
+}
 
-	// Figure 5 INIT support (see init.go). Nodes built with New are
-	// initialized statically and never touch these fields.
-	uninitialized bool
-	isInitHolder  bool
-	neighbors     []mutex.ID
-
-	// observe receives the node's events of the kinds in want (see
-	// WithObserver); want is empty when no observer is attached.
-	observe func(Event)
-	want    EventSet
+// round is what a coordinator collects during a probe round: which
+// survivors have yet to acknowledge (a bitset over positions in the
+// membership, and its count) and the aggregates of the acks so far.
+type round struct {
+	awaiting []uint64   // bit i is set while ids[i] has not acknowledged
+	pending  int        // bits set in awaiting
+	holder   mutex.ID   // who has the token by the acks so far (the coordinator included), or Nil
+	maxGen   uint64     // highest fencing generation acknowledged
+	waiters  []mutex.ID // the requesters acknowledged so far, the coordinator first if it requests
 }
 
 // deferredMsg is one REQUEST or PRIVILEGE buffered while frozen — the
@@ -619,8 +645,8 @@ func (n *Node) gateEpoch(from mutex.ID, e uint32) bool {
 		n.emit(EventStaleDrop, 0, from, mutex.Nil, 0, 0)
 		return false
 	}
-	if e > n.joinAsked {
-		n.joinAsked = e
+	if c := n.recovery(); e > c.joinAsked {
+		c.joinAsked = e
 		n.env.Send(from, Join{})
 		n.emit(EventJoinSent, 0, from, mutex.Nil, 0, 0)
 	}
@@ -726,13 +752,20 @@ func addHop(h uint16) uint16 {
 // pending probe acks) is reported as queue entries; it is empty outside a
 // recovery window.
 func (n *Node) Storage() mutex.Storage {
+	deferred, awaiting := 0, 0
+	if c := n.cold; c != nil {
+		deferred = len(c.deferred)
+		if c.round != nil {
+			awaiting = c.round.pending
+		}
+	}
 	return mutex.Storage{
 		Scalars:      5, // HOLDING, NEXT, FOLLOW, fencing generation, epoch
 		ArrayEntries: len(n.ids),
-		QueueEntries: len(n.deferred) + len(n.awaiting),
+		QueueEntries: deferred + awaiting,
 		Bytes: 1 + 2*mutex.IntSize + GenSize + EpochSize +
 			len(n.ids)*(mutex.IntSize+1) +
-			len(n.deferred)*2*mutex.IntSize + len(n.awaiting)*mutex.IntSize,
+			deferred*2*mutex.IntSize + awaiting*mutex.IntSize,
 	}
 }
 

@@ -40,8 +40,10 @@ func NewUninitialized(id mutex.ID, env mutex.Env, cfg mutex.Config, opts ...Opti
 		env:           env,
 		ids:           cfg.IDs,
 		uninitialized: true,
-		isInitHolder:  cfg.Holder == id,
-		neighbors:     append([]mutex.ID(nil), neighbors...),
+		cold: &cold{
+			isInitHolder: cfg.Holder == id,
+			neighbors:    append([]mutex.ID(nil), neighbors...),
+		},
 	}
 	n.probeEnv()
 	for _, o := range opts {
@@ -62,14 +64,14 @@ func (n *Node) StartInit() error {
 	if !n.uninitialized {
 		return fmt.Errorf("%w: node %d is already initialized", mutex.ErrBadConfig, n.id)
 	}
-	if !n.isInitHolder {
+	if !n.cold.isInitHolder {
 		return fmt.Errorf("%w: node %d is not the designated holder", mutex.ErrBadConfig, n.id)
 	}
 	n.uninitialized = false
 	n.holding = true
 	n.next = mutex.Nil
 	n.follow = mutex.Nil
-	for _, j := range n.neighbors {
+	for _, j := range n.cold.neighbors {
 		n.env.Send(j, Initialize{})
 	}
 	n.emit(EventInit, 0, mutex.Nil, mutex.Nil, 0, 0)
@@ -90,7 +92,7 @@ func (n *Node) deliverInitialize(from mutex.ID) error {
 	n.holding = false
 	n.next = from
 	n.follow = mutex.Nil
-	for _, j := range n.neighbors {
+	for _, j := range n.cold.neighbors {
 		if j != from {
 			n.env.Send(j, Initialize{})
 		}

@@ -145,7 +145,8 @@ func (n *Node) DeliverMsg(from mutex.ID, m Msg) error {
 		return nil
 	}
 	if n.frozen {
-		n.deferred = append(n.deferred, deferredMsg{from: from, msg: m})
+		c := n.recovery()
+		c.deferred = append(c.deferred, deferredMsg{from: from, msg: m})
 		return nil
 	}
 	if m.Kind == MsgRequest {

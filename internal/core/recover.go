@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"dagmutex/internal/mutex"
 )
@@ -141,7 +140,7 @@ func (n *Node) Epoch() uint32 { return n.epoch }
 func (n *Node) Alive() []mutex.ID {
 	out := make([]mutex.ID, 0, len(n.ids))
 	for _, id := range n.ids {
-		if !n.dead[id] {
+		if !n.suspects(id) {
 			out = append(out, id)
 		}
 	}
@@ -155,20 +154,71 @@ func (n *Node) member(id mutex.ID) bool {
 	return found
 }
 
-// markDead adds id to the suspicion set, which the first suspicion
-// creates: a node that never suspects anyone carries no map.
-func (n *Node) markDead(id mutex.ID) {
-	if n.dead == nil {
-		n.dead = make(map[mutex.ID]bool)
+// recovery returns the node's cold state, allocating it on first use.
+func (n *Node) recovery() *cold {
+	if n.cold == nil {
+		n.cold = &cold{}
 	}
-	n.dead[id] = true
+	return n.cold
+}
+
+// suspects reports whether id is in the suspicion set.
+func (n *Node) suspects(id mutex.ID) bool {
+	if n.cold == nil {
+		return false
+	}
+	_, found := slices.BinarySearch(n.cold.dead, id)
+	return found
+}
+
+// markDead adds id, a member other than this node, to the suspicion set.
+// A survivor suspects one or two peers, so the set is a short sorted
+// slice; a node that never suspects anyone has none.
+func (n *Node) markDead(id mutex.ID) {
+	c := n.recovery()
+	if i, found := slices.BinarySearch(c.dead, id); !found {
+		c.dead = slices.Insert(c.dead, i, id)
+	}
+}
+
+// unsuspect removes id from the suspicion set and reports whether it was
+// there.
+func (n *Node) unsuspect(id mutex.ID) bool {
+	if n.cold == nil {
+		return false
+	}
+	i, found := slices.BinarySearch(n.cold.dead, id)
+	if found {
+		n.cold.dead = slices.Delete(n.cold.dead, i, i+1)
+	}
+	return found
+}
+
+// peers yields the position in the membership and the ID of every member
+// other than this node that it believes alive, ascending. The suspicion
+// set is an ascending subset of the membership, so one merge walk skips
+// it.
+func (n *Node) peers(yield func(int, mutex.ID) bool) {
+	var dead []mutex.ID
+	if n.cold != nil {
+		dead = n.cold.dead
+	}
+	for i, id := range n.ids {
+		if len(dead) > 0 && dead[0] == id {
+			dead = dead[1:]
+			continue
+		}
+		if id != n.id && !yield(i, id) {
+			return
+		}
+	}
 }
 
 // coordinator returns the recovery coordinator in this node's view: the
 // highest-ID member it believes alive.
 func (n *Node) coordinator() mutex.ID {
 	for i := len(n.ids) - 1; i >= 0; i-- {
-		if !n.dead[n.ids[i]] {
+		if !n.suspects(n.ids[i]) {
 			return n.ids[i]
 		}
 	}
@@ -177,13 +227,13 @@ func (n *Node) coordinator() mutex.ID {
 
 // quorum reports whether the believed-alive members form a strict
 // majority of the configured cluster — the gate on regeneration, so a
-// minority partition can never mint a second token.
+// minority partition can never mint a second token. Only members other
+// than this node enter the suspicion set, so its length is the number of
+// members believed dead.
 func (n *Node) quorum() bool {
-	alive := 0
-	for _, id := range n.ids {
-		if !n.dead[id] {
-			alive++
-		}
+	alive := len(n.ids)
+	if n.cold != nil {
+		alive -= len(n.cold.dead)
 	}
 	return 2*alive > len(n.ids)
 }
@@ -203,7 +253,7 @@ func (n *Node) PeerDown(dead mutex.ID) error {
 	if !n.member(dead) {
 		return fmt.Errorf("%w: node %d is not a cluster member", mutex.ErrBadConfig, dead)
 	}
-	fresh := !n.dead[dead]
+	fresh := !n.suspects(dead)
 	if fresh {
 		n.markDead(dead)
 		n.emit(EventPeerDown, 0, dead, mutex.Nil, 0, 0)
@@ -215,8 +265,10 @@ func (n *Node) PeerDown(dead mutex.ID) error {
 	}
 	// Restart only on new information: a fresh death, or a collection
 	// round that is now provably stuck because it awaits the dead node.
-	if !fresh && !(n.collecting && n.awaiting[dead]) {
-		return nil
+	if !fresh {
+		if _, stuck := n.awaited(dead); !n.cold.collecting || !stuck {
+			return nil
+		}
 	}
 	if !n.quorum() {
 		n.emit(EventQuorumLost, 0, dead, mutex.Nil, 0, 0)
@@ -237,10 +289,9 @@ func (n *Node) PeerUp(peer mutex.ID) error {
 	if peer == n.id || !n.member(peer) {
 		return fmt.Errorf("%w: bad peer %d in PeerUp at node %d", mutex.ErrBadConfig, peer, n.id)
 	}
-	if !n.dead[peer] {
+	if !n.unsuspect(peer) {
 		return nil
 	}
-	delete(n.dead, peer)
 	n.emit(EventPeerUp, 0, peer, mutex.Nil, 0, 0)
 	if n.epoch > 0 {
 		n.env.Send(peer, Welcome{Epoch: n.epoch})
@@ -273,10 +324,10 @@ func (n *Node) PlanReorient(hot mutex.ID) (bool, error) {
 	if !n.member(hot) {
 		return false, fmt.Errorf("%w: reorient target %d is not a cluster member", mutex.ErrBadConfig, hot)
 	}
-	if n.dead[hot] {
+	if n.suspects(hot) {
 		return false, fmt.Errorf("%w: reorient target %d is marked dead at node %d", mutex.ErrBadConfig, hot, n.id)
 	}
-	if n.frozen || n.collecting || n.staleCS {
+	if n.frozen || (n.cold != nil && n.cold.collecting) || n.staleCS {
 		return false, nil
 	}
 	if !n.holding && !n.inCS {
@@ -286,41 +337,55 @@ func (n *Node) PlanReorient(hot mutex.ID) (bool, error) {
 		n.emit(EventQuorumLost, 0, hot, mutex.Nil, 0, 0)
 		return false, nil
 	}
-	n.planTarget = hot
+	n.recovery().planTarget = hot
 	n.emit(EventPlanReorient, 0, hot, mutex.Nil, n.gen, 0)
 	n.startRecovery(mutex.Nil)
 	return true, nil
 }
 
+// awaited reports whether the round this node coordinates still waits
+// for id's acknowledgment, and id's position in the membership.
+func (n *Node) awaited(id mutex.ID) (int, bool) {
+	r := n.cold.round
+	i, found := slices.BinarySearch(n.ids, id)
+	return i, found && r != nil && r.awaiting[i/64]&(1<<(i%64)) != 0
+}
+
 // startRecovery begins (or restarts) a probe round with this node as
 // coordinator. Callers have already checked membership and quorum.
 func (n *Node) startRecovery(dead mutex.ID) {
+	c := n.recovery()
 	n.epoch++
-	n.coord = n.id
-	n.joinAsked = n.epoch
+	c.coord = n.id
+	c.joinAsked = n.epoch
 	n.frozen = true
-	n.collecting = true
-	n.ackedRequesting = n.requesting
-	n.awaiting = make(map[mutex.ID]bool)
+	c.collecting = true
+	c.ackedRequesting = n.requesting
+	r := c.round
+	if r == nil {
+		r = &round{awaiting: make([]uint64, (len(n.ids)+63)/64)}
+		c.round = r
+	}
+	clear(r.awaiting)
+	r.pending = 0
 	// Seed the aggregates with the coordinator's own state.
-	n.ackHolder = mutex.Nil
+	r.holder = mutex.Nil
 	if n.holding || n.inCS {
-		n.ackHolder = n.id
+		r.holder = n.id
 	}
-	n.ackWaiters = n.ackWaiters[:0]
+	r.waiters = r.waiters[:0]
 	if n.requesting {
-		n.ackWaiters = append(n.ackWaiters, n.id)
+		r.waiters = append(r.waiters, n.id)
 	}
-	n.ackMaxGen = n.gen
-	for _, id := range n.ids {
-		if id == n.id || n.dead[id] {
-			continue
-		}
-		n.awaiting[id] = true
-		n.env.Send(id, Probe{Epoch: n.epoch, Dead: dead})
+	r.maxGen = n.gen
+	probe := mutex.Message(Probe{Epoch: n.epoch, Dead: dead}) // boxed once for the whole broadcast
+	for i, id := range n.peers {
+		r.awaiting[i/64] |= 1 << (i % 64)
+		r.pending++
+		n.env.Send(id, probe)
 	}
 	n.emit(EventProbe, 0, dead, mutex.Nil, 0, 0)
-	if len(n.awaiting) == 0 {
+	if r.pending == 0 {
 		n.finishRecovery()
 	}
 }
@@ -330,25 +395,24 @@ func (n *Node) startRecovery(dead mutex.ID) {
 // concurrent coordinators at the same epoch are broken toward the higher
 // ID.
 func (n *Node) deliverProbe(from mutex.ID, msg Probe) error {
-	if msg.Epoch < n.epoch || (msg.Epoch == n.epoch && from <= n.coord) {
+	c := n.recovery()
+	if msg.Epoch < n.epoch || (msg.Epoch == n.epoch && from <= c.coord) {
 		return nil // superseded round
 	}
 	n.epoch = msg.Epoch
-	n.coord = from
-	if n.joinAsked < n.epoch {
-		n.joinAsked = n.epoch
+	c.coord = from
+	if c.joinAsked < n.epoch {
+		c.joinAsked = n.epoch
 	}
-	if msg.Dead != mutex.Nil && msg.Dead != n.id && n.member(msg.Dead) && !n.dead[msg.Dead] {
+	if msg.Dead != mutex.Nil && msg.Dead != n.id && n.member(msg.Dead) && !n.suspects(msg.Dead) {
 		n.markDead(msg.Dead)
 		n.emit(EventPeerDown, 0, msg.Dead, mutex.Nil, 0, 0)
 	}
 	// Cede any collection this node was running itself (a planned
 	// reshape it had started is abandoned with it).
-	n.collecting = false
-	n.awaiting = nil
-	n.planTarget = mutex.Nil
+	c.cede()
 	n.frozen = true
-	n.ackedRequesting = n.requesting
+	c.ackedRequesting = n.requesting
 	n.env.Send(from, ProbeAck{
 		Epoch:      n.epoch,
 		HasToken:   n.holding || n.inCS,
@@ -362,27 +426,43 @@ func (n *Node) deliverProbe(from mutex.ID, msg Probe) error {
 // deliverProbeAck collects one survivor's state; the round completes when
 // every probed survivor has answered.
 func (n *Node) deliverProbeAck(from mutex.ID, msg ProbeAck) error {
-	if !n.collecting || msg.Epoch != n.epoch || !n.awaiting[from] {
-		return nil // superseded round or duplicate
+	if n.cold == nil || !n.cold.collecting || msg.Epoch != n.epoch {
+		return nil // superseded round
 	}
-	delete(n.awaiting, from)
+	i, awaited := n.awaited(from)
+	if !awaited {
+		return nil // duplicate
+	}
+	r := n.cold.round
+	r.awaiting[i/64] &^= 1 << (i % 64)
+	r.pending--
 	if msg.HasToken {
-		if n.ackHolder != mutex.Nil {
+		if r.holder != mutex.Nil {
 			return fmt.Errorf("%w: epoch %d recovery found two token holders (%d and %d)",
-				mutex.ErrUnexpectedMessage, n.epoch, n.ackHolder, from)
+				mutex.ErrUnexpectedMessage, n.epoch, r.holder, from)
 		}
-		n.ackHolder = from
+		r.holder = from
 	}
 	if msg.Requesting {
-		n.ackWaiters = append(n.ackWaiters, from)
+		r.waiters = append(r.waiters, from)
 	}
-	if msg.Generation > n.ackMaxGen {
-		n.ackMaxGen = msg.Generation
+	if msg.Generation > r.maxGen {
+		r.maxGen = msg.Generation
 	}
-	if len(n.awaiting) == 0 {
+	if r.pending == 0 {
 		return n.finishRecovery()
 	}
 	return nil
+}
+
+// cede abandons the round this node was coordinating, if any, and the
+// bias of a planned reshape with it.
+func (c *cold) cede() {
+	c.collecting = false
+	if c.round != nil {
+		c.round.pending = 0
+	}
+	c.planTarget = mutex.Nil
 }
 
 // finishRecovery computes the rebuilt DAG from the collected acks and
@@ -390,21 +470,19 @@ func (n *Node) deliverProbeAck(from mutex.ID, msg ProbeAck) error {
 // applied locally, and — if no survivor holds the token — a regenerated
 // token minted here.
 func (n *Node) finishRecovery() error {
-	n.collecting = false
-	root := n.ackHolder
+	c, r := n.cold, n.cold.round
+	c.collecting = false
+	root := r.holder
 	minted := root == mutex.Nil
 	if minted {
 		root = n.id
 	}
 	// The acknowledged requesters become the root's FOLLOW chain, in ID
 	// order (FIFO fairness does not survive a recovery; liveness does).
-	waiters := make([]mutex.ID, 0, len(n.ackWaiters))
-	for _, w := range n.ackWaiters {
-		if w != root {
-			waiters = append(waiters, w)
-		}
-	}
-	sort.Slice(waiters, func(i, j int) bool { return waiters[i] < waiters[j] })
+	// The round's list is sorted in place: nothing reads it again before
+	// the next round resets it.
+	waiters := slices.DeleteFunc(r.waiters, func(w mutex.ID) bool { return w == root })
+	slices.Sort(waiters)
 	sink := root
 	if len(waiters) > 0 {
 		sink = waiters[len(waiters)-1]
@@ -416,10 +494,8 @@ func (n *Node) finishRecovery() error {
 			}
 			return mutex.Nil
 		}
-		for i, w := range waiters {
-			if w == id && i+1 < len(waiters) {
-				return waiters[i+1]
-			}
+		if i, found := slices.BinarySearch(waiters, id); found && i+1 < len(waiters) {
+			return waiters[i+1]
 		}
 		return mutex.Nil
 	}
@@ -428,9 +504,9 @@ func (n *Node) finishRecovery() error {
 	// two-level radial), instead of the crash recovery's star around the
 	// sink. The bias is consumed exactly once and falls back to the star
 	// when the target died mid-round or already is the sink.
-	hot := n.planTarget
-	n.planTarget = mutex.Nil
-	if hot != mutex.Nil && (n.dead[hot] || hot == sink) {
+	hot := c.planTarget
+	c.planTarget = mutex.Nil
+	if hot != mutex.Nil && (n.suspects(hot) || hot == sink) {
 		hot = mutex.Nil
 	}
 	nextOf := func(id mutex.ID) mutex.ID {
@@ -442,10 +518,7 @@ func (n *Node) finishRecovery() error {
 		}
 		return sink
 	}
-	for _, id := range n.ids {
-		if id == n.id || n.dead[id] {
-			continue
-		}
+	for _, id := range n.peers {
 		n.env.Send(id, Reorient{
 			Epoch:  n.epoch,
 			Next:   nextOf(id),
@@ -454,28 +527,30 @@ func (n *Node) finishRecovery() error {
 		})
 	}
 	if minted {
-		n.gen = n.ackMaxGen + RegenerationJump
+		n.gen = r.maxGen + RegenerationJump
 		n.emit(EventRegenerate, 0, root, mutex.Nil, n.gen, 0)
 	} else {
-		n.emit(EventAdopt, 0, root, mutex.Nil, n.ackMaxGen, 0)
+		n.emit(EventAdopt, 0, root, mutex.Nil, r.maxGen, 0)
 	}
 	n.applyOrientation(n.id == root, nextOf(n.id), followOf(n.id))
 	n.reissueDeferredRequest()
 	n.frozen = false
-	n.ackedRequesting = false
+	c.ackedRequesting = false
 	n.emit(EventReorient, 0, n.id, mutex.Nil, n.gen, 0)
 	return n.playDeferred()
 }
 
 // deliverReorient is the survivor side of the install round.
 func (n *Node) deliverReorient(from mutex.ID, msg Reorient) error {
-	if msg.Epoch != n.epoch || from != n.coord || !n.frozen {
+	// Only a probe freezes a survivor, and taking one allocated the cold
+	// state, so a frozen node has it.
+	if !n.frozen || msg.Epoch != n.epoch || from != n.cold.coord {
 		return nil // superseded or duplicate
 	}
 	n.applyOrientation(msg.Token, msg.Next, msg.Follow)
 	n.reissueDeferredRequest()
 	n.frozen = false
-	n.ackedRequesting = false
+	n.cold.ackedRequesting = false
 	n.emit(EventReorient, 0, from, mutex.Nil, n.gen, 0)
 	return n.playDeferred()
 }
@@ -524,7 +599,7 @@ func (n *Node) applyOrientation(isRoot bool, next, follow mutex.ID) {
 // chain and must be issued now; requests the coordinator did acknowledge
 // wait for the chain instead.
 func (n *Node) reissueDeferredRequest() {
-	if !n.requesting || n.inCS || n.ackedRequesting || n.next == mutex.Nil {
+	if !n.requesting || n.inCS || n.cold.ackedRequesting || n.next == mutex.Nil {
 		return
 	}
 	n.sendRequest(n.next, Request{From: n.id, Origin: n.id, Epoch: n.epoch})
@@ -536,12 +611,16 @@ func (n *Node) reissueDeferredRequest() {
 // current-epoch ones (a grant racing ahead of this node's REORIENT)
 // apply.
 func (n *Node) playDeferred() error {
-	q := n.deferred
-	n.deferred = nil
+	c := n.cold
+	q := c.deferred
+	c.deferred = nil
 	for _, d := range q {
 		if err := n.DeliverMsg(d.from, d.msg); err != nil {
 			return err
 		}
+	}
+	if c.deferred == nil {
+		c.deferred = q[:0] // nothing deferred again: the next freeze reuses the buffer
 	}
 	return nil
 }
@@ -552,8 +631,7 @@ func (n *Node) deliverJoin(from mutex.ID) error {
 	if !n.member(from) {
 		return fmt.Errorf("%w: JOIN from non-member %d at node %d", mutex.ErrUnexpectedMessage, from, n.id)
 	}
-	if n.dead[from] {
-		delete(n.dead, from)
+	if n.unsuspect(from) {
 		n.emit(EventPeerUp, 0, from, mutex.Nil, 0, 0)
 	}
 	if n.epoch > 0 {
@@ -570,18 +648,17 @@ func (n *Node) deliverWelcome(from mutex.ID, msg Welcome) error {
 	if msg.Epoch <= n.epoch {
 		return nil
 	}
+	c := n.recovery()
 	n.epoch = msg.Epoch
-	n.coord = from
-	n.joinAsked = msg.Epoch
+	c.coord = from
+	c.joinAsked = msg.Epoch
 	// Fresh view: clear local suspicions; the detector re-marks real
 	// deaths, and stale pessimism would skew coordinator election.
-	n.dead = nil
-	n.collecting = false
-	n.awaiting = nil
-	n.planTarget = mutex.Nil
+	c.dead = c.dead[:0]
+	c.cede()
 	n.frozen = false
-	n.deferred = nil
-	n.ackedRequesting = false
+	c.deferred = c.deferred[:0]
+	c.ackedRequesting = false
 	if n.holding || n.inCS {
 		n.holding = false
 		if n.inCS {

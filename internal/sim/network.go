@@ -40,8 +40,9 @@ type Network struct {
 	// steady-state run schedules without allocating.
 	free []*event
 
-	counts    Counts                       // Messages, Bytes and the maps cover boxed sends only
-	sentByVal [core.MsgPrivilege + 1]int64 // by-value sends, by kind; Counts folds them in
+	counts    Counts                       // Delivered and Dropped; Counts adds the sends
+	sent      []kindCount                  // boxed sends, one slot per kind in first-sent order
+	sentByVal [core.MsgPrivilege + 1]int64 // by-value sends, by kind
 	observe   func(Delivery)
 	drop      func(from, to mutex.ID, m mutex.Message) bool
 	err       error
@@ -55,37 +56,49 @@ type Network struct {
 // time only — messages already in flight when a cut lands still arrive
 // (they were on the wire), so delivery order around a cut stays exactly
 // the clock's order.
+//
+// A member fits one 64-byte cache line (TestMemberFitsOneCacheLine).
 type Member struct {
 	Node mutex.Node
-	Down bool // crashed
-	Side int  // connectivity component (0 = the main partition); sends across sides are dropped
+	Down bool  // crashed
+	Side int32 // connectivity component (0 = the main partition); sends across sides are dropped
 
-	// byVal is Node's by-value delivery surface, probed once at Attach;
-	// nil means a by-value message is boxed on arrival.
-	byVal msgNode
+	// byVal is Node when it is a *core.Node, the one node type that takes
+	// REQUEST and PRIVILEGE by value; nil means a by-value message is
+	// boxed on arrival.
+	byVal *core.Node
 	// links is this sender's FIFO clamp: the arrival time of the latest
 	// message it has in flight to each destination. A link never delivers
 	// a later send before an earlier one, whatever the latency model
 	// draws. Only links with a message still in flight are listed (see
 	// clamp). Past maxLinks of them (a broadcast) the sender keeps far
-	// instead, swept of arrived entries whenever it has doubled since the
-	// last sweep, at sweepAt entries.
-	links   []linkClamp
-	far     map[mutex.ID]Time
-	sweepAt int
+	// instead.
+	links []linkClamp
+	far   *farClamp
 }
 
 // maxLinks is how many live links a sender's clamp scans linearly.
 const maxLinks = 32
 
-// msgNode is a node that takes REQUEST and PRIVILEGE by value (*core.Node).
-type msgNode interface {
-	DeliverMsg(from mutex.ID, m core.Msg) error
-}
-
 type linkClamp struct {
 	to mutex.ID
 	at Time
+}
+
+// farClamp is the clamp of a sender that went past maxLinks live links:
+// a map, swept of arrived entries whenever it has doubled since the last
+// sweep, at sweepAt entries.
+type farClamp struct {
+	at      map[mutex.ID]Time
+	sweepAt int
+}
+
+// kindCount is the boxed sends of one message kind so far.
+type kindCount struct {
+	kind    string
+	sent    int64
+	bytes   int64
+	maxSize int
 }
 
 // Counts aggregates message-traffic statistics for a run.
@@ -148,11 +161,10 @@ func WithDropRule(fn func(from, to mutex.ID, m mutex.Message) bool) NetworkOptio
 // NewNetwork creates a network on clk, with randomness drawn from rng.
 func NewNetwork(clk *vclock.Virtual, rng *rand.Rand, opts ...NetworkOption) *Network {
 	n := &Network{
-		clk:    clk,
-		lat:    Unit(Hop),
-		rng:    rng,
-		fifo:   true,
-		counts: Counts{ByKind: make(map[string]int64), MaxSizeByKind: make(map[string]int)},
+		clk:  clk,
+		lat:  Unit(Hop),
+		rng:  rng,
+		fifo: true,
 	}
 	for _, o := range opts {
 		o(n)
@@ -175,7 +187,7 @@ func (n *Network) Attach(node mutex.Node) {
 	for int(id) >= len(n.index) {
 		n.index = append(n.index, 0)
 	}
-	byVal, _ := node.(msgNode)
+	byVal, _ := node.(*core.Node)
 	n.members = append(n.members, Member{Node: node, byVal: byVal})
 	n.index[id] = int32(len(n.members))
 }
@@ -261,7 +273,7 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
 	if v.Kind != core.MsgNone {
 		n.sentByVal[v.Kind]++
 	} else {
-		n.counts.add(m.Kind(), m.Size(), 1)
+		n.countSend(m.Kind(), m.Size())
 	}
 	cut := src.Down || src.Side != dst.Side
 	if !cut && n.drop != nil {
@@ -289,13 +301,13 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
 // list is compacted on the way: an entry whose message arrived before
 // now can never clamp again, because no later send arrives before now.
 func (s *Member) clamp(to mutex.ID, now, at Time) Time {
-	if s.far != nil {
-		if prev, ok := s.far[to]; ok && at <= prev {
+	if f := s.far; f != nil {
+		if prev, ok := f.at[to]; ok && at <= prev {
 			at = prev + 1
 		}
-		if s.far[to] = at; len(s.far) >= s.sweepAt {
-			maps.DeleteFunc(s.far, func(_ mutex.ID, t Time) bool { return t < now })
-			s.sweepAt = 2 * max(len(s.far), maxLinks)
+		if f.at[to] = at; len(f.at) >= f.sweepAt {
+			maps.DeleteFunc(f.at, func(_ mutex.ID, t Time) bool { return t < now })
+			f.sweepAt = 2 * max(len(f.at), maxLinks)
 		}
 		return at
 	}
@@ -314,9 +326,9 @@ func (s *Member) clamp(to mutex.ID, now, at Time) Time {
 	}
 	s.links = append(links[:k], linkClamp{to: to, at: at})
 	if len(s.links) > maxLinks {
-		s.far, s.sweepAt = make(map[mutex.ID]Time, 2*len(s.links)), 4*maxLinks
+		s.far = &farClamp{at: make(map[mutex.ID]Time, 2*len(s.links)), sweepAt: 4 * maxLinks}
 		for _, l := range s.links {
-			s.far[l.to] = l.at
+			s.far.at[l.to] = l.at
 		}
 		s.links = nil
 	}
@@ -354,10 +366,31 @@ func (n *Network) deliver(from, to mutex.ID, sentAt Time, m mutex.Message, v cor
 	}
 }
 
+// countSend counts one boxed send in its kind's slot. A run sends a
+// handful of kinds, so the slot is found by a scan, and the send writes
+// no map.
+func (n *Network) countSend(kind string, size int) {
+	for i := range n.sent {
+		if k := &n.sent[i]; k.kind == kind {
+			k.sent++
+			k.bytes += int64(size + mutex.KindSize)
+			k.maxSize = max(k.maxSize, size)
+			return
+		}
+	}
+	n.sent = append(n.sent, kindCount{kind: kind, sent: 1, bytes: int64(size + mutex.KindSize), maxSize: size})
+}
+
 // Counts returns a snapshot of the traffic statistics so far.
 func (n *Network) Counts() Counts {
 	c := n.counts
-	c.ByKind, c.MaxSizeByKind = maps.Clone(c.ByKind), maps.Clone(c.MaxSizeByKind)
+	c.ByKind, c.MaxSizeByKind = make(map[string]int64), make(map[string]int)
+	for _, k := range n.sent {
+		c.Messages += k.sent
+		c.Bytes += k.bytes
+		c.ByKind[k.kind] += k.sent
+		c.MaxSizeByKind[k.kind] = max(c.MaxSizeByKind[k.kind], k.maxSize)
+	}
 	for k, sent := range n.sentByVal {
 		if sent > 0 {
 			m := core.Msg{Kind: core.MsgKind(k)}.Boxed()

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"dagmutex/internal/core"
 	"dagmutex/internal/mutex"
@@ -306,33 +307,37 @@ func TestNetworkSharedInjector(t *testing.T) {
 	}
 }
 
-// valNode is a sink that also takes by-value messages, as *core.Node does.
-type valNode struct {
-	sink
-	vals []core.Msg
-}
+// recEnv is a core node's Env that records what the node sends.
+type recEnv struct{ sent []mutex.Message }
 
-func (v *valNode) DeliverMsg(_ mutex.ID, m core.Msg) error {
-	v.vals = append(v.vals, m)
-	return nil
-}
+func (e *recEnv) Send(_ mutex.ID, m mutex.Message) { e.sent = append(e.sent, m) }
+func (e *recEnv) Granted(uint64)                   {}
 
-// TestNetworkCarriesMsgByValue: a by-value send reaches a node with
-// DeliverMsg as the same plain value, is boxed on arrival for a node
-// without it (and for an observer), and is counted under the kind and
-// size its boxed form reports — one pooled event path for both.
+// TestNetworkCarriesMsgByValue: a by-value send reaches a *core.Node
+// through DeliverMsg as the same plain value, is boxed on arrival for a
+// node without it (and for an observer), and is counted under the kind
+// and size its boxed form reports — one pooled event path for both.
 func TestNetworkCarriesMsgByValue(t *testing.T) {
 	var seen []Delivery
 	sched, net := newNet()
-	a, b := &valNode{sink: sink{id: 1}}, &boxSink{id: 2}
+	env := &recEnv{}
+	a, err := core.New(1, env, mutex.Config{IDs: []mutex.ID{1, 2}, Holder: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := &boxSink{id: 2}
 	net.Attach(a)
 	net.Attach(b)
+	if net.Member(1).byVal != a || net.Member(2).byVal != nil {
+		t.Fatalf("by-value surfaces %p, %p; want the core node and nil", net.Member(1).byVal, net.Member(2).byVal)
+	}
 	req := core.RequestMsg(core.Request{From: 2, Origin: 2})
 	net.SendMsg(2, 1, req)
 	net.SendMsg(1, 2, core.PrivilegeMsg(core.Privilege{Generation: 7}))
 	sched.Run()
-	if len(a.vals) != 1 || a.vals[0] != req {
-		t.Fatalf("by-value node got %+v, want %+v", a.vals, req)
+	// The holder served the REQUEST: the token left for its origin.
+	if s := a.Snapshot(); s.Holding || s.Next != 2 || len(env.sent) != 1 {
+		t.Fatalf("core node after the REQUEST: %+v, sent %v; want the token passed to 2", s, env.sent)
 	}
 	if p, ok := b.last.(core.Privilege); !ok || p.Generation != 7 {
 		t.Fatalf("boxed-only node got %#v, want a core.Privilege with generation 7", b.last)
@@ -391,5 +396,16 @@ func TestAfterRunsPooledSteps(t *testing.T) {
 	net.After(Hop, step, 4, 0)
 	if len(net.free) != pooled-1 {
 		t.Fatalf("After took a fresh event with %d pooled", pooled)
+	}
+}
+
+// TestMemberFitsOneCacheLine: the send path reads the sender's and the
+// receiver's member on every message, so a member is one 64-byte cache
+// line: the node, the fault state, the by-value node as a direct
+// pointer, and the FIFO clamp's short list with its broadcast map behind
+// one pointer.
+func TestMemberFitsOneCacheLine(t *testing.T) {
+	if size := unsafe.Sizeof(Member{}); size > 64 {
+		t.Errorf("sim.Member is %d bytes, want <= 64", size)
 	}
 }

@@ -13,10 +13,14 @@ import (
 // TestAllocBudgetSimharnessNew bounds what building a 1000-node cluster
 // allocates: one core.Node per member plus a fixed few dozen objects
 // (the tree, the parent map, the env and reqAt slices, the member
-// index). It measures 1045 on go1.24/amd64 and repeats exactly; a
-// per-node env box, suspicion map or adjacency list, or the topology's
-// map-based BFS coming back puts it in the thousands (5857 when each
-// node rescanned the ID list and carried all three).
+// index). A node allocates its cold state (suspicion list, deferred
+// messages, the coordinator's round, INIT neighbors) only when a fault or
+// Figure 5 INIT needs it, so a built cluster holds none. It measures 1042
+// on go1.24/amd64 (1045 while the network made its count maps up front)
+// and repeats exactly; cold state allocated at construction, a per-node
+// env box or adjacency list, or the topology's map-based BFS coming back
+// puts it in the thousands (5857 when each node rescanned the ID list and
+// carried a suspicion map, an env box and an adjacency list).
 func TestAllocBudgetSimharnessNew(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := New(Config{Nodes: 1000, Topology: "kary4", Seed: 1}); err != nil {

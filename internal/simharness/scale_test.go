@@ -3,30 +3,49 @@
 package simharness
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
 
+// liveHeap returns the bytes the heap holds after a collection.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // TestBuildHundredThousandNodes is the set-up's scale guard: building a
 // cluster must stay linear in its size. 100 000 kary4 members build in
 // ~0.07 s on a 2-core x86-64 VM; when each node rescanned the whole ID
-// list the same build took ~11 s. Skipped under -short.
+// list the same build took ~11 s. It is also the footprint guard of a
+// built node: the cluster retains ~250 bytes per member (a 128-byte
+// core.Node with no cold state, a 64-byte sim.Member, the tree and the
+// index), 433 when the node carried its recovery and INIT fields and the
+// member was 88 bytes. Skipped under -short.
 func TestBuildHundredThousandNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100 000-node build; run without -short")
 	}
+	base := liveHeap()
 	start := time.Now()
 	h, err := New(Config{Nodes: 100_000, Topology: "kary4", Seed: 1})
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("100000-node New took %v", wall)
+	perNode := (liveHeap() - base) / 100_000
+	runtime.KeepAlive(h)
+	t.Logf("100000-node New took %v and retains %d bytes per node", wall, perNode)
 	if got := len(h.c.IDs()); got != 100_000 {
 		t.Fatalf("built %d members, want 100000", got)
 	}
 	if wall > 3*time.Second {
 		t.Errorf("100000-node New took %v, want <= 3s (cluster set-up is no longer linear)", wall)
+	}
+	if perNode > 300 {
+		t.Errorf("a built 100000-node cluster retains %d bytes per node, want <= 300 (a node or member grew)", perNode)
 	}
 }
 
@@ -38,12 +57,16 @@ func TestBuildHundredThousandNodes(t *testing.T) {
 // in-flight list on every send made that O(n²) — 54 s for this run on a
 // 2-core x86-64 VM, against 1.6 s with the map it now moves a broadcast
 // sender to. The run must also stay the same run: its grant, message and
-// event counts are the ones the rescanning clamp produced. Skipped under
-// -short.
+// event counts are the ones the rescanning clamp produced. It is also the
+// footprint guard of recovery: after the minute the run retains ~760
+// bytes per node, ~100 of them each survivor's cold state and suspicion
+// list (983 when every survivor kept a suspicion map in a 288-byte
+// node). Skipped under -short.
 func TestChurnHundredThousandNodes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100 000-node churn; run without -short")
 	}
+	base := liveHeap()
 	h, err := New(Config{Nodes: 100_000, Topology: "kary4", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -54,11 +77,17 @@ func TestChurnHundredThousandNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("100000-node churned minute: %v wall, %d grants, %d messages, %d events", r.WallDuration, r.Grants, r.Messages, r.Events)
+	perNode := (liveHeap() - base) / 100_000
+	runtime.KeepAlive(h)
+	t.Logf("100000-node churned minute: %v wall, %d grants, %d messages, %d events, %d bytes retained per node",
+		r.WallDuration, r.Grants, r.Messages, r.Events, perNode)
 	if r.Grants != 9_828 || r.Messages != 674_256 || r.Events != 894_132 {
 		t.Errorf("%d grants, %d messages, %d events; want 9828, 674256, 894132", r.Grants, r.Messages, r.Events)
 	}
 	if r.WallDuration > 10*time.Second {
 		t.Errorf("100000-node churned minute took %v, want <= 10s (the FIFO clamp rescans a broadcast again)", r.WallDuration)
+	}
+	if perNode > 850 {
+		t.Errorf("the churned 100000-node cluster retains %d bytes per node, want <= 850 (recovery state grew)", perNode)
 	}
 }
