@@ -14,7 +14,7 @@ import (
 
 // TestAllocBudgetBoxedDelivery is the twin of simharness's
 // TestAllocBudgetSimharnessDelivery for a baseline protocol: Raymond's
-// messages travel boxed (mutex.Message) through the same pooled events.
+// messages travel boxed (mutex.Message) through the same event path.
 // The engine adds nothing per message (and boxing Raymond's empty REQUEST
 // and PRIVILEGE structs at Env.Send costs nothing); what the run
 // allocates is Raymond itself — its per-node FIFO queue is re-sliced
@@ -32,8 +32,9 @@ func TestAllocBudgetBoxedDelivery(t *testing.T) {
 	for _, id := range tree.IDs() {
 		c.RequestAt(sim.Time(id), id)
 	}
-	// Warm up: the event pool, the scheduler's heap, every node's queue
-	// and the grant log's backing array reach their high-water marks.
+	// Warm up: the clock's and the network's tables, the queue's arrays,
+	// every node's queue and the grant log's backing array reach their
+	// high-water marks.
 	c.grants = make([]Grant, 0, 1<<16)
 	c.Clock().Advance(2000 * 1000)
 

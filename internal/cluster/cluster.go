@@ -93,7 +93,9 @@ var ErrLivelock = errors.New("cluster: event limit exhausted before quiescence (
 type Cluster struct {
 	clk *vclock.Virtual
 	net *sim.Network
-	cfg mutex.Config
+	// ids is the membership. The rest of the mutex.Config (the parent
+	// map, a map per member) only the build reads, so it is not kept.
+	ids []mutex.ID
 
 	seed        int64
 	netOpts     []sim.NetworkOption
@@ -101,8 +103,8 @@ type Cluster struct {
 	autoRelease bool
 	eventLimit  uint64
 
-	// The steps armed as pooled network events, bound once (no allocation
-	// per arming).
+	// The steps armed as network events, bound once (no allocation per
+	// arming).
 	requestStep, releaseStep, verdictStep func(a, b mutex.ID)
 
 	// reqAt, by member ID, is when the member's outstanding request was
@@ -181,7 +183,7 @@ func New(b mutex.Builder, cfg mutex.Config, opts ...Option) (*Cluster, error) {
 	}
 	c := &Cluster{
 		clk:         vclock.NewVirtual(),
-		cfg:         cfg,
+		ids:         cfg.IDs,
 		seed:        1,
 		autoRelease: true,
 		eventLimit:  10_000_000,
@@ -237,7 +239,7 @@ func (c *Cluster) Down(id mutex.ID) bool { return c.member(id).Down }
 func (c *Cluster) Side(id mutex.ID) int  { return int(c.member(id).Side) }
 
 // IDs returns the cluster membership.
-func (c *Cluster) IDs() []mutex.ID { return c.cfg.IDs }
+func (c *Cluster) IDs() []mutex.ID { return c.ids }
 
 // OnRelease registers fn to run whenever any node leaves its critical
 // section. Closed-loop workloads use it to schedule the next request.
@@ -444,7 +446,7 @@ func (c *Cluster) Run() error {
 		return ErrLivelock
 	}
 	var waiting []mutex.ID
-	for _, id := range c.cfg.IDs {
+	for _, id := range c.ids {
 		if c.reqAt[id] >= 0 {
 			waiting = append(waiting, id)
 		}

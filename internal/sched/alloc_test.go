@@ -2,7 +2,10 @@
 
 package sched
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // TestAllocBudgetTimelinePushPop: once its buckets have reached their
 // high-water mark, the timeline pushes, cancels and pops without
@@ -74,5 +77,59 @@ func TestAllocBudgetSchedulerPushPopCancel(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, round); avg != 0 {
 		t.Errorf("push/pop/sweep round = %.2f allocs, want 0", avg)
+	}
+}
+
+// TestTimelineCarryReusesArrays: a pending set of 200 events with
+// think-time delays (exponential, mean 2^27 ticks) is carried across
+// 2^29-tick boundaries. At each the whole set passes through the carry's
+// bucket, a bucket never used before each time a higher bit moves on than
+// ever did. Once warm, a carry allocates nothing: the next carry's bucket
+// borrows the arrays the last one gave back. And the arrays stay within a
+// few times the pending set plus each bucket's own array, however many
+// bits have carried: when every bucket kept what it once held, they held
+// 3019 entries of room here, 256 more for each new bit.
+func TestTimelineCarryReusesArrays(t *testing.T) {
+	const pending = 200
+	rng := rand.New(rand.NewSource(1))
+	var tl Timeline[int]
+	delay := func() Time { return Time(rng.ExpFloat64() * (1 << 27)) }
+	for i := range pending {
+		tl.Push(delay(), i)
+	}
+	boundary := Time(0)
+	carry := func() {
+		boundary += 1 << 29
+		for {
+			at, _ := tl.NextAt()
+			if at >= boundary {
+				return
+			}
+			at, id := tl.Pop()
+			tl.Push(at+delay(), id)
+		}
+	}
+	for range 16 { // up to bit 33
+		carry()
+	}
+	if avg := testing.AllocsPerRun(200, carry); avg != 0 { // up to bit 37
+		t.Errorf("a carry across a 2^29 boundary = %.2f allocs, want 0", avg)
+	}
+	if tl.Len() != pending {
+		t.Fatalf("%d events pending, want %d", tl.Len(), pending)
+	}
+	room := 0
+	for i, b := range tl.buckets {
+		room += cap(tl.own[i])
+		if cap(b) > ownCap {
+			room += cap(b)
+		}
+	}
+	for _, b := range tl.pool {
+		room += cap(b)
+	}
+	t.Logf("%d entries of room for %d pending events", room, pending)
+	if limit := 4*pending + 64*ownCap; room > limit {
+		t.Errorf("the arrays hold %d entries of room for %d pending events, want <= %d", room, pending, limit)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // Time is a point in virtual time, in ticks.
@@ -49,7 +50,20 @@ const Hop Time = 1000
 // or the event is its earliest. Every path that empties a bucket puts its
 // headroom back to 0.
 //
-// The zero value is an empty timeline at time zero. Once the buckets have
+// Each bucket owns a small array, of at most ownCap entries, that it
+// files into for good. A bucket that outgrows it borrows a larger array
+// from a pool the buckets share, and gives it back when it empties. That
+// matters at a carry: each time a high bit of the time moves on, the
+// whole pending set passes through one bucket, a different one for each
+// bit, and with arrays of their own each such bucket would keep a
+// pending-set-sized array for good; pooled, the next bucket to overflow
+// takes it. The pool gives out the smallest array that fits and makes
+// one, twice the size needed, only when none does; it drops only what the
+// owner trims (Trim). So the timeline's arrays follow what is pending at
+// once, not the sum of what each bucket ever held, and each bucket's
+// entries stay one contiguous array.
+//
+// The zero value is an empty timeline at time zero. Once the arrays have
 // grown to a run's high-water mark, Push, Pop and Cancel allocate nothing.
 type Timeline[E any] struct {
 	last     Time     // time of the last event popped: no later push is earlier
@@ -58,7 +72,16 @@ type Timeline[E any] struct {
 	occupied uint64   // bit i set: bucket i holds events
 	room     [64]Time // per bucket, never minus its earliest time; 0 when empty
 	buckets  [64][]entry[E]
+	// own is each bucket's own array; buckets[i] is own[i] unless bucket
+	// i borrowed a larger one from pool, which holds the idle ones, none
+	// of more than limit entries when limit is set (Trim).
+	own   [64][]entry[E]
+	pool  [][]entry[E]
+	limit int
 }
+
+// ownCap is the most entries a bucket's own array holds.
+const ownCap = 16
 
 // never is later than any event: a bucket's headroom is measured from it.
 const never = Time(math.MaxInt64)
@@ -84,15 +107,87 @@ func (t *Timeline[E]) Push(at Time, ev E) {
 		panic(fmt.Sprintf("sched: scheduling at %d before the last event fired, at %d", at, t.last))
 	}
 	t.n++
-	t.put(entry[E]{at: at, ev: ev})
+	i := t.bucket(at)
+	if b := t.buckets[i]; len(b) == cap(b) {
+		t.grow(i)
+	}
+	t.put(i, entry[E]{at: at, ev: ev})
 }
 
-// put files e under the current last.
-func (t *Timeline[E]) put(e entry[E]) {
-	i := bits.Len64(uint64(e.at ^ t.last)) // at most 63: times are not negative
+// bucket is where an event due at at is filed under the current last.
+func (t *Timeline[E]) bucket(at Time) int {
+	return bits.Len64(uint64(at ^ t.last)) // at most 63: times are not negative
+}
+
+// put files e in bucket i, which has room for it: the callers grow a full
+// bucket first, so that put stays small enough to inline.
+func (t *Timeline[E]) put(i int, e entry[E]) {
 	t.occupied |= 1 << i
 	t.room[i] = max(t.room[i], never-e.at)
 	t.buckets[i] = append(t.buckets[i], e)
+}
+
+// grow gives full bucket i room for one more entry: a larger own array
+// up to ownCap, and past it the smallest pooled array that fits, or a new
+// one twice the size. A borrowed array it outgrew goes back to the pool.
+func (t *Timeline[E]) grow(i int) {
+	b := t.buckets[i]
+	need := len(b) + 1
+	if need <= ownCap {
+		o := append(make([]entry[E], 0, min(max(2*len(b), 4), ownCap)), b...)
+		t.own[i], t.buckets[i] = o, o
+		return
+	}
+	best := -1
+	for k, p := range t.pool {
+		if cap(p) >= need && (best < 0 || cap(p) < cap(t.pool[best])) {
+			best = k
+		}
+	}
+	var nb []entry[E]
+	if best < 0 {
+		nb = make([]entry[E], 0, 2*len(b))
+	} else {
+		last := len(t.pool) - 1
+		nb, t.pool[best], t.pool[last] = t.pool[best], t.pool[last], nil
+		t.pool = t.pool[:last]
+	}
+	t.buckets[i] = append(nb, b...)
+	clear(b) // drop the events' references
+	if cap(b) > ownCap {
+		t.lend(b)
+	}
+}
+
+// empty marks bucket i empty, its entries already cleared, and gives a
+// borrowed array back to the pool.
+func (t *Timeline[E]) empty(i int) {
+	t.occupied &^= 1 << i
+	t.room[i] = 0
+	if b := t.buckets[i]; cap(b) > ownCap {
+		t.lend(b)
+		t.buckets[i] = t.own[i][:0]
+	} else {
+		t.buckets[i] = b[:0]
+	}
+}
+
+// Trim drops the idle arrays that hold more than limit entries, now and
+// as they are given back, until the next Trim: for an owner that knows
+// its pending set stays under limit/2 — a bucket array is at most twice
+// what it holds — so the arrays a past peak needed are given back. The
+// owner chooses when; trimming on every dip would make them again on
+// every rise.
+func (t *Timeline[E]) Trim(limit int) {
+	t.limit = limit
+	t.pool = slices.DeleteFunc(t.pool, func(b []entry[E]) bool { return cap(b) > limit })
+}
+
+// lend puts b, emptied, in the pool, unless it is larger than Trim allows.
+func (t *Timeline[E]) lend(b []entry[E]) {
+	if t.limit == 0 || cap(b) <= t.limit {
+		t.pool = append(t.pool, b[:0])
+	}
 }
 
 // NextAt reports the earliest pending event's time, or false when the
@@ -131,9 +226,7 @@ func (t *Timeline[E]) PopDue(target Time) (Time, E, bool) {
 			t.last = b[0].at
 			ev := b[0].ev
 			b[0] = entry[E]{}
-			t.buckets[i] = b[:0]
-			t.occupied &^= 1 << i
-			t.room[i] = 0
+			t.empty(i)
 			t.n--
 			return t.last, ev, true
 		}
@@ -144,9 +237,8 @@ func (t *Timeline[E]) PopDue(target Time) (Time, E, bool) {
 	b[t.head] = entry[E]{}
 	t.n--
 	if t.head++; t.head == len(b) {
-		t.head, t.buckets[0] = 0, b[:0]
-		t.occupied &^= 1
-		t.room[0] = 0
+		t.head = 0
+		t.empty(0)
 	}
 	return t.last, ev, true
 }
@@ -155,15 +247,17 @@ func (t *Timeline[E]) PopDue(target Time) (Time, E, bool) {
 // it, which are empty, so that bucket 0 holds the earliest events. The
 // caller must be about to pop: the earliest time becomes the new last.
 func (t *Timeline[E]) refill(i int) {
-	t.occupied &^= 1 << i
 	t.last = never - t.room[i]
-	t.room[i] = 0
 	b := t.buckets[i]
 	for _, e := range b {
-		t.put(e)
+		j := t.bucket(e.at)
+		if b := t.buckets[j]; len(b) == cap(b) {
+			t.grow(j)
+		}
+		t.put(j, e)
 	}
 	clear(b) // drop the events' references
-	t.buckets[i] = b[:0]
+	t.empty(i)
 }
 
 // Cancel removes, at once, every pending event withdrawn reports true
@@ -189,7 +283,7 @@ func (t *Timeline[E]) Cancel(withdrawn func(E) bool) {
 		clear(b[len(kept):])
 		t.buckets[i], t.room[i] = kept, room
 		if len(kept) == 0 {
-			t.occupied &^= 1 << i
+			t.empty(i)
 		}
 	}
 }

@@ -169,4 +169,41 @@ func TestTimelineMatchesModel(t *testing.T) {
 	if drains < 100 {
 		t.Fatalf("only %d drains: the script is not restarting the timeline", drains)
 	}
+
+	// The pending set swings: filled to 10 000, drained to 3, filled
+	// again and drained, so the arrays that held the peak are given back
+	// and borrowed again while events are pending.
+	fill := func(to int) {
+		for ref.Len() < to {
+			at := now + spread()
+			tl.Push(at, ids)
+			heap.Push(&ref, pushed{at: at, id: ids})
+			ids++
+		}
+	}
+	for step, to := range []int{10_000, 3, 10_000, 0} {
+		fill(to)
+		for ref.Len() > to {
+			pop(step)
+		}
+		if tl.Len() != to {
+			t.Fatalf("swing %d: Len %d, want %d", step, tl.Len(), to)
+		}
+	}
+}
+
+// capacity is the entries the timeline's arrays have room for: the
+// buckets' own, those borrowed and the idle ones in the pool.
+func (t *Timeline[E]) capacity() int {
+	n := 0
+	for i, b := range t.buckets {
+		n += cap(t.own[i])
+		if cap(b) > ownCap {
+			n += cap(b)
+		}
+	}
+	for _, b := range t.pool {
+		n += cap(b)
+	}
+	return n
 }

@@ -22,7 +22,14 @@ import (
 // Not safe for concurrent use: every method runs on the goroutine that
 // advances the clock, which is also where every event fires — the
 // contract that lets every event ride the clock's owner-only timeline
-// (vclock.Virtual.Arm) instead of a locked, cancellable timer.
+// (vclock.Virtual.ArmSlot) instead of a locked, cancellable timer.
+//
+// A pending event is no heap object: what it carries (a step, or a
+// message with its ends and send time, the message by value when it
+// travels that way) is a value in pending, at the index of the clock slot
+// the event holds, and the clock hands that slot back when the event
+// fires. The table is as long as the clock's slot table, which grows and
+// shrinks with the pending set, so the network's storage follows it too.
 type Network struct {
 	clk  *vclock.Virtual
 	lat  LatencyModel
@@ -34,11 +41,10 @@ type Network struct {
 	index   []int32
 	members []Member
 
-	// free holds fired events for reuse. The network owns every event:
-	// arm takes one from here (or makes one), the event returns itself
-	// when it fires, and nothing else keeps a reference — so a
-	// steady-state run schedules without allocating.
-	free []*event
+	// pending holds each pending event's payload at its clock slot; fire
+	// is run bound once, the one callback every event is armed with.
+	pending []payload
+	fire    func(slot uint32)
 
 	counts    Counts                       // Delivered and Dropped; Counts adds the sends
 	sent      []kindCount                  // boxed sends, one slot per kind in first-sent order
@@ -166,6 +172,7 @@ func NewNetwork(clk *vclock.Virtual, rng *rand.Rand, opts ...NetworkOption) *Net
 		rng:  rng,
 		fifo: true,
 	}
+	n.fire = n.run
 	for _, o := range opts {
 		o(n)
 	}
@@ -203,13 +210,11 @@ func (n *Network) Member(id mutex.ID) *Member {
 // Now returns the current virtual time.
 func (n *Network) Now() Time { return Time(n.clk.Elapsed()) }
 
-// event is one scheduled step — a message delivery when step is nil,
-// otherwise what the layer above armed through After. See Network.free
-// for who owns it. A delivery carries its message in v when it was sent
-// by value and in m otherwise.
-type event struct {
-	n        *Network
-	fire     func() // run, bound once: what the clock's timeline holds
+// payload is what one pending event carries: a step when step is set,
+// otherwise a message delivery — the message in v when it was sent by
+// value and in m otherwise. A step reads step, from and to; a delivery
+// every field but step.
+type payload struct {
 	step     func(a, b mutex.ID)
 	from, to mutex.ID
 	sentAt   Time
@@ -217,29 +222,28 @@ type event struct {
 	v        core.Msg
 }
 
-// arm schedules one event d from now on the clock's timeline (a negative
-// d fires at once, like a timer's). Nothing fires before the clock next
-// advances, so send fills in the returned event's message afterwards.
-func (n *Network) arm(d Time, step func(a, b mutex.ID), from, to mutex.ID) *event {
-	var e *event
-	if k := len(n.free); k > 0 {
-		e = n.free[k-1]
-		n.free = n.free[:k-1]
-	} else {
-		e = &event{n: n}
-		e.fire = e.run
+// arm schedules an event d from now on the clock's timeline (a negative d
+// fires at once, like a timer's) and returns its payload, at the slot the
+// clock gave it, for the caller to fill in: a fired event's payload keeps
+// no reference, and the caller sets every field the event reads.
+func (n *Network) arm(d Time) *payload {
+	s := n.clk.ArmSlot(time.Duration(d), n.fire)
+	if int(s) >= len(n.pending) {
+		n.fitPending()
 	}
-	e.step, e.from, e.to = step, from, to
-	n.clk.Arm(time.Duration(d), e.fire)
-	return e
+	return &n.pending[s]
 }
 
-// run recycles the event, then runs its step — in that order, so the
-// sends the step makes can already reuse it.
-func (e *event) run() {
-	n, step, from, to, sentAt, m, v := e.n, e.step, e.from, e.to, e.sentAt, e.m, e.v
-	e.step, e.m, e.v = nil, nil, core.Msg{}
-	n.free = append(n.free, e)
+// run fires the event that held slot s: it takes the payload out, then
+// runs the step or delivers — in that order, so the sends it makes can
+// already reuse the slot.
+func (n *Network) run(s uint32) {
+	p := &n.pending[s]
+	step, from, to, sentAt, m, v := p.step, p.from, p.to, p.sentAt, p.m, p.v
+	p.step, p.m = nil, nil
+	if len(n.pending) > n.clk.Slots() {
+		n.fitPending()
+	}
 	if step != nil {
 		step(from, to)
 	} else {
@@ -247,18 +251,30 @@ func (e *event) run() {
 	}
 }
 
-// After arms step(a, b) to run d from now as one pooled event: how the
-// layers above put driver steps, auto-releases and detector verdicts on
-// the timeline. Pass a func value bound once, so arming allocates nothing.
-func (n *Network) After(d Time, step func(a, b mutex.ID), a, b mutex.ID) { n.arm(d, step, a, b) }
+// fitPending resizes the payload table to the clock's slot table, which
+// has grown or shrunk. A shrunk table drops only free slots, whose
+// payloads hold no reference.
+func (n *Network) fitPending() {
+	pending := make([]payload, n.clk.Slots())
+	copy(pending, n.pending)
+	n.pending = pending
+}
+
+// After arms step(a, b) to run d from now: how the layers above put
+// driver steps, auto-releases and detector verdicts on the timeline. Pass
+// a func value bound once, so arming allocates nothing.
+func (n *Network) After(d Time, step func(a, b mutex.ID), a, b mutex.ID) {
+	p := n.arm(d)
+	p.step, p.from, p.to = step, a, b
+}
 
 // Send queues m for delivery from -> to after the latency model's delay,
 // preserving per-link FIFO order. Sends between unknown nodes panic:
 // under the paper's model the membership is fixed, so they are bugs.
 func (n *Network) Send(from, to mutex.ID, m mutex.Message) { n.send(from, to, m, core.Msg{}) }
 
-// SendMsg is Send for a REQUEST or PRIVILEGE carried by value: it rides
-// the pooled event as a plain core.Msg and reaches a node that has
+// SendMsg is Send for a REQUEST or PRIVILEGE carried by value: it waits
+// in the pending table as a plain core.Msg and reaches a node that has
 // DeliverMsg without ever becoming a heap object.
 func (n *Network) SendMsg(from, to mutex.ID, v core.Msg) { n.send(from, to, nil, v) }
 
@@ -291,8 +307,8 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
 	if n.fifo {
 		at = src.clamp(to, now, at)
 	}
-	e := n.arm(at-now, nil, from, to)
-	e.sentAt, e.m, e.v = now, m, v
+	p := n.arm(at - now)
+	p.from, p.to, p.sentAt, p.m, p.v = from, to, now, m, v
 }
 
 // clamp returns the arrival time for a message sent now to member to

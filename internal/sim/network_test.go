@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"time"
 	"unsafe"
 
 	"dagmutex/internal/core"
@@ -316,7 +317,7 @@ func (e *recEnv) Granted(uint64)                   {}
 // TestNetworkCarriesMsgByValue: a by-value send reaches a *core.Node
 // through DeliverMsg as the same plain value, is boxed on arrival for a
 // node without it (and for an observer), and is counted under the kind
-// and size its boxed form reports — one pooled event path for both.
+// and size its boxed form reports — one event path for both.
 func TestNetworkCarriesMsgByValue(t *testing.T) {
 	var seen []Delivery
 	sched, net := newNet()
@@ -374,10 +375,12 @@ func (s *boxSink) Deliver(_ mutex.ID, m mutex.Message) error {
 	return nil
 }
 
-// TestAfterRunsPooledSteps: steps armed through After fire in (time,
-// arming) order on the same timeline as deliveries, and reuse the
-// network's pooled events.
-func TestAfterRunsPooledSteps(t *testing.T) {
+// TestAfterRunsSlotSteps: steps armed through After fire in (time,
+// arming) order on the same timeline as deliveries, and wait as values in
+// the network's pending table: a fired event leaves no reference behind
+// there (no step, no message), and arming one takes a slot of the table
+// without growing it.
+func TestAfterRunsSlotSteps(t *testing.T) {
 	sched, net, _, b := newTestNet(t)
 	var order []mutex.ID
 	step := func(a, _ mutex.ID) { order = append(order, a) }
@@ -392,10 +395,48 @@ func TestAfterRunsPooledSteps(t *testing.T) {
 	if len(b.got) != 1 {
 		t.Fatalf("delivery lost among the steps: %+v", b.got)
 	}
-	pooled := len(net.free)
+	held := func() (slots []int) {
+		for s, p := range net.pending {
+			if p.step != nil || p.m != nil {
+				slots = append(slots, s)
+			}
+		}
+		return slots
+	}
+	if slots := held(); len(slots) != 0 {
+		t.Fatalf("slots %v still hold a step or a message after every event fired", slots)
+	}
+	size := len(net.pending)
 	net.After(Hop, step, 4, 0)
-	if len(net.free) != pooled-1 {
-		t.Fatalf("After took a fresh event with %d pooled", pooled)
+	slots := held()
+	if len(net.pending) != size || len(slots) != 1 || net.pending[slots[0]].step == nil || net.pending[slots[0]].from != 4 {
+		t.Fatalf("After filled slots %v of a table of %d (was %d), want one slot holding step(4) and the same table", slots, len(net.pending), size)
+	}
+}
+
+// TestPendingTableFollowsTheClock: the payload table is as long as the
+// clock's slot table, growing with a burst of 10 000 messages in flight
+// and shrinking with it once the burst has been delivered and a few steps
+// cycle on their own.
+func TestPendingTableFollowsTheClock(t *testing.T) {
+	clk, net, _, b := newTestNet(t)
+	for i := range 10_000 {
+		net.Send(1, 2, testMsg{tag: i})
+	}
+	if len(net.pending) != clk.Slots() || len(net.pending) < 10_000 {
+		t.Fatalf("%d payload slots, %d clock slots, for 10 000 messages in flight", len(net.pending), clk.Slots())
+	}
+	var step func(a, b mutex.ID)
+	step = func(a, b mutex.ID) { net.After(Hop, step, a, b) }
+	for i := range 4 {
+		net.After(Hop, step, mutex.ID(i), 0)
+	}
+	clk.Advance(time.Duration(100_000 * Hop))
+	if len(b.got) != 10_000 {
+		t.Fatalf("delivered %d of 10 000", len(b.got))
+	}
+	if len(net.pending) != clk.Slots() || len(net.pending) > 64 {
+		t.Fatalf("%d payload slots, %d clock slots, for 4 steps pending; want the clock's smallest table", len(net.pending), clk.Slots())
 	}
 }
 

@@ -1,17 +1,18 @@
 // Package sim is the repository's one discrete-event simulator: a
 // reliable, per-link-FIFO message network (Network) whose every delivery
 // — and every driver step, auto-release and detector verdict the layers
-// above arm through it — is a pooled event on one vclock.Virtual. The
+// above arm through it — is an event on one vclock.Virtual whose payload
+// waits by value in the network's table, at the event's clock slot. The
 // thesis experiments, the nine-protocol conformance batteries and
 // internal/simharness's thousand-node fault runs all execute on it (hosted
 // by internal/cluster, which owns the grant checker), so message counts
 // and synchronization delays are exact and reproducible.
 //
 // Everything here runs on the goroutine that advances the clock, so the
-// events go on the clock's owner-only timeline (Virtual.Arm): no timer,
-// no handle and no lock per event, and the time is one atomic load. What
-// a simulated event costs is a queue pop, the network's bookkeeping and
-// the protocol's own step.
+// events go on the clock's owner-only timeline (Virtual.ArmSlot): no
+// timer, no handle, no lock and no heap object per event, and the time is
+// one atomic load. What a simulated event costs is a queue pop, the
+// network's bookkeeping and the protocol's own step.
 //
 // Time is measured in ticks, and one tick is one nanosecond of the
 // virtual clock, so vclock durations and sim.Time are the same numbers.

@@ -34,9 +34,9 @@ func TestAllocBudgetSimharnessNew(t *testing.T) {
 }
 
 // TestAllocBudgetSimharnessDelivery bounds the steady state of a run at
-// no heap object per delivered message. Deliveries, driver steps, their
-// timers and the scheduler's events are all recycled, and the message
-// itself rides the engine's pooled event by value: the cluster's Env
+// no heap object per delivered message. Deliveries and driver steps are
+// values in the network's table at their clock slots, and the message
+// itself waits in the network's payload table by value: the cluster's Env
 // implements core.MsgSender, so core never boxes a REQUEST or PRIVILEGE
 // into a mutex.Message, and the network hands it back through
 // DeliverMsg. (internal/cluster's TestAllocBudgetBoxedDelivery is the
@@ -50,8 +50,8 @@ func TestAllocBudgetSimharnessDelivery(t *testing.T) {
 	if err := h.start(w); err != nil {
 		t.Fatal(err)
 	}
-	// Warm up: the event pool, the scheduler's heap and every member's
-	// request queue reach their high-water marks.
+	// Warm up: the clock's and the network's tables, the queue's arrays
+	// and every member's request queue reach their high-water marks.
 	h.c.RunFor(sim.Time(2 * time.Minute))
 
 	var before, after runtime.MemStats
@@ -69,7 +69,7 @@ func TestAllocBudgetSimharnessDelivery(t *testing.T) {
 	}
 	perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
 	t.Logf("%.4f allocs per delivered message over %d messages", perMsg, msgs)
-	// The slack is for the pool and the scheduler's heap growing past
+	// The slack is for the tables and the queue's arrays growing past
 	// their warm-up high-water marks, and for the Go runtime's own
 	// background allocations.
 	if perMsg > 0.005 {

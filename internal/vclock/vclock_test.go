@@ -295,11 +295,13 @@ func TestResetDoesNotGrowHeap(t *testing.T) {
 	}
 }
 
-// slotsInUse counts the slots of v's table that are not on its free list.
+// slotsInUse counts the slots of v's table that are on no free chain.
 func slotsInUse(v *Virtual) int {
 	used := len(v.slots)
-	for s := v.free; s != 0; s = uint32(v.slots[s-1].gen) {
-		used--
+	for _, s := range v.free {
+		for ; s != 0; s = uint32(v.slots[s-1].gen) {
+			used--
+		}
 	}
 	return used
 }
@@ -410,5 +412,60 @@ func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
 	}
 	if got := v.Elapsed(); got != time.Hour+time.Minute {
 		t.Fatalf("clock at %v after Drain, want the last event's time %v", got, time.Hour+time.Minute)
+	}
+}
+
+// TestSlotTableFollowsPendingSet: a burst of 10 000 events grows the slot
+// table to hold them; once they have fired and ten events cycle on their
+// own, the table shrinks back — but not past a slot still in use: one
+// event of the burst, due at 15 s, holds a slot near its top, and the
+// table keeps it until it has fired. Then the table shrinks to its
+// smallest size. Every slot in use holds a queued event throughout, and
+// the ten keep firing on time. An arming takes the lowest free slot, so
+// the events armed after the burst sit at the bottom of the table and the
+// ranges above empty.
+func TestSlotTableFollowsPendingSet(t *testing.T) {
+	v := NewVirtual()
+	late := false
+	for i := range 10_000 {
+		if i == 9_000 {
+			v.Arm(15*time.Second, func() { late = true })
+			continue
+		}
+		v.Arm(time.Duration(i)*time.Microsecond, func() {})
+	}
+	if n := len(v.slots); n < 10_000 {
+		t.Fatalf("%d slots for 10 000 pending events", n)
+	}
+	fired := make([]int, 10)
+	for i := range fired {
+		var tick func()
+		tick = func() {
+			fired[i]++
+			v.Arm(time.Millisecond, tick)
+		}
+		v.Arm(time.Duration(i+1)*time.Microsecond, tick)
+	}
+	v.Advance(10 * time.Second)
+	if used := slotsInUse(v); used != v.queue.Len() || used != 11 {
+		t.Fatalf("%d slots in use for %d queued entries, want 11", used, v.queue.Len())
+	}
+	if n := len(v.slots); n <= 9_000 {
+		t.Fatalf("%d slots with the event armed 9000th of the burst still pending", n)
+	}
+	v.Advance(10 * time.Second)
+	if !late {
+		t.Fatal("the event due at 15 s did not fire")
+	}
+	if used := slotsInUse(v); used != v.queue.Len() || used != 10 {
+		t.Fatalf("%d slots in use for %d queued entries, want 10", used, v.queue.Len())
+	}
+	if n := len(v.slots); n != minSlots {
+		t.Errorf("%d slots for 10 pending events, want the smallest table, %d", n, minSlots)
+	}
+	for i, n := range fired {
+		if n != 20_000 {
+			t.Fatalf("event %d fired %d times in 20 s at 1 ms, want 20 000", i, n)
+		}
 	}
 }

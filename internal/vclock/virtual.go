@@ -2,6 +2,7 @@ package vclock
 
 import (
 	"fmt"
+	"math/bits"
 	goruntime "runtime"
 	"slices"
 	"sync"
@@ -28,13 +29,21 @@ import (
 // the test, or the simulator's loop — calls Advance/Step/Run/Drain, and
 // event callbacks run synchronously on it.
 //
-// There is one queue, and only the owner touches it: Arm pushes onto it
-// directly, so only the owner may call Arm (from an event callback, or
-// between advances). The queue holds only each event's time and a slot
-// number, 16 bytes with no pointer in them; the event itself (callback,
-// timer, arming) waits in that slot of a table beside the queue, which
-// the owner fills when it queues an event and frees when the event is
-// popped or swept out. Timers, tickers, AfterFunc and Sleep may be armed
+// There is one queue, and only the owner touches it: Arm and ArmSlot push
+// onto it directly, so only the owner may call them (from an event
+// callback, or between advances). The queue holds only each event's time
+// and a slot number, 16 bytes with no pointer in them; the event itself
+// (callback, timer, arming) waits in that slot of a table beside the
+// queue, which the owner fills when it queues an event and frees when
+// the event is popped or swept out. ArmSlot hands the slot to its caller
+// and, when the event fires, to the callback, so a caller can keep what
+// the event carries by value in a table of its own indexed by the same
+// slot (the simulator's network does). The table follows the pending
+// set: it doubles when full, and shrinks to a size 2^k once the queue has
+// stayed under a quarter of it for 2^k/2 events fired and every slot in
+// use is below it — which they come to be, because the lowest free slots
+// are handed out first (see lookBack). Timers, tickers, AfterFunc and
+// Sleep may be armed
 // from any goroutine: they are posted to an inbox under the clock's lock,
 // which the owner empties onto the queue, in posting order, before every
 // Arm and every pop. So events fire in arming order with no sequence
@@ -87,13 +96,22 @@ type Virtual struct {
 	timers atomic.Int64 // armed timers: each has one live event queued
 
 	// The owner's: the queue of slot numbers and the table of slots they
-	// name; the free slots, chained through the table (free is the first
-	// one plus one, each free slot's gen the next one's, 0 ending the
-	// chain); how many posts it has taken off the inbox, how many of its
-	// events belong to no timer (Arm, Sleep), and how many events fired.
+	// name; the free slots, on one chain per range of slot numbers
+	// [2^(k-1), 2^k) (chain k; chain 0 is slot 0), threaded through the
+	// table (free[k] is the first one plus one, each free slot's gen the
+	// next one's, 0 ending the chain), with a bit per non-empty chain in
+	// spare and each chain's length in nfree; the queue's length at the
+	// last look back, and per table size 2^k how many events in a row have
+	// fired with the queue under 2^k/4 (see lookBack); how many posts it
+	// has taken off the inbox, how many of its events belong to no timer
+	// (Arm, ArmSlot, Sleep), and how many events fired.
 	queue sched.Timeline[uint32]
 	slots []event
-	free  uint32
+	free  [64]uint32
+	nfree [64]int
+	spare uint64
+	seen  int
+	quiet [64]int
 	taken uint64
 	plain int
 	fired uint64
@@ -110,53 +128,116 @@ type Virtual struct {
 	yieldRounds atomic.Uint64
 }
 
-// event is one queued callback. A timer's carries the timer and the state
-// its arming set, and is withdrawn once the timer has left that state. In
-// a free slot of the table, gen links the next free slot (see free).
+// event is one queued callback: fire, or for an ArmSlot event slot,
+// which is handed the slot the event held. A timer's carries the timer
+// and the state its arming set, and is withdrawn once the timer has left
+// that state. In a free slot of the table, gen links the next free slot
+// (see free).
 type event struct {
 	fire func()
-	t    *vtimer // nil: an Arm or a Sleep, never withdrawn
+	slot func(uint32)
+	t    *vtimer // nil: an Arm, an ArmSlot or a Sleep, never withdrawn
 	gen  uint64
 }
 
 func withdrawn(e event) bool { return e.t != nil && e.t.state.Load() != e.gen }
 
-// slotStep is the fewest slots the table grows by: the first table holds
-// the pending set of a thousand-node simulation (bench's sim_scale peaks
-// below 512 events), so the table costs such a run one allocation.
-const slotStep = 512
+// slotStep is the size of a clock's first table: it holds the pending set
+// of a thousand-node simulation (bench's sim_scale peaks below 512
+// events), so the table costs such a run one allocation on the way up.
+// minSlots is the smallest table a shrink leaves, and lookEvery how many
+// events fire between looks at the queue's length.
+const (
+	slotStep  = 512
+	minSlots  = 64
+	lookEvery = minSlots / 2
+)
 
-// hold takes a slot off the free list, for an event about to be queued.
-// Owner only. (The named result keeps it within the inliner's budget, so
-// Arm pays no call for it.)
-func (v *Virtual) hold() (s uint32) {
-	if v.free == 0 {
-		v.growSlots()
+// hold takes a free slot from the lowest range that has one, for an event
+// about to be queued; the caller doubles the table first when none is
+// free. Owner only.
+func (v *Virtual) hold() uint32 {
+	k := bits.TrailingZeros64(v.spare) & 63
+	s := v.free[k] - 1
+	v.free[k] = uint32(v.slots[s].gen)
+	if v.nfree[k]--; v.nfree[k] == 0 {
+		v.spare &^= 1 << k
 	}
-	s = v.free - 1
-	v.free = uint32(v.slots[s].gen)
 	return s
 }
 
-// growSlots adds at least slotStep free slots to the table, doubling it
-// once it is larger, and chains them, lowest first, onto the free list.
-func (v *Virtual) growSlots() {
-	n := len(v.slots)
-	slots := make([]event, n+max(n, slotStep))
-	copy(slots, v.slots)
-	v.slots = slots
-	for s := len(slots); s > n; s-- {
-		slots[s-1].gen = uint64(v.free)
-		v.free = uint32(s)
-	}
+// release puts slot s, emptied, on its range's free chain.
+func (v *Virtual) release(s uint32) {
+	k := bits.Len32(s) & 63
+	v.slots[s] = event{gen: uint64(v.free[k])}
+	v.free[k] = s + 1
+	v.spare |= 1 << k
+	v.nfree[k]++
 }
 
 // take empties slot s and returns the event it held. Owner only.
 func (v *Virtual) take(s uint32) event {
 	e := v.slots[s]
-	v.slots[s] = event{gen: uint64(v.free)}
-	v.free = s + 1
+	v.release(s)
 	return e
+}
+
+// resize moves the table to n slots, a power of two: twice as many, the
+// new ones free, or fewer, when every slot from n on is free — whole
+// ranges, whose chains are dropped with them. A table that grows was
+// full, so no size below it has been quiet. The queue holds no more
+// events than the table, so it keeps no idle array of more than twice as
+// many entries (Timeline.Trim).
+func (v *Virtual) resize(n int) {
+	old := v.slots
+	v.slots = make([]event, n)
+	copy(v.slots, old)
+	for k := bits.Len(uint(n)); k < len(v.free); k++ {
+		v.free[k], v.nfree[k] = 0, 0
+		v.spare &^= 1 << k
+	}
+	for s := n - 1; s >= len(old); s-- {
+		v.release(uint32(s))
+	}
+	if n > len(old) {
+		clear(v.quiet[:])
+	}
+	v.queue.Trim(2 * n)
+}
+
+// lookBack runs every lookEvery events fired. It shrinks the table to the
+// smallest size 2^k, down to minSlots, that the queue has stayed under a
+// quarter of for 2^k/2 events in a row, and that holds every slot in use:
+// the ranges above it must be free. Free slots are handed out lowest
+// first, so the events queued since the pending set fell have moved down
+// out of those ranges. A size that the pending set reaches a quarter of
+// between such stretches — a fill and drain loop — is never chosen, so
+// shrinking never trades off against growing back.
+//
+// The queue is looked at, not watched: lookEvery events count as quiet
+// for a size when the queue was under its quarter at both looks. A pop
+// takes one event off, so the queue held at most lookEvery more than the
+// second look in between, which a shrunk table still holds; and a
+// stretch that only drains, the tail of a fill and drain loop, is under a
+// quarter of 2^k for 2^k/4 events, half of what a shrink to 2^k needs.
+func (v *Virtual) lookBack() {
+	seen := max(v.seen, v.queue.Len())
+	v.seen = v.queue.Len()
+	top := bits.Len(uint(len(v.slots))) - 1 // the table holds 2^top slots
+	n, above := len(v.slots), true          // above: the slots from 2^k on are free
+	for k := top - 1; k >= bits.Len(minSlots)-1; k-- {
+		if seen < 1<<k/4 {
+			v.quiet[k] += lookEvery
+		} else {
+			v.quiet[k] = 0
+		}
+		if above = above && v.nfree[k+1] == 1<<k; above && v.quiet[k] >= 1<<k/2 {
+			n = 1 << k
+		}
+	}
+	if n < len(v.slots) {
+		v.resize(n)
+	}
 }
 
 // sweep takes the withdrawn events off the queue and frees their slots.
@@ -230,13 +311,33 @@ func (v *Virtual) NextAt() (time.Time, bool) {
 // Arm schedules fn to run once, d from now: AfterFunc without a handle or
 // a lock, for the owner only (see the concurrency model) and for an event
 // that is never withdrawn. Any other caller must use AfterFunc.
-func (v *Virtual) Arm(d time.Duration, fn func()) {
+func (v *Virtual) Arm(d time.Duration, fn func()) { v.arm(d, event{fire: fn}) }
+
+// ArmSlot is Arm for a callback that is handed the event's slot: it
+// returns the slot the event holds until it fires, and fn is called with
+// it. The slot is free again by then, so fn must read what its caller
+// keeps for the slot before it arms anything. Slots are below Slots.
+// Owner only.
+func (v *Virtual) ArmSlot(d time.Duration, fn func(slot uint32)) uint32 {
+	return v.arm(d, event{slot: fn})
+}
+
+// arm queues e, d from now, in a slot of the table, and returns the slot.
+func (v *Virtual) arm(d time.Duration, e event) uint32 {
 	v.collect()
 	v.plain++
+	if v.spare == 0 {
+		v.resize(max(2*len(v.slots), slotStep))
+	}
 	s := v.hold()
-	v.slots[s] = event{fire: fn}
+	v.slots[s] = e
 	v.queue.Push(v.due(d), s)
+	return s
 }
+
+// Slots reports the size of the slot table: every slot ArmSlot hands out
+// is below it. It grows and shrinks with the pending set. Owner only.
+func (v *Virtual) Slots() int { return len(v.slots) }
 
 // due is the queue time d from now; a negative d is now.
 func (v *Virtual) due(d time.Duration) sched.Time {
@@ -276,6 +377,9 @@ func (v *Virtual) collectLocked() {
 		}
 		if p.ev.t == nil {
 			v.plain++
+		}
+		if v.spare == 0 {
+			v.resize(max(2*len(v.slots), slotStep))
 		}
 		s := v.hold()
 		v.slots[s] = p.ev
@@ -364,17 +468,18 @@ func (v *Virtual) settleAfterEvent() {
 }
 
 // popDue removes the earliest live event due at or before target, frees
-// its slot, moves the clock to it and returns its callback; false when
-// nothing is due by then. Owner only. A timer's event fires only if it
-// claims the arming it was queued for, and is dropped otherwise, even
-// when due after now: if nothing live follows it, the clock stays where
-// it is, and the emptied queue takes the pushes after it at any time.
-func (v *Virtual) popDue(target sched.Time) (func(), bool) {
+// its slot, moves the clock to it and returns the event and the slot it
+// held; false when nothing is due by then. Owner only. A timer's event
+// fires only if it claims the arming it was queued for, and is dropped
+// otherwise, even when due after now: if nothing live follows it, the
+// clock stays where it is, and the emptied queue takes the pushes after
+// it at any time.
+func (v *Virtual) popDue(target sched.Time) (event, uint32, bool) {
 	v.collect()
 	for {
 		at, s, ok := v.queue.PopDue(target)
 		if !ok {
-			return nil, false
+			return event{}, 0, false
 		}
 		e := v.take(s)
 		switch {
@@ -386,8 +491,10 @@ func (v *Virtual) popDue(target sched.Time) (func(), bool) {
 			continue
 		}
 		v.now.Store(int64(at))
-		v.fired++
-		return e.fire, true
+		if v.fired++; v.fired%lookEvery == 0 {
+			v.lookBack()
+		}
+		return e, s, true
 	}
 }
 
@@ -398,11 +505,15 @@ func (v *Virtual) popDue(target sched.Time) (func(), bool) {
 // look between events.
 func (v *Virtual) Step() bool {
 	v.settle()
-	fn, ok := v.popDue(never)
+	e, s, ok := v.popDue(never)
 	if !ok {
 		return false
 	}
-	fn()
+	if e.slot != nil {
+		e.slot(s)
+	} else {
+		e.fire()
+	}
 	v.settleAfterEvent()
 	return true
 }
@@ -435,11 +546,15 @@ func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
 func (v *Virtual) Drain(limit uint64) (fired uint64, drained bool) {
 	v.settle()
 	for fired < limit {
-		fn, ok := v.popDue(never)
+		e, s, ok := v.popDue(never)
 		if !ok {
 			break
 		}
-		fn()
+		if e.slot != nil {
+			e.slot(s)
+		} else {
+			e.fire()
+		}
 		fired++
 		v.settleAfterEvent()
 	}
@@ -450,13 +565,17 @@ func (v *Virtual) Drain(limit uint64) (fired uint64, drained bool) {
 func (v *Virtual) runUntil(target sched.Time) {
 	v.settle()
 	for {
-		fn, ok := v.popDue(target)
+		e, s, ok := v.popDue(target)
 		if !ok {
 			v.now.Store(int64(target))
 			v.settle()
 			return
 		}
-		fn()
+		if e.slot != nil {
+			e.slot(s)
+		} else {
+			e.fire()
+		}
 		v.settleAfterEvent()
 	}
 }
