@@ -348,8 +348,8 @@ func OpenLockService(cfg LockServiceConfig, opts ...Option) (*LockService, error
 	if o.init {
 		return nil, fmt.Errorf("dagmutex: WithINIT applies to Open, not OpenLockService")
 	}
-	if o.policy.compress || o.policy.every > 0 {
-		cfg.Topology = lockservice.Topology{PathCompression: o.policy.compress, RebalanceEvery: o.policy.every}
+	if o.policy.compress {
+		cfg.PathCompression = true
 	}
 	if o.telemetry != nil {
 		cfg.Telemetry = o.telemetry

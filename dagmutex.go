@@ -109,11 +109,6 @@ var (
 // shard, and the per-shard tree topology.
 type LockServiceConfig = lockservice.Config
 
-// LockTopology is LockServiceConfig.Topology: the per-shard
-// adaptive-topology policy (path compression, periodic rebalancing).
-// Most callers set it through WithTopologyPolicy instead.
-type LockTopology = lockservice.Topology
-
 // LockClient is the lock-service view of one member node; obtain one with
 // LockService.On. Non-member processes get the same surface by dialing a
 // TCP member: see DialLockService.

@@ -286,39 +286,38 @@
 //
 // The thesis's performance analysis makes the initial tree shape the
 // dominant cost term: a chain pays O(diameter) messages per grant, the
-// star pays about two. WithTopologyPolicy lets the DAG adapt that
-// shape online instead of trusting the one chosen at provisioning
-// time. Static (the default) is the paper's algorithm verbatim.
+// star 3 − 5/N + 2/N² under uniform demand. WithTopologyPolicy picks
+// how the DAG's shape moves as requests pass. Static (the default) is
+// the paper's algorithm verbatim: each grant that moves the token costs
+// the request's tree path to the holder plus one PRIVILEGE, exactly.
 // PathCompress() applies the Naimi–Trehel reversal: every node a
 // REQUEST traverses points its NEXT pointer directly at the request's
-// origin rather than at the neighbor that forwarded it, flattening the
-// tree toward every requester as a side effect of ordinary request
-// traffic — no extra messages, no new frame types. Rebalance(interval)
-// adds periodic re-rooting on top of compression, for OpenLockService:
-// each shard tracks per-node grant rates, and every interval the
-// shard's current token possessor plans a REORIENT epoch toward the
-// hottest requester since the last tick, reusing the crash recovery's
-// freeze/rebuild rounds to re-root the DAG as a two-level radial
-// around the hot node.
+// origin rather than at the neighbor that forwarded it, a side effect
+// of ordinary request traffic — no extra messages, no new frame types.
 //
 //	svc, err := dagmutex.OpenLockService(
-//	    dagmutex.LockServiceConfig{Shards: 8, Nodes: 32},
-//	    dagmutex.WithTopologyPolicy(dagmutex.Rebalance(5*time.Second)))
+//	    dagmutex.LockServiceConfig{Shards: 8, Nodes: 32, Tree: dagmutex.Line},
+//	    dagmutex.WithTopologyPolicy(dagmutex.PathCompress()))
 //
-// A planned reorient never regenerates the token and never advances
-// the fencing generation — only possession moves the shape, so fences
-// stay strictly monotonic across reshapes (the conformance battery
-// asserts this over both link layers). Like Regrant, a plan is refused
-// (false, nil) rather than errored while a recovery or an earlier
-// reshape is still in flight, when the cluster lacks a quorum, or from
-// a node that does not currently possess the token; planning toward a
-// non-member or a suspected-dead node is ErrBadConfig. For Open and
-// OpenPeer (a single DAG, no shard heat tracking) Rebalance applies
-// its compression half and re-rooting is explicit via
-// Session.PlanReorient. Under Zipf-skewed requesters a 32-node chain
-// drops from ~10.3 messages per grant to ~2.9 with compression, within
-// 1.2× of the static star's 2.5 (internal/lockservice's
-// TestTopologyCellCosts pins every shape × policy cell).
+// Compression is a trade, not a free win. Under uniform demand it costs
+// ≈ H(N−1) messages per grant over N members, whatever the initial tree
+// (Lavault's average case of path reversal), while the static star stays
+// below 3. So it wins on chain, radial and k-ary trees and loses to the
+// default star: at 32 members, uniform demand, 4.01 against 2.85; under
+// Zipf(1.2), 2.93 against 2.53. A 32-node chain drops from 10.67 messages
+// per grant to 2.95 under Zipf with compression. internal/lockservice's
+// TestTopologyCellCosts pins every shape × demand × size × policy cell.
+//
+// Re-rooting is explicit: Session.PlanReorient on an Open or OpenPeer
+// cluster reshapes the DAG toward a named member. A planned reorient
+// never regenerates the token and never advances the fencing generation
+// — only possession moves the shape, so fences stay strictly monotonic
+// across reshapes (the conformance battery asserts this over both link
+// layers). Like Regrant, a plan is refused (false, nil) rather than
+// errored while a recovery or an earlier reshape is still in flight,
+// when the cluster lacks a quorum, or from a node that does not
+// currently possess the token; planning toward a non-member or a
+// suspected-dead node is ErrBadConfig.
 //
 // # Observability
 //
@@ -362,8 +361,7 @@
 //
 // Every timer in the stack reads time through a Clock — lease
 // deadlines and the expiry sweeper, heartbeat failure detection,
-// rebalance ticks, proxy expiry, the local substrate's injected delay
-// lines. The default is the system clock. WithClock(NewVirtualClock())
+// proxy expiry, the local substrate's injected delay lines. The default is the system clock. WithClock(NewVirtualClock())
 // swaps in a deterministic one: nothing expires or ticks until the
 // test calls VirtualClock.Advance, which fires the timers due, in
 // order, on the advancing goroutine — so the test asserts immediately

@@ -36,7 +36,7 @@
 // cohort handoff, expiry markers and recovery — is runtime.Slot, driven
 // by one runtime.Sweeper per shard; this package owns what is the
 // service's: routing keys to shards and members, Hold, the counters and
-// telemetry fed by each slot's end-of-hold callback, and the rebalancer.
+// telemetry fed by each slot's end-of-hold callback.
 package lockservice
 
 import (
@@ -139,10 +139,16 @@ type Config struct {
 	// remote requesters). 0 means DefaultCohortBudget; negative disables
 	// cohort handoffs entirely.
 	CohortBudget int
-	// Topology selects how each shard's DAG adapts to the request stream.
-	// The zero value is the static policy: the tree built at New stays
-	// fixed, exactly the pre-adaptive behavior.
-	Topology Topology
+	// PathCompression switches every shard's edge reversal to the
+	// Naimi–Trehel rule: every node a request passes through re-points
+	// its NEXT edge directly at the requester. It is purely local (no
+	// extra messages, no coordination) and costs ≈ H(N−1) messages per
+	// grant under uniform demand, whatever the initial tree. So it wins
+	// on chain, radial and k-ary trees, and loses to the static star at
+	// 32 members (4.01 vs 2.85 uniform; TestTopologyCellCosts). False
+	// (the default) keeps the paper's reversal on a fixed tree. Every
+	// participating process must use the same setting.
+	PathCompression bool
 	// Telemetry, when set, registers the service's live metrics on the
 	// registry: per-shard grant/release/regrant/expiry/recovery counters,
 	// msgs-per-grant and hops-per-grant gauges, and acquire-wait plus
@@ -167,35 +173,12 @@ type Config struct {
 	// endpoints have content.
 	DebugAddr string
 	// Clock is the time source the service runs on: lease deadlines,
-	// sweeper cadence, rebalance cadence, acquire-wait measurement. Nil
-	// means the real clock. Tests and the simulation harness install a
+	// sweeper cadence, acquire-wait measurement. Nil means the real
+	// clock. Tests and the simulation harness install a
 	// vclock.Virtual so simulated hours of lease churn pass under test
 	// control; pair it with a LocalTransport carrying the same clock so
 	// the protocol layer below agrees on time.
 	Clock vclock.Clock
-}
-
-// Topology is a per-shard adaptive-topology policy. Every participating
-// process of a distributed deployment must use the same policy, like the
-// other shape-determining Config fields.
-type Topology struct {
-	// PathCompression switches the per-shard DAG's edge reversal to the
-	// Naimi–Trehel rule: every node a request passes through re-points
-	// its NEXT edge directly at the requester, collapsing the forwarding
-	// chain the request traversed. Purely local — no extra messages, no
-	// coordination — and drives the expected request path to O(log n)
-	// under contention regardless of the initial tree.
-	PathCompression bool
-	// RebalanceEvery, when positive, starts a per-shard rebalancer that
-	// periodically re-roots the shard's DAG toward its observed hottest
-	// requester (the member with the most grants since the last pass),
-	// using the planned-reorient epoch machinery: the reshape is refused
-	// while a recovery is in flight and never regenerates the token, so
-	// fencing stays strictly monotonic across reshapes. Implies nothing
-	// about compression; the two compose. Over a distributed transport
-	// each process nominates from the grants it observed locally, and
-	// only the process whose member currently has the token reshapes.
-	RebalanceEvery time.Duration
 }
 
 // DefaultCohortBudget is the consecutive-local-handoff bound applied
@@ -250,7 +233,6 @@ type Service struct {
 	debug  *telemetry.Server // non-nil when Config.DebugAddr was set
 
 	closeOnce sync.Once
-	done      chan struct{} // closed by Close; stops the shard rebalancers
 }
 
 // shard is one DAG-token instance: a live cluster plus per-node acquire
@@ -263,7 +245,6 @@ type shard struct {
 	cluster Cluster
 	slots   []*runtime.Slot  // indexed by id-1; one per hosted member
 	sweeper *runtime.Sweeper // enforces leases and recovers the hosted slots
-	done    <-chan struct{}  // service-wide close signal
 	clk     vclock.Clock     // never nil; sweeps, waits and hold durations run on it
 
 	// Telemetry instruments; nil when Config.Telemetry is unset. The
@@ -289,18 +270,9 @@ type shard struct {
 	expired    int64 // holds force-released by the sweeper
 	recoveries int64 // recovery events observed (requires telemetry or a trace observer)
 	fence      uint64
-	hops       int64 // request-path hops behind all grants
-	reorients  int64 // planned reshapes this process initiated
-	// nodeGrants counts grants per member observed by this process, the
-	// rebalancer's heat signal; len == Nodes, indexed by id-1.
-	nodeGrants []int64
+	hops       int64     // request-path hops behind all grants
 	waits      []float64 // reservoir of per-grant waits, milliseconds
 	waitsSeen  int       // total grants observed, for reservoir replacement
-	lastGrants []int64   // nodeGrants snapshot at the last rebalance pass
-
-	// stopRebal withdraws the rebalancer's tick chain; nil when
-	// rebalancing is off.
-	stopRebal func()
 }
 
 // maxWaitSamples bounds the per-shard wait reservoir so a long-lived
@@ -318,7 +290,7 @@ func New(cfg Config) (*Service, error) {
 	if cfg.DebugAddr != "" && cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	s := &Service{cfg: cfg, shards: make([]*shard, 0, cfg.Shards), done: make(chan struct{})}
+	s := &Service{cfg: cfg, shards: make([]*shard, 0, cfg.Shards)}
 	for i := 0; i < cfg.Shards; i++ {
 		tree := cfg.Tree(cfg.Nodes)
 		if tree.N() != cfg.Nodes {
@@ -334,15 +306,14 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("lockservice: shard %d: %w", i, err)
 		}
 		sh := &shard{index: i, home: home, route: mutex.Nil,
-			slots: make([]*runtime.Slot, cfg.Nodes), done: s.done, clk: cfg.Clock,
-			nodeGrants: make([]int64, cfg.Nodes), lastGrants: make([]int64, cfg.Nodes)}
+			slots: make([]*runtime.Slot, cfg.Nodes), clk: cfg.Clock}
 		if user := cfg.TraceObserver; user != nil {
 			sh.obs = func(e telemetry.TraceEvent) {
 				e.Shard = int32(sh.index)
 				user(e)
 			}
 		}
-		builder := sh.builder(cfg.Topology.PathCompression, cfg.Telemetry != nil)
+		builder := sh.builder(cfg.PathCompression, cfg.Telemetry != nil)
 		cluster, err := cfg.Transport.StartShard(i, builder, mcfg)
 		if err != nil {
 			s.Close()
@@ -373,9 +344,6 @@ func New(cfg Config) (*Service, error) {
 			sh.register(cfg.Telemetry)
 		}
 		sh.sweeper = runtime.StartSweeper(cfg.Clock, cfg.SweepInterval, hosted...)
-		if every := cfg.Topology.RebalanceEvery; every > 0 {
-			sh.stopRebal = vclock.Every(cfg.Clock, every, sh.rebalTick)
-		}
 		s.shards = append(s.shards, sh)
 	}
 	if r, ok := cfg.Transport.(interface{ Register(*telemetry.Registry) }); ok && cfg.Telemetry != nil {
@@ -560,7 +528,7 @@ func (sh *shard) acquireRun(ctx context.Context, id mutex.ID, resource string, r
 	if err != nil {
 		return Hold{}, 0, fmt.Errorf("lockservice: acquire %q (shard %d): %w", resource, sh.index, err)
 	}
-	sh.noteGrant(id, g.Hops, g.Generation+uint64(n-1), sh.clk.Since(start))
+	sh.noteGrant(g.Hops, g.Generation+uint64(n-1), sh.clk.Since(start))
 	return Hold{Resource: resource, Shard: sh.index, Node: id, Fence: g.Generation, Expires: g.Expires}, n, nil
 }
 
@@ -578,7 +546,7 @@ func (sh *shard) tryAcquire(id mutex.ID, resource string) (Hold, bool, error) {
 	if !ok {
 		return Hold{}, false, nil
 	}
-	sh.noteGrant(id, g.Hops, g.Generation, 0)
+	sh.noteGrant(g.Hops, g.Generation, 0)
 	return Hold{Resource: resource, Shard: sh.index, Node: id, Fence: g.Generation, Expires: g.Expires}, true, nil
 }
 
@@ -616,7 +584,6 @@ func (sh *shard) noteEnd(e runtime.HoldEnd) {
 	local := int64(e.Run - 1)
 	sh.mu.Lock()
 	sh.grants += local
-	sh.nodeGrants[e.Node-1] += local
 	sh.releases += local
 	sh.regrants += local
 	switch {
@@ -645,26 +612,15 @@ func (sh *shard) noteEnd(e runtime.HoldEnd) {
 	}
 }
 
-// stopLoops withdraws the shard's tick chains at Close. A rebalance tick
-// already running sees the closed done channel and does nothing.
-func (sh *shard) stopLoops() {
-	sh.sweeper.Stop()
-	if sh.stopRebal != nil {
-		sh.stopRebal()
-	}
-}
-
-// noteGrant records one grant against member id under a single lock
-// hold: the shard total, the per-member heat signal the rebalancer
-// reads, the hop count of the request path the grant traveled, the
+// noteGrant records one grant under a single lock hold: the shard
+// total, the hop count of the request path the grant traveled, the
 // fencing high-water mark, and the wait-reservoir sample. One critical
 // section per grant replaces the previous mutex-plus-four-atomics
 // combination and is what makes Stats snapshots consistent.
-func (sh *shard) noteGrant(id mutex.ID, hops int, fence uint64, wait time.Duration) {
+func (sh *shard) noteGrant(hops int, fence uint64, wait time.Duration) {
 	ms := float64(wait) / float64(time.Millisecond)
 	sh.mu.Lock()
 	sh.grants++
-	sh.nodeGrants[id-1]++
 	sh.hops += int64(hops)
 	if fence > sh.fence {
 		sh.fence = fence
@@ -714,68 +670,6 @@ func (sh *shard) builder(compress, counted bool) mutex.Builder {
 	}
 }
 
-// rebalTick is one tick of the shard's adaptive-topology loop: one
-// rebalance pass (see rebalanceOnce), none once the service is closing.
-func (sh *shard) rebalTick() {
-	select {
-	case <-sh.done:
-		return
-	default:
-	}
-	sh.rebalanceOnce()
-}
-
-// rebalanceOnce re-roots the shard toward its hottest member — the one
-// with the most grants since the previous pass, as observed by this
-// process. Only the member currently possessing the token can reshape
-// (PlanReorient refuses everywhere else, and mid-recovery, without
-// error), so the pass offers the plan to every hosted slot and stops at
-// the first taker. Reports whether a reshape was planned.
-func (sh *shard) rebalanceOnce() bool {
-	sh.mu.Lock()
-	hot, best := mutex.Nil, int64(0)
-	for i, n := range sh.nodeGrants {
-		if d := n - sh.lastGrants[i]; d > best {
-			hot, best = mutex.ID(i+1), d
-		}
-		sh.lastGrants[i] = n
-	}
-	sh.mu.Unlock()
-	if hot == mutex.Nil {
-		return false // idle interval: nothing to adapt to
-	}
-	for _, sl := range sh.slots {
-		if sl == nil {
-			continue
-		}
-		planned, err := sl.Session().PlanReorient(hot)
-		if err != nil {
-			continue // e.g. the hot member died since we counted it
-		}
-		if planned {
-			sh.mu.Lock()
-			sh.reorients++
-			sh.mu.Unlock()
-			return true
-		}
-	}
-	return false
-}
-
-// rebalanceNow runs one synchronous rebalance pass over every shard,
-// regardless of the configured cadence, and returns how many shards
-// planned a reshape. Tests use it to adapt at deterministic points;
-// deployments rely on Topology.RebalanceEvery.
-func (s *Service) rebalanceNow() int {
-	planned := 0
-	for _, sh := range s.shards {
-		if sh.rebalanceOnce() {
-			planned++
-		}
-	}
-	return planned
-}
-
 // ShardStats is one shard's counters.
 type ShardStats struct {
 	Shard int
@@ -816,11 +710,8 @@ type ShardStats struct {
 	Messages int64
 	// Hops counts the request-path hops behind all grants: how many nodes
 	// each granted request traveled through. Hops/Grants is the mean path
-	// length — the signal adaptive topology policies drive down.
+	// length — the signal path compression drives down.
 	Hops int64
-	// Reorients counts planned topology reshapes this process initiated
-	// on the shard (always 0 under the static policy).
-	Reorients int64
 	// Wait summarizes acquire latency in milliseconds, over a bounded
 	// uniform reservoir of at most maxWaitSamples recent-and-past grants.
 	Wait metrics.Summary
@@ -829,8 +720,8 @@ type ShardStats struct {
 // Stats aggregates the per-shard counters.
 type Stats struct {
 	PerShard []ShardStats
-	// Grants, Releases, Regrants, Expired, Recoveries, Messages, Hops
-	// and Reorients are the service-wide totals.
+	// Grants, Releases, Regrants, Expired, Recoveries, Messages and Hops
+	// are the service-wide totals.
 	Grants     int64
 	Releases   int64
 	Regrants   int64
@@ -838,7 +729,6 @@ type Stats struct {
 	Recoveries int64
 	Messages   int64
 	Hops       int64
-	Reorients  int64
 	// Wait summarizes acquire latency in milliseconds across all shards.
 	Wait metrics.Summary
 }
@@ -863,7 +753,6 @@ func (s *Service) Stats() Stats {
 		st.Recoveries += ss.Recoveries
 		st.Messages += ss.Messages
 		st.Hops += ss.Hops
-		st.Reorients += ss.Reorients
 		samples = append(samples, waits)
 		seen = append(seen, n)
 		totalSeen += n
@@ -889,7 +778,6 @@ func (sh *shard) snapshot() (ShardStats, []float64, int) {
 		Recoveries: sh.recoveries,
 		Fence:      sh.fence,
 		Hops:       sh.hops,
-		Reorients:  sh.reorients,
 	}
 	sh.mu.Unlock()
 	ss.Messages = sh.cluster.Messages()
@@ -969,15 +857,12 @@ func (s *Service) Err() error {
 // goroutines.
 func (s *Service) Close() {
 	s.closeOnce.Do(func() {
-		if s.done != nil {
-			close(s.done)
-		}
 		if s.debug != nil {
 			s.debug.Close()
 		}
 		for _, sh := range s.shards {
 			if sh != nil {
-				sh.stopLoops()
+				sh.sweeper.Stop()
 				sh.cluster.Close()
 			}
 		}

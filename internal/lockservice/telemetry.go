@@ -22,7 +22,6 @@ import (
 //	dagmutex_regrants_total      counter  cohort handoffs (no token move)
 //	dagmutex_expired_total       counter  leases reclaimed by the sweeper
 //	dagmutex_recoveries_total    counter  failure-recovery events observed
-//	dagmutex_reorients_total     counter  planned topology reshapes
 //	dagmutex_fence               gauge    highest fencing token granted
 //	dagmutex_messages_total      counter  protocol messages exchanged
 //	dagmutex_msgs_per_grant      gauge    messages / grants (the paper's metric)
@@ -45,7 +44,6 @@ func (sh *shard) register(reg *telemetry.Registry) {
 	counter("dagmutex_regrants_total", func() int64 { return sh.regrants })
 	counter("dagmutex_expired_total", func() int64 { return sh.expired })
 	counter("dagmutex_recoveries_total", func() int64 { return sh.recoveries })
-	counter("dagmutex_reorients_total", func() int64 { return sh.reorients })
 	counter("dagmutex_fence", func() int64 { return int64(sh.fence) })
 	reg.Gauge("dagmutex_messages_total"+l, func() float64 {
 		return float64(sh.cluster.Messages())

@@ -741,14 +741,14 @@ func (s *Session) Regrant() (bool, error) {
 }
 
 // PlanReorient asks the protocol to reshape its routing structure
-// toward hot — the planned counterpart of crash recovery, used by the
-// lock service's Rebalance topology policy to re-root a shard's DAG at
-// its observed hottest requester. It reports false (with no error) when
-// the reshape is currently unavailable: this node does not possess the
-// token (only the holder may reshape, which is what keeps the fencing
-// generation untouched — no token is ever regenerated), a recovery or
-// earlier reshape is still in flight, the cluster lacks a quorum, or
-// the protocol has no reshaping capability at all. The reshape runs
+// toward hot — the planned counterpart of crash recovery, re-rooting
+// the DAG at a member the caller expects to request most. It reports
+// false (with no error) when the reshape is currently unavailable: this
+// node does not possess the token (only the holder may reshape, which
+// is what keeps the fencing generation untouched — no token is ever
+// regenerated), a recovery or earlier reshape is still in flight, the
+// cluster lacks a quorum, or the protocol has no reshaping capability
+// at all. The reshape runs
 // asynchronously; requests in flight when it starts are re-queued by
 // the rebuilt orientation, so no grant is lost.
 func (s *Session) PlanReorient(hot mutex.ID) (bool, error) {

@@ -154,10 +154,6 @@ func NewSlot(s *Session, lease time.Duration, budget int, end func(HoldEnd)) *Sl
 	return &Slot{s: s, lease: lease, budget: budget, end: end, sem: make(chan struct{}, 1)}
 }
 
-// Session returns the session the slot multiplexes, for management
-// operations (PlanReorient); acquiring through it directly breaks the slot.
-func (sl *Slot) Session() *Session { return sl.s }
-
 // Acquire queues behind the slot's other callers, then takes the
 // section, and records the hold under key. The returned Grant carries
 // the fencing token and, with leases enabled, the deadline in Expires.

@@ -297,8 +297,8 @@ func Radial(n int) *Tree {
 
 // MeanDepth returns the mean distance from every node to root: the
 // expected request path length when root possesses the token and
-// requesters are uniform — the static shape metric the adaptive
-// policies (path compression, rebalancing) drive the live DAG below.
+// requesters are uniform — the static shape metric path compression
+// drives the live DAG below.
 func (t *Tree) MeanDepth(root mutex.ID) float64 {
 	total := 0
 	for _, id := range t.IDs() {

@@ -70,7 +70,9 @@ type delayedEnvelope struct {
 // as is — through the fault plan into the destination mailbox. count
 // separates protocol traffic (tallied in Messages) from detector
 // heartbeats (not tallied, so fail-free accounting is unchanged by
-// enabling detection).
+// enabling detection). A message is tallied before it is queued: once
+// queued, the receiver may act on it, and a caller see the effect (a
+// grant) and read Messages, before this goroutine runs again.
 func (net *localNet) send(to mutex.ID, e runtime.Envelope, count bool) error {
 	from := e.From
 	dst, ok := net.boxes[to]
@@ -80,18 +82,18 @@ func (net *localNet) send(to mutex.ID, e runtime.Envelope, count bool) error {
 	if !net.inj.Allow(from, to) {
 		return nil // injected loss: the message vanishes, like the link it models
 	}
+	if count {
+		net.msgs.Add(1)
+	}
 	// A link with a delay line keeps routing through it even after the
 	// delay is cleared (deadline = now): a direct send bypassing queued
 	// delayed messages would break the per-link FIFO the protocol needs.
 	if d := net.inj.Delay(from, to); d > 0 || net.hasDelayLine(from, to) {
 		net.delayLine(from, to).put(delayedEnvelope{e: e, deliverAt: net.clk.Now().Add(d)})
-		if count {
-			net.msgs.Add(1)
-		}
 		return nil
 	}
-	if dst.put(e) && count {
-		net.msgs.Add(1)
+	if !dst.put(e) && count {
+		net.msgs.Add(-1) // the destination has closed: nothing was sent
 	}
 	return nil
 }

@@ -12,8 +12,7 @@
 // timers, the gateway's reconnect backoff, the Local transport's delay
 // lines — threaded from the facade's WithClock option. A nil Clock
 // everywhere means Real, so existing callers are untouched. The periodic
-// loops among them (the sweeper, the rebalancer, the heartbeat) are one
-// helper, Every.
+// loops among them (the sweeper, the heartbeat) are one helper, Every.
 package vclock
 
 import (
