@@ -361,7 +361,7 @@
 //
 // Every timer in the stack reads time through a Clock — lease
 // deadlines and the expiry sweeper, heartbeat failure detection,
-// proxy expiry, the local substrate's injected delay lines. The default is the system clock. WithClock(NewVirtualClock())
+// proxy expiry. The default is the system clock. WithClock(NewVirtualClock())
 // swaps in a deterministic one: nothing expires or ticks until the
 // test calls VirtualClock.Advance, which fires the timers due, in
 // order, on the advancing goroutine — so the test asserts immediately

@@ -11,7 +11,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"dagmutex/internal/core"
@@ -97,7 +96,6 @@ type Cluster struct {
 	// map, a map per member) only the build reads, so it is not kept.
 	ids []mutex.ID
 
-	seed        int64
 	netOpts     []sim.NetworkOption
 	csTime      sim.Time
 	autoRelease bool
@@ -140,9 +138,6 @@ type side struct {
 // Option configures a Cluster.
 type Option func(*Cluster)
 
-// WithSeed sets the RNG seed for the network's latency draws (default 1).
-func WithSeed(seed int64) Option { return func(c *Cluster) { c.seed = seed } }
-
 // WithCSTime sets how long a node stays in its critical section before the
 // auto-release fires (default 0: enter and leave in the same instant).
 func WithCSTime(d sim.Time) Option { return func(c *Cluster) { c.csTime = d } }
@@ -184,7 +179,6 @@ func New(b mutex.Builder, cfg mutex.Config, opts ...Option) (*Cluster, error) {
 	c := &Cluster{
 		clk:         vclock.NewVirtual(),
 		ids:         cfg.IDs,
-		seed:        1,
 		autoRelease: true,
 		eventLimit:  10_000_000,
 		sides:       make([]side, 1),
@@ -193,7 +187,7 @@ func New(b mutex.Builder, cfg mutex.Config, opts ...Option) (*Cluster, error) {
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.net = sim.NewNetwork(c.clk, rand.New(rand.NewSource(c.seed)), c.netOpts...)
+	c.net = sim.NewNetwork(c.clk, c.netOpts...)
 	c.requestStep, c.verdictStep = c.request, c.peerDown
 	c.releaseStep = func(id, _ mutex.ID) { c.ReleaseNow(id) }
 	maxID := cfg.IDs[len(cfg.IDs)-1]

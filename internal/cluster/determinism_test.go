@@ -18,9 +18,8 @@ func TestDeterministicReplay(t *testing.T) {
 		tree := topology.Random(12, rand.New(rand.NewSource(99)))
 		cfg := mutex.Config{IDs: tree.IDs(), Holder: 5, Parent: tree.ParentsToward(5)}
 		c, err := New(core.Builder, cfg,
-			WithSeed(seed),
 			WithCSTime(sim.Hop),
-			WithNetworkOptions(sim.WithLatency(sim.UniformLatency(1, 4*sim.Hop))))
+			WithNetworkOptions(sim.WithLatency(sim.UniformLatency(rand.New(rand.NewSource(seed)), 1, 4*sim.Hop))))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func TestOneEngineBothVocabularies(t *testing.T) {
 		},
 		"open loop, seeded per-send delay, core": func(t *testing.T) outcome {
 			rng := rand.New(rand.NewSource(9))
-			delay := func(_, _ mutex.ID, _ *rand.Rand) sim.Time {
+			delay := func(_, _ mutex.ID) sim.Time {
 				return sim.Time(200*time.Microsecond) + sim.Time(rng.Int63n(int64(2*time.Millisecond)))
 			}
 			c, err := New(core.Builder, cfg, WithCSTime(sim.Time(time.Millisecond)),

@@ -148,8 +148,7 @@ func (f Factory) poisson(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			n := f.largest()
 			cfg := f.Config(n, 3)
-			c, err := cluster.New(f.Builder, cfg,
-				cluster.WithSeed(seed), cluster.WithCSTime(sim.Hop))
+			c, err := cluster.New(f.Builder, cfg, cluster.WithCSTime(sim.Hop))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -177,9 +176,8 @@ func (f Factory) randomLatency(t *testing.T) {
 	n := f.largest()
 	cfg := f.Config(n, 1)
 	c, err := cluster.New(f.Builder, cfg,
-		cluster.WithSeed(42),
 		cluster.WithCSTime(sim.Hop),
-		cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(sim.Hop/2, 3*sim.Hop))))
+		cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(rand.New(rand.NewSource(42)), sim.Hop/2, 3*sim.Hop))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"dagmutex/internal/cluster"
@@ -24,8 +25,8 @@ func TestFaultFreeRunLeavesColdStateNil(t *testing.T) {
 			return core.New(id, env, cfg, core.WithPathCompression())
 		},
 	} {
-		c, err := cluster.New(build, cfg, cluster.WithSeed(3),
-			cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(1, 10*sim.Hop))))
+		c, err := cluster.New(build, cfg,
+			cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(rand.New(rand.NewSource(3)), 1, 10*sim.Hop))))
 		if err != nil {
 			t.Fatal(err)
 		}

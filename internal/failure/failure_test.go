@@ -228,16 +228,4 @@ func TestInjectorVerdicts(t *testing.T) {
 	if !inj.Allow(1, 3) || !inj.Allow(1, 5) {
 		t.Fatal("healed partition still cutting")
 	}
-
-	inj.SetDelay(1, 2, 5*time.Millisecond)
-	if got := inj.Delay(1, 2); got != 5*time.Millisecond {
-		t.Fatalf("Delay = %v, want 5ms", got)
-	}
-	if got := inj.Delay(2, 1); got != 0 {
-		t.Fatalf("reverse Delay = %v, want 0", got)
-	}
-	inj.SetDelay(1, 2, 0)
-	if got := inj.Delay(1, 2); got != 0 {
-		t.Fatalf("cleared Delay = %v, want 0", got)
-	}
 }

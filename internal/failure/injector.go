@@ -3,7 +3,6 @@ package failure
 import (
 	"sort"
 	"sync"
-	"time"
 
 	"dagmutex/internal/mutex"
 )
@@ -14,14 +13,13 @@ import (
 // runtime by tests and the chaos battery.
 //
 // The injector only decides; transports enforce. transport.Local and
-// transport.TCPHost drop traffic the injector vetoes (and Local applies
-// per-link delays); the simulator's Network carries its own equivalent
-// helpers for deterministic runs.
+// transport.TCPHost drop traffic the injector vetoes; the simulator's
+// Network carries its own equivalent fault state for deterministic runs,
+// and its LatencyModel is the repository's one way to delay a message.
 type Injector struct {
 	mu        sync.Mutex
 	crashed   map[mutex.ID]bool
 	severed   map[link]bool
-	delay     map[link]time.Duration
 	partition map[mutex.ID]int // node -> group; absent means group -1 (isolated) while a partition is active
 	parted    bool
 }
@@ -33,7 +31,6 @@ func NewInjector() *Injector {
 	return &Injector{
 		crashed: make(map[mutex.ID]bool),
 		severed: make(map[link]bool),
-		delay:   make(map[link]time.Duration),
 	}
 }
 
@@ -61,17 +58,6 @@ func (i *Injector) Allow(from, to mutex.ID) bool {
 		}
 	}
 	return true
-}
-
-// Delay returns the extra latency injected on the link from -> to (0 for
-// none). Only the in-process transports honor it.
-func (i *Injector) Delay(from, to mutex.ID) time.Duration {
-	if i == nil {
-		return 0
-	}
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.delay[link{from, to}]
 }
 
 // Crash marks id crashed: all traffic to and from it is dropped until
@@ -124,17 +110,6 @@ func (i *Injector) Restore(a, b mutex.ID) {
 	defer i.mu.Unlock()
 	delete(i.severed, link{a, b})
 	delete(i.severed, link{b, a})
-}
-
-// SetDelay injects extra latency on the link a -> b (0 removes it).
-func (i *Injector) SetDelay(a, b mutex.ID, d time.Duration) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	if d <= 0 {
-		delete(i.delay, link{a, b})
-		return
-	}
-	i.delay[link{a, b}] = d
 }
 
 // Partition splits the cluster into the given groups: traffic within a

@@ -34,7 +34,7 @@
 // runs is at most once per run. That travel is a cost, not a gain:
 // keeping each domain on member d mod M alone measures faster, and
 // placement stays only while bench requires client_gateway_spread (one
-// domain, four members) to move its token (see ROADMAP item 8(e)). A
+// domain, four members) to move its token (see ROADMAP item 9). A
 // try that would wait at the routed member is put to the domain's other
 // members in turn, since a free lock's idle token may sit at any of
 // them; where D ≥ M there are none, and a try costs one round trip. A

@@ -488,7 +488,7 @@ func LoadSweep(n int, thinks []sim.Time, seed int64) (*Table, error) {
 	for _, think := range thinks {
 		row := []string{f1(float64(think) / float64(sim.Hop))}
 		for _, a := range []Algorithm{DAG, Centralized, SuzukiKasami, RicartAgrawala, Maekawa} {
-			c, err := newCluster(a, star, 1, cluster.WithCSTime(sim.Hop/2), cluster.WithSeed(seed))
+			c, err := newCluster(a, star, 1, cluster.WithCSTime(sim.Hop/2))
 			if err != nil {
 				return nil, err
 			}

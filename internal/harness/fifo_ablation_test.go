@@ -32,11 +32,10 @@ func nonFIFORun(a Algorithm, seed int64) error {
 		return err
 	}
 	c, err := cluster.New(a.Builder, cfg,
-		cluster.WithSeed(seed),
 		cluster.WithCSTime(sim.Hop/4),
 		cluster.WithNetworkOptions(
 			sim.WithoutFIFO(),
-			sim.WithLatency(sim.UniformLatency(1, 10*sim.Hop))))
+			sim.WithLatency(sim.UniformLatency(rand.New(rand.NewSource(seed)), 1, 10*sim.Hop))))
 	if err != nil {
 		return err
 	}
@@ -65,9 +64,8 @@ func TestFIFOAssumptionViolationMaekawa(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, err := cluster.New(Maekawa.Builder, cfg,
-		cluster.WithSeed(seed),
 		cluster.WithCSTime(sim.Hop/4),
-		cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(1, 10*sim.Hop))))
+		cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(rand.New(rand.NewSource(seed)), 1, 10*sim.Hop))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ type LocalTransport struct {
 	// (crashing a member silences it in all shards at once).
 	Injector *failure.Injector
 	// Clock, when set, runs every shard cluster on it (grant timestamps,
-	// detector ticks, delay lines). Pass the same clock as the service
+	// detector ticks). Pass the same clock as the service
 	// Config.Clock so both layers agree on time.
 	Clock vclock.Clock
 }

@@ -3,6 +3,7 @@ package maekawa
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"dagmutex/internal/cluster"
@@ -106,8 +107,7 @@ func TestDeadlockProneScheduleResolves(t *testing.T) {
 	// whose quorums overlap pairwise. Sanders' FAIL/INQUIRE/RELINQUISH
 	// machinery must untangle it; the cluster Run detects any deadlock.
 	for seed := int64(1); seed <= 10; seed++ {
-		c, err := cluster.New(Builder, gridConfig(9, 1),
-			cluster.WithSeed(seed), cluster.WithCSTime(sim.Hop))
+		c, err := cluster.New(Builder, gridConfig(9, 1), cluster.WithCSTime(sim.Hop))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,9 +133,8 @@ func TestPriorityPreemptsLocks(t *testing.T) {
 	found := false
 	for seed := int64(1); seed <= 20 && !found; seed++ {
 		c, err := cluster.New(Builder, gridConfig(9, 1),
-			cluster.WithSeed(seed),
 			cluster.WithCSTime(2*sim.Hop),
-			cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(sim.Hop/2, 4*sim.Hop))))
+			cluster.WithNetworkOptions(sim.WithLatency(sim.UniformLatency(rand.New(rand.NewSource(seed)), sim.Hop/2, 4*sim.Hop))))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"maps"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -33,7 +32,6 @@ import (
 type Network struct {
 	clk  *vclock.Virtual
 	lat  LatencyModel
-	rng  *rand.Rand
 	fifo bool
 
 	// index maps an ID to its position in members plus one (0: not a
@@ -164,12 +162,11 @@ func WithDropRule(fn func(from, to mutex.ID, m mutex.Message) bool) NetworkOptio
 	return func(n *Network) { n.drop = fn }
 }
 
-// NewNetwork creates a network on clk, with randomness drawn from rng.
-func NewNetwork(clk *vclock.Virtual, rng *rand.Rand, opts ...NetworkOption) *Network {
+// NewNetwork creates a network on clk.
+func NewNetwork(clk *vclock.Virtual, opts ...NetworkOption) *Network {
 	n := &Network{
 		clk:  clk,
 		lat:  Unit(Hop),
-		rng:  rng,
 		fifo: true,
 	}
 	n.fire = n.run
@@ -303,7 +300,7 @@ func (n *Network) send(from, to mutex.ID, m mutex.Message, v core.Msg) {
 		return
 	}
 	now := n.Now()
-	at := now + n.lat(from, to, n.rng)
+	at := now + n.lat(from, to)
 	if n.fifo {
 		at = src.clamp(to, now, at)
 	}

@@ -45,7 +45,7 @@ func (c testClock) Now() Time { return Time(c.Elapsed()) }
 
 func newNet(opts ...NetworkOption) (testClock, *Network) {
 	clk := vclock.NewVirtual()
-	return testClock{clk}, NewNetwork(clk, rand.New(rand.NewSource(1)), opts...)
+	return testClock{clk}, NewNetwork(clk, opts...)
 }
 
 func newTestNet(t *testing.T, opts ...NetworkOption) (testClock, *Network, *sink, *sink) {
@@ -73,7 +73,7 @@ func TestNetworkDeliversWithUnitLatency(t *testing.T) {
 }
 
 func TestNetworkFIFOPerLinkUnderRandomLatency(t *testing.T) {
-	sched, net, _, b := newTestNet(t, WithLatency(UniformLatency(1, 10*Hop)))
+	sched, net, _, b := newTestNet(t, WithLatency(UniformLatency(rand.New(rand.NewSource(1)), 1, 10*Hop)))
 	const k = 50
 	for i := 0; i < k; i++ {
 		net.Send(1, 2, testMsg{tag: i})
@@ -93,7 +93,7 @@ func TestNetworkWithoutFIFOCanReorder(t *testing.T) {
 	// A deterministic adversarial latency: later sends get shorter delays.
 	delays := []Time{3 * Hop, 1 * Hop}
 	i := 0
-	adversarial := func(_, _ mutex.ID, _ *rand.Rand) Time {
+	adversarial := func(_, _ mutex.ID) Time {
 		d := delays[i%len(delays)]
 		i++
 		return d
@@ -281,7 +281,7 @@ func TestNetworkPartitionAndHealOrdering(t *testing.T) {
 // path and the delivery path read (as internal/cluster's checker and
 // simharness's schedules do through the cluster).
 func TestNetworkSharedInjector(t *testing.T) {
-	sched, net, _, b := newTestNet(t, WithLatency(func(from, to mutex.ID, _ *rand.Rand) Time {
+	sched, net, _, b := newTestNet(t, WithLatency(func(from, to mutex.ID) Time {
 		if from == 1 && to == 2 {
 			return 4 * Hop
 		}

@@ -67,7 +67,8 @@ func (h *Harness) SchedulePartition(at time.Duration, isolate []mutex.ID, detect
 	})
 }
 
-// verdictDelay draws one verdict's latency: detect plus seeded jitter.
+// verdictDelay draws one verdict's latency: detect plus jitter from the
+// verdict stream.
 func (h *Harness) verdictDelay(detect time.Duration) sim.Time {
-	return sim.Time(detect + time.Duration(h.rng.Int63n(int64(verdictJitter))))
+	return sim.Time(detect + time.Duration(h.verdict.Int63n(int64(verdictJitter))))
 }

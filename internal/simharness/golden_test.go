@@ -26,9 +26,10 @@ type replayGolden struct {
 
 // TestReplayMatchesCommittedGolden is determinism across commits, where
 // TestDeterministicReplay is determinism across two runs of one build:
-// the goldens were recorded on the commit before the scheduler, clock
-// and harness event plumbing were rewritten, so a change that moves one
-// event — a seq taken elsewhere, an rng draw reordered — fails here.
+// the goldens were recorded when each random consumer got its own
+// stream (sim.Stream), and their schedule has not moved since, so a
+// change that moves one event — a seq taken elsewhere, a stream drawn
+// from by a new consumer — fails here.
 // Regenerate (only for a change that means to move the schedule) with
 // go test ./internal/simharness -run TestReplayMatchesCommittedGolden -update-golden.
 func TestReplayMatchesCommittedGolden(t *testing.T) {

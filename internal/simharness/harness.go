@@ -11,16 +11,16 @@
 // for byte (see Harness.FormatTrace).
 //
 // What is specific to this package is the vocabulary, not the machine:
-// time.Duration sizes, one seeded random stream, the open-loop workload
-// driver, the fault schedules with their staggered detector verdicts,
-// and the retained trace. The event loop, the network, the fault state
-// and the invariant checker (single holder and strictly monotonic
-// fencing per connectivity component, checked on every grant; a
-// violation fails the Run) are the engine's — the ones the thesis
-// experiments and the nine-protocol batteries run on in hop ticks — so
-// the epoch recovery machinery is exercised on the code paths the live
-// runtime executes, under schedules the Go scheduler cannot reshuffle,
-// and what one grant allocates is what core allocates.
+// time.Duration sizes, one seeded random stream per consumer, the
+// open-loop workload driver, the fault schedules with their staggered
+// detector verdicts, and the retained trace. The event loop, the
+// network, the fault state and the invariant checker (single holder and
+// strictly monotonic fencing per connectivity component, checked on
+// every grant; a violation fails the Run) are the engine's — the ones
+// the thesis experiments and the nine-protocol batteries run on in hop
+// ticks — so the epoch recovery machinery is exercised on the code paths
+// the live runtime executes, under schedules the Go scheduler cannot
+// reshuffle, and what one grant allocates is what core allocates.
 //
 // A run is: New a Harness, Schedule any faults, Run a Workload, read
 // the Report.
@@ -51,8 +51,10 @@ type Config struct {
 	// Holder is the initial token holder (default 1).
 	Holder mutex.ID
 	// Seed drives everything stochastic: the random topology, per-message
-	// link delays, workload think times and fault-verdict jitter. The
-	// same seed and schedule replay the same run exactly.
+	// link delays, workload think times and fault-verdict jitter, each
+	// from its own stream (sim.Stream(Seed, name)), so a draw by one never
+	// moves another's sequence. The same seed and schedule replay the same
+	// run exactly.
 	Seed int64
 	// MinDelay and MaxDelay bound the uniform per-message link latency.
 	// Defaults 200µs and 2ms.
@@ -120,11 +122,9 @@ type Harness struct {
 	cfg  Config
 	c    *cluster.Cluster
 	tree *topology.Tree
-	// rng is the run's one random stream, drawn in a fixed order: the
-	// topology; a link delay per send (once the fault state let it
-	// through); a think time after each release has sent its messages; the
-	// verdict jitter in member order.
-	rng *rand.Rand
+	// The run's random streams, one per consumer (see New): a link delay
+	// per send, a think time per request, a jitter per detector verdict.
+	delay, think, verdict *rand.Rand
 
 	wl  Workload // the active workload, set once by Run
 	ran bool
@@ -151,12 +151,16 @@ func New(cfg Config) (*Harness, error) {
 	if cfg.MaxDelay < cfg.MinDelay {
 		cfg.MaxDelay = 10 * cfg.MinDelay
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	tree, err := buildTree(cfg.Topology, cfg.Nodes, rng)
+	// Every random consumer of the run has its stream here, named; the
+	// order in which consumers draw decides nothing.
+	tree, err := buildTree(cfg.Topology, cfg.Nodes, sim.Stream(cfg.Seed, "topology"))
 	if err != nil {
 		return nil, err
 	}
-	h := &Harness{cfg: cfg, tree: tree, rng: rng}
+	h := &Harness{cfg: cfg, tree: tree,
+		delay:   sim.Stream(cfg.Seed, "delay"),
+		think:   sim.Stream(cfg.Seed, "think"),
+		verdict: sim.Stream(cfg.Seed, "verdict")}
 	want := core.EventSet(1<<core.EventProbe | 1<<core.EventRegenerate)
 	if cfg.Trace {
 		want |= core.TracedEvents
@@ -219,12 +223,11 @@ func (h *Harness) observe(e core.Event) {
 }
 
 // linkDelay is the harness's latency model: a uniform per-message delay
-// in [MinDelay, MaxDelay) from the run's own stream; no draw for a zero
-// span.
-func (h *Harness) linkDelay(_, _ mutex.ID, _ *rand.Rand) sim.Time {
+// in [MinDelay, MaxDelay) from the delay stream; no draw for a zero span.
+func (h *Harness) linkDelay(_, _ mutex.ID) sim.Time {
 	d := h.cfg.MinDelay
 	if span := h.cfg.MaxDelay - d; span > 0 {
-		d += time.Duration(h.rng.Int63n(int64(span)))
+		d += time.Duration(h.delay.Int63n(int64(span)))
 	}
 	return sim.Time(d)
 }
@@ -242,7 +245,7 @@ func (h *Harness) granted(g cluster.Grant) {
 // released schedules the member's next request after an exponentially
 // distributed think time.
 func (h *Harness) released(id mutex.ID, at sim.Time) {
-	think := time.Duration(h.rng.ExpFloat64() * float64(h.wl.Think))
+	think := time.Duration(h.think.ExpFloat64() * float64(h.wl.Think))
 	h.requestAt(time.Duration(at)+think, id)
 }
 
@@ -281,7 +284,7 @@ func (h *Harness) start(w Workload) error {
 	// open with a synchronized thundering herd.
 	stride := float64(len(ids)) / float64(w.Requesters)
 	for i := 0; i < w.Requesters; i++ {
-		h.requestAt(time.Duration(h.rng.Int63n(int64(w.Think)+1)), ids[int(float64(i)*stride)])
+		h.requestAt(time.Duration(h.think.Int63n(int64(w.Think)+1)), ids[int(float64(i)*stride)])
 	}
 	return nil
 }

@@ -1,11 +1,13 @@
 package simharness
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"dagmutex/internal/mutex"
+	"dagmutex/internal/telemetry"
 )
 
 // TestConformanceTopologies runs a fault-free workload over every named
@@ -76,44 +78,28 @@ func TestChaosHolderCrashRegenerates(t *testing.T) {
 	}
 }
 
-// TestChaosCrashDuringProbe kills a second member inside the detection
-// window of the first crash, so the second verdict lands while the
-// coordinator's PROBE round is still collecting acknowledgments — the
-// round must restart around the new death, not hang awaiting a corpse.
+// TestChaosCrashDuringProbe kills a second member while the coordinator's
+// PROBE round for the first crash is still collecting acknowledgments,
+// before the victim has acknowledged: the round must restart around the
+// new death once it is detected, not hang awaiting a corpse.
 func TestChaosCrashDuringProbe(t *testing.T) {
-	h, err := New(Config{Nodes: 50, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First crash detected at ~10s+150ms; the probe round then needs a
-	// full delay-bounded round trip, so a crash 40ms after the verdicts
-	// lands mid-collection.
-	h.ScheduleCrash(10*time.Second, 1, 150*time.Millisecond)
-	h.ScheduleCrash(10*time.Second+190*time.Millisecond, 25, 150*time.Millisecond)
-	r, err := h.Run(Workload{Duration: time.Minute, Think: 300 * time.Millisecond, Hold: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const victim = 25
+	r := crashDuringFirstRecovery(t, 5, victim, func(r round) bool {
+		return !r.collected && !r.acked[victim]
+	})
 	if r.Recoveries == 0 || r.Grants < 500 {
 		t.Fatalf("cluster did not recover through the mid-probe crash: %+v", r)
 	}
 }
 
 // TestChaosCoordinatorCrash kills the recovery coordinator (the
-// highest-ID survivor) right after it starts collecting: the next
-// survivor must take over the round.
+// highest-ID survivor, node 50) right after it starts collecting: the
+// next survivor must take over the round.
 func TestChaosCoordinatorCrash(t *testing.T) {
-	h, err := New(Config{Nodes: 50, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.ScheduleCrash(10*time.Second, 1, 150*time.Millisecond)
-	// Node 50 coordinates the recovery of node 1; kill it mid-round.
-	h.ScheduleCrash(10*time.Second+200*time.Millisecond, 50, 150*time.Millisecond)
-	r, err := h.Run(Workload{Duration: time.Minute, Think: 300 * time.Millisecond, Hold: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const victim = 50
+	r := crashDuringFirstRecovery(t, 9, victim, func(r round) bool {
+		return r.coord == victim && !r.collected
+	})
 	if r.Recoveries < 2 {
 		t.Fatalf("coordinator handover did not restart the round: %+v", r)
 	}
@@ -122,23 +108,67 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 	}
 }
 
-// TestChaosCrashDuringReorient lands a crash one round-trip after the
-// verdicts — when the PROBE acknowledgments are back and the REORIENT
-// installs are going out — exercising the tail of the epoch machinery.
+// TestChaosCrashDuringReorient lands a crash when the PROBE
+// acknowledgments are back and the REORIENT installs are going out —
+// the victim's still in flight — exercising the tail of the epoch
+// machinery.
 func TestChaosCrashDuringReorient(t *testing.T) {
-	h, err := New(Config{Nodes: 50, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.ScheduleCrash(10*time.Second, 1, 150*time.Millisecond)
-	h.ScheduleCrash(10*time.Second+156*time.Millisecond, 30, 150*time.Millisecond)
-	r, err := h.Run(Workload{Duration: time.Minute, Think: 300 * time.Millisecond, Hold: 2 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	const victim = 30
+	r := crashDuringFirstRecovery(t, 13, victim, func(r round) bool {
+		return r.collected && r.acked[victim] && !r.installed[victim]
+	})
 	if r.Recoveries == 0 || r.Grants < 500 {
 		t.Fatalf("cluster did not recover through the mid-reorient crash: %+v", r)
 	}
+}
+
+// crashDuringFirstRecovery runs one chaos scenario: 50 kary4 nodes
+// under load for a minute, node 1 crashing at 10 s with its verdicts
+// 150 ms later, and victim crashing at the first instant the recovery
+// of node 1 is in the phase in. That instant is read off a traced
+// pre-run with the first crash alone: up to the second crash the two
+// runs are one run, event for event. The scenario's own trace must
+// show the second crash in that phase.
+func crashDuringFirstRecovery(t *testing.T, seed int64, victim mutex.ID, in func(round) bool) Report {
+	t.Helper()
+	run := func(schedule func(*Harness)) (*Harness, Report) {
+		h, err := New(Config{Nodes: 50, Seed: seed, Trace: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.ScheduleCrash(10*time.Second, 1, 150*time.Millisecond)
+		schedule(h)
+		r, err := h.Run(Workload{Duration: time.Minute, Think: 300 * time.Millisecond, Hold: 2 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h, r
+	}
+	inPhase := func(trace []TraceRecord, at time.Duration) bool {
+		r, ok := recoveryAt(trace, at)
+		return ok && r.dead == 1 && in(r)
+	}
+	pre, _ := run(func(*Harness) {})
+	trace := pre.Trace()
+	first := slices.IndexFunc(trace, func(r TraceRecord) bool { return r.Ev.Detail == "PROBE" })
+	if first < 0 {
+		t.Fatal("the crash of node 1 started no probe round")
+	}
+	at := time.Duration(-1)
+	for i := first + 1; i < len(trace) && at < 0; i++ {
+		if mid := (trace[i-1].At + trace[i].At) / 2; inPhase(trace, mid) {
+			at = mid
+		}
+	}
+	if at < 0 {
+		t.Fatal("the recovery of node 1 never reached the phase")
+	}
+	h, r := run(func(h *Harness) { h.ScheduleCrash(at, victim, 150*time.Millisecond) })
+	if !inPhase(h.Trace(), at) {
+		got, _ := recoveryAt(h.Trace(), at)
+		t.Fatalf("the crash of node %d at %v missed its phase: %+v", victim, at, got)
+	}
+	return r
 }
 
 // TestChaosDoublePartition cuts two disjoint minorities off in
@@ -281,4 +311,43 @@ func TestHarnessRejectsReuse(t *testing.T) {
 	if _, err := h.Run(Workload{Duration: time.Second}); err == nil {
 		t.Fatal("second Run on one harness succeeded")
 	}
+}
+
+// round is the recovery round a traced run was in at some instant: the
+// last probe round started before it (its coordinator, the death it
+// recovers from, its epoch), whether the coordinator had every
+// acknowledgment by then (it regenerated or adopted), which survivors
+// had acknowledged (frozen) and which had applied their REORIENT.
+type round struct {
+	coord, dead mutex.ID
+	epoch       uint32
+	collected   bool
+	acked       map[mutex.ID]bool
+	installed   map[mutex.ID]bool
+}
+
+// recoveryAt reads the round in progress just before at from trace; ok
+// is false when no probe round had started by then.
+func recoveryAt(trace []TraceRecord, at time.Duration) (r round, ok bool) {
+	for _, rec := range trace {
+		e := rec.Ev
+		if rec.At >= at {
+			break
+		}
+		if e.Kind != telemetry.TraceRecovery || (ok && e.Detail != "PROBE" && e.Epoch != r.epoch) {
+			continue
+		}
+		switch e.Detail {
+		case "PROBE":
+			r, ok = round{coord: e.Node, dead: e.Peer, epoch: e.Epoch,
+				acked: map[mutex.ID]bool{}, installed: map[mutex.ID]bool{}}, true
+		case "FREEZE":
+			r.acked[e.Node] = true
+		case "REGENERATE", "ADOPT":
+			r.collected = r.collected || e.Node == r.coord
+		case "REORIENT":
+			r.installed[e.Node] = true
+		}
+	}
+	return r, ok
 }

@@ -198,8 +198,7 @@ func TestStaircaseInvariantKeepsFallbackUnused(t *testing.T) {
 	// staircase information structure guarantees a requester always
 	// believes someone is requesting. Randomized loads across seeds.
 	for seed := int64(1); seed <= 10; seed++ {
-		c, err := cluster.New(Builder, config(8, 1),
-			cluster.WithSeed(seed), cluster.WithCSTime(sim.Hop))
+		c, err := cluster.New(Builder, config(8, 1), cluster.WithCSTime(sim.Hop))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dagmutex/internal/core"
 	"dagmutex/internal/failure"
@@ -28,8 +27,8 @@ type Session = runtime.Session
 // per member (heartbeats over the same mailboxes), feeding per-peer down
 // and up verdicts into the protocol's membership handler; with
 // WithInjector (or by default, via Kill) a fault plan decides which
-// messages are dropped or delayed, emulating crashes, severed links and
-// partitions inside one process.
+// messages are dropped, emulating crashes, severed links and partitions
+// inside one process.
 type Local struct {
 	net   *localNet
 	nodes map[mutex.ID]*runtime.Node
@@ -40,30 +39,11 @@ type Local struct {
 }
 
 // localNet is the in-process substrate: one mailbox per member, the
-// cluster-wide message counter, the fault plan, and the per-link delay
-// lines that keep injected latency FIFO.
+// cluster-wide message counter and the fault plan.
 type localNet struct {
 	boxes map[mutex.ID]*mailbox[runtime.Envelope]
 	msgs  atomic.Int64
 	inj   *failure.Injector
-	clk   vclock.Clock // never nil; delay-line deadlines run on it
-
-	delayMu   sync.Mutex
-	delays    map[linkPair]*mailbox[delayedEnvelope]
-	anyDelays atomic.Bool // fast-path guard: true once any delay line exists
-	wg        sync.WaitGroup
-	closed    atomic.Bool
-	stop      chan struct{} // closed on shutdown; wakes drainers mid-wait
-}
-
-type linkPair struct{ from, to mutex.ID }
-
-type delayedEnvelope struct {
-	e runtime.Envelope
-	// deliverAt is the absolute deadline (enqueue time + injected
-	// delay): each message waits its own delay, concurrent with the
-	// others on the link, instead of serializing sleeps.
-	deliverAt time.Time
 }
 
 // send routes one envelope — boxed or by value, the mailbox moves either
@@ -74,103 +54,20 @@ type delayedEnvelope struct {
 // queued, the receiver may act on it, and a caller see the effect (a
 // grant) and read Messages, before this goroutine runs again.
 func (net *localNet) send(to mutex.ID, e runtime.Envelope, count bool) error {
-	from := e.From
 	dst, ok := net.boxes[to]
 	if !ok {
 		return fmt.Errorf("unknown node %d", to)
 	}
-	if !net.inj.Allow(from, to) {
+	if !net.inj.Allow(e.From, to) {
 		return nil // injected loss: the message vanishes, like the link it models
 	}
 	if count {
 		net.msgs.Add(1)
 	}
-	// A link with a delay line keeps routing through it even after the
-	// delay is cleared (deadline = now): a direct send bypassing queued
-	// delayed messages would break the per-link FIFO the protocol needs.
-	if d := net.inj.Delay(from, to); d > 0 || net.hasDelayLine(from, to) {
-		net.delayLine(from, to).put(delayedEnvelope{e: e, deliverAt: net.clk.Now().Add(d)})
-		return nil
-	}
 	if !dst.put(e) && count {
 		net.msgs.Add(-1) // the destination has closed: nothing was sent
 	}
 	return nil
-}
-
-// hasDelayLine reports whether a delay line already exists for the
-// link. The atomic guard keeps the fail-free hot path lock-free.
-func (net *localNet) hasDelayLine(from, to mutex.ID) bool {
-	if !net.anyDelays.Load() {
-		return false
-	}
-	net.delayMu.Lock()
-	defer net.delayMu.Unlock()
-	_, ok := net.delays[linkPair{from, to}]
-	return ok
-}
-
-// delayLine returns the FIFO delay queue for one link, starting its
-// drainer on first use. A single drainer waiting on each message's own
-// deadline keeps delayed delivery FIFO per link (deadlines on one link
-// are non-decreasing while the configured delay is stable, and a
-// mid-flight delay change is clamped below) without serializing the
-// delays themselves: a burst of k messages all arrive ~d after their
-// sends, not at k*d.
-func (net *localNet) delayLine(from, to mutex.ID) *mailbox[delayedEnvelope] {
-	net.delayMu.Lock()
-	defer net.delayMu.Unlock()
-	key := linkPair{from, to}
-	if q, ok := net.delays[key]; ok {
-		return q
-	}
-	q := newMailbox[delayedEnvelope]()
-	if net.delays == nil {
-		net.delays = make(map[linkPair]*mailbox[delayedEnvelope])
-	}
-	net.delays[key] = q
-	net.anyDelays.Store(true)
-	net.wg.Add(1)
-	go func() {
-		defer net.wg.Done()
-		var lastDeadline time.Time
-		timer := net.clk.NewTimer(0)
-		defer timer.Stop()
-		for {
-			de, ok := q.get()
-			if !ok {
-				return
-			}
-			if de.deliverAt.Before(lastDeadline) {
-				de.deliverAt = lastDeadline // a shrunk delay must not reorder the link
-			}
-			lastDeadline = de.deliverAt
-			if wait := net.clk.Until(de.deliverAt); wait > 0 {
-				timer.Reset(wait)
-				select {
-				case <-net.stop:
-					return // closing: drop undelivered delayed traffic
-				case <-timer.C():
-				}
-			}
-			if net.closed.Load() || !net.inj.Allow(from, to) {
-				continue
-			}
-			net.boxes[to].put(de.e)
-		}
-	}()
-	return q
-}
-
-func (net *localNet) close() {
-	net.closed.Store(true)
-	close(net.stop)
-	net.delayMu.Lock()
-	for _, q := range net.delays {
-		q.close()
-	}
-	net.delayMu.Unlock()
-	net.wg.Wait()
 }
 
 // localLink is one member's attachment to the substrate.
@@ -211,8 +108,8 @@ type localOptions struct {
 }
 
 // WithInjector installs a shared fault plan: every send consults it, so
-// tests and the chaos battery can crash nodes, sever links, partition
-// and delay deterministically. Without it, Kill lazily installs a
+// tests and the chaos battery can crash nodes, sever links and partition
+// deterministically. Without it, Kill lazily installs a
 // private injector.
 func WithInjector(inj *failure.Injector) LocalOption {
 	return func(o *localOptions) { o.inj = inj }
@@ -229,8 +126,7 @@ func WithFailureDetection(cfg failure.Config) LocalOption {
 }
 
 // WithClock runs the whole cluster — grant timestamps, proxy leases,
-// failure-detector ticks, delay-line deadlines — on c instead of the
-// real clock. The simulation harness installs a vclock.Virtual here so
+// failure-detector ticks — on c instead of the real clock. The simulation harness installs a vclock.Virtual here so
 // simulated hours of heartbeats and leases pass under test control. A
 // detector config with its own Clock set keeps it.
 func WithClock(c vclock.Clock) LocalOption {
@@ -252,8 +148,6 @@ func NewLocal(b mutex.Builder, cfg mutex.Config, opts ...LocalOption) (*Local, e
 		net: &localNet{
 			boxes: make(map[mutex.ID]*mailbox[runtime.Envelope], len(cfg.IDs)),
 			inj:   o.inj,
-			clk:   o.clk,
-			stop:  make(chan struct{}),
 		},
 		nodes: make(map[mutex.ID]*runtime.Node, len(cfg.IDs)),
 		dets:  make(map[mutex.ID]*failure.Detector),
@@ -361,7 +255,6 @@ func (l *Local) Close() {
 		for _, det := range l.dets {
 			det.Stop()
 		}
-		l.net.close()
 		// Deterministic order keeps shutdown reproducible under -race.
 		ids := make([]mutex.ID, 0, len(l.nodes))
 		for id := range l.nodes {

@@ -5,8 +5,9 @@ import (
 	"context"
 	"encoding/binary"
 	"io"
+	"maps"
 	"net"
-	goruntime "runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"sync"
@@ -237,24 +238,34 @@ func TestOldClientVersionIsRefused(t *testing.T) {
 	}
 }
 
-// TestClientGatewayOwnsItsConnections: a connection costs the gateway two
-// goroutines — the one serving it and its response writer — where it used
-// to cost three (one more parked only to watch for Close), and Close,
-// which severs the connections itself, leaves none behind.
+// TestClientGatewayOwnsItsConnections: a connection costs the gateway
+// its serving goroutine, its response writer and the one worker that
+// parks after serving a request (it used to cost one more, parked only to
+// watch for Close), and Close, which severs the connections itself,
+// leaves none behind. It counts this gateway's goroutines alone, from a
+// goroutine profile: they carry the profiler label the gateway was
+// created under (a goroutine inherits its creator's labels), so whatever
+// other tests leave winding down in the process does not count.
 func TestClientGatewayOwnsItsConnections(t *testing.T) {
-	settle := func(want int) int {
-		n := goruntime.NumGoroutine()
-		for deadline := time.Now().Add(10 * time.Second); n != want && time.Now().Before(deadline); n = goruntime.NumGoroutine() {
+	expect := func(when string, want map[string]int) {
+		t.Helper()
+		got := gatewayGoroutines(t.Name())
+		for deadline := time.Now().Add(10 * time.Second); !maps.Equal(got, want) && time.Now().Before(deadline); got = gatewayGoroutines(t.Name()) {
 			time.Sleep(time.Millisecond)
 		}
-		return n
+		if !maps.Equal(got, want) {
+			t.Fatalf("%s the gateway runs %v, want %v", when, got, want)
+		}
 	}
-	start := goruntime.NumGoroutine()
-	gw, err := NewClientGateway("", &staticBackend{})
+	var gw *ClientGateway
+	var err error
+	pprof.Do(context.Background(), pprof.Labels("gateway", t.Name()), func(context.Context) {
+		gw, err = NewClientGateway("", &staticBackend{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	idle := settle(start + 1) // the accept loop
+	expect("idle,", map[string]int{"accept": 1})
 	const conns = 64
 	for i := 0; i < conns; i++ {
 		conn, _ := rawClient(t, gw)
@@ -270,12 +281,42 @@ func TestClientGatewayOwnsItsConnections(t *testing.T) {
 	if got := gw.Stats().Conns; got != conns {
 		t.Fatalf("%d connections open, want %d", got, conns)
 	}
-	// Serving goroutine, writer, one parked worker.
-	if n := settle(idle + 3*conns); n != idle+3*conns {
-		t.Fatalf("%d goroutines for %d connections (%.2f each), want 3 each: server, writer, parked worker", n-idle, conns, float64(n-idle)/conns)
-	}
+	expect("with 64 connections,", map[string]int{"accept": 1, "server": conns, "writer": conns, "worker": conns})
 	gw.Close()
-	if n := settle(start); n != start {
-		t.Fatalf("%d goroutines after Close, %d before the gateway existed", n, start)
+	expect("after Close", map[string]int{})
+}
+
+// gatewayGoroutines counts, by role, the goroutines that carry the
+// profiler label gateway=name: the accept loop, a connection's server,
+// its frame writer's drain and its workers; "other" is anything else.
+func gatewayGoroutines(name string) map[string]int {
+	var b strings.Builder
+	_ = pprof.Lookup("goroutine").WriteTo(&b, 1)
+	roles := []struct{ role, frame string }{
+		{"worker", ".(*clientConn).worker+"},
+		{"writer", ".startFrameWriter.func1+"},
+		{"server", ".NewClientGatewayWith.func1.1+"},
+		{"accept", ".NewClientGatewayWith.func1+"},
 	}
+	tag := strconv.Quote("gateway") + ":" + strconv.Quote(name)
+	got := map[string]int{}
+	// Past its header line, each record of the profile is "<count> @
+	// <pcs>", its labels, then one line per frame; blank lines part them.
+	_, records, _ := strings.Cut(b.String(), "\n")
+	for _, rec := range strings.Split(records, "\n\n") {
+		if !strings.Contains(rec, tag) {
+			continue
+		}
+		count, _, _ := strings.Cut(rec, " ")
+		n, _ := strconv.Atoi(count)
+		role := "other"
+		for _, r := range roles {
+			if strings.Contains(rec, r.frame) {
+				role = r.role
+				break
+			}
+		}
+		got[role] += n
+	}
+	return got
 }

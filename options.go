@@ -10,8 +10,8 @@ import (
 )
 
 // Clock is the time source a cluster or lock service runs on: grant
-// timestamps, lease deadlines, sweeper cadence, heartbeat ticks and
-// delay-line deadlines all go through it. The default is the system
+// timestamps, lease deadlines, sweeper cadence and heartbeat ticks all
+// go through it. The default is the system
 // clock; NewVirtualClock returns a deterministic one for tests and
 // simulation. Attach with WithClock.
 type Clock = vclock.Clock
@@ -123,7 +123,7 @@ func WithTransport(t TransportSpec) Option {
 
 // WithClock runs the opened cluster or lock service on c: grant
 // timestamps, lease deadlines and the sweeper, heartbeat failure
-// detection, proxy expiry and local delay lines all read time from it.
+// detection and proxy expiry all read time from it.
 // Pass a NewVirtualClock to make every timer deterministic — nothing
 // expires or ticks until the test advances the clock. Applies to Open
 // and OpenLockService on the Local substrate only; the TCP substrate's

@@ -91,7 +91,7 @@ func Simulate(tree *Tree, holder ID, opts SimOptions) (SimResult, error) {
 	if err != nil {
 		return SimResult{}, err
 	}
-	c, err := cluster.New(algo.Builder, cfg, cluster.WithCSTime(csTime), cluster.WithSeed(seed))
+	c, err := cluster.New(algo.Builder, cfg, cluster.WithCSTime(csTime))
 	if err != nil {
 		return SimResult{}, err
 	}
