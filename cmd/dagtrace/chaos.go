@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"dagmutex/internal/core"
-	"dagmutex/internal/mutex"
 	"dagmutex/internal/topology"
 )
 
@@ -28,48 +27,48 @@ func chaosDemo(w io.Writer) error {
 	}
 	r.show("initial configuration: node 1 holds the token")
 
-	if err := r.nodes[1].Request(); err != nil {
+	if err := r.request(1); err != nil {
 		return err
 	}
 	r.show("node 1 enters its critical section (grant generation 1)")
 
-	if err := r.nodes[3].Request(); err != nil {
+	if err := r.request(3); err != nil {
 		return err
 	}
-	if err := r.drain(); err != nil {
+	if err := r.Drain(); err != nil {
 		return err
 	}
 	r.show("node 3 requests; the holder stores it: FOLLOW_1 = 3")
 
-	r.crash(1)
+	if err := r.Crash(1); err != nil {
+		return err
+	}
 	r.show("node 1 CRASHES mid-critical-section — the token dies with it")
 
 	fmt.Fprintln(r.w, "the survivors' failure detectors suspect node 1:")
-	for _, id := range []mutex.ID{2, 3, 4, 5} {
-		if err := r.nodes[id].PeerDown(1); err != nil {
-			return err
-		}
+	if err := r.Suspect(1); err != nil {
+		return err
 	}
-	if err := r.drain(); err != nil {
+	if err := r.Drain(); err != nil {
 		return err
 	}
 	fmt.Fprintln(r.w)
 	r.show("recovery complete: node 5 (highest survivor) coordinated; the probe found no token, " +
 		"so one was REGENERATED with a fencing jump and the rebuilt FOLLOW chain granted node 3")
-	fmt.Fprintf(w, "node 3's grant carries fencing generation %d — strictly above every generation\n", r.grants[3])
+	fmt.Fprintf(w, "node 3's grant carries fencing generation %d — strictly above every generation\n", r.Grants[3].Gen)
 	fmt.Fprintln(w, "the dead holder ever issued, so downstream stores reject the dead node's writes.")
 	fmt.Fprintln(w)
 
-	if err := r.nodes[3].Release(); err != nil {
+	if err := r.release(3); err != nil {
 		return err
 	}
-	if err := r.nodes[2].Request(); err != nil {
+	if err := r.request(2); err != nil {
 		return err
 	}
-	if err := r.drain(); err != nil {
+	if err := r.Drain(); err != nil {
 		return err
 	}
 	r.show("life goes on: node 3 released, node 2 acquired through the rebuilt DAG")
-	fmt.Fprintf(w, "node 2's grant generation: %d\n", r.grants[2])
+	fmt.Fprintf(w, "node 2's grant generation: %d\n", r.Grants[2].Gen)
 	return nil
 }

@@ -39,7 +39,7 @@ func liveDemo(w io.Writer) error {
 		if err := s.action(); err != nil {
 			return err
 		}
-		if err := r.drain(); err != nil {
+		if err := r.Drain(); err != nil {
 			return err
 		}
 	}

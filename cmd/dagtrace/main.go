@@ -54,66 +54,27 @@ func main() {
 	}
 }
 
-// replayer drives core nodes synchronously: sends queue up in pending
-// and are delivered by hand — one at a time in the exact order the
-// thesis narrates (deliverTo), or all of them in FIFO order (drain) —
-// with a crash set (messages to or from dead nodes are dropped, as a
-// dead process drops them) and the last grant generation per node. The
-// three replays differ only in which observers they hand the nodes and
-// in what they print between steps.
+// replayer narrates a core.World: the three replays differ only in
+// which observers they hand the nodes, in the order they deliver the
+// messages, and in what they print between steps.
 type replayer struct {
-	w       io.Writer
-	nodes   []*core.Node // by ID; index 0 unused
-	pending []flight
-	dead    map[mutex.ID]bool
-	grants  map[mutex.ID]uint64
-	queue   bool // show prints the implicit waiting queue
-	step    int
+	*core.World
+	w     io.Writer
+	queue bool // show prints the implicit waiting queue
+	step  int
 }
-
-type flight struct {
-	from, to mutex.ID
-	msg      mutex.Message
-}
-
-type env struct {
-	r  *replayer
-	id mutex.ID
-}
-
-func (e env) Send(to mutex.ID, m mutex.Message) {
-	e.r.pending = append(e.r.pending, flight{from: e.id, to: to, msg: m})
-}
-
-func (e env) Granted(gen uint64) { e.r.grants[e.id] = gen }
 
 func newReplayer(w io.Writer, tree *topology.Tree, holder mutex.ID, opts ...core.Option) (*replayer, error) {
-	r := &replayer{
-		w:      w,
-		nodes:  make([]*core.Node, tree.N()+1),
-		dead:   make(map[mutex.ID]bool),
-		grants: make(map[mutex.ID]uint64),
-	}
-	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
-	if err := cfg.Validate(); err != nil {
+	world, err := core.NewWorld(mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}, opts...)
+	if err != nil {
 		return nil, err
 	}
-	for _, id := range cfg.IDs {
-		n, err := core.New(id, env{r: r, id: id}, cfg, opts...)
-		if err != nil {
-			return nil, err
-		}
-		r.nodes[id] = n
-	}
-	return r, nil
+	return &replayer{World: world, w: w}, nil
 }
 
 // table prints the thesis-style state table.
 func (r *replayer) table() []core.Snapshot {
-	snaps := make([]core.Snapshot, 0, len(r.nodes)-1)
-	for _, n := range r.nodes[1:] {
-		snaps = append(snaps, n.Snapshot())
-	}
+	snaps := r.Snapshots()
 	fmt.Fprint(r.w, stateTable(snaps))
 	return snaps
 }
@@ -163,59 +124,20 @@ func (r *replayer) show(caption string) {
 	if queue, err := core.ImplicitQueue(snaps); r.queue && err == nil && len(queue) > 0 {
 		fmt.Fprintf(r.w, "implicit queue (via FOLLOW chain): %v\n", queue)
 	}
-	for id := range r.nodes {
-		if r.dead[mutex.ID(id)] {
+	for id := range r.Nodes {
+		if r.Crashed(mutex.ID(id)) {
 			fmt.Fprintf(r.w, "node %d: CRASHED\n", id)
 		}
 	}
 	fmt.Fprintln(r.w)
 }
 
-func (r *replayer) request(id mutex.ID) error { return r.nodes[id].Request() }
-func (r *replayer) release(id mutex.ID) error { return r.nodes[id].Release() }
+func (r *replayer) request(id mutex.ID) error { return r.Nodes[id].Request() }
+func (r *replayer) release(id mutex.ID) error { return r.Nodes[id].Release() }
 
-// deliverTo delivers the oldest pending message addressed to `to`.
 func (r *replayer) deliverTo(to mutex.ID) error {
-	for i, f := range r.pending {
-		if f.to == to {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return r.nodes[to].Deliver(f.from, f.msg)
-		}
-	}
-	return fmt.Errorf("no pending message for node %d", to)
-}
-
-// drain delivers all pending traffic among live nodes in FIFO order —
-// the synchronous delivery makes what the observers print the causal
-// order; messages touching dead nodes are dropped.
-func (r *replayer) drain() error {
-	for steps := 0; len(r.pending) > 0; steps++ {
-		if steps > 10000 {
-			return fmt.Errorf("message storm during replay")
-		}
-		f := r.pending[0]
-		r.pending = r.pending[1:]
-		if r.dead[f.to] || r.dead[f.from] {
-			continue
-		}
-		if err := r.nodes[f.to].Deliver(f.from, f.msg); err != nil {
-			return fmt.Errorf("deliver %s %d->%d: %w", f.msg.Kind(), f.from, f.to, err)
-		}
-	}
-	return nil
-}
-
-// crash kills a node: it falls silent (pending traffic to and from it is
-// dropped) and stays in the table as a tombstone.
-func (r *replayer) crash(id mutex.ID) {
-	r.dead[id] = true
-	kept := r.pending[:0]
-	for _, f := range r.pending {
-		if f.from != id && f.to != id {
-			kept = append(kept, f)
-		}
-	}
-	r.pending = kept
+	_, err := r.DeliverTo(to)
+	return err
 }
 
 func run(w io.Writer, fig int) error {

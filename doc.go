@@ -308,17 +308,6 @@
 // per grant to 2.95 under Zipf with compression. internal/lockservice's
 // TestTopologyCellCosts pins every shape × demand × size × policy cell.
 //
-// Re-rooting is explicit: Session.PlanReorient on an Open or OpenPeer
-// cluster reshapes the DAG toward a named member. A planned reorient
-// never regenerates the token and never advances the fencing generation
-// — only possession moves the shape, so fences stay strictly monotonic
-// across reshapes (the conformance battery asserts this over both link
-// layers). Like Regrant, a plan is refused (false, nil) rather than
-// errored while a recovery or an earlier reshape is still in flight,
-// when the cluster lacks a quorum, or from a node that does not
-// currently possess the token; planning toward a non-member or a
-// suspected-dead node is ErrBadConfig.
-//
 // # Observability
 //
 // Three options light up the stack without touching the hot path's

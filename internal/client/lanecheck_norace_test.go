@@ -25,10 +25,10 @@ import (
 //   - no more promise lacks the acquire that follows it;
 //   - the lane is idle.
 func TestLaneCheckerExploresEveryInterleaving(t *testing.T) {
-	res := explore(defaultBound, false)
-	if res.err != nil {
-		res = explore(defaultBound, true)
-		t.Fatalf("%v, after:\n%s", res.err, strings.Join(res.trace, "\n"))
+	res := check(defaultBound, false)
+	if res.Err != nil {
+		res = check(defaultBound, true)
+		t.Fatalf("%v, after:\n%s", res.Err, strings.Join(replay(defaultBound, res.Trail), "\n"))
 	}
-	t.Logf("%d states, %d transitions, depth %d, in %v", res.states, res.transitions, res.depth, res.wall.Round(time.Millisecond))
+	t.Logf("%d states, %d transitions, depth %d, in %v", res.States, res.Transitions, res.Depth, res.Wall.Round(time.Millisecond))
 }

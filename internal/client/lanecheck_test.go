@@ -1,14 +1,12 @@
 package client
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/maphash"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
+	"dagmutex/internal/explore"
 	"dagmutex/internal/transport"
 )
 
@@ -35,14 +33,9 @@ import (
 // it has let go of its lock; frames of the reader's steps are queued at
 // once, as QueueClientFrame does. The connection may die at any point.
 //
-// The search keeps a set of seen states, not a replayed prefix: a state
-// is kept as a 128-bit hash of its full encoding, so that every reachable
-// state and every transition out of it is explored once. Replaying
-// prefixes instead would re-run the same interleavings exponentially
-// often at this depth (32 moves): the set makes the default bound a
-// matter of seconds. It runs depth first, which holds few states at
-// once, and on a violation again breadth first, which reports the
-// shortest trace that reaches it.
+// The world is an explore.State: the search (internal/explore) visits
+// every reachable state once, depth first, and on a violation again
+// breadth first, which reports the shortest trace that reaches it.
 type checkBound struct {
 	keys     []string // one per caller: its resource, all of one domain
 	cycles   int      // acquire/release cycles per caller
@@ -159,8 +152,8 @@ func (m move) String() string {
 	return [...]string{"arrive", "write", "release", "cancel", "read", "serve", "grant", "expire", "jump", "lose"}[m.kind] + fmt.Sprint(" ", m.i)
 }
 
-// moves lists every move enabled in w.
-func (w *world) moves() []move {
+// Moves lists every move enabled in w.
+func (w *world) Moves() []move {
 	var ms []move
 	for i, c := range w.cs {
 		switch {
@@ -279,18 +272,8 @@ func (w *world) next(i int) {
 	}
 }
 
-// try is apply, with a panic in the machine reported as a violation.
-func (w *world) try(m move) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	return w.apply(m)
-}
-
-// apply makes move m, reporting the invariant it breaks, if any.
-func (w *world) apply(m move) error {
+// Apply makes move m, reporting the invariant it breaks, if any.
+func (w *world) Apply(m move) error {
 	w.logf("%v", m)
 	switch m.kind {
 	case mArrive:
@@ -428,8 +411,8 @@ func (w *world) serve(a action) error {
 	return nil
 }
 
-// quiescent checks a state with no move left.
-func (w *world) quiescent() error {
+// Quiescent checks a state with no move left.
+func (w *world) Quiescent() error {
 	for i, c := range w.cs {
 		if c.state != cDone {
 			return fmt.Errorf("caller %d is left waiting (state %d)", i, c.state)
@@ -486,239 +469,100 @@ func fmtActs(acts []action) string {
 	return strings.Join(parts, "; ")
 }
 
-// coder writes a state into b, or with dec reads one back out of it: one
-// walk over the fields does both, so what tells two states apart is
-// exactly what a decoded state holds.
-type coder struct {
-	b   []byte
-	dec bool
-}
-
-func num[T ~uint8 | ~uint32 | ~uint64 | ~int | ~int64](c *coder, v *T) {
-	if !c.dec {
-		c.b = binary.AppendUvarint(c.b, uint64(*v))
-		return
-	}
-	x, n := binary.Uvarint(c.b)
-	*v, c.b = T(x), c.b[n:]
-}
-
-func bit(c *coder, v *bool) {
-	x := uint8(0)
-	if *v {
-		x = 1
-	}
-	num(c, &x)
-	*v = x == 1
-}
-
-func str(c *coder, v *string) {
-	n := len(*v)
-	num(c, &n)
-	if !c.dec {
-		c.b = append(c.b, *v...)
-		return
-	}
-	*v, c.b = string(c.b[:n]), c.b[n:]
-}
-
-func list[T any](c *coder, s *[]T, each func(*T)) {
-	n := len(*s)
-	num(c, &n)
-	if c.dec {
-		*s = make([]T, n)
-	}
-	for i := range *s {
-		each(&(*s)[i])
-	}
-}
-
-// code walks every field of w that is state (not b or log).
-func (w *world) code(c *coder) {
+// code walks every field of w that is state (not b or log), with
+// explore.Coder.
+func (w *world) code(c *explore.Coder) {
 	act := func(a *action) {
-		num(c, &a.kind)
-		bit(c, &a.run)
-		bit(c, &a.more)
-		num(c, &a.h)
-		num(c, &a.used)
-		num(c, &a.id)
-		num(c, &a.fence)
-		num(c, &a.expiry)
-		str(c, &a.key)
+		explore.Num(c, &a.kind)
+		explore.Bit(c, &a.run)
+		explore.Bit(c, &a.more)
+		explore.Num(c, &a.h)
+		explore.Num(c, &a.used)
+		explore.Num(c, &a.id)
+		explore.Num(c, &a.fence)
+		explore.Num(c, &a.expiry)
+		explore.Str(c, &a.key)
 	}
-	req := func(r *laneReq) { num(c, &r.id); str(c, &r.key) }
+	req := func(r *laneReq) { explore.Num(c, &r.id); explore.Str(c, &r.key) }
 	hold := func(r *run) {
-		num(c, &r.cur)
-		num(c, &r.last)
-		num(c, &r.used)
-		str(c, &r.key)
-		str(c, &r.holder)
-		bit(c, &r.grant)
+		explore.Num(c, &r.cur)
+		explore.Num(c, &r.last)
+		explore.Num(c, &r.used)
+		explore.Str(c, &r.key)
+		explore.Str(c, &r.holder)
+		explore.Bit(c, &r.grant)
 	}
 	l := &w.l
-	bit(c, &l.runs)
+	explore.Bit(c, &l.runs)
 	q := l.waiting() // a served waiter's slot is capacity, not state
-	list(c, &q, func(x *waiter) { num(c, &x.h); str(c, &x.key) })
+	explore.List(c, &q, func(x *waiter) { explore.Num(c, &x.h); explore.Str(c, &x.key) })
 	l.q, l.n = q, len(q)
-	list(c, &l.ids, req)
+	explore.List(c, &l.ids, req)
 	req(&l.order)
-	list(c, &l.zombies, req)
-	if !c.dec && l.kept != l.order.id && !slices.ContainsFunc(l.ids, func(r laneReq) bool { return r.id == l.kept }) {
+	explore.List(c, &l.zombies, req)
+	if !c.Decoding && l.kept != l.order.id && !slices.ContainsFunc(l.ids, func(r laneReq) bool { return r.id == l.kept }) {
 		l.kept = 0 // answered or withdrawn: it can match nothing again
 	}
-	num(c, &l.kept)
-	bit(c, &l.held)
+	explore.Num(c, &l.kept)
+	explore.Bit(c, &l.held)
 	hold(&l.run)
 	hold(&l.stale)
-	num(c, &l.next)
-	num(c, &l.expiry)
-	num(c, &l.until)
-	num(c, &w.ids)
-	list(c, &w.cs, func(x *mcaller) {
-		num(c, &x.state)
-		num(c, &x.left)
-		num(c, &x.fence)
-		num(c, &x.rel)
-		list(c, &x.out, act)
+	explore.Num(c, &l.next)
+	explore.Num(c, &l.expiry)
+	explore.Num(c, &l.until)
+	explore.Num(c, &w.ids)
+	explore.List(c, &w.cs, func(x *mcaller) {
+		explore.Num(c, &x.state)
+		explore.Num(c, &x.left)
+		explore.Num(c, &x.fence)
+		explore.Num(c, &x.rel)
+		explore.List(c, &x.out, act)
 	})
-	list(c, &w.reg, func(r *regd) { num(c, &r.id); num(c, &r.who) })
-	list(c, &w.c2m, act)
-	list(c, &w.queue, act)
-	list(c, &w.m2c, func(r *mreply) {
-		num(c, &r.id)
-		num(c, &r.r.op)
-		bit(c, &r.r.ok)
-		num(c, &r.r.code)
-		num(c, &r.r.fence)
-		num(c, &r.r.expiry)
-		num(c, &r.r.run)
+	explore.List(c, &w.reg, func(r *regd) { explore.Num(c, &r.id); explore.Num(c, &r.who) })
+	explore.List(c, &w.c2m, act)
+	explore.List(c, &w.queue, act)
+	explore.List(c, &w.m2c, func(r *mreply) {
+		explore.Num(c, &r.id)
+		explore.Num(c, &r.r.op)
+		explore.Bit(c, &r.r.ok)
+		explore.Num(c, &r.r.code)
+		explore.Num(c, &r.r.fence)
+		explore.Num(c, &r.r.expiry)
+		explore.Num(c, &r.r.run)
 	})
-	list(c, &w.blocks, func(x *mblock) {
-		str(c, &x.key)
-		num(c, &x.first)
-		num(c, &x.last)
-		num(c, &x.expiry)
-		num(c, &x.state)
-		num(c, &x.handed)
+	explore.List(c, &w.blocks, func(x *mblock) {
+		explore.Str(c, &x.key)
+		explore.Num(c, &x.first)
+		explore.Num(c, &x.last)
+		explore.Num(c, &x.expiry)
+		explore.Num(c, &x.state)
+		explore.Num(c, &x.handed)
 	})
-	num(c, &w.held)
-	num(c, &w.fence)
-	num(c, &w.now)
-	bit(c, &w.more)
-	bit(c, &w.lost)
+	explore.Num(c, &w.held)
+	explore.Num(c, &w.fence)
+	explore.Num(c, &w.now)
+	explore.Bit(c, &w.more)
+	explore.Bit(c, &w.lost)
 	for i := range w.budget {
-		num(c, &w.budget[i])
+		explore.Num(c, &w.budget[i])
 	}
 }
 
-func (w *world) encode(b []byte) []byte {
-	c := coder{b: b}
+func (w *world) Encode(b []byte) []byte {
+	c := explore.Coder{Buf: b}
 	w.code(&c)
-	return c.b
+	return c.Buf
 }
 
-func (w *world) clone() *world {
-	c := *w
-	c.l.q = slices.Clone(w.l.waiting())
-	c.l.ids, c.l.zombies = slices.Clone(w.l.ids), slices.Clone(w.l.zombies)
-	c.cs = slices.Clone(w.cs)
-	for i := range c.cs {
-		c.cs[i].out = slices.Clone(c.cs[i].out)
-	}
-	c.reg, c.c2m, c.m2c = slices.Clone(w.reg), slices.Clone(w.c2m), slices.Clone(w.m2c)
-	c.queue, c.blocks = slices.Clone(w.queue), slices.Clone(w.blocks)
-	return &c
-}
-
-func decode(b *checkBound, enc string) *world {
+func decode(b *checkBound, enc []byte) *world {
 	w := &world{b: b}
-	w.code(&coder{b: []byte(enc), dec: true})
+	w.code(&explore.Coder{Buf: enc, Decoding: true})
 	return w
 }
 
-// trail is the path to a state, shared with its siblings.
-type trail struct {
-	up *trail
-	m  move
-}
-
-func (t *trail) moves() []move {
-	var ms []move
-	for ; t != nil; t = t.up {
-		ms = append(ms, t.m)
-	}
-	for i, j := 0, len(ms)-1; i < j; i, j = i+1, j-1 {
-		ms[i], ms[j] = ms[j], ms[i]
-	}
-	return ms
-}
-
-type checkResult struct {
-	states, transitions, depth int
-	wall                       time.Duration
-	err                        error
-	trace                      []string // the path to err
-}
-
-// explore checks every state reachable within b, depth first, or breadth
-// first with shortest, so that the first violation found has the
-// shortest trace. Either way the states waiting to be expanded are kept
-// encoded, a few hundred bytes each; depth first, they are few.
-func explore(b checkBound, shortest bool) checkResult {
-	start := time.Now()
-	type node struct {
-		enc   string
-		t     *trail
-		depth int
-	}
-	var res checkResult
-	seed1, seed2 := maphash.MakeSeed(), maphash.MakeSeed()
-	seen := map[[2]uint64]struct{}{}
-	var buf []byte
-	var todo []node
-	// visit files w, reached by t, unless it was seen before, and checks
-	// it if nothing is left to happen in it.
-	visit := func(w *world, t *trail, depth int) error {
-		buf = w.encode(buf[:0])
-		k := [2]uint64{maphash.Bytes(seed1, buf), maphash.Bytes(seed2, buf)}
-		if _, ok := seen[k]; ok {
-			return nil
-		}
-		seen[k] = struct{}{}
-		res.states, res.depth = res.states+1, max(res.depth, depth)
-		if len(w.moves()) == 0 {
-			return w.quiescent()
-		}
-		todo = append(todo, node{string(buf), t, depth})
-		return nil
-	}
-	err := visit(newWorld(&b), nil, 0)
-	var t *trail
-	for err == nil && len(todo) > 0 {
-		var n node
-		if shortest {
-			n, todo = todo[0], todo[1:]
-		} else {
-			n, todo = todo[len(todo)-1], todo[:len(todo)-1]
-		}
-		w := decode(&b, n.enc)
-		for _, m := range w.moves() {
-			res.transitions++
-			t = &trail{n.t, m}
-			next := w.clone()
-			if err = next.try(m); err == nil {
-				err = visit(next, t, n.depth+1)
-			}
-			if err != nil {
-				break
-			}
-		}
-	}
-	res.wall, res.err = time.Since(start), err
-	if err != nil {
-		res.trace = replay(b, t.moves())
-	}
-	return res
+// check explores every state reachable within b.
+func check(b checkBound, shortest bool) explore.Result[move] {
+	return explore.Search[move](newWorld(&b), func(enc []byte) explore.State[move] { return decode(&b, enc) }, shortest)
 }
 
 // replay re-runs ms from the start and returns what each move did.
@@ -726,11 +570,8 @@ func replay(b checkBound, ms []move) []string {
 	var log []string
 	w := newWorld(&b)
 	w.log = &log
-	for _, m := range ms {
-		if err := w.try(m); err != nil {
-			log = append(log, "  violation: "+err.Error())
-			break
-		}
+	if err := explore.Replay[move](w, ms); err != nil {
+		log = append(log, "  violation: "+err.Error())
 	}
 	return log
 }
@@ -755,7 +596,7 @@ func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 		var pick move
 		found := false
 		for _, k := range priority {
-			for _, m := range w.moves() {
+			for _, m := range w.Moves() {
 				if m.kind == k && (k != mGrant || m.i == runLen || !w.queue[0].run) {
 					pick, found = m, true
 					break
@@ -797,11 +638,11 @@ func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 		case mRelease:
 			grants++
 		}
-		if err := w.try(pick); err != nil {
+		if err := explore.Apply[move](w, pick); err != nil {
 			t.Fatalf("run %d: %v", runs, err)
 		}
 	}
-	if err := w.quiescent(); err != nil {
+	if err := w.Quiescent(); err != nil {
 		t.Fatal(err)
 	}
 	if steady < callers*cycles/runLen-4 {

@@ -9,7 +9,6 @@ import (
 )
 
 func TestNewValidatesConfig(t *testing.T) {
-	env := &recEnv{}
 	cases := []struct {
 		name string
 		id   mutex.ID
@@ -26,7 +25,7 @@ func TestNewValidatesConfig(t *testing.T) {
 		{"unsorted ids, id found by bisection", 3, mutex.Config{IDs: []mutex.ID{1, 3, 2}, Holder: 3}},
 	}
 	for _, c := range cases {
-		if _, err := New(c.id, env, c.cfg); err == nil {
+		if _, err := New(c.id, worldEnv{}, c.cfg); err == nil {
 			t.Errorf("%s: New accepted bad config", c.name)
 		} else if !errors.Is(err, mutex.ErrBadConfig) {
 			t.Errorf("%s: error %v does not wrap ErrBadConfig", c.name, err)
@@ -38,11 +37,11 @@ func TestHolderEntersImmediatelyWithoutMessages(t *testing.T) {
 	tree := topology.Star(5)
 	w := newWorld(t, tree, 1)
 	w.request(1)
-	if w.envs[1].grant != 1 {
+	if w.Grants[1].Count != 1 {
 		t.Fatal("holder not granted")
 	}
-	if len(w.pending) != 0 {
-		t.Fatalf("holder's entry sent %d messages, want 0", len(w.pending))
+	if len(w.Pending) != 0 {
+		t.Fatalf("holder's entry sent %d messages, want 0", len(w.Pending))
 	}
 	w.release(1)
 	w.expect(1, true, mutex.Nil, mutex.Nil)
@@ -51,24 +50,24 @@ func TestHolderEntersImmediatelyWithoutMessages(t *testing.T) {
 func TestRequestWhileOutstandingFails(t *testing.T) {
 	w := newWorld(t, topology.Line(3), 3)
 	w.request(1)
-	if err := w.nodes[1].Request(); !errors.Is(err, mutex.ErrOutstanding) {
+	if err := w.Nodes[1].Request(); !errors.Is(err, mutex.ErrOutstanding) {
 		t.Fatalf("second Request error = %v, want ErrOutstanding", err)
 	}
 	// Also while in the critical section.
 	w2 := newWorld(t, topology.Line(3), 1)
 	w2.request(1)
-	if err := w2.nodes[1].Request(); !errors.Is(err, mutex.ErrOutstanding) {
+	if err := w2.Nodes[1].Request(); !errors.Is(err, mutex.ErrOutstanding) {
 		t.Fatalf("Request in CS error = %v, want ErrOutstanding", err)
 	}
 }
 
 func TestReleaseOutsideCSFails(t *testing.T) {
 	w := newWorld(t, topology.Line(3), 1)
-	if err := w.nodes[2].Release(); !errors.Is(err, mutex.ErrNotInCS) {
+	if err := w.Nodes[2].Release(); !errors.Is(err, mutex.ErrNotInCS) {
 		t.Fatalf("Release error = %v, want ErrNotInCS", err)
 	}
 	// A node that merely holds the token idle is not in its CS either.
-	if err := w.nodes[1].Release(); !errors.Is(err, mutex.ErrNotInCS) {
+	if err := w.Nodes[1].Release(); !errors.Is(err, mutex.ErrNotInCS) {
 		t.Fatalf("idle holder Release error = %v, want ErrNotInCS", err)
 	}
 }
@@ -76,15 +75,15 @@ func TestReleaseOutsideCSFails(t *testing.T) {
 func TestUnexpectedMessagesRejected(t *testing.T) {
 	w := newWorld(t, topology.Line(3), 1)
 	// PRIVILEGE at a node that never requested.
-	if err := w.nodes[2].Deliver(1, Privilege{}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
+	if err := w.Nodes[2].Deliver(1, Privilege{}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
 		t.Fatalf("stray PRIVILEGE error = %v, want ErrUnexpectedMessage", err)
 	}
 	// REQUEST whose From field disagrees with the transport sender.
-	if err := w.nodes[2].Deliver(3, Request{From: 1, Origin: 1}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
+	if err := w.Nodes[2].Deliver(3, Request{From: 1, Origin: 1}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
 		t.Fatalf("forged REQUEST error = %v, want ErrUnexpectedMessage", err)
 	}
 	// An unknown message type.
-	if err := w.nodes[2].Deliver(1, bogusMsg{}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
+	if err := w.Nodes[2].Deliver(1, bogusMsg{}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
 		t.Fatalf("bogus message error = %v, want ErrUnexpectedMessage", err)
 	}
 }
@@ -102,11 +101,11 @@ func TestIdleHolderGrantsRemoteRequestImmediately(t *testing.T) {
 	w.deliverTo(2)                        // forwards REQUEST(2,3) to 1
 	w.deliverTo(1)                        // node 1 is H: grant immediately
 	w.expect(1, false, 2, mutex.Nil)
-	if len(w.pending) != 1 || w.pending[0].to != 3 {
-		t.Fatalf("pending = %v, want one PRIVILEGE to node 3", w.pending)
+	if len(w.Pending) != 1 || w.Pending[0].To != 3 {
+		t.Fatalf("pending = %v, want one PRIVILEGE to node 3", w.Pending)
 	}
 	w.deliverTo(3)
-	if w.envs[3].grant != 1 {
+	if w.Grants[3].Count != 1 {
 		t.Fatal("node 3 not granted")
 	}
 	// Exactly 3 messages on the line at distance 2: D REQUESTs + 1 PRIVILEGE.
@@ -135,10 +134,10 @@ func TestStorageIsConstantScalarsAlways(t *testing.T) {
 	w := newWorld(t, topology.Star(n), 1)
 	w.request(7)
 	w.drain()
-	for id, node := range w.nodes {
+	for _, node := range w.Nodes[1:] {
 		s := node.Storage()
 		if s.Scalars != 5 || s.ArrayEntries != n || s.QueueEntries != 0 {
-			t.Fatalf("node %d storage = %+v, want 5 scalars + %d membership entries", id, s, n)
+			t.Fatalf("node %d storage = %+v, want 5 scalars + %d membership entries", node.ID(), s, n)
 		}
 	}
 }
@@ -211,19 +210,8 @@ func TestTransitionObserverSeesLegalHistory(t *testing.T) {
 		{"recovery only", RecoveryEvents},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			tree := topology.Line(4)
-			cfg := mutex.Config{IDs: tree.IDs(), Holder: 4, Parent: tree.ParentsToward(4)}
-			w := &world{t: t, nodes: make(map[mutex.ID]*Node), envs: make(map[mutex.ID]*recEnv)}
 			var seen []Event
-			for _, id := range tree.IDs() {
-				env := &recEnv{world: w, id: id}
-				n, err := New(id, env, cfg, WithObserver(row.want, func(e Event) { seen = append(seen, e) }))
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.nodes[id] = n
-				w.envs[id] = env
-			}
+			w := newWorld(t, topology.Line(4), 4, WithObserver(row.want, func(e Event) { seen = append(seen, e) }))
 
 			w.request(1)
 			w.drain()    // 1, 3, 3, 8 along the line; 4 at node 1
@@ -237,7 +225,7 @@ func TestTransitionObserverSeesLegalHistory(t *testing.T) {
 			w.release(4) // 7
 			w.drain()
 			w.release(1)
-			if err := w.nodes[1].PeerDown(2); err != nil { // node 4 coordinates: node 1 only notes it
+			if err := w.Nodes[1].PeerDown(2); err != nil { // node 4 coordinates: node 1 only notes it
 				t.Fatal(err)
 			}
 
@@ -302,9 +290,9 @@ func TestConcurrentRequestsConvergeToSingleSink(t *testing.T) {
 	// Serve every grant as it lands until quiescence.
 	for safety := 0; safety < 10; safety++ {
 		served := false
-		for id, env := range w.envs {
-			if env.grant == 1 && w.nodes[id].Snapshot().InCS {
-				w.release(id)
+		for id, g := range w.Grants {
+			if g.Count == 1 && w.Nodes[id].Snapshot().InCS {
+				w.release(mutex.ID(id))
 				w.drain()
 				served = true
 			}
@@ -314,7 +302,7 @@ func TestConcurrentRequestsConvergeToSingleSink(t *testing.T) {
 		}
 	}
 	sinks := 0
-	for _, s := range w.snapshots() {
+	for _, s := range w.Snapshots() {
 		if s.Next == mutex.Nil {
 			sinks++
 		}
@@ -323,7 +311,7 @@ func TestConcurrentRequestsConvergeToSingleSink(t *testing.T) {
 		t.Fatalf("found %d sinks at quiescence, want 1", sinks)
 	}
 	for _, id := range []mutex.ID{2, 3, 4} {
-		if g := w.envs[id].grant; g != 1 {
+		if g := w.Grants[id].Count; g != 1 {
 			t.Fatalf("node %d grants = %d, want 1", id, g)
 		}
 	}

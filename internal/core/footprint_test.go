@@ -26,45 +26,45 @@ func TestSecondRecoveryReusesColdState(t *testing.T) {
 	cw := newChaosWorld(t, topology.Star(6), 1)
 	cw.request(2)
 	cw.request(3)
-	cw.drainAlive()
+	cw.drain()
 
 	cw.crash(1)
-	cw.suspectEverywhere(1)
-	cw.drainAlive()
+	cw.suspect(1)
+	cw.drain()
 	colds := make(map[mutex.ID]*cold)
-	for id, n := range cw.nodes {
-		if cw.dead[id] {
+	for id, n := range cw.Nodes {
+		if n == nil || cw.dead[id] {
 			continue
 		}
 		if n.cold == nil {
 			t.Fatalf("node %d took part in a recovery and has no cold state", id)
 		}
-		colds[id] = n.cold
+		colds[mutex.ID(id)] = n.cold
 	}
-	r := cw.nodes[6].cold.round
+	r := cw.Nodes[6].cold.round
 	if r == nil {
 		t.Fatal("coordinator 6 has no round after coordinating one")
 	}
 	bits := &r.awaiting[0]
 
 	cw.crash(2)
-	cw.suspectEverywhere(2)
-	cw.drainAlive()
-	if cw.nodes[6].Epoch() != 2 {
-		t.Fatalf("epoch %d after two recoveries, want 2", cw.nodes[6].Epoch())
+	cw.suspect(2)
+	cw.drain()
+	if cw.Nodes[6].Epoch() != 2 {
+		t.Fatalf("epoch %d after two recoveries, want 2", cw.Nodes[6].Epoch())
 	}
 	for id, c := range colds {
 		if cw.dead[id] {
 			continue
 		}
-		if cw.nodes[id].cold != c {
+		if cw.Nodes[id].cold != c {
 			t.Errorf("node %d allocated new cold state for its second round", id)
 		}
-		if q := cw.nodes[id].Storage().QueueEntries; q != 0 {
+		if q := cw.Nodes[id].Storage().QueueEntries; q != 0 {
 			t.Errorf("node %d reports %d queue entries after the round, want 0", id, q)
 		}
 	}
-	if cw.nodes[6].cold.round != r || &r.awaiting[0] != bits {
+	if cw.Nodes[6].cold.round != r || &r.awaiting[0] != bits {
 		t.Error("coordinator 6 allocated a new round or awaiting bitset for its second round")
 	}
 	if got := cw.tokens(); got != 1 {

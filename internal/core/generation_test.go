@@ -17,7 +17,7 @@ func TestFencingGenerationMonotonicAcrossTokenTravel(t *testing.T) {
 
 	// Grant 1: the holder enters from HOLDING without any messages.
 	w.request(1)
-	if got := w.envs[1].lastGen; got != 1 {
+	if got := w.Grants[1].Gen; got != 1 {
 		t.Fatalf("holder's first grant generation = %d, want 1", got)
 	}
 	w.release(1)
@@ -25,7 +25,7 @@ func TestFencingGenerationMonotonicAcrossTokenTravel(t *testing.T) {
 	// Grant 2: the token travels 1 -> 2.
 	w.request(2)
 	w.drain()
-	if got := w.envs[2].lastGen; got != 2 {
+	if got := w.Grants[2].Gen; got != 2 {
 		t.Fatalf("node 2 grant generation = %d, want 2", got)
 	}
 	w.release(2)
@@ -33,7 +33,7 @@ func TestFencingGenerationMonotonicAcrossTokenTravel(t *testing.T) {
 	// Grant 3: the token travels 2 -> 1 -> 3 across the star's center.
 	w.request(3)
 	w.drain()
-	if got := w.envs[3].lastGen; got != 3 {
+	if got := w.Grants[3].Gen; got != 3 {
 		t.Fatalf("node 3 grant generation = %d, want 3", got)
 	}
 	w.release(3)
@@ -42,13 +42,13 @@ func TestFencingGenerationMonotonicAcrossTokenTravel(t *testing.T) {
 	// from its stale local value.
 	w.request(1)
 	w.drain()
-	if got := w.envs[1].lastGen; got != 4 {
+	if got := w.Grants[1].Gen; got != 4 {
 		t.Fatalf("node 1 regrant generation = %d, want 4", got)
 	}
 	w.release(1)
 
 	// The snapshot of the current token holder exposes the same counter.
-	if got := w.nodes[1].Snapshot().Generation; got != 4 {
+	if got := w.Nodes[1].Snapshot().Generation; got != 4 {
 		t.Fatalf("holder snapshot generation = %d, want 4", got)
 	}
 }
@@ -61,21 +61,21 @@ func TestPrivilegeCarriesGeneration(t *testing.T) {
 	w.release(1)
 	w.request(2)
 	f := w.deliverTo(1) // REQUEST lands at the idle holder
-	if f.msg.Kind() != "REQUEST" {
-		t.Fatalf("delivered %s, want REQUEST", f.msg.Kind())
+	if f.Message().Kind() != "REQUEST" {
+		t.Fatalf("delivered %s, want REQUEST", f.Message().Kind())
 	}
-	if len(w.pending) != 1 {
-		t.Fatalf("pending = %d messages, want the PRIVILEGE", len(w.pending))
+	if len(w.Pending) != 1 {
+		t.Fatalf("pending = %d messages, want the PRIVILEGE", len(w.Pending))
 	}
-	priv, ok := w.pending[0].msg.(Privilege)
+	priv, ok := w.Pending[0].Message().(Privilege)
 	if !ok {
-		t.Fatalf("pending message is %T, want Privilege", w.pending[0].msg)
+		t.Fatalf("pending message is %T, want Privilege", w.Pending[0].Message())
 	}
 	if priv.Generation != 1 {
 		t.Fatalf("PRIVILEGE generation = %d, want 1 (one grant so far)", priv.Generation)
 	}
 	w.drain()
-	if got := w.envs[2].lastGen; got != 2 {
+	if got := w.Grants[2].Gen; got != 2 {
 		t.Fatalf("node 2 grant generation = %d, want 2", got)
 	}
 }
@@ -96,7 +96,7 @@ func TestStalePrivilegeRejected(t *testing.T) {
 	w.drain()
 	// ...and node 2 requests again, so it is willing to accept a token.
 	w.request(2)
-	if err := w.nodes[2].Deliver(1, Privilege{Generation: 1}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
+	if err := w.Nodes[2].Deliver(1, Privilege{Generation: 1}); !errors.Is(err, mutex.ErrUnexpectedMessage) {
 		t.Fatalf("stale PRIVILEGE accepted: err = %v, want ErrUnexpectedMessage", err)
 	}
 }
@@ -108,38 +108,38 @@ func TestTryRequest(t *testing.T) {
 	w := newWorld(t, topology.Star(3), 1)
 
 	// A non-holder cannot try-acquire, and must not have sent a REQUEST.
-	ok, err := w.nodes[2].TryRequest()
+	ok, err := w.Nodes[2].TryRequest()
 	if err != nil || ok {
 		t.Fatalf("non-holder TryRequest = (%v, %v), want (false, nil)", ok, err)
 	}
-	if len(w.pending) != 0 {
-		t.Fatalf("TryRequest sent %d messages, want none", len(w.pending))
+	if len(w.Pending) != 0 {
+		t.Fatalf("TryRequest sent %d messages, want none", len(w.Pending))
 	}
-	if got := w.nodes[2].State(); got != StateN {
+	if got := w.Nodes[2].State(); got != StateN {
 		t.Fatalf("non-holder state after TryRequest = %s, want N", got)
 	}
 
 	// The idle holder enters immediately, with the next generation.
-	ok, err = w.nodes[1].TryRequest()
+	ok, err = w.Nodes[1].TryRequest()
 	if err != nil || !ok {
 		t.Fatalf("holder TryRequest = (%v, %v), want (true, nil)", ok, err)
 	}
-	if got := w.envs[1].lastGen; got != 1 {
+	if got := w.Grants[1].Gen; got != 1 {
 		t.Fatalf("TryRequest grant generation = %d, want 1", got)
 	}
 
 	// While in the critical section both entry points report outstanding.
-	if _, err := w.nodes[1].TryRequest(); !errors.Is(err, mutex.ErrOutstanding) {
+	if _, err := w.Nodes[1].TryRequest(); !errors.Is(err, mutex.ErrOutstanding) {
 		t.Fatalf("TryRequest in CS = %v, want ErrOutstanding", err)
 	}
 	w.release(1)
 
 	// After release the holder can try again.
-	ok, err = w.nodes[1].TryRequest()
+	ok, err = w.Nodes[1].TryRequest()
 	if err != nil || !ok {
 		t.Fatalf("holder re-TryRequest = (%v, %v), want (true, nil)", ok, err)
 	}
-	if got := w.envs[1].lastGen; got != 2 {
+	if got := w.Grants[1].Gen; got != 2 {
 		t.Fatalf("second TryRequest generation = %d, want 2", got)
 	}
 }

@@ -19,10 +19,10 @@ func TestFigure2(t *testing.T) {
 	w.expect(5, true, mutex.Nil, mutex.Nil)
 	w.expect(3, false, 4, mutex.Nil)
 	w.request(5)
-	if got := w.nodes[5].State(); got != StateE {
+	if got := w.Nodes[5].State(); got != StateE {
 		t.Fatalf("node 5 state = %v, want E", got)
 	}
-	if w.envs[5].grant != 1 {
+	if w.Grants[5].Count != 1 {
 		t.Fatal("node 5 was not granted immediately while holding")
 	}
 
@@ -30,21 +30,21 @@ func TestFigure2(t *testing.T) {
 	// becomes a sink (NEXT_3 = 0).
 	w.request(3)
 	w.expect(3, false, mutex.Nil, mutex.Nil)
-	if got := w.nodes[3].State(); got != StateR {
+	if got := w.Nodes[3].State(); got != StateR {
 		t.Fatalf("node 3 state = %v, want R", got)
 	}
 
 	// Figure 2c: node 4 receives the request, forwards REQUEST(4,3) to
 	// node 5, and sets NEXT_4 = 3.
 	f := w.deliverTo(4)
-	if req := f.msg.(Request); req.From != 3 || req.Origin != 3 {
+	if req := f.Message().(Request); req.From != 3 || req.Origin != 3 {
 		t.Fatalf("node 4 received %+v, want REQUEST(3,3)", req)
 	}
 	w.expect(4, false, 3, mutex.Nil)
-	if len(w.pending) != 1 || w.pending[0].to != 5 {
-		t.Fatalf("expected forwarded request to node 5, pending=%v", w.pending)
+	if len(w.Pending) != 1 || w.Pending[0].To != 5 {
+		t.Fatalf("expected forwarded request to node 5, pending=%v", w.Pending)
 	}
-	if req := w.pending[0].msg.(Request); req.From != 4 || req.Origin != 3 {
+	if req := w.Pending[0].Message().(Request); req.From != 4 || req.Origin != 3 {
 		t.Fatalf("forwarded message %+v, want REQUEST(4,3)", req)
 	}
 
@@ -54,19 +54,19 @@ func TestFigure2(t *testing.T) {
 	w.expect(5, false, 4, 3)
 	w.release(5)
 	w.expect(5, false, 4, mutex.Nil)
-	if len(w.pending) != 1 || w.pending[0].to != 3 {
-		t.Fatalf("expected PRIVILEGE to node 3, pending=%v", w.pending)
+	if len(w.Pending) != 1 || w.Pending[0].To != 3 {
+		t.Fatalf("expected PRIVILEGE to node 3, pending=%v", w.Pending)
 	}
-	if _, ok := w.pending[0].msg.(Privilege); !ok {
-		t.Fatalf("message to node 3 is %T, want Privilege", w.pending[0].msg)
+	if _, ok := w.Pending[0].Message().(Privilege); !ok {
+		t.Fatalf("message to node 3 is %T, want Privilege", w.Pending[0].Message())
 	}
 
 	// Figure 2e: node 3 receives the PRIVILEGE and enters its CS.
 	w.deliverTo(3)
-	if got := w.nodes[3].State(); got != StateE {
+	if got := w.Nodes[3].State(); got != StateE {
 		t.Fatalf("node 3 state = %v, want E", got)
 	}
-	if w.envs[3].grant != 1 {
+	if w.Grants[3].Count != 1 {
 		t.Fatal("node 3 was not granted")
 	}
 }
@@ -145,7 +145,7 @@ func TestFigure6(t *testing.T) {
 		[]mutex.ID{2, 5, 2, 3, nilID, 4},
 		[]mutex.ID{5, 1, 2, nilID, nilID, nilID},
 	)
-	queue, err := ImplicitQueue(w.snapshots())
+	queue, err := ImplicitQueue(w.Snapshots())
 	if err != nil {
 		t.Fatalf("ImplicitQueue: %v", err)
 	}
@@ -171,7 +171,7 @@ func TestFigure6(t *testing.T) {
 	// Step 11 / Figure 6i: node 2 enters and leaves its CS, passing the
 	// token to node 1.
 	w.deliverTo(2)
-	if w.envs[2].grant != 1 {
+	if w.Grants[2].Count != 1 {
 		t.Fatal("node 2 not granted")
 	}
 	w.release(2)
@@ -183,7 +183,7 @@ func TestFigure6(t *testing.T) {
 
 	// Step 12 / Figure 6j: node 1 enters and leaves, passing to node 5.
 	w.deliverTo(1)
-	if w.envs[1].grant != 1 {
+	if w.Grants[1].Count != 1 {
 		t.Fatal("node 1 not granted")
 	}
 	w.release(1)
@@ -196,7 +196,7 @@ func TestFigure6(t *testing.T) {
 	// Step 13 / Figure 6k: node 5 enters and leaves its CS and keeps the
 	// token: HOLDING_5 = true.
 	w.deliverTo(5)
-	if w.envs[5].grant != 1 {
+	if w.Grants[5].Count != 1 {
 		t.Fatal("node 5 not granted")
 	}
 	w.release(5)
@@ -205,8 +205,8 @@ func TestFigure6(t *testing.T) {
 		[]mutex.ID{2, 5, 2, 3, nilID, 4},
 		[]mutex.ID{nilID, nilID, nilID, nilID, nilID, nilID},
 	)
-	if len(w.pending) != 0 {
-		t.Fatalf("messages still in flight at quiescence: %v", w.pending)
+	if len(w.Pending) != 0 {
+		t.Fatalf("messages still in flight at quiescence: %v", w.Pending)
 	}
 
 	// Total message count for the episode: 4 REQUESTs (2->3, 1->2, 5->2,

@@ -20,23 +20,23 @@ func TestReleaseRequestFusesOntoPrivilege(t *testing.T) {
 	w.drain()
 	w.expect(1, false, 2, 2) // sink stored FOLLOW=2 and NEXT=2
 
-	if err := w.nodes[1].ReleaseRequest(); err != nil {
+	if err := w.Nodes[1].ReleaseRequest(); err != nil {
 		t.Fatalf("ReleaseRequest: %v", err)
 	}
-	if len(w.pending) != 1 {
-		t.Fatalf("fused release sent %d messages, want 1", len(w.pending))
+	if len(w.Pending) != 1 {
+		t.Fatalf("fused release sent %d messages, want 1", len(w.Pending))
 	}
-	p, ok := w.pending[0].msg.(Privilege)
+	p, ok := w.Pending[0].Message().(Privilege)
 	if !ok || !p.Requesting {
-		t.Fatalf("fused release sent %#v, want a PRIVILEGE with Requesting set", w.pending[0].msg)
+		t.Fatalf("fused release sent %#v, want a PRIVILEGE with Requesting set", w.Pending[0].Message())
 	}
-	if s := w.nodes[1].Snapshot(); !s.Requesting || s.InCS {
+	if s := w.Nodes[1].Snapshot(); !s.Requesting || s.InCS {
 		t.Fatalf("releaser state after fused release = %+v, want requesting and out of CS", s)
 	}
 
 	w.drain()
-	if w.envs[2].grant != 1 {
-		t.Fatalf("successor grants = %d, want 1", w.envs[2].grant)
+	if w.Grants[2].Count != 1 {
+		t.Fatalf("successor grants = %d, want 1", w.Grants[2].Count)
 	}
 	// The piggybacked request re-queued the releaser: the successor's
 	// FOLLOW points back at it, exactly as a separate verbatim
@@ -44,8 +44,8 @@ func TestReleaseRequestFusesOntoPrivilege(t *testing.T) {
 	w.expect(2, false, 1, 1)
 	w.release(2)
 	w.drain()
-	if w.envs[1].grant != 2 {
-		t.Fatalf("releaser grants = %d, want its pipelined re-entry granted", w.envs[1].grant)
+	if w.Grants[1].Count != 2 {
+		t.Fatalf("releaser grants = %d, want its pipelined re-entry granted", w.Grants[1].Count)
 	}
 }
 
@@ -62,12 +62,12 @@ func TestReleaseRequestFallsBackWhenNextDiverges(t *testing.T) {
 	w.drain() // forwarded: NEXT=3, FOLLOW still 2
 	w.expect(1, false, 3, 2)
 
-	if err := w.nodes[1].ReleaseRequest(); err != nil {
+	if err := w.Nodes[1].ReleaseRequest(); err != nil {
 		t.Fatalf("ReleaseRequest: %v", err)
 	}
 	var privs, reqs int
-	for _, f := range w.pending {
-		switch m := f.msg.(type) {
+	for _, f := range w.Pending {
+		switch m := f.Message().(type) {
 		case Privilege:
 			privs++
 			if m.Requesting {
@@ -83,17 +83,17 @@ func TestReleaseRequestFallsBackWhenNextDiverges(t *testing.T) {
 	w.drain()
 	// The whole chain still serves in order: 2 (the follow edge), then 3,
 	// then the releaser's own re-request.
-	if w.envs[2].grant != 1 {
+	if w.Grants[2].Count != 1 {
 		t.Fatal("node 2 not granted after the fallback release")
 	}
 	w.release(2)
 	w.drain()
-	if w.envs[3].grant != 1 {
+	if w.Grants[3].Count != 1 {
 		t.Fatal("node 3 not granted after node 2 released")
 	}
 	w.release(3)
 	w.drain()
-	if w.envs[1].grant != 2 {
+	if w.Grants[1].Count != 2 {
 		t.Fatal("releaser's re-request never granted")
 	}
 }
@@ -106,23 +106,23 @@ func TestRegrantIsInvisibleToPeers(t *testing.T) {
 	w.request(1)
 	w.request(2) // a remote requester is queued, and still gets bypassed
 	w.drain()
-	before := w.nodes[1].Snapshot()
-	gen := w.envs[1].lastGen
+	before := w.Nodes[1].Snapshot()
+	gen := w.Grants[1].Gen
 
-	ok, err := w.nodes[1].Regrant()
+	ok, err := w.Nodes[1].Regrant()
 	if err != nil || !ok {
 		t.Fatalf("Regrant = (%v, %v), want (true, nil)", ok, err)
 	}
-	if len(w.pending) != 0 {
-		t.Fatalf("Regrant sent %d messages, want 0", len(w.pending))
+	if len(w.Pending) != 0 {
+		t.Fatalf("Regrant sent %d messages, want 0", len(w.Pending))
 	}
-	if w.envs[1].grant != 2 {
-		t.Fatalf("grants = %d, want 2 (original + regrant)", w.envs[1].grant)
+	if w.Grants[1].Count != 2 {
+		t.Fatalf("grants = %d, want 2 (original + regrant)", w.Grants[1].Count)
 	}
-	if w.envs[1].lastGen != gen+1 {
-		t.Fatalf("regrant generation = %d, want %d", w.envs[1].lastGen, gen+1)
+	if w.Grants[1].Gen != gen+1 {
+		t.Fatalf("regrant generation = %d, want %d", w.Grants[1].Gen, gen+1)
 	}
-	after := w.nodes[1].Snapshot()
+	after := w.Nodes[1].Snapshot()
 	before.Generation, after.Generation = 0, 0 // only the fence may move
 	if before != after {
 		t.Fatalf("Regrant changed protocol state: %+v -> %+v", before, after)
@@ -131,7 +131,7 @@ func TestRegrantIsInvisibleToPeers(t *testing.T) {
 	// The ordinary release still serves the queued remote requester.
 	w.release(1)
 	w.drain()
-	if w.envs[2].grant != 1 {
+	if w.Grants[2].Count != 1 {
 		t.Fatal("queued requester not granted after the regranted hold released")
 	}
 }
@@ -140,10 +140,10 @@ func TestRegrantIsInvisibleToPeers(t *testing.T) {
 // section; an idle holder or a bystander gets ErrNotInCS.
 func TestRegrantOutsideCSFails(t *testing.T) {
 	w := newWorld(t, topology.Line(3), 1)
-	if ok, err := w.nodes[1].Regrant(); ok || !errors.Is(err, mutex.ErrNotInCS) {
+	if ok, err := w.Nodes[1].Regrant(); ok || !errors.Is(err, mutex.ErrNotInCS) {
 		t.Fatalf("idle holder Regrant = (%v, %v), want ErrNotInCS", ok, err)
 	}
-	if ok, err := w.nodes[2].Regrant(); ok || !errors.Is(err, mutex.ErrNotInCS) {
+	if ok, err := w.Nodes[2].Regrant(); ok || !errors.Is(err, mutex.ErrNotInCS) {
 		t.Fatalf("bystander Regrant = (%v, %v), want ErrNotInCS", ok, err)
 	}
 }
@@ -156,13 +156,13 @@ func TestRegrantUnavailableMidRecovery(t *testing.T) {
 	// it the recovery coordinator and freezes it mid-CS.
 	w := newWorld(t, topology.Line(3), 3)
 	w.request(3)
-	if err := w.nodes[3].PeerDown(1); err != nil {
+	if err := w.Nodes[3].PeerDown(1); err != nil {
 		t.Fatalf("PeerDown: %v", err)
 	}
-	if !w.nodes[3].Snapshot().Frozen {
+	if !w.Nodes[3].Snapshot().Frozen {
 		t.Fatal("test setup: node 3 did not freeze on PeerDown")
 	}
-	ok, err := w.nodes[3].Regrant()
+	ok, err := w.Nodes[3].Regrant()
 	if err != nil || ok {
 		t.Fatalf("frozen Regrant = (%v, %v), want (false, nil)", ok, err)
 	}

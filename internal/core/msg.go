@@ -17,13 +17,13 @@ import (
 // and is the only one for the recovery, INIT and heartbeat messages.
 //
 // Who implements MsgSender: the live runtime's Env (forwarding to a link
-// that can move a Msg — the Local mailboxes, the TCP host with DAGCodec)
-// and the simulator's (internal/cluster, the one simulated host, which
-// boxes only for an observer, a drop rule or a node without DeliverMsg).
-// Who lacks it on purpose: every Env that wants to see each message as a
-// core.Request / core.Privilege *value* — cmd/dagtrace's replayer and
-// bench's timing shims, which type-assert m.(core.Privilege) to stamp
-// the token. Wrapping an Env (or a Node) in a type without the method is
+// that can move a Msg — the Local mailboxes, the TCP host with DAGCodec),
+// the simulator's (internal/cluster, the one simulated host, which
+// boxes only for an observer, a drop rule or a node without DeliverMsg)
+// and World's (world.go, the hand-driven host). Who lacks it on purpose:
+// every Env that wants to see each message as a core.Request /
+// core.Privilege *value* — bench's timing shims, which type-assert
+// m.(core.Privilege) to stamp the token. Wrapping an Env (or a Node) in a type without the method is
 // all it takes to stay on the boxed route; both routes run the same
 // handlers and interoperate in one cluster.
 

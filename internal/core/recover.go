@@ -135,18 +135,6 @@ func (Welcome) Size() int { return EpochSize }
 // recovery).
 func (n *Node) Epoch() uint32 { return n.epoch }
 
-// Alive returns the members the node currently believes are alive,
-// ascending.
-func (n *Node) Alive() []mutex.ID {
-	out := make([]mutex.ID, 0, len(n.ids))
-	for _, id := range n.ids {
-		if !n.suspects(id) {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // member reports whether id is in the membership. n.ids is ascending:
 // New and NewUninitialized refuse any other list.
 func (n *Node) member(id mutex.ID) bool {

@@ -31,8 +31,8 @@ func (f routeFlight) boxed() mutex.Message {
 	return f.msg
 }
 
-// routeWorld drives core nodes synchronously, like world and chaosWorld,
-// on one of the two routes, logging everything observable.
+// routeWorld drives core nodes synchronously, like World, but on one
+// of the two routes of its choice, logging everything observable.
 type routeWorld struct {
 	t       *testing.T
 	byValue bool
@@ -47,7 +47,7 @@ type routeWorld struct {
 }
 
 // boxedEnv is exactly mutex.Env: the shape of every host that wants to
-// see messages as values (bench's shims, cmd/dagtrace).
+// see messages as values (bench's timing shims).
 type boxedEnv struct {
 	w  *routeWorld
 	id mutex.ID

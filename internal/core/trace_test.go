@@ -13,20 +13,9 @@ import (
 // message at a time, so the stream order is the causal order).
 func newTracedWorld(t *testing.T, tree *topology.Tree, holder mutex.ID, stream *[]telemetry.TraceEvent) *world {
 	t.Helper()
-	w := &world{t: t, nodes: make(map[mutex.ID]*Node), envs: make(map[mutex.ID]*recEnv)}
-	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
-	for _, id := range tree.IDs() {
-		env := &recEnv{world: w, id: id}
-		n, err := New(id, env, cfg, WithObserver(TracedEvents, func(e Event) {
-			*stream = append(*stream, e.Trace())
-		}))
-		if err != nil {
-			t.Fatalf("New(%d): %v", id, err)
-		}
-		w.nodes[id] = n
-		w.envs[id] = env
-	}
-	return w
+	return newWorld(t, tree, holder, WithObserver(TracedEvents, func(e Event) {
+		*stream = append(*stream, e.Trace())
+	}))
 }
 
 // TestTraceStreamCausalChain drives one remote acquire across a 3-node

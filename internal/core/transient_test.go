@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -19,7 +20,7 @@ func TestTransientSinkBoundTwoRequesters(t *testing.T) {
 
 	countSinks := func() int {
 		sinks := 0
-		for _, s := range w.snapshots() {
+		for _, s := range w.Snapshots() {
 			if s.Next == mutex.Nil {
 				sinks++
 			}
@@ -36,15 +37,15 @@ func TestTransientSinkBoundTwoRequesters(t *testing.T) {
 	}
 
 	maxSinks := 3
-	for len(w.pending) > 0 {
-		w.deliverTo(w.pending[0].to)
+	for len(w.Pending) > 0 {
+		w.deliverTo(w.Pending[0].To)
 		if got := countSinks(); got > maxSinks {
 			t.Fatalf("sink count %d exceeds the §3.3 transient bound of 3", got)
 		}
 		// Serve any node that got the token so the run drains.
-		for id, env := range w.envs {
-			if env.grant > 0 && w.nodes[id].Snapshot().InCS {
-				w.release(id)
+		for id, g := range w.Grants {
+			if g.Count > 0 && w.Nodes[id].Snapshot().InCS {
+				w.release(mutex.ID(id))
 			}
 		}
 	}
@@ -67,8 +68,8 @@ func TestQuickRandomSchedulesPreserveInvariants(t *testing.T) {
 			tree = topology.Star(n)
 		}
 		holder := mutex.ID(int(holderRaw)%n + 1)
-		w := newWorldQuiet(tree, holder)
-		if w == nil {
+		w, err := NewWorld(mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)})
+		if err != nil {
 			return false
 		}
 
@@ -79,7 +80,7 @@ func TestQuickRandomSchedulesPreserveInvariants(t *testing.T) {
 			}
 		}
 		for _, r := range requesters {
-			if w.nodes[r].Request() != nil {
+			if w.Nodes[r].Request() != nil {
 				return false
 			}
 		}
@@ -90,17 +91,15 @@ func TestQuickRandomSchedulesPreserveInvariants(t *testing.T) {
 			}
 			progressed := false
 			for id := mutex.ID(1); int(id) <= n; id++ {
-				if w.nodes[id].Snapshot().InCS {
-					if w.nodes[id].Release() != nil {
+				if w.Nodes[id].Snapshot().InCS {
+					if w.Nodes[id].Release() != nil {
 						return false
 					}
 					progressed = true
 				}
 			}
-			if len(w.pending) > 0 {
-				f := w.pending[0]
-				w.pending = w.pending[1:]
-				if w.nodes[f.to].Deliver(f.from, f.msg) != nil {
+			if len(w.Pending) > 0 {
+				if _, err := w.DeliverTo(w.Pending[0].To); err != nil {
 					return false
 				}
 				progressed = true
@@ -112,7 +111,7 @@ func TestQuickRandomSchedulesPreserveInvariants(t *testing.T) {
 
 		// Invariants at quiescence.
 		holders, sinks := 0, 0
-		for _, s := range w.snapshots() {
+		for _, s := range w.Snapshots() {
 			if s.HasToken() {
 				holders++
 			}
@@ -127,15 +126,13 @@ func TestQuickRandomSchedulesPreserveInvariants(t *testing.T) {
 			return false
 		}
 		// Every requester granted exactly once; non-requesters never.
-		for id, env := range w.envs {
+		for id, g := range w.Grants[1:] {
 			want := 0
-			for _, r := range requesters {
-				if r == id {
-					want = 1
-				}
+			if slices.Contains(requesters, mutex.ID(id+1)) {
+				want = 1
 			}
 			// The holder entering its own CS also counts as a grant.
-			if env.grant != want {
+			if g.Count != want {
 				return false
 			}
 		}
@@ -146,22 +143,6 @@ func TestQuickRandomSchedulesPreserveInvariants(t *testing.T) {
 	}
 }
 
-// newWorldQuiet builds a world without a testing.T, for quick properties.
-func newWorldQuiet(tree *topology.Tree, holder mutex.ID) *world {
-	w := &world{nodes: make(map[mutex.ID]*Node), envs: make(map[mutex.ID]*recEnv)}
-	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
-	for _, id := range tree.IDs() {
-		env := &recEnv{world: w, id: id}
-		n, err := New(id, env, cfg)
-		if err != nil {
-			return nil
-		}
-		w.nodes[id] = n
-		w.envs[id] = env
-	}
-	return w
-}
-
 // TestDuplicatedTokenIsDetected injects a duplicated PRIVILEGE — a
 // violation of the reliable-network model — and checks the node-level
 // guards reject it instead of silently double-granting.
@@ -169,15 +150,15 @@ func TestDuplicatedTokenIsDetected(t *testing.T) {
 	w := newWorld(t, topology.Line(3), 3)
 	w.request(1)
 	w.drain() // node 1 now holds the token in its CS
-	if !w.nodes[1].Snapshot().InCS {
+	if !w.Nodes[1].Snapshot().InCS {
 		t.Fatal("node 1 should be in its critical section")
 	}
 	// Replay the token to the node that already has it.
-	if err := w.nodes[1].Deliver(3, Privilege{}); err == nil {
+	if err := w.Nodes[1].Deliver(3, Privilege{}); err == nil {
 		t.Fatal("duplicated PRIVILEGE accepted while in CS")
 	}
 	// And to an idle bystander that never requested.
-	if err := w.nodes[2].Deliver(3, Privilege{}); err == nil {
+	if err := w.Nodes[2].Deliver(3, Privilege{}); err == nil {
 		t.Fatal("duplicated PRIVILEGE accepted by a non-requester")
 	}
 }

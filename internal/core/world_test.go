@@ -7,61 +7,28 @@ import (
 	"dagmutex/internal/topology"
 )
 
-// recEnv records everything a node asks of its environment.
-type recEnv struct {
-	world   *world
-	id      mutex.ID
-	grant   int
-	lastGen uint64 // generation of the most recent grant
-}
-
-func (e *recEnv) Send(to mutex.ID, m mutex.Message) {
-	e.world.pending = append(e.world.pending, flight{from: e.id, to: to, msg: m})
-}
-
-func (e *recEnv) Granted(gen uint64) {
-	e.grant++
-	e.lastGen = gen
-}
-
-type flight struct {
-	from, to mutex.ID
-	msg      mutex.Message
-}
-
-// world drives a set of core nodes synchronously, delivering messages in
-// whatever order a test dictates. The golden tests need this fine-grained
-// control to replay the thesis's examples step by step.
+// world is a World under a test: each step fails the test instead of
+// returning an error.
 type world struct {
-	t     *testing.T
-	nodes map[mutex.ID]*Node
-	envs  map[mutex.ID]*recEnv
-	// pending holds sent-but-undelivered messages in send order.
-	pending []flight
+	*World
+	t *testing.T
 }
 
 // newWorld builds one node per tree vertex with the token at holder,
 // NEXT pointers oriented toward it (the Figure 5 INIT steady state).
-func newWorld(t *testing.T, tree *topology.Tree, holder mutex.ID) *world {
+func newWorld(t *testing.T, tree *topology.Tree, holder mutex.ID, opts ...Option) *world {
 	t.Helper()
-	w := &world{t: t, nodes: make(map[mutex.ID]*Node), envs: make(map[mutex.ID]*recEnv)}
-	cfg := mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}
-	for _, id := range tree.IDs() {
-		env := &recEnv{world: w, id: id}
-		n, err := New(id, env, cfg)
-		if err != nil {
-			t.Fatalf("New(%d): %v", id, err)
-		}
-		w.nodes[id] = n
-		w.envs[id] = env
+	w, err := NewWorld(mutex.Config{IDs: tree.IDs(), Holder: holder, Parent: tree.ParentsToward(holder)}, opts...)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return w
+	return &world{w, t}
 }
 
 // request has node id issue a CS request.
 func (w *world) request(id mutex.ID) {
 	w.t.Helper()
-	if err := w.nodes[id].Request(); err != nil {
+	if err := w.Nodes[id].Request(); err != nil {
 		w.t.Fatalf("Request(%d): %v", id, err)
 	}
 }
@@ -69,58 +36,46 @@ func (w *world) request(id mutex.ID) {
 // release has node id leave its CS.
 func (w *world) release(id mutex.ID) {
 	w.t.Helper()
-	if err := w.nodes[id].Release(); err != nil {
+	if err := w.Nodes[id].Release(); err != nil {
 		w.t.Fatalf("Release(%d): %v", id, err)
 	}
 }
 
-// deliverTo delivers the oldest pending message addressed to `to`,
-// preserving per-link FIFO (it picks the first match in send order, and
-// sends on one link are queued in order).
-func (w *world) deliverTo(to mutex.ID) flight {
+func (w *world) deliverTo(to mutex.ID) Flight {
 	w.t.Helper()
-	for i, f := range w.pending {
-		if f.to == to {
-			w.pending = append(w.pending[:i], w.pending[i+1:]...)
-			if err := w.nodes[to].Deliver(f.from, f.msg); err != nil {
-				w.t.Fatalf("Deliver %s %d->%d: %v", f.msg.Kind(), f.from, f.to, err)
-			}
-			return f
-		}
+	f, err := w.DeliverTo(to)
+	if err != nil {
+		w.t.Fatal(err)
 	}
-	w.t.Fatalf("no pending message for node %d (pending %v)", to, w.pending)
-	return flight{}
+	return f
 }
 
-// drain delivers all pending messages (and any they trigger) in FIFO
-// order, bounding the work to catch protocol loops.
 func (w *world) drain() {
 	w.t.Helper()
-	for steps := 0; len(w.pending) > 0; steps++ {
-		if steps > 10000 {
-			w.t.Fatal("drain: message storm (protocol loop?)")
-		}
-		f := w.pending[0]
-		w.pending = w.pending[1:]
-		if err := w.nodes[f.to].Deliver(f.from, f.msg); err != nil {
-			w.t.Fatalf("Deliver %s %d->%d: %v", f.msg.Kind(), f.from, f.to, err)
-		}
+	if err := w.Drain(); err != nil {
+		w.t.Fatal(err)
 	}
 }
 
-// snapshots returns all node snapshots in ID order.
-func (w *world) snapshots() []Snapshot {
-	snaps := make([]Snapshot, 0, len(w.nodes))
-	for id := mutex.ID(1); int(id) <= len(w.nodes); id++ {
-		snaps = append(snaps, w.nodes[id].Snapshot())
+func (w *world) crash(id mutex.ID) {
+	w.t.Helper()
+	if err := w.Crash(id); err != nil {
+		w.t.Fatal(err)
 	}
-	return snaps
+}
+
+// suspect reports down at each node of at, or at every live node.
+func (w *world) suspect(down mutex.ID, at ...mutex.ID) {
+	w.t.Helper()
+	if err := w.Suspect(down, at...); err != nil {
+		w.t.Fatal(err)
+	}
 }
 
 // expect asserts one node's full variable set, thesis-table style.
 func (w *world) expect(id mutex.ID, holding bool, next, follow mutex.ID) {
 	w.t.Helper()
-	s := w.nodes[id].Snapshot()
+	s := w.Nodes[id].Snapshot()
 	if s.Holding != holding || s.Next != next || s.Follow != follow {
 		w.t.Fatalf("node %d: HOLDING=%v NEXT=%d FOLLOW=%d, want HOLDING=%v NEXT=%d FOLLOW=%d",
 			id, s.Holding, s.Next, s.Follow, holding, next, follow)
@@ -133,5 +88,35 @@ func (w *world) expectRow(holding []bool, next, follow []mutex.ID) {
 	w.t.Helper()
 	for i := range holding {
 		w.expect(mutex.ID(i+1), holding[i], next[i], follow[i])
+	}
+}
+
+// TestWorldRejectsANonMember drives every World entry that takes an ID
+// with IDs that name no node — one past the last, zero, and a gap in
+// the ID list — and wants an error back, never a panic.
+func TestWorldRejectsANonMember(t *testing.T) {
+	w, err := NewWorld(mutex.Config{IDs: []mutex.ID{1, 3}, Holder: 1, Parent: map[mutex.ID]mutex.ID{3: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []mutex.ID{0, 2, 4, 99} {
+		w.Pending = append(w.Pending, Flight{From: 1, To: id, Msg: Msg{Kind: MsgRequest, From: 1, Origin: 1}})
+		if err := w.Drain(); err == nil {
+			t.Errorf("Drain to node %d: no error", id)
+		}
+		w.Pending = append(w.Pending, Flight{From: id, To: 3, Msg: Msg{Kind: MsgRequest, From: id, Origin: id}})
+		if err := w.Drain(); err == nil {
+			t.Errorf("Drain from node %d: no error", id)
+		}
+		w.Pending = nil
+		if err := w.Crash(id); err == nil {
+			t.Errorf("Crash(%d): no error", id)
+		}
+		if w.Crashed(id) {
+			t.Errorf("Crashed(%d) = true", id)
+		}
+		if err := w.Suspect(1, id); err == nil {
+			t.Errorf("Suspect(1, %d): no error", id)
+		}
 	}
 }

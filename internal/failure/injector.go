@@ -89,19 +89,11 @@ func (i *Injector) Crashed() []mutex.ID {
 }
 
 // Sever cuts the link a -> b in that direction only. Call twice (both
-// orders) for a full cut, or use SeverBoth.
+// orders) for a full cut.
 func (i *Injector) Sever(a, b mutex.ID) {
 	i.mu.Lock()
 	defer i.mu.Unlock()
 	i.severed[link{a, b}] = true
-}
-
-// SeverBoth cuts the link between a and b in both directions.
-func (i *Injector) SeverBoth(a, b mutex.ID) {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	i.severed[link{a, b}] = true
-	i.severed[link{b, a}] = true
 }
 
 // Restore repairs the link between a and b in both directions.

@@ -740,36 +740,6 @@ func (s *Session) Regrant() (bool, error) {
 	return granted, err
 }
 
-// PlanReorient asks the protocol to reshape its routing structure
-// toward hot — the planned counterpart of crash recovery, re-rooting
-// the DAG at a member the caller expects to request most. It reports
-// false (with no error) when the reshape is currently unavailable: this
-// node does not possess the token (only the holder may reshape, which
-// is what keeps the fencing generation untouched — no token is ever
-// regenerated), a recovery or earlier reshape is still in flight, the
-// cluster lacks a quorum, or the protocol has no reshaping capability
-// at all. The reshape runs
-// asynchronously; requests in flight when it starts are re-queued by
-// the rebuilt orientation, so no grant is lost.
-func (s *Session) PlanReorient(hot mutex.ID) (bool, error) {
-	n := s.n
-	if n.selfDown.Load() {
-		return false, fmt.Errorf("reorient node %d: %w", n.id, ErrNodeDown)
-	}
-	n.mu.Lock()
-	ro, ok := n.node.(mutex.Reorienter)
-	if !ok {
-		n.mu.Unlock()
-		return false, nil
-	}
-	planned, err := ro.PlanReorient(hot)
-	n.mu.Unlock()
-	// Unlike Regrant, a planned reshape sends traffic (the probe round),
-	// so the handler turn's batched sends must leave now.
-	n.flushInline()
-	return planned, err
-}
-
 // Membership exposes the node's membership observations (peer down/up
 // verdicts from the failure layer), for applications that re-acquire or
 // shed load on churn. Best-effort: bounded, oldest dropped on overflow.

@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -283,17 +282,4 @@ func spliceLabel(name, label string) string {
 		return name[:len(name)-1] + "," + label + "}"
 	}
 	return name + "{" + label + "}"
-}
-
-// SortedNames returns the registered metric names, sorted — a test and
-// debugging convenience.
-func (r *Registry) SortedNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.entries))
-	for _, e := range r.entries {
-		names = append(names, e.name)
-	}
-	sort.Strings(names)
-	return names
 }
