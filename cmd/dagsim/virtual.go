@@ -8,27 +8,33 @@ import (
 	"runtime"
 	"time"
 
+	"dagmutex/internal/harness"
 	"dagmutex/internal/mutex"
 	"dagmutex/internal/simharness"
 )
 
 // The -virtual mode is the open-loop scenario: the same simulator as the
 // hop-tick mode, driven by internal/simharness in time.Duration terms —
-// the core nodes the live runtime executes, epoch recovery included,
-// seeded per-message delays, requesters that think and hold until the
-// simulated duration ends. Simulated hours — crashes included — complete
-// in wall-clock seconds, which is what makes the capacity sweep below
-// practical.
+// any of the nine protocols (for the DAG the core nodes the live runtime
+// executes, epoch recovery included), seeded per-message delays,
+// requesters that think and hold until the simulated duration ends.
+// Simulated hours — crashes included — complete in wall-clock seconds,
+// which is what makes the capacity sweep below practical.
 
 // runVirtual executes one virtual-time scenario and prints a report in
 // dagsim's usual text style.
-func runVirtual(w io.Writer, topo string, n, holder, requesters int, duration time.Duration, seed int64, compress bool) error {
+func runVirtual(w io.Writer, algo, topo string, n, holder, requesters int, duration time.Duration, seed int64, compress bool) error {
+	a, err := harness.ByName(algo)
+	if err != nil {
+		return err
+	}
 	h, err := simharness.New(simharness.Config{
-		Nodes:    n,
-		Topology: topo,
-		Holder:   mutex.ID(holder),
-		Seed:     seed,
-		Compress: compress,
+		Algorithm: a,
+		Nodes:     n,
+		Topology:  topo,
+		Holder:    mutex.ID(holder),
+		Seed:      seed,
+		Compress:  compress,
 	})
 	if err != nil {
 		return err
@@ -44,6 +50,7 @@ func runVirtual(w io.Writer, topo string, n, holder, requesters int, duration ti
 	}
 	tree := h.Topology()
 	fmt.Fprintf(w, "mode                 virtual time\n")
+	fmt.Fprintf(w, "algorithm            %s\n", a.Name)
 	fmt.Fprintf(w, "topology             %s (N=%d, D=%d)\n", tree.Name(), tree.N(), tree.Diameter())
 	fmt.Fprintf(w, "requesters           %d\n", r.Requesters)
 	fmt.Fprintf(w, "simulated            %v in %v wall (%.0fx)\n",

@@ -13,8 +13,11 @@ import (
 	"dagmutex/internal/workload"
 )
 
-// newCluster builds a cluster for a on tree with the given holder.
-func newCluster(a Algorithm, tree *topology.Tree, holder mutex.ID, opts ...cluster.Option) (*cluster.Cluster, error) {
+// NewCluster builds a cluster of a's nodes on tree, the token or
+// coordinator at holder: the one constructor of every simulator driver,
+// closed-loop (these experiments, the root Simulate) or open-loop
+// (simharness).
+func NewCluster(a Algorithm, tree *topology.Tree, holder mutex.ID, opts ...cluster.Option) (*cluster.Cluster, error) {
 	cfg, err := a.Configure(tree, holder)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
@@ -29,7 +32,7 @@ func newCluster(a Algorithm, tree *topology.Tree, holder mutex.ID, opts ...clust
 // SingleRequestCost runs one request from requester (with the token or
 // coordinator at holder) from quiescence and returns the total messages.
 func SingleRequestCost(a Algorithm, tree *topology.Tree, holder, requester mutex.ID) (int64, error) {
-	c, err := newCluster(a, tree, holder)
+	c, err := NewCluster(a, tree, holder)
 	if err != nil {
 		return 0, err
 	}
@@ -46,7 +49,7 @@ func SingleRequestCost(a Algorithm, tree *topology.Tree, holder, requester mutex
 // HeavyDemandCost saturates every node with perNode entries and returns
 // the average messages per entry — §6.2's heavy-demand regime.
 func HeavyDemandCost(a Algorithm, tree *topology.Tree, holder mutex.ID, perNode int) (float64, error) {
-	c, err := newCluster(a, tree, holder, cluster.WithCSTime(sim.Hop/2))
+	c, err := NewCluster(a, tree, holder, cluster.WithCSTime(sim.Hop/2))
 	if err != nil {
 		return 0, err
 	}
@@ -64,7 +67,7 @@ func HeavyDemandCost(a Algorithm, tree *topology.Tree, holder mutex.ID, perNode 
 // waiter waits out, which for the centralized scheme must differ from the
 // coordinator to expose the RELEASE+GRANT double hop.
 func MeasuredSyncDelay(a Algorithm, tree *topology.Tree, holder, occupant, waiter mutex.ID) (float64, error) {
-	c, err := newCluster(a, tree, holder, cluster.WithCSTime(100*sim.Hop))
+	c, err := NewCluster(a, tree, holder, cluster.WithCSTime(100*sim.Hop))
 	if err != nil {
 		return 0, err
 	}
@@ -393,7 +396,7 @@ func Storage(n int) (*Table, error) {
 	}
 	star := topology.Star(n)
 	for _, a := range Algorithms() {
-		c, err := newCluster(a, star, 1, cluster.WithCSTime(sim.Hop/2))
+		c, err := NewCluster(a, star, 1, cluster.WithCSTime(sim.Hop/2))
 		if err != nil {
 			return nil, err
 		}
@@ -488,7 +491,7 @@ func LoadSweep(n int, thinks []sim.Time, seed int64) (*Table, error) {
 	for _, think := range thinks {
 		row := []string{f1(float64(think) / float64(sim.Hop))}
 		for _, a := range []Algorithm{DAG, Centralized, SuzukiKasami, RicartAgrawala, Maekawa} {
-			c, err := newCluster(a, star, 1, cluster.WithCSTime(sim.Hop/2))
+			c, err := NewCluster(a, star, 1, cluster.WithCSTime(sim.Hop/2))
 			if err != nil {
 				return nil, err
 			}

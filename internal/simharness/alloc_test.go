@@ -47,7 +47,7 @@ func TestAllocBudgetSimharnessDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := Workload{Duration: time.Hour, Requesters: 80, Think: time.Second, Hold: 5 * time.Millisecond}
-	if err := h.start(w); err != nil {
+	if _, err := h.start(w); err != nil {
 		t.Fatal(err)
 	}
 	// Warm up: the clock's and the network's tables, the queue's arrays

@@ -1,6 +1,7 @@
-// Package simharness runs the full DAG-mutex protocol stack under
-// virtual time, at scale and under faults: real core.Node state machines
-// on the repository's one simulator (internal/cluster over internal/sim),
+// Package simharness runs any of the repository's nine mutual-exclusion
+// protocols under virtual time, at scale and under faults: the real node
+// state machines (core.Node with its epoch recovery for the DAG) on the
+// repository's one simulator (internal/cluster over internal/sim),
 // driven open-loop for a simulated duration while a schedule of crashes
 // and partitions — part of the run's input, not an accident of timing —
 // plays out. Nothing in a run ever sleeps or races — every handler
@@ -11,9 +12,10 @@
 // for byte (see Harness.FormatTrace).
 //
 // What is specific to this package is the vocabulary, not the machine:
-// time.Duration sizes, one seeded random stream per consumer, the
-// open-loop workload driver, the fault schedules with their staggered
-// detector verdicts, and the retained trace. The event loop, the
+// time.Duration sizes, one seeded random stream per consumer, the fault
+// schedules with their staggered detector verdicts, and, for the DAG
+// alone, the recovery counts, path compression and the retained trace.
+// The requester loop is workload.Open. The event loop, the
 // network, the fault state and the invariant checker (single holder and
 // strictly monotonic fencing per connectivity component, checked on
 // every grant; a violation fails the Run) are the engine's — the ones
@@ -23,7 +25,9 @@
 // reshuffle, and what one grant allocates is what core allocates.
 //
 // A run is: New a Harness, Schedule any faults, Run a Workload, read
-// the Report.
+// the Report. A crash or partition needs a protocol that takes PeerDown
+// verdicts (mutex.MembershipHandler); on any other the first verdict
+// fails the run.
 package simharness
 
 import (
@@ -34,21 +38,25 @@ import (
 
 	"dagmutex/internal/cluster"
 	"dagmutex/internal/core"
+	"dagmutex/internal/harness"
 	"dagmutex/internal/mutex"
 	"dagmutex/internal/sim"
 	"dagmutex/internal/telemetry"
 	"dagmutex/internal/topology"
+	"dagmutex/internal/workload"
 )
 
 // Config sizes and seeds a virtual cluster.
 type Config struct {
+	// Algorithm is the protocol every member runs, any of
+	// harness.Algorithms(); the zero value is harness.DAG.
+	Algorithm harness.Algorithm
 	// Nodes is the cluster size; members are IDs 1..Nodes.
 	Nodes int
-	// Topology names the logical tree: "kary4" (default), "kary2"
-	// (alias "binary"), "kary8", "line", "star", "radial" or "random"
-	// (seeded).
+	// Topology names the logical tree, one of topology.Named's names
+	// ("kary4" by default; "random" is seeded).
 	Topology string
-	// Holder is the initial token holder (default 1).
+	// Holder is the initial token holder or coordinator (default 1).
 	Holder mutex.ID
 	// Seed drives everything stochastic: the random topology, per-message
 	// link delays, workload think times and fault-verdict jitter, each
@@ -59,29 +67,19 @@ type Config struct {
 	// MinDelay and MaxDelay bound the uniform per-message link latency.
 	// Defaults 200µs and 2ms.
 	MinDelay, MaxDelay time.Duration
-	// Compress enables Naimi–Trehel path compression on every node.
+	// Compress enables Naimi–Trehel path compression on every node
+	// (DAG only).
 	Compress bool
 	// Trace records the full structured trace stream (FormatTrace).
 	// Costs memory proportional to the event count; leave off for
-	// capacity runs.
+	// capacity runs. DAG only.
 	Trace bool
 }
 
 // Workload is one open-loop run: a subset of nodes repeatedly request
 // the critical section, hold it, release, think, and request again
 // until the simulated duration elapses.
-type Workload struct {
-	// Duration is the simulated run length.
-	Duration time.Duration
-	// Requesters is how many nodes drive requests (0 = every node),
-	// spread evenly across the ID range.
-	Requesters int
-	// Think is the mean idle time between a release and the node's next
-	// request (exponentially distributed). Default 1s.
-	Think time.Duration
-	// Hold is the critical-section residence time. Default 5ms.
-	Hold time.Duration
-}
+type Workload = workload.Open
 
 // Report summarizes one Run.
 type Report struct {
@@ -100,6 +98,7 @@ type Report struct {
 	MaxFence     uint64  `json:"max_fence"`
 	// Recoveries counts probe rounds started; Regenerations counts lost
 	// tokens minted anew (each implies a RegenerationJump fence jump).
+	// Both read 0 for a protocol other than the DAG.
 	Recoveries    int64 `json:"recoveries"`
 	Regenerations int64 `json:"regenerations"`
 	// Events counts the virtual-clock events the run fired (deliveries,
@@ -126,7 +125,6 @@ type Harness struct {
 	// per send, a think time per request, a jitter per detector verdict.
 	delay, think, verdict *rand.Rand
 
-	wl  Workload // the active workload, set once by Run
 	ran bool
 
 	maxFence   uint64 // highest fence granted in the main partition
@@ -135,12 +133,20 @@ type Harness struct {
 	trace      []TraceRecord
 }
 
-// New builds a virtual cluster per cfg: one core.Node per tree vertex,
-// the token at cfg.Holder, NEXT pointers oriented toward it (the
-// Figure 5 INIT steady state), all wired to the simulated network.
+// New builds a virtual cluster per cfg: one node of cfg.Algorithm per
+// tree vertex, the token (or coordinator) at cfg.Holder — for the tree
+// protocols NEXT pointers oriented toward it, the Figure 5 INIT steady
+// state — all wired to the simulated network.
 func New(cfg Config) (*Harness, error) {
 	if cfg.Nodes <= 0 {
 		return nil, fmt.Errorf("simharness: need at least one node, got %d", cfg.Nodes)
+	}
+	if cfg.Algorithm.Name == "" {
+		cfg.Algorithm = harness.DAG
+	}
+	dag := cfg.Algorithm.Name == harness.DAG.Name
+	if !dag && (cfg.Compress || cfg.Trace) {
+		return nil, fmt.Errorf("simharness: compression and the trace are the dag's, not %s's", cfg.Algorithm.Name)
 	}
 	if cfg.Holder == mutex.Nil {
 		cfg.Holder = 1
@@ -153,55 +159,36 @@ func New(cfg Config) (*Harness, error) {
 	}
 	// Every random consumer of the run has its stream here, named; the
 	// order in which consumers draw decides nothing.
-	tree, err := buildTree(cfg.Topology, cfg.Nodes, sim.Stream(cfg.Seed, "topology"))
+	tree, err := topology.Named(cfg.Topology, cfg.Nodes, sim.Stream(cfg.Seed, "topology"))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("simharness: %w", err)
 	}
 	h := &Harness{cfg: cfg, tree: tree,
 		delay:   sim.Stream(cfg.Seed, "delay"),
 		think:   sim.Stream(cfg.Seed, "think"),
 		verdict: sim.Stream(cfg.Seed, "verdict")}
-	want := core.EventSet(1<<core.EventProbe | 1<<core.EventRegenerate)
-	if cfg.Trace {
-		want |= core.TracedEvents
+	algo := cfg.Algorithm
+	if dag {
+		want := core.EventSet(1<<core.EventProbe | 1<<core.EventRegenerate)
+		if cfg.Trace {
+			want |= core.TracedEvents
+		}
+		opts := []core.Option{core.WithObserver(want, h.observe)}
+		if cfg.Compress {
+			opts = append(opts, core.WithPathCompression())
+		}
+		algo.Builder = func(id mutex.ID, env mutex.Env, mcfg mutex.Config) (mutex.Node, error) {
+			return core.New(id, env, mcfg, opts...)
+		}
 	}
-	opts := []core.Option{core.WithObserver(want, h.observe)}
-	if cfg.Compress {
-		opts = append(opts, core.WithPathCompression())
-	}
-	build := func(id mutex.ID, env mutex.Env, mcfg mutex.Config) (mutex.Node, error) {
-		return core.New(id, env, mcfg, opts...)
-	}
-	h.c, err = cluster.New(build,
-		mutex.Config{IDs: tree.IDs(), Holder: cfg.Holder, Parent: tree.ParentsToward(cfg.Holder)},
+	h.c, err = harness.NewCluster(algo, tree, cfg.Holder,
 		cluster.WithoutAutoRelease(),
 		cluster.WithNetworkOptions(sim.WithLatency(h.linkDelay)))
 	if err != nil {
 		return nil, fmt.Errorf("simharness: %w", err)
 	}
 	h.c.OnGrant(h.granted)
-	h.c.OnRelease(h.released)
 	return h, nil
-}
-
-func buildTree(name string, n int, rng *rand.Rand) (*topology.Tree, error) {
-	switch name {
-	case "", "kary4":
-		return topology.KAry(n, 4), nil
-	case "kary2", "binary":
-		return topology.KAry(n, 2), nil
-	case "kary8":
-		return topology.KAry(n, 8), nil
-	case "line":
-		return topology.Line(n), nil
-	case "star":
-		return topology.Star(n), nil
-	case "radial":
-		return topology.Radial(n), nil
-	case "random":
-		return topology.Random(n, rng), nil
-	}
-	return nil, fmt.Errorf("simharness: unknown topology %q", name)
 }
 
 // Topology returns the logical tree the cluster was built on.
@@ -232,61 +219,26 @@ func (h *Harness) linkDelay(_, _ mutex.ID) sim.Time {
 	return sim.Time(d)
 }
 
-// granted is the driver's grant→hold→release transition (the engine has
-// already checked the grant). Only members the driver made request are
-// ever granted.
+// granted tracks the highest fence granted in the main partition (the
+// engine has already checked the grant; workload.Open releases it).
 func (h *Harness) granted(g cluster.Grant) {
 	if h.c.Side(g.Node) == 0 {
 		h.maxFence = g.Generation
 	}
-	h.c.ReleaseAfter(sim.Time(h.wl.Hold), g.Node)
 }
 
-// released schedules the member's next request after an exponentially
-// distributed think time.
-func (h *Harness) released(id mutex.ID, at sim.Time) {
-	think := time.Duration(h.think.ExpFloat64() * float64(h.wl.Think))
-	h.requestAt(time.Duration(at)+think, id)
-}
-
-// requestAt arms member id's next request, unless it falls past the end
-// of the run.
-func (h *Harness) requestAt(at time.Duration, id mutex.ID) {
-	if at < h.wl.Duration {
-		h.c.RequestAt(sim.Time(at), id)
-	}
-}
-
-// start validates w, fills its defaults and arms the drivers' first
-// requests — everything of a run that happens before time moves.
-func (h *Harness) start(w Workload) error {
+// start installs w on the cluster — everything of a run that happens
+// before time moves — and returns it with its defaults filled in.
+func (h *Harness) start(w Workload) (Workload, error) {
 	if h.ran {
-		return fmt.Errorf("simharness: harness already ran")
+		return w, fmt.Errorf("simharness: harness already ran")
 	}
 	h.ran = true
-	if w.Duration <= 0 {
-		return fmt.Errorf("simharness: workload needs a positive duration")
+	w, err := w.Install(h.c, h.think)
+	if err != nil {
+		return w, fmt.Errorf("simharness: %w", err)
 	}
-	if w.Think <= 0 {
-		w.Think = time.Second
-	}
-	if w.Hold <= 0 {
-		w.Hold = 5 * time.Millisecond
-	}
-	ids := h.c.IDs()
-	if w.Requesters <= 0 || w.Requesters > len(ids) {
-		w.Requesters = len(ids)
-	}
-	h.wl = w
-
-	// Spread the requesters evenly across the ID range and stagger their
-	// first requests across one mean think time, so the run does not
-	// open with a synchronized thundering herd.
-	stride := float64(len(ids)) / float64(w.Requesters)
-	for i := 0; i < w.Requesters; i++ {
-		h.requestAt(time.Duration(h.think.Int63n(int64(w.Think)+1)), ids[int(float64(i)*stride)])
-	}
-	return nil
+	return w, nil
 }
 
 // Run executes w against the cluster: starts the drivers, advances the
@@ -294,10 +246,10 @@ func (h *Harness) start(w Workload) error {
 // and scheduled fault in deterministic order), and reports. Any
 // invariant violation or protocol error fails the run.
 func (h *Harness) Run(w Workload) (Report, error) {
-	if err := h.start(w); err != nil {
+	w, err := h.start(w)
+	if err != nil {
 		return Report{}, err
 	}
-	w = h.wl // with its defaults filled in
 
 	start := time.Now()
 	events, err := h.c.RunFor(sim.Time(w.Duration))

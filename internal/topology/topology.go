@@ -365,6 +365,38 @@ func Random(n int, rng *rand.Rand) *Tree {
 	return MustNew("random", n, edges)
 }
 
+// Named builds the n-node tree a command line or config names: "kary4"
+// (also ""), "kary2" (alias "binary"), "kary8", "line", "star", "radial",
+// "radiating" (the radiating star with the shortest arms of length ≥ 2
+// that divide n−1) or "random", drawn from rng, which no other name uses.
+func Named(name string, n int, rng *rand.Rand) (*Tree, error) {
+	switch name {
+	case "", "kary4":
+		return KAry(n, 4), nil
+	case "kary2", "binary":
+		return KAry(n, 2), nil
+	case "kary8":
+		return KAry(n, 8), nil
+	case "line":
+		return Line(n), nil
+	case "star":
+		return Star(n), nil
+	case "radial":
+		return Radial(n), nil
+	case "radiating":
+		rest := n - 1
+		for armLen := 2; armLen <= rest; armLen++ {
+			if rest%armLen == 0 {
+				return RadiatingStar(rest/armLen, armLen), nil
+			}
+		}
+		return nil, fmt.Errorf("no radiating star with %d nodes (need n-1 composite)", n)
+	case "random":
+		return Random(n, rng), nil
+	}
+	return nil, fmt.Errorf("unknown topology %q", name)
+}
+
 // Figure2 returns the 6-node line used by the thesis's simple example
 // (§3.3): 1-2-3-4-5-6 with node 5 initially holding the token.
 func Figure2() (*Tree, mutex.ID) {

@@ -1,12 +1,16 @@
 // Package workload generates critical-section request patterns for the
-// experiments. All generators respect the paper's model constraint that a
-// node has at most one outstanding request at a time: closed-loop
-// generators only schedule a node's next request after its previous
-// critical section has been released.
+// experiments. On the simulator, Closed runs a fixed number of entries per
+// node to quiescence and Open keeps requesters thinking and holding for a
+// simulated duration. Both respect the paper's model constraint that a
+// node has at most one outstanding request at a time: a node's next
+// request is only scheduled after its previous critical section has been
+// released.
 package workload
 
 import (
+	"errors"
 	"math/rand"
+	"time"
 
 	"dagmutex/internal/cluster"
 	"dagmutex/internal/mutex"
@@ -56,9 +60,6 @@ type Closed struct {
 	Think ThinkTime
 	// Rng drives the think-time draws; required when Think is random.
 	Rng *rand.Rand
-	// Stagger spaces the initial requests Stagger ticks apart instead of
-	// issuing them all at t=0, avoiding an artificial thundering herd.
-	Stagger sim.Time
 }
 
 // Install arms the workload on c. It must be called before c.Run.
@@ -76,12 +77,12 @@ func (w Closed) Install(c *cluster.Cluster) {
 		rng = rand.New(rand.NewSource(1))
 	}
 	remaining := make(map[mutex.ID]int, len(nodes))
-	for i, id := range nodes {
+	for _, id := range nodes {
 		if w.Requests <= 0 {
 			break
 		}
 		remaining[id] = w.Requests - 1
-		c.RequestAt(sim.Time(i)*w.Stagger+think(rng), id)
+		c.RequestAt(think(rng), id)
 	}
 	c.OnRelease(func(id mutex.ID, at sim.Time) {
 		left, participating := remaining[id]
@@ -93,45 +94,70 @@ func (w Closed) Install(c *cluster.Cluster) {
 	})
 }
 
-// Hotspot is a closed-loop workload where a fraction of "hot" nodes issues
-// most of the traffic, modeling a skewed resource.
-type Hotspot struct {
-	// Hot lists the hot nodes, which each perform HotRequests entries with
-	// zero think time.
-	Hot         []mutex.ID
-	HotRequests int
-	// Cold lists background nodes performing ColdRequests entries each
-	// with think time ColdThink.
-	Cold         []mutex.ID
-	ColdRequests int
-	ColdThink    ThinkTime
-	Rng          *rand.Rand
+// Open is the open-loop workload in wall-clock terms: Requesters nodes
+// request the critical section, hold it for Hold, release, think, and
+// request again until Duration has elapsed. It is sized by time, not by
+// work: a request that would fall at or past Duration is never issued.
+type Open struct {
+	// Duration is the simulated run length.
+	Duration time.Duration
+	// Requesters is how many nodes drive requests (0 = every node),
+	// spread evenly across the ID range.
+	Requesters int
+	// Think is the mean idle time between a release and the node's next
+	// request (exponentially distributed). Default 1s.
+	Think time.Duration
+	// Hold is the critical-section residence time. Default 5ms.
+	Hold time.Duration
 }
 
-// Install arms the workload on c.
-func (w Hotspot) Install(c *cluster.Cluster) {
-	Closed{Nodes: w.Hot, Requests: w.HotRequests, Think: Heavy(), Rng: w.Rng}.Install(c)
-	think := w.ColdThink
-	if think == nil {
-		think = Exponential(100 * sim.Hop)
+// Install fills w's defaults, arms its requesters on c and returns w as
+// it will run. Every think time is drawn from rng: a first request
+// uniform over one mean think time, so the run does not open with a
+// synchronized herd, and an exponential one after each release. c must
+// be built WithoutAutoRelease: Open releases each grant after Hold.
+func (w Open) Install(c *cluster.Cluster, rng *rand.Rand) (Open, error) {
+	if w.Duration <= 0 {
+		return w, errors.New("workload: open loop needs a positive duration")
 	}
-	Closed{Nodes: w.Cold, Requests: w.ColdRequests, Think: think, Rng: w.Rng}.Install(c)
+	if w.Think <= 0 {
+		w.Think = time.Second
+	}
+	if w.Hold <= 0 {
+		w.Hold = 5 * time.Millisecond
+	}
+	ids := c.IDs()
+	if w.Requesters <= 0 || w.Requesters > len(ids) {
+		w.Requesters = len(ids)
+	}
+	o := &openLoop{c: c, rng: rng, end: sim.Time(w.Duration), think: sim.Time(w.Think), hold: sim.Time(w.Hold)}
+	stride := float64(len(ids)) / float64(w.Requesters)
+	for i := 0; i < w.Requesters; i++ {
+		o.requestAt(UniformBetween(0, o.think)(rng), ids[int(float64(i)*stride)])
+	}
+	c.OnGrant(o.granted)
+	c.OnRelease(o.released)
+	return w, nil
 }
 
-// SingleShots schedules one request per (time, node) pair; the caller is
-// responsible for respecting the one-outstanding-request rule. It is the
-// primitive the adversarial upper-bound scenarios use.
-type SingleShots []Shot
-
-// Shot is one scheduled request.
-type Shot struct {
-	At   sim.Time
-	Node mutex.ID
+// openLoop is an installed Open: the grant→hold→release and
+// release→think→request transitions of its requesters.
+type openLoop struct {
+	c                *cluster.Cluster
+	rng              *rand.Rand
+	end, think, hold sim.Time
 }
 
-// Install arms the shots on c.
-func (w SingleShots) Install(c *cluster.Cluster) {
-	for _, s := range w {
-		c.RequestAt(s.At, s.Node)
+func (o *openLoop) granted(g cluster.Grant) { o.c.ReleaseAfter(o.hold, g.Node) }
+
+func (o *openLoop) released(id mutex.ID, at sim.Time) {
+	o.requestAt(at+Exponential(o.think)(o.rng), id)
+}
+
+// requestAt arms member id's next request, unless it falls past the end
+// of the run.
+func (o *openLoop) requestAt(at sim.Time, id mutex.ID) {
+	if at < o.end {
+		o.c.RequestAt(at, id)
 	}
 }

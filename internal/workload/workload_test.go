@@ -3,6 +3,7 @@ package workload
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"dagmutex/internal/cluster"
 	"dagmutex/internal/core"
@@ -81,38 +82,6 @@ func TestHeavyLoadNeverViolatesOneOutstanding(t *testing.T) {
 	}
 }
 
-func TestHotspotSkew(t *testing.T) {
-	c := newStarCluster(t, 6)
-	Hotspot{
-		Hot: []mutex.ID{2}, HotRequests: 10,
-		Cold: []mutex.ID{3, 4}, ColdRequests: 2,
-		ColdThink: Fixed(5 * sim.Hop),
-		Rng:       rand.New(rand.NewSource(5)),
-	}.Install(c)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	perNode := make(map[mutex.ID]int)
-	for _, g := range c.Grants() {
-		perNode[g.Node]++
-	}
-	if perNode[2] != 10 || perNode[3] != 2 || perNode[4] != 2 {
-		t.Fatalf("per-node entries = %v", perNode)
-	}
-}
-
-func TestSingleShots(t *testing.T) {
-	c := newStarCluster(t, 4)
-	SingleShots{{At: 0, Node: 3}, {At: 100 * sim.Hop, Node: 2}}.Install(c)
-	if err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	order := c.GrantOrder()
-	if len(order) != 2 || order[0] != 3 || order[1] != 2 {
-		t.Fatalf("grant order = %v", order)
-	}
-}
-
 func TestThinkTimeDistributions(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if d := Fixed(7)(rng); d != 7 {
@@ -131,5 +100,35 @@ func TestThinkTimeDistributions(t *testing.T) {
 	}
 	if d := UniformBetween(9, 9)(rng); d != 9 {
 		t.Fatalf("degenerate UniformBetween = %d", d)
+	}
+}
+
+// TestOpenStridesRequestersAndStopsAtDuration: Open drives only its
+// evenly strided requesters, releases each grant after Hold, and issues
+// no request at or past Duration.
+func TestOpenStridesRequestersAndStopsAtDuration(t *testing.T) {
+	c := newStarCluster(t, 6, cluster.WithoutAutoRelease())
+	if _, err := (Open{}).Install(c, rand.New(rand.NewSource(1))); err == nil {
+		t.Fatal("open loop without a duration accepted")
+	}
+	w, err := Open{Duration: 10 * time.Second, Requesters: 2, Think: 100 * time.Millisecond}.Install(c, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Hold != 5*time.Millisecond {
+		t.Fatalf("default hold = %v, want 5ms", w.Hold)
+	}
+	perNode := make(map[mutex.ID]int)
+	c.OnGrant(func(g cluster.Grant) {
+		perNode[g.Node]++
+		if g.ReqAt >= sim.Time(w.Duration) {
+			t.Errorf("node %d requested at %d, past the run's end", g.Node, g.ReqAt)
+		}
+	})
+	if _, err := c.RunFor(sim.Time(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	if len(perNode) != 2 || perNode[1] < 50 || perNode[4] < 50 {
+		t.Fatalf("per-node entries = %v, want nodes 1 and 4 only, ~100 each", perNode)
 	}
 }

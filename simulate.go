@@ -87,11 +87,7 @@ func Simulate(tree *Tree, holder ID, opts SimOptions) (SimResult, error) {
 		seed = 1
 	}
 
-	cfg, err := algo.Configure(tree, holder)
-	if err != nil {
-		return SimResult{}, err
-	}
-	c, err := cluster.New(algo.Builder, cfg, cluster.WithCSTime(csTime))
+	c, err := harness.NewCluster(algo, tree, holder, cluster.WithCSTime(csTime))
 	if err != nil {
 		return SimResult{}, err
 	}
