@@ -27,7 +27,10 @@
 // recovery the open-loop harness can exercise.
 //
 // and -capacity sweeps the capacity-planning grid (nodes x shards x
-// requesters), writing BENCH-style JSON:
+// requesters), writing BENCH-style JSON; it runs the DAG on kary4 trees
+// of its own, so it refuses -algo other than dag, -topo, -holder,
+// -compress, -n and -requesters. -algo list names the nine protocols in
+// either mode.
 //
 //	dagsim -virtual -capacity -out BENCH_sim.json
 package main
@@ -62,10 +65,14 @@ func main() {
 	out := flag.String("out", "-", "capacity JSON output path, - for stdout (-virtual -capacity only)")
 	flag.Parse()
 
+	set := map[string]string{}
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = f.Value.String() })
 	var err error
 	switch {
 	case *capacity:
-		err = runCapacity(*out, *duration, *seed)
+		if err = checkCapacity(set); err == nil {
+			err = runCapacity(*out, *duration, *seed)
+		}
 	case *virtual:
 		err = runVirtual(os.Stdout, *algo, *topo, *n, *holder, *requesters, *duration, *seed, *compress)
 	default:
@@ -77,9 +84,34 @@ func main() {
 	}
 }
 
-func run(w io.Writer, algo, topo string, n, holder, requests int, think, cs float64, seed int64) error {
+// listed prints the nine protocol names when algo is "list", in either
+// mode, and reports whether it did.
+func listed(w io.Writer, algo string) bool {
 	if algo == "list" {
 		fmt.Fprintln(w, strings.Join(dagmutex.AlgorithmNames(), "\n"))
+	}
+	return algo == "list"
+}
+
+// capacityFixed are the flags whose say the -capacity grid takes for
+// itself: it runs the DAG on kary4 trees of its own sizes, holders and
+// requester counts, without compression.
+var capacityFixed = []string{"algo", "topo", "holder", "compress", "n", "requesters"}
+
+// checkCapacity refuses a -capacity run given one of capacityFixed (set
+// maps each flag given to its value), rather than ignore it: -algo dag
+// alone is what the grid runs anyway.
+func checkCapacity(set map[string]string) error {
+	for _, name := range capacityFixed {
+		if v, ok := set[name]; ok && (name != "algo" || v != "dag") {
+			return fmt.Errorf("-capacity runs its own grid (the DAG on kary4 trees) and takes no -%s", name)
+		}
+	}
+	return nil
+}
+
+func run(w io.Writer, algo, topo string, n, holder, requests int, think, cs float64, seed int64) error {
+	if listed(w, algo) {
 		return nil
 	}
 	tree, err := topology.Named(topo, n, rand.New(rand.NewSource(seed)))

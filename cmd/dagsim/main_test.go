@@ -32,6 +32,14 @@ func TestRunListsAlgorithms(t *testing.T) {
 			t.Fatalf("algorithm list missing %q:\n%s", want, b.String())
 		}
 	}
+	// -virtual lists the same nine names.
+	var v strings.Builder
+	if err := runVirtual(&v, "list", "star", 5, 1, 0, time.Second, 1, false); err != nil {
+		t.Fatal(err)
+	}
+	if v.String() != b.String() || strings.Count(v.String(), "\n") != 9 {
+		t.Fatalf("-virtual -algo list printed:\n%s\nwant the nine names hop mode prints:\n%s", v.String(), b.String())
+	}
 }
 
 func TestRunErrors(t *testing.T) {
@@ -53,6 +61,21 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := runVirtual(&b, "lamport", "star", 5, 1, 0, time.Second, 1, true); err == nil {
 		t.Fatal("-virtual accepted -compress for lamport")
+	}
+	// -capacity runs its own grid: every flag it would ignore is refused
+	// by name, and -algo dag, which it runs anyway, is not.
+	for _, set := range []map[string]string{
+		{"algo": "lamport"}, {"topo": "line"}, {"holder": "2"},
+		{"compress": "true"}, {"n": "50"}, {"requesters": "5"},
+	} {
+		for name := range set {
+			if err := checkCapacity(set); err == nil || !strings.Contains(err.Error(), "-"+name) {
+				t.Errorf("-capacity with -%s: %v, want a refusal naming it", name, err)
+			}
+		}
+	}
+	if err := checkCapacity(map[string]string{"algo": "dag", "duration": "2s", "out": "-", "virtual": "true", "seed": "3"}); err != nil {
+		t.Errorf("-capacity -algo dag: %v", err)
 	}
 }
 

@@ -24,6 +24,9 @@ import (
 // runVirtual executes one virtual-time scenario and prints a report in
 // dagsim's usual text style.
 func runVirtual(w io.Writer, algo, topo string, n, holder, requesters int, duration time.Duration, seed int64, compress bool) error {
+	if listed(w, algo) {
+		return nil
+	}
 	a, err := harness.ByName(algo)
 	if err != nil {
 		return err

@@ -51,8 +51,9 @@
 // lane enforces nothing: the member excludes the shard while the run is
 // held, reclaims it when its lease runs out, and reserved its fences
 // before answering, so no later grant anywhere can carry one. The tests'
-// lane checker explores every interleaving of the machine with a model
-// member at a small bound.
+// lane checker explores every interleaving of the machine with the
+// member's own machines — the connection server's rules and the hold
+// machine a Slot drives — at a small bound.
 //
 // A caller that hands runs on itself — a gateway passing its own
 // clients' runs through to a member — orders and ends them with

@@ -2,30 +2,25 @@ package client
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"dagmutex/internal/explore"
+	"dagmutex/internal/runtime"
 	"dagmutex/internal/transport"
 )
 
-// The lane checker runs the lane machine (lane.go) against a model member
-// and explores every interleaving of a small scope exhaustively. It plays
-// Conn's part itself — register the acquires a step sends, deliver what
-// it hands, write its frames — so what it explores is the machine's own
-// decision code, with no goroutine, socket or clock.
-//
-// The model member is runtime.Slot behind transport's client server, for
-// one lock domain: it queues acquires in the order it reads them, grants
-// the head whenever the domain is free — an ordinary acquire one fence, a
-// marked one a run of 1 or runLen fences, reserved at once — honours a
-// cancel of an acquire still queued (a cancel read after the grant has
-// crossed it), ends a hold on the release naming its last fence, and
-// takes ReleaseRun's more as a promise that an acquire follows. Its lease
-// runs out only after the clock has jumped past every deadline granted so
-// far, which also takes the connection past half of every lease, so both
-// the half-lease rule and a reclaimed hold are in scope.
+// The lane checker composes the code that hands out grants at both ends
+// of a dialed connection and explores every interleaving of a small
+// scope exhaustively: on the dialing side the lane machine (lane.go); on
+// the member side transport's connection rules (transport.ConnHolds) in
+// front of the hold machine runtime.Slot drives (runtime.Hold), over a
+// stub session. It plays the drivers' parts itself — Conn's, the
+// connection server's and Slot's — so what it explores is the machines'
+// own decision code, with no goroutine, socket or clock.
 //
 // A caller arrives, holds, and releases by fence, once per cycle; it may
 // give up while queued (a cancel). Frames a caller's step leaves to send
@@ -33,19 +28,38 @@ import (
 // it has let go of its lock; frames of the reader's steps are queued at
 // once, as QueueClientFrame does. The connection may die at any point.
 //
+// The member reads frames in order and runs each on a worker of its own,
+// as the connection server does, so an acquire and the ReleaseRun read
+// after it race. An acquire queues for the slot, takes it, and waits for
+// its grant — the pipelined one, or one it requests — which it answers
+// or, having lost to its cancel or to the disconnect, hands back. A
+// canceled acquire may give up instead, queued or waiting; a release
+// steps the machine under the slot lock and frees the slot after it.
+// The stub session's token leaves at every protocol release, so a grant
+// it requests lands as a move of its own. The sweeper ticks only once
+// the clock has jumped past every deadline granted, so that a grant left
+// waiting for the sweep shows at rest.
+//
 // The world is an explore.State: the search (internal/explore) visits
 // every reachable state once, depth first, and on a violation again
 // breadth first, which reports the shortest trace that reaches it.
 type checkBound struct {
-	keys     []string // one per caller: its resource, all of one domain
-	cycles   int      // acquire/release cycles per caller
-	runLen   uint32   // fences of a full run
-	cancels  int      // callers that may give up, over the whole run
-	losses   int      // connection losses
-	expiries int      // leases the member may reclaim
+	keys    []string // one per caller: its resource, all of one domain
+	cycles  int      // acquire/release cycles per caller
+	budget  int      // the member's cohort budget: runs of up to budget+1
+	cancels int      // callers that may give up, over the whole run
+	losses  int      // connection losses
+	jumps   int      // clock jumps past every lease
 }
 
-var defaultBound = checkBound{keys: []string{"a", "b", "a"}, cycles: 1, runLen: 3, cancels: 1, losses: 1, expiries: 1}
+// The default bound is two scopes. Three callers on keys a, b, a, with a
+// cancel, a connection loss and a lease reclaimed, bring the member at
+// most three acquires, too few to pass a cohort budget of 2; four callers
+// on one key with no fault reach the fourth grant of a token visit.
+var defaultBound = []checkBound{
+	{keys: []string{"a", "b", "a"}, cycles: 1, budget: 2, cancels: 1, losses: 1, jumps: 1},
+	{keys: []string{"a", "a", "a", "a"}, cycles: 1, budget: 2},
+}
 
 type cstate uint8
 
@@ -65,21 +79,14 @@ type mcaller struct {
 	out   []action
 }
 
-type bstate uint8
-
-const (
-	bHeld bstate = iota
-	bExpired
-	bClosed
-)
-
-// mblock is a grant the member made: fences first..last under one hold.
+// mblock is a grant the member answered: fences first..last, the token
+// visit they were granted in (its first fence), which of them went to a
+// caller, and whether a release of it was answered or it went straight
+// back.
 type mblock struct {
-	key         string
-	first, last uint64
-	expiry      uint64
-	state       bstate
-	handed      uint32 // bit i: fence first+i went to a caller
+	first, last, visit uint64
+	handed             uint32 // bit i: fence first+i went to a caller
+	ended              bool
 }
 
 type mreply struct {
@@ -87,24 +94,48 @@ type mreply struct {
 	r  resp
 }
 
+type wstate uint8
+
+const (
+	wQueued  wstate = iota // an acquire waits for the slot
+	wWaiting               // it has the slot and waits for its grant
+	wRelease               // a release, to run
+	wFree                  // a release that ended its hold frees the slot
+)
+
+// worker is a frame the member read, on the worker that runs it.
+type worker struct {
+	a        action
+	state    wstate
+	canceled bool // an acquire's cancel was read, or the connection died
+	recheck  bool // wFree: the free looks for a grant nobody is left to claim
+}
+
 // world is one state of the check.
 type world struct {
-	b      *checkBound
-	l      lane
-	ids    uint64
-	cs     []mcaller
-	reg    []regd   // what the connection has registered, by request id
-	c2m    []action // frames on their way to the member
-	m2c    []mreply // answers on their way to the connection
-	queue  []action // acquires queued at the member
-	blocks []mblock // every grant made
-	held   int      // the block the member holds for the connection, -1: none
-	fence  uint64   // the last fence reserved
-	now    int64    // both sides' clock, unix nanos
-	more   bool     // a ReleaseRun said more and no acquire has followed
-	lost   bool
-	budget [4]int    // cancels, losses, expiries, clock jumps left
-	log    *[]string // when non-nil, what each move did
+	b   *checkBound
+	l   lane
+	ids uint64
+	cs  []mcaller
+	reg []regd   // what the connection has registered, by request id
+	c2m []action // frames on their way to the member
+	m2c []mreply // answers on their way to the connection
+
+	conn   transport.ConnHolds
+	hold   runtime.Hold
+	work   []worker
+	taken  bool   // the slot's semaphore
+	gen    uint64 // the stub session's fencing generation
+	away   bool   // its token is at another member
+	asked  bool   // its request is outstanding
+	landed uint64 // the grant deposited for the slot, 0: none
+	stray  bool   // landed after everyone it was for gave up: the sweep's
+	visit  uint64 // the first fence of the token's latest visit
+	blocks []mblock
+	now    int64  // both sides' clock, unix nanos
+	lost   bool   // the connection died
+	budget [3]int // cancels, losses, clock jumps left
+	log    *[]string
 }
 
 // regd is a registered request: a lane's acquire (who -1) or caller
@@ -120,7 +151,8 @@ const (
 )
 
 func newWorld(b *checkBound) *world {
-	w := &world{b: b, held: -1, now: 1, budget: [4]int{b.cancels, b.losses, b.expiries, b.expiries}}
+	w := &world{b: b, now: 1, budget: [3]int{b.cancels, b.losses, b.jumps}}
+	w.hold = runtime.NewHold(1, lease, b.budget)
 	w.l.runs = true
 	for range b.keys {
 		w.cs = append(w.cs, mcaller{left: b.cycles})
@@ -136,9 +168,14 @@ const (
 	mRelease              // caller i releases its hold
 	mCancel               // caller i gives up while queued
 	mRead                 // the connection reads the next answer
-	mServe                // the member reads the next frame
-	mGrant                // the member grants its queue head, a run of i
-	mExpire               // the member reclaims a hold whose lease ran out
+	mServe                // the member reads the next frame and starts a worker
+	mTake                 // worker i's acquire takes the slot
+	mGrant                // worker i's acquire takes its landed grant
+	mGiveUp               // worker i's canceled acquire gives up
+	mRun                  // worker i runs its release
+	mFree                 // worker i frees the slot its release ended
+	mLand                 // the session's requested grant lands
+	mSweep                // the sweeper ticks
 	mJump                 // the clock passes every deadline granted
 	mLose                 // the connection dies
 )
@@ -149,7 +186,8 @@ type move struct {
 }
 
 func (m move) String() string {
-	return [...]string{"arrive", "write", "release", "cancel", "read", "serve", "grant", "expire", "jump", "lose"}[m.kind] + fmt.Sprint(" ", m.i)
+	return [...]string{"arrive", "write", "release", "cancel", "read", "serve", "take", "grant", "give up",
+		"run", "free", "land", "sweep", "jump", "lose"}[m.kind] + fmt.Sprint(" ", m.i)
 }
 
 // Moves lists every move enabled in w.
@@ -174,24 +212,57 @@ func (w *world) Moves() []move {
 	if len(w.c2m) > 0 {
 		ms = append(ms, move{mServe, 0})
 	}
-	if w.held < 0 && len(w.queue) > 0 {
-		ms = append(ms, move{mGrant, 1})
-		if w.queue[0].run && w.b.runLen > 1 {
-			ms = append(ms, move{mGrant, int(w.b.runLen)})
+	for i, k := range w.work {
+		switch {
+		case k.state == wQueued && !w.taken:
+			ms = append(ms, move{mTake, i})
+		case k.state == wWaiting && w.landed != 0:
+			ms = append(ms, move{mGrant, i})
+		case k.state == wRelease:
+			ms = append(ms, move{mRun, i})
+		case k.state == wFree:
+			ms = append(ms, move{mFree, i})
+		}
+		if k.canceled && k.state <= wWaiting {
+			ms = append(ms, move{mGiveUp, i})
 		}
 	}
-	if w.held >= 0 {
-		if w.budget[2] > 0 && uint64(w.now) > w.blocks[w.held].expiry {
-			ms = append(ms, move{mExpire, 0})
-		}
-		if w.budget[3] > 0 && w.now < farDate {
-			ms = append(ms, move{mJump, 0})
-		}
+	if w.asked {
+		ms = append(ms, move{mLand, 0})
+	}
+	if w.now == farDate && w.sweeps(w.now, true) {
+		ms = append(ms, move{mSweep, 0})
+	}
+	if _, _, _, held := w.hold.Holding(); w.now < farDate && w.budget[2] > 0 && (held || w.sweeps(farDate, false)) {
+		ms = append(ms, move{mJump, 0})
 	}
 	if w.budget[1] > 0 && !w.lost && len(ms) > 0 {
 		ms = append(ms, move{mLose, 0})
 	}
 	return ms
+}
+
+// sweeps reports whether a sweep at now would do anything, an adoption
+// counted only with adopt: it asks a copy of the machine. The clock
+// jumps for a lease or an abandoned grant, never for an orphan, so that
+// one nobody adopted at once shows at rest.
+func (w *world) sweeps(now int64, adopt bool) bool {
+	h := w.hold
+	acts := h.Step(&runtime.HoldEvent{Kind: runtime.OnSweep, At: time.Unix(0, now), Waiters: w.waiters()}, nil)
+	if len(acts) > 0 && acts[0].Kind == runtime.DoClaim {
+		return w.landed != 0 && (!acts[0].Sem || adopt && !w.taken)
+	}
+	return len(acts) > 0
+}
+
+func (w *world) waiters() int {
+	n := 0
+	for _, k := range w.work {
+		if k.state == wQueued {
+			n++
+		}
+	}
+	return n
 }
 
 func (w *world) logf(format string, args ...any) {
@@ -232,26 +303,53 @@ func (w *world) step(e event, i int) ([]action, error) {
 	return frames, nil
 }
 
-// hand gives caller i fence f and checks that nobody had it before and
-// that nobody else holds the domain.
+// hand gives caller i fence f and checks that nobody had it before, that
+// the member has not ended its hold, and that nobody else holds the
+// domain.
 func (w *world) hand(i int, f uint64) error {
 	b := w.blockOf(f)
-	if bit := uint32(1) << (f - b.first); b.handed&bit == 0 {
-		b.handed |= bit
-	} else {
+	switch bit := uint32(1) << (f - b.first); {
+	case b.handed&bit != 0:
 		return fmt.Errorf("fence %d handed out twice", f)
+	case b.ended:
+		return fmt.Errorf("fence %d handed out after the member ended its hold", f)
+	default:
+		b.handed |= bit
 	}
 	w.cs[i].state, w.cs[i].fence = cHolding, f
 	holders := 0
 	for _, c := range w.cs {
-		if c.state == cHolding && w.blockOf(c.fence).state == bHeld {
+		if c.state == cHolding && w.live(c.fence) {
 			holders++
 		}
 	}
 	if holders > 1 {
 		return fmt.Errorf("%d callers hold the domain at once", holders)
 	}
+	return w.bypass(b.visit)
+}
+
+// bypass checks that the token's visit from fence v on has brought the
+// connection at most 1 + budget grants, the rest of the cluster waiting:
+// an ordinary grant counts one, a run the fences it handed out — at
+// least one, as the member counts a run given back unused.
+func (w *world) bypass(v uint64) error {
+	n := 0
+	for _, b := range w.blocks {
+		if b.visit == v {
+			n += max(1, bits.OnesCount32(b.handed))
+		}
+	}
+	if n > 1+w.b.budget {
+		return fmt.Errorf("one token visit brought the connection %d grants, past a cohort budget of %d", n, w.b.budget)
+	}
 	return nil
+}
+
+// live reports whether f is a fence of the hold the machine has.
+func (w *world) live(f uint64) bool {
+	_, last, run, held := w.hold.Holding()
+	return held && last-uint64(run) < f && f <= last
 }
 
 func (w *world) blockOf(f uint64) *mblock {
@@ -272,9 +370,83 @@ func (w *world) next(i int) {
 	}
 }
 
+// exec runs the exchange e starts, through Hold.Exchange as Slot.exec
+// does, against the stub session, and makes the free that ends it as
+// Slot.finish does — unless defer_, when it is left to the releasing
+// worker's next move.
+func (w *world) exec(e runtime.HoldEvent, defer_ bool) runtime.HoldAction {
+	e.Waiters = w.waiters()
+	a, _ := w.hold.Exchange(&e, w)
+	if a.Kind == runtime.DoFree && !defer_ {
+		w.free(a.Recheck)
+	}
+	return a
+}
+
+// Regrant, Claim and Release make w the stub session a Hold exchanges
+// with: a regrant's grant lands at once, and a protocol release sends
+// the token away, a re-request with it.
+func (w *world) Regrant(n int, take bool) (int, uint64) {
+	op := "regrant for the next waiter"
+	if take {
+		op = "reserve"
+	}
+	w.logf("  member: %s %d", op, n)
+	w.gen += uint64(n)
+	if !take {
+		w.landed = w.gen
+	}
+	return n, w.gen
+}
+
+func (w *world) Claim(sem bool) bool {
+	ok := w.landed != 0 && !(sem && w.taken)
+	if ok {
+		w.landed, w.taken = 0, w.taken || sem
+	}
+	w.logf("  member: claim a landed grant: %v", ok)
+	return ok
+}
+
+func (w *world) Release(again bool) error {
+	op := "release"
+	if again {
+		op = "release and request again"
+	}
+	w.logf("  member: %s", op)
+	w.away, w.asked = true, again
+	return nil
+}
+
+// free frees the slot, then looks again for a grant nobody is left to
+// claim if the machine asked.
+func (w *world) free(recheck bool) {
+	w.taken = false
+	if recheck && w.waiters() == 0 {
+		w.exec(runtime.HoldEvent{Kind: runtime.OnLeft}, false)
+	}
+}
+
+// deposit is the stub session's grant of a request: a token visit begins.
+func (w *world) deposit() {
+	w.gen++
+	w.landed, w.visit, w.away, w.asked = w.gen, w.gen, false, false
+}
+
+// answer sends the connection r for request id.
+func (w *world) answer(id uint64, r resp) {
+	if !w.lost {
+		w.m2c = append(w.m2c, mreply{id, r})
+	}
+}
+
+// refusal is the wire answer of an error code.
+func refusal(code byte) resp { return resp{op: transport.RespErr, ok: true, code: code} }
+
 // Apply makes move m, reporting the invariant it breaks, if any.
 func (w *world) Apply(m move) error {
 	w.logf("%v", m)
+	defer func() { w.stray = w.stray && w.hold.Pending() }()
 	switch m.kind {
 	case mArrive:
 		c := &w.cs[m.i]
@@ -323,23 +495,53 @@ func (w *world) Apply(m move) error {
 	case mServe:
 		a := w.c2m[0]
 		w.c2m = w.c2m[1:]
-		return w.serve(a)
-	case mGrant:
-		a, n := w.queue[0], uint32(m.i)
-		w.queue = w.queue[1:]
-		b := mblock{key: a.key, first: w.fence + 1, last: w.fence + uint64(n), expiry: uint64(w.now) + lease}
-		w.fence = b.last
-		w.held, w.blocks = len(w.blocks), append(w.blocks, b)
-		r := resp{op: transport.RespGrant, ok: true, fence: b.first, expiry: b.expiry}
-		if a.run {
-			r.op, r.run = transport.RespRun, n
+		switch a.kind {
+		case sendAcquire:
+			w.work = append(w.work, worker{a: a})
+		case sendCancel:
+			for j, k := range w.work {
+				if k.a.kind == sendAcquire && k.a.id == a.id {
+					w.work[j].canceled = true
+				}
+			}
+		case endHold:
+			w.work = append(w.work, worker{a: a, state: wRelease})
 		}
-		w.m2c = append(w.m2c, mreply{a.id, r})
-	case mExpire:
-		w.budget[2]--
-		w.blocks[w.held].state, w.held = bExpired, -1
+	case mTake:
+		w.taken, w.work[m.i].state = true, wWaiting
+		switch {
+		case len(w.hold.Step(&runtime.HoldEvent{Kind: runtime.OnTake}, nil)) > 0: // it awaits the pipelined grant
+		case w.away:
+			w.asked = true // it requests, and the grant travels
+		default:
+			w.deposit() // it requests, and the token is here
+		}
+	case mGrant:
+		return w.grant(m.i)
+	case mGiveUp:
+		k := w.work[m.i]
+		w.work = slices.Delete(w.work, m.i, m.i+1)
+		if k.state == wQueued && w.waiters() == 0 {
+			w.exec(runtime.HoldEvent{Kind: runtime.OnLeft}, false)
+		} else if k.state == wWaiting {
+			w.hold.Step(&runtime.HoldEvent{Kind: runtime.OnAbandon}, nil)
+		}
+		w.answer(k.a.id, refusal(transport.CodeCanceled))
+	case mRun:
+		return w.run(m.i)
+	case mFree:
+		k := w.work[m.i]
+		w.work = slices.Delete(w.work, m.i, m.i+1)
+		w.free(k.recheck)
+		w.conn.Released(k.a.key, k.a.fence)
+		w.answer(k.a.id, resp{op: transport.RespOK, ok: true})
+	case mLand:
+		w.deposit()
+		w.stray = w.hold.Pending() && w.waiters() == 0 && !w.taken
+	case mSweep:
+		w.exec(runtime.HoldEvent{Kind: runtime.OnSweep, At: time.Unix(0, w.now)}, false)
 	case mJump:
-		w.budget[3]--
+		w.budget[2]--
 		w.now = farDate
 	case mLose:
 		w.budget[1]--
@@ -352,62 +554,87 @@ func (w *world) Apply(m move) error {
 				w.cs[i].state = cDone
 			}
 		}
-		// The member tears the connection down: it releases what it holds
-		// and aborts what is queued.
-		w.reg, w.c2m, w.m2c, w.queue, w.more = nil, nil, nil, nil, false
-		if w.held >= 0 {
-			w.blocks[w.held].state, w.held = bClosed, -1
+		w.reg, w.c2m, w.m2c = nil, nil, nil
+		// The server tears the connection down: it cancels what is in
+		// flight and releases what it holds.
+		for j := range w.work {
+			w.work[j].canceled = true
+		}
+		for key, h := range w.conn.Close() {
+			w.exec(runtime.HoldEvent{Kind: runtime.OnRelease, Key: key, Fence: h.Fence, N: 1}, false)
 		}
 	}
 	return nil
 }
 
-// serve is the member reading frame a.
-func (w *world) serve(a action) error {
-	reply := func(r resp) { w.m2c = append(w.m2c, mreply{a.id, r}) }
-	refuse := func(code byte) { reply(resp{op: transport.RespErr, ok: true, code: code}) }
-	switch a.kind {
-	case sendAcquire:
-		w.queue, w.more = append(w.queue, a), false
-	case sendCancel:
-		for j, q := range w.queue {
-			if q.id == a.id {
-				w.queue = append(w.queue[:j], w.queue[j+1:]...)
-				refuse(transport.CodeCanceled)
-			}
-		}
-	case endHold:
-		var b *mblock
-		for j := range w.blocks {
-			if x := &w.blocks[j]; x.state != bClosed && x.key == a.key && x.last == a.fence {
-				b = x
-			}
-		}
-		if b == nil {
-			refuse(transport.CodeNotHeld)
-			return nil
-		}
-		switch {
-		case a.run && b.handed != 1<<a.used-1:
-			return fmt.Errorf("ReleaseRun of fences %d..%d reports %d used, but handed out %b", b.first, b.last, a.used, b.handed)
-		case !a.run && b.handed > 1:
-			return fmt.Errorf("a Release ends fences %d..%d, but handed out %b", b.first, b.last, b.handed)
-		}
-		expired := b.state == bExpired
-		b.state = bClosed
-		if expired {
-			refuse(transport.CodeLeaseExpired)
-			return nil
-		}
-		for i, c := range w.cs {
-			if c.state == cHolding && b.first <= c.fence && c.fence <= b.last {
-				return fmt.Errorf("the hold of fences %d..%d ends while caller %d holds fence %d", b.first, b.last, i, c.fence)
-			}
-		}
-		w.held = -1
-		w.more = a.more && len(w.queue) == 0
-		reply(resp{op: transport.RespOK, ok: true})
+// grant is worker i's acquire taking its grant: the machine admits it
+// (reserving a run for an order), and the connection rules answer it or
+// hand it straight back.
+func (w *world) grant(i int) error {
+	k := w.work[i]
+	w.work = slices.Delete(w.work, i, i+1)
+	first := w.landed
+	w.landed = 0
+	w.exec(runtime.HoldEvent{Kind: runtime.OnGranted, Key: k.a.key, Fence: first, At: time.Unix(0, w.now), More: k.a.run}, false)
+	_, last, run, _ := w.hold.Holding()
+	answer, back := w.conn.Granted(k.a.key, transport.ConnHold{Fence: last, Run: uint32(run)}, k.canceled)
+	w.blocks = append(w.blocks, mblock{first: first, last: last, visit: w.visit, ended: back != 0})
+	if back != 0 {
+		w.exec(runtime.HoldEvent{Kind: runtime.OnRelease, Key: k.a.key, Fence: back, N: 1}, false)
 	}
+	r := resp{op: transport.RespGrant, ok: true, fence: first, expiry: uint64(w.now + lease)}
+	switch {
+	case !answer:
+		r = refusal(transport.CodeCanceled)
+	case k.a.run:
+		r.op, r.run = transport.RespRun, uint32(run)
+	}
+	w.answer(k.a.id, r)
+	return w.bypass(w.visit)
+}
+
+// run is worker i's release, checked against what its hold handed out.
+func (w *world) run(i int) error {
+	k := &w.work[i]
+	a := k.a
+	var b *mblock
+	for j := range w.blocks {
+		if x := &w.blocks[j]; !x.ended && x.last == a.fence {
+			b = x
+		}
+	}
+	switch {
+	case b == nil:
+	case a.run && b.handed != 1<<a.used-1:
+		return fmt.Errorf("ReleaseRun of fences %d..%d reports %d used, but handed out %b", b.first, b.last, a.used, b.handed)
+	case !a.run && b.handed > 1:
+		return fmt.Errorf("a Release ends fences %d..%d, but handed out %b", b.first, b.last, b.handed)
+	}
+	e := runtime.HoldEvent{Kind: runtime.OnRelease, Key: a.key, Fence: a.fence, N: 1}
+	if a.run {
+		e.N, e.More = int(w.conn.Used(a.key, a.fence, a.used)), a.more
+	}
+	_, last, run, _ := w.hold.Holding()
+	done := w.exec(e, true)
+	if b != nil && (done.Kind == runtime.DoFree || done.Expired) {
+		b.ended = true
+	}
+	if done.Kind == runtime.DoFree {
+		for j, c := range w.cs {
+			if c.state == cHolding && last-uint64(run) < c.fence && c.fence <= last {
+				return fmt.Errorf("the hold of fences %d..%d ends while caller %d holds fence %d", last-uint64(run)+1, last, j, c.fence)
+			}
+		}
+		k.state, k.recheck = wFree, done.Recheck
+		return nil
+	}
+	code := transport.CodeNotHeld
+	if done.Expired {
+		code = transport.CodeLeaseExpired
+	}
+	w.conn.Released(a.key, a.fence)
+	w.answer(a.id, refusal(code))
+	w.work = slices.Delete(w.work, i, i+1)
 	return nil
 }
 
@@ -418,19 +645,20 @@ func (w *world) Quiescent() error {
 			return fmt.Errorf("caller %d is left waiting (state %d)", i, c.state)
 		}
 	}
+	if _, last, run, held := w.hold.Holding(); held {
+		return fmt.Errorf("the member still holds fences %d..%d and nobody waits", last-uint64(run)+1, last)
+	}
 	if w.lost {
-		return nil
+		return nil // a more promise the loss broke is the sweep's
 	}
 	switch {
-	case w.held >= 0:
-		return fmt.Errorf("the member still holds fences %d..%d for the connection and nobody waits", w.blocks[w.held].first, w.blocks[w.held].last)
-	case w.more:
-		return fmt.Errorf("a ReleaseRun promised more and no acquire followed")
+	case w.hold.Pending() && !w.stray:
+		return fmt.Errorf("a pipelined grant waits for the sweep: nobody claimed or adopted it")
 	case !w.l.idle():
 		return fmt.Errorf("the lane is not idle: %+v", w.l)
 	}
 	for _, b := range w.blocks {
-		if b.state != bClosed {
+		if !b.ended {
 			return fmt.Errorf("fences %d..%d were never released or reported", b.first, b.last)
 		}
 	}
@@ -520,7 +748,6 @@ func (w *world) code(c *explore.Coder) {
 	})
 	explore.List(c, &w.reg, func(r *regd) { explore.Num(c, &r.id); explore.Num(c, &r.who) })
 	explore.List(c, &w.c2m, act)
-	explore.List(c, &w.queue, act)
 	explore.List(c, &w.m2c, func(r *mreply) {
 		explore.Num(c, &r.id)
 		explore.Num(c, &r.r.op)
@@ -530,19 +757,28 @@ func (w *world) code(c *explore.Coder) {
 		explore.Num(c, &r.r.expiry)
 		explore.Num(c, &r.r.run)
 	})
+	w.conn.Code(c)
+	w.hold.Code(c)
+	explore.List(c, &w.work, func(k *worker) {
+		act(&k.a)
+		explore.Num(c, &k.state)
+		explore.Bit(c, &k.canceled)
+		explore.Bit(c, &k.recheck)
+	})
+	for _, v := range []*bool{&w.taken, &w.away, &w.asked, &w.stray, &w.lost} {
+		explore.Bit(c, v)
+	}
+	explore.Num(c, &w.gen)
+	explore.Num(c, &w.landed)
+	explore.Num(c, &w.visit)
 	explore.List(c, &w.blocks, func(x *mblock) {
-		explore.Str(c, &x.key)
 		explore.Num(c, &x.first)
 		explore.Num(c, &x.last)
-		explore.Num(c, &x.expiry)
-		explore.Num(c, &x.state)
+		explore.Num(c, &x.visit)
 		explore.Num(c, &x.handed)
+		explore.Bit(c, &x.ended)
 	})
-	explore.Num(c, &w.held)
-	explore.Num(c, &w.fence)
 	explore.Num(c, &w.now)
-	explore.Bit(c, &w.more)
-	explore.Bit(c, &w.lost)
 	for i := range w.budget {
 		explore.Num(c, &w.budget[i])
 	}
@@ -578,26 +814,26 @@ func replay(b checkBound, ms []move) []string {
 
 // TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine is the machine-level
 // twin of TestLaneRotatesAHotKeyWithTwoFramesPerRun, with no wall clock:
-// eight callers cycle on one key against the model member, which grants
-// runs of nine, and a caller that lets go asks again before the next
-// holder releases. Once the crowd has formed, every run costs exactly
-// two frames — the order that brings it and the ReleaseRun that ends it
-// — and hands all nine of its fences round.
+// eight callers cycle on one key against the real member, whose cohort
+// budget of 8 makes runs of nine, and a caller that lets go asks again
+// before the next holder releases. Once the crowd has formed, every run
+// costs exactly two frames — the order that brings it and the ReleaseRun
+// that ends it — and hands all nine of its fences round.
 func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 	const callers, cycles, runLen = 8, 40, 9
-	b := checkBound{keys: slices.Repeat([]string{"hot"}, callers), cycles: cycles, runLen: runLen}
+	b := checkBound{keys: slices.Repeat([]string{"hot"}, callers), cycles: cycles, budget: runLen - 1}
 	w := newWorld(&b)
 	// Frames the member read, and grants, since the last run was granted.
-	var orders, runReleases, others, grants, steady int
+	var orders, runReleases, others, grants, steady, holds int
 	// Drive the world by a fixed priority: the wire and the member first,
 	// then the callers, arrivals before releases.
-	priority := []mkind{mWrite, mServe, mGrant, mRead, mArrive, mRelease}
+	priority := []mkind{mWrite, mServe, mTake, mLand, mGrant, mRun, mFree, mRead, mArrive, mRelease}
 	for runs := 0; ; {
 		var pick move
 		found := false
 		for _, k := range priority {
 			for _, m := range w.Moves() {
-				if m.kind == k && (k != mGrant || m.i == runLen || !w.queue[0].run) {
+				if m.kind == k {
 					pick, found = m, true
 					break
 				}
@@ -620,14 +856,15 @@ func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 				others++
 			}
 		case mGrant:
-			if !w.queue[0].run {
+			if holds++; !w.work[pick.i].a.run {
 				break
 			}
-			// The first run forms the crowd. After it, each run granted while
-			// all eight callers still cycle follows nine grants, one order and
-			// one ReleaseRun.
+			// The first two runs form the crowd: the first acquires' regrants
+			// leave the first run short of the budget. After them, each run
+			// granted while all eight callers still cycle follows nine grants,
+			// one order and one ReleaseRun.
 			crowd := !slices.ContainsFunc(w.cs, func(c mcaller) bool { return c.state == cDone })
-			if runs++; runs > 1 && crowd {
+			if runs++; runs > 2 && crowd {
 				if grants != runLen || orders != 1 || runReleases != 1 || others != 0 {
 					t.Fatalf("run %d came after %d grants, %d orders, %d run releases and %d other frames; want %d, 1, 1, 0",
 						runs, grants, orders, runReleases, others, runLen)
@@ -648,7 +885,7 @@ func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 	if steady < callers*cycles/runLen-4 {
 		t.Fatalf("only %d runs in the steady state", steady)
 	}
-	t.Logf("%d grants in %d holds, %d runs at two frames each", callers*cycles, len(w.blocks), steady)
+	t.Logf("%d grants in %d holds, %d runs at two frames each", callers*cycles, holds, steady)
 }
 
 // TestLaneKeepsTheAcquireAMorePromised: a run ends with more, backed by

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/maphash"
+	"maps"
 	"slices"
 	"time"
 )
@@ -186,6 +187,32 @@ func Str(c *Coder, v *string) {
 		return
 	}
 	*v, c.Buf = string(c.Buf[:n]), c.Buf[n:]
+}
+
+// Time codes a time.Time as unix nanoseconds, and the zero time as 0.
+func Time(c *Coder, t *time.Time) {
+	var n int64
+	if !t.IsZero() {
+		n = t.UnixNano()
+	}
+	if Num(c, &n); c.Decoding && n != 0 {
+		*t = time.Unix(0, n)
+	}
+}
+
+// Map codes a map with string keys in key order, each value with each; a
+// decoded map is nil when empty.
+func Map[V any](c *Coder, m *map[string]V, each func(*V)) {
+	keys := slices.Sorted(maps.Keys(*m))
+	List(c, &keys, func(k *string) { Str(c, k) })
+	if c.Decoding && len(keys) > 0 {
+		*m = make(map[string]V, len(keys))
+	}
+	for _, k := range keys {
+		v := (*m)[k]
+		each(&v)
+		(*m)[k] = v
+	}
 }
 
 // List codes a slice, each element with each.

@@ -1,10 +1,13 @@
 package explore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"testing"
+	"time"
 )
 
 // counters is a toy state: two counters that count up to max, a by one
@@ -143,14 +146,17 @@ func (p *panicky) Moves() []step    { return []step{incA} }
 func (p *panicky) Apply(step) error { panic("boom") }
 
 // TestCoderRoundTrip: every helper reads back what it wrote, negative
-// integers included.
+// integers, the zero time and an empty map included, and a map encodes
+// the same however it was filled.
 func TestCoderRoundTrip(t *testing.T) {
 	type rec struct {
-		n    int
-		u    uint64
-		on   bool
-		name string
-		xs   []int32
+		n        int
+		u        uint64
+		on       bool
+		name     string
+		xs       []int32
+		at, zero time.Time
+		m, none  map[string]uint32
 	}
 	code := func(c *Coder, r *rec) {
 		Num(c, &r.n)
@@ -158,13 +164,24 @@ func TestCoderRoundTrip(t *testing.T) {
 		Bit(c, &r.on)
 		Str(c, &r.name)
 		List(c, &r.xs, func(x *int32) { Num(c, x) })
+		Time(c, &r.at)
+		Time(c, &r.zero)
+		Map(c, &r.m, func(v *uint32) { Num(c, v) })
+		Map(c, &r.none, func(v *uint32) { Num(c, v) })
 	}
-	in := rec{n: -1, u: 1 << 40, on: true, name: "lane", xs: []int32{0, 127, 128, -5}}
+	in := rec{n: -1, u: 1 << 40, on: true, name: "lane", xs: []int32{0, 127, 128, -5},
+		at: time.Unix(0, 1<<40), m: map[string]uint32{"b": 2, "a": 1, "c": 3}}
 	enc := Coder{}
 	code(&enc, &in)
 	var out rec
 	code(&Coder{Buf: enc.Buf, Decoding: true}, &out)
-	if out.n != in.n || out.u != in.u || out.on != in.on || out.name != in.name || !slices.Equal(out.xs, in.xs) {
+	if out.n != in.n || out.u != in.u || out.on != in.on || out.name != in.name || !slices.Equal(out.xs, in.xs) ||
+		!out.at.Equal(in.at) || !out.zero.IsZero() || !maps.Equal(out.m, in.m) || out.none != nil {
 		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+	again := Coder{}
+	in.m = map[string]uint32{"c": 3, "a": 1, "b": 2}
+	if code(&again, &in); !bytes.Equal(again.Buf, enc.Buf) {
+		t.Fatal("one map, filled in another order, encoded differently")
 	}
 }

@@ -6,12 +6,12 @@ type SlotState struct {
 	Streak, Waiters, Markers int
 }
 
-// State snapshots the slot's private bookkeeping.
+// State snapshots the slot's machine.
 func (sl *Slot) State() SlotState {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return SlotState{Pending: sl.pending, Abandoned: sl.abandoned, Streak: sl.streak,
-		Waiters: int(sl.waiters.Load()), Markers: len(sl.expired)}
+	return SlotState{Pending: sl.h.pending, Abandoned: sl.h.abandoned, Streak: sl.h.streak,
+		Waiters: int(sl.waiters.Load()), Markers: len(sl.h.expired)}
 }
 
 // AddWaiters adjusts the queued-acquirer count, standing in for callers
@@ -24,9 +24,10 @@ func (sl *Slot) AddWaiters(n int) { sl.waiters.Add(int64(n)) }
 func (sl *Slot) HoldSem() { sl.sem <- struct{}{} }
 func (sl *Slot) FreeSem() { <-sl.sem }
 
-// Holding reports the slot's current hold, if any.
+// Holding reports the machine's current hold, if any.
 func (sl *Slot) Holding() (key string, fence uint64, held bool) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return sl.key, sl.fence, sl.held
+	key, fence, _, held = sl.h.Holding()
+	return key, fence, held
 }

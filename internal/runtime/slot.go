@@ -81,6 +81,12 @@ type HoldEnd struct {
 // which a Sweeper calls periodically; a landed grant whose waiters all
 // gave up is adopted by the last of them to leave.
 //
+// Every one of those decisions is the hold machine's (Hold). The slot is
+// its driver: it keeps the semaphore its callers queue on, the count of
+// those queued, the lock its steps are taken under and the session, steps
+// the machine with what it observed, and carries out the actions — the
+// session calls under the lock, the frees and end reports after it.
+//
 // A caller that fronts a queue of its own (a dialed connection with more
 // callers waiting for the key) takes a run instead of a hold: AcquireRun
 // reserves, with the grant, every fence the cohort budget has left, and
@@ -94,9 +100,7 @@ type HoldEnd struct {
 // nested Acquire waits for its own caller (until the lease reclaims the
 // outer hold, which is then invalid).
 type Slot struct {
-	s      *Session
-	lease  time.Duration // <= 0: holds never expire
-	budget int           // max consecutive regrants; <= 0 disables them
+	s *Session
 	// end, when non-nil, is told how each hold ended, after the slot's
 	// state is settled and before the slot is freed for the next
 	// acquirer — so a counter bumped in it is ordered before the next
@@ -108,42 +112,8 @@ type Slot struct {
 	// that a pipelined grant will be claimed.
 	waiters atomic.Int64
 
-	mu        sync.Mutex
-	held      bool
-	key       string
-	fence     uint64    // of a run: its last fence
-	run       int       // fences reserved under the hold; 1 unless AcquireRun reserved more
-	expires   time.Time // lease deadline; zero when leases are disabled
-	grantedAt time.Time
-	// pending marks a pipelined handoff: the releaser already regranted
-	// the section locally (Regrant) or re-issued the session's request
-	// (ReleaseRequest), so the next caller to take sem collects that grant
-	// with Await instead of requesting. If every waiter gives up first,
-	// the last to leave adopts the orphaned grant (adoptOrphan; Sweep if it
-	// is still traveling).
-	pending bool
-	// streak counts consecutive regrants since the token last took the
-	// protocol path — handoffs to the next waiter and fences reserved for
-	// a run alike — enforcing budget so remote requesters are bypassed
-	// only a bounded number of times.
-	streak int
-	// abandoned marks a failed Acquire whose request stayed outstanding
-	// (the paper's model has no cancellation); sem stays held until Sweep
-	// has drained and released the grant.
-	abandoned bool
-	// expired remembers reclaimed holds so each late Release can be told
-	// apart from a Release of something never held — even after the slot
-	// moved on, and even when the same key expired several times in a row
-	// (each stuck holder gets its own marker). One-shot: reporting a
-	// marker removes it. Bounded by maxExpiredMarkers. The value is how
-	// many fences the hold had reserved.
-	expired map[expiredHold]int
-}
-
-// expiredHold identifies one reclaimed hold.
-type expiredHold struct {
-	key   string
-	fence uint64
+	mu sync.Mutex
+	h  Hold
 }
 
 // NewSlot wraps s. lease bounds each hold (<= 0 disables expiry), budget
@@ -151,7 +121,7 @@ type expiredHold struct {
 // be nil) observes how holds end. Nothing expires or recovers until a
 // Sweeper drives the slot.
 func NewSlot(s *Session, lease time.Duration, budget int, end func(HoldEnd)) *Slot {
-	return &Slot{s: s, lease: lease, budget: budget, end: end, sem: make(chan struct{}, 1)}
+	return &Slot{s: s, end: end, sem: make(chan struct{}, 1), h: NewHold(s.ID(), lease, budget)}
 }
 
 // Acquire queues behind the slot's other callers, then takes the
@@ -192,13 +162,13 @@ func (sl *Slot) acquire(ctx context.Context, key string, run bool) (Grant, int, 
 		return Grant{}, 0, fmt.Errorf("acquire node %d: cluster failed: %w", sl.s.ID(), sl.s.Err())
 	case <-ctx.Done():
 		if sl.waiters.Add(-1) == 0 {
-			sl.adoptOrphan()
+			sl.step(&HoldEvent{Kind: OnLeft})
 		}
 		return Grant{}, 0, fmt.Errorf("acquire node %d: %w", sl.s.ID(), ctx.Err())
 	}
+	var buf [1]HoldAction
 	sl.mu.Lock()
-	pipelined := sl.pending
-	sl.pending = false
+	pipelined := len(sl.h.Step(&HoldEvent{Kind: OnTake}, buf[:0])) > 0
 	sl.mu.Unlock()
 	var g Grant
 	var err error
@@ -215,7 +185,7 @@ func (sl *Slot) acquire(ctx context.Context, key string, run bool) (Grant, int, 
 			// caller would double-request, and undrained, the token would
 			// park here forever.
 			sl.mu.Lock()
-			sl.abandoned = true
+			sl.h.Step(&HoldEvent{Kind: OnAbandon}, nil)
 			sl.mu.Unlock()
 		} else {
 			<-sl.sem
@@ -240,14 +210,11 @@ func (sl *Slot) TryAcquire(key string) (Grant, bool, error) {
 	var g Grant
 	var ok bool
 	var err error
+	var buf [1]HoldAction
 	sl.mu.Lock()
-	if sl.pending {
-		select {
-		case g = <-sl.s.Granted():
-			sl.pending = false
-			ok = true
-		default:
-		}
+	if len(sl.h.Step(&HoldEvent{Kind: OnTake, More: true}, buf[:0])) > 0 {
+		g, ok = sl.claim(false)
+		sl.h.Step(&HoldEvent{Kind: OnClaimed, More: ok}, buf[:0])
 		sl.mu.Unlock()
 	} else {
 		sl.mu.Unlock()
@@ -267,39 +234,12 @@ func (sl *Slot) TryAcquire(key string) (Grant, bool, error) {
 // deadline and the number of fences it covers. The semaphore is already
 // held.
 func (sl *Slot) admit(key string, g Grant, run bool) (Grant, int) {
-	if sl.lease > 0 {
-		g.Expires = g.At.Add(sl.lease)
-	}
 	sl.mu.Lock()
-	last, n := g.Generation, 1
-	for run && sl.streak < sl.budget {
-		// Each reserved fence is a regrant nobody collects: the section
-		// never leaves this slot, only the generation advances.
-		if ok, err := sl.s.Regrant(); err != nil || !ok {
-			break
-		}
-		last = (<-sl.s.Granted()).Generation
-		sl.streak++
-		n++
-	}
-	sl.held, sl.key, sl.fence, sl.run, sl.expires, sl.grantedAt = true, key, last, n, g.Expires, g.At
+	sl.exec(&HoldEvent{Kind: OnGranted, Key: key, Fence: g.Generation, At: g.At, More: run})
+	g.Expires = sl.h.expires
+	n := sl.h.run
 	sl.mu.Unlock()
 	return g, n
-}
-
-// clearLocked forgets the current hold and returns its end record.
-func (sl *Slot) clearLocked() HoldEnd {
-	e := HoldEnd{Node: sl.s.ID(), Key: sl.key, Fence: sl.fence, Since: sl.grantedAt, Run: 1}
-	sl.held, sl.key, sl.fence, sl.run, sl.expires, sl.grantedAt = false, "", 0, 0, time.Time{}, time.Time{}
-	return e
-}
-
-// free tells the observer how the hold ended, then frees the slot.
-func (sl *Slot) free(e HoldEnd) {
-	if sl.end != nil {
-		sl.end(e)
-	}
-	<-sl.sem
 }
 
 // Release ends the hold of key. fence identifies the exact hold
@@ -330,97 +270,7 @@ func (sl *Slot) Release(key string, fence uint64) error {
 // waiter even if it has not reached the slot yet — the handoff is
 // pipelined for it, and Sweep adopts the grant should it never come.
 func (sl *Slot) ReleaseRun(key string, fence uint64, used int, more bool) error {
-	sl.mu.Lock()
-	if !sl.held || sl.key != key || (fence != 0 && sl.fence != fence) {
-		f, run, expired := sl.takeExpired(key, fence)
-		held, heldKey, heldFence := sl.held, sl.key, sl.fence
-		sl.mu.Unlock()
-		switch {
-		case expired:
-			if used = min(used, run); used > 1 && sl.end != nil {
-				sl.end(HoldEnd{Node: sl.s.ID(), Key: key, Fence: f - uint64(run-used), Run: used, Late: true})
-			}
-			return fmt.Errorf("node %d released %q after its lease ran out (fence %d): %w", sl.s.ID(), key, f, ErrLeaseExpired)
-		case !held:
-			return fmt.Errorf("node %d does not hold %q: %w", sl.s.ID(), key, ErrNotHeld)
-		}
-		return fmt.Errorf("node %d holds %q under fence %d, not %q under fence %d: %w", sl.s.ID(), heldKey, heldFence, key, fence, ErrNotHeld)
-	}
-	used = max(min(used, sl.run), 1)
-	// A run that ended early hands its unused share of the cohort budget
-	// back: the fences are skipped for good, but nobody was bypassed for
-	// them.
-	unused := sl.run - used
-	sl.streak -= unused
-	e := sl.clearLocked()
-	e.Fence, e.Run = e.Fence-uint64(unused), used
-	if fence == 0 {
-		for k := range sl.expired {
-			if k.key == key {
-				delete(sl.expired, k)
-			}
-		}
-	}
-	var err error
-	if (more || sl.waiters.Load() > 0) && !sl.pending && !sl.abandoned {
-		// Cohort handoff first: the next waiter is local, so the protocol
-		// node never leaves its critical section and only the fencing
-		// generation advances.
-		if sl.streak < sl.budget {
-			if ok, rerr := sl.s.Regrant(); rerr == nil && ok {
-				sl.streak++
-				sl.pending = true
-				sl.mu.Unlock()
-				e.Regranted = true
-				sl.free(e)
-				if !more && sl.waiters.Load() == 0 {
-					// The waiters it was for may have given up while the slot
-					// was still ours, when they could not adopt it.
-					sl.adoptOrphan()
-				}
-				return nil
-			}
-			// Mid-recovery or no capability: take the protocol path.
-		}
-		// Pipelined handoff: the re-REQUEST rides the outgoing PRIVILEGE
-		// (or the same batched write), so the successor's request is
-		// racing back before any waiter even wakes.
-		sl.streak = 0
-		if err = sl.s.ReleaseRequest(); err == nil {
-			sl.pending = true
-		}
-	} else {
-		sl.streak = 0
-		err = sl.s.Release()
-	}
-	sl.mu.Unlock()
-	if err != nil {
-		// The cluster is broken: the slot stays busy and the session's
-		// Failed signal fails future acquirers fast.
-		return fmt.Errorf("release node %d: %w", sl.s.ID(), err)
-	}
-	sl.free(e)
-	return nil
-}
-
-// takeExpired consumes the marker matching a late release: the exact
-// (key, fence) marker, or with fence 0 any marker for key. Callers hold
-// sl.mu.
-func (sl *Slot) takeExpired(key string, fence uint64) (f uint64, run int, ok bool) {
-	if fence != 0 {
-		k := expiredHold{key: key, fence: fence}
-		if run, ok = sl.expired[k]; ok {
-			delete(sl.expired, k)
-		}
-		return fence, run, ok
-	}
-	for k, run := range sl.expired {
-		if k.key == key {
-			delete(sl.expired, k)
-			return k.fence, run, true
-		}
-	}
-	return 0, 0, false
+	return sl.step(&HoldEvent{Kind: OnRelease, Key: key, Fence: fence, N: used, More: more})
 }
 
 // Sweep settles whatever the slot's callers left behind, as of now: it
@@ -430,98 +280,118 @@ func (sl *Slot) takeExpired(key string, fence uint64) (f uint64, run int, ok boo
 // ends with the token released and the slot freed; if that release fails
 // the cluster is broken and the slot stays busy.
 func (sl *Slot) Sweep(now time.Time) {
+	_ = sl.step(&HoldEvent{Kind: OnSweep, At: now})
+}
+
+// step takes the slot lock, steps the machine with e and the waiter
+// count, and carries out what it says.
+func (sl *Slot) step(e *HoldEvent) error {
 	sl.mu.Lock()
-	switch {
-	case sl.pending && sl.waiters.Load() == 0:
-		sl.adoptLocked()
-		return
-	case sl.abandoned:
-		select {
-		case <-sl.s.Granted():
-			sl.abandoned = false
-		default:
-			sl.mu.Unlock()
-			return
-		}
-	case sl.held && !sl.expires.IsZero() && now.After(sl.expires):
-		if sl.expired == nil {
-			sl.expired = make(map[expiredHold]int)
-		}
-		if len(sl.expired) >= maxExpiredMarkers {
-			for k := range sl.expired { // drop an arbitrary stale marker
-				delete(sl.expired, k)
-				break
-			}
-		}
-		sl.expired[expiredHold{key: sl.key, fence: sl.fence}] = sl.run
-		e := sl.clearLocked()
-		e.Expired = true
-		if sl.reclaimLocked() {
-			sl.free(e)
-		}
-		return
-	default:
-		sl.mu.Unlock()
-		return
-	}
-	if sl.reclaimLocked() {
-		<-sl.sem
-	}
-}
-
-// adoptOrphan adopts a pipelined grant as soon as nobody is left to
-// claim it: the last waiter gave up, or gave up while the releaser still
-// had the slot. It is Sweep's adoption, run at once where it would
-// otherwise wait for the next tick (up to 1s, while every other member's
-// request for the shard waits too). A grant still traveling stays for
-// Sweep. A releaser that said an acquire is on its way (ReleaseRun's
-// more) leaves its own handoff for that acquire, but the last waiter to
-// give up adopts any landed grant, a promised one included: the promised
-// acquire, arriving later, then requests afresh.
-func (sl *Slot) adoptOrphan() {
-	sl.mu.Lock()
-	if !sl.pending || sl.waiters.Load() != 0 {
-		sl.mu.Unlock()
-		return
-	}
-	sl.adoptLocked()
-}
-
-// adoptLocked releases a pending grant no waiter is left for, if it has
-// landed and the slot is free, and unlocks sl.mu.
-func (sl *Slot) adoptLocked() {
-	// Take sem as an acquirer would, without blocking: a concurrent
-	// Acquire wins the race and claims the grant itself, and the acquire
-	// path (sem before mu) cannot deadlock against this.
-	select {
-	case sl.sem <- struct{}{}:
-	default:
-		sl.mu.Unlock()
-		return
-	}
-	select {
-	case <-sl.s.Granted():
-		sl.pending = false
-	default:
-		// Still traveling (the ReleaseRequest path): Sweep retries.
-		sl.mu.Unlock()
-		<-sl.sem
-		return
-	}
-	if sl.reclaimLocked() {
-		<-sl.sem
-	}
-}
-
-// reclaimLocked releases a grant the sweeper owns and unlocks sl.mu. It
-// reports whether the slot may be freed.
-func (sl *Slot) reclaimLocked() bool {
-	err := sl.s.Release()
-	if err == nil {
-		sl.streak = 0
+	e.Waiters = int(sl.waiters.Load())
+	a, err := sl.exec(e)
+	var end HoldEnd
+	if a.Report {
+		end = sl.h.end
 	}
 	sl.mu.Unlock()
-	return err == nil
+	sl.finish(a, &end)
+	return err
+}
+
+// exec runs the exchange e starts, with sl.mu held so that no step
+// races another, and returns the free or refusal that ends it, for
+// finish once sl.mu is let go. A failed release means the cluster is
+// broken: the slot then stays busy, and the session's Failed signal
+// fails future acquirers fast.
+func (sl *Slot) exec(e *HoldEvent) (HoldAction, error) {
+	a, err := sl.h.Exchange(e, (*slotSession)(sl))
+	switch {
+	case err != nil:
+		return a, fmt.Errorf("release node %d: %w", sl.s.ID(), err)
+	case a.Kind == DoRefuse:
+		return a, sl.refusal(a, e.Key, e.Fence)
+	}
+	return a, nil
+}
+
+// slotSession is a Slot as its machine's HoldSession.
+type slotSession Slot
+
+func (d *slotSession) Regrant(n int, take bool) (got int, last uint64) {
+	for ; got < n; got++ {
+		if ok, err := d.s.Regrant(); err != nil || !ok {
+			break
+		}
+		if take {
+			last = (<-d.s.Granted()).Generation
+		}
+	}
+	return got, last
+}
+
+func (d *slotSession) Claim(sem bool) bool {
+	_, ok := (*Slot)(d).claim(sem)
+	return ok
+}
+
+func (d *slotSession) Release(again bool) error {
+	if again {
+		return d.s.ReleaseRequest()
+	}
+	return d.s.Release()
+}
+
+// claim takes the pending grant if it has landed, taking the slot first
+// when sem is set — without blocking either way: an acquirer that holds
+// the slot claims the grant itself, and the acquire path (sem before mu)
+// cannot deadlock against this.
+func (sl *Slot) claim(sem bool) (Grant, bool) {
+	if sem {
+		select {
+		case sl.sem <- struct{}{}:
+		default:
+			return Grant{}, false
+		}
+	}
+	select {
+	case g := <-sl.s.Granted():
+		return g, true
+	default:
+		// Still traveling (the ReleaseRequest path): Sweep retries.
+		if sem {
+			<-sl.sem
+		}
+		return Grant{}, false
+	}
+}
+
+// finish ends an exchange out of sl.mu: it tells the observer how a
+// hold ended, frees the slot, and looks again for a grant nobody is left
+// to claim when the machine asks.
+func (sl *Slot) finish(a HoldAction, end *HoldEnd) {
+	if a.Report && sl.end != nil {
+		sl.end(*end)
+	}
+	if a.Kind != DoFree {
+		return
+	}
+	<-sl.sem
+	if a.Recheck && sl.waiters.Load() == 0 {
+		sl.step(&HoldEvent{Kind: OnLeft})
+	}
+}
+
+// refusal is the error of a release the machine refused. Callers hold
+// sl.mu.
+func (sl *Slot) refusal(a HoldAction, key string, fence uint64) error {
+	id := sl.s.ID()
+	switch {
+	case a.Expired:
+		return fmt.Errorf("node %d released %q after its lease ran out (fence %d): %w", id, key, a.Fence, ErrLeaseExpired)
+	case !sl.h.held:
+		return fmt.Errorf("node %d does not hold %q: %w", id, key, ErrNotHeld)
+	}
+	return fmt.Errorf("node %d holds %q under fence %d, not %q under fence %d: %w", id, sl.h.key, sl.h.fence, key, fence, ErrNotHeld)
 }
 
 // SweepCadence is how often a slot with the given lease is swept unless

@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"dagmutex/internal/explore"
 	"dagmutex/internal/runtime"
 )
 
@@ -95,8 +96,10 @@ import (
 // the member sees exactly what it would without shard lanes. A gateway
 // names its members' S and passes runs through: a marked acquire from
 // one of its clients goes on to the domain's member as a marked acquire,
-// and the run comes back whole. The lane is a machine: see the package
-// doc of internal/client.
+// and the run comes back whole. Both ends are machines: the dialing
+// side's lane (see the package doc of internal/client), and here the
+// connection's rules (ConnHolds) in front of the backend's hold machine
+// (runtime.Hold), which the client's lane checker explores together.
 //
 // Error codes carry the sentinel across the wire so errors.Is works on
 // the client side exactly as it does in process: not-held, lease-expired,
@@ -638,18 +641,84 @@ type clientConn struct {
 	// connection has used before costs no string. Reader goroutine only.
 	names map[string]string
 
-	mu     sync.Mutex
-	reqs   map[uint64]*clientReq // in-flight acquires by request id
-	holds  map[string]connHold   // by resource: the holds this connection owns
-	free   []*clientReq          // recycled requests, at most maxFreeRequests
+	mu    sync.Mutex
+	reqs  map[uint64]*clientReq // in-flight acquires by request id
+	holds ConnHolds
+	free  []*clientReq // recycled requests, at most maxFreeRequests
+}
+
+// ConnHolds is what a client connection's server side decides for
+// itself; every other decision about a hold is the backend's hold
+// machine (runtime.Hold). It keeps the holds the connection owns, by
+// resource, so that teardown releases them; it sends a grant that lost
+// to its cancel or to the disconnect straight back; and it cuts a
+// ReleaseRun's used down to what the connection holds under that fence.
+// Sockets, workers, the free list and admission stay in clientConn,
+// which calls it under its lock. It is exported for the dialing side's
+// lane checker, which runs the same rules against the same machine.
+type ConnHolds struct {
+	holds  map[string]ConnHold
 	closed bool
 }
 
-// connHold is one hold a connection owns: the fence its release names (a
+// ConnHold is one hold a connection owns: the fence its release names (a
 // run's last) and how many fences it covers.
-type connHold struct {
-	fence uint64
-	run   uint32
+type ConnHold struct {
+	Fence uint64
+	Run   uint32
+}
+
+// Granted decides what becomes of hold h, granted to an acquire of
+// resource: the connection owns it and the grant is answered, unless the
+// acquire lost to its cancel or the connection has closed. The client
+// no longer listens for that grant, so it goes straight back: back names
+// the fence to release, and the acquire is answered as canceled.
+func (c *ConnHolds) Granted(resource string, h ConnHold, canceled bool) (answer bool, back uint64) {
+	if canceled || c.closed {
+		return false, h.Fence
+	}
+	if c.holds == nil {
+		c.holds = make(map[string]ConnHold)
+	}
+	c.holds[resource] = h
+	return true, 0
+}
+
+// Used is a ReleaseRun's used as far as it can be believed: no more than
+// the connection was granted under fence, and none for a fence it does
+// not hold.
+func (c *ConnHolds) Used(resource string, fence uint64, used uint32) uint32 {
+	if h := c.holds[resource]; h.Fence == fence {
+		return min(used, h.Run)
+	}
+	return 0
+}
+
+// Released forgets the hold a release of resource under fence (0: by
+// name) ended: whatever the backend said, the connection no longer owns
+// it — released, expired, or already gone.
+func (c *ConnHolds) Released(resource string, fence uint64) {
+	if h, ok := c.holds[resource]; ok && (fence == 0 || h.Fence == fence) {
+		delete(c.holds, resource)
+	}
+}
+
+// Close marks the connection closed and returns the holds it owned, for
+// teardown to release.
+func (c *ConnHolds) Close() map[string]ConnHold {
+	holds := c.holds
+	c.holds, c.closed = nil, true
+	return holds
+}
+
+// Code walks the rules' state with c, for a checker that keeps states
+// encoded.
+func (c *ConnHolds) Code(k *explore.Coder) {
+	explore.Map(k, &c.holds, func(h *ConnHold) {
+		explore.Num(k, &h.Fence)
+		explore.Num(k, &h.Run)
+	})
+	explore.Bit(k, &c.closed)
 }
 
 // clientReq is one request on its way through a worker, and — for an
@@ -756,7 +825,6 @@ func serveClientConn(r *bufio.Reader, conn net.Conn, backend ClientBackend, adm 
 		work:    make(chan *clientReq),
 		names:   make(map[string]string),
 		reqs:    make(map[uint64]*clientReq),
-		holds:   make(map[string]connHold),
 	}
 	if shards > 0 {
 		cc.runs = backend.(RunBackend)
@@ -886,10 +954,8 @@ func (cc *clientConn) worker(req *clientReq) {
 	defer cc.wg.Done()
 	for req != nil {
 		switch req.op {
-		case OpAcquire, OpAcquireRun:
+		case OpAcquire, OpAcquireRun, OpTry:
 			cc.acquire(req)
-		case OpTry:
-			cc.try(req)
 		case OpRelease, OpReleaseRun:
 			cc.release(req)
 		}
@@ -911,85 +977,65 @@ func (cc *clientConn) recycle(req *clientReq) {
 	}
 }
 
-// acquire runs one acquire. A marked one (OpAcquireRun) asks a backend
-// with the run capability for a run and is answered with RespRun, the
-// run's first fence and its length; every other acquire is answered with
-// RespGrant as it always was. Either way the connection owns one hold,
-// under the (last) fence its release will name.
+// acquire runs one acquire or try. A marked acquire (OpAcquireRun)
+// asks a backend with the run capability for a run and is answered with
+// RespRun, the run's first fence and its length; every other acquire is
+// answered with RespGrant as it always was, and a try with RespTry.
+// Either way the connection owns one hold, under the (last) fence its
+// release will name.
 func (cc *clientConn) acquire(req *clientReq) {
-	reqID, resource := req.reqID, req.resource
+	reqID, resource, try := req.reqID, req.resource, req.op == OpTry
 	var fence uint64
 	var expires time.Time
 	var err error
-	run := 0 // fences of a RespRun answer; 0: an ordinary grant
-	if req.op == OpAcquireRun && cc.runs != nil {
+	run, ok := 0, true // run: fences of a RespRun answer, 0 for any other; ok: a try got the section
+	switch {
+	case try:
+		fence, expires, ok, err = cc.backend.TryAcquire(resource)
+	case req.op == OpAcquireRun && cc.runs != nil:
 		fence, expires, run, err = cc.runs.AcquireRun(req, resource)
-	} else {
+	default:
 		fence, expires, err = cc.backend.Acquire(req, resource)
 	}
-	held := connHold{fence: fence, run: 1}
-	if run > 1 {
-		held = connHold{fence: fence + uint64(run-1), run: uint32(run)}
-	}
+	answer, back := true, uint64(0)
 	cc.mu.Lock()
-	delete(cc.reqs, reqID)
-	canceled := req.canceled.Load() || cc.closed
-	if err == nil && !canceled {
-		cc.holds[resource] = held
+	if !try {
+		delete(cc.reqs, reqID)
+	}
+	if err == nil && ok {
+		answer, back = cc.holds.Granted(resource, ConnHold{Fence: fence + uint64(max(run, 1)-1), Run: uint32(max(run, 1))}, req.canceled.Load())
 	}
 	cc.recycle(req)
 	cc.mu.Unlock()
 	cc.done()
+	if back != 0 {
+		_ = cc.backend.Release(resource, back)
+	}
+	var buf [21]byte
+	b, op := buf[:0], RespGrant
 	switch {
-	case err == nil && canceled:
-		// The grant raced the cancel (or the disconnect): the client is
-		// not listening for it anymore, so hand it straight back.
-		_ = cc.backend.Release(resource, held.fence)
+	case !answer:
 		cc.respondErr(reqID, context.Canceled)
+		return
 	case err != nil:
 		cc.respondErr(reqID, err)
+		return
+	case try:
+		b, op = append(b, 0), RespTry
+		if ok {
+			b[0] = 1
+		}
 	case run > 0:
 		cc.adm.runs.Add(1)
 		cc.adm.runReserved.Add(int64(run))
-		var buf [20]byte
-		binary.BigEndian.PutUint64(buf[0:8], fence)
-		binary.BigEndian.PutUint64(buf[8:16], expiryNanos(expires))
-		binary.BigEndian.PutUint32(buf[16:20], uint32(run))
-		cc.respond(RespRun, reqID, buf[:])
-	default:
-		var buf [16]byte
-		binary.BigEndian.PutUint64(buf[0:8], fence)
-		binary.BigEndian.PutUint64(buf[8:16], expiryNanos(expires))
-		cc.respond(RespGrant, reqID, buf[:])
+		op = RespRun
 	}
-}
-
-func (cc *clientConn) try(req *clientReq) {
-	reqID, resource := req.reqID, req.resource
-	fence, expires, ok, err := cc.backend.TryAcquire(resource)
-	cc.mu.Lock()
-	closed := cc.closed
-	if err == nil && ok && !closed {
-		cc.holds[resource] = connHold{fence: fence, run: 1}
+	b = binary.BigEndian.AppendUint64(b, fence)
+	b = binary.BigEndian.AppendUint64(b, expiryNanos(expires))
+	if run > 0 {
+		b = binary.BigEndian.AppendUint32(b, uint32(run))
 	}
-	cc.recycle(req)
-	cc.mu.Unlock()
-	cc.done()
-	switch {
-	case err != nil:
-		cc.respondErr(reqID, err)
-	case ok && closed:
-		// Disconnected while the try was in flight: undo.
-		_ = cc.backend.Release(resource, fence)
-	default:
-		var buf [17]byte
-		if ok {
-			buf[0] = 1
-		}
-		binary.BigEndian.PutUint64(buf[1:9], fence)
-		binary.BigEndian.PutUint64(buf[9:17], expiryNanos(expires))
-		cc.respond(RespTry, reqID, buf[:])
-	}
+	cc.respond(op, reqID, b)
 }
 
 // release runs one release. An end-of-run report (OpReleaseRun) is
@@ -1000,25 +1046,15 @@ func (cc *clientConn) release(req *clientReq) {
 	var err error
 	if req.op == OpReleaseRun && cc.runs != nil {
 		cc.mu.Lock()
-		held := cc.holds[resource]
+		used := cc.holds.Used(resource, fence, req.used)
 		cc.mu.Unlock()
-		used := req.used
-		if held.fence != fence {
-			used = 0
-		} else if used > held.run {
-			used = held.run
-		}
 		cc.adm.runUsed.Add(int64(used))
 		err = cc.runs.ReleaseRun(resource, fence, int(used), req.more)
 	} else {
 		err = cc.backend.Release(resource, fence)
 	}
 	cc.mu.Lock()
-	if held, ok := cc.holds[resource]; ok && (fence == 0 || held.fence == fence) {
-		// Whatever the backend said, this connection no longer owns the
-		// hold (released, expired, or already gone): stop tracking it.
-		delete(cc.holds, resource)
-	}
+	cc.holds.Released(resource, fence)
 	cc.recycle(req)
 	cc.mu.Unlock()
 	if err != nil {
@@ -1043,15 +1079,13 @@ func (cc *clientConn) cancelRequest(reqID uint64) {
 // connection still owns.
 func (cc *clientConn) teardown() {
 	cc.mu.Lock()
-	cc.closed = true
+	holds := cc.holds.Close()
 	for _, r := range cc.reqs {
 		r.cancel()
 	}
-	holds := cc.holds
-	cc.holds = map[string]connHold{}
 	cc.mu.Unlock()
 	for resource, held := range holds {
-		_ = cc.backend.Release(resource, held.fence)
+		_ = cc.backend.Release(resource, held.Fence)
 	}
 }
 
