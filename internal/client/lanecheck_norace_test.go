@@ -23,8 +23,10 @@ import (
 // and in every state where nothing is left to happen:
 //   - no caller is left waiting, and the member holds nothing;
 //   - every grant answered was released or reported;
+//   - no more promise lacks the acquire that follows it;
 //   - no pipelined grant is left unclaimed, unless it landed after
-//     everyone it was for had gone, when it is the sweep's;
+//     everyone it was for had gone, and no promise was still open,
+//     when it is the sweep's;
 //   - the lane is idle.
 func TestLaneCheckerExploresEveryInterleaving(t *testing.T) {
 	for _, b := range defaultBound {

@@ -1,6 +1,7 @@
 package client
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -19,8 +20,9 @@ import (
 // the member side transport's connection rules (transport.ConnHolds) in
 // front of the hold machine runtime.Slot drives (runtime.Hold), over a
 // stub session. It plays the drivers' parts itself — Conn's, the
-// connection server's and Slot's — so what it explores is the machines'
-// own decision code, with no goroutine, socket or clock.
+// connection server's workers, and Slot's semaphore and waiter count —
+// so what it explores is the machines' own decision code, with no
+// goroutine, socket or clock.
 //
 // A caller arrives, holds, and releases by fence, once per cycle; it may
 // give up while queued (a cancel). Frames a caller's step leaves to send
@@ -34,11 +36,11 @@ import (
 // its grant — the pipelined one, or one it requests — which it answers
 // or, having lost to its cancel or to the disconnect, hands back. A
 // canceled acquire may give up instead, queued or waiting; a release
-// steps the machine under the slot lock and frees the slot after it.
-// The stub session's token leaves at every protocol release, so a grant
-// it requests lands as a move of its own. The sweeper ticks only once
-// the clock has jumped past every deadline granted, so that a grant left
-// waiting for the sweep shows at rest.
+// steps the machine and frees the slot in a later move, as Slot frees it
+// after letting go of its lock. The stub session's token leaves at every
+// protocol release, so a grant it requests lands as a move of its own.
+// The sweeper ticks only once the clock has jumped past every deadline,
+// so that a grant left waiting for the sweep shows at rest.
 //
 // The world is an explore.State: the search (internal/explore) visits
 // every reachable state once, depth first, and on a violation again
@@ -130,12 +132,15 @@ type world struct {
 	asked  bool   // its request is outstanding
 	landed uint64 // the grant deposited for the slot, 0: none
 	stray  bool   // landed after everyone it was for gave up: the sweep's
-	visit  uint64 // the first fence of the token's latest visit
-	blocks []mblock
-	now    int64  // both sides' clock, unix nanos
-	lost   bool   // the connection died
-	budget [3]int // cancels, losses, clock jumps left
-	log    *[]string
+	// promised: a ReleaseRun said more with nobody queued, and no acquire
+	// has been read since.
+	promised bool
+	visit    uint64 // the first fence of the token's latest visit
+	blocks   []mblock
+	now      int64  // both sides' clock, unix nanos
+	lost     bool   // the connection died
+	budget   [3]int // cancels, losses, clock jumps left
+	log      *[]string
 }
 
 // regd is a registered request: a lane's acquire (who -1) or caller
@@ -151,8 +156,7 @@ const (
 )
 
 func newWorld(b *checkBound) *world {
-	w := &world{b: b, now: 1, budget: [3]int{b.cancels, b.losses, b.jumps}}
-	w.hold = runtime.NewHold(1, lease, b.budget)
+	w := &world{b: b, hold: runtime.NewHold(1, lease, b.budget), now: 1, budget: [3]int{b.cancels, b.losses, b.jumps}}
 	w.l.runs = true
 	for range b.keys {
 		w.cs = append(w.cs, mcaller{left: b.cycles})
@@ -230,10 +234,10 @@ func (w *world) Moves() []move {
 	if w.asked {
 		ms = append(ms, move{mLand, 0})
 	}
-	if w.now == farDate && w.sweeps(w.now, true) {
+	if w.now == farDate && w.sweeps() {
 		ms = append(ms, move{mSweep, 0})
 	}
-	if _, _, _, held := w.hold.Holding(); w.now < farDate && w.budget[2] > 0 && (held || w.sweeps(farDate, false)) {
+	if w.now < farDate && w.budget[2] > 0 && (w.hold.Held || w.hold.Abandoned && w.landed != 0) {
 		ms = append(ms, move{mJump, 0})
 	}
 	if w.budget[1] > 0 && !w.lost && len(ms) > 0 {
@@ -242,17 +246,21 @@ func (w *world) Moves() []move {
 	return ms
 }
 
-// sweeps reports whether a sweep at now would do anything, an adoption
-// counted only with adopt: it asks a copy of the machine. The clock
-// jumps for a lease or an abandoned grant, never for an orphan, so that
-// one nobody adopted at once shows at rest.
-func (w *world) sweeps(now int64, adopt bool) bool {
-	h := w.hold
-	acts := h.Step(&runtime.HoldEvent{Kind: runtime.OnSweep, At: time.Unix(0, now), Waiters: w.waiters()}, nil)
-	if len(acts) > 0 && acts[0].Kind == runtime.DoClaim {
-		return w.landed != 0 && (!acts[0].Sem || adopt && !w.taken)
-	}
-	return len(acts) > 0
+// sweeps reports whether a sweep would do anything: it asks a copy of
+// the machine, over a session that changes nothing.
+func (w *world) sweeps() bool {
+	h, d := w.hold, runtime.Done{}
+	h.Expired = slices.Clip(h.Expired)
+	h.Sweep(probe{w}, time.Unix(0, w.now), w.waiters(), &d)
+	return d.Free
+}
+
+type probe struct{ w *world }
+
+func (p probe) Regrant(bool) (uint64, bool) { return 0, false }
+func (p probe) Release(bool) error          { return nil }
+func (p probe) Claim(sem bool) (runtime.Grant, bool) {
+	return runtime.Grant{}, p.w.landed != 0 && !(sem && p.w.taken)
 }
 
 func (w *world) waiters() int {
@@ -348,8 +356,8 @@ func (w *world) bypass(v uint64) error {
 
 // live reports whether f is a fence of the hold the machine has.
 func (w *world) live(f uint64) bool {
-	_, last, run, held := w.hold.Holding()
-	return held && last-uint64(run) < f && f <= last
+	h := &w.hold
+	return h.Held && h.Fence-uint64(h.Run) < f && f <= h.Fence
 }
 
 func (w *world) blockOf(f uint64) *mblock {
@@ -370,61 +378,57 @@ func (w *world) next(i int) {
 	}
 }
 
-// exec runs the exchange e starts, through Hold.Exchange as Slot.exec
-// does, against the stub session, and makes the free that ends it as
-// Slot.finish does — unless defer_, when it is left to the releasing
-// worker's next move.
-func (w *world) exec(e runtime.HoldEvent, defer_ bool) runtime.HoldAction {
-	e.Waiters = w.waiters()
-	a, _ := w.hold.Exchange(&e, w)
-	if a.Kind == runtime.DoFree && !defer_ {
-		w.free(a.Recheck)
-	}
-	return a
-}
-
-// Regrant, Claim and Release make w the stub session a Hold exchanges
-// with: a regrant's grant lands at once, and a protocol release sends
-// the token away, a re-request with it.
-func (w *world) Regrant(n int, take bool) (int, uint64) {
-	op := "regrant for the next waiter"
-	if take {
-		op = "reserve"
-	}
-	w.logf("  member: %s %d", op, n)
-	w.gen += uint64(n)
-	if !take {
+// Regrant, Claim and Release make w the stub session a Hold calls: a
+// regrant's grant lands at once, and a protocol release sends the token
+// away, a re-request with it.
+func (w *world) Regrant(take bool) (uint64, bool) {
+	w.logf("  member: regrant, taken %v", take)
+	if w.gen++; !take {
 		w.landed = w.gen
 	}
-	return n, w.gen
+	return w.gen, true
 }
 
-func (w *world) Claim(sem bool) bool {
+func (w *world) Claim(sem bool) (runtime.Grant, bool) {
+	g := runtime.Grant{Generation: w.landed}
 	ok := w.landed != 0 && !(sem && w.taken)
 	if ok {
 		w.landed, w.taken = 0, w.taken || sem
 	}
 	w.logf("  member: claim a landed grant: %v", ok)
-	return ok
+	return g, ok
 }
 
 func (w *world) Release(again bool) error {
-	op := "release"
-	if again {
-		op = "release and request again"
-	}
-	w.logf("  member: %s", op)
+	w.logf("  member: release, requesting again %v", again)
 	w.away, w.asked = true, again
 	return nil
 }
 
-// free frees the slot, then looks again for a grant nobody is left to
-// claim if the machine asked.
-func (w *world) free(recheck bool) {
-	w.taken = false
-	if recheck && w.waiters() == 0 {
-		w.exec(runtime.HoldEvent{Kind: runtime.OnLeft}, false)
+// finish carries out what a step of the machine left, as Slot.finish
+// does: it frees the slot, then looks again for a grant nobody is left
+// to claim.
+func (w *world) finish(d *runtime.Done) {
+	if d.Free {
+		w.taken = false
+		if d.Recheck {
+			w.left()
+		}
 	}
+}
+
+// left and release step the machine's entry point as Slot does, and
+// carry out what it leaves.
+func (w *world) left() {
+	var d runtime.Done
+	w.hold.Left(w, w.waiters(), &d)
+	w.finish(&d)
+}
+
+func (w *world) release(key string, fence uint64) {
+	var d runtime.Done
+	_ = w.hold.Release(w, key, fence, 1, false, w.waiters(), &d)
+	w.finish(&d)
 }
 
 // deposit is the stub session's grant of a request: a token visit begins.
@@ -446,7 +450,7 @@ func refusal(code byte) resp { return resp{op: transport.RespErr, ok: true, code
 // Apply makes move m, reporting the invariant it breaks, if any.
 func (w *world) Apply(m move) error {
 	w.logf("%v", m)
-	defer func() { w.stray = w.stray && w.hold.Pending() }()
+	defer func() { w.stray = w.stray && w.hold.Pending }()
 	switch m.kind {
 	case mArrive:
 		c := &w.cs[m.i]
@@ -497,7 +501,7 @@ func (w *world) Apply(m move) error {
 		w.c2m = w.c2m[1:]
 		switch a.kind {
 		case sendAcquire:
-			w.work = append(w.work, worker{a: a})
+			w.work, w.promised = append(w.work, worker{a: a}), false
 		case sendCancel:
 			for j, k := range w.work {
 				if k.a.kind == sendAcquire && k.a.id == a.id {
@@ -509,8 +513,8 @@ func (w *world) Apply(m move) error {
 		}
 	case mTake:
 		w.taken, w.work[m.i].state = true, wWaiting
-		switch {
-		case len(w.hold.Step(&runtime.HoldEvent{Kind: runtime.OnTake}, nil)) > 0: // it awaits the pipelined grant
+		switch _, pipelined, _ := w.hold.Take(w, false); {
+		case pipelined: // it awaits the pipelined grant
 		case w.away:
 			w.asked = true // it requests, and the grant travels
 		default:
@@ -521,10 +525,10 @@ func (w *world) Apply(m move) error {
 	case mGiveUp:
 		k := w.work[m.i]
 		w.work = slices.Delete(w.work, m.i, m.i+1)
-		if k.state == wQueued && w.waiters() == 0 {
-			w.exec(runtime.HoldEvent{Kind: runtime.OnLeft}, false)
-		} else if k.state == wWaiting {
-			w.hold.Step(&runtime.HoldEvent{Kind: runtime.OnAbandon}, nil)
+		if k.state == wWaiting {
+			w.hold.Abandon()
+		} else {
+			w.left()
 		}
 		w.answer(k.a.id, refusal(transport.CodeCanceled))
 	case mRun:
@@ -532,14 +536,15 @@ func (w *world) Apply(m move) error {
 	case mFree:
 		k := w.work[m.i]
 		w.work = slices.Delete(w.work, m.i, m.i+1)
-		w.free(k.recheck)
-		w.conn.Released(k.a.key, k.a.fence)
+		w.finish(&runtime.Done{Free: true, Recheck: k.recheck})
 		w.answer(k.a.id, resp{op: transport.RespOK, ok: true})
 	case mLand:
 		w.deposit()
-		w.stray = w.hold.Pending() && w.waiters() == 0 && !w.taken
+		w.stray = w.hold.Pending && w.waiters() == 0 && !w.taken && !w.promised
 	case mSweep:
-		w.exec(runtime.HoldEvent{Kind: runtime.OnSweep, At: time.Unix(0, w.now)}, false)
+		var d runtime.Done
+		w.hold.Sweep(w, time.Unix(0, w.now), w.waiters(), &d)
+		w.finish(&d)
 	case mJump:
 		w.budget[2]--
 		w.now = farDate
@@ -554,14 +559,14 @@ func (w *world) Apply(m move) error {
 				w.cs[i].state = cDone
 			}
 		}
-		w.reg, w.c2m, w.m2c = nil, nil, nil
+		w.reg, w.c2m, w.m2c, w.promised = nil, nil, nil, false
 		// The server tears the connection down: it cancels what is in
 		// flight and releases what it holds.
 		for j := range w.work {
 			w.work[j].canceled = true
 		}
 		for key, h := range w.conn.Close() {
-			w.exec(runtime.HoldEvent{Kind: runtime.OnRelease, Key: key, Fence: h.Fence, N: 1}, false)
+			w.release(key, h.Fence)
 		}
 	}
 	return nil
@@ -573,21 +578,21 @@ func (w *world) Apply(m move) error {
 func (w *world) grant(i int) error {
 	k := w.work[i]
 	w.work = slices.Delete(w.work, i, i+1)
-	first := w.landed
+	g := runtime.Grant{Generation: w.landed, At: time.Unix(0, w.now)}
 	w.landed = 0
-	w.exec(runtime.HoldEvent{Kind: runtime.OnGranted, Key: k.a.key, Fence: first, At: time.Unix(0, w.now), More: k.a.run}, false)
-	_, last, run, _ := w.hold.Holding()
-	answer, back := w.conn.Granted(k.a.key, transport.ConnHold{Fence: last, Run: uint32(run)}, k.canceled)
-	w.blocks = append(w.blocks, mblock{first: first, last: last, visit: w.visit, ended: back != 0})
-	if back != 0 {
-		w.exec(runtime.HoldEvent{Kind: runtime.OnRelease, Key: k.a.key, Fence: back, N: 1}, false)
+	run := w.hold.Admit(w, k.a.key, &g, k.a.run)
+	h := transport.ConnHold{Fence: w.hold.Fence, Run: uint32(run)}
+	answer, back := w.conn.Granted(k.a.key, h, k.canceled)
+	w.blocks = append(w.blocks, mblock{first: g.Generation, last: h.Fence, visit: w.visit, ended: back})
+	if back {
+		w.release(k.a.key, h.Fence)
 	}
-	r := resp{op: transport.RespGrant, ok: true, fence: first, expiry: uint64(w.now + lease)}
+	r := resp{op: transport.RespGrant, ok: true, fence: g.Generation, expiry: uint64(w.now + lease)}
 	switch {
 	case !answer:
 		r = refusal(transport.CodeCanceled)
 	case k.a.run:
-		r.op, r.run = transport.RespRun, uint32(run)
+		r.op, r.run = transport.RespRun, h.Run
 	}
 	w.answer(k.a.id, r)
 	return w.bypass(w.visit)
@@ -610,29 +615,30 @@ func (w *world) run(i int) error {
 	case !a.run && b.handed > 1:
 		return fmt.Errorf("a Release ends fences %d..%d, but handed out %b", b.first, b.last, b.handed)
 	}
-	e := runtime.HoldEvent{Kind: runtime.OnRelease, Key: a.key, Fence: a.fence, N: 1}
-	if a.run {
-		e.N, e.More = int(w.conn.Used(a.key, a.fence, a.used)), a.more
+	used, more, held := int(w.conn.Ended(a.key, a.fence, a.used)), a.run && a.more, w.hold.HoldState
+	if !a.run {
+		used = 1
 	}
-	_, last, run, _ := w.hold.Holding()
-	done := w.exec(e, true)
-	if b != nil && (done.Kind == runtime.DoFree || done.Expired) {
+	var d runtime.Done
+	err := w.hold.Release(w, a.key, a.fence, used, more, w.waiters(), &d)
+	expired := errors.Is(err, runtime.ErrLeaseExpired)
+	if b != nil && (d.Free || expired) {
 		b.ended = true
 	}
-	if done.Kind == runtime.DoFree {
+	if d.Free {
 		for j, c := range w.cs {
-			if c.state == cHolding && last-uint64(run) < c.fence && c.fence <= last {
-				return fmt.Errorf("the hold of fences %d..%d ends while caller %d holds fence %d", last-uint64(run)+1, last, j, c.fence)
+			if c.state == cHolding && held.Fence-uint64(held.Run) < c.fence && c.fence <= held.Fence {
+				return fmt.Errorf("the hold of fences %d..%d ends while caller %d holds fence %d", held.Fence-uint64(held.Run)+1, held.Fence, j, c.fence)
 			}
 		}
-		k.state, k.recheck = wFree, done.Recheck
+		k.state, k.recheck = wFree, d.Recheck
+		w.promised = more && w.waiters() == 0
 		return nil
 	}
 	code := transport.CodeNotHeld
-	if done.Expired {
+	if expired {
 		code = transport.CodeLeaseExpired
 	}
-	w.conn.Released(a.key, a.fence)
 	w.answer(a.id, refusal(code))
 	w.work = slices.Delete(w.work, i, i+1)
 	return nil
@@ -645,14 +651,16 @@ func (w *world) Quiescent() error {
 			return fmt.Errorf("caller %d is left waiting (state %d)", i, c.state)
 		}
 	}
-	if _, last, run, held := w.hold.Holding(); held {
-		return fmt.Errorf("the member still holds fences %d..%d and nobody waits", last-uint64(run)+1, last)
+	if h := &w.hold; h.Held {
+		return fmt.Errorf("the member still holds fences %d..%d and nobody waits", h.Fence-uint64(h.Run)+1, h.Fence)
 	}
 	if w.lost {
 		return nil // a more promise the loss broke is the sweep's
 	}
 	switch {
-	case w.hold.Pending() && !w.stray:
+	case w.promised:
+		return fmt.Errorf("a ReleaseRun promised more and no acquire followed")
+	case w.hold.Pending && !w.stray:
 		return fmt.Errorf("a pipelined grant waits for the sweep: nobody claimed or adopted it")
 	case !w.l.idle():
 		return fmt.Errorf("the lane is not idle: %+v", w.l)
@@ -757,15 +765,26 @@ func (w *world) code(c *explore.Coder) {
 		explore.Num(c, &r.r.expiry)
 		explore.Num(c, &r.r.run)
 	})
-	w.conn.Code(c)
-	w.hold.Code(c)
+	explore.Map(c, &w.conn.Holds, func(h *transport.ConnHold) { explore.Num(c, &h.Fence); explore.Num(c, &h.Run) })
+	explore.Bit(c, &w.conn.Closed)
+	h := &w.hold.HoldState
+	explore.Bit(c, &h.Held)
+	explore.Str(c, &h.Key)
+	explore.Num(c, &h.Fence)
+	explore.Num(c, &h.Run)
+	explore.Time(c, &h.Expires)
+	explore.Time(c, &h.GrantedAt)
+	explore.Bit(c, &h.Pending)
+	explore.Num(c, &h.Streak)
+	explore.Bit(c, &h.Abandoned)
+	explore.List(c, &h.Expired, func(m *runtime.HoldMarker) { explore.Str(c, &m.Key); explore.Num(c, &m.Fence); explore.Num(c, &m.Run) })
 	explore.List(c, &w.work, func(k *worker) {
 		act(&k.a)
 		explore.Num(c, &k.state)
 		explore.Bit(c, &k.canceled)
 		explore.Bit(c, &k.recheck)
 	})
-	for _, v := range []*bool{&w.taken, &w.away, &w.asked, &w.stray, &w.lost} {
+	for _, v := range []*bool{&w.taken, &w.away, &w.asked, &w.stray, &w.promised, &w.lost} {
 		explore.Bit(c, v)
 	}
 	explore.Num(c, &w.gen)
@@ -791,7 +810,7 @@ func (w *world) Encode(b []byte) []byte {
 }
 
 func decode(b *checkBound, enc []byte) *world {
-	w := &world{b: b}
+	w := &world{b: b, hold: runtime.NewHold(1, lease, b.budget)}
 	w.code(&explore.Coder{Buf: enc, Decoding: true})
 	return w
 }
@@ -825,6 +844,7 @@ func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 	w := newWorld(&b)
 	// Frames the member read, and grants, since the last run was granted.
 	var orders, runReleases, others, grants, steady, holds int
+	full := false // the last run granted was full: budget+1 fences
 	// Drive the world by a fixed priority: the wire and the member first,
 	// then the callers, arrivals before releases.
 	priority := []mkind{mWrite, mServe, mTake, mLand, mGrant, mRun, mFree, mRead, mArrive, mRelease}
@@ -859,12 +879,12 @@ func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 			if holds++; !w.work[pick.i].a.run {
 				break
 			}
-			// The first two runs form the crowd: the first acquires' regrants
-			// leave the first run short of the budget. After them, each run
-			// granted while all eight callers still cycle follows nine grants,
-			// one order and one ReleaseRun.
+			// Once a full run was granted, each run granted while all eight
+			// callers still cycle follows nine grants, one order and one
+			// ReleaseRun. (The first run is short: it follows the first
+			// acquires' regrants, which spent part of the budget.)
 			crowd := !slices.ContainsFunc(w.cs, func(c mcaller) bool { return c.state == cDone })
-			if runs++; runs > 2 && crowd {
+			if runs++; full && crowd {
 				if grants != runLen || orders != 1 || runReleases != 1 || others != 0 {
 					t.Fatalf("run %d came after %d grants, %d orders, %d run releases and %d other frames; want %d, 1, 1, 0",
 						runs, grants, orders, runReleases, others, runLen)
@@ -877,6 +897,9 @@ func TestLaneRotatesAHotKeyWithTwoFramesPerRunMachine(t *testing.T) {
 		}
 		if err := explore.Apply[move](w, pick); err != nil {
 			t.Fatalf("run %d: %v", runs, err)
+		}
+		if pick.kind == mGrant && w.hold.Run > 1 {
+			full = w.hold.Run == runLen
 		}
 	}
 	if err := w.Quiescent(); err != nil {

@@ -201,17 +201,35 @@ func Time(c *Coder, t *time.Time) {
 }
 
 // Map codes a map with string keys in key order, each value with each; a
-// decoded map is nil when empty.
+// decoded map is nil when empty. Encoding a map of one key or none
+// allocates nothing.
 func Map[V any](c *Coder, m *map[string]V, each func(*V)) {
-	keys := slices.Sorted(maps.Keys(*m))
-	List(c, &keys, func(k *string) { Str(c, k) })
-	if c.Decoding && len(keys) > 0 {
-		*m = make(map[string]V, len(keys))
+	n := len(*m)
+	if Num(c, &n); c.Decoding {
+		*m = nil
+		for i := range n {
+			var k string
+			var v V
+			Str(c, &k)
+			each(&v)
+			if i == 0 {
+				*m = make(map[string]V, n)
+			}
+			(*m)[k] = v
+		}
+		return
 	}
-	for _, k := range keys {
+	if n <= 1 { // no order to fix
+		for k, v := range *m {
+			Str(c, &k)
+			each(&v)
+		}
+		return
+	}
+	for _, k := range slices.Sorted(maps.Keys(*m)) {
 		v := (*m)[k]
+		Str(c, &k)
 		each(&v)
-		(*m)[k] = v
 	}
 }
 

@@ -10,8 +10,8 @@ type SlotState struct {
 func (sl *Slot) State() SlotState {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	return SlotState{Pending: sl.h.pending, Abandoned: sl.h.abandoned, Streak: sl.h.streak,
-		Waiters: int(sl.waiters.Load()), Markers: len(sl.h.expired)}
+	return SlotState{Pending: sl.h.Pending, Abandoned: sl.h.Abandoned, Streak: sl.h.Streak,
+		Waiters: int(sl.waiters.Load()), Markers: len(sl.h.Expired)}
 }
 
 // AddWaiters adjusts the queued-acquirer count, standing in for callers
@@ -28,6 +28,5 @@ func (sl *Slot) FreeSem() { <-sl.sem }
 func (sl *Slot) Holding() (key string, fence uint64, held bool) {
 	sl.mu.Lock()
 	defer sl.mu.Unlock()
-	key, fence, _, held = sl.h.Holding()
-	return key, fence, held
+	return sl.h.Key, sl.h.Fence, sl.h.Held
 }

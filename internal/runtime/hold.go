@@ -1,188 +1,89 @@
 package runtime
 
 import (
+	"fmt"
 	"slices"
 	"time"
 
-	"dagmutex/internal/explore"
 	"dagmutex/internal/mutex"
 )
 
-// Hold is the hold machine: every decision a Slot makes, as a value with
-// no lock, goroutine, channel, clock read or atomic. Its Slot steps it
-// one event at a time under the slot lock, with the waiter count and the
-// instant it read itself, and carries out the actions the step appends.
-// It is exported for the dialing side's lane checker, which drives the
-// same machine against a stub session.
-//
-//   - State: the hold — its key, the fence it is known by (a run's last),
-//     its run length, lease deadline and grant time; pending, streak and
-//     abandoned, described below; and the expiry markers.
-//   - Events: an acquirer took the slot; its grant was admitted, a run
-//     wanted or not; a Regrant or Reserve got its fences, or none; a Claim
-//     took its grant, or found none; a release (key, fence, used, more); a
-//     sweep; the last waiter left; an acquire was abandoned with its
-//     request still outstanding.
-//   - Actions: await the pipelined grant; regrant for the next waiter;
-//     reserve k fences by regranting; claim a landed grant without
-//     blocking; release, or release and re-request (the pipelined
-//     handoff); free the slot, telling the observer how a hold ended;
-//     refuse a release with ErrNotHeld or ErrLeaseExpired.
-//
-// A Regrant, a Reserve or a Claim is answered by the next step, before
-// the driver lets go of the slot lock: the machine is between exchanges
-// whenever anyone else can see it. Exchange runs one, against whatever
-// HoldSession the driver has.
+// Hold is the hold machine: every decision a Slot makes, with no lock,
+// goroutine, channel, clock read or atomic. It has one method per entry
+// point — Take, Admit, Release, Sweep, Left and Abandon — each given the
+// waiter count and instant its driver read, each calling the driver's
+// HoldSession directly, and each returning only what the driver must do
+// once it has let go of its lock: the free, or the refusal. A Slot steps
+// it under the slot lock; the dialing side's lane checker steps the same
+// machine against a stub session.
 type Hold struct {
 	node   mutex.ID
 	lease  time.Duration // <= 0: holds never expire
 	budget int           // max consecutive regrants; <= 0 disables them
+	HoldState
+}
 
-	held      bool
-	key       string
-	fence     uint64 // of a run: its last fence
-	run       int    // fences reserved under the hold; 1 unless a run reserved more
-	expires   time.Time
-	grantedAt time.Time
-	// pending marks a pipelined handoff: a release already regranted the
+// HoldState is all a Hold's entry points change, exported so that a
+// checker can keep it encoded.
+type HoldState struct {
+	Held      bool
+	Key       string
+	Fence     uint64    // of a run: its last fence
+	Run       int       // fences reserved under the hold; 1 unless a run reserved more
+	Expires   time.Time // lease deadline; zero when leases are disabled
+	GrantedAt time.Time
+	// Pending marks a pipelined handoff: a release already regranted the
 	// section or re-issued the session's request, so the next taker of the
 	// slot awaits that grant instead of requesting. If every waiter gives
-	// up first, the last to leave adopts it once it has landed, and a
-	// sweep adopts one that was still traveling.
-	pending bool
-	// streak counts consecutive regrants since the token last took the
+	// up first, the last to leave adopts it once it has landed (Left), and
+	// a sweep adopts one that was still traveling.
+	Pending bool
+	// Streak counts consecutive regrants since the token last took the
 	// protocol path — handoffs to the next waiter and fences reserved for
 	// a run alike — so that remote requesters are bypassed at most budget
 	// times.
-	streak int
-	// abandoned marks a failed acquire whose request stayed outstanding
+	Streak int
+	// Abandoned marks a failed acquire whose request stayed outstanding
 	// (the paper's model has no cancellation): the slot stays taken until
 	// a sweep has drained and released the grant.
-	abandoned bool
-	// expired remembers reclaimed holds, so that each late release can be
+	Abandoned bool
+	// Expired remembers reclaimed holds, so that each late release can be
 	// told from a release of something never held, even after the slot
 	// moved on and when one key expired several times in a row. Reporting
 	// a marker removes it; beyond maxExpiredMarkers the oldest is dropped.
-	expired []marker
-
-	wait holdWait // what the last Regrant, Reserve or Claim was for
-	more bool     // reserveHandoff: the release said more
-	// end is the report an action with Report set refers to: how the
-	// last hold ended, or the handoffs a late release told of. It is the
-	// exchange's output, not state: it never steers a step.
-	end HoldEnd
+	Expired []HoldMarker
 }
 
-// marker is one reclaimed hold: its key, fence and fences reserved.
-type marker struct {
-	key   string
-	fence uint64
-	run   int
+// HoldMarker is one reclaimed hold: its key, fence and fences reserved.
+type HoldMarker struct {
+	Key   string
+	Fence uint64
+	Run   int
 }
 
-type holdWait uint8
-
-const (
-	waitNone holdWait = iota
-	reserveRun
-	reserveHandoff
-	claimTry
-	claimAdopt
-	claimDrain
-)
-
-// HoldEventKind names a Hold event.
-type HoldEventKind uint8
-
-const (
-	OnTake     HoldEventKind = iota // an acquirer took the slot; More: it is a try
-	OnGranted                       // its grant (Fence, At) is admitted under Key; More: a run is wanted
-	OnReserved                      // a Regrant or Reserve got N fences, a Reserve's last Fence
-	OnClaimed                       // the Claim took a grant (More) or found none
-	OnRelease                       // release Key by Fence (0: by name), N used, More
-	OnSweep                         // a sweep at At
-	OnLeft                          // the last waiter left
-	OnAbandon                       // the acquire failed with its request outstanding
-)
-
-// HoldEvent is one input to Hold.Step. Waiters is how many acquirers
-// are queued for the slot as the driver read it.
-type HoldEvent struct {
-	Kind    HoldEventKind
-	Key     string
-	Fence   uint64
-	N       int
-	More    bool
-	At      time.Time
-	Waiters int
-}
-
-// HoldActionKind names a Hold action.
-type HoldActionKind uint8
-
-const (
-	DoAwait          HoldActionKind = iota // await the pipelined grant instead of requesting
-	DoRegrant                              // regrant, leaving the grant for the next waiter, and step OnReserved
-	DoReserve                              // regrant up to N times, taking each grant, and step OnReserved
-	DoClaim                                // take a landed grant without blocking, the slot first if Sem, and step OnClaimed
-	DoRelease                              // release the section
-	DoReleaseRequest                       // release and re-request: the pipelined handoff
-	DoFree                                 // free the slot; then, if Recheck and nobody waits, step OnLeft
-	DoRefuse                               // refuse the release: ErrNotHeld, or ErrLeaseExpired if Expired
-)
-
-// HoldAction is one output of Hold.Step, small so that a step copies
-// little. With Report set, the observer is told the machine's end record
-// — by a free, or by a refusal that tells of a run's handoffs after the
-// run expired. A refusal with Expired names the Fence the expired hold
-// was filed under.
-type HoldAction struct {
-	Kind                          HoldActionKind
-	Sem, Report, Recheck, Expired bool
-	N                             int
-	Fence                         uint64
-}
-
-// HoldSession is what an exchange asks of a Hold's driver: the session
-// calls, and the claim of a landed grant. A Slot's is its session and
-// semaphore; the dialing side's lane checker has a stub.
+// HoldSession is what a Hold asks of its driver: the session calls, and
+// the claim of a landed grant. A Slot's is its session and semaphore.
 type HoldSession interface {
-	// Regrant regrants up to n times, taking each grant when take is set,
-	// and returns how many it got and the last fence taken.
-	Regrant(n int, take bool) (int, uint64)
+	// Regrant passes the section to a new grant without the token
+	// leaving, and reports whether it could; with take it takes that
+	// grant at once and returns its fence.
+	Regrant(take bool) (uint64, bool)
 	// Claim takes a landed grant without blocking, the slot first when
 	// sem is set, and reports whether it did.
-	Claim(sem bool) bool
+	Claim(sem bool) (Grant, bool)
 	// Release releases the section, and requests it again when again is
 	// set.
 	Release(again bool) error
 }
 
-// Exchange steps the machine with e and makes, through s, every session
-// call the step asks for, answering each Regrant, Reserve and Claim with
-// the step it is owed. It returns the free or refusal that ends the
-// exchange, for the driver to carry out once it has let go of its lock,
-// or the error of a failed release, which leaves the slot taken for
-// good: the cluster is broken.
-func (h *Hold) Exchange(e *HoldEvent, s HoldSession) (HoldAction, error) {
-	var buf [4]HoldAction
-	acts := h.Step(e, buf[:0])
-	for i := 0; i < len(acts); i++ {
-		switch a := acts[i]; a.Kind {
-		case DoRegrant, DoReserve:
-			n, last := s.Regrant(max(a.N, 1), a.Kind == DoReserve)
-			acts = h.Step(&HoldEvent{Kind: OnReserved, N: n, Fence: last}, acts)
-		case DoClaim:
-			acts = h.Step(&HoldEvent{Kind: OnClaimed, More: s.Claim(a.Sem)}, acts)
-		case DoRelease, DoReleaseRequest:
-			if err := s.Release(a.Kind == DoReleaseRequest); err != nil {
-				return HoldAction{}, err
-			}
-		case DoFree, DoRefuse:
-			return a, nil
-		}
-	}
-	return HoldAction{}, nil
+// Done is what an entry point leaves its driver to do after its lock:
+// tell the observer End when Report is set, free the slot when Free is,
+// and then, when Recheck is and nobody waits, step Left. The driver owns
+// it and hands the entry point a zero one to fill in, so that the end
+// record is written once, where the driver reads it.
+type Done struct {
+	End                   HoldEnd
+	Report, Free, Recheck bool
 }
 
 // NewHold is the machine of a slot over node: lease bounds each hold
@@ -192,203 +93,164 @@ func NewHold(node mutex.ID, lease time.Duration, budget int) Hold {
 	return Hold{node: node, lease: lease, budget: budget}
 }
 
-// Holding reports the current hold: its key, the fence it is known by,
-// and how many fences it covers, ending with that one.
-func (h *Hold) Holding() (key string, fence uint64, run int, held bool) {
-	return h.key, h.fence, h.run, h.held
+// Take is an acquirer that has taken the slot. It reports whether a
+// pipelined grant is owed to it, to await instead of requesting; a try
+// claims that grant at once if it has landed (ok), and leaves one still
+// traveling pending.
+func (h *Hold) Take(s HoldSession, try bool) (g Grant, pipelined, ok bool) {
+	if pipelined = h.Pending; pipelined && try {
+		if g, ok = s.Claim(false); !ok {
+			return g, true, false
+		}
+	}
+	h.Pending = false
+	return g, pipelined, ok
 }
 
-// Pending reports a pipelined handoff nobody has claimed yet.
-func (h *Hold) Pending() bool { return h.pending }
-
-// Step applies e and appends to out what the driver must do, in order.
-// The caller owns out.
-func (h *Hold) Step(e *HoldEvent, out []HoldAction) []HoldAction {
-	switch e.Kind {
-	case OnTake:
-		switch {
-		case !h.pending:
-		case e.More:
-			h.wait = claimTry
-			out = append(out, HoldAction{Kind: DoClaim})
-		default:
-			h.pending = false
-			out = append(out, HoldAction{Kind: DoAwait})
-		}
-	case OnGranted:
-		h.held, h.key, h.fence, h.run, h.grantedAt, h.expires = true, e.Key, e.Fence, 1, e.At, time.Time{}
-		if h.lease > 0 {
-			h.expires = e.At.Add(h.lease)
-		}
-		if e.More && h.streak < h.budget {
-			// Each reserved fence is a regrant nobody collects: the section
-			// never leaves the slot, only the generation advances.
-			h.wait = reserveRun
-			out = append(out, HoldAction{Kind: DoReserve, N: h.budget - h.streak})
-		}
-	case OnReserved:
-		return h.reserved(e, out)
-	case OnClaimed:
-		w := h.wait
-		h.wait = waitNone
-		switch {
-		case !e.More:
-		case w == claimTry:
-			h.pending = false
-		case w == claimAdopt:
-			h.pending = false
-			out = h.reclaim(out, false)
-		case w == claimDrain:
-			h.abandoned = false
-			out = h.reclaim(out, false)
-		}
-	case OnRelease:
-		return h.release(e, out)
-	case OnSweep:
-		switch {
-		case h.pending && e.Waiters == 0:
-			h.wait = claimAdopt
-			out = append(out, HoldAction{Kind: DoClaim, Sem: true})
-		case h.abandoned:
-			h.wait = claimDrain
-			out = append(out, HoldAction{Kind: DoClaim})
-		case h.held && !h.expires.IsZero() && e.At.After(h.expires):
-			if len(h.expired) >= maxExpiredMarkers {
-				h.expired = slices.Delete(h.expired, 0, 1)
-			}
-			h.expired = append(h.expired, marker{h.key, h.fence, h.run})
-			h.clear()
-			h.end.Expired = true
-			out = h.reclaim(out, true)
-		}
-	case OnLeft:
-		// The last waiter gave up: a grant it leaves behind is adopted as
-		// soon as nobody is left to claim it, not on the next sweep (up to
-		// 1s, while every other member's request for the shard waits too).
-		if h.pending && e.Waiters == 0 {
-			h.wait = claimAdopt
-			out = append(out, HoldAction{Kind: DoClaim, Sem: true})
-		}
-	case OnAbandon:
-		h.abandoned = true
+// Admit records the hold of key that g grants, first reserving, when
+// run is set, every fence the cohort budget has left. It sets g's lease
+// deadline and returns how many fences the hold covers.
+func (h *Hold) Admit(s HoldSession, key string, g *Grant, run bool) int {
+	if h.lease > 0 {
+		g.Expires = g.At.Add(h.lease)
 	}
-	return out
+	last, n := g.Generation, 1
+	for run && h.Streak < h.budget {
+		// Each reserved fence is a regrant nobody collects: the section
+		// never leaves the slot, only the generation advances.
+		f, ok := s.Regrant(true)
+		if !ok {
+			break
+		}
+		last, n = f, n+1
+		h.Streak++
+	}
+	h.Held, h.Key, h.Fence, h.Run, h.Expires, h.GrantedAt = true, key, last, n, g.Expires, g.At
+	return n
 }
 
-// release ends the hold a release names, or refuses it.
-func (h *Hold) release(e *HoldEvent, out []HoldAction) []HoldAction {
-	if !h.held || h.key != e.Key || (e.Fence != 0 && h.fence != e.Fence) {
-		if m, ok := h.takeExpired(e.Key, e.Fence); ok {
-			used := min(e.N, m.run)
-			h.end = HoldEnd{Node: h.node, Key: e.Key, Fence: m.fence - uint64(m.run-used), Run: used, Late: true}
-			return append(out, HoldAction{Kind: DoRefuse, Expired: true, Fence: m.fence, Report: used > 1})
-		}
-		return append(out, HoldAction{Kind: DoRefuse})
+// Abandon is an acquire that failed with its request still outstanding.
+func (h *Hold) Abandon() { h.Abandoned = true }
+
+// Release is Slot.ReleaseRun's decision. A failed protocol release
+// means the cluster is broken: the slot then stays taken.
+func (h *Hold) Release(s HoldSession, key string, fence uint64, used int, more bool, waiters int, d *Done) (err error) {
+	if !h.Held || h.Key != key || (fence != 0 && h.Fence != fence) {
+		return h.refuse(key, fence, used, d)
 	}
-	used := max(min(e.N, h.run), 1)
+	used = max(min(used, h.Run), 1)
 	// A run that ended early hands its unused share of the cohort budget
 	// back: the fences are skipped for good, but nobody was bypassed for
 	// them.
-	unused := h.run - used
-	h.streak -= unused
-	h.clear()
-	h.end.Fence, h.end.Run = h.end.Fence-uint64(unused), used
-	if e.Fence == 0 {
-		h.expired = slices.DeleteFunc(h.expired, func(m marker) bool { return m.key == e.Key })
+	unused := h.Run - used
+	h.Streak -= unused
+	h.clear(&d.End)
+	d.End.Fence, d.End.Run = d.End.Fence-uint64(unused), used
+	if fence == 0 {
+		h.Expired = slices.DeleteFunc(h.Expired, func(m HoldMarker) bool { return m.Key == key })
 	}
-	if (e.More || e.Waiters > 0) && !h.pending && !h.abandoned {
+	if (more || waiters > 0) && !h.Pending && !h.Abandoned {
 		// Cohort handoff first: the next waiter is local, so the protocol
 		// node never leaves its critical section and only the fencing
-		// generation advances.
-		if h.streak < h.budget {
-			h.wait, h.more = reserveHandoff, e.More
-			return append(out, HoldAction{Kind: DoRegrant})
+		// generation advances. Mid-recovery or without the capability,
+		// the pipelined handoff instead: the re-REQUEST rides the outgoing
+		// PRIVILEGE (or the same batched write), so the successor's
+		// request is racing back before any waiter even wakes.
+		if h.Streak < h.budget {
+			if _, ok := s.Regrant(false); ok {
+				h.Streak++
+				h.Pending = true
+				// The waiters it was for may give up while the slot is still
+				// taken, when they cannot adopt the grant: unless the release
+				// said an acquire is on its way, look again once it is free.
+				d.End.Regranted, d.Report, d.Free, d.Recheck = true, true, true, !more
+				return nil
+			}
 		}
-		return h.handOff(out)
+		h.Streak = 0
+		if err = s.Release(true); err == nil {
+			h.Pending = true
+		}
+	} else {
+		h.Streak = 0
+		err = s.Release(false)
 	}
-	h.streak = 0
-	return append(out, HoldAction{Kind: DoRelease}, HoldAction{Kind: DoFree, Report: true})
+	if err != nil {
+		return fmt.Errorf("release node %d: %w", h.node, err)
+	}
+	d.Report, d.Free = true, true
+	return nil
 }
 
-// reserved takes the outcome of a Reserve.
-func (h *Hold) reserved(e *HoldEvent, out []HoldAction) []HoldAction {
-	w := h.wait
-	h.wait = waitNone
+// refuse is the refusal of a release that names no current hold. One
+// that names a reclaimed hold reports the run's handoffs it tells of.
+func (h *Hold) refuse(key string, fence uint64, used int, d *Done) error {
+	i := slices.IndexFunc(h.Expired, func(m HoldMarker) bool { return m.Key == key && (fence == 0 || m.Fence == fence) })
 	switch {
-	case w == reserveRun && e.N > 0:
-		h.fence, h.run, h.streak = e.Fence, h.run+e.N, h.streak+e.N
-	case w == reserveHandoff && e.N > 0:
-		h.streak++
-		h.pending = true
-		h.end.Regranted = true
-		// The waiters it was for may give up while the slot is still
-		// taken, when they cannot adopt the grant: unless the release said
-		// an acquire is on its way, look again once the slot is free.
-		out = append(out, HoldAction{Kind: DoFree, Report: true, Recheck: !h.more})
-	case w == reserveHandoff:
-		// Mid-recovery, or no capability: take the protocol path.
-		out = h.handOff(out)
+	case i >= 0:
+		m := h.Expired[i]
+		h.Expired = slices.Delete(h.Expired, i, i+1)
+		if used = min(used, m.Run); used > 1 {
+			d.End, d.Report = HoldEnd{Node: h.node, Key: key, Fence: m.Fence - uint64(m.Run-used), Run: used, Late: true}, true
+		}
+		return fmt.Errorf("node %d released %q after its lease ran out (fence %d): %w", h.node, key, m.Fence, ErrLeaseExpired)
+	case !h.Held:
+		return fmt.Errorf("node %d does not hold %q: %w", h.node, key, ErrNotHeld)
 	}
-	return out
+	return fmt.Errorf("node %d holds %q under fence %d, not %q under fence %d: %w", h.node, h.Key, h.Fence, key, fence, ErrNotHeld)
 }
 
-// handOff is the pipelined handoff: the re-REQUEST rides the outgoing
-// PRIVILEGE (or the same batched write), so the successor's request is
-// racing back before any waiter even wakes.
-func (h *Hold) handOff(out []HoldAction) []HoldAction {
-	h.streak = 0
-	h.pending = true
-	return append(out, HoldAction{Kind: DoReleaseRequest}, HoldAction{Kind: DoFree, Report: true})
-}
-
-// reclaim releases a grant nobody holds any more and frees the slot,
-// reporting the end of a hold if it ended one.
-func (h *Hold) reclaim(out []HoldAction, report bool) []HoldAction {
-	h.streak = 0
-	return append(out, HoldAction{Kind: DoRelease}, HoldAction{Kind: DoFree, Report: report})
-}
-
-// clear forgets the current hold, leaving its end record in h.end.
-func (h *Hold) clear() {
-	e := &h.end // field by field: a composite literal is built, then copied
-	e.Node, e.Key, e.Fence, e.Since, e.Run = h.node, h.key, h.fence, h.grantedAt, 1
-	e.Regranted, e.Expired, e.Late = false, false, false
-	h.held, h.key, h.fence, h.run, h.expires, h.grantedAt = false, "", 0, 0, time.Time{}, time.Time{}
-}
-
-// takeExpired consumes the marker matching a late release: the exact
-// (key, fence) marker, or with fence 0 any marker for key.
-func (h *Hold) takeExpired(key string, fence uint64) (marker, bool) {
-	i := slices.IndexFunc(h.expired, func(m marker) bool { return m.key == key && (fence == 0 || m.fence == fence) })
-	if i < 0 {
-		return marker{}, false
+// Sweep is Slot.Sweep's decision.
+func (h *Hold) Sweep(s HoldSession, now time.Time, waiters int, d *Done) {
+	switch {
+	case h.Pending && waiters == 0:
+		h.Left(s, 0, d)
+	case h.Abandoned:
+		if _, ok := s.Claim(false); ok {
+			h.Abandoned = false
+			h.reclaim(s, d, false)
+		}
+	case h.Held && !h.Expires.IsZero() && now.After(h.Expires):
+		if len(h.Expired) >= maxExpiredMarkers {
+			h.Expired = slices.Delete(h.Expired, 0, 1)
+		}
+		h.Expired = append(h.Expired, HoldMarker{h.Key, h.Fence, h.Run})
+		h.clear(&d.End)
+		d.End.Expired = true
+		h.reclaim(s, d, true)
 	}
-	m := h.expired[i]
-	h.expired = slices.Delete(h.expired, i, i+1)
-	return m, true
 }
 
-// Code walks the machine's state with c, for a checker that keeps states
-// encoded. Only a machine between exchanges can be coded.
-func (h *Hold) Code(c *explore.Coder) {
-	if h.wait != waitNone {
-		panic("runtime: a Hold coded in the middle of an exchange")
+// Left is the last waiter giving up: a landed grant it leaves behind is
+// adopted as soon as nobody is left to claim it, not on the next sweep
+// (up to 1s, while every other member's request for the shard waits
+// too). A grant still traveling stays for the sweep. A releaser that
+// said an acquire is on its way leaves its own handoff for that acquire,
+// but the last waiter to give up adopts any landed grant, a promised one
+// included: the promised acquire, arriving later, requests afresh.
+func (h *Hold) Left(s HoldSession, waiters int, d *Done) {
+	if !h.Pending || waiters != 0 {
+		return
 	}
-	explore.Num(c, &h.node)
-	explore.Num(c, &h.lease)
-	explore.Num(c, &h.budget)
-	explore.Bit(c, &h.held)
-	explore.Str(c, &h.key)
-	explore.Num(c, &h.fence)
-	explore.Num(c, &h.run)
-	explore.Time(c, &h.expires)
-	explore.Time(c, &h.grantedAt)
-	explore.Bit(c, &h.pending)
-	explore.Num(c, &h.streak)
-	explore.Bit(c, &h.abandoned)
-	explore.List(c, &h.expired, func(m *marker) {
-		explore.Str(c, &m.key)
-		explore.Num(c, &m.fence)
-		explore.Num(c, &m.run)
-	})
+	// The slot is taken as an acquirer would take it, without blocking:
+	// a concurrent acquire wins the race and claims the grant itself.
+	if _, ok := s.Claim(true); ok {
+		h.Pending = false
+		h.reclaim(s, d, false)
+	}
+}
+
+// reclaim releases a grant nobody holds any more, then frees the slot,
+// reporting d's end record if report is set, unless that release failed.
+func (h *Hold) reclaim(s HoldSession, d *Done, report bool) {
+	if s.Release(false) == nil {
+		h.Streak = 0
+		d.Free, d.Report = true, report
+	}
+}
+
+// clear forgets the current hold, writing its end record to e.
+func (h *Hold) clear(e *HoldEnd) {
+	e.Node, e.Key, e.Fence, e.Since, e.Run = h.node, h.Key, h.Fence, h.GrantedAt, 1
+	h.Held, h.Key, h.Fence, h.Run, h.Expires, h.GrantedAt = false, "", 0, 0, time.Time{}, time.Time{}
 }

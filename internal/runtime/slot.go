@@ -83,9 +83,9 @@ type HoldEnd struct {
 //
 // Every one of those decisions is the hold machine's (Hold). The slot is
 // its driver: it keeps the semaphore its callers queue on, the count of
-// those queued, the lock its steps are taken under and the session, steps
-// the machine with what it observed, and carries out the actions — the
-// session calls under the lock, the frees and end reports after it.
+// those queued, the lock the machine is stepped under and the session,
+// and carries out what the machine leaves it — the free and the end
+// report, after the lock.
 //
 // A caller that fronts a queue of its own (a dialed connection with more
 // callers waiting for the key) takes a run instead of a hold: AcquireRun
@@ -162,13 +162,12 @@ func (sl *Slot) acquire(ctx context.Context, key string, run bool) (Grant, int, 
 		return Grant{}, 0, fmt.Errorf("acquire node %d: cluster failed: %w", sl.s.ID(), sl.s.Err())
 	case <-ctx.Done():
 		if sl.waiters.Add(-1) == 0 {
-			sl.step(&HoldEvent{Kind: OnLeft})
+			sl.left()
 		}
 		return Grant{}, 0, fmt.Errorf("acquire node %d: %w", sl.s.ID(), ctx.Err())
 	}
-	var buf [1]HoldAction
 	sl.mu.Lock()
-	pipelined := len(sl.h.Step(&HoldEvent{Kind: OnTake}, buf[:0])) > 0
+	_, pipelined, _ := sl.h.Take(sl.session(), false)
 	sl.mu.Unlock()
 	var g Grant
 	var err error
@@ -185,14 +184,16 @@ func (sl *Slot) acquire(ctx context.Context, key string, run bool) (Grant, int, 
 			// caller would double-request, and undrained, the token would
 			// park here forever.
 			sl.mu.Lock()
-			sl.h.Step(&HoldEvent{Kind: OnAbandon}, nil)
+			sl.h.Abandon()
 			sl.mu.Unlock()
 		} else {
 			<-sl.sem
 		}
 		return Grant{}, 0, err
 	}
-	g, n := sl.admit(key, g, run)
+	sl.mu.Lock()
+	n := sl.h.Admit(sl.session(), key, &g, run)
+	sl.mu.Unlock()
 	return g, n, nil
 }
 
@@ -207,17 +208,11 @@ func (sl *Slot) TryAcquire(key string) (Grant, bool, error) {
 	default:
 		return Grant{}, false, nil
 	}
-	var g Grant
-	var ok bool
 	var err error
-	var buf [1]HoldAction
 	sl.mu.Lock()
-	if len(sl.h.Step(&HoldEvent{Kind: OnTake, More: true}, buf[:0])) > 0 {
-		g, ok = sl.claim(false)
-		sl.h.Step(&HoldEvent{Kind: OnClaimed, More: ok}, buf[:0])
-		sl.mu.Unlock()
-	} else {
-		sl.mu.Unlock()
+	g, pipelined, ok := sl.h.Take(sl.session(), true)
+	sl.mu.Unlock()
+	if !pipelined {
 		g, ok, err = sl.s.TryAcquire()
 	}
 	if err != nil || !ok {
@@ -225,21 +220,10 @@ func (sl *Slot) TryAcquire(key string) (Grant, bool, error) {
 		<-sl.sem
 		return Grant{}, false, err
 	}
-	g, _ = sl.admit(key, g, false)
-	return g, true, nil
-}
-
-// admit records the new hold, first reserving the rest of the cohort
-// budget when the caller asked for a run, and returns the grant with its
-// deadline and the number of fences it covers. The semaphore is already
-// held.
-func (sl *Slot) admit(key string, g Grant, run bool) (Grant, int) {
 	sl.mu.Lock()
-	sl.exec(&HoldEvent{Kind: OnGranted, Key: key, Fence: g.Generation, At: g.At, More: run})
-	g.Expires = sl.h.expires
-	n := sl.h.run
+	sl.h.Admit(sl.session(), key, &g, false)
 	sl.mu.Unlock()
-	return g, n
+	return g, true, nil
 }
 
 // Release ends the hold of key. fence identifies the exact hold
@@ -270,7 +254,12 @@ func (sl *Slot) Release(key string, fence uint64) error {
 // waiter even if it has not reached the slot yet — the handoff is
 // pipelined for it, and Sweep adopts the grant should it never come.
 func (sl *Slot) ReleaseRun(key string, fence uint64, used int, more bool) error {
-	return sl.step(&HoldEvent{Kind: OnRelease, Key: key, Fence: fence, N: used, More: more})
+	var d Done
+	sl.mu.Lock()
+	err := sl.h.Release(sl.session(), key, fence, used, more, int(sl.waiters.Load()), &d)
+	sl.mu.Unlock()
+	sl.finish(&d)
+	return err
 }
 
 // Sweep settles whatever the slot's callers left behind, as of now: it
@@ -280,58 +269,76 @@ func (sl *Slot) ReleaseRun(key string, fence uint64, used int, more bool) error 
 // ends with the token released and the slot freed; if that release fails
 // the cluster is broken and the slot stays busy.
 func (sl *Slot) Sweep(now time.Time) {
-	_ = sl.step(&HoldEvent{Kind: OnSweep, At: now})
-}
-
-// step takes the slot lock, steps the machine with e and the waiter
-// count, and carries out what it says.
-func (sl *Slot) step(e *HoldEvent) error {
+	var d Done
 	sl.mu.Lock()
-	e.Waiters = int(sl.waiters.Load())
-	a, err := sl.exec(e)
-	var end HoldEnd
-	if a.Report {
-		end = sl.h.end
-	}
+	sl.h.Sweep(sl.session(), now, int(sl.waiters.Load()), &d)
 	sl.mu.Unlock()
-	sl.finish(a, &end)
-	return err
+	sl.finish(&d)
 }
 
-// exec runs the exchange e starts, with sl.mu held so that no step
-// races another, and returns the free or refusal that ends it, for
-// finish once sl.mu is let go. A failed release means the cluster is
-// broken: the slot then stays busy, and the session's Failed signal
-// fails future acquirers fast.
-func (sl *Slot) exec(e *HoldEvent) (HoldAction, error) {
-	a, err := sl.h.Exchange(e, (*slotSession)(sl))
-	switch {
-	case err != nil:
-		return a, fmt.Errorf("release node %d: %w", sl.s.ID(), err)
-	case a.Kind == DoRefuse:
-		return a, sl.refusal(a, e.Key, e.Fence)
+// left steps the machine's Left: the last waiter gave up, or may have
+// while a handoff still had the slot.
+func (sl *Slot) left() {
+	var d Done
+	sl.mu.Lock()
+	sl.h.Left(sl.session(), int(sl.waiters.Load()), &d)
+	sl.mu.Unlock()
+	sl.finish(&d)
+}
+
+// finish carries out what a step of the machine left, out of sl.mu: it
+// tells the observer how a hold ended, frees the slot, and looks again
+// for a grant nobody is left to claim.
+func (sl *Slot) finish(d *Done) {
+	if d.Report && sl.end != nil {
+		sl.end(d.End)
 	}
-	return a, nil
+	if !d.Free {
+		return
+	}
+	<-sl.sem
+	if d.Recheck && sl.waiters.Load() == 0 {
+		sl.left()
+	}
 }
 
-// slotSession is a Slot as its machine's HoldSession.
+// session is the slot as its machine's HoldSession.
+func (sl *Slot) session() *slotSession { return (*slotSession)(sl) }
+
 type slotSession Slot
 
-func (d *slotSession) Regrant(n int, take bool) (got int, last uint64) {
-	for ; got < n; got++ {
-		if ok, err := d.s.Regrant(); err != nil || !ok {
-			break
-		}
-		if take {
-			last = (<-d.s.Granted()).Generation
-		}
+func (d *slotSession) Regrant(take bool) (uint64, bool) {
+	if ok, err := d.s.Regrant(); err != nil || !ok {
+		return 0, false
 	}
-	return got, last
+	if !take {
+		return 0, true
+	}
+	return (<-d.s.Granted()).Generation, true
 }
 
-func (d *slotSession) Claim(sem bool) bool {
-	_, ok := (*Slot)(d).claim(sem)
-	return ok
+// Claim takes the pending grant if it has landed, taking the slot first
+// when sem is set — without blocking either way: an acquirer that holds
+// the slot claims the grant itself, and the acquire path (sem before mu)
+// cannot deadlock against this.
+func (d *slotSession) Claim(sem bool) (Grant, bool) {
+	if sem {
+		select {
+		case d.sem <- struct{}{}:
+		default:
+			return Grant{}, false
+		}
+	}
+	select {
+	case g := <-d.s.Granted():
+		return g, true
+	default:
+		// Still traveling (the ReleaseRequest path): Sweep retries.
+		if sem {
+			<-d.sem
+		}
+		return Grant{}, false
+	}
 }
 
 func (d *slotSession) Release(again bool) error {
@@ -339,59 +346,6 @@ func (d *slotSession) Release(again bool) error {
 		return d.s.ReleaseRequest()
 	}
 	return d.s.Release()
-}
-
-// claim takes the pending grant if it has landed, taking the slot first
-// when sem is set — without blocking either way: an acquirer that holds
-// the slot claims the grant itself, and the acquire path (sem before mu)
-// cannot deadlock against this.
-func (sl *Slot) claim(sem bool) (Grant, bool) {
-	if sem {
-		select {
-		case sl.sem <- struct{}{}:
-		default:
-			return Grant{}, false
-		}
-	}
-	select {
-	case g := <-sl.s.Granted():
-		return g, true
-	default:
-		// Still traveling (the ReleaseRequest path): Sweep retries.
-		if sem {
-			<-sl.sem
-		}
-		return Grant{}, false
-	}
-}
-
-// finish ends an exchange out of sl.mu: it tells the observer how a
-// hold ended, frees the slot, and looks again for a grant nobody is left
-// to claim when the machine asks.
-func (sl *Slot) finish(a HoldAction, end *HoldEnd) {
-	if a.Report && sl.end != nil {
-		sl.end(*end)
-	}
-	if a.Kind != DoFree {
-		return
-	}
-	<-sl.sem
-	if a.Recheck && sl.waiters.Load() == 0 {
-		sl.step(&HoldEvent{Kind: OnLeft})
-	}
-}
-
-// refusal is the error of a release the machine refused. Callers hold
-// sl.mu.
-func (sl *Slot) refusal(a HoldAction, key string, fence uint64) error {
-	id := sl.s.ID()
-	switch {
-	case a.Expired:
-		return fmt.Errorf("node %d released %q after its lease ran out (fence %d): %w", id, key, a.Fence, ErrLeaseExpired)
-	case !sl.h.held:
-		return fmt.Errorf("node %d does not hold %q: %w", id, key, ErrNotHeld)
-	}
-	return fmt.Errorf("node %d holds %q under fence %d, not %q under fence %d: %w", id, sl.h.key, sl.h.fence, key, fence, ErrNotHeld)
 }
 
 // SweepCadence is how often a slot with the given lease is swept unless

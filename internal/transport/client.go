@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dagmutex/internal/explore"
 	"dagmutex/internal/runtime"
 )
 
@@ -654,11 +653,12 @@ type clientConn struct {
 // to its cancel or to the disconnect straight back; and it cuts a
 // ReleaseRun's used down to what the connection holds under that fence.
 // Sockets, workers, the free list and admission stay in clientConn,
-// which calls it under its lock. It is exported for the dialing side's
-// lane checker, which runs the same rules against the same machine.
+// which calls it under its lock. It is exported, state and all, for the
+// dialing side's lane checker, which runs the same rules against the
+// same machine and keeps its states encoded.
 type ConnHolds struct {
-	holds  map[string]ConnHold
-	closed bool
+	Holds  map[string]ConnHold
+	Closed bool
 }
 
 // ConnHold is one hold a connection owns: the fence its release names (a
@@ -669,56 +669,43 @@ type ConnHold struct {
 }
 
 // Granted decides what becomes of hold h, granted to an acquire of
-// resource: the connection owns it and the grant is answered, unless the
-// acquire lost to its cancel or the connection has closed. The client
-// no longer listens for that grant, so it goes straight back: back names
-// the fence to release, and the acquire is answered as canceled.
-func (c *ConnHolds) Granted(resource string, h ConnHold, canceled bool) (answer bool, back uint64) {
-	if canceled || c.closed {
-		return false, h.Fence
+// resource: the connection owns it and answers the grant, unless the
+// acquire lost to its cancel or the connection has closed. The client no
+// longer listens for that grant, so it goes straight back, released
+// under h.Fence, and the acquire is answered as canceled.
+func (c *ConnHolds) Granted(resource string, h ConnHold, canceled bool) (answer, back bool) {
+	if canceled || c.Closed {
+		return false, true
 	}
-	if c.holds == nil {
-		c.holds = make(map[string]ConnHold)
+	if c.Holds == nil {
+		c.Holds = make(map[string]ConnHold)
 	}
-	c.holds[resource] = h
-	return true, 0
+	c.Holds[resource] = h
+	return true, false
 }
 
-// Used is a ReleaseRun's used as far as it can be believed: no more than
-// the connection was granted under fence, and none for a fence it does
-// not hold.
-func (c *ConnHolds) Used(resource string, fence uint64, used uint32) uint32 {
-	if h := c.holds[resource]; h.Fence == fence {
-		return min(used, h.Run)
+// Ended forgets the hold a release of resource under fence (0: by name)
+// ends: whatever the backend says, the connection no longer owns it —
+// released, expired, or already gone. It returns a ReleaseRun's used as
+// far as it can be believed: no more than the connection was granted
+// under fence, and none for a fence it does not hold.
+func (c *ConnHolds) Ended(resource string, fence uint64, used uint32) uint32 {
+	h, ok := c.Holds[resource]
+	if ok && (fence == 0 || h.Fence == fence) {
+		delete(c.Holds, resource)
 	}
-	return 0
-}
-
-// Released forgets the hold a release of resource under fence (0: by
-// name) ended: whatever the backend said, the connection no longer owns
-// it — released, expired, or already gone.
-func (c *ConnHolds) Released(resource string, fence uint64) {
-	if h, ok := c.holds[resource]; ok && (fence == 0 || h.Fence == fence) {
-		delete(c.holds, resource)
+	if !ok || h.Fence != fence {
+		return 0
 	}
+	return min(used, h.Run)
 }
 
 // Close marks the connection closed and returns the holds it owned, for
 // teardown to release.
 func (c *ConnHolds) Close() map[string]ConnHold {
-	holds := c.holds
-	c.holds, c.closed = nil, true
+	holds := c.Holds
+	c.Holds, c.Closed = nil, true
 	return holds
-}
-
-// Code walks the rules' state with c, for a checker that keeps states
-// encoded.
-func (c *ConnHolds) Code(k *explore.Coder) {
-	explore.Map(k, &c.holds, func(h *ConnHold) {
-		explore.Num(k, &h.Fence)
-		explore.Num(k, &h.Run)
-	})
-	explore.Bit(k, &c.closed)
 }
 
 // clientReq is one request on its way through a worker, and — for an
@@ -997,19 +984,20 @@ func (cc *clientConn) acquire(req *clientReq) {
 	default:
 		fence, expires, err = cc.backend.Acquire(req, resource)
 	}
-	answer, back := true, uint64(0)
+	held := ConnHold{Fence: fence + uint64(max(run, 1)-1), Run: uint32(max(run, 1))}
+	answer, back := true, false
 	cc.mu.Lock()
 	if !try {
 		delete(cc.reqs, reqID)
 	}
 	if err == nil && ok {
-		answer, back = cc.holds.Granted(resource, ConnHold{Fence: fence + uint64(max(run, 1)-1), Run: uint32(max(run, 1))}, req.canceled.Load())
+		answer, back = cc.holds.Granted(resource, held, req.canceled.Load())
 	}
 	cc.recycle(req)
 	cc.mu.Unlock()
 	cc.done()
-	if back != 0 {
-		_ = cc.backend.Release(resource, back)
+	if back {
+		_ = cc.backend.Release(resource, held.Fence)
 	}
 	var buf [21]byte
 	b, op := buf[:0], RespGrant
@@ -1042,21 +1030,19 @@ func (cc *clientConn) acquire(req *clientReq) {
 // passed on only as far as it can be believed: used is cut down to what
 // this connection was actually granted under that fence.
 func (cc *clientConn) release(req *clientReq) {
-	reqID, resource, fence := req.reqID, req.resource, req.fence
+	reqID, resource, fence, more := req.reqID, req.resource, req.fence, req.more
+	run := req.op == OpReleaseRun && cc.runs != nil
+	cc.mu.Lock()
+	used := cc.holds.Ended(resource, fence, req.used)
+	cc.recycle(req)
+	cc.mu.Unlock()
 	var err error
-	if req.op == OpReleaseRun && cc.runs != nil {
-		cc.mu.Lock()
-		used := cc.holds.Used(resource, fence, req.used)
-		cc.mu.Unlock()
+	if run {
 		cc.adm.runUsed.Add(int64(used))
-		err = cc.runs.ReleaseRun(resource, fence, int(used), req.more)
+		err = cc.runs.ReleaseRun(resource, fence, int(used), more)
 	} else {
 		err = cc.backend.Release(resource, fence)
 	}
-	cc.mu.Lock()
-	cc.holds.Released(resource, fence)
-	cc.recycle(req)
-	cc.mu.Unlock()
 	if err != nil {
 		cc.respondErr(reqID, err)
 		return
