@@ -11,11 +11,12 @@ import (
 // Hold is the hold machine: every decision a Slot makes, with no lock,
 // goroutine, channel, clock read or atomic. It has one method per entry
 // point — Take, Admit, Release, Sweep, Left and Abandon — each given the
-// waiter count and instant its driver read, each calling the driver's
-// HoldSession directly, and each returning only what the driver must do
-// once it has let go of its lock: the free, or the refusal. A Slot steps
-// it under the slot lock; the dialing side's lane checker steps the same
-// machine against a stub session.
+// waiter count and instant its driver read where it needs them, each
+// calling the driver's HoldSession directly, and each leaving only what
+// the driver must do once it has let go of its lock: the free (a Done),
+// or the refusal (an error). A Slot steps it under the slot lock; the
+// dialing side's lane checker steps the same machine against a stub
+// session.
 type Hold struct {
 	node   mutex.ID
 	lease  time.Duration // <= 0: holds never expire
