@@ -349,8 +349,9 @@
 // # Virtual time
 //
 // Every timer in the stack reads time through a Clock — lease
-// deadlines and the expiry sweeper, heartbeat failure detection,
-// proxy expiry. The default is the system clock. WithClock(NewVirtualClock())
+// deadlines and the expiry sweeper (of a lock service and of a Dial
+// proxy alike), heartbeat failure detection, grant timestamps. The
+// default is the system clock. WithClock(NewVirtualClock())
 // swaps in a deterministic one: nothing expires or ticks until the
 // test calls VirtualClock.Advance, which fires the timers due, in
 // order, on the advancing goroutine — so the test asserts immediately

@@ -256,7 +256,8 @@ type StartOption func(*Node)
 
 // WithClock installs the clock the node stamps grants and membership
 // events on and runs a Proxy's sweeper against. Nil (and the default)
-// is the real clock; the simulation harness installs a vclock.Virtual.
+// is the real clock; a Local cluster opened with a vclock.Virtual passes
+// it on here.
 func WithClock(c vclock.Clock) StartOption {
 	return func(n *Node) { n.clk = vclock.Or(c) }
 }
@@ -550,15 +551,7 @@ func (s *Session) ID() mutex.ID { return s.n.id }
 // the Acquire immediately rather than leaving it to hang until its
 // deadline.
 func (s *Session) Acquire(ctx context.Context) (Grant, error) {
-	n := s.n
-	if n.selfDown.Load() {
-		return Grant{}, fmt.Errorf("acquire node %d: %w", n.id, ErrNodeDown)
-	}
-	n.mu.Lock()
-	err := n.node.Request()
-	n.mu.Unlock()
-	n.flushInline()
-	if err != nil {
+	if err := s.AcquireAsync(); err != nil {
 		return Grant{}, err
 	}
 	return s.Await(ctx)
@@ -566,10 +559,7 @@ func (s *Session) Acquire(ctx context.Context) (Grant, error) {
 
 // AcquireAsync issues the critical-section request without waiting for
 // the grant — the request half of Acquire. The grant arrives later on
-// Granted (collect it with Await, or from an event-driven observer). It
-// is what the simulation harness calls: on a virtual-time cluster the
-// grant is produced by a future clock event, so a blocking Acquire from
-// the driving goroutine would deadlock the clock it is advancing.
+// Granted; collect it with Await.
 func (s *Session) AcquireAsync() error {
 	n := s.n
 	if n.selfDown.Load() {

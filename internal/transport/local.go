@@ -126,9 +126,11 @@ func WithFailureDetection(cfg failure.Config) LocalOption {
 }
 
 // WithClock runs the whole cluster — grant timestamps, proxy leases,
-// failure-detector ticks — on c instead of the real clock. The simulation harness installs a vclock.Virtual here so
-// simulated hours of heartbeats and leases pass under test control. A
-// detector config with its own Clock set keeps it.
+// failure-detector ticks — on c instead of the real clock. The facade's
+// WithClock and lockservice.LocalTransport's Clock land here, so that a
+// test on a vclock.Virtual passes simulated hours of heartbeats and
+// leases under its control. A detector config with its own Clock set
+// keeps it.
 func WithClock(c vclock.Clock) LocalOption {
 	return func(o *localOptions) { o.clk = c }
 }

@@ -9,8 +9,8 @@ import (
 )
 
 // TestTimelineAndTimerSameInstantOrder: Arm events and timers share one
-// queue — an Arm event and an AfterFunc or channel-timer event due at the
-// same instant fire in the order they were armed, whichever came first.
+// queue — an Arm event and an AfterFunc event due at the same instant
+// fire in the order they were armed, whichever came first.
 func TestTimelineAndTimerSameInstantOrder(t *testing.T) {
 	v := NewVirtual()
 	var order []int
@@ -18,16 +18,8 @@ func TestTimelineAndTimerSameInstantOrder(t *testing.T) {
 	v.Arm(time.Second, note(0))
 	v.AfterFunc(time.Second, note(1))
 	v.Arm(time.Second, note(2))
-	tm := v.NewTimer(time.Second) // fires fourth: its tick is buffered before event 4 runs
-	v.Arm(time.Second, func() {
-		select {
-		case <-tm.C():
-			order = append(order, 3)
-		default:
-			t.Error("the channel timer armed before this event had not fired")
-		}
-		note(4)()
-	})
+	v.AfterFunc(time.Second, note(3))
+	v.Arm(time.Second, note(4))
 	v.AfterFunc(time.Second, note(5))
 	v.AfterFunc(500*time.Millisecond, func() {
 		// Armed from a callback, for an instant that already has events
@@ -46,14 +38,13 @@ func TestTimelineAndTimerSameInstantOrder(t *testing.T) {
 	}
 }
 
-// TestBothQueuesPendingNextAtStepDrainRun: everything that counts or
-// fires events sees Arm events and timers as one queue, and passes over a
-// stopped timer.
-func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
+// TestBothQueuesPendingDrainRun: everything that counts or fires events
+// sees Arm events and timers as one queue, and passes over a stopped
+// timer.
+func TestBothQueuesPendingDrainRun(t *testing.T) {
 	v := NewVirtual()
 	var order []int
 	note := func(i int) func() { return func() { order = append(order, i) } }
-	t0 := v.Now()
 	v.AfterFunc(3*time.Second, note(2))
 	v.Arm(2*time.Second, note(1))
 	v.Arm(4*time.Second, note(3))
@@ -63,17 +54,14 @@ func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
 		t.Fatalf("Pending = %d, want 5", v.Pending())
 	}
 	stopped.Stop()
-	if at, ok := v.NextAt(); !ok || at.Sub(t0) != time.Second || v.Pending() != 4 {
-		t.Fatalf("NextAt = %v, %v with %d pending; want the timer at 1s of 4", at.Sub(t0), ok, v.Pending())
+	if v.Pending() != 4 {
+		t.Fatalf("Pending = %d after a Stop, want 4", v.Pending())
 	}
-	if !v.Step() || len(order) != 1 || v.Elapsed() != time.Second {
-		t.Fatalf("Step: order = %v at %v, want the timer at 1s", order, v.Elapsed())
+	if fired, _ := v.Drain(1); fired != 1 || len(order) != 1 || v.Elapsed() != time.Second {
+		t.Fatalf("Drain(1): order = %v at %v, want the timer at 1s", order, v.Elapsed())
 	}
-	if at, ok := v.NextAt(); !ok || at.Sub(t0) != 2*time.Second {
-		t.Fatalf("NextAt = %v, %v; want the Arm event at 2s", at.Sub(t0), ok)
-	}
-	if !v.Step() || len(order) != 2 || v.Elapsed() != 2*time.Second {
-		t.Fatalf("Step: order = %v at %v, want the Arm event at 2s", order, v.Elapsed())
+	if fired, _ := v.Drain(1); fired != 1 || len(order) != 2 || v.Elapsed() != 2*time.Second {
+		t.Fatalf("Drain(1): order = %v at %v, want the Arm event at 2s", order, v.Elapsed())
 	}
 	if fired := v.Run(time.Second); fired != 1 || v.Pending() != 1 {
 		t.Fatalf("Run(1s) fired %d leaving %d, want 1 and 1", fired, v.Pending())
@@ -82,8 +70,8 @@ func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
 	if fired, drained := v.Drain(10); fired != 2 || !drained || v.Pending() != 0 {
 		t.Fatalf("Drain = %d, %v with %d pending; want 2, true, 0", fired, drained, v.Pending())
 	}
-	if _, ok := v.NextAt(); ok || v.Step() {
-		t.Fatal("an empty clock still reports an event")
+	if fired, drained := v.Drain(10); fired != 0 || !drained {
+		t.Fatal("an empty clock still fires an event")
 	}
 	for i := range order {
 		if order[i] != i {
@@ -95,19 +83,20 @@ func TestBothQueuesPendingNextAtStepDrainRun(t *testing.T) {
 	}
 }
 
-// TestStepPastWithdrawnTimersLeavesArmingOpen: a Step or a Drain that
+// TestDrainPastWithdrawnTimersLeavesArmingOpen: a Drain or a Run that
 // finds only withdrawn events, due later than now, fires nothing and
-// leaves the clock where it was, and events armed after it may be due in
-// any order — by Arm, or by timers the owner collects in decreasing order.
-func TestStepPastWithdrawnTimersLeavesArmingOpen(t *testing.T) {
+// leaves the clock where it was (Drain) or at its horizon (Run), and
+// events armed after it may be due in any order — by Arm, or by timers
+// the owner collects in decreasing order.
+func TestDrainPastWithdrawnTimersLeavesArmingOpen(t *testing.T) {
 	v := NewVirtual()
 	var order []int
 	note := func(i int) func() { return func() { order = append(order, i) } }
 	tm := v.AfterFunc(100, note(-1))
 	v.Pending() // collects the timer onto the queue
 	tm.Stop()
-	if v.Step() || v.Elapsed() != 0 {
-		t.Fatalf("Step over a stopped timer fired, or moved the clock to %v", v.Elapsed())
+	if fired, drained := v.Drain(1); fired != 0 || !drained || v.Elapsed() != 0 {
+		t.Fatalf("Drain(1) over a stopped timer = %d, %v, or moved the clock to %v", fired, drained, v.Elapsed())
 	}
 	v.Arm(50, note(2))
 	v.Arm(10, note(0))
@@ -123,13 +112,22 @@ func TestStepPastWithdrawnTimersLeavesArmingOpen(t *testing.T) {
 	v.AfterFunc(30, note(3))
 	v.Arm(20, func() {}) // collects both timers, the later one first
 	v.Advance(100)
+	tm = v.AfterFunc(500, note(-1))
+	v.Pending()
+	tm.Stop()
+	if fired := v.Run(1000); fired != 0 || v.Elapsed() != 1160 {
+		t.Fatalf("Run over a stopped timer fired %d with the clock at %v; want 0 and 1160ns", fired, v.Elapsed())
+	}
+	v.AfterFunc(20, note(6))
+	v.Arm(10, note(5))
+	v.Advance(20)
 	for i := range order {
 		if order[i] != i {
-			t.Fatalf("order = %v, want 0..4", order)
+			t.Fatalf("order = %v, want 0..6", order)
 		}
 	}
-	if len(order) != 5 || v.Pending() != 0 {
-		t.Fatalf("fired %v with %d pending, want 0..4 and none", order, v.Pending())
+	if len(order) != 7 || v.Pending() != 0 {
+		t.Fatalf("fired %v with %d pending, want 0..6 and none", order, v.Pending())
 	}
 }
 
@@ -177,8 +175,9 @@ func (m *model) withdraw(a *armed) bool {
 
 // TestVirtualMatchesModel arms a seeded mix of Arm and AfterFunc events —
 // few distinct delays, so most instants hold several events of both
-// kinds — stops and resets some of the timers, pops in between with
-// Step, and wants the model's order, times and pending counts.
+// kinds — stops and resets some of the timers, pops one event at a time
+// in between with Drain(1), and wants the model's order, times and
+// pending counts.
 func TestVirtualMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	v := NewVirtual()
@@ -226,11 +225,11 @@ func TestVirtualMatchesModel(t *testing.T) {
 			}
 		default:
 			fired := len(got)
-			stepped := v.Step()
-			if stepped != (ref.Len() > 0) {
-				t.Fatalf("step %d: Step = %v with %d pending in the model", step, stepped, ref.Len())
+			n, _ := v.Drain(1)
+			if stepped := n == 1; stepped != (ref.Len() > 0) {
+				t.Fatalf("step %d: Drain(1) fired %d with %d pending in the model", step, n, ref.Len())
 			}
-			if !stepped {
+			if n == 0 {
 				continue
 			}
 			want := heap.Pop(&ref).(*armed)

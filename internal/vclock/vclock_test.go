@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	goruntime "runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,27 +29,22 @@ func TestVirtualNowAdvances(t *testing.T) {
 
 func TestVirtualTimerFiresAtDeadline(t *testing.T) {
 	v := NewVirtual()
-	tm := v.NewTimer(50 * time.Millisecond)
+	var at []time.Duration
+	v.AfterFunc(50*time.Millisecond, func() { at = append(at, v.Elapsed()) })
 	v.Advance(49 * time.Millisecond)
-	select {
-	case <-tm.C():
+	if len(at) != 0 {
 		t.Fatal("timer fired early")
-	default:
 	}
 	v.Advance(time.Millisecond)
-	select {
-	case at := <-tm.C():
-		if want := v.Now(); !at.Equal(want) {
-			t.Fatalf("fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatal("timer did not fire at its deadline")
+	if len(at) != 1 || at[0] != 50*time.Millisecond {
+		t.Fatalf("fired at %v, want once at its deadline, 50ms", at)
 	}
 }
 
 func TestVirtualTimerStopAndReset(t *testing.T) {
 	v := NewVirtual()
-	tm := v.NewTimer(10 * time.Millisecond)
+	fired := 0
+	tm := v.AfterFunc(10*time.Millisecond, func() { fired++ })
 	if !tm.Stop() {
 		t.Fatal("Stop on an armed timer reported false")
 	}
@@ -58,19 +52,21 @@ func TestVirtualTimerStopAndReset(t *testing.T) {
 		t.Fatal("second Stop reported true")
 	}
 	v.Advance(20 * time.Millisecond)
-	select {
-	case <-tm.C():
+	if fired != 0 {
 		t.Fatal("stopped timer fired")
-	default:
 	}
 	if tm.Reset(5 * time.Millisecond) {
 		t.Fatal("Reset of a stopped timer reported armed")
 	}
+	if !tm.Reset(5 * time.Millisecond) {
+		t.Fatal("Reset of an armed timer reported unarmed")
+	}
 	v.Advance(5 * time.Millisecond)
-	select {
-	case <-tm.C():
-	default:
-		t.Fatal("reset timer did not fire")
+	if fired != 1 {
+		t.Fatalf("reset timer fired %d times, want once", fired)
+	}
+	if tm.Stop() || tm.Reset(time.Millisecond) {
+		t.Fatal("a fired timer reported armed")
 	}
 }
 
@@ -90,46 +86,35 @@ func TestVirtualAfterFuncChain(t *testing.T) {
 	}
 }
 
-func TestVirtualTickerAndStop(t *testing.T) {
-	v := NewVirtual()
-	tk := v.NewTicker(time.Millisecond)
-	seen := 0
-	for i := 0; i < 5; i++ {
-		v.Advance(time.Millisecond)
-		select {
-		case <-tk.C():
-			seen++
-		default:
-			t.Fatalf("tick %d missing", i)
-		}
-	}
-	tk.Stop()
-	v.Advance(10 * time.Millisecond)
-	select {
-	case <-tk.C():
-		t.Fatal("stopped ticker ticked")
-	default:
-	}
-	if seen != 5 {
-		t.Fatalf("seen = %d", seen)
-	}
-}
-
-// TestTickerStopsWhileOwnerFiresItsTicks is the race-detector case for a
-// ticker: another goroutine stops it while the owner is firing its ticks.
-// Once Stop has returned, and a tick already under way has landed, one
-// more Advance delivers nothing and leaves nothing pending.
-func TestTickerStopsWhileOwnerFiresItsTicks(t *testing.T) {
+// TestEveryStopsWhileOwnerFiresItsTicks is the race-detector case for
+// Every, the contract Sweeper.Stop and Detector.Stop rely on:
+// another goroutine stops the chain while the owner is firing its ticks
+// — on even rounds while a tick's fn is under way, on odd ones wherever
+// it lands. No tick starts after stop has returned, the one under way
+// does not re-arm, one more Advance fires nothing, and nothing is left
+// pending.
+func TestEveryStopsWhileOwnerFiresItsTicks(t *testing.T) {
 	for round := 1; round <= 20; round++ {
 		v := NewVirtual()
-		tk := v.NewTicker(time.Millisecond)
-		stopped := make(chan struct{})
-		go func() {
-			defer close(stopped)
-			for i := 0; i < round; i++ {
-				<-tk.C()
+		var ticks, late atomic.Int64
+		var returned atomic.Bool
+		started, stopped := make(chan struct{}), make(chan struct{})
+		stop := Every(v, time.Millisecond, func() {
+			if returned.Load() {
+				late.Add(1)
 			}
-			tk.Stop()
+			if ticks.Add(1) == int64(round) {
+				close(started)
+				if round%2 == 0 {
+					<-stopped
+				}
+			}
+		})
+		go func() {
+			<-started
+			stop()
+			returned.Store(true)
+			close(stopped)
 		}()
 		for done := false; !done; {
 			v.Advance(100 * time.Millisecond)
@@ -139,18 +124,18 @@ func TestTickerStopsWhileOwnerFiresItsTicks(t *testing.T) {
 			default:
 			}
 		}
-		select {
-		case <-tk.C(): // the tick the owner was delivering as Stop ran
-		default:
+		// On odd rounds the tick that had passed its check as stop ran may
+		// call fn after stop returned; no other may.
+		if n := late.Load(); n > 1 {
+			t.Fatalf("round %d: %d ticks began after stop returned", round, n)
 		}
+		before := ticks.Load()
 		v.Advance(time.Second)
-		select {
-		case <-tk.C():
-			t.Fatalf("round %d: a tick arrived after Stop returned", round)
-		default:
+		if n := ticks.Load() - before; n != 0 {
+			t.Fatalf("round %d: %d ticks on the Advance after stop", round, n)
 		}
 		if n := v.Pending(); n != 0 {
-			t.Fatalf("round %d: %d events pending after Stop", round, n)
+			t.Fatalf("round %d: %d events pending after stop", round, n)
 		}
 	}
 }
@@ -188,28 +173,6 @@ func TestVirtualSameInstantOrder(t *testing.T) {
 	}
 }
 
-func TestVirtualWorkersSleepSimulatedHours(t *testing.T) {
-	// The SNIPPETS-style harness shape: N workers repeatedly sleeping on
-	// the shared clock; the advancing goroutine settles between events,
-	// so every worker observes every interval. 8 workers × 60 sleeps of
-	// 1 virtual minute — 8 simulated hours — in wall-clock milliseconds.
-	v := NewVirtual()
-	const workers, naps = 8, 60
-	var done atomic.Int64
-	for i := 0; i < workers; i++ {
-		v.Go(func() {
-			for n := 0; n < naps; n++ {
-				v.Sleep(time.Minute)
-			}
-			done.Add(1)
-		})
-	}
-	v.Advance(time.Duration(naps) * time.Minute)
-	if got := done.Load(); got != workers {
-		t.Fatalf("%d of %d workers finished", got, workers)
-	}
-}
-
 func TestVirtualRunReportsFired(t *testing.T) {
 	v := NewVirtual()
 	for i := 1; i <= 10; i++ {
@@ -231,28 +194,12 @@ func TestVirtualRunReportsFired(t *testing.T) {
 	}
 }
 
-func TestVirtualStepFiresOneEvent(t *testing.T) {
-	v := NewVirtual()
-	var order []int
-	v.AfterFunc(time.Hour, func() { order = append(order, 2) })
-	v.AfterFunc(time.Second, func() { order = append(order, 1) })
-	if !v.Step() || len(order) != 1 || order[0] != 1 || v.Elapsed() != time.Second {
-		t.Fatalf("first Step: order = %v, elapsed = %v", order, v.Elapsed())
-	}
-	if !v.Step() || len(order) != 2 || v.Elapsed() != time.Hour {
-		t.Fatalf("second Step: order = %v, elapsed = %v", order, v.Elapsed())
-	}
-	if v.Step() {
-		t.Fatal("Step on an empty clock reported an event")
-	}
-}
-
 // TestResetDoesNotGrowHeap: a timer re-armed in a loop (every lease
 // renewal on a virtual clock) leaves a bounded number of entries queued,
 // withdrawn ones included, not one per Reset — whether the owner collects
 // the inbox between Resets (the first half: the queue's sweep bounds it)
-// or not (the second half: the inbox's) — and Pending and NextAt, the
-// harness's deadlock probe, stay exact. Every slot in use holds a queued
+// or not (the second half: the inbox's) — and Pending stays exact, and
+// the timer fires at the last Reset's deadline. Every slot in use holds a queued
 // entry: a withdrawn event's slot is freed when the sweep drops it or the
 // pop skips it (the stopped timer at the end), so the slot table never
 // grows past its first step.
@@ -283,13 +230,14 @@ func TestResetDoesNotGrowHeap(t *testing.T) {
 	if v.Pending() != 1 {
 		t.Fatalf("pending = %d after 1e5 Resets of one timer, want 1", v.Pending())
 	}
-	if at, ok := v.NextAt(); !ok || at.Sub(v.Now()) != time.Hour+resets {
-		t.Fatalf("NextAt = %v, %v; want the last Reset's deadline", at, ok)
-	}
 	skipped := v.AfterFunc(time.Minute, func() { fired++ })
 	v.Pending() // queued, where only the pop finds it withdrawn
 	skipped.Stop()
-	v.Advance(2 * time.Hour)
+	v.Advance(time.Hour + resets - 1)
+	if fired != 0 || v.Pending() != 1 {
+		t.Fatalf("fired = %d, pending = %d before the last Reset's deadline; want 0, 1", fired, v.Pending())
+	}
+	v.Advance(1)
 	if fired != 1 || v.Pending() != 0 || stored() != 0 {
 		t.Fatalf("fired = %d, pending = %d, stored = %d; want 1, 0, 0", fired, v.Pending(), stored())
 	}
@@ -306,10 +254,9 @@ func slotsInUse(v *Virtual) int {
 	return used
 }
 
-// TestAfterFuncTimelineSpendsNoYields is the settle rule's fast side: on
-// a timeline of AfterFunc events only, with no registered worker, each
-// callback is complete when it returns, so one Advance spends its entry
-// and exit yield rounds and none between events.
+// TestAfterFuncTimelineSpendsNoYields is the settle rule: each callback
+// is complete when it returns, so one Advance spends its entry and exit
+// yield rounds and none between events.
 func TestAfterFuncTimelineSpendsNoYields(t *testing.T) {
 	v := NewVirtual()
 	const events = 100000
@@ -330,43 +277,6 @@ func TestAfterFuncTimelineSpendsNoYields(t *testing.T) {
 	}
 }
 
-// TestUnregisteredTickerReceiverSeesTicks is the settle rule's other
-// side: a goroutine that never registered with Go, ranging over a ticker
-// channel, still gets a turn after every tick of one long Advance —
-// the tick is a handoff, and a handoff buys a yield round. One P makes
-// the turn-taking exact: without the yield round the receiver would run
-// only when Advance returns, and see one tick.
-func TestUnregisteredTickerReceiverSeesTicks(t *testing.T) {
-	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(1))
-	v := NewVirtual()
-	const ticks = 100
-	tk := v.NewTicker(time.Millisecond)
-	var seen atomic.Int64
-	stop, stopped := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(stopped)
-		for {
-			select {
-			case <-tk.C():
-				seen.Add(1)
-			case <-stop:
-				return
-			}
-		}
-	}()
-	before := v.yieldRounds.Load()
-	v.Advance(ticks * time.Millisecond)
-	tk.Stop()
-	close(stop)
-	<-stopped
-	if got := seen.Load(); got < ticks*9/10 {
-		t.Fatalf("receiver saw %d of %d ticks", got, ticks)
-	}
-	if got := v.yieldRounds.Load() - before; got != ticks+2 {
-		t.Fatalf("%d yield rounds across %d ticks, want one per tick plus entry and exit", got, ticks)
-	}
-}
-
 func TestOrDefaultsToSystem(t *testing.T) {
 	if Or(nil) != System() {
 		t.Fatal("Or(nil) is not the system clock")
@@ -380,20 +290,23 @@ func TestOrDefaultsToSystem(t *testing.T) {
 func TestRealClockSmoke(t *testing.T) {
 	c := System()
 	t0 := c.Now()
-	tm := c.NewTimer(time.Millisecond)
-	<-tm.C()
-	if c.Since(t0) <= 0 {
-		t.Fatal("real time did not advance")
+	fired := make(chan time.Time)
+	tm := c.AfterFunc(time.Millisecond, func() { fired <- c.Now() })
+	if at := <-fired; at.Sub(t0) < time.Millisecond || c.Since(t0) <= 0 {
+		t.Fatalf("fired %v after arming, want at least 1ms", at.Sub(t0))
 	}
-	fired := make(chan struct{})
-	c.AfterFunc(time.Millisecond, func() { close(fired) })
-	<-fired
+	if tm.Stop() {
+		t.Fatal("Stop of a fired timer reported armed")
+	}
+	if tm.Reset(time.Hour) || !tm.Stop() {
+		t.Fatal("Reset of a fired timer reported armed, or Stop of the re-armed one unarmed")
+	}
 }
 
 // TestDrainRunsToQuiescenceWithinLimit: Drain fires events in (time,
 // arming) order whatever their time, follows chains the events arm,
 // leaves the clock at the last event fired, and stops at its limit with
-// the rest still pending.
+// the rest still pending; on an empty clock it fires nothing.
 func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
 	v := NewVirtual()
 	var order []int
@@ -402,9 +315,13 @@ func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
 		v.AfterFunc(time.Minute, func() { order = append(order, 3) })
 	})
 	v.AfterFunc(time.Second, func() { order = append(order, 1) })
-	fired, drained := v.Drain(2)
-	if fired != 2 || drained || len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("Drain(2) = %d, %v with order %v, want two events fired and one pending", fired, drained, order)
+	fired, drained := v.Drain(1)
+	if fired != 1 || drained || len(order) != 1 || order[0] != 1 || v.Elapsed() != time.Second {
+		t.Fatalf("Drain(1) = %d, %v with order %v at %v, want the event at 1s", fired, drained, order, v.Elapsed())
+	}
+	fired, drained = v.Drain(1)
+	if fired != 1 || drained || len(order) != 2 || order[1] != 2 || v.Elapsed() != time.Hour {
+		t.Fatalf("second Drain(1) = %d, %v with order %v at %v, want the event at 1h and one pending", fired, drained, order, v.Elapsed())
 	}
 	fired, drained = v.Drain(10)
 	if fired != 1 || !drained || len(order) != 3 || order[2] != 3 {
@@ -412,6 +329,9 @@ func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
 	}
 	if got := v.Elapsed(); got != time.Hour+time.Minute {
 		t.Fatalf("clock at %v after Drain, want the last event's time %v", got, time.Hour+time.Minute)
+	}
+	if fired, drained = v.Drain(10); fired != 0 || !drained {
+		t.Fatalf("Drain of an empty clock = %d, %v; want 0, true", fired, drained)
 	}
 }
 

@@ -1,7 +1,6 @@
 package vclock
 
 import (
-	"fmt"
 	"math/bits"
 	goruntime "runtime"
 	"slices"
@@ -13,9 +12,9 @@ import (
 )
 
 // Virtual is the deterministic clock: time is a number that moves only
-// when Advance, Step, Run or Drain says so, and everything scheduled on the
-// clock (timers, tickers, AfterFunc chains, Sleeps, a simulation's events)
-// fires as ordered events on the goroutine doing the advancing. The event
+// when Advance, Run or Drain says so, and everything scheduled on the
+// clock (AfterFunc timers and Every chains, a simulation's events) fires
+// as ordered events on the goroutine doing the advancing. The event
 // queue is internal/sched's Timeline, with one tick per nanosecond — the
 // discrete event core and the wall-clock surface are the same machine.
 //
@@ -24,10 +23,10 @@ import (
 // every run, however and by whichever goroutine each was armed.
 //
 // Concurrency model. The clock itself is safe for concurrent use (any
-// goroutine may read Now or arm, stop and reset timers), but virtual time
-// advances single-threadedly: exactly one goroutine, the clock's owner —
-// the test, or the simulator's loop — calls Advance/Step/Run/Drain, and
-// event callbacks run synchronously on it.
+// goroutine may read Now or arm, stop and reset AfterFunc timers), but
+// virtual time advances single-threadedly: exactly one goroutine, the
+// clock's owner — the test, or the simulator's loop — calls
+// Advance/Run/Drain, and event callbacks run synchronously on it.
 //
 // There is one queue, and only the owner touches it: Arm and ArmSlot push
 // onto it directly, so only the owner may call them (from an event
@@ -42,8 +41,7 @@ import (
 // set: it doubles when full, and shrinks to a size 2^k once the queue has
 // stayed under a quarter of it for 2^k/2 events fired and every slot in
 // use is below it — which they come to be, because the lowest free slots
-// are handed out first (see lookBack). Timers, tickers, AfterFunc and
-// Sleep may be armed
+// are handed out first (see lookBack). AfterFunc timers may be armed
 // from any goroutine: they are posted to an inbox under the clock's lock,
 // which the owner empties onto the queue, in posting order, before every
 // Arm and every pop. So events fire in arming order with no sequence
@@ -56,30 +54,15 @@ import (
 // owner fires it only if it can move the word on from that value, so a
 // timer fires at most once per arming. Withdrawn events are swept out of
 // the inbox when it fills and off the queue when they outnumber the live
-// ones, so a Reset loop grows neither. Pending and NextAt are exact, and
-// the owner's to call: both collect the inbox and read the queue.
+// ones, so a Reset loop grows neither. Pending is exact, and the owner's
+// to call: it collects the inbox and reads the queue.
 //
-// Other goroutines come in two kinds. Goroutines that park on virtual
-// time (Sleep, a timer channel) register with Go so the clock can
-// account for them: while any worker is registered the advancing
-// goroutine settles between events, yielding until every registered
-// worker is parked again (the runnable-goroutine accounting that keeps
-// "advance one heartbeat" from racing the goroutine the previous event
-// woke — a Sleep's wake-up takes the sleeper off the idle count itself,
-// so a woken worker is waited for even before the Go scheduler has run
-// it). A goroutine that was not registered may still use the clock; it
-// is not waited for, but it is given a turn: an event that hands
-// something to another goroutine — a channel timer or ticker delivering
-// its tick, a Sleep waking up — is followed by one blind round of
-// scheduler yields before the next event fires. Advance, Run and Step
-// also settle once on entry, and Advance and Run once more before they
-// return, so whatever the caller did before advancing, or an AfterFunc
-// callback started on another goroutine, has had its turn by the time
-// the caller looks.
-//
-// The advancing goroutine must never Sleep on the clock it advances —
-// that is a self-deadlock, and the settle timeout turns it into a
-// panic with a diagnostic instead of a hang.
+// Other goroutines are not accounted for, but they are given a turn:
+// Advance, Run and Drain each spend one blind round of scheduler yields
+// on entry and one before they return, so whatever the caller set going
+// before advancing, or an event callback started on another goroutine,
+// has had its turn by the time the caller looks. Between two events the
+// owner spends nothing: a callback is complete when it returns.
 type Virtual struct {
 	base time.Time
 	// now is the virtual time, in ticks since base. Only the owner moves
@@ -104,7 +87,7 @@ type Virtual struct {
 	// last look back, and per table size 2^k how many events in a row have
 	// fired with the queue under 2^k/4 (see lookBack); how many posts it
 	// has taken off the inbox, how many of its events belong to no timer
-	// (Arm, ArmSlot, Sleep), and how many events fired.
+	// (Arm, ArmSlot), and how many events fired.
 	queue sched.Timeline[uint32]
 	slots []event
 	free  [64]uint32
@@ -116,15 +99,7 @@ type Virtual struct {
 	plain int
 	fired uint64
 
-	workers  atomic.Int64  // goroutines registered via Go
-	idle     atomic.Int64  // registered workers currently parked in Block/Sleep
-	activity atomic.Uint64 // bumped on park transitions; with posts, settle's stability check
-
-	// handoff is set by an event that passed something to another
-	// goroutine and cleared by the advancing goroutine when it spends the
-	// yield round that pays for.
-	handoff atomic.Bool
-	// yieldRounds counts blind yield rounds, for the settle-rule tests.
+	// yieldRounds counts blind yield rounds, for the settle-rule test.
 	yieldRounds atomic.Uint64
 }
 
@@ -136,7 +111,7 @@ type Virtual struct {
 type event struct {
 	fire func()
 	slot func(uint32)
-	t    *vtimer // nil: an Arm, an ArmSlot or a Sleep, never withdrawn
+	t    *vtimer // nil: an Arm or an ArmSlot, never withdrawn
 	gen  uint64
 }
 
@@ -259,12 +234,8 @@ type posted struct {
 }
 
 // settleYields is how many scheduler yields one settle round spends
-// letting woken goroutines run before re-checking the idle condition.
+// letting other goroutines run.
 const settleYields = 16
-
-// settleTimeout bounds how long Advance waits for registered workers to
-// park again before declaring the configuration deadlocked.
-const settleTimeout = 10 * time.Second
 
 // never is the due time of nothing: later than any event.
 const never = sched.Time(1)<<62 - 1
@@ -292,20 +263,6 @@ func (v *Virtual) Elapsed() time.Duration { return time.Duration(v.now.Load()) }
 func (v *Virtual) Pending() int {
 	v.collect()
 	return v.plain + int(v.timers.Load())
-}
-
-// NextAt reports when the earliest pending event is due, or false when
-// nothing is scheduled — the harness's deadlock probe: workload not done
-// and nothing pending means the protocol lost a grant. Owner only.
-func (v *Virtual) NextAt() (time.Time, bool) {
-	if live := v.Pending(); v.queue.Len() > live {
-		v.sweep() // the head may be an event that will not fire
-	}
-	at, ok := v.queue.NextAt()
-	if !ok {
-		return time.Time{}, false
-	}
-	return v.base.Add(time.Duration(at)), true
 }
 
 // Arm schedules fn to run once, d from now: AfterFunc without a handle or
@@ -375,9 +332,6 @@ func (v *Virtual) collectLocked() {
 		if withdrawn(p.ev) {
 			continue
 		}
-		if p.ev.t == nil {
-			v.plain++
-		}
 		if v.spare == 0 {
 			v.resize(max(2*len(v.slots), slotStep))
 		}
@@ -394,76 +348,12 @@ func (v *Virtual) collectLocked() {
 	v.mu.Unlock()
 }
 
-// Go runs fn on its own goroutine as a registered worker: while fn is
-// running, virtual time will not advance until the worker parks on the
-// clock (Sleep, or an explicit Block around a channel wait). The worker
-// is deregistered when fn returns.
-func (v *Virtual) Go(fn func()) {
-	v.workers.Add(1)
-	go func() {
-		defer func() {
-			v.workers.Add(-1)
-			v.activity.Add(1)
-		}()
-		fn()
-	}()
-}
-
-// Block marks the calling worker idle for the duration of fn, which must
-// do nothing but park (a channel receive, a select of channel receives):
-// any side effect before the park could race the event loop that Block
-// just told to proceed.
-func (v *Virtual) Block(fn func()) {
-	v.idle.Add(1)
-	v.activity.Add(1)
-	fn()
-	v.idle.Add(-1)
-	v.activity.Add(1)
-}
-
-// yield is one blind round of scheduler yields: a turn for goroutines
-// the clock does not account for.
-func (v *Virtual) yield() {
+// settle is one blind round of scheduler yields: a turn for the other
+// goroutines, which the clock does not track.
+func (v *Virtual) settle() {
 	v.yieldRounds.Add(1)
 	for i := 0; i < settleYields; i++ {
 		goruntime.Gosched()
-	}
-}
-
-// settle yields until every registered worker is parked and the system
-// has been stable across a full yield round — the "all goroutines idle"
-// gate before time moves.
-func (v *Virtual) settle() {
-	v.handoff.Store(false)
-	v.yield()
-	if v.workers.Load() == 0 {
-		return
-	}
-	deadline := time.Now().Add(settleTimeout)
-	for {
-		gen := v.activity.Load() + v.posts.Load() // moves when a worker parks, wakes or arms a timer
-		if v.idle.Load() >= v.workers.Load() {
-			v.yield()
-			if v.activity.Load()+v.posts.Load() == gen && v.idle.Load() >= v.workers.Load() {
-				return
-			}
-		} else {
-			goruntime.Gosched()
-		}
-		if time.Now().After(deadline) {
-			panic(fmt.Sprintf("vclock: virtual time cannot advance: %d of %d registered workers still runnable after %v (a worker is blocked outside Block, or the advancing goroutine slept on its own clock)",
-				v.workers.Load()-v.idle.Load(), v.workers.Load(), settleTimeout))
-		}
-	}
-}
-
-// settleAfterEvent is the gate between two events: a full settle while a
-// worker is registered, one yield round when the event just fired handed
-// something to another goroutine, and nothing when it was a callback
-// that ran to completion on this goroutine.
-func (v *Virtual) settleAfterEvent() {
-	if v.workers.Load() > 0 || v.handoff.Load() {
-		v.settle()
 	}
 }
 
@@ -498,35 +388,18 @@ func (v *Virtual) popDue(target sched.Time) (event, uint32, bool) {
 	}
 }
 
-// Step settles, then fires the single earliest pending event (whatever
-// its time), advancing the clock to it, and gives whatever the event
-// handed off its turn before returning. It reports false when nothing is
-// pending. The unit of deterministic progress for a caller that wants to
-// look between events.
-func (v *Virtual) Step() bool {
-	v.settle()
-	e, s, ok := v.popDue(never)
-	if !ok {
-		return false
-	}
-	if e.slot != nil {
-		e.slot(s)
-	} else {
-		e.fire()
-	}
-	v.settleAfterEvent()
-	return true
-}
-
 // Advance moves virtual time forward by d, firing every event due in the
-// window in deterministic order and settling between events (see the
-// concurrency model) so work each event handed off lands before the next
-// fires.
+// window in deterministic order, and settles on entry and before it
+// returns (see the concurrency model).
 func (v *Virtual) Advance(d time.Duration) {
 	if d < 0 {
 		panic("vclock: negative advance")
 	}
-	v.runUntil(sched.Time(v.now.Load() + int64(d)))
+	target := sched.Time(v.now.Load() + int64(d))
+	v.settle()
+	v.fireDue(target, ^uint64(0))
+	v.now.Store(int64(target))
+	v.settle()
 }
 
 // Run is Advance that reports how many events fired: it fires every
@@ -545,8 +418,16 @@ func (v *Virtual) Run(horizon time.Duration) (fired uint64) {
 // against a run that never quiesces.
 func (v *Virtual) Drain(limit uint64) (fired uint64, drained bool) {
 	v.settle()
-	for fired < limit {
-		e, s, ok := v.popDue(never)
+	fired = v.fireDue(never, limit)
+	v.settle()
+	return fired, v.Pending() == 0
+}
+
+// fireDue fires the events due at or before target, in order, until none
+// is left or limit have fired, and reports how many fired. Owner only.
+func (v *Virtual) fireDue(target sched.Time, limit uint64) (fired uint64) {
+	for ; fired < limit; fired++ {
+		e, s, ok := v.popDue(target)
 		if !ok {
 			break
 		}
@@ -555,114 +436,34 @@ func (v *Virtual) Drain(limit uint64) (fired uint64, drained bool) {
 		} else {
 			e.fire()
 		}
-		fired++
-		v.settleAfterEvent()
 	}
-	v.settle()
-	return fired, v.Pending() == 0
-}
-
-func (v *Virtual) runUntil(target sched.Time) {
-	v.settle()
-	for {
-		e, s, ok := v.popDue(target)
-		if !ok {
-			v.now.Store(int64(target))
-			v.settle()
-			return
-		}
-		if e.slot != nil {
-			e.slot(s)
-		} else {
-			e.fire()
-		}
-		v.settleAfterEvent()
-	}
-}
-
-// Sleep parks the calling goroutine for d of virtual time. Must not be
-// called from the advancing goroutine.
-func (v *Virtual) Sleep(d time.Duration) {
-	if d <= 0 {
-		goruntime.Gosched()
-		return
-	}
-	done := make(chan struct{})
-	v.mu.Lock()
-	v.post(d, event{fire: func() {
-		// The sleeper is runnable from here on, whether or not it has been
-		// scheduled yet: the waker takes it off the idle count, so settle
-		// waits for it to park again or finish instead of racing it.
-		v.idle.Add(-1)
-		v.activity.Add(1)
-		v.handoff.Store(true)
-		close(done)
-	}})
-	// Parked from here on, and only once the wake-up is where the owner
-	// looks for it: an owner that finds every worker idle finds the event.
-	v.idle.Add(1)
-	v.mu.Unlock()
-	<-done
-}
-
-// After returns a channel receiving the virtual time once, d from now.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	return v.NewTimer(d).C()
-}
-
-// NewTimer returns a timer that fires once, d of virtual time from now.
-func (v *Virtual) NewTimer(d time.Duration) Timer {
-	t := &vtimer{v: v, ch: make(chan time.Time, 1)}
-	t.fire = t.send
-	t.Reset(d)
-	return t
+	return fired
 }
 
 // AfterFunc schedules fn to run once, d from now, on the advancing
-// goroutine. The returned Timer's Stop/Reset control the scheduling; its
-// C is nil, like time.AfterFunc's.
+// goroutine. The returned Timer's Stop/Reset control the scheduling. Any
+// goroutine may call it.
 func (v *Virtual) AfterFunc(d time.Duration, fn func()) Timer {
 	t := &vtimer{v: v, fire: fn}
 	t.Reset(d)
 	return t
 }
 
-// NewTicker returns a ticker firing every d of virtual time. Ticks a
-// receiver misses are dropped (the channel holds one), like
-// time.Ticker.
-func (v *Virtual) NewTicker(d time.Duration) Ticker {
-	if d <= 0 {
-		panic("vclock: non-positive ticker interval")
-	}
-	t := &vticker{vtimer: vtimer{v: v, ch: make(chan time.Time, 1)}, d: d}
-	t.fire = t.tick
-	t.Reset(d)
-	return t
-}
-
-// vtimer is one virtual timer. fire is its callback — the AfterFunc
-// function itself, or send for a channel timer — bound once, so re-arming
-// allocates nothing. state counts armings: odd while one is pending, one
-// more once it fires or is stopped, the next odd number when the timer is
-// armed again.
+// vtimer is one AfterFunc timer. fire is its callback, bound once, so
+// re-arming allocates nothing. state counts armings: odd while one is
+// pending, one more once it fires or is stopped, the next odd number when
+// the timer is armed again.
 type vtimer struct {
 	v     *Virtual
-	ch    chan time.Time // cap 1; nil for AfterFunc timers
 	fire  func()
 	state atomic.Uint64
 }
 
-func (t *vtimer) C() <-chan time.Time { return t.ch }
-
+// Reset starts a new arming, d from now, withdrawing a pending one, and
+// reports whether there was one.
 func (t *vtimer) Reset(d time.Duration) bool {
 	t.v.mu.Lock()
 	defer t.v.mu.Unlock()
-	return t.armLocked(d)
-}
-
-// armLocked starts a new arming, d from now, withdrawing a pending one,
-// and reports whether there was one. Caller holds v.mu.
-func (t *vtimer) armLocked(d time.Duration) bool {
 	s := t.state.Load()
 	for !t.state.CompareAndSwap(s, s+1+s&1) { // the next odd number
 		s = t.state.Load()
@@ -682,40 +483,4 @@ func (t *vtimer) Stop() bool {
 		}
 	}
 	return false
-}
-
-// send is a channel timer's callback; it runs on the advancing goroutine,
-// outside v.mu.
-func (t *vtimer) send() {
-	now := t.v.Now()
-	t.v.handoff.Store(true)
-	select {
-	case t.ch <- now:
-	default:
-	}
-}
-
-// vticker is one virtual ticker: a timer each tick of which arms the next.
-type vticker struct {
-	vtimer
-	d       time.Duration
-	stopped bool // guarded by v.mu
-}
-
-func (t *vticker) tick() {
-	t.v.mu.Lock()
-	if t.stopped {
-		t.v.mu.Unlock()
-		return
-	}
-	t.armLocked(t.d)
-	t.v.mu.Unlock()
-	t.send()
-}
-
-func (t *vticker) Stop() {
-	t.v.mu.Lock()
-	defer t.v.mu.Unlock()
-	t.stopped = true
-	t.vtimer.Stop()
 }

@@ -17,8 +17,8 @@ import (
 type Clock = vclock.Clock
 
 // VirtualClock is a deterministic, manually advanced Clock: time stands
-// still until Advance (or Step) fires the timers due, in order, on the
-// advancing goroutine. A cluster opened with WithClock(v) does all of
+// still until Advance (or Run, or Drain) fires the timers due, in order,
+// on the advancing goroutine. A cluster opened with WithClock(v) does all of
 // its timing — lease expiry, sweeps, failure detection —
 // exactly when the test advances v, turning timing-dependent tests and
 // simulated-hours scenarios into deterministic, wall-clock-fast code.
@@ -122,8 +122,8 @@ func WithTransport(t TransportSpec) Option {
 }
 
 // WithClock runs the opened cluster or lock service on c: grant
-// timestamps, lease deadlines and the sweeper, heartbeat failure
-// detection and proxy expiry all read time from it.
+// timestamps, lease deadlines and the sweeper, and heartbeat failure
+// detection all read time from it.
 // Pass a NewVirtualClock to make every timer deterministic — nothing
 // expires or ticks until the test advances the clock. Applies to Open
 // and OpenLockService on the Local substrate only; the TCP substrate's

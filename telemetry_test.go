@@ -220,3 +220,58 @@ func TestGatewayDebugEndpoints(t *testing.T) {
 		}
 	}
 }
+
+// TestTCPMemberClientListenerDebugEndpoints dials a TCP member's own
+// client listener, with no gateway in between, and scrapes the member's
+// debug endpoint for its client-tier admission counters.
+func TestTCPMemberClientListenerDebugEndpoints(t *testing.T) {
+	cfg := dagmutex.LockServiceConfig{Shards: 1, Nodes: 2}
+	svc1, err := dagmutex.OpenLockService(cfg, dagmutex.WithTransport(dagmutex.TCP("")), dagmutex.WithMember(1),
+		dagmutex.WithDebugAddr("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc1.Close()
+	svc2, err := dagmutex.OpenLockService(cfg, dagmutex.WithTransport(dagmutex.TCP("")), dagmutex.WithMember(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Close()
+	book := map[dagmutex.ID]string{1: svc1.Addr(), 2: svc2.Addr()}
+	if err := svc1.Connect(book); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc2.Connect(book); err != nil {
+		t.Fatal(err)
+	}
+	if svc1.DebugAddr() == "" {
+		t.Fatal("member debug endpoint not armed")
+	}
+
+	conn, err := dagmutex.DialLockService(svc1.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i := 0; i < 5; i++ {
+		h, err := conn.Acquire(ctx, "member")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.ReleaseHold(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	body := scrape(t, svc1.DebugAddr(), "/metrics")
+	for _, want := range []string{
+		"dagmutex_client_conns 1",
+		"dagmutex_client_admitted_total 5",
+	} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q in:\n%s", want, body)
+		}
+	}
+}
