@@ -303,10 +303,29 @@ func TestRealClockSmoke(t *testing.T) {
 	}
 }
 
+// TestVirtualStepFiresOneEvent: Drain(1) is one step of the clock — it
+// fires the earliest pending event whatever its time and moves the clock
+// onto it, and on an empty clock it fires nothing.
+func TestVirtualStepFiresOneEvent(t *testing.T) {
+	v := NewVirtual()
+	var order []int
+	v.AfterFunc(time.Hour, func() { order = append(order, 2) })
+	v.AfterFunc(time.Second, func() { order = append(order, 1) })
+	if fired, _ := v.Drain(1); fired != 1 || len(order) != 1 || order[0] != 1 || v.Elapsed() != time.Second {
+		t.Fatalf("first step: fired %d, order = %v, elapsed = %v", fired, order, v.Elapsed())
+	}
+	if fired, _ := v.Drain(1); fired != 1 || len(order) != 2 || v.Elapsed() != time.Hour {
+		t.Fatalf("second step: fired %d, order = %v, elapsed = %v", fired, order, v.Elapsed())
+	}
+	if fired, drained := v.Drain(1); fired != 0 || !drained {
+		t.Fatalf("step on an empty clock = %d, %v; want 0, true", fired, drained)
+	}
+}
+
 // TestDrainRunsToQuiescenceWithinLimit: Drain fires events in (time,
 // arming) order whatever their time, follows chains the events arm,
 // leaves the clock at the last event fired, and stops at its limit with
-// the rest still pending; on an empty clock it fires nothing.
+// the rest still pending.
 func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
 	v := NewVirtual()
 	var order []int
@@ -315,13 +334,9 @@ func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
 		v.AfterFunc(time.Minute, func() { order = append(order, 3) })
 	})
 	v.AfterFunc(time.Second, func() { order = append(order, 1) })
-	fired, drained := v.Drain(1)
-	if fired != 1 || drained || len(order) != 1 || order[0] != 1 || v.Elapsed() != time.Second {
-		t.Fatalf("Drain(1) = %d, %v with order %v at %v, want the event at 1s", fired, drained, order, v.Elapsed())
-	}
-	fired, drained = v.Drain(1)
-	if fired != 1 || drained || len(order) != 2 || order[1] != 2 || v.Elapsed() != time.Hour {
-		t.Fatalf("second Drain(1) = %d, %v with order %v at %v, want the event at 1h and one pending", fired, drained, order, v.Elapsed())
+	fired, drained := v.Drain(2)
+	if fired != 2 || drained || len(order) != 2 || order[0] != 1 || order[1] != 2 {
+		t.Fatalf("Drain(2) = %d, %v with order %v, want two events fired and one pending", fired, drained, order)
 	}
 	fired, drained = v.Drain(10)
 	if fired != 1 || !drained || len(order) != 3 || order[2] != 3 {
@@ -329,9 +344,6 @@ func TestDrainRunsToQuiescenceWithinLimit(t *testing.T) {
 	}
 	if got := v.Elapsed(); got != time.Hour+time.Minute {
 		t.Fatalf("clock at %v after Drain, want the last event's time %v", got, time.Hour+time.Minute)
-	}
-	if fired, drained = v.Drain(10); fired != 0 || !drained {
-		t.Fatalf("Drain of an empty clock = %d, %v; want 0, true", fired, drained)
 	}
 }
 
