@@ -4,6 +4,7 @@ package lockservice
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"dagmutex/internal/mutex"
@@ -69,5 +70,44 @@ func assertTravelAllocs(t *testing.T, cfg Config) {
 	grants, msgs := after.Grants-before.Grants, after.Messages-before.Messages
 	if grants < 1000 || msgs != 2*grants {
 		t.Fatalf("%d grants moved %d messages in the measured window, want 2 per grant", grants, msgs)
+	}
+}
+
+// TestAllocBudgetShardBytes pins a shard's footprint against its grant
+// history: once warm, 10 000 grants on a one-shard service allocate
+// under 16 KB in total, read from the heap's cumulative byte count. A
+// per-shard record that grows with grants (a reservoir of waits
+// doubling its way to 64 KB) breaks it where AllocsPerRun's per-op
+// average would round the doublings away.
+func TestAllocBudgetShardBytes(t *testing.T) {
+	s := newService(t, Config{Shards: 1})
+	ctx := context.Background()
+	cycle := func() {
+		h, err := s.Acquire(ctx, "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ReleaseHold(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const grants, budget = 10_000, 16 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < grants; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d grants on one shard: %d bytes allocated", grants, bytes)
+	if bytes >= budget {
+		t.Fatalf("%d grants on one shard allocated %d bytes, want < %d", grants, bytes, budget)
+	}
+	if n := s.Stats().Wait.Count; n != 100+grants {
+		t.Fatalf("wait count %d, want %d", n, 100+grants)
 	}
 }

@@ -43,7 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math"
 	"sync"
 	"time"
 
@@ -247,22 +247,20 @@ type shard struct {
 	sweeper *runtime.Sweeper // enforces leases and recovers the hosted slots
 	clk     vclock.Clock     // never nil; sweeps, waits and hold durations run on it
 
-	// Telemetry instruments; nil when Config.Telemetry is unset. The
-	// histograms are wait-free atomics fed on the hot path; every gauge
-	// reads the counters below at scrape time only.
-	waitHist *telemetry.Histogram
+	// holdHist is the hold-duration histogram, nil when Config.Telemetry
+	// is unset: a wait-free atomic fed on the hot path, like the wait
+	// histogram below. Every gauge reads the counters below at scrape
+	// time only.
 	holdHist *telemetry.Histogram
 	// obs is Config.TraceObserver stamping every event with the shard
 	// index; nil when no trace observer is configured.
 	obs func(telemetry.TraceEvent)
 
-	// mu guards every counter below plus the wait reservoir, so a Stats
-	// snapshot is one consistent cut of the shard: grants, releases and
-	// expiries taken under the same lock can never disagree transiently
-	// (previously these were independent atomics read field by field).
-	// The cost is nil: the grant path already took mu for the wait
-	// reservoir, and folding the counters into the same hold replaces
-	// four separate atomic RMWs.
+	// mu orders every counter below and the wait histogram's
+	// observations, so a Stats snapshot is one consistent cut of the
+	// shard: grants, releases, expiries and waits taken under the same
+	// lock can never disagree transiently. The grant path takes it once
+	// for all of them.
 	mu         sync.Mutex
 	grants     int64
 	releases   int64 // successful Releases (cohort regrants included)
@@ -270,15 +268,14 @@ type shard struct {
 	expired    int64 // holds force-released by the sweeper
 	recoveries int64 // recovery events observed (requires telemetry or a trace observer)
 	fence      uint64
-	hops       int64     // request-path hops behind all grants
-	waits      []float64 // reservoir of per-grant waits, milliseconds
-	waitsSeen  int       // total grants observed, for reservoir replacement
+	hops       int64 // request-path hops behind all grants
+	// wait is every member-side grant's wait: always present, about half
+	// a kilobyte whatever the grant count, and the very histogram
+	// Config.Telemetry exports as dagmutex_acquire_wait_seconds.
+	// waitMin and waitMax keep the exact extremes its buckets round.
+	wait             *telemetry.Histogram
+	waitMin, waitMax time.Duration
 }
-
-// maxWaitSamples bounds the per-shard wait reservoir so a long-lived
-// service does not grow memory with grant count; beyond it, samples are
-// replaced uniformly at random (an unbiased reservoir).
-const maxWaitSamples = 8192
 
 // New starts the service: cfg.Shards shard clusters of cfg.Nodes members
 // each over cfg.Transport. Callers must Close it to stop the shard
@@ -306,7 +303,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("lockservice: shard %d: %w", i, err)
 		}
 		sh := &shard{index: i, home: home, route: mutex.Nil,
-			slots: make([]*runtime.Slot, cfg.Nodes), clk: cfg.Clock}
+			slots: make([]*runtime.Slot, cfg.Nodes), clk: cfg.Clock, waitMin: math.MaxInt64}
 		if user := cfg.TraceObserver; user != nil {
 			sh.obs = func(e telemetry.TraceEvent) {
 				e.Shard = int32(sh.index)
@@ -342,6 +339,8 @@ func New(cfg Config) (*Service, error) {
 		if cfg.Telemetry != nil {
 			// Before the sweeper starts: it reads the histogram fields.
 			sh.register(cfg.Telemetry)
+		} else {
+			sh.wait = telemetry.NewHistogram(telemetry.Seconds)
 		}
 		sh.sweeper = runtime.StartSweeper(cfg.Clock, cfg.SweepInterval, hosted...)
 		s.shards = append(s.shards, sh)
@@ -614,27 +613,19 @@ func (sh *shard) noteEnd(e runtime.HoldEnd) {
 
 // noteGrant records one grant under a single lock hold: the shard
 // total, the hop count of the request path the grant traveled, the
-// fencing high-water mark, and the wait-reservoir sample. One critical
-// section per grant replaces the previous mutex-plus-four-atomics
-// combination and is what makes Stats snapshots consistent.
+// fencing high-water mark, and the wait. One critical section per grant
+// is what makes Stats snapshots consistent.
 func (sh *shard) noteGrant(hops int, fence uint64, wait time.Duration) {
-	ms := float64(wait) / float64(time.Millisecond)
+	wait = max(wait, 0) // as the histogram clamps it
 	sh.mu.Lock()
 	sh.grants++
 	sh.hops += int64(hops)
 	if fence > sh.fence {
 		sh.fence = fence
 	}
-	sh.waitsSeen++
-	if len(sh.waits) < maxWaitSamples {
-		sh.waits = append(sh.waits, ms)
-	} else if i := rand.Intn(sh.waitsSeen); i < maxWaitSamples {
-		sh.waits[i] = ms
-	}
+	sh.wait.ObserveDuration(wait)
+	sh.waitMin, sh.waitMax = min(sh.waitMin, wait), max(sh.waitMax, wait)
 	sh.mu.Unlock()
-	if sh.waitHist != nil {
-		sh.waitHist.ObserveDuration(wait)
-	}
 }
 
 // observe is the shard's subscription to its members' events: it counts
@@ -683,8 +674,7 @@ type ShardStats struct {
 	// reports them — so Grants is what callers got, not what was
 	// reserved, and not one per run. Those locally rotated grants add to
 	// the three counts only, in one cut with the run's release; the
-	// member never saw their wait, so Wait and the wait histogram do not
-	// include them.
+	// member never saw their wait, so Wait does not include them.
 	Grants int64
 	// Releases counts successful Releases (cohort regrants included, and
 	// a run's local handoffs, each of which released one caller's hold).
@@ -712,8 +702,13 @@ type ShardStats struct {
 	// each granted request traveled through. Hops/Grants is the mean path
 	// length — the signal path compression drives down.
 	Hops int64
-	// Wait summarizes acquire latency in milliseconds, over a bounded
-	// uniform reservoir of at most maxWaitSamples recent-and-past grants.
+	// Wait summarizes acquire latency in milliseconds over every grant
+	// the member saw: Count, Mean, Min and Max are exact, and P99 is at
+	// the wait histogram's power-of-two bucket resolution — the same
+	// figure /metrics exports as dagmutex_acquire_wait_seconds'
+	// quantile="0.99" (in seconds there). Being a bucket's upper bound,
+	// P99 can read above Max. With no grant yet Count is 0 and the rest
+	// NaN.
 	Wait metrics.Summary
 }
 
@@ -729,22 +724,25 @@ type Stats struct {
 	Recoveries int64
 	Messages   int64
 	Hops       int64
-	// Wait summarizes acquire latency in milliseconds across all shards.
+	// Wait summarizes acquire latency in milliseconds across all
+	// shards, as ShardStats.Wait does for one: the shards' histograms
+	// summed bucket by bucket, so each shard weighs in by its grant
+	// count exactly.
 	Wait metrics.Summary
 }
 
 // Stats snapshots the service counters. Each shard's counters are read
 // under the same lock that guards their updates, so every per-shard row
 // is internally consistent — Releases can never transiently exceed
-// Grants, and at quiescence Grants == Releases + Expired holds exactly.
-// (Messages is the transport's own counter, read alongside.)
+// Grants, Wait.Count never exceeds Grants, and at quiescence Grants ==
+// Releases + Expired holds exactly. (Messages is the transport's own
+// counter, read alongside.)
 func (s *Service) Stats() Stats {
-	var st Stats
-	samples := make([][]float64, 0, len(s.shards))
-	seen := make([]int, 0, len(s.shards))
-	totalSeen := 0
+	st := Stats{PerShard: make([]ShardStats, 0, len(s.shards))}
+	all := waits{min: math.MaxInt64}
+	hists := make([]*telemetry.Histogram, 0, len(s.shards))
 	for _, sh := range s.shards {
-		ss, waits, n := sh.snapshot()
+		ss, w := sh.snapshot()
 		st.PerShard = append(st.PerShard, ss)
 		st.Grants += ss.Grants
 		st.Releases += ss.Releases
@@ -753,21 +751,19 @@ func (s *Service) Stats() Stats {
 		st.Recoveries += ss.Recoveries
 		st.Messages += ss.Messages
 		st.Hops += ss.Hops
-		samples = append(samples, waits)
-		seen = append(seen, n)
-		totalSeen += n
+		hists = append(hists, w.hist)
+		all.min, all.max = min(all.min, w.min), max(all.max, w.max)
 	}
-	st.Wait = metrics.Summarize(mergeWeighted(samples, seen, totalSeen))
+	all.hist = telemetry.NewHistogram(telemetry.Seconds, hists...)
+	st.Wait = all.summary()
 	return st
 }
 
-// snapshot takes one consistent cut of the shard's counters and wait
-// reservoir under a single lock hold.
-func (sh *shard) snapshot() (ShardStats, []float64, int) {
+// snapshot takes one consistent cut of the shard's counters and a copy
+// of its wait record under a single lock hold.
+func (sh *shard) snapshot() (ShardStats, waits) {
 	sh.mu.Lock()
-	waits := make([]float64, len(sh.waits))
-	copy(waits, sh.waits)
-	n := sh.waitsSeen
+	w := waits{telemetry.NewHistogram(telemetry.Seconds, sh.wait), sh.waitMin, sh.waitMax}
 	ss := ShardStats{
 		Shard:      sh.index,
 		Home:       sh.home,
@@ -781,37 +777,27 @@ func (sh *shard) snapshot() (ShardStats, []float64, int) {
 	}
 	sh.mu.Unlock()
 	ss.Messages = sh.cluster.Messages()
-	ss.Wait = metrics.Summarize(waits)
-	return ss, waits, n
+	ss.Wait = w.summary()
+	return ss, w
 }
 
-// mergeWeighted combines per-shard wait reservoirs into one sample for
-// the service-wide summary. While no reservoir has capped the samples are
-// complete and plain concatenation is exact; once capped, each shard
-// contributes in proportion to the grants it actually saw, so a cold
-// shard's full reservoir cannot outweigh a hot shard's truncated one.
-func mergeWeighted(samples [][]float64, seen []int, totalSeen int) []float64 {
-	if totalSeen <= maxWaitSamples {
-		var all []float64
-		for _, xs := range samples {
-			all = append(all, xs...)
-		}
-		return all
+// waits is a copy of one or more shards' wait records.
+type waits struct {
+	hist     *telemetry.Histogram
+	min, max time.Duration
+}
+
+// summary renders the record in milliseconds: Count and Mean from the
+// histogram's exact count and sum, the exact extremes, and its 0.99
+// quantile bucket bound.
+func (w waits) summary() metrics.Summary {
+	h := w.hist.Snapshot()
+	if h.Count == 0 {
+		return metrics.Summarize(nil)
 	}
-	var all []float64
-	for i, xs := range samples {
-		k := int(float64(maxWaitSamples) * float64(seen[i]) / float64(totalSeen))
-		if k >= len(xs) {
-			all = append(all, xs...)
-			continue
-		}
-		// Partial Fisher–Yates: k distinct uniform picks from xs.
-		idx := rand.Perm(len(xs))[:k]
-		for _, j := range idx {
-			all = append(all, xs[j])
-		}
-	}
-	return all
+	const ms = float64(time.Millisecond)
+	return metrics.Summary{Count: int(h.Count), Min: float64(w.min) / ms, Mean: h.Mean * 1e3,
+		Max: float64(w.max) / ms, P99: h.P99 * 1e3}
 }
 
 // Messages returns the total protocol messages across all shards, as

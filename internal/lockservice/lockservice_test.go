@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -330,35 +331,39 @@ func TestStatsAggregates(t *testing.T) {
 	}
 }
 
-// TestMergeWeightedFavorsGrantCount checks the capped-reservoir merge: a
-// hot shard with a million grants must dominate the service-wide wait
-// sample even though its reservoir is truncated to the same size as a
-// cold shard's.
-func TestMergeWeightedFavorsGrantCount(t *testing.T) {
-	hot := make([]float64, maxWaitSamples)
-	cold := make([]float64, maxWaitSamples)
-	for i := range hot {
-		hot[i] = 100.0 // slow shard
-		cold[i] = 1.0  // fast shard
+// TestServiceWaitWeighsShardsByGrantCount checks the service-wide wait
+// summary, the shards' histograms summed bucket by bucket: a hot shard
+// with a million grants dominates a cold one in exact proportion to the
+// grants each saw, with nothing sampled away.
+func TestServiceWaitWeighsShardsByGrantCount(t *testing.T) {
+	s := newService(t, Config{Shards: 2, Nodes: 2})
+	const hot, cold = 1_000_000, 8192
+	for i := 0; i < hot; i++ {
+		s.shards[0].noteGrant(0, 0, 100*time.Millisecond) // slow shard
 	}
-	hotSeen, coldSeen := 1_000_000, maxWaitSamples
-	merged := mergeWeighted([][]float64{hot, cold}, []int{hotSeen, coldSeen}, hotSeen+coldSeen)
-	if len(merged) == 0 || len(merged) > maxWaitSamples {
-		t.Fatalf("merged sample size = %d, want (0, %d]", len(merged), maxWaitSamples)
+	for i := 0; i < cold; i++ {
+		s.shards[1].noteGrant(0, 0, time.Millisecond) // fast shard
 	}
-	sum := 0.0
-	for _, x := range merged {
-		sum += x
+	st := s.Stats()
+	if st.Wait.Count != hot+cold {
+		t.Fatalf("wait count = %d, want %d", st.Wait.Count, hot+cold)
 	}
-	mean := sum / float64(len(merged))
 	// Grant-weighted truth: (1e6*100 + 8192*1) / 1008192 ≈ 99.2.
-	if mean < 90 {
-		t.Fatalf("merged mean = %.1f, want ≈99 (hot shard must dominate by grant count)", mean)
+	want := (hot*100.0 + cold*1.0) / (hot + cold)
+	if math.Abs(st.Wait.Mean-want) > want*0.001 {
+		t.Fatalf("wait mean = %.4f ms, want %.4f within 0.1%%", st.Wait.Mean, want)
 	}
-	// Uncapped path stays exact concatenation.
-	exact := mergeWeighted([][]float64{{1, 2}, {3}}, []int{2, 1}, 3)
-	if len(exact) != 3 {
-		t.Fatalf("uncapped merge = %v, want all 3 samples", exact)
+	if st.Wait.Min != 1 || st.Wait.Max != 100 {
+		t.Fatalf("wait min/max = %v/%v ms, want exact 1/100", st.Wait.Min, st.Wait.Max)
+	}
+	// 100 ms lies in the bucket [2^26, 2^27) ns; its bound is the p99.
+	if p99 := float64(1<<27-1) / 1e6; st.Wait.P99 != p99 {
+		t.Fatalf("wait p99 = %v ms, want the bucket bound %v", st.Wait.P99, p99)
+	}
+	for i, n := range []int{hot, cold} {
+		if got := st.PerShard[i].Wait.Count; got != n {
+			t.Fatalf("shard %d wait count = %d, want %d", i, got, n)
+		}
 	}
 }
 

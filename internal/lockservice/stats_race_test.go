@@ -135,10 +135,83 @@ func TestLockStatsSnapshotConsistency(t *testing.T) {
 	}
 }
 
+// TestStatsWaitCountWithinGrants snapshots Stats while plain holds and
+// runs go on, and checks every per-shard row records a wait for at most
+// the grants it counts (a run's locally rotated grants have none), in
+// the same cut, and that the service-wide Wait counts every shard's.
+func TestStatsWaitCountWithinGrants(t *testing.T) {
+	const shards, nodes, ops = 2, 2, 200
+	svc, err := New(Config{Shards: shards, Nodes: nodes, Lease: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	var wg sync.WaitGroup
+	for w := 0; w < 2*nodes; w++ {
+		cl, err := svc.On(mutex.ID(1 + w%nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			b := clientBackend{c: cl}
+			resource := fmt.Sprintf("res-%d", w)
+			for i := 0; i < ops; i++ {
+				var err error
+				if w%2 == 0 {
+					var h Hold
+					if h, err = cl.Acquire(context.Background(), resource); err == nil {
+						err = cl.ReleaseHold(h)
+					}
+				} else {
+					var first uint64
+					var run int
+					if first, _, run, err = b.AcquireRun(context.Background(), resource); err == nil {
+						err = b.ReleaseRun(resource, first+uint64(run-1), 1+i%run, false)
+					}
+				}
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	check := func(st Stats) error {
+		waits := 0
+		for _, ss := range st.PerShard {
+			if int64(ss.Wait.Count) > ss.Grants {
+				return fmt.Errorf("shard %d: %d waits recorded for %d grants", ss.Shard, ss.Wait.Count, ss.Grants)
+			}
+			waits += ss.Wait.Count
+		}
+		if st.Wait.Count != waits {
+			return fmt.Errorf("service-wide wait count %d, per-shard rows sum to %d", st.Wait.Count, waits)
+		}
+		return nil
+	}
+	for snaps := 0; ; snaps++ {
+		select {
+		case <-done:
+			t.Logf("%d snapshots", snaps)
+			return
+		default:
+		}
+		if err := check(svc.Stats()); err != nil {
+			t.Error(err)
+			<-done
+			return
+		}
+	}
+}
+
 // TestRunStatsCountFencesHandedOut: after k runs the counters hold what
 // callers were given — not what was reserved, and not one per run — and
 // a run's locally rotated grants, whose wait the member never saw, leave
-// the wait reservoir alone.
+// the wait record alone.
 func TestRunStatsCountFencesHandedOut(t *testing.T) {
 	svc, err := New(Config{Shards: 1, Nodes: 2, Lease: time.Minute})
 	if err != nil {
@@ -172,11 +245,7 @@ func TestRunStatsCountFencesHandedOut(t *testing.T) {
 		t.Fatalf("after %d runs: grants %d releases %d regrants %d expired %d; want %d %d %d 0",
 			len(reports), st.Grants, st.Releases, st.Regrants, st.Expired, grants, grants, regrants)
 	}
-	sh := svc.shards[0]
-	sh.mu.Lock()
-	seen := sh.waitsSeen
-	sh.mu.Unlock()
-	if seen != len(reports) {
+	if seen := st.PerShard[0].Wait.Count; seen != len(reports) {
 		t.Fatalf("%d waits sampled, want one per run (%d)", seen, len(reports))
 	}
 }

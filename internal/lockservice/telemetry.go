@@ -12,7 +12,11 @@ import (
 // built around — push only what must be observed per event (the wait
 // and hold histograms, wait-free atomics), pull everything that already
 // exists as a counter (gauges evaluated at scrape time, so the grant
-// hot path pays nothing for them).
+// hot path pays nothing for them). The wait histogram exists on every
+// shard, since Stats summarizes it; registering only makes it the
+// registry's, under the name below, so /metrics and Stats read one
+// instrument. A registry shared by two services shares it too, as
+// Registry.Histogram does any name, and each one's Wait then counts both.
 //
 // Exported metric families, one time series per shard
 // (label shard="0".."M-1"):
@@ -30,7 +34,7 @@ import (
 //	dagmutex_hold_duration_seconds summary  grant-to-release time p50/p95/p99
 func (sh *shard) register(reg *telemetry.Registry) {
 	l := fmt.Sprintf(`{shard="%d"}`, sh.index)
-	sh.waitHist = reg.Histogram("dagmutex_acquire_wait_seconds"+l, telemetry.Seconds)
+	sh.wait = reg.Histogram("dagmutex_acquire_wait_seconds"+l, telemetry.Seconds)
 	sh.holdHist = reg.Histogram("dagmutex_hold_duration_seconds"+l, telemetry.Seconds)
 	counter := func(name string, v func() int64) {
 		reg.Gauge(name+l, func() float64 {

@@ -105,10 +105,7 @@ func (r *Registry) Histogram(name string, scale float64) *Histogram {
 		}
 		panic(fmt.Sprintf("telemetry: %q already registered as %T", name, m))
 	}
-	if scale <= 0 {
-		scale = Units
-	}
-	h := &Histogram{scale: scale}
+	h := NewHistogram(scale)
 	r.byName[name] = h
 	r.entries = append(r.entries, regEntry{name: name, m: h})
 	return h
@@ -174,6 +171,29 @@ type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64
 	buckets [histBuckets]atomic.Int64
+}
+
+// NewHistogram returns an unregistered histogram with the given export
+// scale (Units when scale is not positive), holding the sum of from's
+// observations. With no from it is a private instrument, for a component
+// that keeps its statistics whether or not a registry exports them; with
+// several it merges them bucket by bucket (observations are raw int64s,
+// so from's own scales play no part). Each from is read atomically
+// field by field, not as one cut: a caller that needs one must hold
+// whatever orders from's Observes.
+func NewHistogram(scale float64, from ...*Histogram) *Histogram {
+	if scale <= 0 {
+		scale = Units
+	}
+	h := &Histogram{scale: scale}
+	for _, f := range from {
+		h.count.Add(f.count.Load())
+		h.sum.Add(f.sum.Load())
+		for i := range h.buckets {
+			h.buckets[i].Add(f.buckets[i].Load())
+		}
+	}
+	return h
 }
 
 // Observe records one raw observation. Negative values clamp to zero.

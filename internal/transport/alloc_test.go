@@ -176,6 +176,31 @@ func TestAllocBudgetLocalHandoff(t *testing.T) {
 	allocBudgetHandoff(t, "local", [2]*runtime.Session{l.Session(1), l.Session(2)})
 }
 
+// TestAllocBudgetOverlappingTurns pins a link's turn batches at zero
+// heap allocations when turns overlap: a turn parks its frames while the
+// previous turn's flush still holds that turn's batch, and both batches
+// come back afterwards, in turn order. With one spare array kept, the
+// second turn parked into a fresh slice on every overlap.
+func TestAllocBudgetOverlappingTurns(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race instrumentation")
+	}
+	l, f := &tcpLink{}, &frame{}
+	l.park(2, f)
+	overlap := func() {
+		a := l.takeBatch()
+		l.park(2, f) // the next turn, while a is still being written
+		b := l.takeBatch()
+		l.park(2, f)
+		l.recycle(a)
+		l.recycle(b)
+	}
+	overlap() // grow the link's three arrays outside the measured window
+	if avg := testing.AllocsPerRun(1000, overlap); avg != 0 {
+		t.Fatalf("overlapping turns = %.2f allocs/op, want 0", avg)
+	}
+}
+
 // allocBudgetHandoff bootstraps a two-node pipeline over sessions
 // (member 1 holds the token initially) and requires the steady-state
 // step — the holder's fused ReleaseRequest, the peer's Await — to

@@ -441,11 +441,14 @@ type tcpLink struct {
 	// out collects the frames one handler turn sends; the runtime's
 	// end-of-turn Flush/FlushAsync ships them together — a release's
 	// PRIVILEGE and its pipelined re-REQUEST leave in one writev. spare
-	// recycles the batch's backing array so the turn cycle allocates
-	// nothing.
+	// keeps drained batches' backing arrays for the next turns. It keeps
+	// two: a flush runs after its turn ends, so the next turn (another
+	// application goroutine's, or a transport reader's) can park while
+	// the previous batch is still being written, and it takes the
+	// second. The turn cycle then allocates nothing.
 	bmu   sync.Mutex
 	out   []*frame
-	spare []*frame
+	spare [2][]*frame
 }
 
 // Send frames the message and parks it on the link's turn batch; the
@@ -493,17 +496,26 @@ func (l *tcpLink) takeBatch() []*frame {
 		return nil
 	}
 	b := l.out
-	l.out = l.spare[:0]
-	l.spare = nil
+	l.out = nil
+	for i, sp := range l.spare {
+		if sp != nil {
+			l.out, l.spare[i] = sp, nil
+			break
+		}
+	}
 	l.bmu.Unlock()
 	return b
 }
 
-// recycle returns a drained batch's backing array for the next turn.
+// recycle returns a drained batch's backing array for the next turns,
+// unless both spares are already kept.
 func (l *tcpLink) recycle(b []*frame) {
 	l.bmu.Lock()
-	if l.spare == nil {
-		l.spare = b[:0]
+	for i, sp := range l.spare {
+		if sp == nil {
+			l.spare[i] = b[:0]
+			break
+		}
 	}
 	l.bmu.Unlock()
 }
@@ -1011,9 +1023,15 @@ func (h *TCPHost) acceptLoop() {
 // populations apart: member connections open with a frame-size header
 // (bounded by maxFrame), dialed clients with the handshake magic (which
 // exceeds any valid size). Members continue into readLoop; clients are
-// served by the client-protocol demux if a backend is registered.
+// served by the client-protocol demux if a backend is registered. The
+// reader is bufio's default 4 KB, as the client-side and gateway readers
+// are: the largest burst one read has to take is one peer writev, at
+// most maxWriteBatch frames of about 28 bytes (some 1.8 KB), and a
+// rarer, larger recovery frame is still read whole by io.ReadFull. A
+// larger buffer would cost every inbound connection its size, for
+// nothing.
 func (h *TCPHost) dispatch(conn net.Conn) {
-	br := bufio.NewReaderSize(conn, 32<<10)
+	br := bufio.NewReader(conn)
 	var first [4]byte
 	if _, err := io.ReadFull(br, first[:]); err != nil {
 		_ = conn.Close()
