@@ -3,6 +3,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 	"slices"
 	"strings"
@@ -450,7 +451,7 @@ func refusal(code byte) resp { return resp{op: transport.RespErr, ok: true, code
 // Apply makes move m, reporting the invariant it breaks, if any.
 func (w *world) Apply(m move) error {
 	w.logf("%v", m)
-	defer func() { w.stray = w.stray && w.hold.Pending }()
+	defer w.normalize()
 	switch m.kind {
 	case mArrive:
 		c := &w.cs[m.i]
@@ -570,6 +571,19 @@ func (w *world) Apply(m move) error {
 		}
 	}
 	return nil
+}
+
+// normalize ends every move, so that one state has one form: a grant that
+// is no longer pending is not the sweep's, a served waiter's slot in the
+// lane's queue is capacity, not state, and an acquire answered or
+// withdrawn can match nothing again.
+func (w *world) normalize() {
+	w.stray = w.stray && w.hold.Pending
+	l := &w.l
+	l.q = l.waiting()
+	if l.kept != l.order.id && !slices.ContainsFunc(l.ids, func(r laneReq) bool { return r.id == l.kept }) {
+		l.kept = 0
+	}
 }
 
 // grant is worker i's acquire taking its grant: the machine admits it
@@ -705,119 +719,119 @@ func fmtActs(acts []action) string {
 	return strings.Join(parts, "; ")
 }
 
-// code walks every field of w that is state (not b or log), with
-// explore.Coder.
-func (w *world) code(c *explore.Coder) {
-	act := func(a *action) {
-		explore.Num(c, &a.kind)
-		explore.Bit(c, &a.run)
-		explore.Bit(c, &a.more)
-		explore.Num(c, &a.h)
-		explore.Num(c, &a.used)
-		explore.Num(c, &a.id)
-		explore.Num(c, &a.fence)
-		explore.Num(c, &a.expiry)
-		explore.Str(c, &a.key)
+// Encode walks every field of w that is state (not b or log). Apply
+// leaves w in the one form it reads (normalize).
+func (w *world) Encode(b []byte) []byte {
+	c := &explore.Coder{Buf: b}
+	act := func(a action) {
+		explore.Num(c, a.kind)
+		explore.Bit(c, a.run)
+		explore.Bit(c, a.more)
+		explore.Num(c, a.h)
+		explore.Num(c, a.used)
+		explore.Num(c, a.id)
+		explore.Num(c, a.fence)
+		explore.Num(c, a.expiry)
+		explore.Str(c, a.key)
 	}
-	req := func(r *laneReq) { explore.Num(c, &r.id); explore.Str(c, &r.key) }
-	hold := func(r *run) {
-		explore.Num(c, &r.cur)
-		explore.Num(c, &r.last)
-		explore.Num(c, &r.used)
-		explore.Str(c, &r.key)
-		explore.Str(c, &r.holder)
-		explore.Bit(c, &r.grant)
+	req := func(r laneReq) { explore.Num(c, r.id); explore.Str(c, r.key) }
+	hold := func(r run) {
+		explore.Num(c, r.cur)
+		explore.Num(c, r.last)
+		explore.Num(c, r.used)
+		explore.Str(c, r.key)
+		explore.Str(c, r.holder)
+		explore.Bit(c, r.grant)
 	}
 	l := &w.l
-	explore.Bit(c, &l.runs)
-	q := l.waiting() // a served waiter's slot is capacity, not state
-	explore.List(c, &q, func(x *waiter) { explore.Num(c, &x.h); explore.Str(c, &x.key) })
-	l.q, l.n = q, len(q)
-	explore.List(c, &l.ids, req)
-	req(&l.order)
-	explore.List(c, &l.zombies, req)
-	if !c.Decoding && l.kept != l.order.id && !slices.ContainsFunc(l.ids, func(r laneReq) bool { return r.id == l.kept }) {
-		l.kept = 0 // answered or withdrawn: it can match nothing again
-	}
-	explore.Num(c, &l.kept)
-	explore.Bit(c, &l.held)
-	hold(&l.run)
-	hold(&l.stale)
-	explore.Num(c, &l.next)
-	explore.Num(c, &l.expiry)
-	explore.Num(c, &l.until)
-	explore.Num(c, &w.ids)
-	explore.List(c, &w.cs, func(x *mcaller) {
-		explore.Num(c, &x.state)
-		explore.Num(c, &x.left)
-		explore.Num(c, &x.fence)
-		explore.Num(c, &x.rel)
-		explore.List(c, &x.out, act)
+	explore.Bit(c, l.runs)
+	explore.List(c, l.q, func(x waiter) { explore.Num(c, x.h); explore.Str(c, x.key) })
+	explore.List(c, l.ids, req)
+	req(l.order)
+	explore.List(c, l.zombies, req)
+	explore.Num(c, l.kept)
+	explore.Bit(c, l.held)
+	hold(l.run)
+	hold(l.stale)
+	explore.Num(c, l.next)
+	explore.Num(c, l.expiry)
+	explore.Num(c, l.until)
+	explore.Num(c, w.ids)
+	explore.List(c, w.cs, func(x mcaller) {
+		explore.Num(c, x.state)
+		explore.Num(c, x.left)
+		explore.Num(c, x.fence)
+		explore.Num(c, x.rel)
+		explore.List(c, x.out, act)
 	})
-	explore.List(c, &w.reg, func(r *regd) { explore.Num(c, &r.id); explore.Num(c, &r.who) })
-	explore.List(c, &w.c2m, act)
-	explore.List(c, &w.m2c, func(r *mreply) {
-		explore.Num(c, &r.id)
-		explore.Num(c, &r.r.op)
-		explore.Bit(c, &r.r.ok)
-		explore.Num(c, &r.r.code)
-		explore.Num(c, &r.r.fence)
-		explore.Num(c, &r.r.expiry)
-		explore.Num(c, &r.r.run)
+	explore.List(c, w.reg, func(r regd) { explore.Num(c, r.id); explore.Num(c, r.who) })
+	explore.List(c, w.c2m, act)
+	explore.List(c, w.m2c, func(r mreply) {
+		explore.Num(c, r.id)
+		explore.Num(c, r.r.op)
+		explore.Bit(c, r.r.ok)
+		explore.Num(c, r.r.code)
+		explore.Num(c, r.r.fence)
+		explore.Num(c, r.r.expiry)
+		explore.Num(c, r.r.run)
 	})
-	explore.Map(c, &w.conn.Holds, func(h *transport.ConnHold) { explore.Num(c, &h.Fence); explore.Num(c, &h.Run) })
-	explore.Bit(c, &w.conn.Closed)
+	explore.Map(c, w.conn.Holds, func(h transport.ConnHold) { explore.Num(c, h.Fence); explore.Num(c, h.Run) })
+	explore.Bit(c, w.conn.Closed)
 	h := &w.hold.HoldState
-	explore.Bit(c, &h.Held)
-	explore.Str(c, &h.Key)
-	explore.Num(c, &h.Fence)
-	explore.Num(c, &h.Run)
-	explore.Time(c, &h.Expires)
-	explore.Time(c, &h.GrantedAt)
-	explore.Bit(c, &h.Pending)
-	explore.Num(c, &h.Streak)
-	explore.Bit(c, &h.Abandoned)
-	explore.List(c, &h.Expired, func(m *runtime.HoldMarker) { explore.Str(c, &m.Key); explore.Num(c, &m.Fence); explore.Num(c, &m.Run) })
-	explore.List(c, &w.work, func(k *worker) {
-		act(&k.a)
-		explore.Num(c, &k.state)
-		explore.Bit(c, &k.canceled)
-		explore.Bit(c, &k.recheck)
+	explore.Bit(c, h.Held)
+	explore.Str(c, h.Key)
+	explore.Num(c, h.Fence)
+	explore.Num(c, h.Run)
+	explore.Time(c, h.Expires)
+	explore.Time(c, h.GrantedAt)
+	explore.Bit(c, h.Pending)
+	explore.Num(c, h.Streak)
+	explore.Bit(c, h.Abandoned)
+	explore.List(c, h.Expired, func(m runtime.HoldMarker) { explore.Str(c, m.Key); explore.Num(c, m.Fence); explore.Num(c, m.Run) })
+	explore.List(c, w.work, func(k worker) {
+		act(k.a)
+		explore.Num(c, k.state)
+		explore.Bit(c, k.canceled)
+		explore.Bit(c, k.recheck)
 	})
-	for _, v := range []*bool{&w.taken, &w.away, &w.asked, &w.stray, &w.promised, &w.lost} {
+	for _, v := range []bool{w.taken, w.away, w.asked, w.stray, w.promised, w.lost} {
 		explore.Bit(c, v)
 	}
-	explore.Num(c, &w.gen)
-	explore.Num(c, &w.landed)
-	explore.Num(c, &w.visit)
-	explore.List(c, &w.blocks, func(x *mblock) {
-		explore.Num(c, &x.first)
-		explore.Num(c, &x.last)
-		explore.Num(c, &x.visit)
-		explore.Num(c, &x.handed)
-		explore.Bit(c, &x.ended)
+	explore.Num(c, w.gen)
+	explore.Num(c, w.landed)
+	explore.Num(c, w.visit)
+	explore.List(c, w.blocks, func(x mblock) {
+		explore.Num(c, x.first)
+		explore.Num(c, x.last)
+		explore.Num(c, x.visit)
+		explore.Num(c, x.handed)
+		explore.Bit(c, x.ended)
 	})
-	explore.Num(c, &w.now)
-	for i := range w.budget {
-		explore.Num(c, &w.budget[i])
+	explore.Num(c, w.now)
+	for _, n := range w.budget {
+		explore.Num(c, n)
 	}
-}
-
-func (w *world) Encode(b []byte) []byte {
-	c := explore.Coder{Buf: b}
-	w.code(&c)
 	return c.Buf
 }
 
-func decode(b *checkBound, enc []byte) *world {
-	w := &world{b: b, hold: runtime.NewHold(1, lease, b.budget)}
-	w.code(&explore.Coder{Buf: enc, Decoding: true})
-	return w
+// Clone copies w, each slice and map of its state with it.
+func (w *world) Clone() explore.State[move] {
+	c := *w
+	c.l.q, c.l.ids, c.l.zombies = slices.Clone(w.l.q), slices.Clone(w.l.ids), slices.Clone(w.l.zombies)
+	c.cs = slices.Clone(w.cs)
+	for i := range c.cs {
+		c.cs[i].out = slices.Clone(c.cs[i].out)
+	}
+	c.reg, c.c2m, c.m2c = slices.Clone(w.reg), slices.Clone(w.c2m), slices.Clone(w.m2c)
+	c.conn.Holds = maps.Clone(w.conn.Holds)
+	c.hold.Expired = slices.Clone(w.hold.Expired)
+	c.work, c.blocks = slices.Clone(w.work), slices.Clone(w.blocks)
+	return &c
 }
 
 // check explores every state reachable within b.
 func check(b checkBound, shortest bool) explore.Result[move] {
-	return explore.Search[move](newWorld(&b), func(enc []byte) explore.State[move] { return decode(&b, enc) }, shortest)
+	return explore.Search[move](newWorld(&b), shortest)
 }
 
 // replay re-runs ms from the start and returns what each move did.

@@ -147,50 +147,62 @@ func (s *coreCheck) Quiescent() error {
 	return nil
 }
 
-// code walks the state: each node's hot fields, what the World recorded
-// of its grants, and the messages in flight, in the link order Apply
-// keeps them in. It does not walk a node's cold state, so it fails on
-// finding one rather than merge two states it cannot tell apart.
-func (s *coreCheck) code(c *explore.Coder) {
+// Encode walks the state: each node's hot fields, how many grants the
+// World recorded of it (a grant's generation and hops are written before
+// anything reads them), and the messages in flight, in the link order
+// Apply keeps them in. It does not walk a node's cold state, so it fails
+// on finding one rather than merge two states it cannot tell apart.
+func (s *coreCheck) Encode(b []byte) []byte {
+	c := &explore.Coder{Buf: b}
 	for _, id := range s.ids {
 		n := s.w.Nodes[id]
 		if n.cold != nil {
 			panic(fmt.Sprintf("node %d allocated cold state in a fault-free run", id))
 		}
-		explore.Num(c, &n.next)
-		explore.Num(c, &n.follow)
-		explore.Num(c, &n.epoch)
-		explore.Num(c, &n.gen)
-		explore.Num(c, &n.followHops)
-		explore.Num(c, &n.grantHops)
-		for _, b := range []*bool{&n.holding, &n.requesting, &n.inCS, &n.frozen, &n.staleCS} {
-			explore.Bit(c, b)
+		explore.Num(c, n.next)
+		explore.Num(c, n.follow)
+		explore.Num(c, n.epoch)
+		explore.Num(c, n.gen)
+		explore.Num(c, n.followHops)
+		explore.Num(c, n.grantHops)
+		for _, v := range []bool{n.holding, n.requesting, n.inCS, n.frozen, n.staleCS} {
+			explore.Bit(c, v)
 		}
-		explore.Num(c, &s.w.Grants[id].Count)
-		explore.Num(c, &s.left[id])
+		explore.Num(c, s.w.Grants[id].Count)
+		explore.Num(c, s.left[id])
 	}
-	explore.Num(c, &s.fence)
-	explore.List(c, &s.w.Pending, func(f *Flight) {
+	explore.Num(c, s.fence)
+	explore.List(c, s.w.Pending, func(f Flight) {
 		if f.Boxed != nil {
 			panic(fmt.Sprintf("a boxed %s in a fault-free run", f.Boxed.Kind()))
 		}
-		m := &f.Msg
-		explore.Num(c, &f.From)
-		explore.Num(c, &f.To)
-		explore.Num(c, &m.Kind)
-		explore.Num(c, &m.Generation)
-		explore.Num(c, &m.From)
-		explore.Num(c, &m.Origin)
-		explore.Num(c, &m.Epoch)
-		explore.Num(c, &m.Hops)
-		explore.Bit(c, &m.Requesting)
+		m := f.Msg
+		explore.Num(c, f.From)
+		explore.Num(c, f.To)
+		explore.Num(c, m.Kind)
+		explore.Num(c, m.Generation)
+		explore.Num(c, m.From)
+		explore.Num(c, m.Origin)
+		explore.Num(c, m.Epoch)
+		explore.Num(c, m.Hops)
+		explore.Bit(c, m.Requesting)
 	})
+	return c.Buf
 }
 
-func (s *coreCheck) Encode(b []byte) []byte {
-	c := explore.Coder{Buf: b}
-	s.code(&c)
-	return c.Buf
+// Clone copies s and its World, each node with an Env of the copy's.
+func (s *coreCheck) Clone() explore.State[cmove] {
+	w := &World{Nodes: make([]*Node, len(s.w.Nodes)), Grants: slices.Clone(s.w.Grants),
+		Pending: slices.Clone(s.w.Pending), dead: slices.Clone(s.w.dead)}
+	for _, id := range s.ids {
+		n := *s.w.Nodes[id]
+		e := worldEnv{w, id}
+		n.env, n.hopEnv, n.msgEnv = e, e, e
+		w.Nodes[id] = &n
+	}
+	c := *s
+	c.w, c.left = w, slices.Clone(s.left)
+	return &c
 }
 
 // coreScope is one bound of the check.
@@ -215,11 +227,7 @@ func (sc coreScope) start() *coreCheck {
 }
 
 func (sc coreScope) search(shortest bool) explore.Result[cmove] {
-	return explore.Search[cmove](sc.start(), func(enc []byte) explore.State[cmove] {
-		s := sc.start()
-		s.code(&explore.Coder{Buf: enc, Decoding: true})
-		return s
-	}, shortest)
+	return explore.Search[cmove](sc.start(), shortest)
 }
 
 // TestCoreCheckerExploresEveryInterleaving runs the check on lines and

@@ -7,9 +7,11 @@
 // is kept as a 128-bit hash of its full encoding, so that every
 // reachable state and every transition out of it is explored once.
 // Replaying prefixes instead would re-run the same interleavings
-// exponentially often. The states waiting to be expanded are kept
-// encoded, too, and decoded when their turn comes. Depth first, they are
-// few; breadth first, the first violation found has the shortest trail.
+// exponentially often. The states waiting to be expanded are kept as
+// they are: each move out of one but the last is made on a clone of
+// it, the last on the state itself. Depth first, they are few; breadth
+// first, they are many, and the first violation found has the shortest
+// trail.
 package explore
 
 import (
@@ -28,8 +30,13 @@ type State[M any] interface {
 	// Apply makes a move in place and reports the invariant it breaks,
 	// if any.
 	Apply(m M) error
-	// Encode appends the state to b. Two states with one encoding must
-	// be the same state: the search keeps one of them.
+	// Clone returns a copy of the state that shares no mutable memory
+	// with it: a move made in either leaves the other as it was.
+	Clone() State[M]
+	// Encode appends the state to b and leaves the state as it was. It
+	// must cover every field that a move, an invariant or Quiescent
+	// reads: two states with one encoding are taken for one, and the
+	// search keeps only the first.
 	Encode(b []byte) []byte
 	// Quiescent checks a state with no move left.
 	Quiescent() error
@@ -44,13 +51,12 @@ type Result[M any] struct {
 }
 
 // Search explores every state reachable from start, depth first, or
-// breadth first with shortest. decode turns an encoding back into a
-// state of its own, which must not share memory with enc. A panic in
-// Apply is a violation like any other.
-func Search[M any](start State[M], decode func(enc []byte) State[M], shortest bool) Result[M] {
+// breadth first with shortest. It takes start over and makes moves in
+// it. A panic in Apply is a violation like any other.
+func Search[M any](start State[M], shortest bool) Result[M] {
 	begin := time.Now()
 	type node struct {
-		enc   []byte
+		s     State[M]
 		t     *trail[M]
 		depth int
 	}
@@ -72,7 +78,7 @@ func Search[M any](start State[M], decode func(enc []byte) State[M], shortest bo
 		if len(s.Moves()) == 0 {
 			return s.Quiescent()
 		}
-		todo = append(todo, node{slices.Clone(buf), t, depth})
+		todo = append(todo, node{s, t, depth})
 		return nil
 	}
 	err := visit(start, nil, 0)
@@ -80,18 +86,18 @@ func Search[M any](start State[M], decode func(enc []byte) State[M], shortest bo
 	for err == nil && len(todo) > 0 {
 		var n node
 		if shortest {
-			n, todo = todo[0], todo[1:]
+			n, todo[0] = todo[0], node{} // the queue's array keeps no expanded state
+			todo = todo[1:]
 		} else {
 			n, todo = todo[len(todo)-1], todo[:len(todo)-1]
 		}
-		s := decode(n.enc)
-		ms := s.Moves()
+		ms := n.s.Moves()
 		for i, m := range ms {
 			res.Transitions++
 			t = &trail[M]{n.t, m}
-			next := s // the last move may use the state it was listed in
+			next := n.s // the last move may use the state it was listed in
 			if i < len(ms)-1 {
-				next = decode(n.enc)
+				next = n.s.Clone()
 			}
 			if err = Apply(next, m); err == nil {
 				err = visit(next, t, n.depth+1)
@@ -147,100 +153,64 @@ func (t *trail[M]) moves() []M {
 	return ms
 }
 
-// Coder writes a state into Buf, or, with Decoding set, reads one back
-// out of it: one walk over a state's fields does both, so what tells two
-// states apart is exactly what a decoded state holds.
+// Coder appends a state's fields to Buf, each in a form that delimits
+// itself, so that two states with one encoding agree field by field.
 type Coder struct {
-	Buf      []byte
-	Decoding bool
+	Buf []byte
 }
 
-// Num codes an integer.
-func Num[T ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~int | ~int32 | ~int64](c *Coder, v *T) {
-	switch {
-	case !c.Decoding:
-		c.Buf = binary.AppendUvarint(c.Buf, uint64(*v))
-	case c.Buf[0] < 0x80:
-		*v, c.Buf = T(c.Buf[0]), c.Buf[1:]
-	default:
-		x, n := binary.Uvarint(c.Buf)
-		*v, c.Buf = T(x), c.Buf[n:]
+// Num encodes an integer.
+func Num[T ~uint8 | ~uint16 | ~uint32 | ~uint64 | ~int | ~int32 | ~int64](c *Coder, v T) {
+	c.Buf = binary.AppendUvarint(c.Buf, uint64(v))
+}
+
+// Bit encodes a bool.
+func Bit(c *Coder, v bool) {
+	if v {
+		c.Buf = append(c.Buf, 1)
+	} else {
+		c.Buf = append(c.Buf, 0)
 	}
 }
 
-// Bit codes a bool.
-func Bit(c *Coder, v *bool) {
-	x := uint8(0)
-	if *v {
-		x = 1
-	}
-	Num(c, &x)
-	*v = x == 1
+// Str encodes a string.
+func Str(c *Coder, v string) {
+	Num(c, len(v))
+	c.Buf = append(c.Buf, v...)
 }
 
-// Str codes a string.
-func Str(c *Coder, v *string) {
-	n := len(*v)
-	Num(c, &n)
-	if !c.Decoding {
-		c.Buf = append(c.Buf, *v...)
-		return
-	}
-	*v, c.Buf = string(c.Buf[:n]), c.Buf[n:]
-}
-
-// Time codes a time.Time as unix nanoseconds, and the zero time as 0.
-func Time(c *Coder, t *time.Time) {
+// Time encodes a time.Time as unix nanoseconds, and the zero time as 0.
+func Time(c *Coder, t time.Time) {
 	var n int64
 	if !t.IsZero() {
 		n = t.UnixNano()
 	}
-	if Num(c, &n); c.Decoding && n != 0 {
-		*t = time.Unix(0, n)
-	}
+	Num(c, n)
 }
 
-// Map codes a map with string keys in key order, each value with each; a
-// decoded map is nil when empty. Encoding a map of one key or none
-// allocates nothing.
-func Map[V any](c *Coder, m *map[string]V, each func(*V)) {
-	n := len(*m)
-	if Num(c, &n); c.Decoding {
-		*m = nil
-		for i := range n {
-			var k string
-			var v V
-			Str(c, &k)
-			each(&v)
-			if i == 0 {
-				*m = make(map[string]V, n)
-			}
-			(*m)[k] = v
+// Map encodes a map with string keys in key order, each value with
+// each; a nil map and an empty one encode alike. A map of one key or
+// none allocates nothing.
+func Map[V any](c *Coder, m map[string]V, each func(V)) {
+	Num(c, len(m))
+	if len(m) <= 1 { // no order to fix
+		for k, v := range m {
+			Str(c, k)
+			each(v)
 		}
 		return
 	}
-	if n <= 1 { // no order to fix
-		for k, v := range *m {
-			Str(c, &k)
-			each(&v)
-		}
-		return
-	}
-	for _, k := range slices.Sorted(maps.Keys(*m)) {
-		v := (*m)[k]
-		Str(c, &k)
-		each(&v)
+	for _, k := range slices.Sorted(maps.Keys(m)) {
+		Str(c, k)
+		each(m[k])
 	}
 }
 
-// List codes a slice, each element with each.
-func List[T any](c *Coder, s *[]T, each func(*T)) {
-	n := len(*s)
-	Num(c, &n)
-	if c.Decoding {
-		*s = make([]T, n)
-	}
-	for i := range *s {
-		each(&(*s)[i])
+// List encodes a slice, each element with each; a nil slice and an
+// empty one encode alike.
+func List[T any](c *Coder, s []T, each func(T)) {
+	Num(c, len(s))
+	for _, x := range s {
+		each(x)
 	}
 }

@@ -1,10 +1,8 @@
 package explore
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -15,6 +13,7 @@ import (
 type counters struct {
 	a, b, max int
 	bad       [2]int
+	clones    *int // counts the calls of Clone
 }
 
 type step uint8
@@ -56,14 +55,16 @@ func (c *counters) Apply(m step) error {
 	return nil
 }
 
-func (c *counters) code(k *Coder) {
-	Num(k, &c.a)
-	Num(k, &c.b)
+func (c *counters) Clone() State[step] {
+	*c.clones++
+	d := *c
+	return &d
 }
 
 func (c *counters) Encode(b []byte) []byte {
 	k := Coder{Buf: b}
-	c.code(&k)
+	Num(&k, c.a)
+	Num(&k, c.b)
 	return k.Buf
 }
 
@@ -74,12 +75,11 @@ func (c *counters) Quiescent() error {
 	return nil
 }
 
-func search(max int, bad [2]int, shortest bool) Result[step] {
-	return Search[step](&counters{max: max, bad: bad}, func(enc []byte) State[step] {
-		c := &counters{max: max, bad: bad}
-		c.code(&Coder{Buf: enc, Decoding: true})
-		return c
-	}, shortest)
+// search explores from (0, 0), and reports how many clones it made.
+func search(max int, bad [2]int, shortest bool) (Result[step], int) {
+	clones := 0
+	res := Search[step](&counters{max: max, bad: bad, clones: &clones}, shortest)
+	return res, clones
 }
 
 // TestBreadthFirstFindsAShortestTrail: the bad pair (4, 0) is two jumps
@@ -88,7 +88,7 @@ func search(max int, bad [2]int, shortest bool) Result[step] {
 // them reaches the violation.
 func TestBreadthFirstFindsAShortestTrail(t *testing.T) {
 	bad := [2]int{4, 0}
-	res := search(6, bad, true)
+	res, _ := search(6, bad, true)
 	if !errors.Is(res.Err, errBad) {
 		t.Fatalf("err = %v, want the bad pair", res.Err)
 	}
@@ -98,7 +98,7 @@ func TestBreadthFirstFindsAShortestTrail(t *testing.T) {
 	if err := Replay[step](&counters{max: 6, bad: bad}, res.Trail); !errors.Is(err, errBad) {
 		t.Fatalf("replay = %v, want the bad pair", err)
 	}
-	if dfs := search(6, bad, false); !errors.Is(dfs.Err, errBad) || len(dfs.Trail) <= 2 {
+	if dfs, _ := search(6, bad, false); !errors.Is(dfs.Err, errBad) || len(dfs.Trail) <= 2 {
 		t.Fatalf("depth first: err %v, trail %v; want the bad pair by a longer way", dfs.Err, dfs.Trail)
 	}
 }
@@ -115,7 +115,7 @@ func TestEveryStateOnce(t *testing.T) {
 		}
 	}
 	for _, shortest := range []bool{false, true} {
-		res := search(max, [2]int{-1, -1}, shortest)
+		res, _ := search(max, [2]int{-1, -1}, shortest)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -126,15 +126,40 @@ func TestEveryStateOnce(t *testing.T) {
 	}
 }
 
+// TestSearchClonesAllButTheLastMove: on a clean bound, in both orders,
+// every state with moves left is expanded once, its last move made in
+// the state itself and each other on a clone of it.
+func TestSearchClonesAllButTheLastMove(t *testing.T) {
+	const max = 6
+	quiescent := 0
+	for a := 0; a <= max; a++ {
+		for b := 0; b <= max; b++ {
+			if len((&counters{a: a, b: b, max: max}).Moves()) == 0 {
+				quiescent++
+			}
+		}
+	}
+	for _, shortest := range []bool{false, true} {
+		res, clones := search(max, [2]int{-1, -1}, shortest)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		if want := res.Transitions - (res.States - quiescent); clones != want {
+			t.Fatalf("shortest=%v: %d clones for %d transitions out of %d states, %d of them quiescent; want %d",
+				shortest, clones, res.Transitions, res.States, quiescent, want)
+		}
+	}
+}
+
 // TestQuiescentViolationAndPanic: a state with no move left is checked,
 // and a panic in a move is a violation with a trail.
 func TestQuiescentViolationAndPanic(t *testing.T) {
-	res := Search[step](&counters{a: 2, b: 2, max: 1}, nil, false)
+	res := Search[step](&counters{a: 2, b: 2, max: 1}, false)
 	if res.Err == nil || res.States != 1 {
 		t.Fatalf("stuck start: %d states, err %v; want 1 and an error", res.States, res.Err)
 	}
 	var p panicky
-	res = Search[step](&p, func([]byte) State[step] { return &panicky{} }, true)
+	res = Search[step](&p, true)
 	if res.Err == nil || !slices.Equal(res.Trail, []step{incA}) {
 		t.Fatalf("panic: err %v, trail %v; want an error after one move", res.Err, res.Trail)
 	}
@@ -142,46 +167,93 @@ func TestQuiescentViolationAndPanic(t *testing.T) {
 
 type panicky struct{ counters }
 
-func (p *panicky) Moves() []step    { return []step{incA} }
-func (p *panicky) Apply(step) error { panic("boom") }
+func (p *panicky) Moves() []step      { return []step{incA} }
+func (p *panicky) Apply(step) error   { panic("boom") }
+func (p *panicky) Clone() State[step] { q := *p; return &q }
 
-// TestCoderRoundTrip: every helper reads back what it wrote, negative
-// integers, the zero time and an empty map included, and a map encodes
-// the same however it was filled.
-func TestCoderRoundTrip(t *testing.T) {
+// TestCoderTellsFieldsApart: changing any one field of a record changes
+// its encoding — a negative int, a list of one zero against a nil one
+// and a map of one empty key against an empty one included — and so
+// does moving a list's last element to the list after it; a nil list or
+// map encodes as an empty one, and a map encodes the same however it
+// was filled.
+func TestCoderTellsFieldsApart(t *testing.T) {
 	type rec struct {
 		n        int
 		u        uint64
 		on       bool
 		name     string
-		xs       []int32
+		xs, ys   []int32
 		at, zero time.Time
 		m, none  map[string]uint32
 	}
-	code := func(c *Coder, r *rec) {
-		Num(c, &r.n)
-		Num(c, &r.u)
-		Bit(c, &r.on)
-		Str(c, &r.name)
-		List(c, &r.xs, func(x *int32) { Num(c, x) })
-		Time(c, &r.at)
-		Time(c, &r.zero)
-		Map(c, &r.m, func(v *uint32) { Num(c, v) })
-		Map(c, &r.none, func(v *uint32) { Num(c, v) })
+	encode := func(r rec) string {
+		c := &Coder{}
+		Num(c, r.n)
+		Num(c, r.u)
+		Bit(c, r.on)
+		Str(c, r.name)
+		List(c, r.xs, func(x int32) { Num(c, x) })
+		List(c, r.ys, func(x int32) { Num(c, x) })
+		Time(c, r.at)
+		Time(c, r.zero)
+		Map(c, r.m, func(v uint32) { Num(c, v) })
+		Map(c, r.none, func(v uint32) { Num(c, v) })
+		return string(c.Buf)
 	}
-	in := rec{n: -1, u: 1 << 40, on: true, name: "lane", xs: []int32{0, 127, 128, -5},
-		at: time.Unix(0, 1<<40), m: map[string]uint32{"b": 2, "a": 1, "c": 3}}
-	enc := Coder{}
-	code(&enc, &in)
-	var out rec
-	code(&Coder{Buf: enc.Buf, Decoding: true}, &out)
-	if out.n != in.n || out.u != in.u || out.on != in.on || out.name != in.name || !slices.Equal(out.xs, in.xs) ||
-		!out.at.Equal(in.at) || !out.zero.IsZero() || !maps.Equal(out.m, in.m) || out.none != nil {
-		t.Fatalf("decoded %+v, want %+v", out, in)
+	base := func() rec {
+		return rec{n: 1, u: 1 << 40, name: "lane", xs: []int32{127, 128, -5},
+			at: time.Unix(0, 1<<40), m: map[string]uint32{"b": 2, "a": 1, "c": 3}}
 	}
-	again := Coder{}
-	in.m = map[string]uint32{"c": 3, "a": 1, "b": 2}
-	if code(&again, &in); !bytes.Equal(again.Buf, enc.Buf) {
-		t.Fatal("one map, filled in another order, encoded differently")
+	changes := map[string]func(*rec){
+		"negative int":               func(r *rec) { r.n = -1 },
+		"uint":                       func(r *rec) { r.u++ },
+		"bool":                       func(r *rec) { r.on = true },
+		"string":                     func(r *rec) { r.name = "lan" },
+		"empty string":               func(r *rec) { r.name = "" },
+		"list element":               func(r *rec) { r.xs[1] = 0 },
+		"shorter list":               func(r *rec) { r.xs = r.xs[:2] },
+		"nil list":                   func(r *rec) { r.xs = nil },
+		"list of one zero":           func(r *rec) { r.xs = []int32{0} },
+		"split list":                 func(r *rec) { r.xs, r.ys = r.xs[:2], r.xs[2:] },
+		"time":                       func(r *rec) { r.at = r.at.Add(1) },
+		"zero time":                  func(r *rec) { r.at = time.Time{} },
+		"set zero time":              func(r *rec) { r.zero = time.Unix(0, 1) },
+		"map value":                  func(r *rec) { r.m["b"] = 0 },
+		"map key":                    func(r *rec) { delete(r.m, "b"); r.m["d"] = 2 },
+		"map of one empty key":       func(r *rec) { r.none = map[string]uint32{"": 0} },
+		"map of one key and value 0": func(r *rec) { r.m = map[string]uint32{"a": 0} },
+	}
+	by := map[string]string{encode(base()): "nothing"}
+	for name, change := range changes {
+		r := base()
+		change(&r)
+		enc := encode(r)
+		if other, ok := by[enc]; ok {
+			t.Errorf("changing the %s encodes as changing %s", name, other)
+		}
+		by[enc] = name
+	}
+	fill := func(keys string) map[string]uint32 {
+		m := map[string]uint32{}
+		for _, k := range keys {
+			m[string(k)] = uint32(k)
+		}
+		return m
+	}
+	for _, p := range []struct {
+		name string
+		a, b func(*rec)
+	}{
+		{"a nil list and an empty one", func(r *rec) { r.xs = nil }, func(r *rec) { r.xs = []int32{} }},
+		{"a nil map and an empty one", func(r *rec) { r.m = nil }, func(r *rec) { r.m = map[string]uint32{} }},
+		{"one map filled in two orders", func(r *rec) { r.m = fill("abcdefghij") }, func(r *rec) { r.m = fill("jihgfedcba") }},
+	} {
+		a, b := base(), base()
+		p.a(&a)
+		p.b(&b)
+		if encode(a) != encode(b) {
+			t.Errorf("%s encoded differently", p.name)
+		}
 	}
 }
