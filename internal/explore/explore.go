@@ -8,10 +8,10 @@
 // reachable state and every transition out of it is explored once.
 // Replaying prefixes instead would re-run the same interleavings
 // exponentially often. The states waiting to be expanded are kept as
-// they are: each move out of one but the last is made on a clone of
-// it, the last on the state itself. Depth first, they are few; breadth
-// first, they are many, and the first violation found has the shortest
-// trail.
+// they are, each with the moves listed when it was filed: each move out
+// of one but the last is made on a clone of it, the last on the state
+// itself. Depth first, they are few; breadth first, they are many, and
+// the first violation found has the shortest trail.
 package explore
 
 import (
@@ -25,7 +25,8 @@ import (
 
 // State is one state of a system under check, with moves of type M.
 type State[M any] interface {
-	// Moves lists every move enabled in the state.
+	// Moves lists every move enabled in the state, in a slice of its
+	// own: the search keeps the list until it expands the state.
 	Moves() []M
 	// Apply makes a move in place and reports the invariant it breaks,
 	// if any.
@@ -57,6 +58,7 @@ func Search[M any](start State[M], shortest bool) Result[M] {
 	begin := time.Now()
 	type node struct {
 		s     State[M]
+		ms    []M // s.Moves(), listed once when s was filed
 		t     *trail[M]
 		depth int
 	}
@@ -75,10 +77,11 @@ func Search[M any](start State[M], shortest bool) Result[M] {
 		}
 		seen[k] = struct{}{}
 		res.States, res.Depth = res.States+1, max(res.Depth, depth)
-		if len(s.Moves()) == 0 {
+		ms := s.Moves()
+		if len(ms) == 0 {
 			return s.Quiescent()
 		}
-		todo = append(todo, node{s, t, depth})
+		todo = append(todo, node{s, ms, t, depth})
 		return nil
 	}
 	err := visit(start, nil, 0)
@@ -91,12 +94,11 @@ func Search[M any](start State[M], shortest bool) Result[M] {
 		} else {
 			n, todo = todo[len(todo)-1], todo[:len(todo)-1]
 		}
-		ms := n.s.Moves()
-		for i, m := range ms {
+		for i, m := range n.ms {
 			res.Transitions++
 			t = &trail[M]{n.t, m}
 			next := n.s // the last move may use the state it was listed in
-			if i < len(ms)-1 {
+			if i < len(n.ms)-1 {
 				next = n.s.Clone()
 			}
 			if err = Apply(next, m); err == nil {

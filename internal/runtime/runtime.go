@@ -166,17 +166,18 @@ type msgNode interface {
 	DeliverMsg(from mutex.ID, m core.Msg) error
 }
 
-// Flusher is an optional Link extension for transports that batch
-// outgoing messages per handler turn: the runtime buffers nothing
-// itself, but after every section that may have called into protocol
-// code (a delivery, a request, a release) it tells the link the turn is
-// over, so all messages the handler sent can leave together — one
-// writev instead of one wakeup per message.
+// Flusher is an optional Link extension for transports that write
+// outgoing messages per handler turn. Such a link orders a message when
+// Send is called: it joins the peer's queue then, behind everything sent
+// to that peer before it. After every section that may have called into
+// protocol code (a delivery, a request, a release) the runtime tells the
+// link the turn is over, and the flush only picks who writes what the
+// turn queued — one writev instead of one wakeup per message.
 //
 // Flush may write from the calling goroutine and may block on the
 // network; the runtime only calls it from application goroutines
-// (Session operations, With). FlushAsync must not block: it hands the
-// batch to the transport's own writer, and is what the runtime calls
+// (Session operations, With). FlushAsync must not block: it leaves the
+// writing to the transport's own writer, and is what the runtime calls
 // from delivery context, where blocking on a send could deadlock two
 // nodes delivering to each other.
 type Flusher interface {

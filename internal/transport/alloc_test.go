@@ -176,28 +176,32 @@ func TestAllocBudgetLocalHandoff(t *testing.T) {
 	allocBudgetHandoff(t, "local", [2]*runtime.Session{l.Session(1), l.Session(2)})
 }
 
-// TestAllocBudgetOverlappingTurns pins a link's turn batches at zero
-// heap allocations when turns overlap: a turn parks its frames while the
-// previous turn's flush still holds that turn's batch, and both batches
-// come back afterwards, in turn order. With one spare array kept, the
-// second turn parked into a fresh slice on every overlap.
+// TestAllocBudgetOverlappingTurns pins a link's noted peers at zero heap
+// allocations when turns overlap: a turn notes the peers it sends to
+// while the previous turn's flush has taken one of them and not the
+// other, and every noted peer is taken exactly once. The list is shared
+// and reused, so no turn allocates one of its own.
 func TestAllocBudgetOverlappingTurns(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated by race instrumentation")
 	}
-	l, f := &tcpLink{}, &frame{}
-	l.park(2, f)
+	l, a, b := &tcpLink{}, newPeerConn(), newPeerConn()
+	taken := 0
 	overlap := func() {
-		a := l.takeBatch()
-		l.park(2, f) // the next turn, while a is still being written
-		b := l.takeBatch()
-		l.park(2, f)
-		l.recycle(a)
-		l.recycle(b)
+		l.note(a) // turn 1 sends to both peers
+		l.note(b)
+		first := l.take() // its flush takes one and is writing it...
+		l.note(b)         // ...while turn 2 sends to both
+		l.note(first)
+		for taken = 1; l.take() != nil; taken++ {
+		}
 	}
-	overlap() // grow the link's three arrays outside the measured window
+	overlap() // grow the link's list outside the measured window
 	if avg := testing.AllocsPerRun(1000, overlap); avg != 0 {
 		t.Fatalf("overlapping turns = %.2f allocs/op, want 0", avg)
+	}
+	if taken != 3 {
+		t.Fatalf("two overlapping turns over two peers took %d peers, want 3 (one per note made after a take)", taken)
 	}
 }
 

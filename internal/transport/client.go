@@ -535,11 +535,12 @@ func ReadClientFrame(r io.Reader) (op byte, reqID uint64, payload []byte, err er
 // FrameWriter is the frame queue both ends of a CLIENT connection write
 // through — the member side's responses here, the dialing side's requests
 // in internal/client. It is peerConn, the writer member links use: a
-// frame is encoded into a pooled buffer and written inline when the
-// connection is idle; frames sent while a write is in progress queue up
-// and leave together in one writev. Concurrent callers sharing a
-// connection therefore cost one syscall per batch, not per frame, and
-// frames reach the wire in the order SendClientFrame was called.
+// frame is encoded into a pooled buffer, joins the queue, and is written
+// inline when the connection is idle; frames sent while a write is in
+// progress queue up and leave together in one writev. Concurrent callers
+// sharing a connection therefore cost one syscall per batch, not per
+// frame, and frames reach the wire in the order SendClientFrame was
+// called.
 type FrameWriter = peerConn
 
 // NewFrameWriter starts the writer for conn. Shutdown stops it.
@@ -555,18 +556,18 @@ func startFrameWriter(conn net.Conn, stats *writeStats) *peerConn {
 	pc.drained = make(chan struct{})
 	go func() {
 		defer close(pc.drained)
-		if err := pc.drain(conn); err != nil {
-			_ = conn.Close()
-		}
+		_ = pc.drain()
 	}()
 	return pc
 }
 
-// SendClientFrame queues (or writes) one frame whose payload is head
-// followed by tail. After Shutdown, or once a write has failed, frames
-// are dropped.
+// SendClientFrame queues one frame whose payload is head followed by
+// tail, and writes the queue inline when the connection is idle. After
+// Shutdown, or once a write has failed, frames are dropped.
 func (pc *peerConn) SendClientFrame(op byte, reqID uint64, head []byte, tail string) {
-	pc.send(clientFrame(op, reqID, head, tail))
+	if pc.accept(clientFrame(op, reqID, head, tail), false) {
+		_ = pc.flush() // a failed write has severed the connection
+	}
 }
 
 // QueueClientFrame is SendClientFrame that never writes inline: the
@@ -574,7 +575,7 @@ func (pc *peerConn) SendClientFrame(op byte, reqID uint64, head []byte, tail str
 // blocks, so a connection's reader may call it, under its own locks, to
 // send what an answer calls for without waiting for the peer to read.
 func (pc *peerConn) QueueClientFrame(op byte, reqID uint64, head []byte, tail string) {
-	pc.queue(clientFrame(op, reqID, head, tail))
+	pc.accept(clientFrame(op, reqID, head, tail), true)
 }
 
 // clientFrame builds one client frame in a pooled buffer.

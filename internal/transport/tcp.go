@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -252,15 +253,13 @@ func (h *TCPHost) broadcastPeer(peer mutex.ID, down bool) {
 }
 
 // frame is one encoded wire frame on its way to a peer: the 12-byte
-// member header plus the codec payload, in a pooled buffer, tagged with
-// its destination so a handler turn's sends can be grouped per peer at
-// flush time. Send and SendMsg encode into a recycled frame — SendMsg
-// straight from the by-value message, with no mutex.Message in between —
-// and whoever performs the write returns it to the pool afterwards, so
-// the steady-state send path allocates nothing.
+// member header plus the codec payload, in a pooled buffer. Send and
+// SendMsg encode into a recycled frame — SendMsg straight from the
+// by-value message, with no mutex.Message in between — and put it on the
+// peer's ring at once; whoever writes it returns it to the pool
+// afterwards, so the steady-state send path allocates nothing.
 type frame struct {
-	b  []byte
-	to mutex.ID
+	b []byte
 }
 
 var framePool = sync.Pool{New: func() any { return new(frame) }}
@@ -310,13 +309,13 @@ func (h *TCPHost) sealFrame(f *frame, b []byte, err error, instance uint32) (*fr
 }
 
 // sendControl frames a host-level control message (a heartbeat) for the
-// peer's batched writer.
+// peer's writer.
 func (h *TCPHost) sendControl(to mutex.ID, m mutex.Message) error {
 	f, err := h.newFrame(controlInstance, m)
 	if err != nil {
 		return fmt.Errorf("encode %s: %w", m.Kind(), err)
 	}
-	h.enqueue(to, f)
+	h.queue(to, f, true)
 	return nil
 }
 
@@ -428,6 +427,16 @@ func (h *TCPHost) StartInstance(instance uint32, b mutex.Builder, cfg mutex.Conf
 // and exits when the link closes. Frames that arrive between
 // registration and attach wait in pend, so arrival order survives the
 // switch-over.
+//
+// Outbound, a frame joins its peer's ring when the handler sends it, so
+// every frame this instance sends to one peer reaches it in send order,
+// whichever turn's flush writes it. The ring is not woken: the peer is
+// noted instead, and the runtime's end-of-turn Flush or FlushAsync
+// decides who writes it — a release's PRIVILEGE and its pipelined
+// re-REQUEST leave in one writev. A noted peer is owed a flush: it is
+// noted after its frame is queued, and a flush takes it before writing,
+// so a frame queued after that take is noted again. Turns that overlap
+// share the list; it grows to the number of peers and is reused.
 type tcpLink struct {
 	host     *TCPHost
 	instance uint32
@@ -438,28 +447,19 @@ type tcpLink struct {
 	dmu  sync.Mutex                   // orders pre-attach buffering against the switch
 	pend []runtime.Envelope           // envelopes buffered before attach, guarded by dmu
 
-	// out collects the frames one handler turn sends; the runtime's
-	// end-of-turn Flush/FlushAsync ships them together — a release's
-	// PRIVILEGE and its pipelined re-REQUEST leave in one writev. spare
-	// keeps drained batches' backing arrays for the next turns. It keeps
-	// two: a flush runs after its turn ends, so the next turn (another
-	// application goroutine's, or a transport reader's) can park while
-	// the previous batch is still being written, and it takes the
-	// second. The turn cycle then allocates nothing.
-	bmu   sync.Mutex
-	out   []*frame
-	spare [2][]*frame
+	nmu   sync.Mutex
+	noted []*peerConn // peers with frames queued since a flush took them, guarded by nmu
 }
 
-// Send frames the message and parks it on the link's turn batch; the
-// runtime flushes the batch when the handler turn ends. It never blocks
+// Send frames the message and queues it for the peer; the runtime's
+// flush at the end of the handler turn sees it written. It never blocks
 // on the network.
 func (l *tcpLink) Send(to mutex.ID, m mutex.Message) error {
 	f, err := l.host.newFrame(l.instance, m)
 	if err != nil {
 		return fmt.Errorf("encode %s: %w", m.Kind(), err)
 	}
-	l.park(to, f)
+	l.queue(to, f)
 	return nil
 }
 
@@ -475,92 +475,65 @@ func (l *tcpLink) SendMsg(to mutex.ID, m core.Msg) error {
 	if err != nil {
 		return fmt.Errorf("encode %v: %w", m.Kind, err)
 	}
-	l.park(to, f)
+	l.queue(to, f)
 	return nil
 }
 
-// park appends f, bound for to, to the handler turn's batch.
-func (l *tcpLink) park(to mutex.ID, f *frame) {
-	f.to = to
-	l.bmu.Lock()
-	l.out = append(l.out, f)
-	l.bmu.Unlock()
+// queue puts f on peer to's ring and notes the peer for the turn's
+// flush.
+func (l *tcpLink) queue(to mutex.ID, f *frame) {
+	if pc := l.host.queue(to, f, false); pc != nil {
+		l.sent.Add(1)
+		l.note(pc)
+	}
 }
 
-// takeBatch claims the current turn batch, leaving a recycled (or
-// empty) one in its place. nil means the turn sent nothing.
-func (l *tcpLink) takeBatch() []*frame {
-	l.bmu.Lock()
-	if len(l.out) == 0 {
-		l.bmu.Unlock()
+// note records that pc holds frames a flush of this link owes a write.
+func (l *tcpLink) note(pc *peerConn) {
+	l.nmu.Lock()
+	if !slices.Contains(l.noted, pc) {
+		l.noted = append(l.noted, pc)
+	}
+	l.nmu.Unlock()
+}
+
+// take removes and returns the first noted peer, nil when none is left.
+func (l *tcpLink) take() *peerConn {
+	l.nmu.Lock()
+	defer l.nmu.Unlock()
+	if len(l.noted) == 0 {
 		return nil
 	}
-	b := l.out
-	l.out = nil
-	for i, sp := range l.spare {
-		if sp != nil {
-			l.out, l.spare[i] = sp, nil
-			break
-		}
-	}
-	l.bmu.Unlock()
-	return b
+	pc := l.noted[0]
+	n := copy(l.noted, l.noted[1:])
+	l.noted[n] = nil
+	l.noted = l.noted[:n]
+	return pc
 }
 
-// recycle returns a drained batch's backing array for the next turns,
-// unless both spares are already kept.
-func (l *tcpLink) recycle(b []*frame) {
-	l.bmu.Lock()
-	for i, sp := range l.spare {
-		if sp == nil {
-			l.spare[i] = b[:0]
-			break
-		}
-	}
-	l.bmu.Unlock()
-}
-
-// Flush ships the turn's batch from the calling goroutine: consecutive
-// frames to one peer leave as a single inline writev when that peer's
-// writer is idle — the hot handoff path (PRIVILEGE + pipelined
-// re-REQUEST to the successor) costs one syscall and no writer wakeup.
-// Busy or not-yet-dialed peers fall back to the batched writer. Only
-// application goroutines may Flush; it can block on the network.
+// Flush writes the noted peers' rings from the calling goroutine: each
+// peer whose connection is up and whose write turn is free gets one
+// inline writev of what is queued there — the hot handoff path
+// (PRIVILEGE + pipelined re-REQUEST to the successor) costs one syscall
+// and no writer wakeup. A busy or not-yet-dialed peer is left to whoever
+// holds its turn. Only application goroutines may Flush; it can block on
+// the network.
 func (l *tcpLink) Flush() {
-	b := l.takeBatch()
-	if b == nil {
-		return
-	}
-	for i := 0; i < len(b); {
-		j := i + 1
-		for j < len(b) && b[j].to == b[i].to {
-			j++
+	for pc := l.take(); pc != nil; pc = l.take() {
+		if err := pc.flush(); err != nil {
+			l.host.peerFault(pc.peer, fmt.Errorf("write to node %d: %w", pc.peer, err))
 		}
-		l.sent.Add(int64(l.host.sendNow(b[i].to, b[i:j])))
-		i = j
 	}
-	for i := range b {
-		b[i] = nil
-	}
-	l.recycle(b)
 }
 
-// FlushAsync ships the turn's batch through the per-peer writer
-// goroutines without ever blocking the caller — the flush for delivery
-// context (transport readers, detector verdicts), where an inline write
-// could deadlock two nodes writing to each other.
+// FlushAsync wakes the noted peers' writer goroutines and never blocks
+// the caller — the flush for delivery context (transport readers,
+// detector verdicts), where an inline write could deadlock two nodes
+// writing to each other.
 func (l *tcpLink) FlushAsync() {
-	b := l.takeBatch()
-	if b == nil {
-		return
+	for pc := l.take(); pc != nil; pc = l.take() {
+		pc.wake.Signal()
 	}
-	for i, f := range b {
-		if l.host.enqueue(f.to, f) {
-			l.sent.Add(1)
-		}
-		b[i] = nil
-	}
-	l.recycle(b)
 }
 
 // Recv blocks on the instance's inbox. Direct delivery bypasses the
@@ -611,11 +584,13 @@ const maxWriteBatch = 64
 
 // peerConn is the outgoing side of one connection — a member's link to a
 // peer, or either end of a CLIENT-protocol connection (FrameWriter): an
-// unbounded ring of pooled frames, a writer goroutine draining it in
-// writev batches, and a write turn (writing) that an idle-path sender
-// can claim to writev inline from its own goroutine instead of waking
-// the writer. conn is set once the writer has dialed, so Close can sever
-// it and unblock any write stuck against a full send buffer.
+// unbounded ring of pooled frames in the order they were queued, a
+// writer goroutine draining it in writev batches, and a write turn
+// (writing) that a sender's flush can claim to writev inline from its
+// own goroutine instead of waking the writer. Both writers go through
+// write, so the ring leaves in order whoever holds the turn. conn is set
+// once the writer has dialed, so Close can sever it and unblock any
+// write stuck against a full send buffer.
 type peerConn struct {
 	mu      sync.Mutex
 	wake    *sync.Cond // wakes the writer: frames queued, write turn free, closing
@@ -624,6 +599,7 @@ type peerConn struct {
 	closed  bool
 	writing bool     // a goroutine owns the connection's write side
 	conn    net.Conn // set by the writer after dialing
+	peer    mutex.ID // the member a member link writes to; unset for CLIENT connections
 
 	// bufArr backs the writev iovec list; owned by whoever holds the
 	// write turn. net.Buffers.WriteTo consumes the slice it is given,
@@ -696,9 +672,10 @@ func (pc *peerConn) shutdown() {
 	pc.mu.Unlock()
 }
 
-// queue hands f to the drain goroutine and reports whether it was
-// accepted; a closed link drops it back into the pool.
-func (pc *peerConn) queue(f *frame) bool {
+// accept puts f at the back of the ring and reports whether it was
+// accepted; a closed link drops it back into the pool. wake also signals
+// the writer. A sender that flushes afterwards leaves that to its flush.
+func (pc *peerConn) accept(f *frame, wake bool) bool {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
 	if pc.closed {
@@ -706,43 +683,55 @@ func (pc *peerConn) queue(f *frame) bool {
 		return false
 	}
 	pc.push(f)
-	pc.wake.Signal()
+	if wake {
+		pc.wake.Signal()
+	}
 	return true
 }
 
-// send writes f inline when the connection is idle (up, queue empty,
-// write turn free) or queues it for the drain goroutine — the client
-// response path's single-frame analogue of sendNow. Rejected or failed
-// frames go back to the pool; a write error severs the connection and
-// marks the link closed.
-func (pc *peerConn) send(f *frame) {
+// flush writes what is queued inline when the connection is up and its
+// write turn free, and returns the write's error. Otherwise it leaves
+// the ring to the writer, which needs no wakeup: it is dialing and
+// drains the ring once connected, or it holds the turn and loops back
+// to the ring, or an inline writer holds it and wakes the writer when it
+// hands the turn back with frames still queued.
+func (pc *peerConn) flush() error {
 	pc.mu.Lock()
-	if pc.closed {
+	if pc.conn == nil || pc.writing || pc.n == 0 {
 		pc.mu.Unlock()
-		putFrame(f)
-		return
+		return nil
 	}
-	if pc.conn == nil || pc.writing || pc.n > 0 {
-		pc.push(f)
-		pc.wake.Signal()
-		pc.mu.Unlock()
-		return
+	return pc.write()
+}
+
+// write takes the write turn and writes up to maxWriteBatch queued
+// frames to the connection in one writev, then hands the turn back and
+// wakes the writer if frames are still queued. A failed write severs the
+// connection and marks the link closed. The caller holds pc.mu and has
+// checked that the connection is up, the turn free and the ring not
+// empty; write returns with pc.mu released.
+func (pc *peerConn) write() error {
+	var batch [maxWriteBatch]*frame
+	n := 0
+	for n < maxWriteBatch && pc.n > 0 {
+		batch[n] = pc.pop()
+		n++
 	}
 	pc.writing = true
 	conn := pc.conn
 	pc.mu.Unlock()
-	one := [1]*frame{f}
-	err := pc.writev(conn, one[:])
+	err := pc.writev(conn, batch[:n])
 	pc.mu.Lock()
 	pc.writing = false
-	if pc.n > 0 || pc.closed {
-		pc.wake.Signal()
+	if pc.n > 0 {
+		pc.wake.Signal() // frames queued behind this write: the writer's turn
 	}
 	pc.mu.Unlock()
 	if err != nil {
 		pc.shutdown()
 		_ = conn.Close()
 	}
+	return err
 }
 
 // writev gathers fs into one vectored write and returns the frames to
@@ -804,91 +793,38 @@ func (h *TCPHost) peer(to mutex.ID) *peerConn {
 		return nil
 	}
 	pc = newPeerConn()
+	pc.peer = to
 	pc.stats = &h.linkWrites
 	h.peers[to] = pc
 	h.wg.Add(1)
 	go func() {
 		defer h.wg.Done()
-		h.writeLoop(to, pc)
+		h.writeLoop(pc)
 	}()
 	return pc
 }
 
-// enqueue hands the frame to the peer's writer, starting it on first
-// use. It reports whether the frame was accepted — a dead writer (dial
-// failed, write failed, host closing) is marked closed, so frames to it
-// are dropped instead of accumulating unsent forever. Rejected frames
-// go back to the pool here; accepted ones are returned after writing.
-func (h *TCPHost) enqueue(to mutex.ID, f *frame) bool {
+// queue puts f on the ring of peer to, starting its writer on first use,
+// and returns that peer's connection (wake also signals the writer). A
+// frame the fault plan vetoes, or one for a dead link (dial failed,
+// write failed, host closing), goes back to the pool instead and queue
+// returns nil: frames to a dead writer are dropped, not kept unsent
+// forever.
+func (h *TCPHost) queue(to mutex.ID, f *frame, wake bool) *peerConn {
 	if !h.inj.Load().Allow(h.id, to) {
 		putFrame(f)
-		return false // injected loss: dropped before the writer, so the link heals cleanly
+		return nil // injected loss: dropped before the writer, so the link heals cleanly
 	}
 	pc := h.peer(to)
 	if pc == nil {
 		putFrame(f)
-		return false
+		return nil
 	}
-	if !pc.queue(f) {
-		return false
+	if !pc.accept(f, wake) {
+		return nil
 	}
 	h.sent.Add(1)
-	return true
-}
-
-// sendNow ships fs (a handler turn's consecutive frames to one peer)
-// from the calling goroutine: when the peer's connection is up, its
-// queue empty and its write turn free, the whole batch leaves as one
-// inline writev — no writer wakeup on the hot handoff path. Otherwise
-// the frames fall back to the writer queue, preserving per-peer FIFO
-// order. It returns how many frames were accepted (written or queued).
-func (h *TCPHost) sendNow(to mutex.ID, fs []*frame) int {
-	if !h.inj.Load().Allow(h.id, to) {
-		for _, f := range fs {
-			putFrame(f)
-		}
-		return 0
-	}
-	pc := h.peer(to)
-	if pc == nil {
-		for _, f := range fs {
-			putFrame(f)
-		}
-		return 0
-	}
-	pc.mu.Lock()
-	if pc.closed {
-		pc.mu.Unlock()
-		for _, f := range fs {
-			putFrame(f)
-		}
-		return 0
-	}
-	if pc.conn == nil || pc.writing || pc.n > 0 {
-		for _, f := range fs {
-			pc.push(f)
-		}
-		pc.wake.Signal()
-		pc.mu.Unlock()
-		h.sent.Add(int64(len(fs)))
-		return len(fs)
-	}
-	pc.writing = true
-	conn := pc.conn
-	pc.mu.Unlock()
-	h.sent.Add(int64(len(fs)))
-	err := pc.writev(conn, fs)
-	pc.mu.Lock()
-	pc.writing = false
-	if pc.n > 0 || pc.closed {
-		pc.wake.Signal() // frames queued behind the inline write: the writer's turn
-	}
-	pc.mu.Unlock()
-	if err != nil {
-		pc.shutdown()
-		h.peerFault(to, fmt.Errorf("write to node %d: %w", to, err))
-	}
-	return len(fs)
+	return pc
 }
 
 // writeLoop dials the peer, then drains the frame queue in writev
@@ -901,11 +837,11 @@ func (h *TCPHost) sendNow(to mutex.ID, fs []*frame) int {
 // steady state the writer mostly sleeps: handler turns flushed from
 // application goroutines writev inline, and the writer covers dialing,
 // delivery-context sends and overflow behind a busy connection.
-func (h *TCPHost) writeLoop(to mutex.ID, pc *peerConn) {
-	conn, err := h.dial(to)
+func (h *TCPHost) writeLoop(pc *peerConn) {
+	conn, err := h.dial(pc.peer)
 	if err != nil {
 		pc.shutdown()
-		h.peerFault(to, fmt.Errorf("connect to node %d: %w", to, err))
+		h.peerFault(pc.peer, fmt.Errorf("connect to node %d: %w", pc.peer, err))
 		return
 	}
 	pc.mu.Lock()
@@ -917,45 +853,25 @@ func (h *TCPHost) writeLoop(to mutex.ID, pc *peerConn) {
 	pc.conn = conn
 	pc.mu.Unlock()
 	defer func() { _ = conn.Close() }()
-	if err := pc.drain(conn); err != nil {
-		h.peerFault(to, fmt.Errorf("write to node %d: %w", to, err))
+	if err := pc.drain(); err != nil {
+		h.peerFault(pc.peer, fmt.Errorf("write to node %d: %w", pc.peer, err))
 	}
 }
 
-// drain ships queued frames in writev batches until the link closes or a
-// write fails (the link is marked closed before returning the error).
-// Shared by the member write loop and the client-connection response
-// writer; the caller owns conn's lifetime.
-func (pc *peerConn) drain(conn net.Conn) error {
-	var batch [maxWriteBatch]*frame
+// drain writes queued frames until the link closes or a write fails (the
+// link is marked closed before returning the error). Shared by the
+// member write loop and the client-connection writer; pc.conn is set.
+func (pc *peerConn) drain() error {
 	for {
 		pc.mu.Lock()
 		for (pc.n == 0 || pc.writing) && !pc.closed {
 			pc.wake.Wait()
 		}
 		if pc.closed {
-			for pc.n > 0 {
-				putFrame(pc.pop())
-			}
 			pc.mu.Unlock()
 			return nil
 		}
-		n := 0
-		for n < maxWriteBatch && pc.n > 0 {
-			batch[n] = pc.pop()
-			n++
-		}
-		pc.writing = true
-		pc.mu.Unlock()
-		err := pc.writev(conn, batch[:n])
-		for i := range batch[:n] {
-			batch[i] = nil
-		}
-		pc.mu.Lock()
-		pc.writing = false
-		pc.mu.Unlock()
-		if err != nil {
-			pc.shutdown()
+		if err := pc.write(); err != nil {
 			return err
 		}
 	}
